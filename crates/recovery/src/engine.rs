@@ -15,7 +15,8 @@
 //!   ([`recover_iterate_rows`], [`recover_direction_rows`],
 //!   [`lossy_interpolate_rows`]) generalising the shared-memory
 //!   [`BlockRecovery`](crate::BlockRecovery) solves to arbitrary
-//!   simultaneous row sets;
+//!   simultaneous row sets, each factoring its rows' block on the spot with
+//!   the sparse [`EnvelopeCholesky`];
 //! * **scrub-point fault materialisation** ([`scrub_blank`], [`mark_page`])
 //!   — the page-granular analogue of SIGBUS-on-touch — and the related-data
 //!   partitioning of simultaneous losses ([`split_related`]);
@@ -35,11 +36,12 @@
 //! is [`PcgRelations`], and every future solver variant is another ~100-line
 //! trait implementation instead of another monolithic solver copy.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use feir_pagemem::{AccessOutcome, PageRegistry, VectorId};
 use feir_sparse::blocking::BlockPartition;
-use feir_sparse::{CsrMatrix, DenseMatrix, LocalBlockJacobi};
+use feir_sparse::{CsrMatrix, EnvelopeCholesky, LocalBlockJacobi};
 
 use crate::report::{RecoveryAction, RecoveryEvent};
 
@@ -377,21 +379,39 @@ impl RecoverableIteration for MergedPcgRelations<'_> {
 
 // ----- coupled-row page-reconstruction kernels -----------------------------
 
-/// Solves the coupled dense system `A_RR · y = rhs` over the given sorted
-/// global rows (a principal submatrix of the SPD operator, hence Cholesky).
+/// Solves the coupled system `A_RR · y = rhs` over the given sorted global
+/// rows: a principal submatrix of the SPD operator, factored sparsely by
+/// [`EnvelopeCholesky`] on every call. For a stencil operator that costs
+/// less than an iteration, so nothing is cached between repairs. `None` when
+/// the block is not positive definite.
 fn solve_coupled(a: &CsrMatrix, rows: &[usize], rhs: &[f64]) -> Option<Vec<f64>> {
-    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must be sorted");
-    let k = rows.len();
-    let mut m = DenseMatrix::zeros(k, k);
-    for (i, &r) in rows.iter().enumerate() {
-        let (cols, vals) = a.row(r);
-        for (c, v) in cols.iter().zip(vals) {
-            if let Ok(j) = rows.binary_search(c) {
-                m.set(i, j, *v);
+    EnvelopeCholesky::factorize(a, rows)
+        .ok()
+        .map(|factor| factor.solve(rhs))
+}
+
+/// Right-hand side of a coupled reconstruction over the sorted global rows
+/// `R`: `constant(i, rows[i]) − Σ_{c∉R} A_{rows[i],c} · outside[c]`, the
+/// relation's own term less what the surviving entries contribute.
+fn off_block_rhs(
+    a: &CsrMatrix,
+    rows: &[usize],
+    outside: &[f64],
+    constant: impl Fn(usize, usize) -> f64,
+) -> Vec<f64> {
+    rows.iter()
+        .enumerate()
+        .map(|(i, &r)| {
+            let (cols, vals) = a.row(r);
+            let mut acc = constant(i, r);
+            for (c, v) in cols.iter().zip(vals) {
+                if rows.binary_search(c).is_err() {
+                    acc -= v * outside[*c];
+                }
             }
-        }
-    }
-    m.cholesky().ok().map(|chol| chol.solve(rhs))
+            acc
+        })
+        .collect()
 }
 
 /// Exact recovery of lost rows of the **iterate**: solves
@@ -412,20 +432,7 @@ pub fn recover_iterate_rows(
 ) -> Option<Vec<f64>> {
     debug_assert_eq!(g_at_rows.len(), rows.len());
     let _probe = feir_trace::span(feir_trace::Phase::RecoveryReconstruct);
-    let rhs: Vec<f64> = rows
-        .iter()
-        .zip(g_at_rows)
-        .map(|(&r, g_r)| {
-            let (cols, vals) = a.row(r);
-            let mut acc = b[r] - g_r;
-            for (c, v) in cols.iter().zip(vals) {
-                if rows.binary_search(c).is_err() {
-                    acc -= v * x_full[*c];
-                }
-            }
-            acc
-        })
-        .collect();
+    let rhs = off_block_rhs(a, rows, x_full, |i, r| b[r] - g_at_rows[i]);
     solve_coupled(a, rows, &rhs)
 }
 
@@ -444,20 +451,7 @@ pub fn recover_direction_rows(
 ) -> Option<Vec<f64>> {
     debug_assert_eq!(q_at_rows.len(), rows.len());
     let _probe = feir_trace::span(feir_trace::Phase::RecoveryReconstruct);
-    let rhs: Vec<f64> = rows
-        .iter()
-        .zip(q_at_rows)
-        .map(|(&r, q_r)| {
-            let (cols, vals) = a.row(r);
-            let mut acc = *q_r;
-            for (c, v) in cols.iter().zip(vals) {
-                if rows.binary_search(c).is_err() {
-                    acc -= v * d_full[*c];
-                }
-            }
-            acc
-        })
-        .collect();
+    let rhs = off_block_rhs(a, rows, d_full, |i, _| q_at_rows[i]);
     solve_coupled(a, rows, &rhs)
 }
 
@@ -471,19 +465,7 @@ pub fn lossy_interpolate_rows(
     x_full: &[f64],
 ) -> Option<Vec<f64>> {
     let _probe = feir_trace::span(feir_trace::Phase::RecoveryReconstruct);
-    let rhs: Vec<f64> = rows
-        .iter()
-        .map(|&r| {
-            let (cols, vals) = a.row(r);
-            let mut acc = b[r];
-            for (c, v) in cols.iter().zip(vals) {
-                if rows.binary_search(c).is_err() {
-                    acc -= v * x_full[*c];
-                }
-            }
-            acc
-        })
-        .collect();
+    let rhs = off_block_rhs(a, rows, x_full, |_, r| b[r]);
     solve_coupled(a, rows, &rhs)
 }
 
@@ -701,10 +683,15 @@ pub fn plan_state_fixes<S: RecoverableIteration + ?Sized>(
     // g_R = b_R − Σ_c A_Rc x_c — but only where every iterate entry the
     // stencil reads is trustworthy (repaired, surviving, or validly
     // fetched). `blanks` already carries the abandoned pages' rows.
-    let mut x_view = x_full.to_vec();
-    if let Some(values) = &x_values {
-        for (&r, v) in x_rows.iter().zip(values) {
-            x_view[r] = *v;
+    // The iterate is copied only when a residual page has to read repaired
+    // rows; every other plan borrows it.
+    let mut x_view = Cow::Borrowed(x_full);
+    if !rec_g.is_empty() {
+        if let Some(values) = &x_values {
+            let patched = x_view.to_mut();
+            for (&r, v) in x_rows.iter().zip(values) {
+                patched[r] = *v;
+            }
         }
     }
     let mut blank_for_g = blanks;
@@ -924,6 +911,48 @@ mod tests {
         let mut z_page = vec![0.0; range.len()];
         assert!(relations.reapply_preconditioner(1, &g[range.clone()], &mut z_page));
         assert_eq!(&z_full[range], z_page.as_slice());
+    }
+
+    #[test]
+    fn planned_residual_pages_read_the_repaired_iterate() {
+        let a = poisson_2d(12);
+        let n = a.rows();
+        let (x_true, b) = manufactured_rhs(&a, 9);
+        let x: Vec<f64> = x_true.iter().map(|v| 0.8 * v - 0.01).collect();
+        let relations = CgRelations::new(&a, &b);
+        let mut g = vec![0.0; n];
+        relations.residual_rows(0..n, &x, &mut g);
+        // Iterate page 1 and residual page 2 are lost together; page 2's
+        // stencil reads page 1's rows, so its fix is right only if it is
+        // computed from the repaired view.
+        let pages = BlockPartition::new(n, 24);
+        let (mut x_lost, mut g_lost) = (x.clone(), g.clone());
+        x_lost[pages.range(1)].fill(0.0);
+        g_lost[pages.range(2)].fill(0.0);
+        let plan = |rec_g: &[usize]| {
+            let losses = StateLosses {
+                rec_x: &[1],
+                rec_g,
+                blank_x: &[],
+                cross_rank: &[],
+            };
+            plan_state_fixes(&relations, &a, &pages, 0, losses, &g_lost, &x_lost)
+        };
+        let both = plan(&[2]);
+        let x_values = both.x_values.as_ref().expect("page 1 is solvable");
+        for (v, r) in x_values.iter().zip(pages.range(1)) {
+            assert!((v - x[r]).abs() < 1e-10, "x row {r}");
+        }
+        let (page, fix) = &both.g_fixes[0];
+        assert_eq!((*page, both.g_fixes.len()), (2, 1));
+        for (v, r) in fix.iter().zip(pages.range(2)) {
+            assert!((v - g[r]).abs() < 1e-10, "g row {r}");
+        }
+        // Without a residual loss the plan borrows the iterate and repairs
+        // the same page to the same bits.
+        let alone = plan(&[]);
+        assert!(alone.g_fixes.is_empty());
+        assert_eq!(alone.x_values.as_ref(), Some(x_values));
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`DenseMatrix`] with [`Cholesky`], [`Lu`] and Householder [`Qr`]
 //!   factorizations used to solve the small diagonal-block systems
 //!   `A_ii x_i = r_i` of the recovery relations,
+//! * [`EnvelopeCholesky`] — reverse-Cuthill–McKee-ordered band Cholesky of a
+//!   principal submatrix taken straight from the CSR rows, which is what a
+//!   page repair factors,
 //! * [`blocking`] — page-aligned block partitions and extraction of dense
 //!   diagonal blocks / block rows,
 //! * [`BlockJacobi`] — the block-Jacobi preconditioner used by the paper's PCG
@@ -40,6 +43,7 @@ pub mod blockjacobi;
 pub mod coo;
 pub mod csr;
 pub mod dense;
+pub mod envelope;
 pub mod error;
 pub mod format;
 pub mod fused;
@@ -54,6 +58,7 @@ pub use blockjacobi::{BlockJacobi, LocalBlockJacobi};
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::{Cholesky, DenseMatrix, Lu, Qr};
+pub use envelope::EnvelopeCholesky;
 pub use error::SparseError;
 pub use format::{
     analyze, analyze_rows, FormatAnalysis, MatrixFormat, SparseOps, SpmvBackend, SpmvFormat,

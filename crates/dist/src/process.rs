@@ -24,6 +24,10 @@
 //! (dropping duplicates, holding reordered records back) and acknowledges
 //! cumulatively, and the sender retransmits the oldest unacknowledged record
 //! with exponential backoff until [`MeshOptions::max_retries`] is exhausted.
+//! The retransmit timer is driven by whichever thread the loss stalls: a
+//! rank blocked in a receive sleeps until the earliest retransmit deadline
+//! over all of its links and re-sends what expired, a closing link drains
+//! the same way, and the reader thread covers a rank that is computing.
 //! Because delivery is exactly-once-in-order, the message sequence the
 //! solver observes over a faulty link is *identical* to the clean one — a
 //! lossy-mesh solve is therefore bitwise-identical to a clean-mesh solve.
@@ -358,9 +362,12 @@ fn comm_err(peer: usize, during: &'static str, e: WireError) -> CommError {
 // Reliability sublayer: sequence numbers, acks, retransmission.
 // ---------------------------------------------------------------------------
 
-/// Poll granularity of the reliability layer: reader threads wake at this
-/// period to service retransmissions, and receives poll their queue at it to
-/// notice dead links.
+/// Liveness poll of the reliability layer: a blocked receive wakes at least
+/// this often to notice dead links, and a reader thread's socket read times
+/// out after this much silence. Retransmissions do not wait for it — the
+/// blocked receiver sleeps until the earliest retransmit deadline (see
+/// [`ProcessEndpoint::await_frame`]); the reader's timeout is only the
+/// backstop for a rank that is computing rather than receiving.
 const TICK: Duration = Duration::from_millis(20);
 
 /// Why a link was declared dead.
@@ -392,8 +399,9 @@ struct SendState {
     unacked: VecDeque<SendRecord>,
 }
 
-/// State shared between a link's owner (sends) and its reader thread
-/// (acks, retransmissions, teardown). Lock order: `sendq` before `writer`.
+/// State shared between a link's owner (sends, and the retransmit timer
+/// while it is blocked receiving or draining) and its reader thread (acks,
+/// the timer's backstop, teardown). Lock order: `sendq` before `writer`.
 #[derive(Debug)]
 struct LinkShared {
     peer: usize,
@@ -435,22 +443,87 @@ impl LinkShared {
         }
     }
 
+    fn is_down(&self) -> bool {
+        self.down.lock().expect("link down lock").is_some()
+    }
+
+    /// How long a record already sent `attempt + 1` times waits for its ack
+    /// before the next retransmission: the base timeout doubled per attempt
+    /// (up to 2⁵), capped at 1 s.
+    fn backoff(&self, attempt: u32) -> Duration {
+        self.rto
+            .saturating_mul(1u32 << attempt.min(5))
+            .min(Duration::from_secs(1))
+    }
+
+    /// When the oldest unacknowledged record is next due for retransmission;
+    /// `None` when nothing is in flight or the link is dead.
+    fn next_expiry(&self) -> Option<Instant> {
+        if self.is_down() {
+            return None;
+        }
+        let sendq = self.sendq.lock().expect("link send lock");
+        let head = sendq.unacked.front()?;
+        Some(head.sent_at + self.backoff(head.attempt))
+    }
+
+    /// Numbers `frame` as this link's next record, queues it for
+    /// retransmission and writes its first attempt. `false` means the write
+    /// failed and the link is now marked dead.
+    fn transmit(&self, frame: &[u8]) -> bool {
+        let copy = frame.to_vec();
+        // Record first (lock order sendq → writer), then transmit.
+        let mut sendq = self.sendq.lock().expect("link send lock");
+        let seq = sendq.next_seq;
+        sendq.next_seq += 1;
+        sendq.unacked.push_back(SendRecord {
+            seq,
+            attempt: 0,
+            sent_at: Instant::now(),
+            frame: copy,
+        });
+        let ok = {
+            let mut writer = self.writer.lock().expect("link writer lock");
+            writer.write_data(seq, 0, frame).is_ok()
+        };
+        drop(sendq);
+        if !ok {
+            self.mark_down(LinkDown::Eof);
+        }
+        ok
+    }
+
+    /// Applies a cumulative ack: "every record below `seq` was delivered."
+    fn acknowledge(&self, seq: u64) {
+        let mut sendq = self.sendq.lock().expect("link send lock");
+        let mut popped = false;
+        while sendq.unacked.front().is_some_and(|r| r.seq < seq) {
+            sendq.unacked.pop_front();
+            popped = true;
+        }
+        // Progress resets the survivor's timer (its flight time was spent
+        // behind the acked records); a pure duplicate ack must not keep
+        // resetting it or retransmission would starve.
+        if popped {
+            if let Some(head) = sendq.unacked.front_mut() {
+                head.sent_at = Instant::now();
+            }
+        }
+    }
+
     /// Retransmits the oldest unacknowledged record if its backoff expired.
-    /// Returns `false` when the link is (now) dead and the reader should
-    /// exit.
+    /// Callable from any thread — the `sendq` lock and the `sent_at` reset
+    /// keep two callers from re-sending the same expiry twice. Returns
+    /// `false` when the link is (now) dead and a reader should exit.
     fn service_retransmits(&self) -> bool {
-        if self.down.lock().expect("link down lock").is_some() {
+        if self.is_down() {
             return false;
         }
         let mut sendq = self.sendq.lock().expect("link send lock");
-        let Some(head) = sendq.unacked.front() else {
+        let Some(head) = sendq.unacked.front_mut() else {
             return true;
         };
-        let backoff = self
-            .rto
-            .saturating_mul(1u32 << head.attempt.min(5))
-            .min(Duration::from_secs(1));
-        if head.sent_at.elapsed() < backoff {
+        if head.sent_at.elapsed() < self.backoff(head.attempt) {
             return true;
         }
         if head.attempt >= self.max_retries {
@@ -460,16 +533,18 @@ impl LinkShared {
             self.mark_down(LinkDown::AckTimeout);
             return false;
         }
-        let head = sendq.unacked.front_mut().expect("head just observed");
         head.attempt += 1;
         head.sent_at = Instant::now();
         feir_trace::instant(feir_trace::Phase::Retransmit);
-        let (seq, attempt, frame) = (head.seq, head.attempt, head.frame.clone());
         // sendq stays held across the write (lock order sendq → writer) so a
-        // concurrent send cannot interleave a fresh record mid-retransmit.
+        // concurrent send cannot interleave a fresh record mid-retransmit —
+        // which is also what lets the frame be written from the queue in
+        // place.
         let ok = {
             let mut writer = self.writer.lock().expect("link writer lock");
-            writer.write_data(seq, attempt, &frame).is_ok()
+            writer
+                .write_data(head.seq, head.attempt, &head.frame)
+                .is_ok()
         };
         drop(sendq);
         if !ok {
@@ -527,23 +602,7 @@ fn reader_loop(
         }
         let (kind, seq, inner_len) = parse_envelope(&env);
         match kind {
-            ENV_ACK => {
-                // Cumulative: "every record below `seq` was delivered."
-                let mut sendq = shared.sendq.lock().expect("link send lock");
-                let mut popped = false;
-                while sendq.unacked.front().is_some_and(|r| r.seq < seq) {
-                    sendq.unacked.pop_front();
-                    popped = true;
-                }
-                // Progress resets the survivor's timer (its flight time was
-                // spent behind the acked records); a pure duplicate ack must
-                // not keep resetting it or retransmission would starve.
-                if popped {
-                    if let Some(head) = sendq.unacked.front_mut() {
-                        head.sent_at = Instant::now();
-                    }
-                }
-            }
+            ENV_ACK => shared.acknowledge(seq),
             ENV_DATA => {
                 if inner_len as usize > feir_wire::HEADER_LEN + feir_wire::MAX_PAYLOAD as usize {
                     shared.mark_down(LinkDown::Corrupt(None));
@@ -608,6 +667,19 @@ fn reader_loop(
     // `tx` drops here, closing the owner's receive queue.
 }
 
+/// What a blocked receive does with one in-order message of the link it
+/// waits on (the decision [`ProcessEndpoint::await_frame`] takes as a
+/// closure).
+enum Sift<T> {
+    /// The awaited frame: the wait returns.
+    Take(T),
+    /// Another stream's frame a later receive will ask for: kept in the
+    /// link's inbox.
+    Stash(Message),
+    /// Traffic nobody will ask for.
+    Discard,
+}
+
 /// One established reliable link to a peer rank.
 #[derive(Debug)]
 struct RLink {
@@ -627,29 +699,32 @@ impl RLink {
     fn shutdown(&mut self) {
         // Graceful drain: the last frames of a solve may still be waiting on
         // a retransmission (chaos can drop the first attempt), and closing
-        // the socket now would lose them forever. Let the reader thread —
-        // which services the retransmit timer and collects acks — finish the
-        // delivery first, bounded so a genuinely dead peer cannot stall
-        // teardown longer than the retry budget itself.
-        let budget = self
-            .shared
-            .rto
-            .saturating_mul(2u32.saturating_pow(self.shared.max_retries.min(5) + 1))
-            .min(Duration::from_secs(3));
-        let deadline = Instant::now() + budget;
-        loop {
-            let down = self.shared.down.lock().expect("link down lock").is_some();
-            let drained = self
-                .shared
-                .sendq
-                .lock()
-                .expect("link send lock")
-                .unacked
-                .is_empty();
-            if down || drained || Instant::now() >= deadline {
+        // the socket now would lose them forever. This thread drives the
+        // retransmit timer itself until the reader thread has collected the
+        // acks, bounded by the time the retries would take to exhaust so a
+        // peer that is alive but never acks cannot stall teardown for long.
+        const BUDGET_CAP: Duration = Duration::from_secs(3);
+        const ACK_POLL: Duration = Duration::from_millis(1);
+        let shared = &self.shared;
+        let mut budget = Duration::ZERO;
+        for attempt in 0..=shared.max_retries {
+            budget += shared.backoff(attempt);
+            if budget >= BUDGET_CAP {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(1));
+        }
+        let deadline = Instant::now() + budget.min(BUDGET_CAP);
+        while shared.service_retransmits() {
+            let Some(expiry) = shared.next_expiry() else {
+                break; // drained
+            };
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            // The ack that ends the drain lands on the reader thread, which
+            // cannot wake this one: poll for it, waking early for the timer.
+            std::thread::sleep(expiry.min(now + ACK_POLL).saturating_duration_since(now));
         }
         let _ = self.ctl.shutdown();
         if let Some(thread) = self.thread.take() {
@@ -792,23 +867,7 @@ impl ProcessEndpoint {
             let mut scratch = self.scratch.borrow_mut();
             scratch.clear();
             msg.encode_into(&mut scratch);
-            // Record first (lock order sendq → writer), then transmit.
-            let mut sendq = link.shared.sendq.lock().expect("link send lock");
-            let seq = sendq.next_seq;
-            sendq.next_seq += 1;
-            sendq.unacked.push_back(SendRecord {
-                seq,
-                attempt: 0,
-                sent_at: Instant::now(),
-                frame: scratch.clone(),
-            });
-            let ok = {
-                let mut writer = link.shared.writer.lock().expect("link writer lock");
-                writer.write_data(seq, 0, &scratch).is_ok()
-            };
-            drop(sendq);
-            if !ok {
-                link.shared.mark_down(LinkDown::Eof);
+            if !link.shared.transmit(&scratch) {
                 self.downed.lock().expect("downed set lock").insert(peer);
                 return Err(CommError::Disconnected {
                     peer: Some(peer),
@@ -825,41 +884,106 @@ impl ProcessEndpoint {
                 return Ok(link.inbox.remove(at).expect("inbox position just found"));
             }
             let deadline = self.options.read_timeout.map(|d| Instant::now() + d);
-            loop {
-                match link.rx.recv_timeout(TICK) {
-                    Ok(msg) if msg.tag() == want => return Ok(msg),
-                    Ok(msg) => link.inbox.push_back(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if self.options.elastic {
-                            // Any dead peer aborts the collective so every
-                            // rank reaches the rejoin barrier, not just the
-                            // dead rank's direct correspondents.
-                            let downed = self.downed.lock().expect("downed set lock");
-                            if let Some(&dead) = downed.iter().next() {
-                                return Err(CommError::Disconnected {
-                                    peer: Some(dead),
-                                    during,
-                                });
-                            }
-                        }
-                        if let Some(err) = link.shared.down_error(peer, during) {
-                            return Err(err);
-                        }
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            return Err(CommError::Timeout { peer, during });
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(link.shared.down_error(peer, during).unwrap_or(
-                            CommError::Disconnected {
-                                peer: Some(peer),
-                                during,
-                            },
-                        ));
+            // With elasticity on, any dead peer aborts the collective so
+            // every rank reaches the rejoin barrier, not just the dead
+            // rank's direct correspondents.
+            self.await_frame(peer, link, during, deadline, self.options.elastic, |msg| {
+                Ok(if msg.tag() == want {
+                    Sift::Take(msg)
+                } else {
+                    Sift::Stash(msg)
+                })
+            })
+        })
+    }
+
+    /// The one blocking wait of the transport: pulls `peer`'s in-order
+    /// messages through `sift` until it takes one, and meanwhile drives the
+    /// retransmit timer of **every** link of this endpoint — the thread a
+    /// lost frame stalls is this one, so it sleeps until
+    /// `min(earliest retransmit deadline, read deadline, liveness poll)`
+    /// rather than a fixed tick, and a rank blocked on peer A still re-sends
+    /// a frame lost toward peer B. `link` is `peer`'s link, already borrowed
+    /// by the caller; the others are reached through their own cells.
+    fn await_frame<T>(
+        &self,
+        peer: usize,
+        link: &mut RLink,
+        during: &'static str,
+        deadline: Option<Instant>,
+        any_dead_peer_aborts: bool,
+        mut sift: impl FnMut(Message) -> Result<Sift<T>, CommError>,
+    ) -> Result<T, CommError> {
+        let each_link = |f: &mut dyn FnMut(&LinkShared)| {
+            f(&link.shared);
+            for (p, slot) in self.links.iter().enumerate() {
+                if p != peer {
+                    if let Some(other) = slot.borrow().as_ref() {
+                        f(&other.shared);
                     }
                 }
             }
-        })
+        };
+        loop {
+            let received = if link.shared.is_down() {
+                // A dead link still owes the caller what its reader queued
+                // before it died; the death is reported once that is drained.
+                link.rx
+                    .try_recv()
+                    .map_err(|_| mpsc::RecvTimeoutError::Disconnected)
+            } else {
+                let now = Instant::now();
+                let mut wake = now + TICK;
+                if let Some(deadline) = deadline {
+                    wake = wake.min(deadline);
+                }
+                each_link(&mut |shared| {
+                    if let Some(expiry) = shared.next_expiry() {
+                        // An ack landing during the sleep pops the head and
+                        // re-arms its successor for `ack time + rto`, which
+                        // can fall before the popped head's backed-off
+                        // deadline; never sleeping past `now + rto` cannot
+                        // miss it.
+                        wake = wake.min(expiry).min(now + shared.rto);
+                    }
+                });
+                link.rx.recv_timeout(wake.saturating_duration_since(now))
+            };
+            match received {
+                Ok(msg) => match sift(msg)? {
+                    Sift::Take(taken) => return Ok(taken),
+                    Sift::Stash(msg) => link.inbox.push_back(msg),
+                    Sift::Discard => {}
+                },
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    // A no-op on links whose head record is not due yet.
+                    each_link(&mut |shared| {
+                        shared.service_retransmits();
+                    });
+                    if any_dead_peer_aborts {
+                        // `peer`'s own death is left to the drain above.
+                        let downed = self.downed.lock().expect("downed set lock");
+                        if let Some(&dead) = downed.iter().find(|&&dead| dead != peer) {
+                            return Err(CommError::Disconnected {
+                                peer: Some(dead),
+                                during,
+                            });
+                        }
+                    }
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(CommError::Timeout { peer, during });
+                    }
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(link.shared.down_error(peer, during).unwrap_or(
+                        CommError::Disconnected {
+                            peer: Some(peer),
+                            during,
+                        },
+                    ));
+                }
+            }
+        }
     }
 
     fn recv_halo_into(
@@ -961,59 +1085,31 @@ impl ProcessEndpoint {
     fn recv_barrier(&self, peer: usize, epoch: u32) -> Result<u64, CommError> {
         const DURING: &str = "rejoin barrier";
         self.with_link(peer, |link| {
+            let sift = |msg: Message| match msg {
+                Message::RejoinBarrier {
+                    epoch: e,
+                    iteration,
+                } if e == epoch => Ok(Sift::Take(iteration)),
+                Message::RejoinBarrier { epoch: e, .. } if e > epoch => {
+                    Err(CommError::Protocol(format!(
+                        "rejoin barrier from rank {peer}: epoch {e} is ahead of ours ({epoch})"
+                    )))
+                }
+                // A stale barrier of an earlier rejoin, or leftover
+                // collective traffic of the aborted solve.
+                _ => Ok(Sift::Discard),
+            };
             // The aborted collective may already have stashed the barrier
             // frame in the inbox; sweep it before draining the queue.
             for msg in link.inbox.drain(..) {
-                if let Message::RejoinBarrier { epoch: e, iteration } = msg {
-                    if e == epoch {
-                        return Ok(iteration);
-                    }
-                    if e > epoch {
-                        return Err(CommError::Protocol(format!(
-                            "rejoin barrier from rank {peer}: epoch {e} is ahead of ours ({epoch})"
-                        )));
-                    }
-                    // Stale barrier of an earlier rejoin: discard.
+                if let Sift::Take(iteration) = sift(msg)? {
+                    return Ok(iteration);
                 }
-                // Leftover collective traffic of the aborted solve: discard.
             }
             let budget = self.options.connect_timeout
                 + self.options.read_timeout.unwrap_or(Duration::from_secs(30));
-            let deadline = Instant::now() + budget;
-            loop {
-                match link.rx.recv_timeout(TICK) {
-                    Ok(Message::RejoinBarrier { epoch: e, iteration }) => {
-                        if e == epoch {
-                            return Ok(iteration);
-                        }
-                        if e > epoch {
-                            return Err(CommError::Protocol(format!(
-                                "rejoin barrier from rank {peer}: epoch {e} is ahead of ours ({epoch})"
-                            )));
-                        }
-                    }
-                    Ok(_) => {} // aborted-solve traffic
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if let Some(err) = link.shared.down_error(peer, DURING) {
-                            return Err(err);
-                        }
-                        if Instant::now() >= deadline {
-                            return Err(CommError::Timeout {
-                                peer,
-                                during: DURING,
-                            });
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(link.shared.down_error(peer, DURING).unwrap_or(
-                            CommError::Disconnected {
-                                peer: Some(peer),
-                                during: DURING,
-                            },
-                        ));
-                    }
-                }
-            }
+            let deadline = Some(Instant::now() + budget);
+            self.await_frame(peer, link, DURING, deadline, false, sift)
         })
     }
 }
@@ -2788,6 +2884,7 @@ pub fn worker_main() -> std::process::ExitCode {
 mod tests {
     use super::*;
     use feir_sparse::generators::poisson_2d;
+    use feir_wire::chaos::FaultKind;
     use std::sync::Barrier;
 
     /// Builds a thread-backed mesh of process endpoints over the transport
@@ -3093,6 +3190,311 @@ mod tests {
                     "rank {rank} diverges at round {round}: {c:e} vs {l:e}"
                 );
             }
+        }
+    }
+
+    /// A reader-less `LinkShared` over one end of a socket pair (the other
+    /// end is returned so writes have somewhere to go): the timer state
+    /// machine in isolation.
+    fn bare_link(rto: Duration, max_retries: u32) -> (LinkShared, UnixStream) {
+        let (near, far) = UnixStream::pair().expect("socket pair");
+        let stats = Arc::new(LinkStats::default());
+        let shared = LinkShared {
+            peer: 1,
+            writer: Mutex::new(ChaosLink::new(
+                Stream::Unix(near),
+                FaultPlan::clean(),
+                stats.clone(),
+            )),
+            sendq: Mutex::new(SendState::default()),
+            down: Mutex::new(None),
+            max_retries,
+            rto,
+            stats,
+        };
+        (shared, far)
+    }
+
+    fn head_sent_at(shared: &LinkShared) -> Instant {
+        let sendq = shared.sendq.lock().unwrap();
+        sendq.unacked.front().expect("a record in flight").sent_at
+    }
+
+    #[test]
+    fn lossy_timer_backoff_doubles_caps_and_follows_the_head_record() {
+        let rto = Duration::from_millis(40);
+        let (shared, _far) = bare_link(rto, 10);
+        for (attempt, want_ms) in [(0, 40), (1, 80), (2, 160), (4, 640), (5, 1000), (9, 1000)] {
+            assert_eq!(
+                shared.backoff(attempt),
+                Duration::from_millis(want_ms),
+                "attempt {attempt}"
+            );
+        }
+
+        assert_eq!(shared.next_expiry(), None, "nothing in flight");
+        assert!(shared.service_retransmits(), "an idle link stays alive");
+        for _ in 0..3 {
+            assert!(shared.transmit(b"frame"));
+        }
+        let first_sent = head_sent_at(&shared);
+        assert_eq!(shared.next_expiry(), Some(first_sent + rto));
+        // Not due yet: servicing is a no-op.
+        assert!(shared.service_retransmits());
+        assert_eq!(shared.stats.retransmits.load(Ordering::Relaxed), 0);
+
+        // A due head record is re-sent once per expiry, and each attempt
+        // doubles the wait for the next.
+        for attempt in 1..=2u32 {
+            shared.sendq.lock().unwrap().unacked[0].sent_at -= shared.backoff(attempt - 1);
+            assert!(shared.service_retransmits());
+            assert!(
+                shared.service_retransmits(),
+                "second caller finds it re-armed"
+            );
+            assert_eq!(
+                shared.stats.retransmits.load(Ordering::Relaxed),
+                u64::from(attempt)
+            );
+            let sent = head_sent_at(&shared);
+            assert_eq!(shared.next_expiry(), Some(sent + rto * (1 << attempt)));
+        }
+
+        // A duplicate ack (nothing below seq 0 is outstanding) must not
+        // re-arm the timer; cumulative progress re-arms the survivor's.
+        let before = head_sent_at(&shared);
+        shared.acknowledge(0);
+        assert_eq!(
+            head_sent_at(&shared),
+            before,
+            "duplicate ack moved the timer"
+        );
+        let stale = first_sent - Duration::from_secs(1);
+        shared.sendq.lock().unwrap().unacked[2].sent_at = stale;
+        shared.acknowledge(2);
+        let survivor = head_sent_at(&shared);
+        assert!(
+            survivor >= before,
+            "ack progress must restart the survivor's timer, not keep its {stale:?} send time"
+        );
+        assert_eq!(
+            shared.next_expiry(),
+            Some(survivor + rto),
+            "the survivor is on its first attempt"
+        );
+        shared.acknowledge(3);
+        assert_eq!(shared.next_expiry(), None, "fully acknowledged");
+
+        // A dead link has no deadline to wake anyone for.
+        assert!(shared.transmit(b"frame"));
+        shared.mark_down(LinkDown::Eof);
+        assert_eq!(shared.next_expiry(), None);
+        assert!(!shared.service_retransmits());
+    }
+
+    /// Replaces the fault plan of `ep`'s outgoing link to `peer` with one
+    /// that drops the first attempt of exactly the listed sequence numbers.
+    /// Call before the first send on that link.
+    fn script_drops(ep: &ProcessEndpoint, peer: usize, seqs: &[u64]) {
+        let entries: Vec<_> = seqs.iter().map(|&seq| (seq, FaultKind::Drop)).collect();
+        ep.with_link(peer, |link| {
+            let stream = link.ctl.try_clone().expect("stream clone");
+            *link.shared.writer.lock().unwrap() = ChaosLink::new(
+                stream,
+                FaultPlan::scripted(&entries),
+                link.shared.stats.clone(),
+            );
+        });
+    }
+
+    fn median(mut samples: Vec<Duration>) -> Duration {
+        samples.sort();
+        samples[samples.len() / 2]
+    }
+
+    const LOSSY_RTO: Duration = Duration::from_millis(10);
+
+    /// What one lost frame may cost the collective it stalls: the RTO plus
+    /// scheduling slack — and not the 20 ms liveness poll on top of it.
+    fn assert_stall_is_one_rto(label: &str, stalls: Vec<Duration>) {
+        let median = median(stalls);
+        assert!(
+            median >= LOSSY_RTO.mul_f64(0.9),
+            "{label}: median stall {median:?} is under the RTO — was the frame dropped at all?"
+        );
+        assert!(
+            median < LOSSY_RTO.mul_f64(1.6),
+            "{label}: a lost frame stalls {median:?} at the median, not ≈ one {LOSSY_RTO:?} RTO"
+        );
+    }
+
+    /// Every scripted drop is re-sent exactly once and nothing else is —
+    /// on a host that runs each thread within the RTO, `retransmits` equals
+    /// the script. A starved reader can hand an ack over after the timer
+    /// fired; the receiver then counts that re-send as a duplicate, so the
+    /// two counters are compared net of each other.
+    fn assert_only_lost_frames_were_resent(
+        per_rank: impl Iterator<Item = crate::cg::NetStats>,
+        scripted_drops: u64,
+    ) {
+        let mut net = crate::cg::NetStats::default();
+        per_rank.for_each(|rank| net.accumulate(rank));
+        assert_eq!(net.injected_faults, scripted_drops, "the script ran");
+        assert_eq!(
+            net.retransmits - net.dup_received,
+            scripted_drops,
+            "{} re-sends for {scripted_drops} lost frames, {} of them duplicates at the receiver",
+            net.retransmits,
+            net.dup_received
+        );
+    }
+
+    #[test]
+    fn lossy_scripted_drops_cost_one_rto_each_and_change_no_result() {
+        let ranks = 2;
+        let rounds = 130u64;
+        // Every allreduce moves one frame per direction, so round `r` is
+        // sequence number `r` on both directed links: ten rounds lose their
+        // gather (1 → 0), ten others their broadcast (0 → 1).
+        let lost_gathers: Vec<u64> = (0..10).map(|k| 5 + 12 * k).collect();
+        let lost_broadcasts: Vec<u64> = (0..10).map(|k| 11 + 12 * k).collect();
+        let run = |lossy: bool| -> Vec<(Vec<f64>, Vec<Duration>, crate::cg::NetStats)> {
+            let transport = uds_transport();
+            let _guard = match &transport {
+                Transport::Uds { dir } => RunDirGuard(dir.clone()),
+                _ => unreachable!(),
+            };
+            let options = MeshOptions {
+                retransmit_timeout: LOSSY_RTO,
+                ..test_options()
+            };
+            let plan = HaloPlan::empty(ranks);
+            with_mesh_opts(ranks, &transport, &options, |ep| {
+                let peer = 1 - ep.rank();
+                if lossy {
+                    let lost = [&lost_broadcasts, &lost_gathers][ep.rank()];
+                    script_drops(&ep, peer, lost);
+                }
+                let stats = ep.stats.clone();
+                let comm = RankComm::over_process(&plan, ep);
+                let mut took = Vec::new();
+                let sums = (0..rounds)
+                    .map(|round| {
+                        let started = Instant::now();
+                        let sum = comm
+                            .allreduce_sum(0.31 * comm.rank() as f64 + 1e-3 * round as f64)
+                            .unwrap();
+                        took.push(started.elapsed());
+                        sum
+                    })
+                    .collect();
+                drop(comm);
+                (sums, took, sum_link_stats(&stats))
+            })
+        };
+        let clean = run(false);
+        let lossy = run(true);
+        for (rank, ((clean_sums, _, _), (lossy_sums, _, _))) in clean.iter().zip(&lossy).enumerate()
+        {
+            for (round, (c, l)) in clean_sums.iter().zip(lossy_sums).enumerate() {
+                assert_eq!(c.to_bits(), l.to_bits(), "rank {rank}, round {round}");
+            }
+        }
+        let scripted = (lost_gathers.len() + lost_broadcasts.len()) as u64;
+        assert_only_lost_frames_were_resent(lossy.iter().map(|(_, _, net)| *net), scripted);
+        // Rank 1 sits in the round itself whichever direction lost its frame.
+        let (_, took, _) = &lossy[1];
+        let stalls = lost_gathers
+            .iter()
+            .chain(&lost_broadcasts)
+            .map(|&round| took[round as usize])
+            .collect();
+        assert_stall_is_one_rto("2-rank allreduce", stalls);
+    }
+
+    #[test]
+    fn lossy_frame_toward_another_peer_is_resent_while_blocked_on_this_one() {
+        let ranks = 3;
+        let rounds = 9u64;
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let options = MeshOptions {
+            retransmit_timeout: LOSSY_RTO,
+            ..test_options()
+        };
+        // A ring 0 → 2 → 1 → 0 in which every frame 0 → 2 loses its first
+        // attempt: rank 0 spends each round blocked on rank 1, so the frame
+        // that needs re-sending is on a link it is *not* receiving from.
+        let token = |rank: usize| Message::GatherScalar {
+            rank: rank as u32,
+            value: 1.0,
+        };
+        let outcomes = with_mesh_opts(ranks, &transport, &options, |ep| {
+            let (from, to) = [(1, 2), (2, 0), (0, 1)][ep.rank()];
+            if ep.rank() == 0 {
+                script_drops(&ep, to, &(0..rounds).collect::<Vec<_>>());
+            }
+            let stats = ep.stats.clone();
+            let mut took = Vec::new();
+            for _ in 0..rounds {
+                let started = Instant::now();
+                if ep.rank() == 0 {
+                    ep.send(to, &token(0), "ring").unwrap();
+                    ep.recv(from, Tag::GatherScalar, "ring").unwrap();
+                } else {
+                    ep.recv(from, Tag::GatherScalar, "ring").unwrap();
+                    ep.send(to, &token(ep.rank()), "ring").unwrap();
+                }
+                took.push(started.elapsed());
+            }
+            drop(ep);
+            (took, sum_link_stats(&stats))
+        });
+        assert_only_lost_frames_were_resent(outcomes.iter().map(|(_, net)| *net), rounds);
+        let (took, _) = outcomes.into_iter().next().expect("rank 0 ran");
+        assert_stall_is_one_rto("3-rank ring", took);
+    }
+
+    #[test]
+    fn dead_link_still_delivers_what_its_reader_queued() {
+        let ranks = 2;
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let outcomes = with_mesh(ranks, &transport, |ep| {
+            if ep.rank() == 1 {
+                // Say one last thing and leave: the drain on drop waits for
+                // rank 0's ack, then closes the socket.
+                let last = Message::GatherScalar {
+                    rank: 1,
+                    value: 4.25,
+                };
+                ep.send(0, &last, "last words").unwrap();
+                return None;
+            }
+            // Only start receiving once the link is known dead.
+            let link_died = Instant::now() + Duration::from_secs(20);
+            while !ep.with_link(1, |link| link.shared.is_down()) {
+                assert!(Instant::now() < link_died, "rank 1 never hung up");
+                std::thread::yield_now();
+            }
+            let first = ep.recv(1, Tag::GatherScalar, "last words");
+            let second = ep.recv(1, Tag::GatherScalar, "last words");
+            Some((first, second))
+        });
+        let (first, second) = outcomes.into_iter().flatten().next().expect("rank 0 ran");
+        match first {
+            Ok(Message::GatherScalar { rank: 1, value }) => assert_eq!(value, 4.25),
+            other => panic!("the queued frame was lost to the disconnect: {other:?}"),
+        }
+        match second {
+            Err(CommError::Disconnected { peer: Some(1), .. }) => {}
+            other => panic!("expected the disconnect after the drain, got {other:?}"),
         }
     }
 

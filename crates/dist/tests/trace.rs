@@ -1,17 +1,20 @@
 //! Tracing integration: bitwise identity of traced vs. untraced solves, the
-//! cross-rank merge of the in-process backend, Chrome-trace export validity
-//! and the recovery phases showing up under scripted faults.
+//! cross-rank merge of the in-process backend, Chrome-trace export validity,
+//! the recovery phases showing up under scripted faults and the retransmit
+//! instants of a lossy process mesh agreeing with its link counters.
 //!
 //! The trace level and sink registry are process-global, so every test here
 //! serializes on one mutex and restores `TraceLevel::Off` before releasing
 //! it (a poisoned-lock unwrap would cascade — use the inner value either
 //! way).
 
+use std::path::Path;
 use std::sync::Mutex;
+use std::time::Duration;
 
 use feir_dist::{
-    distributed_cg, distributed_pcg, distributed_resilient_cg, DistResilienceConfig,
-    ProtectedVector, ScriptedFault,
+    distributed_cg, distributed_pcg, distributed_resilient_cg, spawn_workers_with, ChaosConfig,
+    DistResilienceConfig, ProcessSpec, ProtectedVector, ScriptedFault, Transport, WorkerOptions,
 };
 use feir_recovery::RecoveryPolicy;
 use feir_sparse::generators::{manufactured_rhs, poisson_2d};
@@ -159,6 +162,56 @@ fn recovery_phases_appear_under_scripted_faults() {
     let table = summary.table();
     assert!(table.contains("recovery_plan") || table.contains("recovery"));
     assert!(table.contains("dropped_events="));
+}
+
+#[test]
+fn retransmit_instants_equal_the_link_counter_on_a_lossy_process_mesh() {
+    let spec = ProcessSpec::cg(16, 2);
+    let options = WorkerOptions {
+        chaos: Some(ChaosConfig::parse("seed=23,drop=0.05").expect("chaos schedule parses")),
+        retransmit_timeout: Some(Duration::from_millis(10)),
+        ..WorkerOptions::default()
+    };
+    let dir = std::env::temp_dir().join(format!("feir-trace-retx-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Workers read the level from their environment; `with_level` keeps
+    // every other test of this binary out while the variable is set.
+    let result = with_level(TraceLevel::Off, || {
+        std::env::set_var("FEIR_TRACE", "spans");
+        let result = spawn_workers_with(
+            Path::new(env!("CARGO_BIN_EXE_feir-rank-worker")),
+            &spec,
+            &Transport::Uds { dir },
+            &options,
+        )
+        .map(|workers| workers.join());
+        std::env::remove_var("FEIR_TRACE");
+        result
+    })
+    .expect("spawn failed")
+    .expect("lossy solve failed");
+    assert!(result.converged);
+    assert!(result.net.retransmits > 0, "the schedule dropped nothing");
+    // Whichever thread serviced the timer — the blocked receiver, the
+    // draining endpoint or the reader's backstop — every re-send is both
+    // counted and traced, inside the stream of the rank that sent it.
+    let trace = result.trace.expect("workers shipped their traces");
+    let mut instants = 0;
+    for rank in &trace.ranks {
+        assert_eq!(rank.dropped, 0, "rank {}: ring overflowed", rank.rank);
+        let traced = rank
+            .events
+            .iter()
+            .filter(|e| e.phase == Phase::Retransmit)
+            .count() as u64;
+        assert_eq!(
+            traced, rank.link_retransmits,
+            "rank {}: trace and counter drifted",
+            rank.rank
+        );
+        instants += traced;
+    }
+    assert_eq!(instants, result.net.retransmits);
 }
 
 #[test]

@@ -671,6 +671,65 @@ fn engine_based_solvers_are_bitwise_deterministic_under_scripted_faults() {
     }
 }
 
+/// More ranks than cores: eight rank threads on this machine's (or CI's one
+/// pinned) core wait on each other through the spin → yield → park
+/// discipline of the in-process collectives. How a wait passes its time must
+/// not reach the arithmetic — two runs are bit-equal — and a waiting rank must
+/// hand its core to the rank it waits for, so the solves finish well inside a
+/// bound a busy-polling mesh would miss by orders of magnitude.
+#[test]
+fn oversubscribed_ranks_stay_bitwise_deterministic_and_quick() {
+    let a = poisson_2d(32);
+    let (_, b) = manufactured_rhs(&a, 4);
+    let ranks = 8;
+    let faults = vec![
+        ScriptedFault {
+            iteration: 4,
+            rank: 6,
+            vector: ProtectedVector::X,
+            page: 3,
+        },
+        ScriptedFault {
+            iteration: 9,
+            rank: 0,
+            vector: ProtectedVector::D,
+            page: 7,
+        },
+        ScriptedFault {
+            iteration: 9,
+            rank: 3,
+            vector: ProtectedVector::G,
+            page: 0,
+        },
+    ];
+    let started = std::time::Instant::now();
+    let run = || {
+        distributed_resilient_cg(
+            &a,
+            &b,
+            ranks,
+            config(RecoveryPolicy::Afeir).with_scripted_faults(faults.clone()),
+        )
+    };
+    let first = run();
+    let second = run();
+    let elapsed = started.elapsed();
+    assert!(first.converged);
+    assert_eq!(first.faults.total_injected(), 3);
+    assert_eq!(first.iterations, second.iterations);
+    assert_eq!(first.pages_recovered, second.pages_recovered);
+    for (u, v) in first.x.iter().zip(&second.x) {
+        assert_eq!(u.to_bits(), v.to_bits(), "x not reproducible");
+    }
+    for (u, v) in first.residual_history.iter().zip(&second.residual_history) {
+        assert_eq!(u.to_bits(), v.to_bits(), "history differs");
+    }
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "two 8-rank solves took {elapsed:?}"
+    );
+}
+
 /// A scripted fault against `z` on the plain CG solver (which has no `z`)
 /// must be rejected loudly instead of silently never firing.
 #[test]

@@ -4,6 +4,8 @@
 //! stencils or when parsing MatrixMarket files; it is converted to
 //! [`CsrMatrix`] before use in solvers.
 
+use std::borrow::Cow;
+
 use crate::{CsrMatrix, SparseError};
 
 /// A sparse matrix in coordinate (triplet) format.
@@ -93,9 +95,18 @@ impl CooMatrix {
 
     /// Converts into CSR, summing duplicates.
     pub fn to_csr(&self) -> CsrMatrix {
-        // Count entries per row first (duplicates collapse later).
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|a| (a.0, a.1));
+        // Strictly increasing (row, col) pushes — what the stencil generators
+        // produce — are already the sorted, duplicate-free sequence: borrow
+        // them instead of copying and sorting every triplet.
+        let key = |e: &(usize, usize, f64)| (e.0, e.1);
+        let sorted: Cow<'_, [(usize, usize, f64)]> =
+            if self.entries.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+                Cow::Borrowed(&self.entries)
+            } else {
+                let mut sorted = self.entries.clone();
+                sorted.sort_unstable_by_key(key);
+                Cow::Owned(sorted)
+            };
 
         let mut row_ptr = Vec::with_capacity(self.rows + 1);
         let mut col_idx = Vec::with_capacity(sorted.len());
@@ -103,7 +114,7 @@ impl CooMatrix {
 
         row_ptr.push(0usize);
         let mut current_row = 0usize;
-        for (r, c, v) in sorted {
+        for &(r, c, v) in sorted.iter() {
             while current_row < r {
                 row_ptr.push(col_idx.len());
                 current_row += 1;
@@ -157,6 +168,72 @@ mod tests {
         let csr = coo.to_csr();
         assert_eq!(csr.nnz(), 2);
         assert!((csr.get(0, 0) - 3.5).abs() < 1e-15);
+    }
+
+    #[test]
+    fn push_order_does_not_change_the_csr() {
+        // A 5-point-like pattern with an empty row, values dyadic so that
+        // duplicate sums are exact in any order.
+        let n = 12usize;
+        let pattern: std::collections::BTreeSet<(usize, usize)> = (0..n)
+            .filter(|r| *r != 5)
+            .flat_map(|r| [r.saturating_sub(3), r, (r + 4).min(n - 1)].map(|c| (r, c)))
+            .collect();
+        let entries: Vec<(usize, usize, f64)> = pattern
+            .into_iter()
+            .map(|(r, c)| (r, c, 0.25 * (1 + r * n + c) as f64))
+            .collect();
+        let csr_of = |triplets: &[(usize, usize, f64)]| {
+            let mut coo = CooMatrix::new(n, n);
+            for &(r, c, v) in triplets {
+                coo.push(r, c, v).unwrap();
+            }
+            coo.to_csr()
+        };
+        // The reference walks the sorted, summed map the way the pre-borrow
+        // conversion walked its sorted copy.
+        let reference = |triplets: &[(usize, usize, f64)]| {
+            let mut summed = std::collections::BTreeMap::new();
+            for &(r, c, v) in triplets {
+                *summed.entry((r, c)).or_insert(0.0) += v;
+            }
+            let mut row_ptr = vec![0usize; n + 1];
+            for &(r, _) in summed.keys() {
+                row_ptr[r + 1] += 1;
+            }
+            for r in 0..n {
+                row_ptr[r + 1] += row_ptr[r];
+            }
+            let col_idx = summed.keys().map(|&(_, c)| c).collect();
+            let values = summed.values().copied().collect();
+            CsrMatrix::from_raw(n, n, row_ptr, col_idx, values).unwrap()
+        };
+
+        // In order: the borrowed path.
+        let in_order = csr_of(&entries);
+        assert_eq!(in_order, reference(&entries));
+        assert_eq!(in_order.row(5).0.len(), 0);
+
+        // Shuffled (a stride coprime to the length): the sorting path.
+        assert_ne!(
+            entries.len() % 7,
+            0,
+            "the stride must be coprime to the length"
+        );
+        let shuffled: Vec<_> = (0..entries.len())
+            .map(|i| entries[(i * 7) % entries.len()])
+            .collect();
+        assert_eq!(csr_of(&shuffled), in_order);
+
+        // Duplicates are summed, scattered or adjacent — sorted pushes with
+        // equal neighbours are not strictly increasing and must not be borrowed.
+        let mut doubled = entries.clone();
+        doubled.extend(entries.iter().step_by(3).map(|&(r, c, v)| (r, c, 2.0 * v)));
+        let mut adjacent = doubled.clone();
+        adjacent.sort_by_key(|e| (e.0, e.1));
+        assert_eq!(csr_of(&doubled), reference(&doubled));
+        assert_eq!(csr_of(&adjacent), reference(&doubled));
+        assert_ne!(csr_of(&doubled), in_order);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use feir_bench::HarnessConfig;
 use feir_core::{measure_ideal, run_overhead, PaperMatrix, RecoveryPolicy, RunReport};
-use feir_runtime::StateBreakdown;
+use feir_trace::metrics::StateBreakdown;
 
 fn breakdown(report: &RunReport) -> StateBreakdown {
     StateBreakdown {

@@ -3,14 +3,13 @@
 //! Benchmark and experiment harnesses that regenerate every table and figure
 //! of the paper's evaluation section:
 //!
-//! | Paper artefact | Binary / bench | What it prints |
+//! | Paper artefact | Binary | What it prints |
 //! |---|---|---|
 //! | Table 2 | `cargo run -p feir-bench --release --bin table2` | overhead of each method with no errors |
 //! | Table 3 | `cargo run -p feir-bench --release --bin table3` | increase of time per state for FEIR / AFEIR |
 //! | Figure 3 | `cargo run -p feir-bench --release --bin figure3` | convergence trace with a single error in `x` |
 //! | Figure 4 | `cargo run -p feir-bench --release --bin figure4` | slowdown per matrix × method × error rate |
 //! | Figure 5 | `cargo run -p feir-bench --release --bin figure5` | strong-scaling speedups, 1 and 2 errors per run |
-//! | kernels / ablations | `cargo bench -p feir-bench` | Criterion micro-benchmarks |
 //!
 //! Problem sizes are scaled to laptop budgets by default; set the
 //! `FEIR_SCALE` (matrix size multiplier), `FEIR_REPS` (repetitions) and

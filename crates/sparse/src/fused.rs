@@ -49,9 +49,8 @@ use crate::CsrMatrix;
 /// Deliberately the plain loop, NOT the 4-wide unrolled kernel the plain
 /// sweeps in [`crate::csr`] use: here every row product feeds the serial
 /// `acc += x[r]·y_r` dot chain, and on the short banded rows of the bench
-/// operators the unroll's chunk setup stalls that chain (~30% slower
-/// `spmv_dot/fused` in `bench_snapshot`). Same adds in the same order
-/// either way, so the bitwise contract is unaffected.
+/// operators the unroll's chunk setup stalls that chain. Same adds in the
+/// same order either way, so the bitwise contract is unaffected.
 #[inline]
 fn row_product(a: &CsrMatrix, r: usize, x: &[f64]) -> f64 {
     let (cols, vals) = a.row(r);

@@ -54,7 +54,7 @@ pub mod export;
 pub mod metrics;
 
 pub use export::{PhaseStat, RankTrace, SolveTrace, TraceSummary};
-pub use metrics::{Histogram, Metrics, StateBreakdown, StateTimes};
+pub use metrics::{Histogram, Metrics, StateBreakdown};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};

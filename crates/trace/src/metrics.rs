@@ -4,14 +4,9 @@
 //! nanoseconds), which gives percentile estimates with bounded relative
 //! error at a fixed 64-slot footprint — cheap enough to sit on a hot path
 //! and mergeable across ranks by summing buckets.
-//!
-//! This module also hosts the worker state-time accounting
-//! ([`StateTimes`] / [`StateBreakdown`]) that used to live in
-//! `feir-runtime`, so the workspace has exactly one metrics home.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Number of power-of-two buckets; covers `0..2^63` ns (≈ 292 years).
 const BUCKETS: usize = 64;
@@ -220,35 +215,7 @@ impl Metrics {
     }
 }
 
-// ----- worker state-time accounting (moved from feir-runtime) ---------------
-
-/// Time one worker spent in each of the three states of the paper's
-/// Table 3 breakdown (useful / runtime / imbalance).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StateTimes {
-    /// Time spent executing task bodies.
-    pub useful: Duration,
-    /// Time spent inside the scheduler (popping tasks, releasing dependents).
-    pub runtime: Duration,
-    /// Time spent idle waiting for work (load imbalance).
-    pub idle: Duration,
-}
-
-impl StateTimes {
-    /// Total tracked time.
-    pub fn total(&self) -> Duration {
-        self.useful + self.runtime + self.idle
-    }
-
-    /// Adds another accumulation into this one.
-    pub fn accumulate(&mut self, other: &StateTimes) {
-        self.useful += other.useful;
-        self.runtime += other.runtime;
-        self.idle += other.idle;
-    }
-}
-
-/// Aggregated breakdown over all workers, expressed as fractions of the total.
+/// Time by state — the paper's Table 3 breakdown — as fractions of the total.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StateBreakdown {
     /// Fraction of worker time doing useful work.
@@ -260,23 +227,6 @@ pub struct StateBreakdown {
 }
 
 impl StateBreakdown {
-    /// Aggregates per-worker times into global fractions.
-    pub fn from_workers(workers: &[StateTimes]) -> Self {
-        let mut sum = StateTimes::default();
-        for w in workers {
-            sum.accumulate(w);
-        }
-        let total = sum.total().as_secs_f64();
-        if total <= 0.0 {
-            return Self::default();
-        }
-        Self {
-            useful_fraction: sum.useful.as_secs_f64() / total,
-            runtime_fraction: sum.runtime.as_secs_f64() / total,
-            idle_fraction: sum.idle.as_secs_f64() / total,
-        }
-    }
-
     /// Percentage-point increase of each state relative to a baseline run —
     /// the quantity reported in Table 3 ("increase of time spent per state").
     ///
@@ -374,50 +324,6 @@ mod tests {
         }
         m.clear();
         assert_eq!(m.counter_value("retransmit"), 0);
-    }
-
-    #[test]
-    fn state_totals_and_accumulation() {
-        let mut a = StateTimes {
-            useful: Duration::from_millis(10),
-            runtime: Duration::from_millis(2),
-            idle: Duration::from_millis(3),
-        };
-        assert_eq!(a.total(), Duration::from_millis(15));
-        let b = StateTimes {
-            useful: Duration::from_millis(5),
-            runtime: Duration::from_millis(1),
-            idle: Duration::from_millis(0),
-        };
-        a.accumulate(&b);
-        assert_eq!(a.useful, Duration::from_millis(15));
-        assert_eq!(a.total(), Duration::from_millis(21));
-    }
-
-    #[test]
-    fn breakdown_fractions_sum_to_one() {
-        let workers = vec![
-            StateTimes {
-                useful: Duration::from_millis(80),
-                runtime: Duration::from_millis(10),
-                idle: Duration::from_millis(10),
-            },
-            StateTimes {
-                useful: Duration::from_millis(60),
-                runtime: Duration::from_millis(20),
-                idle: Duration::from_millis(20),
-            },
-        ];
-        let b = StateBreakdown::from_workers(&workers);
-        let sum = b.useful_fraction + b.runtime_fraction + b.idle_fraction;
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert!(b.useful_fraction > 0.6);
-    }
-
-    #[test]
-    fn empty_worker_list_gives_zero_breakdown() {
-        let b = StateBreakdown::from_workers(&[]);
-        assert_eq!(b, StateBreakdown::default());
     }
 
     #[test]

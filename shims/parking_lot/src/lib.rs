@@ -1,10 +1,9 @@
 //! Vendored shim for the subset of
 //! [parking_lot](https://crates.io/crates/parking_lot) this workspace uses:
-//! `Mutex`, `RwLock` and `Condvar` with the parking_lot calling convention
-//! (guards returned directly, no poison `Result`s, `Condvar::wait` taking
-//! `&mut MutexGuard`). Backed by the std primitives; a poisoned std lock
-//! (possible only if a panic escaped while holding it) is propagated as a
-//! panic here too.
+//! `Mutex` and `RwLock` with the parking_lot calling convention (guards
+//! returned directly, no poison `Result`s). Backed by the std primitives; a
+//! poisoned std lock (possible only if a panic escaped while holding it) is
+//! propagated as a panic here too.
 
 use std::ops::{Deref, DerefMut};
 
@@ -16,9 +15,7 @@ pub struct Mutex<T: ?Sized> {
 
 /// RAII guard returned by [`Mutex::lock`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    // `Option` so `Condvar::wait` can temporarily hand the std guard back to
-    // the std condvar; it is always `Some` outside that window.
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -34,7 +31,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard {
-            inner: Some(self.inner.lock().expect("parking_lot shim: mutex poisoned")),
+            inner: self.inner.lock().expect("parking_lot shim: mutex poisoned"),
         }
     }
 }
@@ -43,48 +40,13 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-/// Condition variable compatible with [`MutexGuard`].
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Self {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified, releasing the guard's lock while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present");
-        let std_guard = self
-            .inner
-            .wait(std_guard)
-            .expect("parking_lot shim: mutex poisoned");
-        guard.inner = Some(std_guard);
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
+        &mut self.inner
     }
 }
 
@@ -123,26 +85,16 @@ impl<T: ?Sized> RwLock<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
-    fn mutex_and_condvar_round_trip() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            let (lock, cvar) = &*pair2;
-            *lock.lock() = true;
-            cvar.notify_one();
-        });
-        let (lock, cvar) = &*pair;
-        let mut ready = lock.lock();
-        while !*ready {
-            cvar.wait(&mut ready);
-        }
-        assert!(*ready);
-        drop(ready);
-        handle.join().unwrap();
+    fn mutex_round_trip_across_threads() {
+        let lock = Arc::new(Mutex::new(0usize));
+        let lock2 = Arc::clone(&lock);
+        std::thread::spawn(move || *lock2.lock() += 1)
+            .join()
+            .unwrap();
+        *lock.lock() += 1;
+        assert_eq!(*lock.lock(), 2);
     }
 
     #[test]

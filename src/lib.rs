@@ -16,15 +16,13 @@
 //!   MatrixMarket I/O ([`feir_sparse`]);
 //! * [`pagemem`] — the page-level DUE fault model and injector
 //!   ([`feir_pagemem`]);
-//! * [`runtime`] — the OmpSs-like task-dataflow runtime ([`feir_runtime`]);
 //! * [`solvers`] — reference CG / PCG / BiCGStab / GMRES and the redundancy
 //!   relation catalogue ([`feir_solvers`]);
 //! * [`recovery`] — FEIR, AFEIR, Lossy Restart, checkpoint/rollback, trivial
 //!   recovery and the resilient task-decomposed CG ([`feir_recovery`]);
 //! * [`dist`] — the simulated distributed-memory substrate and the Figure-5
 //!   scaling model ([`feir_dist`]);
-//! * [`core`] — the experiment driver used by examples and benches
-//!   ([`feir_core`]).
+//! * [`core`] — the experiment driver ([`feir_core`]).
 //!
 //! ## Quick start
 //!
@@ -49,7 +47,6 @@ pub use feir_core as core;
 pub use feir_dist as dist;
 pub use feir_pagemem as pagemem;
 pub use feir_recovery as recovery;
-pub use feir_runtime as runtime;
 pub use feir_solvers as solvers;
 pub use feir_sparse as sparse;
 pub use feir_trace as trace;

@@ -71,19 +71,21 @@
 //!
 //! [`spawn_workers`]/[`solve_with_processes`] launch one worker executable
 //! per rank (the `feir-rank-worker` binary, or any process that calls
-//! [`worker_main`]), parameterised through `FEIR_WORKER_*` environment
-//! variables — including the full [`MeshOptions`] surface and the resilient
-//! path ([`WorkerOptions`]). Each worker rebuilds the deterministic problem
-//! (`poisson_2d(grid)` + `manufactured_rhs(seed)`), joins the mesh, runs its
-//! rank loop and reports a `RankResult` (or typed `RankError`) wire frame on
-//! stdout. Malformed `FEIR_WORKER_*` values are hard errors: the worker
-//! refuses to start rather than silently running defaults.
+//! [`worker_main`]) with the `FEIR_RANK_WORKER=1` marker set, and write one
+//! `WorkerConfig` wire frame to its stdin: the [`ProcessSpec`], the
+//! [`WorkerOptions`], the [`Transport`], the rank and the respawn epochs. A
+//! malformed or out-of-range frame is refused at startup. Each worker
+//! rebuilds the problem (`poisson_2d(grid)` + `manufactured_rhs(seed)`),
+//! joins the mesh, runs its rank loop and reports a `RankResult` (or typed
+//! `RankError`) frame on stdout, followed by a `TraceDump`.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ffi::OsString;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::ffi::{OsStrExt, OsStringExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -96,7 +98,7 @@ use feir_sparse::{SpmvFormat, ENV_SPMV_FORMAT};
 use feir_wire::chaos::{
     parse_envelope, ChaosLink, FaultPlan, FaultRates, LinkStats, ENVELOPE_LEN, ENV_ACK, ENV_DATA,
 };
-use feir_wire::{FrameReader, Message, RankErrorKind, Tag, WireError};
+use feir_wire::{FrameReader, Message, RankErrorKind, Tag, WireError, WorkerConfig};
 
 use crate::cg::DistSolveResult;
 use crate::comm::{fold_partials_rank_ordered, CommError, HaloPlan, RankComm};
@@ -126,9 +128,9 @@ pub enum Transport {
 /// per-kind frame-fault rates, expanded into one directed-link
 /// [`FaultPlan`] per `(sender, receiver)` pair by [`ChaosConfig::plan_for`].
 ///
-/// The textual form (round-tripped by `Display`/[`ChaosConfig::parse`], and
-/// carried by the `FEIR_WORKER_CHAOS` environment variable) is a
-/// comma-separated `key=value` list:
+/// The textual form read by [`ChaosConfig::parse`] is a comma-separated
+/// `key=value` list (workers receive the parsed config inside their
+/// `WorkerConfig` launch frame):
 ///
 /// ```text
 /// seed=42,drop=0.05,dup=0.02,delay=0.02,corrupt=0.01,trunc=0.01,all_attempts=0
@@ -153,10 +155,6 @@ impl ChaosConfig {
     /// Parses the comma-separated `key=value` form (see the type docs).
     /// Unknown keys, out-of-range rates and malformed numbers are errors.
     pub fn parse(s: &str) -> Result<ChaosConfig, String> {
-        fn rate(v: &str) -> Option<f64> {
-            let v: f64 = v.trim().parse().ok()?;
-            (0.0..=1.0).contains(&v).then_some(v)
-        }
         let mut cfg = ChaosConfig::default();
         for part in s.split(',') {
             let part = part.trim();
@@ -167,13 +165,14 @@ impl ChaosConfig {
                 .split_once('=')
                 .ok_or_else(|| format!("chaos entry {part:?} is not key=value"))?;
             let bad = || format!("chaos entry {part:?} has an invalid value");
+            let rate = || value.trim().parse::<f64>().map_err(|_| bad());
             match key.trim() {
                 "seed" => cfg.seed = value.trim().parse().map_err(|_| bad())?,
-                "drop" => cfg.rates.drop = rate(value).ok_or_else(bad)?,
-                "dup" => cfg.rates.duplicate = rate(value).ok_or_else(bad)?,
-                "delay" => cfg.rates.delay = rate(value).ok_or_else(bad)?,
-                "corrupt" => cfg.rates.corrupt = rate(value).ok_or_else(bad)?,
-                "trunc" => cfg.rates.truncate = rate(value).ok_or_else(bad)?,
+                "drop" => cfg.rates.drop = rate()?,
+                "dup" => cfg.rates.duplicate = rate()?,
+                "delay" => cfg.rates.delay = rate()?,
+                "corrupt" => cfg.rates.corrupt = rate()?,
+                "trunc" => cfg.rates.truncate = rate()?,
                 "all_attempts" => {
                     cfg.fault_retransmits = match value.trim() {
                         "0" => false,
@@ -184,15 +183,22 @@ impl ChaosConfig {
                 other => return Err(format!("unknown chaos key {other:?}")),
             }
         }
-        let total = cfg.rates.drop
-            + cfg.rates.duplicate
-            + cfg.rates.delay
-            + cfg.rates.corrupt
-            + cfg.rates.truncate;
+        cfg.validate()
+    }
+
+    /// The one check on fault rates, wherever they come from: each lies in
+    /// `[0, 1]` (NaN does not) and together they sum to at most 1.
+    fn validate(self) -> Result<ChaosConfig, String> {
+        let r = self.rates;
+        let rates = [r.drop, r.duplicate, r.delay, r.corrupt, r.truncate];
+        if let Some(bad) = rates.iter().find(|v| !(0.0..=1.0).contains(*v)) {
+            return Err(format!("chaos rate {bad} is outside [0, 1]"));
+        }
+        let total: f64 = rates.iter().sum();
         if total > 1.0 {
             return Err(format!("chaos fault rates sum to {total}, over 1"));
         }
-        Ok(cfg)
+        Ok(self)
     }
 
     /// The fault plan of the directed link `sender → receiver`: the mesh
@@ -205,22 +211,6 @@ impl ChaosConfig {
         let mut plan = FaultPlan::from_rates(seed, self.rates);
         plan.first_attempt_only = !self.fault_retransmits;
         plan
-    }
-}
-
-impl fmt::Display for ChaosConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed={},drop={},dup={},delay={},corrupt={},trunc={},all_attempts={}",
-            self.seed,
-            self.rates.drop,
-            self.rates.duplicate,
-            self.rates.delay,
-            self.rates.corrupt,
-            self.rates.truncate,
-            u8::from(self.fault_retransmits)
-        )
     }
 }
 
@@ -846,13 +836,6 @@ impl ProcessEndpoint {
         self.stats[peer].clone()
     }
 
-    /// Sums this endpoint's per-peer reliability counters into one
-    /// [`crate::cg::NetStats`] (the rank's contribution to a solve's
-    /// cross-rank total).
-    pub fn net_stats(&self) -> crate::cg::NetStats {
-        sum_link_stats(&self.stats)
-    }
-
     fn with_link<T>(&self, peer: usize, f: impl FnOnce(&mut RLink) -> T) -> T {
         let mut slot = self.links[peer].borrow_mut();
         let link = slot.as_mut().expect("no link to self or out-of-range peer");
@@ -992,13 +975,10 @@ impl ProcessEndpoint {
         cols: &[usize],
         full: &mut [f64],
     ) -> Result<(), CommError> {
-        match self.recv(peer, Tag::Halo, "halo receive")? {
-            Message::Halo { values } => scatter_checked(peer, cols, &values, full),
-            other => Err(CommError::Protocol(format!(
-                "halo receive from rank {peer}: unexpected {:?} frame",
-                other.tag()
-            ))),
-        }
+        let Message::Halo { values } = self.recv(peer, Tag::Halo, "halo receive")? else {
+            unreachable!("recv() returns the requested tag")
+        };
+        scatter_checked(peer, cols, &values, full)
     }
 
     /// Tears down the dead link to `failed` and re-handshakes its
@@ -1210,14 +1190,11 @@ fn accept_stream(
         };
         match accepted {
             Ok(stream) => {
-                match &stream {
-                    Stream::Unix(s) => s
-                        .set_nonblocking(false)
-                        .map_err(|e| setup_err(rank, "stream blocking", e))?,
-                    Stream::Tcp(s) => s
-                        .set_nonblocking(false)
-                        .map_err(|e| setup_err(rank, "stream blocking", e))?,
-                }
+                let blocking = match &stream {
+                    Stream::Unix(s) => s.set_nonblocking(false),
+                    Stream::Tcp(s) => s.set_nonblocking(false),
+                };
+                blocking.map_err(|e| setup_err(rank, "stream blocking", e))?;
                 return Ok(stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -1374,42 +1351,26 @@ pub fn connect_mesh(
     let deadline = Instant::now() + options.connect_timeout;
     let mut scratch = Vec::new();
     // Dial every lower rank (they bound their listeners first or will
-    // shortly; the backoff absorbs start-order races).
-    for peer in 0..rank {
-        let stream = dial_stream(transport, peer, ranks, epochs[peer], deadline)?;
-        let (stream, _) = handshake(
-            stream,
-            rank,
-            ranks,
-            epochs[rank],
-            Some((peer, epochs[peer])),
-            &epochs,
-            options,
-            &mut scratch,
-        )?;
-        links[peer] = RefCell::new(Some(build_rlink(
-            stream,
-            rank,
-            peer,
-            options,
-            downed.clone(),
-            stats[peer].clone(),
-        )?));
-    }
-    // Accept every higher rank, in whatever order they dial.
-    for _ in rank + 1..ranks {
-        let stream = accept_stream(&listener, deadline, rank)?;
+    // shortly; the backoff absorbs start-order races), then accept every
+    // higher rank, in whatever order they dial.
+    for i in 0..ranks - 1 {
+        let (stream, expect) = if i < rank {
+            let stream = dial_stream(transport, i, ranks, epochs[i], deadline)?;
+            (stream, Some((i, epochs[i])))
+        } else {
+            (accept_stream(&listener, deadline, rank)?, None)
+        };
         let (stream, peer) = handshake(
             stream,
             rank,
             ranks,
             epochs[rank],
-            None,
+            expect,
             &epochs,
             options,
             &mut scratch,
         )?;
-        if peer <= rank {
+        if expect.is_none() && peer <= rank {
             return Err(CommError::Protocol(format!(
                 "rank {rank}: unexpected dial from lower rank {peer}"
             )));
@@ -1529,20 +1490,18 @@ impl ProcessLinks {
             partials[0] = local;
             #[allow(clippy::needless_range_loop)] // `peer` is a rank id, not just an index
             for peer in 1..ranks {
-                match self
+                let msg = self
                     .endpoint
-                    .recv(peer, Tag::GatherScalar, "allreduce gather")?
-                {
-                    Message::GatherScalar { rank, value } => {
-                        if rank as usize != peer {
-                            return Err(CommError::Protocol(format!(
-                                "gather from rank {peer} claims rank {rank}"
-                            )));
-                        }
-                        partials[peer] = value;
-                    }
-                    _ => unreachable!("recv() returns the requested tag"),
+                    .recv(peer, Tag::GatherScalar, "allreduce gather")?;
+                let Message::GatherScalar { rank, value } = msg else {
+                    unreachable!("recv() returns the requested tag")
+                };
+                if rank as usize != peer {
+                    return Err(CommError::Protocol(format!(
+                        "gather from rank {peer} claims rank {rank}"
+                    )));
                 }
+                partials[peer] = value;
             }
             let total: f64 = partials.iter().sum();
             for peer in 1..ranks {
@@ -1554,13 +1513,13 @@ impl ProcessLinks {
             }
             Ok(total)
         } else {
-            match self
+            let msg = self
                 .endpoint
-                .recv(0, Tag::BroadcastScalar, "allreduce broadcast")?
-            {
-                Message::BroadcastScalar { value } => Ok(value),
-                _ => unreachable!("recv() returns the requested tag"),
-            }
+                .recv(0, Tag::BroadcastScalar, "allreduce broadcast")?;
+            let Message::BroadcastScalar { value } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            Ok(value)
         }
     }
 
@@ -1588,20 +1547,18 @@ impl ProcessLinks {
             let mut partials: Vec<Vec<f64>> = vec![Vec::new(); ranks];
             partials[0] = local;
             for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
-                match self
+                let msg = self
                     .endpoint
-                    .recv(peer, Tag::GatherVec, "vector allreduce gather")?
-                {
-                    Message::GatherVec { rank, values } => {
-                        if rank as usize != peer {
-                            return Err(CommError::Protocol(format!(
-                                "vector gather from rank {peer} claims rank {rank}"
-                            )));
-                        }
-                        *slot = values;
-                    }
-                    _ => unreachable!("recv() returns the requested tag"),
+                    .recv(peer, Tag::GatherVec, "vector allreduce gather")?;
+                let Message::GatherVec { rank, values } = msg else {
+                    unreachable!("recv() returns the requested tag")
+                };
+                if rank as usize != peer {
+                    return Err(CommError::Protocol(format!(
+                        "vector gather from rank {peer} claims rank {rank}"
+                    )));
                 }
+                *slot = values;
             }
             let totals = fold_partials_rank_ordered(&partials)?;
             for peer in 1..ranks {
@@ -1615,13 +1572,13 @@ impl ProcessLinks {
             }
             Ok(totals)
         } else {
-            match self
+            let msg = self
                 .endpoint
-                .recv(0, Tag::BroadcastVec, "vector allreduce broadcast")?
-            {
-                Message::BroadcastVec { values } => Ok(values),
-                _ => unreachable!("recv() returns the requested tag"),
-            }
+                .recv(0, Tag::BroadcastVec, "vector allreduce broadcast")?;
+            let Message::BroadcastVec { values } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            Ok(values)
         }
     }
 
@@ -1663,57 +1620,50 @@ impl ProcessLinks {
         unserviceable: &[usize],
     ) -> Result<(usize, Vec<usize>), CommError> {
         for peer in &self.recovery_peers {
-            match self
-                .endpoint
-                .recv(*peer, Tag::RecoveryRequest, "recovery request receive")?
-            {
-                Message::RecoveryRequest { indices } => {
-                    let mut values = Vec::with_capacity(indices.len());
-                    let mut valid = Vec::with_capacity(indices.len());
-                    for &i in &indices {
-                        let i = i as usize;
-                        if i >= data.len() {
-                            return Err(CommError::Protocol(format!(
-                                "rank {peer} requested out-of-range index {i}"
-                            )));
-                        }
-                        values.push(data[i]);
-                        valid.push(unserviceable.binary_search(&i).is_err());
-                    }
-                    self.endpoint.send(
-                        *peer,
-                        &Message::RecoveryReply { values, valid },
-                        "recovery reply",
-                    )?;
+            let msg =
+                self.endpoint
+                    .recv(*peer, Tag::RecoveryRequest, "recovery request receive")?;
+            let Message::RecoveryRequest { indices } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            let mut values = Vec::with_capacity(indices.len());
+            let mut valid = Vec::with_capacity(indices.len());
+            for &i in &indices {
+                let i = i as usize;
+                if i >= data.len() {
+                    return Err(CommError::Protocol(format!(
+                        "rank {peer} requested out-of-range index {i}"
+                    )));
                 }
-                _ => unreachable!("recv() returns the requested tag"),
+                values.push(data[i]);
+                valid.push(unserviceable.binary_search(&i).is_err());
             }
+            let reply = Message::RecoveryReply { values, valid };
+            self.endpoint.send(*peer, &reply, "recovery reply")?;
         }
         let mut fetched = 0;
         let mut invalid = Vec::new();
         for peer in &self.recovery_peers {
-            match self
+            let msg = self
                 .endpoint
-                .recv(*peer, Tag::RecoveryReply, "recovery reply receive")?
-            {
-                Message::RecoveryReply { values, valid } => {
-                    let indices = requests.get(peer).map(Vec::as_slice).unwrap_or(&[]);
-                    if values.len() != indices.len() || valid.len() != indices.len() {
-                        return Err(CommError::Protocol(format!(
-                            "recovery reply from rank {peer}: {} values for {} requests",
-                            values.len(),
-                            indices.len()
-                        )));
-                    }
-                    for ((&i, v), ok) in indices.iter().zip(values).zip(valid) {
-                        data[i] = v;
-                        fetched += 1;
-                        if !ok {
-                            invalid.push(i);
-                        }
-                    }
+                .recv(*peer, Tag::RecoveryReply, "recovery reply receive")?;
+            let Message::RecoveryReply { values, valid } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            let indices = requests.get(peer).map(Vec::as_slice).unwrap_or(&[]);
+            if values.len() != indices.len() || valid.len() != indices.len() {
+                return Err(CommError::Protocol(format!(
+                    "recovery reply from rank {peer}: {} values for {} requests",
+                    values.len(),
+                    indices.len()
+                )));
+            }
+            for ((&i, v), ok) in indices.iter().zip(values).zip(valid) {
+                data[i] = v;
+                fetched += 1;
+                if !ok {
+                    invalid.push(i);
                 }
-                _ => unreachable!("recv() returns the requested tag"),
             }
         }
         invalid.sort_unstable();
@@ -1734,37 +1684,36 @@ impl ProcessLinks {
             if *peer < rank {
                 continue;
             }
-            match self
+            let msg = self
                 .endpoint
-                .recv(*peer, Tag::CoupledGather, "coupled gather receive")?
+                .recv(*peer, Tag::CoupledGather, "coupled gather receive")?;
+            let Message::CoupledGather {
+                rows: peer_rows,
+                values,
+                support_cols,
+                support_values,
+                support_valid,
+            } = msg
+            else {
+                unreachable!("recv() returns the requested tag")
+            };
+            if peer_rows.len() != values.len()
+                || support_cols.len() != support_values.len()
+                || support_cols.len() != support_valid.len()
             {
-                Message::CoupledGather {
-                    rows: peer_rows,
-                    values,
-                    support_cols,
-                    support_values,
-                    support_valid,
-                } => {
-                    if peer_rows.len() != values.len()
-                        || support_cols.len() != support_values.len()
-                        || support_cols.len() != support_valid.len()
-                    {
-                        return Err(CommError::Protocol(format!(
-                            "coupled gather from rank {peer}: mismatched array lengths"
-                        )));
-                    }
-                    rows.extend(peer_rows.into_iter().map(|r| r as usize).zip(values));
-                    support.extend(
-                        support_cols
-                            .into_iter()
-                            .map(|c| c as usize)
-                            .zip(support_values)
-                            .zip(support_valid)
-                            .map(|((c, v), ok)| (c, v, ok)),
-                    );
-                }
-                _ => unreachable!("recv() returns the requested tag"),
+                return Err(CommError::Protocol(format!(
+                    "coupled gather from rank {peer}: mismatched array lengths"
+                )));
             }
+            rows.extend(peer_rows.into_iter().map(|r| r as usize).zip(values));
+            support.extend(
+                support_cols
+                    .into_iter()
+                    .map(|c| c as usize)
+                    .zip(support_values)
+                    .zip(support_valid)
+                    .map(|((c, v), ok)| (c, v, ok)),
+            );
         }
         rows.sort_by_key(|&(row, _)| row);
         rows.dedup_by_key(|&mut (row, _)| row);
@@ -1801,22 +1750,20 @@ impl ProcessLinks {
             if *peer > rank {
                 continue;
             }
-            match self
+            let msg = self
                 .endpoint
-                .recv(*peer, Tag::CoupledResult, "coupled result receive")?
-            {
-                Message::CoupledResult { rows, values } => {
-                    if rows.len() != values.len() {
-                        return Err(CommError::Protocol(format!(
-                            "coupled result from rank {peer}: {} rows for {} values",
-                            rows.len(),
-                            values.len()
-                        )));
-                    }
-                    entries.extend(rows.into_iter().map(|r| r as usize).zip(values));
-                }
-                _ => unreachable!("recv() returns the requested tag"),
+                .recv(*peer, Tag::CoupledResult, "coupled result receive")?;
+            let Message::CoupledResult { rows, values } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            if rows.len() != values.len() {
+                return Err(CommError::Protocol(format!(
+                    "coupled result from rank {peer}: {} rows for {} values",
+                    rows.len(),
+                    values.len()
+                )));
             }
+            entries.extend(rows.into_iter().map(|r| r as usize).zip(values));
         }
         entries.sort_by_key(|&(row, _)| row);
         entries.dedup_by_key(|&mut (row, _)| row);
@@ -1845,62 +1792,13 @@ impl ProcessLinks {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerSolver {
     /// Classic distributed CG.
-    Cg,
+    Cg = 0,
     /// Block-Jacobi distributed PCG.
-    Pcg,
+    Pcg = 1,
     /// Merged-reduction (Chronopoulos–Gear) CG.
-    CgMerged,
+    CgMerged = 2,
     /// Merged-reduction block-Jacobi PCG.
-    PcgMerged,
-}
-
-impl WorkerSolver {
-    fn as_str(self) -> &'static str {
-        match self {
-            WorkerSolver::Cg => "cg",
-            WorkerSolver::Pcg => "pcg",
-            WorkerSolver::CgMerged => "cg-merged",
-            WorkerSolver::PcgMerged => "pcg-merged",
-        }
-    }
-
-    fn parse(s: &str) -> Option<WorkerSolver> {
-        Some(match s {
-            "cg" => WorkerSolver::Cg,
-            "pcg" => WorkerSolver::Pcg,
-            "cg-merged" => WorkerSolver::CgMerged,
-            "pcg-merged" => WorkerSolver::PcgMerged,
-            _ => return None,
-        })
-    }
-}
-
-/// The textual form of a recovery policy carried by `FEIR_WORKER_POLICY`.
-fn policy_str(policy: RecoveryPolicy) -> String {
-    match policy {
-        RecoveryPolicy::Ideal => "ideal".into(),
-        RecoveryPolicy::Trivial => "trivial".into(),
-        RecoveryPolicy::TrivialReplace => "trivial-replace".into(),
-        RecoveryPolicy::Checkpoint { interval } => format!("checkpoint:{interval}"),
-        RecoveryPolicy::LossyRestart => "lossy".into(),
-        RecoveryPolicy::Feir => "feir".into(),
-        RecoveryPolicy::Afeir => "afeir".into(),
-    }
-}
-
-fn parse_policy(s: &str) -> Option<RecoveryPolicy> {
-    Some(match s {
-        "ideal" => RecoveryPolicy::Ideal,
-        "trivial" => RecoveryPolicy::Trivial,
-        "trivial-replace" => RecoveryPolicy::TrivialReplace,
-        "lossy" => RecoveryPolicy::LossyRestart,
-        "feir" => RecoveryPolicy::Feir,
-        "afeir" => RecoveryPolicy::Afeir,
-        other => {
-            let interval: usize = other.strip_prefix("checkpoint:")?.parse().ok()?;
-            RecoveryPolicy::Checkpoint { interval }
-        }
-    })
+    PcgMerged = 3,
 }
 
 /// A deterministic multi-process solve: every worker rebuilds the same
@@ -1939,9 +1837,9 @@ impl ProcessSpec {
 }
 
 /// Optional behaviour of a worker fleet beyond the plain [`ProcessSpec`]:
-/// the resilient/elastic path, transport fault injection and mesh tuning.
-/// Everything defaults to "off"/inherit-the-mesh-default, so
-/// `WorkerOptions::default()` reproduces the plain PR 6 fleet.
+/// the resilient/elastic path, transport fault injection and the
+/// retransmission timer. Everything defaults to "off"/inherit-the-mesh-
+/// default, so `WorkerOptions::default()` reproduces the plain fleet.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerOptions {
     /// Run the resilient rank loop under this recovery policy (classic
@@ -1952,15 +1850,8 @@ pub struct WorkerOptions {
     pub elastic: bool,
     /// Deterministic transport fault injection for every worker's links.
     pub chaos: Option<ChaosConfig>,
-    /// Overrides [`MeshOptions::max_retries`].
-    pub max_retries: Option<u32>,
     /// Overrides [`MeshOptions::retransmit_timeout`].
     pub retransmit_timeout: Option<Duration>,
-    /// Overrides [`MeshOptions::connect_timeout`].
-    pub connect_timeout: Option<Duration>,
-    /// Overrides [`MeshOptions::read_timeout`]; `Some(None)` disables the
-    /// read deadline entirely.
-    pub read_timeout: Option<Option<Duration>>,
     /// Per-iteration throttle sleep inside each worker's rank loop — lets
     /// kill/respawn tests land a failure mid-solve deterministically
     /// without a huge problem.
@@ -2032,14 +1923,9 @@ impl Drop for RunDirGuard {
 #[derive(Debug)]
 pub struct WorkerHandles {
     children: Vec<Child>,
-    spec: ProcessSpec,
     worker: PathBuf,
-    transport: Transport,
-    options: WorkerOptions,
-    /// Respawn count per rank; a respawned worker rebinds under its bumped
-    /// epoch and the survivors expect exactly that epoch in its Hello.
-    epochs: Vec<u64>,
-    ranks: usize,
+    /// The fleet's launch, `rank` being the last one spawned.
+    launch: Launch,
     _dir: Option<RunDirGuard>,
 }
 
@@ -2064,26 +1950,18 @@ impl WorkerHandles {
         // Make sure the old incarnation is gone before its successor binds.
         let _ = self.children[rank].kill();
         let _ = self.children[rank].wait();
-        self.epochs[rank] += 1;
-        let child = spawn_one(
-            &self.worker,
-            &self.spec,
-            &self.transport,
-            &self.options,
-            rank,
-            self.ranks,
-            &self.epochs,
-        )?;
-        self.children[rank] = child;
+        self.launch.rank = rank;
+        self.launch.epochs[rank] += 1;
+        self.children[rank] = spawn_one(&self.worker, &self.launch)?;
         Ok(())
     }
 
     /// Collects every worker's report and assembles the solve result,
     /// exactly as the thread-backed `run_ranks` assembles rank outcomes.
     pub fn join(mut self) -> Result<DistSolveResult, ProcessError> {
-        let spec = self.spec.clone();
+        let spec = self.launch.spec.clone();
         let n = spec.grid * spec.grid;
-        let ranks = crate::comm::effective_ranks(n, spec.ranks);
+        let ranks = spec.ranks;
         let partition = RankPartition::new(n, ranks);
 
         let mut reports: Vec<Result<Message, ProcessError>> = Vec::with_capacity(ranks);
@@ -2113,11 +1991,6 @@ impl WorkerHandles {
                 }
             }
             reports.push(report);
-        }
-        // Reap everything (kill is a no-op on the already-exited).
-        for child in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
         }
 
         let mut x = vec![0.0; n];
@@ -2256,9 +2129,8 @@ impl Drop for WorkerHandles {
     /// A dropped fleet is a dead fleet: without this, a panicking test (or a
     /// caller that simply forgets to `join`) leaks orphan worker processes
     /// that keep their sockets — and possibly a rendezvous directory — alive
-    /// indefinitely. `join` reaps everything itself, so reaching this with
-    /// already-waited children is a harmless no-op (`kill` on a reaped child
-    /// errors and is ignored; `wait` returns the cached status).
+    /// indefinitely. It is also how `join` and a failed spawn reap their
+    /// workers (`kill` on an already-exited child errors and is ignored).
     fn drop(&mut self) {
         for child in &mut self.children {
             let _ = child.kill();
@@ -2315,70 +2187,13 @@ pub(crate) fn fresh_run_dir() -> std::io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Spawns the worker process of one rank with the full env protocol.
-fn spawn_one(
-    worker: &Path,
-    spec: &ProcessSpec,
-    transport: &Transport,
-    options: &WorkerOptions,
-    rank: usize,
-    ranks: usize,
-    epochs: &[u64],
-) -> std::io::Result<Child> {
+/// Spawns the worker process of `launch.rank` and writes its launch frame
+/// to the worker's stdin.
+fn spawn_one(worker: &Path, launch: &Launch) -> std::io::Result<Child> {
     let mut cmd = Command::new(worker);
-    cmd.env(ENV_RANK, rank.to_string())
-        .env(ENV_RANKS, ranks.to_string())
-        .env(ENV_SOLVER, spec.solver.as_str())
-        .env(ENV_GRID, spec.grid.to_string())
-        .env(ENV_SEED, spec.rhs_seed.to_string())
-        .env(ENV_TOL, format!("{:e}", spec.tolerance))
-        .env(ENV_MAXIT, spec.max_iterations.to_string())
-        .env(ENV_PAGE, spec.page_doubles.to_string())
-        .env(
-            ENV_EPOCHS,
-            epochs
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        )
-        .stdout(Stdio::piped())
-        .stdin(Stdio::null());
-    match transport {
-        Transport::Uds { dir } => {
-            cmd.env(ENV_TRANSPORT, "uds").env(ENV_DIR, dir);
-        }
-        Transport::Tcp { base_port } => {
-            cmd.env(ENV_TRANSPORT, "tcp")
-                .env(ENV_TCP_BASE, base_port.to_string());
-        }
-    }
-    if let Some(policy) = options.policy {
-        cmd.env(ENV_POLICY, policy_str(policy));
-    }
-    if options.elastic {
-        cmd.env(ENV_ELASTIC, "1");
-    }
-    if let Some(chaos) = &options.chaos {
-        cmd.env(ENV_CHAOS, chaos.to_string());
-    }
-    if let Some(retries) = options.max_retries {
-        cmd.env(ENV_RETRY_MAX, retries.to_string());
-    }
-    if let Some(rto) = options.retransmit_timeout {
-        cmd.env(ENV_RTO_MS, rto.as_millis().to_string());
-    }
-    if let Some(connect) = options.connect_timeout {
-        cmd.env(ENV_CONNECT_TIMEOUT_MS, connect.as_millis().to_string());
-    }
-    if let Some(read) = options.read_timeout {
-        // `0` is the explicit "no deadline" encoding.
-        let ms = read.map(|d| d.as_millis()).unwrap_or(0);
-        cmd.env(ENV_READ_TIMEOUT_MS, ms.to_string());
-    }
-    if let Some(spin) = options.spin {
-        cmd.env(ENV_SPIN_MS, spin.as_millis().to_string());
-    }
+    cmd.env(ENV_WORKER, "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped());
     // Forward the SpMV storage-format override explicitly (rather than by
     // env inheritance) so every rank of a mesh solves with the same format,
     // and validate it here: a malformed value must fail the launch, not
@@ -2388,7 +2203,21 @@ fn spawn_one(
             .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
         cmd.env(ENV_SPMV_FORMAT, raw);
     }
-    cmd.spawn()
+    let mut child = cmd.spawn()?;
+    let frame = launch.to_wire().encode();
+    // The taken pipe drops at the end of the statement, so the worker sees
+    // EOF right after its one frame.
+    let sent = child
+        .stdin
+        .take()
+        .expect("worker stdin is piped")
+        .write_all(&frame);
+    if let Err(e) = sent {
+        let _ = child.kill();
+        let _ = child.wait();
+        return Err(e);
+    }
+    Ok(child)
 }
 
 /// Spawns one worker process per rank over the given transport, with
@@ -2401,8 +2230,7 @@ pub fn spawn_workers_with(
     transport: &Transport,
     options: &WorkerOptions,
 ) -> Result<WorkerHandles, ProcessError> {
-    let n = spec.grid * spec.grid;
-    let ranks = crate::comm::effective_ranks(n, spec.ranks);
+    let ranks = crate::comm::effective_ranks(spec.grid * spec.grid, spec.ranks);
     let dir_guard = match transport {
         Transport::Uds { dir } => {
             // The rendezvous directory must exist before any worker binds.
@@ -2411,31 +2239,28 @@ pub fn spawn_workers_with(
         }
         Transport::Tcp { .. } => None,
     };
-    let epochs = vec![0u64; ranks];
-    let mut children = Vec::with_capacity(ranks);
-    for rank in 0..ranks {
-        match spawn_one(worker, spec, transport, options, rank, ranks, &epochs) {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                // Tear down what already started.
-                for mut c in children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                return Err(ProcessError::Spawn(e));
-            }
-        }
-    }
-    Ok(WorkerHandles {
-        children,
-        spec: spec.clone(),
+    let mut handles = WorkerHandles {
+        children: Vec::with_capacity(ranks),
         worker: worker.to_path_buf(),
-        transport: transport.clone(),
-        options: options.clone(),
-        epochs,
-        ranks,
+        launch: Launch {
+            rank: 0,
+            epochs: vec![0; ranks],
+            transport: transport.clone(),
+            spec: ProcessSpec {
+                ranks,
+                ..spec.clone()
+            },
+            options: options.clone(),
+        },
         _dir: dir_guard,
-    })
+    };
+    for rank in 0..ranks {
+        handles.launch.rank = rank;
+        // A failed spawn drops `handles`, which reaps the ranks already up.
+        let child = spawn_one(worker, &handles.launch).map_err(ProcessError::Spawn)?;
+        handles.children.push(child);
+    }
+    Ok(handles)
 }
 
 /// [`spawn_workers_with`] under default [`WorkerOptions`] — the plain
@@ -2458,234 +2283,226 @@ pub fn solve_with_processes(
     spawn_workers(worker, spec, &Transport::Uds { dir })?.join()
 }
 
-const ENV_RANK: &str = "FEIR_WORKER_RANK";
-const ENV_RANKS: &str = "FEIR_WORKER_RANKS";
-const ENV_TRANSPORT: &str = "FEIR_WORKER_TRANSPORT";
-const ENV_DIR: &str = "FEIR_WORKER_DIR";
-const ENV_TCP_BASE: &str = "FEIR_WORKER_TCP_BASE";
-const ENV_SOLVER: &str = "FEIR_WORKER_SOLVER";
-const ENV_GRID: &str = "FEIR_WORKER_GRID";
-const ENV_SEED: &str = "FEIR_WORKER_SEED";
-const ENV_TOL: &str = "FEIR_WORKER_TOL";
-const ENV_MAXIT: &str = "FEIR_WORKER_MAXIT";
-const ENV_PAGE: &str = "FEIR_WORKER_PAGE";
-const ENV_POLICY: &str = "FEIR_WORKER_POLICY";
-const ENV_ELASTIC: &str = "FEIR_WORKER_ELASTIC";
-const ENV_EPOCHS: &str = "FEIR_WORKER_EPOCHS";
-const ENV_CHAOS: &str = "FEIR_WORKER_CHAOS";
-const ENV_CONNECT_TIMEOUT_MS: &str = "FEIR_WORKER_CONNECT_TIMEOUT_MS";
-const ENV_READ_TIMEOUT_MS: &str = "FEIR_WORKER_READ_TIMEOUT_MS";
-const ENV_RETRY_MAX: &str = "FEIR_WORKER_RETRY_MAX";
-const ENV_RTO_MS: &str = "FEIR_WORKER_RTO_MS";
-const ENV_SPIN_MS: &str = "FEIR_WORKER_SPIN_MS";
+/// Set to `1` on every worker the launcher spawns; the configuration itself
+/// arrives as one [`Message::WorkerConfig`] frame on the worker's stdin.
+const ENV_WORKER: &str = "FEIR_RANK_WORKER";
 
 /// True when this process was spawned as a rank worker (the launcher set the
-/// `FEIR_WORKER_*` environment). A self-re-executing launcher (like
+/// `FEIR_RANK_WORKER` marker). A self-re-executing launcher (like
 /// `examples/dist_process.rs`) checks this first and calls [`worker_main`].
 pub fn spawned_as_worker() -> bool {
-    std::env::var_os(ENV_RANK).is_some()
+    std::env::var_os(ENV_WORKER).is_some()
 }
 
+/// `WorkerConfig` code of the TCP transport (UDS is 0).
+const TRANSPORT_TCP: u8 = 1;
+
+/// `WorkerConfig` duration value meaning "unset": inherit the default.
+const UNSET_MICROS: u64 = u64::MAX;
+
+/// `WorkerConfig` solver codes: a solver's code is its index here.
+const SOLVERS: [WorkerSolver; 4] = [
+    WorkerSolver::Cg,
+    WorkerSolver::Pcg,
+    WorkerSolver::CgMerged,
+    WorkerSolver::PcgMerged,
+];
+
+/// The policy of a `WorkerConfig` policy code (0 is the plain rank loop),
+/// or `None` for an unknown code.
+fn policy_of(code: u8, interval: usize) -> Option<Option<RecoveryPolicy>> {
+    use RecoveryPolicy::*;
+    let policies = [
+        None,
+        Some(Ideal),
+        Some(Trivial),
+        Some(TrivialReplace),
+        Some(Checkpoint { interval }),
+        Some(LossyRestart),
+        Some(Feir),
+        Some(Afeir),
+    ];
+    policies.get(usize::from(code)).copied()
+}
+
+/// One worker's launch: what the launcher holds, and what the worker
+/// decodes from its `WorkerConfig` frame.
 #[derive(Debug)]
-struct WorkerEnv {
+struct Launch {
     rank: usize,
-    ranks: usize,
-    transport: Transport,
-    solver: WorkerSolver,
-    grid: usize,
-    rhs_seed: u64,
-    page_doubles: usize,
-    tolerance: f64,
-    max_iterations: usize,
-    policy: Option<RecoveryPolicy>,
-    elastic: bool,
+    /// Respawn count per rank: a respawned worker rebinds under its bumped
+    /// epoch and the survivors expect exactly that epoch in its Hello.
     epochs: Vec<u64>,
-    chaos: Option<ChaosConfig>,
-    connect_timeout: Option<Duration>,
-    read_timeout: Option<Option<Duration>>,
-    max_retries: Option<u32>,
-    retransmit_timeout: Option<Duration>,
-    spin: Duration,
+    transport: Transport,
+    /// `spec.ranks` is the fleet's effective rank count.
+    spec: ProcessSpec,
+    options: WorkerOptions,
 }
 
-fn env_parse<T: std::str::FromStr>(key: &str) -> Result<T, String> {
-    let raw = std::env::var(key).map_err(|_| format!("{key} is not set"))?;
-    raw.parse().map_err(|_| format!("{key}={raw} is invalid"))
-}
-
-/// Parses an optional `FEIR_WORKER_*` variable: absent is `None`, present
-/// but malformed is a hard error — a worker must never run on silently
-/// misread configuration.
-fn env_parse_opt<T: std::str::FromStr>(key: &str) -> Result<Option<T>, String> {
-    match std::env::var(key) {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{key} is not unicode")),
-        Ok(raw) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{key}={raw} is invalid")),
-    }
-}
-
-impl WorkerEnv {
-    fn from_env() -> Result<WorkerEnv, String> {
-        let transport = match std::env::var(ENV_TRANSPORT).as_deref() {
-            Ok("uds") => Transport::Uds {
-                dir: PathBuf::from(
-                    std::env::var_os(ENV_DIR).ok_or_else(|| format!("{ENV_DIR} is not set"))?,
-                ),
-            },
-            Ok("tcp") => Transport::Tcp {
-                base_port: env_parse(ENV_TCP_BASE)?,
-            },
-            other => return Err(format!("{ENV_TRANSPORT}={other:?} is invalid")),
+impl Launch {
+    fn to_wire(&self) -> Message {
+        let (transport, tcp_base_port, uds_dir) = match &self.transport {
+            Transport::Uds { dir } => (0, 0, dir.as_os_str().as_bytes().to_vec()),
+            Transport::Tcp { base_port } => (TRANSPORT_TCP, *base_port, Vec::new()),
         };
-        let solver_raw: String = env_parse(ENV_SOLVER)?;
-        let solver = WorkerSolver::parse(&solver_raw)
-            .ok_or_else(|| format!("{ENV_SOLVER}={solver_raw} is invalid"))?;
-        let policy = match env_parse_opt::<String>(ENV_POLICY)? {
-            None => None,
-            Some(raw) => {
-                Some(parse_policy(&raw).ok_or_else(|| format!("{ENV_POLICY}={raw} is invalid"))?)
-            }
+        let checkpoint_interval = match self.options.policy {
+            Some(RecoveryPolicy::Checkpoint { interval }) => interval,
+            _ => 0,
         };
-        let elastic = match env_parse_opt::<String>(ENV_ELASTIC)? {
-            None => false,
-            Some(raw) => match raw.as_str() {
-                "0" => false,
-                "1" => true,
-                _ => return Err(format!("{ENV_ELASTIC}={raw} is invalid")),
-            },
+        let policy = (0..)
+            .find(|&code| policy_of(code, checkpoint_interval) == Some(self.options.policy))
+            .expect("every policy has a code");
+        let micros = |d: Option<Duration>| {
+            d.map_or(UNSET_MICROS, |d| {
+                u64::try_from(d.as_micros()).unwrap_or(UNSET_MICROS - 1)
+            })
         };
-        let epochs = match env_parse_opt::<String>(ENV_EPOCHS)? {
-            None => Vec::new(),
-            Some(raw) => {
-                let mut epochs = Vec::new();
-                for part in raw.split(',') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        continue;
-                    }
-                    epochs.push(
-                        part.parse::<u64>()
-                            .map_err(|_| format!("{ENV_EPOCHS}={raw} is invalid"))?,
-                    );
-                }
-                epochs
-            }
-        };
-        let chaos = match env_parse_opt::<String>(ENV_CHAOS)? {
-            None => None,
-            Some(raw) => {
-                Some(ChaosConfig::parse(&raw).map_err(|e| format!("{ENV_CHAOS}={raw}: {e}"))?)
-            }
-        };
-        let read_timeout = env_parse_opt::<u64>(ENV_READ_TIMEOUT_MS)?.map(|ms| {
-            // 0 explicitly disables the deadline.
-            (ms > 0).then(|| Duration::from_millis(ms))
-        });
-        // The storage-format override is read directly by `SpmvBackend`
-        // inside the solver loops; validate it up front so a malformed value
-        // fails the worker at startup like every other env knob, instead of
-        // panicking mid-solve.
-        if let Some(raw) = env_parse_opt::<String>(ENV_SPMV_FORMAT)? {
-            SpmvFormat::parse(&raw)?;
-        }
-        Ok(WorkerEnv {
-            rank: env_parse(ENV_RANK)?,
-            ranks: env_parse(ENV_RANKS)?,
+        let (spec, options) = (&self.spec, &self.options);
+        Message::WorkerConfig(WorkerConfig {
+            rank: self.rank as u32,
+            ranks: spec.ranks as u32,
+            epochs: self.epochs.clone(),
             transport,
-            solver,
-            grid: env_parse(ENV_GRID)?,
-            rhs_seed: env_parse(ENV_SEED)?,
-            page_doubles: env_parse(ENV_PAGE)?,
-            tolerance: env_parse(ENV_TOL)?,
-            max_iterations: env_parse(ENV_MAXIT)?,
+            tcp_base_port,
+            uds_dir,
+            solver: spec.solver as u8,
+            grid: spec.grid as u64,
+            rhs_seed: spec.rhs_seed,
+            page_doubles: spec.page_doubles as u64,
+            tolerance: spec.tolerance,
+            max_iterations: spec.max_iterations as u64,
             policy,
-            elastic,
-            epochs,
-            chaos,
-            connect_timeout: env_parse_opt::<u64>(ENV_CONNECT_TIMEOUT_MS)?
-                .map(Duration::from_millis),
-            read_timeout,
-            max_retries: env_parse_opt(ENV_RETRY_MAX)?,
-            retransmit_timeout: env_parse_opt::<u64>(ENV_RTO_MS)?.map(Duration::from_millis),
-            spin: env_parse_opt::<u64>(ENV_SPIN_MS)?
-                .map(Duration::from_millis)
-                .unwrap_or(Duration::ZERO),
+            checkpoint_interval: checkpoint_interval as u64,
+            elastic: options.elastic,
+            chaos: options
+                .chaos
+                .as_ref()
+                .map(|c| (c.seed, c.rates, c.fault_retransmits)),
+            retransmit_timeout_us: micros(options.retransmit_timeout),
+            spin_us: micros(options.spin),
         })
     }
+
+    /// Validates a launch frame: everything a worker indexes or sizes by is
+    /// checked here, so a hostile frame is refused instead of panicking later.
+    fn from_wire(msg: Message) -> Result<Launch, String> {
+        let Message::WorkerConfig(c) = msg else {
+            return Err(format!("expected WorkerConfig, got {:?}", msg.tag()));
+        };
+        let size = |v: u64| usize::try_from(v).map_err(|_| format!("{v} overflows usize"));
+        let (rank, ranks, grid) = (c.rank as usize, c.ranks as usize, size(c.grid)?);
+        if grid == 0 || c.page_doubles == 0 {
+            return Err("grid and page_doubles must be positive".into());
+        }
+        if rank >= ranks || ranks > grid.saturating_mul(grid) {
+            return Err(format!("rank {rank} of {ranks} is invalid for grid {grid}"));
+        }
+        if !c.epochs.is_empty() && c.epochs.len() != ranks {
+            return Err(format!("{} epochs for {ranks} ranks", c.epochs.len()));
+        }
+        let transport = match c.transport {
+            0 => Transport::Uds {
+                dir: PathBuf::from(OsString::from_vec(c.uds_dir)),
+            },
+            TRANSPORT_TCP => Transport::Tcp {
+                base_port: c.tcp_base_port,
+            },
+            code => return Err(format!("unknown transport code {code}")),
+        };
+        let solver = SOLVERS.get(usize::from(c.solver));
+        let solver = *solver.ok_or_else(|| format!("unknown solver code {}", c.solver))?;
+        let policy = policy_of(c.policy, size(c.checkpoint_interval)?)
+            .ok_or_else(|| format!("unknown policy code {}", c.policy))?;
+        let chaos = c.chaos.map(|(seed, rates, fault_retransmits)| {
+            ChaosConfig {
+                seed,
+                rates,
+                fault_retransmits,
+            }
+            .validate()
+        });
+        let duration = |us: u64| (us != UNSET_MICROS).then(|| Duration::from_micros(us));
+        Ok(Launch {
+            rank,
+            epochs: c.epochs,
+            transport,
+            spec: ProcessSpec {
+                solver,
+                grid,
+                rhs_seed: c.rhs_seed,
+                ranks,
+                page_doubles: size(c.page_doubles)?,
+                tolerance: c.tolerance,
+                max_iterations: size(c.max_iterations)?,
+            },
+            options: WorkerOptions {
+                policy,
+                elastic: c.elastic,
+                chaos: chaos.transpose()?,
+                retransmit_timeout: duration(c.retransmit_timeout_us),
+                spin: duration(c.spin_us),
+            },
+        })
+    }
+
+    /// The mesh defaults plus what the launcher sent.
+    fn mesh_options(&self) -> MeshOptions {
+        let (defaults, sent) = (MeshOptions::default(), &self.options);
+        MeshOptions {
+            retransmit_timeout: sent
+                .retransmit_timeout
+                .unwrap_or(defaults.retransmit_timeout),
+            chaos: sent.chaos.clone(),
+            elastic: sent.elastic,
+            epochs: self.epochs.clone(),
+            ..defaults
+        }
+    }
 }
 
-/// The mesh options a worker's env overrides resolve to.
-fn mesh_options_from_env(env: &WorkerEnv) -> MeshOptions {
-    let mut options = MeshOptions::default();
-    if let Some(connect) = env.connect_timeout {
-        options.connect_timeout = connect;
+/// Reads this worker's launch frame from stdin. The inherited storage-format
+/// override is checked first: `SpmvBackend` reads it mid-solve, too late to
+/// refuse it cleanly.
+fn read_launch() -> Result<Launch, String> {
+    if let Some(raw) = std::env::var_os(ENV_SPMV_FORMAT) {
+        SpmvFormat::parse(&raw.to_string_lossy())?;
     }
-    if let Some(read) = env.read_timeout {
-        options.read_timeout = read;
-    }
-    if let Some(retries) = env.max_retries {
-        options.max_retries = retries;
-    }
-    if let Some(rto) = env.retransmit_timeout {
-        options.retransmit_timeout = rto;
-    }
-    options.chaos = env.chaos.clone();
-    options.elastic = env.elastic;
-    options.epochs = env.epochs.clone();
-    options
+    let frame = FrameReader::new()
+        .read_message(&mut std::io::stdin().lock())
+        .map_err(|e| format!("launch frame: {e}"))?;
+    Launch::from_wire(frame)
 }
 
 /// Joins the mesh, runs this rank's loop and returns the report frame.
 /// `links_out` receives the endpoint's per-peer reliability counters as
 /// soon as the mesh is up, so the caller can report them even when the
 /// solve later fails.
-fn run_worker(env: &WorkerEnv, links_out: &mut Vec<Arc<LinkStats>>) -> Result<Message, CommError> {
-    let a = feir_sparse::generators::poisson_2d(env.grid);
-    let (_, b) = feir_sparse::generators::manufactured_rhs(&a, env.rhs_seed);
-    let n = a.rows();
-    let ranks = crate::comm::effective_ranks(n, env.ranks);
-    let partition = RankPartition::new(n, ranks);
-    let options = mesh_options_from_env(env);
-    if env.policy.is_some() || env.elastic {
-        return run_worker_resilient(env, &a, &b, &partition, ranks, &options, links_out);
+fn run_worker(launch: &Launch, links_out: &mut Vec<Arc<LinkStats>>) -> Result<Message, CommError> {
+    use crate::merged::{rank_cg_merged, rank_pcg_merged};
+    let spec = &launch.spec;
+    let a = feir_sparse::generators::poisson_2d(spec.grid);
+    let (_, b) = feir_sparse::generators::manufactured_rhs(&a, spec.rhs_seed);
+    let partition = RankPartition::new(a.rows(), spec.ranks);
+    let resilient = launch.options.policy.is_some() || launch.options.elastic;
+    if resilient && !matches!(spec.solver, WorkerSolver::Cg | WorkerSolver::Pcg) {
+        return Err(CommError::Protocol(
+            "the resilient/elastic worker path supports only the classic cg and pcg solvers".into(),
+        ));
     }
     let plan = HaloPlan::build(&a, &partition);
-    let endpoint = connect_mesh(env.rank, ranks, &env.transport, &options)?;
+    let options = launch.mesh_options();
+    let endpoint = connect_mesh(launch.rank, spec.ranks, &launch.transport, &options)?;
     *links_out = endpoint.stats.clone();
     let comm = RankComm::over_process(&plan, endpoint);
-    let (rank, x_own, iterations, history, collectives) = match env.solver {
-        WorkerSolver::Cg => {
-            crate::cg::rank_cg(&a, &b, comm, &partition, env.tolerance, env.max_iterations)?
-        }
-        WorkerSolver::Pcg => crate::pcg::rank_pcg(
-            &a,
-            &b,
-            comm,
-            &partition,
-            env.page_doubles,
-            env.tolerance,
-            env.max_iterations,
-        )?,
-        WorkerSolver::CgMerged => crate::merged::rank_cg_merged(
-            &a,
-            &b,
-            comm,
-            &partition,
-            env.tolerance,
-            env.max_iterations,
-        )?,
-        WorkerSolver::PcgMerged => crate::merged::rank_pcg_merged(
-            &a,
-            &b,
-            comm,
-            &partition,
-            env.page_doubles,
-            env.tolerance,
-            env.max_iterations,
-        )?,
+    if resilient {
+        return run_worker_resilient(launch, &a, &b, &partition, comm);
+    }
+    let (page, tol, maxit) = (spec.page_doubles, spec.tolerance, spec.max_iterations);
+    let (rank, x_own, iterations, history, collectives) = match spec.solver {
+        WorkerSolver::Cg => crate::cg::rank_cg(&a, &b, comm, &partition, tol, maxit)?,
+        WorkerSolver::Pcg => crate::pcg::rank_pcg(&a, &b, comm, &partition, page, tol, maxit)?,
+        WorkerSolver::CgMerged => rank_cg_merged(&a, &b, comm, &partition, tol, maxit)?,
+        WorkerSolver::PcgMerged => rank_pcg_merged(&a, &b, comm, &partition, page, tol, maxit)?,
     };
     Ok(Message::RankResult {
         rank: rank as u32,
@@ -2700,15 +2517,13 @@ fn run_worker(env: &WorkerEnv, links_out: &mut Vec<Arc<LinkStats>>) -> Result<Me
 /// ([`crate::rank_loop`]) over the process mesh, optionally under the
 /// elastic rejoin harness (`crate::elastic`). Supports the classic
 /// `cg`/`pcg` solvers (the merged loops have no resilient engine binding
-/// on this transport yet).
+/// on this transport yet; [`run_worker`] refuses them).
 fn run_worker_resilient(
-    env: &WorkerEnv,
+    launch: &Launch,
     a: &feir_sparse::CsrMatrix,
     b: &[f64],
     partition: &RankPartition,
-    ranks: usize,
-    options: &MeshOptions,
-    links_out: &mut Vec<Arc<LinkStats>>,
+    comm: RankComm,
 ) -> Result<Message, CommError> {
     use crate::elastic::{rank_elastic_solve, ElasticCfg};
     use crate::rank_loop::{rank_resilient_solve, RankCtx};
@@ -2716,38 +2531,14 @@ fn run_worker_resilient(
     use feir_recovery::{CgRelations, PcgRelations};
     use feir_sparse::blocking::BlockPartition;
 
-    let policy = env.policy.unwrap_or(RecoveryPolicy::Ideal);
-    if !matches!(env.solver, WorkerSolver::Cg | WorkerSolver::Pcg) {
-        return Err(CommError::Protocol(
-            "the resilient/elastic worker path supports only the classic cg and pcg solvers".into(),
-        ));
-    }
-    let plan = HaloPlan::build(a, partition);
-    let endpoint = connect_mesh(env.rank, ranks, &env.transport, options)?;
-    *links_out = endpoint.stats.clone();
-    let comm = RankComm::over_process(&plan, endpoint);
-    let rank = env.rank;
+    let spec = &launch.spec;
+    let policy = launch.options.policy.unwrap_or(RecoveryPolicy::Ideal);
+    let rank = launch.rank;
     let own = partition.range(rank);
-    let pages = BlockPartition::new(own.len(), env.page_doubles.max(1));
+    let pages = BlockPartition::new(own.len(), spec.page_doubles.max(1));
     let registry = std::sync::Arc::new(feir_pagemem::PageRegistry::new());
     if policy.needs_protection() {
-        let protected: &[ProtectedVector] = if env.solver == WorkerSolver::Pcg {
-            &[
-                ProtectedVector::X,
-                ProtectedVector::G,
-                ProtectedVector::D,
-                ProtectedVector::Q,
-                ProtectedVector::Z,
-            ]
-        } else {
-            &[
-                ProtectedVector::X,
-                ProtectedVector::G,
-                ProtectedVector::D,
-                ProtectedVector::Q,
-            ]
-        };
-        for vector in protected {
+        for vector in ProtectedVector::protected(spec.solver == WorkerSolver::Pcg) {
             let id = registry.register(format!("rank{rank}/{}", vector.name()), pages.num_blocks());
             debug_assert_eq!(id, vector.id());
         }
@@ -2756,24 +2547,24 @@ fn run_worker_resilient(
         a,
         b,
         policy,
-        tolerance: env.tolerance,
-        max_iterations: env.max_iterations,
+        tolerance: spec.tolerance,
+        max_iterations: spec.max_iterations,
         rank,
         own,
         pages,
         registry,
         partition: partition.clone(),
         scripted: Vec::new(),
-        throttle: env.spin,
+        throttle: launch.options.spin.unwrap_or(Duration::ZERO),
     };
     let cfg = ElasticCfg {
-        newcomer: env.epochs.get(rank).copied().unwrap_or(0) > 0,
+        newcomer: launch.epochs.get(rank).copied().unwrap_or(0) > 0,
         max_rejoins: 4,
     };
-    let outcome = match env.solver {
+    let outcome = match spec.solver {
         WorkerSolver::Cg => {
             let relations = CgRelations::new(a, b);
-            if env.elastic {
+            if launch.options.elastic {
                 rank_elastic_solve(&ctx, &relations, comm, &cfg)?
             } else {
                 rank_resilient_solve(ctx, &relations, comm)?
@@ -2788,7 +2579,7 @@ fn run_worker_resilient(
             )
             .expect("rank-local block-Jacobi construction failed");
             let relations = PcgRelations::new(a, b, &jacobi);
-            if env.elastic {
+            if launch.options.elastic {
                 rank_elastic_solve(&ctx, &relations, comm, &cfg)?
             } else {
                 rank_resilient_solve(ctx, &relations, comm)?
@@ -2824,25 +2615,26 @@ fn comm_error_report(rank: usize, error: &CommError) -> Message {
     }
 }
 
-/// Entry point of a rank worker process: parse the `FEIR_WORKER_*`
-/// environment, run the rank loop and write the report frame to stdout.
+/// Entry point of a rank worker process: read the `WorkerConfig` launch
+/// frame from stdin, run the rank loop and write the report frame (then the
+/// trace dump) to stdout.
 ///
 /// Call this from a dedicated binary (`feir-rank-worker`) or from any
 /// launcher that re-executes itself (check [`spawned_as_worker`] first).
 pub fn worker_main() -> std::process::ExitCode {
-    let env = match WorkerEnv::from_env() {
-        Ok(env) => env,
+    let launch = match read_launch() {
+        Ok(launch) => launch,
         Err(msg) => {
             eprintln!("feir rank worker: {msg}");
             return std::process::ExitCode::FAILURE;
         }
     };
-    let rank = env.rank;
+    let rank = launch.rank;
     // Everything this process records — solver thread and per-link reader
     // threads alike — belongs to this one rank.
     feir_trace::set_process_rank(rank as u32);
     let mut links: Vec<Arc<LinkStats>> = Vec::new();
-    let report = match run_worker(&env, &mut links) {
+    let report = match run_worker(&launch, &mut links) {
         Ok(result) => result,
         // `run_worker` returning drops the endpoint, closing this rank's
         // sockets so any peer still blocked on us unblocks with a
@@ -2938,7 +2730,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_config_round_trips_through_its_display_form() {
+    fn chaos_config_parses_its_textual_form() {
         let cfg = ChaosConfig {
             seed: 42,
             rates: FaultRates {
@@ -2950,11 +2742,59 @@ mod tests {
             },
             fault_retransmits: true,
         };
-        assert_eq!(ChaosConfig::parse(&cfg.to_string()), Ok(cfg.clone()));
+        let text = "seed=42,drop=0.1,dup=0.05,delay=0.025,corrupt=0.0125,trunc=0.03,all_attempts=1";
+        assert_eq!(ChaosConfig::parse(text), Ok(cfg.clone()));
         // Two links never share a plan, and the same link always gets the
         // same plan.
         assert_eq!(cfg.plan_for(0, 1), cfg.plan_for(0, 1));
         assert_ne!(cfg.plan_for(0, 1), cfg.plan_for(1, 0));
+    }
+
+    #[test]
+    fn launch_survives_the_wire_exactly() {
+        let round_trip = |launch: &Launch| {
+            let frame = launch.to_wire().encode();
+            let back = Launch::from_wire(feir_wire::decode_frame_buf(&frame).unwrap()).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{launch:?}"));
+            back
+        };
+        let launch = Launch {
+            rank: 2,
+            epochs: vec![0, 0, 1],
+            transport: Transport::Uds {
+                dir: PathBuf::from(std::ffi::OsStr::from_bytes(b"/tmp/feir-\xff-mesh")),
+            },
+            spec: ProcessSpec {
+                solver: WorkerSolver::Pcg,
+                page_doubles: 16,
+                ..ProcessSpec::cg(12, 3)
+            },
+            options: WorkerOptions {
+                policy: Some(RecoveryPolicy::Checkpoint { interval: 25 }),
+                elastic: true,
+                chaos: Some(ChaosConfig::parse("seed=9,drop=0.25,trunc=0.5").unwrap()),
+                // Sub-millisecond durations: a millisecond encoding turns
+                // this RTO into 0, and every service call into a retransmit.
+                retransmit_timeout: Some(Duration::from_micros(500)),
+                spin: Some(Duration::from_micros(1500)),
+            },
+        };
+        let back = round_trip(&launch);
+        let mesh = back.mesh_options();
+        assert_eq!(mesh.retransmit_timeout, Duration::from_micros(500));
+        assert_eq!(back.options.spin, Some(Duration::from_micros(1500)));
+        assert_eq!((mesh.chaos, mesh.elastic), (launch.options.chaos, true));
+        assert_eq!(mesh.epochs, vec![0, 0, 1]);
+
+        // Unset durations inherit the mesh default.
+        let plain = Launch {
+            rank: 0,
+            transport: Transport::Tcp { base_port: 4000 },
+            options: WorkerOptions::default(),
+            ..launch
+        };
+        let rto = round_trip(&plain).mesh_options().retransmit_timeout;
+        assert_eq!(rto, MeshOptions::default().retransmit_timeout);
     }
 
     #[test]

@@ -79,6 +79,13 @@ impl ProtectedVector {
         VectorId(self as usize)
     }
 
+    /// The vectors a rank protects, in registry-id order (`Z` only for a
+    /// preconditioned solver).
+    pub(crate) fn protected(preconditioned: bool) -> &'static [ProtectedVector] {
+        use ProtectedVector::*;
+        &[X, G, D, Q, Z][..if preconditioned { 5 } else { 4 }]
+    }
+
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -445,22 +452,7 @@ impl<'a> DistResilientSolver<'a> {
         // The merged solvers reuse the classic ids for their renamed
         // vectors (G = r, D = p, Q = s, Z = u), so fault scripts and
         // campaigns target both families uniformly.
-        let protected: &[ProtectedVector] = if kind.preconditioned() {
-            &[
-                ProtectedVector::X,
-                ProtectedVector::G,
-                ProtectedVector::D,
-                ProtectedVector::Q,
-                ProtectedVector::Z,
-            ]
-        } else {
-            &[
-                ProtectedVector::X,
-                ProtectedVector::G,
-                ProtectedVector::D,
-                ProtectedVector::Q,
-            ]
-        };
+        let protected = ProtectedVector::protected(kind.preconditioned());
         // Clamp like `distributed_pcg` does, so the bitwise-identity pairing
         // of the plain and resilient entry points holds for every input.
         let page_doubles = config.page_doubles.max(1);

@@ -67,7 +67,7 @@ fn net_campaign_trivial_replace_smoke_under_chaos() {
     // The cheap hybrid policy over real worker processes: blank-accept plus
     // residual-replacement restart. With no DUEs in the schedule the policy
     // code never fires, so both cells — clean wire and a chaos-injected one
-    // the ack/retransmit sublayer absorbs (shipped via FEIR_WORKER_CHAOS) —
+    // the ack/retransmit sublayer absorbs (shipped in the WorkerConfig frame) —
     // must replay the ideal iteration sequence exactly.
     let campaign = NetFaultCampaign {
         solver: WorkerSolver::Cg,

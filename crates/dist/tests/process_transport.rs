@@ -365,51 +365,105 @@ fn dropping_worker_handles_reaps_the_fleet() {
     }
 }
 
-#[test]
-fn malformed_worker_env_values_are_hard_errors() {
-    let dir = std::env::temp_dir().join(format!("feir-env-test-{}", std::process::id()));
-    let _ = std::fs::create_dir_all(&dir);
-    let base = |cmd: &mut std::process::Command| {
-        cmd.env("FEIR_WORKER_RANK", "0")
-            .env("FEIR_WORKER_RANKS", "1")
-            .env("FEIR_WORKER_TRANSPORT", "uds")
-            .env("FEIR_WORKER_DIR", &dir)
-            .env("FEIR_WORKER_SOLVER", "cg")
-            .env("FEIR_WORKER_GRID", "4")
-            .env("FEIR_WORKER_SEED", "1")
-            .env("FEIR_WORKER_TOL", "1e-8")
-            .env("FEIR_WORKER_MAXIT", "1000")
-            .env("FEIR_WORKER_PAGE", "16")
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null());
+/// Runs the worker binary with `stdin` as its launch input; returns whether
+/// it succeeded and what it wrote to stderr. A worker still running after
+/// 10 s is a failure of its own.
+fn run_worker_with_stdin(stdin: &[u8]) -> (bool, String) {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(worker())
+        .env("FEIR_RANK_WORKER", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("worker failed to start");
+    // The worker may refuse a bad frame before reading all of it.
+    let _ = child.stdin.take().unwrap().write_all(stdin);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("worker still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(5));
     };
-    for (key, value) in [
-        ("FEIR_WORKER_CHAOS", "drop=2"),         // rate out of range
-        ("FEIR_WORKER_CHAOS", "blast=0.5"),      // unknown fault kind
-        ("FEIR_WORKER_READ_TIMEOUT_MS", "soon"), // not a number
-        ("FEIR_WORKER_ELASTIC", "yes"),          // not the strict 0/1
-        ("FEIR_WORKER_RETRY_MAX", "-3"),         // negative
-        ("FEIR_WORKER_POLICY", "optimism"),      // unknown policy
-        ("FEIR_WORKER_EPOCHS", "0,banana"),      // malformed list entry
-    ] {
-        let mut cmd = std::process::Command::new(worker());
-        base(&mut cmd);
-        cmd.env(key, value);
-        let status = cmd.status().expect("worker failed to start");
+    let stderr = std::io::read_to_string(child.stderr.take().unwrap()).unwrap();
+    (status.success(), stderr)
+}
+
+#[test]
+fn malformed_worker_config_is_refused() {
+    use feir_wire::chaos::FaultRates;
+    use feir_wire::{Message, WorkerConfig, HEADER_LEN, WIRE_VERSION};
+    fn rates(c: &mut WorkerConfig) -> &mut FaultRates {
+        &mut c.chaos.as_mut().unwrap().1
+    }
+    let dir = std::env::temp_dir().join(format!("feir-config-test-{}", std::process::id()));
+    // A single-rank CG solve on a 4×4 grid over UDS under 1 % drops (the
+    // zero transport, solver and policy codes are UDS, CG and the plain loop).
+    let chaos = ChaosConfig::parse("seed=3,drop=0.01").unwrap();
+    let good = WorkerConfig {
+        ranks: 1,
+        epochs: vec![0],
+        uds_dir: dir.to_str().unwrap().as_bytes().to_vec(),
+        grid: 4,
+        rhs_seed: 1,
+        page_doubles: 16,
+        tolerance: 1e-8,
+        max_iterations: 1000,
+        chaos: Some((chaos.seed, chaos.rates, chaos.fault_retransmits)),
+        retransmit_timeout_us: u64::MAX,
+        spin_us: u64::MAX,
+        ..WorkerConfig::default()
+    };
+    let edited = |edit: fn(&mut WorkerConfig)| {
+        let mut config = good.clone();
+        edit(&mut config);
+        Message::WorkerConfig(config).encode()
+    };
+    let good_frame = edited(|_| {});
+    let mut wrong_version = good_frame.clone();
+    wrong_version[2] = WIRE_VERSION - 1;
+    let wrong_tag = Message::BroadcastScalar { value: 0.0 }.encode();
+
+    let mut cases = vec![
+        ("empty stdin", Vec::new()),
+        ("garbage", b"not a wire frame at all".to_vec()),
+        ("wrong version", wrong_version),
+        ("wrong tag", wrong_tag),
+        ("rank >= ranks", edited(|c| c.rank = 1)),
+        ("3 epochs", edited(|c| c.epochs = vec![0; 3])),
+        ("solver code", edited(|c| c.solver = 9)),
+        ("policy code", edited(|c| c.policy = 42)),
+        ("transport code", edited(|c| c.transport = 7)),
+        ("NaN rate", edited(|c| rates(c).drop = f64::NAN)),
+        ("rate above 1", edited(|c| rates(c).drop = 2.0)),
+        ("negative rate", edited(|c| rates(c).delay = -0.1)),
+        ("rates over 1", edited(|c| rates(c).duplicate = 0.995)),
+        ("grid 0", edited(|c| c.grid = 0)),
+        ("page_doubles 0", edited(|c| c.page_doubles = 0)),
+    ];
+    for cut in [1, HEADER_LEN, HEADER_LEN + 9, good_frame.len() - 1] {
+        cases.push(("truncated", good_frame[..cut].to_vec()));
+    }
+    for (what, stdin) in cases {
+        let (ok, stderr) = run_worker_with_stdin(&stdin);
+        assert!(!ok, "{what}: the worker accepted it");
+        let one_line = stderr.trim().lines().count() == 1;
         assert!(
-            !status.success(),
-            "{key}={value} was accepted instead of rejected"
+            one_line && !stderr.contains("panicked at"),
+            "{what}: {stderr}"
         );
     }
-    // Control: the same env with the overrides well-formed must run the
-    // (single-rank) solve to completion, proving the base env is valid.
-    let mut cmd = std::process::Command::new(worker());
-    base(&mut cmd);
-    cmd.env("FEIR_WORKER_CHAOS", "drop=0.01")
-        .env("FEIR_WORKER_READ_TIMEOUT_MS", "30000")
-        .env("FEIR_WORKER_RETRY_MAX", "3");
-    let status = cmd.status().expect("worker failed to start");
-    assert!(status.success(), "well-formed env overrides were rejected");
+    // Control: the well-formed frame runs the single-rank solve to success.
+    let (ok, stderr) = run_worker_with_stdin(&good_frame);
+    assert!(ok, "a well-formed launch frame was refused: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -14,8 +14,8 @@ use crate::sell::{SellMatrix, SELL_C, SELL_SIGMA};
 use crate::{fused, CsrMatrix};
 
 /// Environment knob forcing the SpMV storage format. Accepted values are
-/// `csr`, `sell` and `auto` (the default); anything else is a hard error,
-/// like the `FEIR_WORKER_*` knobs — a typo must not silently fall back.
+/// `csr`, `sell` and `auto` (the default); anything else is a hard error:
+/// a typo must not silently fall back.
 pub const ENV_SPMV_FORMAT: &str = "FEIR_SPMV_FORMAT";
 
 /// Requested SpMV storage format (the value of [`ENV_SPMV_FORMAT`]).

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic  (0xFE 0x17)
-//! 2       1     schema version (currently 2)
+//! 2       1     schema version (WIRE_VERSION)
 //! 3       1     message tag
 //! 4       4     payload length in bytes, little-endian u32
 //! 8       ...   payload
@@ -21,6 +21,13 @@
 //! The header is self-describing: a reader can always validate the magic and
 //! version, learn the message kind from the tag, and skip or reject unknown
 //! frames by length, independent of any out-of-band schema knowledge.
+//!
+//! The same framing carries the launcher ↔ worker pipes of the process
+//! backend: the launcher writes one [`Message::WorkerConfig`] to each
+//! worker's stdin, and the worker answers on stdout with one
+//! [`Message::RankResult`] or [`Message::RankError`] report followed by one
+//! [`Message::TraceDump`]. This crate fixes the byte layout only; the
+//! meaning of the code fields of `WorkerConfig` belongs to `feir-dist`.
 
 pub mod chaos;
 
@@ -37,7 +44,8 @@ pub const MAGIC: [u8; 2] = [0xFE, 0x17];
 /// [`Message::TraceDump`] trace-collection frame.
 /// v4 added the [`Message::CoupledGather`] / [`Message::CoupledResult`]
 /// frames for cross-rank coupled recovery.
-pub const WIRE_VERSION: u8 = 4;
+/// v5 added the [`Message::WorkerConfig`] launch frame.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -158,11 +166,13 @@ pub enum Tag {
     /// Coupled cross-rank recovery: reconstructed row values shipped back
     /// up the rank chain.
     CoupledResult = 14,
+    /// Launcher-to-worker launch configuration, written to the worker's stdin.
+    WorkerConfig = 15,
 }
 
 impl Tag {
-    /// All tags, for exhaustive round-trip tests.
-    pub const ALL: [Tag; 14] = [
+    /// All tags in numbering order; also drives exhaustive round-trip tests.
+    pub const ALL: [Tag; 15] = [
         Tag::Hello,
         Tag::Halo,
         Tag::GatherScalar,
@@ -177,27 +187,16 @@ impl Tag {
         Tag::TraceDump,
         Tag::CoupledGather,
         Tag::CoupledResult,
+        Tag::WorkerConfig,
     ];
 
-    /// Decodes a tag byte.
+    /// Decodes a tag byte. Tags are numbered `1..=ALL.len()` in `ALL` order.
     pub fn from_u8(byte: u8) -> Result<Tag, WireError> {
-        Ok(match byte {
-            1 => Tag::Hello,
-            2 => Tag::Halo,
-            3 => Tag::GatherScalar,
-            4 => Tag::GatherVec,
-            5 => Tag::BroadcastScalar,
-            6 => Tag::BroadcastVec,
-            7 => Tag::RecoveryRequest,
-            8 => Tag::RecoveryReply,
-            9 => Tag::RankResult,
-            10 => Tag::RankError,
-            11 => Tag::RejoinBarrier,
-            12 => Tag::TraceDump,
-            13 => Tag::CoupledGather,
-            14 => Tag::CoupledResult,
-            other => return Err(WireError::UnknownTag(other)),
-        })
+        let index = usize::from(byte).wrapping_sub(1);
+        Tag::ALL
+            .get(index)
+            .copied()
+            .ok_or(WireError::UnknownTag(byte))
     }
 }
 
@@ -366,6 +365,52 @@ pub enum Message {
         /// Reconstructed values, in `rows` order.
         values: Vec<f64>,
     },
+    /// A worker's launch configuration (see [`WorkerConfig`]).
+    WorkerConfig(WorkerConfig),
+}
+
+/// Everything one worker process needs to join the mesh and solve, written
+/// once by the launcher to the worker's stdin. The meaning of the code
+/// fields and of the "unset" duration belongs to `feir-dist`, which
+/// validates every field on decode.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WorkerConfig {
+    /// This worker's rank.
+    pub rank: u32,
+    /// World size.
+    pub ranks: u32,
+    /// Respawn generation of every rank; empty means all zero.
+    pub epochs: Vec<u64>,
+    /// Transport kind code.
+    pub transport: u8,
+    /// First port of the TCP port range (TCP only).
+    pub tcp_base_port: u16,
+    /// Rendezvous directory as raw OS-string bytes (UDS only).
+    pub uds_dir: Vec<u8>,
+    /// Rank-loop code.
+    pub solver: u8,
+    /// Poisson grid side.
+    pub grid: u64,
+    /// Seed of the manufactured right-hand side.
+    pub rhs_seed: u64,
+    /// Page / preconditioner block size in doubles.
+    pub page_doubles: u64,
+    /// Convergence tolerance on the relative residual.
+    pub tolerance: f64,
+    /// Iteration cap.
+    pub max_iterations: u64,
+    /// Recovery-policy code; one code means "plain rank loop".
+    pub policy: u8,
+    /// Interval of the checkpoint policy.
+    pub checkpoint_interval: u64,
+    /// Rank elasticity.
+    pub elastic: bool,
+    /// Transport fault injection as `(seed, rates, all_attempts)`.
+    pub chaos: Option<(u64, chaos::FaultRates, bool)>,
+    /// Base retransmission timeout in microseconds.
+    pub retransmit_timeout_us: u64,
+    /// Per-iteration throttle sleep in microseconds.
+    pub spin_us: u64,
 }
 
 impl Message {
@@ -386,6 +431,7 @@ impl Message {
             Message::TraceDump { .. } => Tag::TraceDump,
             Message::CoupledGather { .. } => Tag::CoupledGather,
             Message::CoupledResult { .. } => Tag::CoupledResult,
+            Message::WorkerConfig(_) => Tag::WorkerConfig,
         }
     }
 
@@ -420,11 +466,7 @@ impl Message {
             }
             Message::BroadcastScalar { value } => put_f64(out, *value),
             Message::BroadcastVec { values } => put_f64s(out, values),
-            Message::RecoveryRequest { indices } => {
-                for idx in indices {
-                    put_u64(out, *idx);
-                }
-            }
+            Message::RecoveryRequest { indices } => put_u64s(out, indices),
             Message::RecoveryReply { values, valid } => {
                 assert_eq!(values.len(), valid.len(), "reply values/valid must align");
                 put_u32(out, values.len() as u32);
@@ -471,9 +513,7 @@ impl Message {
                 put_u32(out, *rank);
                 put_u64(out, *origin_micros);
                 put_u64(out, *dropped);
-                for v in link {
-                    put_u64(out, *v);
-                }
+                put_u64s(out, link);
                 put_u32(out, events.len() as u32);
                 for (phase, start_ns, dur_ns) in events {
                     out.push(*phase);
@@ -500,24 +540,45 @@ impl Message {
                     "gather support cols/valid must align"
                 );
                 put_u32(out, rows.len() as u32);
-                for r in rows {
-                    put_u64(out, *r);
-                }
+                put_u64s(out, rows);
                 put_f64s(out, values);
                 put_u32(out, support_cols.len() as u32);
-                for c in support_cols {
-                    put_u64(out, *c);
-                }
+                put_u64s(out, support_cols);
                 put_f64s(out, support_values);
                 out.extend(support_valid.iter().map(|&b| b as u8));
             }
             Message::CoupledResult { rows, values } => {
                 assert_eq!(rows.len(), values.len(), "result rows/values must align");
                 put_u32(out, rows.len() as u32);
-                for r in rows {
-                    put_u64(out, *r);
-                }
+                put_u64s(out, rows);
                 put_f64s(out, values);
+            }
+            Message::WorkerConfig(c) => {
+                put_u32(out, c.rank);
+                put_u32(out, c.ranks);
+                put_u32(out, c.epochs.len() as u32);
+                put_u64s(out, &c.epochs);
+                out.push(c.transport);
+                out.extend_from_slice(&c.tcp_base_port.to_le_bytes());
+                put_u32(out, c.uds_dir.len() as u32);
+                out.extend_from_slice(&c.uds_dir);
+                out.push(c.solver);
+                put_u64(out, c.grid);
+                put_u64(out, c.rhs_seed);
+                put_u64(out, c.page_doubles);
+                put_f64(out, c.tolerance);
+                put_u64(out, c.max_iterations);
+                out.push(c.policy);
+                put_u64(out, c.checkpoint_interval);
+                out.push(u8::from(c.elastic));
+                out.push(u8::from(c.chaos.is_some()));
+                if let Some((seed, r, all_attempts)) = c.chaos {
+                    put_u64(out, seed);
+                    put_f64s(out, &[r.drop, r.duplicate, r.delay, r.corrupt, r.truncate]);
+                    out.push(u8::from(all_attempts));
+                }
+                put_u64(out, c.retransmit_timeout_us);
+                put_u64(out, c.spin_us);
             }
         }
         let payload_len = (out.len() - payload_at) as u32;
@@ -615,10 +676,7 @@ impl Message {
                 let rank = rd.take_u32()?;
                 let origin_micros = rd.take_u64()?;
                 let dropped = rd.take_u64()?;
-                let mut link = [0u64; 5];
-                for v in &mut link {
-                    *v = rd.take_u64()?;
-                }
+                let link = rd.take_u64s(5)?.try_into().expect("five counters taken");
                 let count = rd.take_u32()? as usize;
                 let mut events = Vec::with_capacity(count.min(MAX_PAYLOAD as usize / 17));
                 for _ in 0..count {
@@ -661,6 +719,46 @@ impl Message {
                 let values = rd.take_f64s(count)?;
                 Message::CoupledResult { rows, values }
             }
+            // Struct-literal fields evaluate in source order: the wire order.
+            Tag::WorkerConfig => Message::WorkerConfig(WorkerConfig {
+                rank: rd.take_u32()?,
+                ranks: rd.take_u32()?,
+                epochs: {
+                    let count = rd.take_u32()? as usize;
+                    rd.take_u64s(count)?
+                },
+                transport: rd.take_u8()?,
+                tcp_base_port: u16::from_le_bytes(rd.take_bytes(2)?.try_into().expect("2 bytes")),
+                uds_dir: {
+                    let len = rd.take_u32()? as usize;
+                    rd.take_bytes(len)?.to_vec()
+                },
+                solver: rd.take_u8()?,
+                grid: rd.take_u64()?,
+                rhs_seed: rd.take_u64()?,
+                page_doubles: rd.take_u64()?,
+                tolerance: rd.take_f64()?,
+                max_iterations: rd.take_u64()?,
+                policy: rd.take_u8()?,
+                checkpoint_interval: rd.take_u64()?,
+                elastic: rd.take_u8()? != 0,
+                chaos: match rd.take_u8()? {
+                    0 => None,
+                    _ => Some((
+                        rd.take_u64()?,
+                        chaos::FaultRates {
+                            drop: rd.take_f64()?,
+                            duplicate: rd.take_f64()?,
+                            delay: rd.take_f64()?,
+                            corrupt: rd.take_f64()?,
+                            truncate: rd.take_f64()?,
+                        },
+                        rd.take_u8()? != 0,
+                    )),
+                },
+                retransmit_timeout_us: rd.take_u64()?,
+                spin_us: rd.take_u64()?,
+            }),
         };
         Ok(msg)
     }
@@ -803,6 +901,12 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
+    for v in vs {
+        put_u64(out, *v);
+    }
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -951,6 +1055,35 @@ mod tests {
                 rows: vec![30, 31],
                 values: vec![1.125, -3.5],
             },
+            Message::WorkerConfig(WorkerConfig {
+                rank: 1,
+                ranks: 2,
+                epochs: vec![0, 3],
+                uds_dir: b"/tmp/mesh-\xff".to_vec(),
+                solver: 1,
+                grid: 64,
+                rhs_seed: 7,
+                page_doubles: 512,
+                tolerance: 1e-10,
+                max_iterations: 10_000,
+                policy: 4,
+                checkpoint_interval: 25,
+                elastic: true,
+                chaos: Some((
+                    1207,
+                    chaos::FaultRates {
+                        drop: 0.012,
+                        duplicate: 0.006,
+                        delay: 0.006,
+                        corrupt: 0.004,
+                        truncate: 0.004,
+                    },
+                    false,
+                )),
+                retransmit_timeout_us: 500,
+                spin_us: u64::MAX,
+                ..WorkerConfig::default()
+            }),
         ]
     }
 
@@ -997,19 +1130,18 @@ mod tests {
 
     #[test]
     fn truncated_frames_are_rejected_at_every_cut() {
-        let frame = Message::GatherVec {
-            rank: 1,
-            values: vec![1.0, 2.0, 3.0],
-        }
-        .encode();
-        for cut in 1..frame.len() {
-            let mut reader = FrameReader::new();
-            let mut cursor = &frame[..cut];
-            let err = reader.read_message(&mut cursor).unwrap_err();
-            assert!(
-                matches!(err, WireError::Truncated { .. }),
-                "cut at {cut} gave {err:?}"
-            );
+        for msg in sample_messages() {
+            let frame = msg.encode();
+            for cut in 1..frame.len() {
+                let mut reader = FrameReader::new();
+                let mut cursor = &frame[..cut];
+                let err = reader.read_message(&mut cursor).unwrap_err();
+                assert!(
+                    matches!(err, WireError::Truncated { .. }),
+                    "{:?} cut at {cut} gave {err:?}",
+                    msg.tag()
+                );
+            }
         }
     }
 

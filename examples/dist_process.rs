@@ -9,9 +9,9 @@
 //! ```
 //!
 //! The example re-executes itself as the rank workers: the launcher spawns
-//! `current_exe()` once per rank with the `FEIR_WORKER_*` environment set,
-//! and each child detects that via [`spawned_as_worker`] and runs
-//! [`worker_main`] instead of the demo.
+//! `current_exe()` once per rank with the `FEIR_RANK_WORKER` marker set and
+//! a `WorkerConfig` frame on stdin, and each child detects that via
+//! [`spawned_as_worker`] and runs [`worker_main`] instead of the demo.
 
 use std::process::ExitCode;
 

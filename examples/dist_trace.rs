@@ -154,7 +154,6 @@ fn main() -> ExitCode {
         retransmit_timeout: Some(Duration::from_millis(10)),
         // Dilate iterations so the kill lands mid-solve.
         spin: Some(Duration::from_millis(4)),
-        ..WorkerOptions::default()
     };
     let started = Instant::now();
     let mut handles = spawn_workers_with(

@@ -1,33 +1,43 @@
 //! Message-passing primitives between ranks: halo exchange for the block-row
-//! SpMV and the rank-ordered sum allreduce for the CG dot products.
+//! SpMV, the rank-ordered sum allreduce for the CG dot products, and the
+//! neighbourhood rounds of cross-rank recovery.
 //!
-//! Two backends live behind the same [`RankComm`] surface:
+//! Every collective is written once, in [`RankComm`], as a fixed sequence of
+//! [`feir_wire::Message`]s sent to and received from named peers. Moving one
+//! message to one peer is the job of a crate-private `Link`, the only part
+//! the two backends write differently:
 //!
-//! * **In-process** — ranks are threads wired with `std::sync::mpsc` channels.
-//!   No rank ever reads another rank's buffers, so the data movement is
-//!   exactly the send/receive pattern an MPI implementation of Section 3.4
-//!   would perform. This is the default for unit tests and the thread-backed
+//! * **In-process** — ranks are threads, with one `std::sync::mpsc` channel
+//!   per ordered rank pair carrying the (boxed, never encoded) `Message`
+//!   values themselves. No rank
+//!   ever reads another rank's buffers, so the data movement is exactly the
+//!   send/receive pattern an MPI implementation of Section 3.4 would
+//!   perform. This is the default for unit tests and the thread-backed
 //!   solver entry points.
 //! * **Process** — ranks are real OS processes connected over Unix domain
-//!   sockets (TCP fallback) speaking the versioned `feir-wire` frame protocol
-//!   (see [`crate::process`]). Every collective performs the *same*
-//!   rank-ordered arithmetic as the in-process backend, so results are
-//!   bitwise identical across backends.
+//!   sockets (TCP fallback), each message one versioned `feir-wire` frame
+//!   (see [`crate::process`]).
+//!
+//! Same messages, same order, same rank-ordered folds: results are bitwise
+//! identical across backends, and only how a rank waits for a message
+//! differs.
 //!
 //! Every communication method returns `Result<_, CommError>`: a vanished
 //! peer — a disconnected channel in-process, a closed socket across
-//! processes — surfaces as a typed [`CommError`] instead of a panic, so the
-//! resilience engine can observe rank failure the same way on both backends.
+//! processes — or a peer that breaks the protocol surfaces as a typed
+//! [`CommError`] instead of a panic, so the resilience engine can observe
+//! rank failure the same way on both backends.
 
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 use feir_sparse::CsrMatrix;
+use feir_wire::{Message, Tag};
 
 use crate::partition::RankPartition;
-use crate::process::ProcessLinks;
 
 /// A communication failure observed by one rank.
 ///
@@ -170,57 +180,6 @@ impl HaloPlan {
     }
 }
 
-/// Message exchanged on the cross-rank recovery channels.
-///
-/// When a rank discovers a DUE whose recovery relation reaches across a rank
-/// boundary (the faulted block's matrix stencil references columns owned by a
-/// neighbour), it cannot reconstruct the block from local data alone: the
-/// off-diagonal contributions `A_ij · v_j` of the interpolation need the
-/// neighbour's current values. The recovery round is a collective over halo
-/// neighbours — every rank posts one [`RecoveryMsg::Request`] (possibly empty)
-/// per neighbour and answers the neighbour's request with one
-/// [`RecoveryMsg::Reply`], so the protocol stays deadlock-free in lockstep
-/// with the solver.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecoveryMsg {
-    /// Ask the receiving rank for the current authoritative values of the
-    /// listed global indices (which it owns). An empty list means "nothing
-    /// needed this round" and still participates in the collective.
-    Request(Vec<usize>),
-    /// The answer to the sender's last request, in request order.
-    Reply {
-        /// The owner's current values at the requested indices.
-        values: Vec<f64>,
-        /// Per value, whether the owner can vouch for it. `false` marks an
-        /// index inside a page the owner itself lost this round (its data
-        /// is a post-scrub blank): two ranks faulting simultaneously on
-        /// stencil-adjacent pages is the cross-rank form of the paper's
-        /// "related data" case, and the requester must blank-accept rather
-        /// than install a reconstruction built on garbage.
-        valid: Vec<bool>,
-    },
-    /// Coupled cross-rank recovery offer, travelling *down* the rank chain
-    /// (each rank receives from its higher-ranked halo neighbours, merges
-    /// its own offer in and forwards to its lower-ranked neighbours): the
-    /// sender's view of the lost-row union plus the surviving stencil
-    /// support the coupled solve needs from outside it.
-    CoupledGather {
-        /// `(global row, rhs value)` of lost rows in the coupled union (the
-        /// surviving residual / matvec value at each row).
-        rows: Vec<(usize, f64)>,
-        /// `(global col, value, valid)` stencil entries outside the union;
-        /// `valid == false` marks an entry its owner lost this round.
-        support: Vec<(usize, f64, bool)>,
-    },
-    /// Coupled cross-rank recovery result, travelling *up* the rank chain:
-    /// reconstructed `(global row, value)` entries for installation by the
-    /// rows' owners.
-    CoupledResult {
-        /// Reconstructed entries.
-        entries: Vec<(usize, f64)>,
-    },
-}
-
 /// `try_recv` attempts made back to back (with `hint::spin_loop`) before a
 /// waiting rank starts yielding its core: covers a peer that is already
 /// sending, for well under a microsecond.
@@ -237,7 +196,7 @@ const SPIN_POLLS: u32 = 32;
 /// µs with this discipline.
 const POLL_BUDGET: Duration = Duration::from_micros(50);
 
-/// The one way the in-process backend waits for a message: spin, then yield,
+/// The one way the in-process link waits for a message: spin, then yield,
 /// then park.
 ///
 /// Same channel, same message, same [`RecvError`] on a dropped sender as the
@@ -274,262 +233,84 @@ fn poll_recv<T>(rx: &Receiver<T>) -> Option<Result<T, RecvError>> {
     }
 }
 
-/// Rank-ordered sum allreduce over channels.
-///
-/// Rank 0 gathers one partial value per peer, accumulates them **in rank
-/// order** (so the result is bitwise deterministic run-to-run) and broadcasts
-/// the sum back. This is the reduction under every `⟨d,q⟩` and `‖g‖²` of the
-/// distributed CG.
-///
-/// Scalars and short vectors travel on separate channel pairs: the vector
-/// form ([`Reducer::allreduce_vec`]) batches all of an iteration's scalars
-/// into **one** collective — the merged-reduction solvers' single
-/// synchronization point — and reduces each component in rank order, so
-/// component `j` of the result is bitwise-identical to a scalar allreduce of
-/// the same partials.
+/// How one rank moves one [`Message`] to or from one peer — the only part of
+/// the communication layer the two backends write differently. Every
+/// collective of [`RankComm`] is written once, against this.
+pub(crate) trait Link: fmt::Debug + Send {
+    /// Hands `msg` to the link toward `peer`; does not wait for the peer.
+    fn send(&self, peer: usize, msg: Message, during: &'static str) -> Result<(), CommError>;
+
+    /// The first message from `peer` tagged `want`, waiting until one
+    /// arrives. Messages with other tags that arrive first are kept, in
+    /// order, for the receives that want them.
+    fn recv(&self, peer: usize, want: Tag, during: &'static str) -> Result<Message, CommError>;
+
+    /// Elastic-mesh rejoin; see [`RankComm::rejoin`].
+    fn rejoin(&self, failed: Option<usize>, iteration: u64) -> Result<u64, CommError>;
+}
+
+/// The in-process [`Link`]: one mpsc channel per ordered rank pair, carrying
+/// the [`Message`] values themselves (nothing is encoded).
 #[derive(Debug)]
-pub enum Reducer {
-    /// Rank 0: gathers from every peer and broadcasts the total.
-    Root {
-        /// Receiving side of the scalar gather channel.
-        gather: Receiver<(usize, f64)>,
-        /// Scalar broadcast sender per peer rank (index 0 unused).
-        broadcast: Vec<Sender<f64>>,
-        /// Receiving side of the vector gather channel.
-        gather_vec: Receiver<(usize, Vec<f64>)>,
-        /// Vector broadcast sender per peer rank (index 0 unused).
-        broadcast_vec: Vec<Sender<Vec<f64>>>,
-    },
-    /// Ranks 1..: send their partial and await the total.
-    Leaf {
-        /// This rank's id.
-        rank: usize,
-        /// Sending side of the scalar gather channel.
-        gather: Sender<(usize, f64)>,
-        /// Receiving side of the scalar broadcast channel.
-        broadcast: Receiver<f64>,
-        /// Sending side of the vector gather channel.
-        gather_vec: Sender<(usize, Vec<f64>)>,
-        /// Receiving side of the vector broadcast channel.
-        broadcast_vec: Receiver<Vec<f64>>,
-    },
+struct ChannelLink {
+    /// Indexed by peer rank; this rank's own slot is an unused loopback.
+    peers: Vec<ChannelPeer>,
 }
 
-impl Reducer {
-    /// Creates one connected [`Reducer`] per rank.
-    pub fn for_ranks(ranks: usize) -> Vec<Reducer> {
-        assert!(ranks > 0, "need at least one rank");
-        let (gather_tx, gather_rx) = channel();
-        let (gather_vec_tx, gather_vec_rx) = channel();
-        let mut broadcast_txs = Vec::with_capacity(ranks);
-        let mut broadcast_rxs = Vec::with_capacity(ranks);
-        let mut broadcast_vec_txs = Vec::with_capacity(ranks);
-        let mut broadcast_vec_rxs = Vec::with_capacity(ranks);
-        for _ in 0..ranks {
-            let (tx, rx) = channel();
-            broadcast_txs.push(tx);
-            broadcast_rxs.push(rx);
-            let (tx, rx) = channel();
-            broadcast_vec_txs.push(tx);
-            broadcast_vec_rxs.push(rx);
-        }
-        let mut reducers = Vec::with_capacity(ranks);
-        reducers.push(Reducer::Root {
-            gather: gather_rx,
-            broadcast: broadcast_txs,
-            gather_vec: gather_vec_rx,
-            broadcast_vec: broadcast_vec_txs,
-        });
-        for (rank, (rx, rx_vec)) in broadcast_rxs
-            .into_iter()
-            .zip(broadcast_vec_rxs)
-            .enumerate()
-            .skip(1)
-        {
-            reducers.push(Reducer::Leaf {
-                rank,
-                gather: gather_tx.clone(),
-                broadcast: rx,
-                gather_vec: gather_vec_tx.clone(),
-                broadcast_vec: rx_vec,
-            });
-        }
-        reducers
+/// One peer of a [`ChannelLink`]: the channel to it and the one from it.
+///
+/// Messages travel boxed so a channel slot is one pointer: a `Message` is 184
+/// bytes, and moving it whole through the channel measured 1.6 µs per 2-rank
+/// scalar allreduce against 1.3 µs boxed (release build, 2-vCPU VM).
+#[derive(Debug)]
+struct ChannelPeer {
+    tx: Sender<Box<Message>>,
+    rx: Receiver<Box<Message>>,
+    /// Messages from the peer that arrived ahead of the tag being waited
+    /// for, in arrival order.
+    stash: RefCell<VecDeque<Message>>,
+}
+
+impl Link for ChannelLink {
+    fn send(&self, peer: usize, msg: Message, during: &'static str) -> Result<(), CommError> {
+        self.peers[peer]
+            .tx
+            .send(Box::new(msg))
+            .map_err(|_| CommError::Disconnected {
+                peer: Some(peer),
+                during,
+            })
     }
 
-    /// Posts the local partial (a leaf sends it to the root; the root holds
-    /// it until the fold). First half of the split-phase protocol.
-    fn post_scalar(&self, local: f64) -> Result<(), CommError> {
-        if let Reducer::Leaf { rank, gather, .. } = self {
-            gather
-                .send((*rank, local))
-                .map_err(|_| CommError::Disconnected {
-                    peer: Some(0),
-                    during: "allreduce gather",
-                })?;
-            let _ = rank;
+    fn recv(&self, peer: usize, want: Tag, during: &'static str) -> Result<Message, CommError> {
+        let channel = &self.peers[peer];
+        let mut stash = channel.stash.borrow_mut();
+        if let Some(at) = stash.iter().position(|m| m.tag() == want) {
+            return Ok(stash.remove(at).expect("stash position just found"));
         }
-        Ok(())
-    }
-
-    /// Completes a scalar allreduce whose partial was already posted.
-    fn finish_scalar(&self, local: f64) -> Result<f64, CommError> {
-        match self {
-            Reducer::Root {
-                gather, broadcast, ..
-            } => {
-                let peers = broadcast.len() - 1;
-                let mut partials = vec![0.0; peers + 1];
-                partials[0] = local;
-                for _ in 0..peers {
-                    let (rank, value) = wait_recv(gather).map_err(|_| CommError::Disconnected {
-                        peer: None,
-                        during: "allreduce gather",
-                    })?;
-                    partials[rank] = value;
-                }
-                let total: f64 = partials.iter().sum();
-                for (peer, tx) in broadcast.iter().enumerate().skip(1) {
-                    tx.send(total).map_err(|_| CommError::Disconnected {
-                        peer: Some(peer),
-                        during: "allreduce broadcast",
-                    })?;
-                }
-                Ok(total)
+        loop {
+            let msg = wait_recv(&channel.rx).map_err(|_| CommError::Disconnected {
+                peer: Some(peer),
+                during,
+            })?;
+            if msg.tag() == want {
+                return Ok(*msg);
             }
-            Reducer::Leaf { broadcast, .. } => {
-                wait_recv(broadcast).map_err(|_| CommError::Disconnected {
-                    peer: Some(0),
-                    during: "allreduce broadcast",
-                })
-            }
+            stash.push_back(*msg);
         }
     }
 
-    /// Posts the local partial vector; a leaf relinquishes ownership (the
-    /// returned vector is what the caller must hold for the fold — empty on
-    /// leaves, `local` itself on the root).
-    fn post_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        match self {
-            Reducer::Leaf {
-                rank, gather_vec, ..
-            } => {
-                gather_vec
-                    .send((*rank, local))
-                    .map_err(|_| CommError::Disconnected {
-                        peer: Some(0),
-                        during: "vector allreduce gather",
-                    })?;
-                Ok(Vec::new())
-            }
-            Reducer::Root { .. } => Ok(local),
-        }
-    }
-
-    /// Completes a vector allreduce whose partial was already posted.
-    fn finish_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        match self {
-            Reducer::Root {
-                gather_vec,
-                broadcast_vec,
-                ..
-            } => {
-                let peers = broadcast_vec.len() - 1;
-                let mut partials: Vec<Vec<f64>> = vec![Vec::new(); peers + 1];
-                partials[0] = local;
-                for _ in 0..peers {
-                    let (rank, values) =
-                        wait_recv(gather_vec).map_err(|_| CommError::Disconnected {
-                            peer: None,
-                            during: "vector allreduce gather",
-                        })?;
-                    partials[rank] = values;
-                }
-                let totals = fold_partials_rank_ordered(&partials)?;
-                for (peer, tx) in broadcast_vec.iter().enumerate().skip(1) {
-                    tx.send(totals.clone())
-                        .map_err(|_| CommError::Disconnected {
-                            peer: Some(peer),
-                            during: "vector allreduce broadcast",
-                        })?;
-                }
-                Ok(totals)
-            }
-            Reducer::Leaf { broadcast_vec, .. } => {
-                wait_recv(broadcast_vec).map_err(|_| CommError::Disconnected {
-                    peer: Some(0),
-                    during: "vector allreduce broadcast",
-                })
-            }
-        }
-    }
-
-    /// Contributes `local` and returns the global sum; every rank must call
-    /// this the same number of times in the same order.
-    ///
-    /// This is the blocking form of the split-phase pair
-    /// [`Reducer::start_allreduce`] / [`ReducerPending::finish`] and is
-    /// bitwise-identical to it (same partials, same rank-ordered
-    /// accumulation).
-    pub fn allreduce_sum(&self, local: f64) -> Result<f64, CommError> {
-        self.start_allreduce(local)?.finish()
-    }
-
-    /// Starts a split-phase allreduce: the local partial is posted
-    /// immediately (leaf ranks send it to the root before returning), but
-    /// the blocking wait for the global sum is deferred to
-    /// [`ReducerPending::finish`]. Work done between the two calls
-    /// overlaps the reduction wait — this is the window AFEIR uses to run
-    /// page reconstruction *inside* the collective instead of only beside
-    /// local updates.
-    ///
-    /// At most one allreduce may be in flight per rank, and every rank must
-    /// still enter the collectives in the same order. The single-flight rule
-    /// is a protocol contract, not a compile-time guarantee: a leaf posts
-    /// its partial in `start`, so starting a second collective before
-    /// finishing the first desynchronizes the root's gather.
-    pub fn start_allreduce(&self, local: f64) -> Result<ReducerPending<'_>, CommError> {
-        self.post_scalar(local)?;
-        Ok(ReducerPending {
-            reducer: self,
-            local,
-        })
-    }
-
-    /// Contributes one *vector* of partials and returns the component-wise
-    /// global sums; every rank must pass the same number of components. This
-    /// is the single collective of the merged-reduction solvers: all of an
-    /// iteration's scalars (`γ`, `δ`, the fault flag, …) ride in one
-    /// message, one gather and one broadcast.
-    ///
-    /// Component `j` of the result is bitwise-identical to
-    /// [`Reducer::allreduce_sum`] over the same per-rank partials — the root
-    /// folds each component in rank order, exactly like the scalar path.
-    pub fn allreduce_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        self.start_allreduce_vec(local)?.finish()
-    }
-
-    /// Split-phase form of [`Reducer::allreduce_vec`]: the partial vector is
-    /// posted immediately, the blocking wait is deferred to
-    /// [`ReducerVecPending::finish`]. The merged-reduction solvers start
-    /// the collective, run the halo exchange and the next matvec while it is
-    /// in flight, and only then collect the sums — the reduction latency
-    /// hides behind the matvec instead of serializing with it. The same
-    /// single-flight / same-order contract as [`Reducer::start_allreduce`]
-    /// applies.
-    pub fn start_allreduce_vec(&self, local: Vec<f64>) -> Result<ReducerVecPending<'_>, CommError> {
-        let local = self.post_vec(local)?;
-        Ok(ReducerVecPending {
-            reducer: self,
-            local,
-        })
+    fn rejoin(&self, _failed: Option<usize>, _iteration: u64) -> Result<u64, CommError> {
+        Err(CommError::Protocol(
+            "rank elasticity requires the process transport".into(),
+        ))
     }
 }
 
-/// Component-wise rank-ordered fold shared by every vector-allreduce path
-/// (in-process root and process root alike): each component's sum is exactly
-/// what the scalar allreduce of the same partials would produce.
-pub(crate) fn fold_partials_rank_ordered(partials: &[Vec<f64>]) -> Result<Vec<f64>, CommError> {
+/// Component-wise rank-ordered fold of the vector allreduce: each
+/// component's sum is exactly what the scalar allreduce of the same partials
+/// would produce.
+fn fold_partials_rank_ordered(partials: &[Vec<f64>]) -> Result<Vec<f64>, CommError> {
     let components = partials[0].len();
     let mut totals = vec![0.0; components];
     for partial in partials {
@@ -546,66 +327,6 @@ pub(crate) fn fold_partials_rank_ordered(partials: &[Vec<f64>]) -> Result<Vec<f6
     Ok(totals)
 }
 
-/// An in-flight split-phase allreduce on a bare [`Reducer`] (see
-/// [`Reducer::start_allreduce`]).
-///
-/// The contribution has already been posted; dropping the handle without
-/// calling [`ReducerPending::finish`] would deadlock the collective on the
-/// other ranks, hence the `must_use`.
-#[must_use = "finish() completes the collective; dropping the handle deadlocks the peers"]
-#[derive(Debug)]
-pub struct ReducerPending<'a> {
-    reducer: &'a Reducer,
-    local: f64,
-}
-
-impl ReducerPending<'_> {
-    /// Completes the collective and returns the global sum. On the root this
-    /// performs the rank-ordered gather + broadcast; on a leaf it blocks on
-    /// the broadcast of the total.
-    pub fn finish(self) -> Result<f64, CommError> {
-        self.reducer.finish_scalar(self.local)
-    }
-}
-
-/// An in-flight split-phase *vector* allreduce on a bare [`Reducer`] (see
-/// [`Reducer::start_allreduce_vec`]).
-#[must_use = "finish() completes the collective; dropping the handle deadlocks the peers"]
-#[derive(Debug)]
-pub struct ReducerVecPending<'a> {
-    reducer: &'a Reducer,
-    /// The root's own partial (leaves posted theirs at start).
-    local: Vec<f64>,
-}
-
-impl ReducerVecPending<'_> {
-    /// Completes the collective and returns the component-wise global sums.
-    pub fn finish(self) -> Result<Vec<f64>, CommError> {
-        self.reducer.finish_vec(self.local)
-    }
-}
-
-/// The in-process backend's endpoints: mpsc halo and recovery channels plus
-/// the channel [`Reducer`].
-#[derive(Debug)]
-struct InProcessLinks {
-    /// Outgoing halo: `(destination, indices to ship, sender)`.
-    halo_out: Vec<(usize, Vec<usize>, Sender<Vec<f64>>)>,
-    /// Incoming halo: `(source, indices received, receiver)`.
-    halo_in: Vec<(usize, Vec<usize>, Receiver<Vec<f64>>)>,
-    /// Bidirectional recovery channels, one per halo neighbour, sorted by
-    /// peer rank: `(peer, sender to peer, receiver from peer)`.
-    recovery: Vec<(usize, Sender<RecoveryMsg>, Receiver<RecoveryMsg>)>,
-    reducer: Reducer,
-}
-
-/// Which transport carries this rank's traffic.
-#[derive(Debug)]
-enum Backend {
-    InProcess(InProcessLinks),
-    Process(Box<ProcessLinks>),
-}
-
 /// The merged view a coupled-recovery gather wave accumulates: lost-row
 /// offers as `(global row, rhs value)` and surviving stencil entries as
 /// `(global column, value, valid)`, both sorted by their global id.
@@ -617,99 +338,80 @@ pub type CoupledGatherView = (Vec<(usize, f64)>, Vec<(usize, f64, bool)>);
 /// [`RankComm::over_process`] (one per OS process, sockets + `feir-wire`
 /// frames), move it into the rank's thread/process, and drive an iteration
 /// with [`RankComm::exchange_halo`] / [`RankComm::allreduce_sum`]. Solver
-/// code is backend-agnostic: the collectives perform identical rank-ordered
-/// arithmetic on both transports.
+/// code is backend-agnostic: each collective is one sequence of messages
+/// over the rank's link, whichever transport carries them.
 #[derive(Debug)]
 pub struct RankComm {
     rank: usize,
-    backend: Backend,
+    ranks: usize,
+    link: Box<dyn Link>,
+    /// Outgoing halo `(destination, owned indices to ship)`, sorted by peer.
+    halo_out: Vec<(usize, Vec<usize>)>,
+    /// Incoming halo `(source, indices received)`, sorted by peer.
+    halo_in: Vec<(usize, Vec<usize>)>,
+    /// Halo neighbours (traffic in either direction), ascending: the ranks
+    /// the recovery rounds talk to.
+    recovery_peers: Vec<usize>,
     /// Collectives entered through this endpoint (scalar and vector alike,
     /// blocking or split-phase). The merged-reduction solver tests assert
     /// "exactly one allreduce per iteration" against this counter.
-    collectives: std::cell::Cell<u64>,
+    collectives: Cell<u64>,
 }
 
 impl RankComm {
+    /// Rank `rank`'s endpoint over `link`, with its halo lists and recovery
+    /// neighbourhood taken from `plan`.
+    fn new(plan: &HaloPlan, rank: usize, ranks: usize, link: Box<dyn Link>) -> RankComm {
+        let by_peer = |lists: &HashMap<usize, Vec<usize>>| {
+            let mut lists: Vec<(usize, Vec<usize>)> = lists
+                .iter()
+                .map(|(&peer, cols)| (peer, cols.clone()))
+                .collect();
+            lists.sort_unstable_by_key(|(peer, _)| *peer);
+            lists
+        };
+        RankComm {
+            rank,
+            ranks,
+            link,
+            halo_out: by_peer(plan.sends_of(rank)),
+            halo_in: by_peer(plan.needs_of(rank)),
+            recovery_peers: plan.neighbours_of(rank),
+            collectives: Cell::new(0),
+        }
+    }
+
     /// Creates the connected in-process endpoints for every rank of `plan`.
     pub fn for_ranks(plan: &HaloPlan, ranks: usize) -> Vec<RankComm> {
-        let mut comms: Vec<RankComm> = Reducer::for_ranks(ranks)
+        assert!(ranks > 0, "need at least one rank");
+        // senders[r][s] carries r → s; receivers[r][s] is rank s's end of it.
+        let (senders, receivers): (Vec<Vec<_>>, Vec<Vec<_>>) = (0..ranks)
+            .map(|_| (0..ranks).map(|_| channel()).unzip())
+            .unzip();
+        let mut from: Vec<_> = receivers.into_iter().map(Vec::into_iter).collect();
+        senders
             .into_iter()
             .enumerate()
-            .map(|(rank, reducer)| RankComm {
-                rank,
-                backend: Backend::InProcess(InProcessLinks {
-                    halo_out: Vec::new(),
-                    halo_in: Vec::new(),
-                    recovery: Vec::new(),
-                    reducer,
-                }),
-                collectives: std::cell::Cell::new(0),
+            .map(|(rank, to)| {
+                // Ranks are built in order, so `from[s].next()` is s → rank.
+                let peers = to
+                    .into_iter()
+                    .zip(&mut from)
+                    .map(|(tx, from_peer)| ChannelPeer {
+                        tx,
+                        rx: from_peer.next().expect("one receiver per rank"),
+                        stash: RefCell::default(),
+                    })
+                    .collect();
+                RankComm::new(plan, rank, ranks, Box::new(ChannelLink { peers }))
             })
-            .collect();
-        fn links(comm: &mut RankComm) -> &mut InProcessLinks {
-            match &mut comm.backend {
-                Backend::InProcess(l) => l,
-                Backend::Process(_) => unreachable!("for_ranks builds in-process endpoints"),
-            }
-        }
-        // One channel per (sender, receiver) pair with a non-empty halo.
-        for receiver_rank in 0..ranks {
-            let mut sources: Vec<(usize, Vec<usize>)> = plan
-                .needs_of(receiver_rank)
-                .iter()
-                .map(|(&s, cols)| (s, cols.clone()))
-                .collect();
-            sources.sort_unstable_by_key(|(s, _)| *s);
-            for (sender_rank, cols) in sources {
-                let (tx, rx) = channel();
-                links(&mut comms[sender_rank])
-                    .halo_out
-                    .push((receiver_rank, cols.clone(), tx));
-                links(&mut comms[receiver_rank])
-                    .halo_in
-                    .push((sender_rank, cols, rx));
-            }
-        }
-        // Recovery channels: one bidirectional pair per unordered neighbour
-        // pair with halo traffic in either direction, so a recovering rank can
-        // request the off-diagonal contributions of its interpolation from any
-        // rank its stencil reaches.
-        for r in 0..ranks {
-            for s in plan.neighbours_of(r) {
-                if s <= r {
-                    continue;
-                }
-                let (r_to_s_tx, r_to_s_rx) = channel();
-                let (s_to_r_tx, s_to_r_rx) = channel();
-                links(&mut comms[r])
-                    .recovery
-                    .push((s, r_to_s_tx, s_to_r_rx));
-                links(&mut comms[s])
-                    .recovery
-                    .push((r, s_to_r_tx, r_to_s_rx));
-            }
-        }
-        for comm in &mut comms {
-            links(comm)
-                .recovery
-                .sort_unstable_by_key(|(peer, _, _)| *peer);
-        }
-        comms
+            .collect()
     }
 
     /// Wraps a connected process-backend endpoint (see
     /// [`crate::process::connect_mesh`]) as this rank's [`RankComm`].
-    ///
-    /// The halo send/receive lists and the recovery neighbourhood are derived
-    /// from `plan` exactly as [`RankComm::for_ranks`] derives them, so the
-    /// two backends move the same values in the same order.
     pub fn over_process(plan: &HaloPlan, endpoint: crate::process::ProcessEndpoint) -> RankComm {
-        let rank = endpoint.rank();
-        RankComm {
-            rank,
-            backend: Backend::Process(Box::new(ProcessLinks::new(plan, endpoint))),
-            collectives: std::cell::Cell::new(0),
-        }
+        RankComm::new(plan, endpoint.rank(), endpoint.ranks(), Box::new(endpoint))
     }
 
     /// This rank's id.
@@ -725,71 +427,109 @@ impl RankComm {
     /// halo entries referenced by its rows are valid after it.
     pub fn exchange_halo(&self, full: &mut [f64]) -> Result<(), CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::Halo);
-        match &self.backend {
-            Backend::InProcess(links) => {
-                for (peer, cols, tx) in &links.halo_out {
-                    let payload: Vec<f64> = cols.iter().map(|&c| full[c]).collect();
-                    tx.send(payload).map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "halo send",
-                    })?;
-                }
-                for (peer, cols, rx) in &links.halo_in {
-                    let payload = wait_recv(rx).map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "halo receive",
-                    })?;
-                    debug_assert_eq!(payload.len(), cols.len());
-                    for (&c, v) in cols.iter().zip(payload) {
-                        full[c] = v;
-                    }
-                }
-                Ok(())
-            }
-            Backend::Process(links) => links.exchange_halo(full),
+        for (dest, cols) in &self.halo_out {
+            let values = cols.iter().map(|&c| full[c]).collect();
+            self.link
+                .send(*dest, Message::Halo { values }, "halo send")?;
         }
+        for (src, cols) in &self.halo_in {
+            let Message::Halo { values } = self.link.recv(*src, Tag::Halo, "halo receive")? else {
+                unreachable!("recv() returns the requested tag")
+            };
+            if values.len() != cols.len() {
+                return Err(CommError::Protocol(format!(
+                    "halo from rank {src}: got {} values, expected {}",
+                    values.len(),
+                    cols.len()
+                )));
+            }
+            for (&c, v) in cols.iter().zip(values) {
+                full[c] = v;
+            }
+        }
+        Ok(())
     }
 
-    /// Global sum of `local` over all ranks (see [`Reducer::allreduce_sum`]).
+    /// Contributes `local` and returns the global sum; every rank must call
+    /// this the same number of times in the same order.
+    ///
+    /// Rank 0 gathers one partial per peer, accumulates them **in rank
+    /// order** (so the result is bitwise deterministic run-to-run) and
+    /// broadcasts the sum back. This is the reduction under every `⟨d,q⟩`
+    /// and `‖g‖²` of the distributed CG, and the blocking form of the
+    /// split-phase pair [`RankComm::start_allreduce`] /
+    /// [`PendingAllreduce::finish`], bitwise-identical to it.
     pub fn allreduce_sum(&self, local: f64) -> Result<f64, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::Allreduce);
         self.start_allreduce(local)?.finish()
     }
 
-    /// Starts a split-phase allreduce (see [`Reducer::start_allreduce`]):
-    /// post the partial now, overlap local work with the reduction, collect
-    /// the sum with [`PendingAllreduce::finish`].
+    /// Starts a split-phase allreduce: the local partial is posted
+    /// immediately (leaf ranks send it to the root before returning), but
+    /// the blocking wait for the global sum is deferred to
+    /// [`PendingAllreduce::finish`]. Work done between the two calls
+    /// overlaps the reduction wait — this is the window AFEIR uses to run
+    /// page reconstruction *inside* the collective instead of only beside
+    /// local updates.
+    ///
+    /// At most one allreduce may be in flight per rank, and every rank must
+    /// still enter the collectives in the same order. The single-flight rule
+    /// is a protocol contract, not a compile-time guarantee: a leaf posts
+    /// its partial here, so starting a second collective before finishing
+    /// the first desynchronizes the root's gather.
     pub fn start_allreduce(&self, local: f64) -> Result<PendingAllreduce<'_>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreducePost);
         self.collectives.set(self.collectives.get() + 1);
-        match &self.backend {
-            Backend::InProcess(links) => links.reducer.post_scalar(local)?,
-            Backend::Process(links) => links.post_scalar(local)?,
+        if self.rank != 0 {
+            let gather = Message::GatherScalar {
+                rank: self.rank as u32,
+                value: local,
+            };
+            self.link.send(0, gather, "allreduce gather")?;
         }
         Ok(PendingAllreduce { comm: self, local })
     }
 
-    /// Blocking vector allreduce (see [`Reducer::allreduce_vec`]): all of an
-    /// iteration's scalars in one collective.
+    /// Contributes one *vector* of partials and returns the component-wise
+    /// global sums; every rank must pass the same number of components. This
+    /// is the single collective of the merged-reduction solvers: all of an
+    /// iteration's scalars (`γ`, `δ`, the fault flag, …) ride in one
+    /// message, one gather and one broadcast.
+    ///
+    /// Component `j` of the result is bitwise-identical to
+    /// [`RankComm::allreduce_sum`] over the same per-rank partials — the root
+    /// folds each component in rank order, exactly like the scalar path.
     pub fn allreduce_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::Allreduce);
         self.start_allreduce_vec(local)?.finish()
     }
 
-    /// Starts a split-phase vector allreduce (see
-    /// [`Reducer::start_allreduce_vec`]); the merged-reduction solvers keep
-    /// it in flight across the halo exchange and the matvec.
+    /// Split-phase form of [`RankComm::allreduce_vec`]: the partial vector is
+    /// posted immediately, the blocking wait is deferred to
+    /// [`PendingVecAllreduce::finish`]. The merged-reduction solvers start
+    /// the collective, run the halo exchange and the next matvec while it is
+    /// in flight, and only then collect the sums — the reduction latency
+    /// hides behind the matvec instead of serializing with it. The same
+    /// single-flight / same-order contract as [`RankComm::start_allreduce`]
+    /// applies.
     pub fn start_allreduce_vec(
         &self,
         local: Vec<f64>,
     ) -> Result<PendingVecAllreduce<'_>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreducePost);
         self.collectives.set(self.collectives.get() + 1);
-        let local = match &self.backend {
-            Backend::InProcess(links) => links.reducer.post_vec(local)?,
-            Backend::Process(links) => links.post_vec(local)?,
+        if self.rank == 0 {
+            return Ok(PendingVecAllreduce { comm: self, local });
+        }
+        let gather = Message::GatherVec {
+            rank: self.rank as u32,
+            values: local,
         };
-        Ok(PendingVecAllreduce { comm: self, local })
+        self.link.send(0, gather, "vector allreduce gather")?;
+        Ok(PendingVecAllreduce {
+            comm: self,
+            local: Vec::new(),
+        })
     }
 
     /// Number of collectives this endpoint has entered (scalar and vector,
@@ -807,12 +547,7 @@ impl RankComm {
     /// ranks). See `crate::elastic` for the repair protocol layered on
     /// top.
     pub fn rejoin(&self, failed: Option<usize>, iteration: u64) -> Result<u64, CommError> {
-        match &self.backend {
-            Backend::InProcess(_) => Err(CommError::Protocol(
-                "rank elasticity requires the process transport".into(),
-            )),
-            Backend::Process(links) => links.rejoin(failed, iteration),
-        }
+        self.link.rejoin(failed, iteration)
     }
 
     /// Global "did anyone fault?" indicator, built on the deterministic sum
@@ -824,16 +559,16 @@ impl RankComm {
         Ok(self.allreduce_sum(local_faults as f64)? > 0.0)
     }
 
-    /// The ranks this rank can exchange recovery data with (its halo
-    /// neighbours), in ascending order.
-    pub fn recovery_peers(&self) -> Vec<usize> {
-        match &self.backend {
-            Backend::InProcess(links) => links.recovery.iter().map(|(peer, _, _)| *peer).collect(),
-            Backend::Process(links) => links.recovery_peers().to_vec(),
-        }
-    }
-
-    /// One collective cross-rank recovery round (see [`RecoveryMsg`]).
+    /// One collective cross-rank recovery round.
+    ///
+    /// When a rank discovers a DUE whose recovery relation reaches across a
+    /// rank boundary (the faulted block's matrix stencil references columns
+    /// owned by a neighbour), it cannot reconstruct the block from local data
+    /// alone: the off-diagonal contributions `A_ij · v_j` of the
+    /// interpolation need the neighbour's current values. So every rank
+    /// posts one (possibly empty) `RecoveryRequest` per halo neighbour and
+    /// answers each neighbour's request with one `RecoveryReply`, keeping
+    /// the protocol deadlock-free in lockstep with the solver.
     ///
     /// `requests` maps a peer rank to the sorted global indices (owned by
     /// that peer) whose current values this rank needs for its interpolation;
@@ -846,12 +581,14 @@ impl RankComm {
     /// the blank value and flagged invalid. Returns the number of values
     /// fetched across rank boundaries and the sorted fetched indices whose
     /// owner flagged them invalid (the requester must not build an "exact"
-    /// reconstruction on those).
+    /// reconstruction on those): two ranks faulting simultaneously on
+    /// stencil-adjacent pages is the cross-rank form of the paper's
+    /// "related data" case.
     ///
     /// Every rank must call this the same number of times in the same order
     /// (it is a neighbourhood collective); a healthy rank simply passes an
     /// empty request map. Requests for peers that are not halo neighbours
-    /// are rejected, as no channel exists to serve them.
+    /// are rejected, as no rank is waiting to serve them.
     pub fn recovery_exchange(
         &self,
         requests: &HashMap<usize, Vec<usize>>,
@@ -875,30 +612,21 @@ impl RankComm {
         &self,
         requests: &HashMap<usize, Vec<usize>>,
     ) -> Result<(), CommError> {
-        match &self.backend {
-            Backend::InProcess(links) => {
-                // A request outside the neighbourhood has no channel to travel
-                // on and would otherwise be dropped silently — reject it
-                // loudly instead.
-                assert!(
-                    requests
-                        .keys()
-                        .all(|peer| links.recovery.iter().any(|(p, _, _)| p == peer)),
-                    "recovery request targets a rank outside the halo neighbourhood"
-                );
-                for (peer, tx, _) in &links.recovery {
-                    let indices = requests.get(peer).cloned().unwrap_or_default();
-                    tx.send(RecoveryMsg::Request(indices)).map_err(|_| {
-                        CommError::Disconnected {
-                            peer: Some(*peer),
-                            during: "recovery request",
-                        }
-                    })?;
-                }
-                Ok(())
-            }
-            Backend::Process(links) => links.post_recovery_requests(requests),
+        // A request outside the neighbourhood would never be served —
+        // reject it loudly instead.
+        assert!(
+            requests.keys().all(|p| self.recovery_peers.contains(p)),
+            "recovery request targets a rank outside the halo neighbourhood"
+        );
+        for &peer in &self.recovery_peers {
+            let indices = requests
+                .get(&peer)
+                .map(|v| v.iter().map(|&i| i as u64).collect())
+                .unwrap_or_default();
+            let request = Message::RecoveryRequest { indices };
+            self.link.send(peer, request, "recovery request")?;
         }
+        Ok(())
     }
 
     /// Phases 2–3 of [`RankComm::recovery_exchange`]: serve the peers'
@@ -906,7 +634,8 @@ impl RankComm {
     /// When `posted` is false the requests are posted first (making the call
     /// equivalent to [`RankComm::recovery_exchange`]); when true the caller
     /// already posted this exact `requests` map via
-    /// [`RankComm::post_recovery_requests`].
+    /// [`RankComm::post_recovery_requests`]. Receives are by tag, so a
+    /// peer's request is always read before its reply.
     pub fn complete_recovery_exchange(
         &self,
         requests: &HashMap<usize, Vec<usize>>,
@@ -921,76 +650,65 @@ impl RankComm {
         if !posted {
             self.post_recovery_requests(requests)?;
         }
-        match &self.backend {
-            Backend::InProcess(links) => {
-                // Phase 2: answer each incoming request from the owned data,
-                // flagging the entries this rank cannot vouch for.
-                for (peer, tx, rx) in &links.recovery {
-                    match wait_recv(rx).map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "recovery request receive",
-                    })? {
-                        RecoveryMsg::Request(indices) => {
-                            let values: Vec<f64> = indices.iter().map(|&i| data[i]).collect();
-                            let valid: Vec<bool> = indices
-                                .iter()
-                                .map(|i| unserviceable.binary_search(i).is_err())
-                                .collect();
-                            tx.send(RecoveryMsg::Reply { values, valid }).map_err(|_| {
-                                CommError::Disconnected {
-                                    peer: Some(*peer),
-                                    during: "recovery reply",
-                                }
-                            })?;
-                        }
-                        _ => {
-                            return Err(CommError::Protocol(format!(
-                                "unexpected message from rank {peer} before its request"
-                            )))
-                        }
-                    }
+        // Phase 2: answer each incoming request from the owned data,
+        // flagging the entries this rank cannot vouch for.
+        for &peer in &self.recovery_peers {
+            let msg = self
+                .link
+                .recv(peer, Tag::RecoveryRequest, "recovery request receive")?;
+            let Message::RecoveryRequest { indices } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            let mut values = Vec::with_capacity(indices.len());
+            let mut valid = Vec::with_capacity(indices.len());
+            for &i in &indices {
+                let i = i as usize;
+                if i >= data.len() {
+                    return Err(CommError::Protocol(format!(
+                        "rank {peer} requested out-of-range index {i}"
+                    )));
                 }
-                // Phase 3: scatter the fetched values into the working buffer.
-                let mut fetched = 0;
-                let mut invalid = Vec::new();
-                for (peer, _, rx) in &links.recovery {
-                    match wait_recv(rx).map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "recovery reply receive",
-                    })? {
-                        RecoveryMsg::Reply { values, valid } => {
-                            let indices = requests.get(peer).map(Vec::as_slice).unwrap_or(&[]);
-                            debug_assert_eq!(values.len(), indices.len());
-                            debug_assert_eq!(valid.len(), indices.len());
-                            for ((&i, v), ok) in indices.iter().zip(values).zip(valid) {
-                                data[i] = v;
-                                fetched += 1;
-                                if !ok {
-                                    invalid.push(i);
-                                }
-                            }
-                        }
-                        _ => {
-                            return Err(CommError::Protocol(format!(
-                                "unexpected message from rank {peer} instead of its reply"
-                            )))
-                        }
-                    }
-                }
-                invalid.sort_unstable();
-                Ok((fetched, invalid))
+                values.push(data[i]);
+                valid.push(unserviceable.binary_search(&i).is_err());
             }
-            Backend::Process(links) => {
-                links.complete_recovery_exchange(requests, data, unserviceable)
+            let reply = Message::RecoveryReply { values, valid };
+            self.link.send(peer, reply, "recovery reply")?;
+        }
+        // Phase 3: scatter the fetched values into the working buffer.
+        let mut fetched = 0;
+        let mut invalid = Vec::new();
+        for &peer in &self.recovery_peers {
+            let msg = self
+                .link
+                .recv(peer, Tag::RecoveryReply, "recovery reply receive")?;
+            let Message::RecoveryReply { values, valid } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            let indices = requests.get(&peer).map(Vec::as_slice).unwrap_or(&[]);
+            if values.len() != indices.len() || valid.len() != indices.len() {
+                return Err(CommError::Protocol(format!(
+                    "recovery reply from rank {peer}: {} values for {} requests",
+                    values.len(),
+                    indices.len()
+                )));
+            }
+            for ((&i, v), ok) in indices.iter().zip(values).zip(valid) {
+                data[i] = v;
+                fetched += 1;
+                if !ok {
+                    invalid.push(i);
+                }
             }
         }
+        invalid.sort_unstable();
+        Ok((fetched, invalid))
     }
 
     /// Downward wave of the coupled cross-rank recovery round: every rank
-    /// receives the [`RecoveryMsg::CoupledGather`] offers of its
-    /// *higher-ranked* halo neighbours (in ascending peer order), merges its
-    /// own offer in, forwards the merged offer to every *lower-ranked*
-    /// neighbour, and returns the merged view.
+    /// receives the `CoupledGather` offers of its *higher-ranked* halo
+    /// neighbours (in ascending peer order), merges its own offer in,
+    /// forwards the merged offer to every *lower-ranked* neighbour, and
+    /// returns the merged view.
     ///
     /// `rows` are this rank's `(global row, rhs value)` lost-row offers and
     /// `support` its `(global col, value, valid)` surviving stencil entries
@@ -1010,61 +728,59 @@ impl RankComm {
     ) -> Result<CoupledGatherView, CommError> {
         let mut rows: Vec<(usize, f64)> = rows.to_vec();
         let mut support: Vec<(usize, f64, bool)> = support.to_vec();
-        match &self.backend {
-            Backend::InProcess(links) => {
-                // Receive the offers flowing down from every higher peer
-                // (links.recovery is sorted ascending, so this order is the
-                // same on every rank).
-                for (peer, _, rx) in &links.recovery {
-                    if *peer < self.rank {
-                        continue;
-                    }
-                    match wait_recv(rx).map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "coupled gather receive",
-                    })? {
-                        RecoveryMsg::CoupledGather {
-                            rows: peer_rows,
-                            support: peer_support,
-                        } => {
-                            rows.extend(peer_rows);
-                            support.extend(peer_support);
-                        }
-                        _ => {
-                            return Err(CommError::Protocol(format!(
-                                "unexpected message from rank {peer} during coupled gather"
-                            )))
-                        }
-                    }
-                }
-                merge_coupled_offer(&mut rows, &mut support);
-                // Forward the merged view to every lower peer.
-                for (peer, tx, _) in &links.recovery {
-                    if *peer > self.rank {
-                        continue;
-                    }
-                    tx.send(RecoveryMsg::CoupledGather {
-                        rows: rows.clone(),
-                        support: support.clone(),
-                    })
-                    .map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "coupled gather send",
-                    })?;
-                }
-                Ok((rows, support))
+        for &peer in self.recovery_peers.iter().filter(|&&p| p > self.rank) {
+            let msg = self
+                .link
+                .recv(peer, Tag::CoupledGather, "coupled gather receive")?;
+            let Message::CoupledGather {
+                rows: peer_rows,
+                values,
+                support_cols,
+                support_values,
+                support_valid,
+            } = msg
+            else {
+                unreachable!("recv() returns the requested tag")
+            };
+            if peer_rows.len() != values.len()
+                || support_cols.len() != support_values.len()
+                || support_cols.len() != support_valid.len()
+            {
+                return Err(CommError::Protocol(format!(
+                    "coupled gather from rank {peer}: mismatched array lengths"
+                )));
             }
-            Backend::Process(links) => links.coupled_gather_wave(rows, support),
+            rows.extend(peer_rows.into_iter().map(|r| r as usize).zip(values));
+            support.extend(
+                support_cols
+                    .into_iter()
+                    .map(|c| c as usize)
+                    .zip(support_values)
+                    .zip(support_valid)
+                    .map(|((c, v), ok)| (c, v, ok)),
+            );
         }
+        merge_coupled_offer(&mut rows, &mut support);
+        for &peer in self.recovery_peers.iter().filter(|&&p| p < self.rank) {
+            let offer = Message::CoupledGather {
+                rows: rows.iter().map(|&(r, _)| r as u64).collect(),
+                values: rows.iter().map(|&(_, v)| v).collect(),
+                support_cols: support.iter().map(|&(c, _, _)| c as u64).collect(),
+                support_values: support.iter().map(|&(_, v, _)| v).collect(),
+                support_valid: support.iter().map(|&(_, _, ok)| ok).collect(),
+            };
+            self.link.send(peer, offer, "coupled gather send")?;
+        }
+        Ok((rows, support))
     }
 
     /// Upward wave closing the coupled cross-rank recovery round: every rank
-    /// receives the [`RecoveryMsg::CoupledResult`] entries of its
-    /// *lower-ranked* halo neighbours (in ascending peer order), merges its
-    /// own solved entries in, relays the merged set to every *higher-ranked*
-    /// neighbour, and returns the merged `(global row, value)` list sorted by
-    /// row. The caller installs the rows it owns (or needs as halo input)
-    /// from the returned set.
+    /// receives the `CoupledResult` entries of its *lower-ranked* halo
+    /// neighbours (in ascending peer order), merges its own solved entries
+    /// in, relays the merged set to every *higher-ranked* neighbour, and
+    /// returns the merged `(global row, value)` list sorted by row. The
+    /// caller installs the rows it owns (or needs as halo input) from the
+    /// returned set.
     ///
     /// Deduplication keeps the first occurrence in own-then-ascending-peer
     /// order; a row is only ever solved by the lowest rank owning part of
@@ -1076,44 +792,32 @@ impl RankComm {
         entries: &[(usize, f64)],
     ) -> Result<Vec<(usize, f64)>, CommError> {
         let mut entries: Vec<(usize, f64)> = entries.to_vec();
-        match &self.backend {
-            Backend::InProcess(links) => {
-                for (peer, _, rx) in &links.recovery {
-                    if *peer > self.rank {
-                        continue;
-                    }
-                    match wait_recv(rx).map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "coupled result receive",
-                    })? {
-                        RecoveryMsg::CoupledResult {
-                            entries: peer_entries,
-                        } => entries.extend(peer_entries),
-                        _ => {
-                            return Err(CommError::Protocol(format!(
-                                "unexpected message from rank {peer} during coupled result"
-                            )))
-                        }
-                    }
-                }
-                entries.sort_by_key(|&(row, _)| row);
-                entries.dedup_by_key(|&mut (row, _)| row);
-                for (peer, tx, _) in &links.recovery {
-                    if *peer < self.rank {
-                        continue;
-                    }
-                    tx.send(RecoveryMsg::CoupledResult {
-                        entries: entries.clone(),
-                    })
-                    .map_err(|_| CommError::Disconnected {
-                        peer: Some(*peer),
-                        during: "coupled result send",
-                    })?;
-                }
-                Ok(entries)
+        for &peer in self.recovery_peers.iter().filter(|&&p| p < self.rank) {
+            let msg = self
+                .link
+                .recv(peer, Tag::CoupledResult, "coupled result receive")?;
+            let Message::CoupledResult { rows, values } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            if rows.len() != values.len() {
+                return Err(CommError::Protocol(format!(
+                    "coupled result from rank {peer}: {} rows for {} values",
+                    rows.len(),
+                    values.len()
+                )));
             }
-            Backend::Process(links) => links.coupled_result_wave(entries),
+            entries.extend(rows.into_iter().map(|r| r as usize).zip(values));
         }
+        entries.sort_by_key(|&(row, _)| row);
+        entries.dedup_by_key(|&mut (row, _)| row);
+        for &peer in self.recovery_peers.iter().filter(|&&p| p > self.rank) {
+            let result = Message::CoupledResult {
+                rows: entries.iter().map(|&(r, _)| r as u64).collect(),
+                values: entries.iter().map(|&(_, v)| v).collect(),
+            };
+            self.link.send(peer, result, "coupled result send")?;
+        }
+        Ok(entries)
     }
 }
 
@@ -1146,10 +850,38 @@ impl PendingAllreduce<'_> {
     /// the broadcast of the total.
     pub fn finish(self) -> Result<f64, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreduceWait);
-        match &self.comm.backend {
-            Backend::InProcess(links) => links.reducer.finish_scalar(self.local),
-            Backend::Process(links) => links.finish_scalar(self.local),
+        let comm = self.comm;
+        if comm.rank != 0 {
+            let msg = comm
+                .link
+                .recv(0, Tag::BroadcastScalar, "allreduce broadcast")?;
+            let Message::BroadcastScalar { value } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            return Ok(value);
         }
+        let mut partials = vec![0.0; comm.ranks];
+        partials[0] = self.local;
+        for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
+            let msg = comm
+                .link
+                .recv(peer, Tag::GatherScalar, "allreduce gather")?;
+            let Message::GatherScalar { rank, value } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            if rank as usize != peer {
+                return Err(CommError::Protocol(format!(
+                    "gather from rank {peer} claims rank {rank}"
+                )));
+            }
+            *slot = value;
+        }
+        let total: f64 = partials.iter().sum();
+        for peer in 1..comm.ranks {
+            let broadcast = Message::BroadcastScalar { value: total };
+            comm.link.send(peer, broadcast, "allreduce broadcast")?;
+        }
+        Ok(total)
     }
 }
 
@@ -1169,10 +901,41 @@ impl PendingVecAllreduce<'_> {
     /// leaf it blocks on the broadcast of the totals.
     pub fn finish(self) -> Result<Vec<f64>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreduceWait);
-        match &self.comm.backend {
-            Backend::InProcess(links) => links.reducer.finish_vec(self.local),
-            Backend::Process(links) => links.finish_vec(self.local),
+        let comm = self.comm;
+        if comm.rank != 0 {
+            let msg = comm
+                .link
+                .recv(0, Tag::BroadcastVec, "vector allreduce broadcast")?;
+            let Message::BroadcastVec { values } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            return Ok(values);
         }
+        let mut partials: Vec<Vec<f64>> = vec![Vec::new(); comm.ranks];
+        partials[0] = self.local;
+        for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
+            let msg = comm
+                .link
+                .recv(peer, Tag::GatherVec, "vector allreduce gather")?;
+            let Message::GatherVec { rank, values } = msg else {
+                unreachable!("recv() returns the requested tag")
+            };
+            if rank as usize != peer {
+                return Err(CommError::Protocol(format!(
+                    "vector gather from rank {peer} claims rank {rank}"
+                )));
+            }
+            *slot = values;
+        }
+        let totals = fold_partials_rank_ordered(&partials)?;
+        for peer in 1..comm.ranks {
+            let broadcast = Message::BroadcastVec {
+                values: totals.clone(),
+            };
+            comm.link
+                .send(peer, broadcast, "vector allreduce broadcast")?;
+        }
+        Ok(totals)
     }
 }
 
@@ -1505,80 +1268,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fault_flag_is_a_global_or() {
-        let ranks = 3;
+    /// Runs `body` on every rank of a fresh halo-free in-process mesh and
+    /// returns the per-rank results in rank order.
+    fn on_every_rank<T: Send>(ranks: usize, body: impl Fn(&RankComm) -> T + Sync) -> Vec<T> {
         let comms = RankComm::for_ranks(&HaloPlan::empty(ranks), ranks);
-        let flags: Vec<bool> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = comms
                 .into_iter()
                 .map(|comm| {
-                    scope.spawn(move || {
-                        // Only rank 1 reports a fault; everyone must see it.
-                        let first = comm.fault_flag(usize::from(comm.rank() == 1)).unwrap();
-                        let second = comm.fault_flag(0).unwrap();
-                        (first, second)
-                    })
+                    let body = &body;
+                    scope.spawn(move || body(&comm))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("rank panicked"))
-                .flat_map(|(a, b)| [a, b])
                 .collect()
-        });
-        // First round: all true. Second round: all false.
-        assert_eq!(flags.iter().filter(|f| **f).count(), ranks);
+        })
     }
 
     #[test]
-    fn split_phase_allreduce_matches_blocking_bitwise() {
-        // Irrational-ish partials so the accumulation order matters; the
-        // split-phase handle must produce bit-for-bit the blocking result,
-        // with arbitrary local work between start and finish.
-        for ranks in [1usize, 2, 4] {
-            let blocking: Vec<f64> = {
-                let reducers = Reducer::for_ranks(ranks);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = reducers
-                        .into_iter()
-                        .enumerate()
-                        .map(|(rank, reducer)| {
-                            scope.spawn(move || {
-                                reducer.allreduce_sum(0.1 + rank as f64 * 0.3).unwrap()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            };
-            let split: Vec<f64> = {
-                let reducers = Reducer::for_ranks(ranks);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = reducers
-                        .into_iter()
-                        .enumerate()
-                        .map(|(rank, reducer)| {
-                            scope.spawn(move || {
-                                let pending =
-                                    reducer.start_allreduce(0.1 + rank as f64 * 0.3).unwrap();
-                                // Local work overlapping the reduction wait.
-                                let mut acc = 0.0;
-                                for i in 0..500 {
-                                    acc += (i as f64).sqrt();
-                                }
-                                assert!(acc > 0.0);
-                                pending.finish().unwrap()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            };
-            for (u, v) in blocking.iter().zip(&split) {
-                assert_eq!(u.to_bits(), v.to_bits(), "{ranks} ranks");
-            }
-        }
+    fn fault_flag_is_a_global_or() {
+        let ranks = 3;
+        let flags = on_every_rank(ranks, |comm| {
+            // Only rank 1 reports a fault; everyone must see it.
+            let first = comm.fault_flag(usize::from(comm.rank() == 1)).unwrap();
+            let second = comm.fault_flag(0).unwrap();
+            (first, second)
+        });
+        // First round: all true. Second round: all false.
+        assert_eq!(flags, vec![(true, false); ranks]);
     }
 
     #[test]
@@ -1587,46 +1306,22 @@ mod tests {
         // bits a scalar allreduce of the same partials produces.
         for ranks in [1usize, 2, 4] {
             let partial = |rank: usize, j: usize| 0.1 + rank as f64 * 0.3 + j as f64 * 0.7;
-            let scalar: Vec<Vec<f64>> = {
-                let reducers = Reducer::for_ranks(ranks);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = reducers
-                        .into_iter()
-                        .enumerate()
-                        .map(|(rank, reducer)| {
-                            scope.spawn(move || {
-                                (0..3)
-                                    .map(|j| reducer.allreduce_sum(partial(rank, j)).unwrap())
-                                    .collect::<Vec<f64>>()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            };
-            let vectored: Vec<Vec<f64>> = {
-                let reducers = Reducer::for_ranks(ranks);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = reducers
-                        .into_iter()
-                        .enumerate()
-                        .map(|(rank, reducer)| {
-                            scope.spawn(move || {
-                                let local: Vec<f64> = (0..3).map(|j| partial(rank, j)).collect();
-                                let pending = reducer.start_allreduce_vec(local).unwrap();
-                                // Local work overlapping the reduction.
-                                let mut acc = 0.0;
-                                for i in 0..200 {
-                                    acc += (i as f64).sqrt();
-                                }
-                                assert!(acc > 0.0);
-                                pending.finish().unwrap()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            };
+            let scalar: Vec<Vec<f64>> = on_every_rank(ranks, |comm| {
+                (0..3)
+                    .map(|j| comm.allreduce_sum(partial(comm.rank(), j)).unwrap())
+                    .collect()
+            });
+            let vectored: Vec<Vec<f64>> = on_every_rank(ranks, |comm| {
+                let local: Vec<f64> = (0..3).map(|j| partial(comm.rank(), j)).collect();
+                let pending = comm.start_allreduce_vec(local).unwrap();
+                // Local work overlapping the reduction.
+                let mut acc = 0.0;
+                for i in 0..200 {
+                    acc += (i as f64).sqrt();
+                }
+                assert!(acc > 0.0);
+                pending.finish().unwrap()
+            });
             for (s, v) in scalar.iter().zip(&vectored) {
                 assert_eq!(s.len(), v.len());
                 for (a, b) in s.iter().zip(v) {
@@ -1638,22 +1333,13 @@ mod tests {
 
     #[test]
     fn rank_comm_counts_collectives() {
-        let comms = RankComm::for_ranks(&HaloPlan::empty(2), 2);
-        let counts: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    scope.spawn(move || {
-                        comm.allreduce_sum(1.0).unwrap();
-                        let _ = comm.allreduce_vec(vec![1.0, 2.0]).unwrap();
-                        comm.fault_flag(0).unwrap();
-                        let pending = comm.start_allreduce(0.5).unwrap();
-                        pending.finish().unwrap();
-                        comm.collectives()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let counts = on_every_rank(2, |comm| {
+            comm.allreduce_sum(1.0).unwrap();
+            let _ = comm.allreduce_vec(vec![1.0, 2.0]).unwrap();
+            comm.fault_flag(0).unwrap();
+            let pending = comm.start_allreduce(0.5).unwrap();
+            pending.finish().unwrap();
+            comm.collectives()
         });
         assert_eq!(counts, vec![4, 4]);
     }
@@ -1661,40 +1347,31 @@ mod tests {
     #[test]
     fn reducer_sums_across_ranks_deterministically() {
         for ranks in [1usize, 2, 5] {
-            let reducers = Reducer::for_ranks(ranks);
-            let total: f64 = std::thread::scope(|scope| {
-                let handles: Vec<_> = reducers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, reducer)| {
-                        scope.spawn(move || reducer.allreduce_sum((rank + 1) as f64).unwrap())
-                    })
-                    .collect();
-                let mut totals: Vec<f64> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("rank panicked"))
-                    .collect();
-                let first = totals.pop().unwrap();
-                assert!(totals.iter().all(|&t| t == first), "ranks disagree");
-                first
+            let mut totals = on_every_rank(ranks, |comm| {
+                comm.allreduce_sum((comm.rank() + 1) as f64).unwrap()
             });
+            let first = totals.pop().unwrap();
+            assert!(
+                totals.iter().all(|t| t.to_bits() == first.to_bits()),
+                "ranks disagree"
+            );
             let expected: f64 = (1..=ranks).map(|r| r as f64).sum();
-            assert_eq!(total, expected);
+            assert_eq!(first.to_bits(), expected.to_bits());
         }
     }
 
     #[test]
     fn dropped_peer_surfaces_as_typed_comm_error() {
         // Rank 1 drops its endpoint without entering the collective; rank 0
-        // must observe a CommError::Disconnected, not a panic.
+        // must observe a CommError::Disconnected naming it, not a panic.
         let mut comms = RankComm::for_ranks(&HaloPlan::empty(2), 2);
         let c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
         drop(c1);
         let err = c0.allreduce_sum(1.0).unwrap_err();
         assert!(
-            matches!(err, CommError::Disconnected { .. }),
-            "expected Disconnected, got {err:?}"
+            matches!(err, CommError::Disconnected { peer: Some(1), .. }),
+            "expected Disconnected from rank 1, got {err:?}"
         );
     }
 
@@ -1712,6 +1389,169 @@ mod tests {
         assert!(
             matches!(err, CommError::Disconnected { peer: Some(1), .. }),
             "expected Disconnected from rank 1, got {err:?}"
+        );
+    }
+
+    /// A [`Link`] playing every peer from a script: `recv` hands out the
+    /// scripted messages by tag, sends are swallowed, and a peer whose
+    /// script has run dry has hung up.
+    #[derive(Debug, Default)]
+    struct ScriptedLink {
+        script: RefCell<HashMap<usize, VecDeque<Message>>>,
+    }
+
+    impl Link for ScriptedLink {
+        fn send(
+            &self,
+            _peer: usize,
+            _msg: Message,
+            _during: &'static str,
+        ) -> Result<(), CommError> {
+            Ok(())
+        }
+
+        fn recv(&self, peer: usize, want: Tag, during: &'static str) -> Result<Message, CommError> {
+            let mut script = self.script.borrow_mut();
+            let queue = script.entry(peer).or_default();
+            match queue.iter().position(|m| m.tag() == want) {
+                Some(at) => Ok(queue.remove(at).expect("position just found")),
+                None => Err(CommError::Disconnected {
+                    peer: Some(peer),
+                    during,
+                }),
+            }
+        }
+
+        fn rejoin(&self, _failed: Option<usize>, _iteration: u64) -> Result<u64, CommError> {
+            unreachable!("no collective rejoins")
+        }
+    }
+
+    /// Rank `rank` of a `ranks`-rank mesh over `plan`, whose peers say
+    /// exactly `script` (`(peer, message)` in arrival order).
+    fn scripted(
+        plan: &HaloPlan,
+        rank: usize,
+        ranks: usize,
+        script: Vec<(usize, Message)>,
+    ) -> RankComm {
+        let link = ScriptedLink::default();
+        for (peer, msg) in script {
+            link.script
+                .borrow_mut()
+                .entry(peer)
+                .or_default()
+                .push_back(msg);
+        }
+        RankComm::new(plan, rank, ranks, Box::new(link))
+    }
+
+    fn protocol_error<T: fmt::Debug>(result: Result<T, CommError>) -> String {
+        match result {
+            Err(CommError::Protocol(why)) => why,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn misbehaving_halo_and_gather_peers_are_typed_errors() {
+        let a = poisson_2d(4);
+        let plan = HaloPlan::build(&a, &RankPartition::new(a.rows(), 2));
+        let expected = plan.needs_of(0)[&1].len();
+        assert!(expected > 1);
+        // A short halo must not leave stale entries behind a silent zip.
+        let short = Message::Halo {
+            values: vec![1.0; expected - 1],
+        };
+        let comm = scripted(&plan, 0, 2, vec![(1, short)]);
+        let why = protocol_error(comm.exchange_halo(&mut vec![0.0; a.cols()]));
+        assert!(why.contains("halo from rank 1"), "{why}");
+
+        let empty = HaloPlan::empty(3);
+        let impostor = Message::GatherScalar {
+            rank: 2,
+            value: 1.0,
+        };
+        let comm = scripted(&empty, 0, 3, vec![(1, impostor)]);
+        let why = protocol_error(comm.allreduce_sum(1.0));
+        assert!(why.contains("claims rank 2"), "{why}");
+
+        let impostor = Message::GatherVec {
+            rank: 2,
+            values: vec![1.0],
+        };
+        let comm = scripted(&empty, 0, 3, vec![(1, impostor)]);
+        let why = protocol_error(comm.allreduce_vec(vec![1.0]));
+        assert!(why.contains("claims rank 2"), "{why}");
+
+        let short = Message::GatherVec {
+            rank: 1,
+            values: vec![1.0],
+        };
+        let comm = scripted(&HaloPlan::empty(2), 0, 2, vec![(1, short)]);
+        let why = protocol_error(comm.allreduce_vec(vec![1.0, 2.0]));
+        assert!(why.contains("component count"), "{why}");
+    }
+
+    #[test]
+    fn misbehaving_recovery_peers_are_typed_errors() {
+        let a = poisson_2d(4);
+        let plan = HaloPlan::build(&a, &RankPartition::new(a.rows(), 2));
+        let no_request = || Message::RecoveryRequest {
+            indices: Vec::new(),
+        };
+        let mut data = vec![0.0; a.cols()];
+
+        // A reply shorter than the request it answers.
+        let requests = HashMap::from([(1, plan.needs_of(0)[&1].clone())]);
+        let short_reply = Message::RecoveryReply {
+            values: vec![1.0],
+            valid: vec![true],
+        };
+        let comm = scripted(&plan, 0, 2, vec![(1, no_request()), (1, short_reply)]);
+        let why = protocol_error(comm.recovery_exchange(&requests, &mut data, &[]));
+        assert!(why.contains("recovery reply from rank 1"), "{why}");
+
+        // A request for an index this rank's buffer does not have.
+        let wild = Message::RecoveryRequest {
+            indices: vec![data.len() as u64],
+        };
+        let comm = scripted(&plan, 0, 2, vec![(1, wild)]);
+        let why = protocol_error(comm.recovery_exchange(&HashMap::new(), &mut data, &[]));
+        assert!(why.contains("out-of-range index"), "{why}");
+
+        // A coupled offer whose parallel arrays disagree.
+        let ragged = Message::CoupledGather {
+            rows: vec![3],
+            values: Vec::new(),
+            support_cols: Vec::new(),
+            support_values: Vec::new(),
+            support_valid: Vec::new(),
+        };
+        let comm = scripted(&plan, 0, 2, vec![(1, ragged)]);
+        let why = protocol_error(comm.coupled_gather_wave(&[], &[]));
+        assert!(why.contains("mismatched array lengths"), "{why}");
+    }
+
+    #[test]
+    fn a_link_reporting_a_disconnect_surfaces_it_unchanged() {
+        let comm = scripted(&HaloPlan::empty(2), 0, 2, Vec::new());
+        let err = comm.allreduce_sum(1.0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CommError::Disconnected {
+                    peer: Some(1),
+                    during: "allreduce gather"
+                }
+            ),
+            "got {err:?}"
+        );
+        let comm = scripted(&HaloPlan::empty(2), 1, 2, Vec::new());
+        let err = comm.allreduce_vec(vec![1.0]).unwrap_err();
+        assert!(
+            matches!(err, CommError::Disconnected { peer: Some(0), .. }),
+            "got {err:?}"
         );
     }
 }

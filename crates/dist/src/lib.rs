@@ -17,14 +17,14 @@
 //!   distribution of the 27-point Poisson operator;
 //! * [`HaloPlan`] / [`RankComm`] — per-pair exchange lists of exactly the
 //!   remote entries each rank's rows reference, sent over channels each
-//!   iteration ([`distributed_spmv`] is the one-shot form). Since PR 6 the
-//!   same interface also runs over a **real multi-process transport**
-//!   ([`process`]): each rank an OS process, a full socket mesh (Unix
-//!   domain sockets, TCP fallback) speaking the versioned [`feir_wire`]
-//!   frame protocol, with disconnects surfacing as typed [`CommError`]s on
-//!   both backends and bitwise-identical collectives;
-//! * [`Reducer`] — deterministic rank-ordered sum allreduce used for the CG
-//!   dot products ([`distributed_dot`] is the one-shot form);
+//!   iteration ([`distributed_spmv`] is the one-shot form), and the
+//!   deterministic rank-ordered sum allreduce used for the CG dot products
+//!   ([`distributed_dot`] is the one-shot form). The same collectives also
+//!   run over a **real multi-process transport** ([`process`]): each rank an
+//!   OS process, a full socket mesh (Unix domain sockets, TCP fallback)
+//!   speaking the versioned [`feir_wire`] frame protocol, with disconnects
+//!   surfacing as typed [`CommError`]s on both backends and
+//!   bitwise-identical results;
 //! * [`RankDomains`] — one [`feir_pagemem::PageRegistry`] per rank: DUEs are
 //!   contained to the rank that owns the page, which is the fault-domain
 //!   model the distributed recovery of Section 3.4 relies on;
@@ -37,8 +37,8 @@
 //! * [`resilient`] — the distributed resilience subsystem, built on the
 //!   solver-agnostic engine of
 //!   [`feir_recovery::engine`]: per-rank live fault injection
-//!   ([`InjectionDriver`]), the cross-rank [`RecoveryMsg`] request/reply
-//!   protocol for interpolations whose stencil crosses a rank boundary, and
+//!   ([`InjectionDriver`]), the cross-rank request/reply round
+//!   ([`RankComm::recovery_exchange`]) for interpolations whose stencil crosses a rank boundary, and
 //!   [`distributed_resilient_cg`] / [`distributed_resilient_pcg`] running
 //!   the full [`RecoveryPolicy`](feir_recovery::RecoveryPolicy) matrix
 //!   (trivial / checkpoint / lossy / FEIR / AFEIR) with fault-free paths
@@ -73,7 +73,7 @@ pub use campaign::{
 pub use cg::{distributed_cg, DistSolveResult, NetStats};
 pub use comm::{
     distributed_dot, distributed_spmv, CommError, HaloPlan, PendingAllreduce, PendingVecAllreduce,
-    RankComm, RecoveryMsg, Reducer, ReducerPending, ReducerVecPending,
+    RankComm,
 };
 pub use domains::{RankDomains, RankFaultCounts};
 pub use merged::{distributed_cg_merged, distributed_pcg_merged};

@@ -61,11 +61,12 @@
 //!
 //! # Determinism
 //!
-//! The collectives gather per-rank partials and fold them **in rank order**
-//! with the very same arithmetic as the in-process backend (see
-//! [`crate::comm`]), so a solve over this transport is bitwise identical to
-//! the thread-backed one — chaos or not, as long as every fault is absorbed
-//! by the reliability sublayer.
+//! This module only moves messages: [`ProcessEndpoint`] is the process
+//! backend's `Link`, and the collectives that gather per-rank partials and
+//! fold them **in rank order** are the very ones the in-process backend runs
+//! (see [`crate::comm`]). A solve over this transport is therefore bitwise
+//! identical to the thread-backed one — chaos or not, as long as every fault
+//! is absorbed by the reliability sublayer.
 //!
 //! # Worker processes
 //!
@@ -80,7 +81,7 @@
 //! `RankError`) frame on stdout, followed by a `TraceDump`.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ffi::OsString;
 use std::fmt;
 use std::io::{Read, Write};
@@ -101,7 +102,7 @@ use feir_wire::chaos::{
 use feir_wire::{FrameReader, Message, RankErrorKind, Tag, WireError, WorkerConfig};
 
 use crate::cg::DistSolveResult;
-use crate::comm::{fold_partials_rank_ordered, CommError, HaloPlan, RankComm};
+use crate::comm::{CommError, HaloPlan, Link, RankComm};
 use crate::kernels;
 use crate::partition::RankPartition;
 
@@ -969,18 +970,6 @@ impl ProcessEndpoint {
         }
     }
 
-    fn recv_halo_into(
-        &self,
-        peer: usize,
-        cols: &[usize],
-        full: &mut [f64],
-    ) -> Result<(), CommError> {
-        let Message::Halo { values } = self.recv(peer, Tag::Halo, "halo receive")? else {
-            unreachable!("recv() returns the requested tag")
-        };
-        scatter_checked(peer, cols, &values, full)
-    }
-
     /// Tears down the dead link to `failed` and re-handshakes its
     /// replacement under the next epoch. Lower ranks accept the newcomer's
     /// dial; higher ranks dial its epoch-qualified address. Part of the
@@ -1094,23 +1083,23 @@ impl ProcessEndpoint {
     }
 }
 
-fn scatter_checked(
-    peer: usize,
-    cols: &[usize],
-    values: &[f64],
-    full: &mut [f64],
-) -> Result<(), CommError> {
-    if values.len() != cols.len() {
-        return Err(CommError::Protocol(format!(
-            "halo from rank {peer}: got {} values, expected {}",
-            values.len(),
-            cols.len()
-        )));
+/// The process backend's [`Link`]: each message is one encoded frame on the
+/// reliable socket link to the peer.
+impl Link for ProcessEndpoint {
+    fn send(&self, peer: usize, msg: Message, during: &'static str) -> Result<(), CommError> {
+        ProcessEndpoint::send(self, peer, &msg, during)
     }
-    for (&c, &v) in cols.iter().zip(values) {
-        full[c] = v;
+
+    fn recv(&self, peer: usize, want: Tag, during: &'static str) -> Result<Message, CommError> {
+        ProcessEndpoint::recv(self, peer, want, during)
     }
-    Ok(())
+
+    fn rejoin(&self, failed: Option<usize>, iteration: u64) -> Result<u64, CommError> {
+        if let Some(k) = failed {
+            self.relink(k)?;
+        }
+        self.rejoin_barrier(iteration)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1401,387 +1390,6 @@ pub fn connect_mesh(
         epochs: RefCell::new(epochs),
         downed,
     })
-}
-
-/// The process backend's per-rank state behind [`RankComm`]: the endpoint
-/// plus the plan-derived halo lists and recovery neighbourhood, mirroring
-/// exactly what the in-process backend wires with channels.
-#[derive(Debug)]
-pub(crate) struct ProcessLinks {
-    endpoint: ProcessEndpoint,
-    /// Outgoing halo `(destination, owned indices to ship)`, sorted by peer.
-    halo_out: Vec<(usize, Vec<usize>)>,
-    /// Incoming halo `(source, indices received)`, sorted by peer.
-    halo_in: Vec<(usize, Vec<usize>)>,
-    /// Halo neighbours (either direction), ascending.
-    recovery_peers: Vec<usize>,
-}
-
-impl ProcessLinks {
-    pub(crate) fn new(plan: &HaloPlan, endpoint: ProcessEndpoint) -> ProcessLinks {
-        let rank = endpoint.rank();
-        let mut halo_out: Vec<(usize, Vec<usize>)> = plan
-            .sends_of(rank)
-            .iter()
-            .map(|(&dest, cols)| (dest, cols.clone()))
-            .collect();
-        halo_out.sort_unstable_by_key(|(dest, _)| *dest);
-        let mut halo_in: Vec<(usize, Vec<usize>)> = plan
-            .needs_of(rank)
-            .iter()
-            .map(|(&src, cols)| (src, cols.clone()))
-            .collect();
-        halo_in.sort_unstable_by_key(|(src, _)| *src);
-        let recovery_peers = plan.neighbours_of(rank);
-        ProcessLinks {
-            endpoint,
-            halo_out,
-            halo_in,
-            recovery_peers,
-        }
-    }
-
-    pub(crate) fn recovery_peers(&self) -> &[usize] {
-        &self.recovery_peers
-    }
-
-    /// Relinks a failed peer (when named) and meets the rejoin barrier.
-    pub(crate) fn rejoin(&self, failed: Option<usize>, iteration: u64) -> Result<u64, CommError> {
-        if let Some(k) = failed {
-            self.endpoint.relink(k)?;
-        }
-        self.endpoint.rejoin_barrier(iteration)
-    }
-
-    pub(crate) fn exchange_halo(&self, full: &mut [f64]) -> Result<(), CommError> {
-        for (dest, cols) in &self.halo_out {
-            let values: Vec<f64> = cols.iter().map(|&c| full[c]).collect();
-            self.endpoint
-                .send(*dest, &Message::Halo { values }, "halo send")?;
-        }
-        for (src, cols) in &self.halo_in {
-            self.endpoint.recv_halo_into(*src, cols, full)?;
-        }
-        Ok(())
-    }
-
-    /// Leaf half of the scalar allreduce post (root holds its partial).
-    pub(crate) fn post_scalar(&self, local: f64) -> Result<(), CommError> {
-        if self.endpoint.rank() != 0 {
-            self.endpoint.send(
-                0,
-                &Message::GatherScalar {
-                    rank: self.endpoint.rank() as u32,
-                    value: local,
-                },
-                "allreduce gather",
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Completes a scalar allreduce: rank 0 gathers every partial, folds in
-    /// rank order (identical arithmetic to the in-process root) and
-    /// broadcasts; leaves await the broadcast.
-    pub(crate) fn finish_scalar(&self, local: f64) -> Result<f64, CommError> {
-        let ranks = self.endpoint.ranks();
-        if self.endpoint.rank() == 0 {
-            let mut partials = vec![0.0; ranks];
-            partials[0] = local;
-            #[allow(clippy::needless_range_loop)] // `peer` is a rank id, not just an index
-            for peer in 1..ranks {
-                let msg = self
-                    .endpoint
-                    .recv(peer, Tag::GatherScalar, "allreduce gather")?;
-                let Message::GatherScalar { rank, value } = msg else {
-                    unreachable!("recv() returns the requested tag")
-                };
-                if rank as usize != peer {
-                    return Err(CommError::Protocol(format!(
-                        "gather from rank {peer} claims rank {rank}"
-                    )));
-                }
-                partials[peer] = value;
-            }
-            let total: f64 = partials.iter().sum();
-            for peer in 1..ranks {
-                self.endpoint.send(
-                    peer,
-                    &Message::BroadcastScalar { value: total },
-                    "allreduce broadcast",
-                )?;
-            }
-            Ok(total)
-        } else {
-            let msg = self
-                .endpoint
-                .recv(0, Tag::BroadcastScalar, "allreduce broadcast")?;
-            let Message::BroadcastScalar { value } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            Ok(value)
-        }
-    }
-
-    /// Leaf half of the vector allreduce post; returns the partial the
-    /// caller must retain for the fold (root keeps its own, leaves none).
-    pub(crate) fn post_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        if self.endpoint.rank() == 0 {
-            return Ok(local);
-        }
-        self.endpoint.send(
-            0,
-            &Message::GatherVec {
-                rank: self.endpoint.rank() as u32,
-                values: local,
-            },
-            "vector allreduce gather",
-        )?;
-        Ok(Vec::new())
-    }
-
-    /// Completes a vector allreduce with the rank-ordered component fold.
-    pub(crate) fn finish_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
-        let ranks = self.endpoint.ranks();
-        if self.endpoint.rank() == 0 {
-            let mut partials: Vec<Vec<f64>> = vec![Vec::new(); ranks];
-            partials[0] = local;
-            for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
-                let msg = self
-                    .endpoint
-                    .recv(peer, Tag::GatherVec, "vector allreduce gather")?;
-                let Message::GatherVec { rank, values } = msg else {
-                    unreachable!("recv() returns the requested tag")
-                };
-                if rank as usize != peer {
-                    return Err(CommError::Protocol(format!(
-                        "vector gather from rank {peer} claims rank {rank}"
-                    )));
-                }
-                *slot = values;
-            }
-            let totals = fold_partials_rank_ordered(&partials)?;
-            for peer in 1..ranks {
-                self.endpoint.send(
-                    peer,
-                    &Message::BroadcastVec {
-                        values: totals.clone(),
-                    },
-                    "vector allreduce broadcast",
-                )?;
-            }
-            Ok(totals)
-        } else {
-            let msg = self
-                .endpoint
-                .recv(0, Tag::BroadcastVec, "vector allreduce broadcast")?;
-            let Message::BroadcastVec { values } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            Ok(values)
-        }
-    }
-
-    /// Phase 1 of the recovery neighbourhood collective in isolation (the
-    /// AFEIR in-window prefetch hook; see
-    /// [`crate::comm::RankComm::post_recovery_requests`]).
-    pub(crate) fn post_recovery_requests(
-        &self,
-        requests: &HashMap<usize, Vec<usize>>,
-    ) -> Result<(), CommError> {
-        assert!(
-            requests.keys().all(|p| self.recovery_peers.contains(p)),
-            "recovery request targets a rank outside the halo neighbourhood"
-        );
-        for peer in &self.recovery_peers {
-            let indices: Vec<u64> = requests
-                .get(peer)
-                .map(|v| v.iter().map(|&i| i as u64).collect())
-                .unwrap_or_default();
-            self.endpoint.send(
-                *peer,
-                &Message::RecoveryRequest { indices },
-                "recovery request",
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Phases 2–3 of the recovery neighbourhood collective, frame-for-frame
-    /// the in-process protocol: answer incoming requests, scatter replies.
-    /// The caller's own requests must already be on the wire (the comm layer
-    /// posts them via [`ProcessLinks::post_recovery_requests`] unless the
-    /// AFEIR window prefetched them). The tag-aware inbox guarantees a
-    /// request is always read before the same peer's reply.
-    pub(crate) fn complete_recovery_exchange(
-        &self,
-        requests: &HashMap<usize, Vec<usize>>,
-        data: &mut [f64],
-        unserviceable: &[usize],
-    ) -> Result<(usize, Vec<usize>), CommError> {
-        for peer in &self.recovery_peers {
-            let msg =
-                self.endpoint
-                    .recv(*peer, Tag::RecoveryRequest, "recovery request receive")?;
-            let Message::RecoveryRequest { indices } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            let mut values = Vec::with_capacity(indices.len());
-            let mut valid = Vec::with_capacity(indices.len());
-            for &i in &indices {
-                let i = i as usize;
-                if i >= data.len() {
-                    return Err(CommError::Protocol(format!(
-                        "rank {peer} requested out-of-range index {i}"
-                    )));
-                }
-                values.push(data[i]);
-                valid.push(unserviceable.binary_search(&i).is_err());
-            }
-            let reply = Message::RecoveryReply { values, valid };
-            self.endpoint.send(*peer, &reply, "recovery reply")?;
-        }
-        let mut fetched = 0;
-        let mut invalid = Vec::new();
-        for peer in &self.recovery_peers {
-            let msg = self
-                .endpoint
-                .recv(*peer, Tag::RecoveryReply, "recovery reply receive")?;
-            let Message::RecoveryReply { values, valid } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            let indices = requests.get(peer).map(Vec::as_slice).unwrap_or(&[]);
-            if values.len() != indices.len() || valid.len() != indices.len() {
-                return Err(CommError::Protocol(format!(
-                    "recovery reply from rank {peer}: {} values for {} requests",
-                    values.len(),
-                    indices.len()
-                )));
-            }
-            for ((&i, v), ok) in indices.iter().zip(values).zip(valid) {
-                data[i] = v;
-                fetched += 1;
-                if !ok {
-                    invalid.push(i);
-                }
-            }
-        }
-        invalid.sort_unstable();
-        Ok((fetched, invalid))
-    }
-
-    /// Downward coupled-recovery wave over the wire (see
-    /// [`crate::comm::RankComm::coupled_gather_wave`]): receive the merged
-    /// offers of every higher-ranked peer, merge this rank's own offer in,
-    /// forward downward, return the merged view.
-    pub(crate) fn coupled_gather_wave(
-        &self,
-        mut rows: Vec<(usize, f64)>,
-        mut support: Vec<(usize, f64, bool)>,
-    ) -> Result<crate::comm::CoupledGatherView, CommError> {
-        let rank = self.endpoint.rank();
-        for peer in &self.recovery_peers {
-            if *peer < rank {
-                continue;
-            }
-            let msg = self
-                .endpoint
-                .recv(*peer, Tag::CoupledGather, "coupled gather receive")?;
-            let Message::CoupledGather {
-                rows: peer_rows,
-                values,
-                support_cols,
-                support_values,
-                support_valid,
-            } = msg
-            else {
-                unreachable!("recv() returns the requested tag")
-            };
-            if peer_rows.len() != values.len()
-                || support_cols.len() != support_values.len()
-                || support_cols.len() != support_valid.len()
-            {
-                return Err(CommError::Protocol(format!(
-                    "coupled gather from rank {peer}: mismatched array lengths"
-                )));
-            }
-            rows.extend(peer_rows.into_iter().map(|r| r as usize).zip(values));
-            support.extend(
-                support_cols
-                    .into_iter()
-                    .map(|c| c as usize)
-                    .zip(support_values)
-                    .zip(support_valid)
-                    .map(|((c, v), ok)| (c, v, ok)),
-            );
-        }
-        rows.sort_by_key(|&(row, _)| row);
-        rows.dedup_by_key(|&mut (row, _)| row);
-        support.sort_by_key(|&(col, _, _)| col);
-        support.dedup_by_key(|&mut (col, _, _)| col);
-        for peer in &self.recovery_peers {
-            if *peer > rank {
-                continue;
-            }
-            self.endpoint.send(
-                *peer,
-                &Message::CoupledGather {
-                    rows: rows.iter().map(|&(r, _)| r as u64).collect(),
-                    values: rows.iter().map(|&(_, v)| v).collect(),
-                    support_cols: support.iter().map(|&(c, _, _)| c as u64).collect(),
-                    support_values: support.iter().map(|&(_, v, _)| v).collect(),
-                    support_valid: support.iter().map(|&(_, _, ok)| ok).collect(),
-                },
-                "coupled gather send",
-            )?;
-        }
-        Ok((rows, support))
-    }
-
-    /// Upward coupled-recovery wave over the wire (see
-    /// [`crate::comm::RankComm::coupled_result_wave`]): receive the solved
-    /// entries of every lower-ranked peer, merge, relay upward.
-    pub(crate) fn coupled_result_wave(
-        &self,
-        mut entries: Vec<(usize, f64)>,
-    ) -> Result<Vec<(usize, f64)>, CommError> {
-        let rank = self.endpoint.rank();
-        for peer in &self.recovery_peers {
-            if *peer > rank {
-                continue;
-            }
-            let msg = self
-                .endpoint
-                .recv(*peer, Tag::CoupledResult, "coupled result receive")?;
-            let Message::CoupledResult { rows, values } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            if rows.len() != values.len() {
-                return Err(CommError::Protocol(format!(
-                    "coupled result from rank {peer}: {} rows for {} values",
-                    rows.len(),
-                    values.len()
-                )));
-            }
-            entries.extend(rows.into_iter().map(|r| r as usize).zip(values));
-        }
-        entries.sort_by_key(|&(row, _)| row);
-        entries.dedup_by_key(|&mut (row, _)| row);
-        for peer in &self.recovery_peers {
-            if *peer < rank {
-                continue;
-            }
-            self.endpoint.send(
-                *peer,
-                &Message::CoupledResult {
-                    rows: entries.iter().map(|&(r, _)| r as u64).collect(),
-                    values: entries.iter().map(|&(_, v)| v).collect(),
-                },
-                "coupled result send",
-            )?;
-        }
-        Ok(entries)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2677,6 +2285,7 @@ mod tests {
     use super::*;
     use feir_sparse::generators::poisson_2d;
     use feir_wire::chaos::FaultKind;
+    use std::collections::HashMap;
     use std::sync::Barrier;
 
     /// Builds a thread-backed mesh of process endpoints over the transport

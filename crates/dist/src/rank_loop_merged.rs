@@ -30,7 +30,7 @@
 //!   the rank, matvec-image recomputes, preconditioned-residual re-solves)
 //!   run *inside* that window via [`overlap`], planned into side buffers
 //!   and installed after the collective lands. Only reconstructions that
-//!   need the cross-rank [`RecoveryMsg`](crate::comm::RecoveryMsg) rounds
+//!   need the cross-rank request/reply rounds
 //!   wait for the global fault flag, which arrives with the reduction
 //!   itself. FEIR runs the identical recovery on the critical path after
 //!   the collective.

@@ -14,8 +14,8 @@
 //!   materialisation and the FEIR/AFEIR overlap scheduler;
 //! * the generic per-rank loop (the crate-private `rank_loop` module)
 //!   drives one relations instance per rank under the full
-//!   [`RecoveryPolicy`] matrix, using the cross-rank
-//!   [`RecoveryMsg`](crate::comm::RecoveryMsg) request/reply round for
+//!   [`RecoveryPolicy`] matrix, using the cross-rank request/reply round
+//!   ([`RankComm::recovery_exchange`]) for
 //!   interpolations whose stencil crosses a rank boundary and the
 //!   **split-phase allreduce** ([`RankComm::start_allreduce`]) so AFEIR
 //!   overlaps page reconstruction with the reduction wait itself.

@@ -167,7 +167,8 @@ fn policy_matrix_converges_under_scripted_dues() {
 
 /// Losing iterate and residual pages exercises the cross-rank recovery
 /// protocol: the interpolation of a boundary page needs x entries owned by
-/// the neighbouring rank, which are only reachable through `RecoveryMsg`.
+/// the neighbouring rank, which are only reachable through the
+/// `RankComm::recovery_exchange` request/reply round.
 #[test]
 fn feir_and_afeir_recover_iterate_losses_across_rank_boundaries() {
     let a = poisson_2d(16);
@@ -579,7 +580,7 @@ fn pcg_policy_matrix_converges_under_scripted_dues() {
     }
 }
 
-/// A cross-boundary iterate loss under PCG exercises the same RecoveryMsg
+/// A cross-boundary iterate loss under PCG exercises the same request/reply
 /// protocol as CG: the engine relations are solver-agnostic.
 #[test]
 fn pcg_recovers_iterate_losses_across_rank_boundaries() {

@@ -453,40 +453,43 @@ impl RankComm {
     /// Contributes `local` and returns the global sum; every rank must call
     /// this the same number of times in the same order.
     ///
-    /// Rank 0 gathers one partial per peer, accumulates them **in rank
-    /// order** (so the result is bitwise deterministic run-to-run) and
-    /// broadcasts the sum back. This is the reduction under every `⟨d,q⟩`
-    /// and `‖g‖²` of the distributed CG, and the blocking form of the
-    /// split-phase pair [`RankComm::start_allreduce`] /
+    /// Every rank sends its partial to every peer, receives theirs, and sums
+    /// all of them **in rank order** — the same fold on every rank, so every
+    /// rank gets the same bits, run to run. This is the reduction under every
+    /// `⟨d,q⟩` and `‖g‖²` of the distributed CG, and the blocking form of
+    /// the split-phase pair [`RankComm::start_allreduce`] /
     /// [`PendingAllreduce::finish`], bitwise-identical to it.
     pub fn allreduce_sum(&self, local: f64) -> Result<f64, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::Allreduce);
         self.start_allreduce(local)?.finish()
     }
 
-    /// Starts a split-phase allreduce: the local partial is posted
-    /// immediately (leaf ranks send it to the root before returning), but
-    /// the blocking wait for the global sum is deferred to
+    /// Starts a split-phase allreduce: the local partial is sent to every
+    /// peer before this returns, and the wait for theirs is deferred to
     /// [`PendingAllreduce::finish`]. Work done between the two calls
     /// overlaps the reduction wait — this is the window AFEIR uses to run
     /// page reconstruction *inside* the collective instead of only beside
-    /// local updates.
+    /// local updates. No rank folds on another's behalf, so a rank busy
+    /// between its `start` and `finish` delays no peer's `finish`.
     ///
-    /// At most one allreduce may be in flight per rank, and every rank must
-    /// still enter the collectives in the same order. The single-flight rule
-    /// is a protocol contract, not a compile-time guarantee: a leaf posts
-    /// its partial here, so starting a second collective before finishing
-    /// the first desynchronizes the root's gather.
+    /// Every rank must post the same collectives in the same order: partials
+    /// are matched first-in, first-out per (peer, tag), so a rank's `k`-th
+    /// `finish` consumes each peer's `k`-th partial. This is a protocol
+    /// contract, not a compile-time guarantee. Dropping the handle leaves
+    /// the R−1 peer partials of this collective unconsumed, and this rank's
+    /// next collective would fold them in place of the peers' next ones.
+    ///
+    /// An allreduce over R ranks moves R(R−1) messages, against 2(R−1) for a
+    /// gather to rank 0 plus a broadcast. On a 2-vCPU VM the rooted version
+    /// is as fast up to 8 ranks and faster at 16 (fault-free AFEIR CG on a
+    /// 128² Poisson grid, on one core: ≈110 vs ≈140 ms); from there on a
+    /// fixed butterfly, one fold order on every rank, would replace this.
     pub fn start_allreduce(&self, local: f64) -> Result<PendingAllreduce<'_>, CommError> {
-        let _probe = feir_trace::span(feir_trace::Phase::AllreducePost);
-        self.collectives.set(self.collectives.get() + 1);
-        if self.rank != 0 {
-            let gather = Message::GatherScalar {
-                rank: self.rank as u32,
-                value: local,
-            };
-            self.link.send(0, gather, "allreduce gather")?;
-        }
+        let rank = self.rank as u32;
+        self.post_partial(
+            || Message::GatherScalar { rank, value: local },
+            "allreduce gather",
+        )?;
         Ok(PendingAllreduce { comm: self, local })
     }
 
@@ -494,42 +497,80 @@ impl RankComm {
     /// global sums; every rank must pass the same number of components. This
     /// is the single collective of the merged-reduction solvers: all of an
     /// iteration's scalars (`γ`, `δ`, the fault flag, …) ride in one
-    /// message, one gather and one broadcast.
+    /// message to each peer.
     ///
     /// Component `j` of the result is bitwise-identical to
-    /// [`RankComm::allreduce_sum`] over the same per-rank partials — the root
-    /// folds each component in rank order, exactly like the scalar path.
+    /// [`RankComm::allreduce_sum`] over the same per-rank partials — every
+    /// rank folds each component in rank order, exactly like the scalar path.
     pub fn allreduce_vec(&self, local: Vec<f64>) -> Result<Vec<f64>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::Allreduce);
         self.start_allreduce_vec(local)?.finish()
     }
 
     /// Split-phase form of [`RankComm::allreduce_vec`]: the partial vector is
-    /// posted immediately, the blocking wait is deferred to
+    /// sent to every peer, the wait for theirs is deferred to
     /// [`PendingVecAllreduce::finish`]. The merged-reduction solvers start
     /// the collective, run the halo exchange and the next matvec while it is
     /// in flight, and only then collect the sums — the reduction latency
-    /// hides behind the matvec instead of serializing with it. The same
-    /// single-flight / same-order contract as [`RankComm::start_allreduce`]
-    /// applies.
+    /// hides behind the matvec instead of serializing with it. The ordering
+    /// contract of [`RankComm::start_allreduce`] applies.
     pub fn start_allreduce_vec(
         &self,
         local: Vec<f64>,
     ) -> Result<PendingVecAllreduce<'_>, CommError> {
+        let rank = self.rank as u32;
+        self.post_partial(
+            || Message::GatherVec {
+                rank,
+                values: local.clone(),
+            },
+            "vector allreduce gather",
+        )?;
+        Ok(PendingVecAllreduce { comm: self, local })
+    }
+
+    /// The ranks other than this one, ascending.
+    fn peers(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.ranks).filter(move |&peer| peer != self.rank)
+    }
+
+    /// Enters an allreduce: sends this rank's partial, built by `partial`,
+    /// to every peer.
+    fn post_partial(
+        &self,
+        partial: impl Fn() -> Message,
+        during: &'static str,
+    ) -> Result<(), CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreducePost);
         self.collectives.set(self.collectives.get() + 1);
-        if self.rank == 0 {
-            return Ok(PendingVecAllreduce { comm: self, local });
+        for peer in self.peers() {
+            self.link.send(peer, partial(), during)?;
         }
-        let gather = Message::GatherVec {
-            rank: self.rank as u32,
-            values: local,
-        };
-        self.link.send(0, gather, "vector allreduce gather")?;
-        Ok(PendingVecAllreduce {
-            comm: self,
-            local: Vec::new(),
-        })
+        Ok(())
+    }
+
+    /// Every rank's allreduce partial, in rank order: each peer's next
+    /// message tagged `want`, split by `unpack` into the rank it claims and
+    /// its partial, with `own` at this rank's index.
+    fn gather_partials<T>(
+        &self,
+        own: T,
+        want: Tag,
+        during: &'static str,
+        unpack: fn(Message) -> (u32, T),
+    ) -> Result<Vec<T>, CommError> {
+        let mut partials = Vec::with_capacity(self.ranks);
+        for peer in self.peers() {
+            let (rank, partial) = unpack(self.link.recv(peer, want, during)?);
+            if rank as usize != peer {
+                return Err(CommError::Protocol(format!(
+                    "{during} from rank {peer} claims rank {rank}"
+                )));
+            }
+            partials.push(partial);
+        }
+        partials.insert(self.rank, own);
+        Ok(partials)
     }
 
     /// Number of collectives this endpoint has entered (scalar and vector,
@@ -834,10 +875,11 @@ fn merge_coupled_offer(rows: &mut Vec<(usize, f64)>, support: &mut Vec<(usize, f
 /// An in-flight split-phase allreduce on a [`RankComm`] (see
 /// [`RankComm::start_allreduce`]).
 ///
-/// The contribution has already been posted; dropping the handle without
-/// calling [`PendingAllreduce::finish`] would deadlock the collective on the
-/// other ranks, hence the `must_use`.
-#[must_use = "finish() completes the collective; dropping the handle deadlocks the peers"]
+/// The contribution has already been sent to every peer; dropping the handle
+/// without calling [`PendingAllreduce::finish`] leaves the peers' partials
+/// unconsumed and desynchronizes this rank's next collective, hence the
+/// `must_use`.
+#[must_use = "finish() completes the collective; dropping the handle desynchronizes the next one"]
 #[derive(Debug)]
 pub struct PendingAllreduce<'a> {
     comm: &'a RankComm,
@@ -845,97 +887,48 @@ pub struct PendingAllreduce<'a> {
 }
 
 impl PendingAllreduce<'_> {
-    /// Completes the collective and returns the global sum. On the root this
-    /// performs the rank-ordered gather + broadcast; on a leaf it blocks on
-    /// the broadcast of the total.
+    /// Completes the collective and returns the global sum: receives every
+    /// peer's partial and folds all of them in rank order.
     pub fn finish(self) -> Result<f64, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreduceWait);
-        let comm = self.comm;
-        if comm.rank != 0 {
-            let msg = comm
-                .link
-                .recv(0, Tag::BroadcastScalar, "allreduce broadcast")?;
-            let Message::BroadcastScalar { value } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            return Ok(value);
-        }
-        let mut partials = vec![0.0; comm.ranks];
-        partials[0] = self.local;
-        for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
-            let msg = comm
-                .link
-                .recv(peer, Tag::GatherScalar, "allreduce gather")?;
-            let Message::GatherScalar { rank, value } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            if rank as usize != peer {
-                return Err(CommError::Protocol(format!(
-                    "gather from rank {peer} claims rank {rank}"
-                )));
-            }
-            *slot = value;
-        }
-        let total: f64 = partials.iter().sum();
-        for peer in 1..comm.ranks {
-            let broadcast = Message::BroadcastScalar { value: total };
-            comm.link.send(peer, broadcast, "allreduce broadcast")?;
-        }
-        Ok(total)
+        let partials = self.comm.gather_partials(
+            self.local,
+            Tag::GatherScalar,
+            "allreduce gather",
+            |msg| match msg {
+                Message::GatherScalar { rank, value } => (rank, value),
+                _ => unreachable!("recv() returns the requested tag"),
+            },
+        )?;
+        Ok(partials.iter().sum())
     }
 }
 
 /// An in-flight split-phase *vector* allreduce on a [`RankComm`] (see
 /// [`RankComm::start_allreduce_vec`]).
-#[must_use = "finish() completes the collective; dropping the handle deadlocks the peers"]
+#[must_use = "finish() completes the collective; dropping the handle desynchronizes the next one"]
 #[derive(Debug)]
 pub struct PendingVecAllreduce<'a> {
     comm: &'a RankComm,
-    /// The root's own partial (leaves posted theirs at start).
     local: Vec<f64>,
 }
 
 impl PendingVecAllreduce<'_> {
-    /// Completes the collective and returns the component-wise global sums.
-    /// On the root this performs the rank-ordered gather + broadcast; on a
-    /// leaf it blocks on the broadcast of the totals.
+    /// Completes the collective and returns the component-wise global sums:
+    /// receives every peer's partial vector and folds all of them in rank
+    /// order.
     pub fn finish(self) -> Result<Vec<f64>, CommError> {
         let _probe = feir_trace::span(feir_trace::Phase::AllreduceWait);
-        let comm = self.comm;
-        if comm.rank != 0 {
-            let msg = comm
-                .link
-                .recv(0, Tag::BroadcastVec, "vector allreduce broadcast")?;
-            let Message::BroadcastVec { values } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            return Ok(values);
-        }
-        let mut partials: Vec<Vec<f64>> = vec![Vec::new(); comm.ranks];
-        partials[0] = self.local;
-        for (peer, slot) in partials.iter_mut().enumerate().skip(1) {
-            let msg = comm
-                .link
-                .recv(peer, Tag::GatherVec, "vector allreduce gather")?;
-            let Message::GatherVec { rank, values } = msg else {
-                unreachable!("recv() returns the requested tag")
-            };
-            if rank as usize != peer {
-                return Err(CommError::Protocol(format!(
-                    "vector gather from rank {peer} claims rank {rank}"
-                )));
-            }
-            *slot = values;
-        }
-        let totals = fold_partials_rank_ordered(&partials)?;
-        for peer in 1..comm.ranks {
-            let broadcast = Message::BroadcastVec {
-                values: totals.clone(),
-            };
-            comm.link
-                .send(peer, broadcast, "vector allreduce broadcast")?;
-        }
-        Ok(totals)
+        let partials = self.comm.gather_partials(
+            self.local,
+            Tag::GatherVec,
+            "vector allreduce gather",
+            |msg| match msg {
+                Message::GatherVec { rank, values } => (rank, values),
+                _ => unreachable!("recv() returns the requested tag"),
+            },
+        )?;
+        fold_partials_rank_ordered(&partials)
     }
 }
 
@@ -1346,18 +1339,45 @@ mod tests {
 
     #[test]
     fn reducer_sums_across_ranks_deterministically() {
-        for ranks in [1usize, 2, 5] {
-            let mut totals = on_every_rank(ranks, |comm| {
-                comm.allreduce_sum((comm.rank() + 1) as f64).unwrap()
+        // The last partials sum to 3.5 folded left in rank order and to 4.0
+        // folded right: every rank must fold them in the same, rank order.
+        let order_sensitive = [1e16, 1.0, -1e16, 3.0, 0.5];
+        assert_eq!(order_sensitive.iter().rev().fold(0.0, |t, p| t + p), 4.0);
+        for partials in [
+            vec![1.0],
+            vec![1.0, 2.0],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+            order_sensitive.to_vec(),
+        ] {
+            let totals = on_every_rank(partials.len(), |comm| {
+                comm.allreduce_sum(partials[comm.rank()]).unwrap()
             });
-            let first = totals.pop().unwrap();
-            assert!(
-                totals.iter().all(|t| t.to_bits() == first.to_bits()),
-                "ranks disagree"
-            );
-            let expected: f64 = (1..=ranks).map(|r| r as f64).sum();
-            assert_eq!(first.to_bits(), expected.to_bits());
+            let expected = partials.iter().fold(0.0, |t, p| t + p);
+            for total in totals {
+                assert_eq!(total.to_bits(), expected.to_bits(), "{partials:?}");
+            }
         }
+    }
+
+    #[test]
+    fn a_rank_finishes_without_waiting_for_a_busy_rank_0() {
+        let ready = std::sync::Barrier::new(2);
+        let results = on_every_rank(2, |comm| {
+            ready.wait();
+            let started = Instant::now();
+            let pending = comm.start_allreduce(0.25 + comm.rank() as f64).unwrap();
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(60));
+            }
+            (pending.finish().unwrap(), started.elapsed())
+        });
+        let (sum, took) = results[1];
+        assert!(
+            took < Duration::from_millis(25),
+            "rank 1 waited {took:?} on rank 0"
+        );
+        assert_eq!(sum, 1.5);
+        assert_eq!(results[0].0.to_bits(), sum.to_bits());
     }
 
     #[test]

@@ -2461,6 +2461,34 @@ mod tests {
     }
 
     #[test]
+    fn mesh_rank_finishes_without_waiting_for_a_busy_rank_0() {
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let plan = HaloPlan::empty(2);
+        let ready = Barrier::new(2);
+        let results = with_mesh(2, &transport, |ep| {
+            let comm = RankComm::over_process(&plan, ep);
+            ready.wait();
+            let started = Instant::now();
+            let pending = comm.start_allreduce(0.25 + comm.rank() as f64).unwrap();
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(60));
+            }
+            (pending.finish().unwrap(), started.elapsed())
+        });
+        let (sum, took) = results[1];
+        assert!(
+            took < Duration::from_millis(25),
+            "rank 1 waited {took:?} on rank 0"
+        );
+        assert_eq!(sum, 1.5);
+        assert_eq!(results[0].0.to_bits(), sum.to_bits());
+    }
+
+    #[test]
     fn mesh_halo_exchange_moves_the_same_values() {
         let a = poisson_2d(8);
         let n = a.rows();
@@ -2803,10 +2831,12 @@ mod tests {
         let ranks = 2;
         let rounds = 130u64;
         // Every allreduce moves one frame per direction, so round `r` is
-        // sequence number `r` on both directed links: ten rounds lose their
-        // gather (1 → 0), ten others their broadcast (0 → 1).
-        let lost_gathers: Vec<u64> = (0..10).map(|k| 5 + 12 * k).collect();
-        let lost_broadcasts: Vec<u64> = (0..10).map(|k| 11 + 12 * k).collect();
+        // sequence number `r` on both directed links: ten rounds lose rank
+        // 1's partial (1 → 0), ten others rank 0's (0 → 1).
+        let lost_to: [Vec<u64>; 2] = [
+            (0..10).map(|k| 5 + 12 * k).collect(),
+            (0..10).map(|k| 11 + 12 * k).collect(),
+        ];
         let run = |lossy: bool| -> Vec<(Vec<f64>, Vec<Duration>, crate::cg::NetStats)> {
             let transport = uds_transport();
             let _guard = match &transport {
@@ -2821,8 +2851,7 @@ mod tests {
             with_mesh_opts(ranks, &transport, &options, |ep| {
                 let peer = 1 - ep.rank();
                 if lossy {
-                    let lost = [&lost_broadcasts, &lost_gathers][ep.rank()];
-                    script_drops(&ep, peer, lost);
+                    script_drops(&ep, peer, &lost_to[peer]);
                 }
                 let stats = ep.stats.clone();
                 let comm = RankComm::over_process(&plan, ep);
@@ -2849,14 +2878,14 @@ mod tests {
                 assert_eq!(c.to_bits(), l.to_bits(), "rank {rank}, round {round}");
             }
         }
-        let scripted = (lost_gathers.len() + lost_broadcasts.len()) as u64;
+        let scripted = lost_to.iter().map(|lost| lost.len() as u64).sum();
         assert_only_lost_frames_were_resent(lossy.iter().map(|(_, _, net)| *net), scripted);
-        // Rank 1 sits in the round itself whichever direction lost its frame.
-        let (_, took, _) = &lossy[1];
-        let stalls = lost_gathers
+        // The rank a lost frame was addressed to sits out the RTO in that
+        // round; its sender already has every partial and moves on.
+        let stalls = lost_to
             .iter()
-            .chain(&lost_broadcasts)
-            .map(|&round| took[round as usize])
+            .zip(&lossy)
+            .flat_map(|(lost, (_, took, _))| lost.iter().map(|&round| took[round as usize]))
             .collect();
         assert_stall_is_one_rto("2-rank allreduce", stalls);
     }
@@ -2977,7 +3006,7 @@ mod tests {
                     "allreduce gather",
                 )
                 .expect("the first transmission is accepted locally");
-                ep.recv(0, Tag::BroadcastScalar, "allreduce broadcast")
+                ep.recv(0, Tag::GatherScalar, "allreduce gather")
             } else {
                 ep.recv(1, Tag::GatherScalar, "allreduce gather")
             }

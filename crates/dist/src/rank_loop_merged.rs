@@ -309,7 +309,7 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
 
         // ---- the single collective of the iteration, posted before the
         // matvec it overlaps. Forward policies append their fault count as
-        // one more component — same message, same gather, same broadcast.
+        // one more component — same message to every peer, same fold.
         let mut post = partials.clone();
         if forward {
             post.push(local_faults as f64);

@@ -429,7 +429,11 @@ fn malformed_worker_config_is_refused() {
     let good_frame = edited(|_| {});
     let mut wrong_version = good_frame.clone();
     wrong_version[2] = WIRE_VERSION - 1;
-    let wrong_tag = Message::BroadcastScalar { value: 0.0 }.encode();
+    let wrong_tag = Message::GatherScalar {
+        rank: 0,
+        value: 0.0,
+    }
+    .encode();
 
     let mut cases = vec![
         ("empty stdin", Vec::new()),

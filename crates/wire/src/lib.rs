@@ -45,7 +45,8 @@ pub const MAGIC: [u8; 2] = [0xFE, 0x17];
 /// v4 added the [`Message::CoupledGather`] / [`Message::CoupledResult`]
 /// frames for cross-rank coupled recovery.
 /// v5 added the [`Message::WorkerConfig`] launch frame.
-pub const WIRE_VERSION: u8 = 5;
+/// v6 dropped the allreduce broadcast frames and renumbered the tags.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -140,45 +141,39 @@ pub enum Tag {
     Hello = 1,
     /// Halo payload: boundary values for a neighbour's ghost columns.
     Halo = 2,
-    /// Leaf-to-root contribution of a scalar allreduce.
+    /// One rank's partial of a scalar allreduce, sent to every peer.
     GatherScalar = 3,
-    /// Leaf-to-root contribution of a vector allreduce.
+    /// One rank's partials of a vector allreduce, sent to every peer.
     GatherVec = 4,
-    /// Root-to-leaf result of a scalar allreduce.
-    BroadcastScalar = 5,
-    /// Root-to-leaf result of a vector allreduce.
-    BroadcastVec = 6,
     /// Recovery neighbourhood collective: request for remote entries.
-    RecoveryRequest = 7,
+    RecoveryRequest = 5,
     /// Recovery neighbourhood collective: values + validity flags reply.
-    RecoveryReply = 8,
+    RecoveryReply = 6,
     /// Worker-to-launcher final result report.
-    RankResult = 9,
+    RankResult = 7,
     /// Worker-to-launcher failure report.
-    RankError = 10,
+    RankError = 8,
     /// Mesh-wide resynchronization point after a rank rejoins.
-    RejoinBarrier = 11,
+    RejoinBarrier = 9,
     /// Worker-to-launcher trace buffer dump (follows the final report).
-    TraceDump = 12,
+    TraceDump = 10,
     /// Coupled cross-rank recovery: lost rows + surviving stencil support
     /// offered down the rank chain.
-    CoupledGather = 13,
+    CoupledGather = 11,
     /// Coupled cross-rank recovery: reconstructed row values shipped back
     /// up the rank chain.
-    CoupledResult = 14,
+    CoupledResult = 12,
     /// Launcher-to-worker launch configuration, written to the worker's stdin.
-    WorkerConfig = 15,
+    WorkerConfig = 13,
 }
 
 impl Tag {
     /// All tags in numbering order; also drives exhaustive round-trip tests.
-    pub const ALL: [Tag; 15] = [
+    pub const ALL: [Tag; 13] = [
         Tag::Hello,
         Tag::Halo,
         Tag::GatherScalar,
         Tag::GatherVec,
-        Tag::BroadcastScalar,
-        Tag::BroadcastVec,
         Tag::RecoveryRequest,
         Tag::RecoveryReply,
         Tag::RankResult,
@@ -251,28 +246,18 @@ pub enum Message {
         /// The boundary values.
         values: Vec<f64>,
     },
-    /// Scalar allreduce contribution from a leaf.
+    /// Scalar allreduce partial, sent by every rank to every peer.
     GatherScalar {
-        /// Contributing rank (determines fold order at the root).
+        /// Contributing rank (its place in every rank's fold).
         rank: u32,
         /// Local partial value.
         value: f64,
     },
-    /// Vector allreduce contribution from a leaf.
+    /// Vector allreduce partials, sent by every rank to every peer.
     GatherVec {
-        /// Contributing rank (determines fold order at the root).
+        /// Contributing rank (its place in every rank's fold).
         rank: u32,
         /// Local partial values.
-        values: Vec<f64>,
-    },
-    /// Scalar allreduce result from the root.
-    BroadcastScalar {
-        /// Reduced value.
-        value: f64,
-    },
-    /// Vector allreduce result from the root.
-    BroadcastVec {
-        /// Reduced values.
         values: Vec<f64>,
     },
     /// Request for remote vector entries during recovery.
@@ -421,8 +406,6 @@ impl Message {
             Message::Halo { .. } => Tag::Halo,
             Message::GatherScalar { .. } => Tag::GatherScalar,
             Message::GatherVec { .. } => Tag::GatherVec,
-            Message::BroadcastScalar { .. } => Tag::BroadcastScalar,
-            Message::BroadcastVec { .. } => Tag::BroadcastVec,
             Message::RecoveryRequest { .. } => Tag::RecoveryRequest,
             Message::RecoveryReply { .. } => Tag::RecoveryReply,
             Message::RankResult { .. } => Tag::RankResult,
@@ -464,8 +447,6 @@ impl Message {
                 put_u32(out, *rank);
                 put_f64s(out, values);
             }
-            Message::BroadcastScalar { value } => put_f64(out, *value),
-            Message::BroadcastVec { values } => put_f64s(out, values),
             Message::RecoveryRequest { indices } => put_u64s(out, indices),
             Message::RecoveryReply { values, valid } => {
                 assert_eq!(values.len(), valid.len(), "reply values/valid must align");
@@ -612,12 +593,6 @@ impl Message {
             },
             Tag::GatherVec => Message::GatherVec {
                 rank: rd.take_u32()?,
-                values: rd.take_f64s_rest()?,
-            },
-            Tag::BroadcastScalar => Message::BroadcastScalar {
-                value: rd.take_f64()?,
-            },
-            Tag::BroadcastVec => Message::BroadcastVec {
                 values: rd.take_f64s_rest()?,
             },
             Tag::RecoveryRequest => {
@@ -1007,11 +982,7 @@ mod tests {
             },
             Message::GatherVec {
                 rank: 2,
-                values: vec![0.1, 0.2, 0.30000000000000004],
-            },
-            Message::BroadcastScalar { value: 42.0 },
-            Message::BroadcastVec {
-                values: vec![-1.0, f64::NAN, 3.5],
+                values: vec![0.1, f64::NAN, 0.30000000000000004],
             },
             Message::RecoveryRequest {
                 indices: vec![0, 17, u64::MAX / 2],
@@ -1102,7 +1073,7 @@ mod tests {
             let decoded = reader.read_message(&mut cursor).unwrap();
             // Compare float payloads bitwise (NaN != NaN under PartialEq).
             match (&msg, &decoded) {
-                (Message::BroadcastVec { values: a }, Message::BroadcastVec { values: b }) => {
+                (Message::GatherVec { values: a, .. }, Message::GatherVec { values: b, .. }) => {
                     assert_eq!(bits(a), bits(b));
                 }
                 _ => assert_eq!(msg, decoded),
@@ -1235,10 +1206,14 @@ mod tests {
 
     #[test]
     fn header_is_self_describing() {
-        let frame = Message::BroadcastScalar { value: 7.0 }.encode();
+        let frame = Message::GatherScalar {
+            rank: 1,
+            value: 7.0,
+        }
+        .encode();
         let header: [u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().unwrap();
         let (tag, len) = parse_header(&header).unwrap();
-        assert_eq!(tag, Tag::BroadcastScalar);
+        assert_eq!(tag, Tag::GatherScalar);
         assert_eq!(len as usize, frame.len() - HEADER_LEN);
     }
 }

@@ -574,8 +574,11 @@ impl RankComm {
     }
 
     /// Number of collectives this endpoint has entered (scalar and vector,
-    /// blocking and split-phase, including [`RankComm::fault_flag`]). Halo
-    /// and recovery exchanges are point-to-point and do not count.
+    /// blocking and split-phase, including [`RankComm::fault_flag`]). A fault
+    /// flag riding as a lane of another reduction adds nothing, so a
+    /// fault-free protected CG iteration counts 2 and PCG 3, as the plain
+    /// loops do. Halo and recovery exchanges are point-to-point and do not
+    /// count.
     pub fn collectives(&self) -> u64 {
         self.collectives.get()
     }
@@ -591,11 +594,14 @@ impl RankComm {
         self.link.rejoin(failed, iteration)
     }
 
-    /// Global "did anyone fault?" indicator, built on the deterministic sum
-    /// allreduce. Every rank contributes its local count of freshly
-    /// discovered losses; the recovery round only runs when the result is
-    /// true, so the fault-free path pays one scalar reduction and no data
-    /// movement.
+    /// Global "did anyone fault?" indicator as a collective of its own,
+    /// built on the deterministic sum allreduce: every rank contributes its
+    /// local count of freshly discovered losses. Only the merged loops call
+    /// it: once on a faulted forward round (the blank-acceptance rebuild
+    /// flag), and on every iteration of their TrivialReplace, Checkpoint
+    /// and LossyRestart sweeps. The forward policies' fault-free flag rides
+    /// as one more lane of a reduction the iteration already runs, as every
+    /// classic protected policy's does.
     pub fn fault_flag(&self, local_faults: usize) -> Result<bool, CommError> {
         Ok(self.allreduce_sum(local_faults as f64)? > 0.0)
     }
@@ -644,8 +650,8 @@ impl RankComm {
     /// immediately, without serving incoming requests or collecting replies.
     ///
     /// This is the AFEIR in-window prefetch hook: a rank that already knows
-    /// its round-1 requests posts them while the fault-flag / merged-scalar
-    /// reduction is still in flight, so the peers' answers overlap the
+    /// its round-1 requests posts them while the reduction carrying the
+    /// fault flag is still in flight, so the peers' answers overlap the
     /// reduction wait. The caller must later finish the round with
     /// [`RankComm::complete_recovery_exchange`] passing `posted = true` and
     /// the *same* request map, or the neighbourhood deadlocks.

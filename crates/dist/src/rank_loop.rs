@@ -14,8 +14,8 @@
 //!   and every collective happens in exactly the order of the plain
 //!   [`distributed_cg`](crate::cg::distributed_cg) /
 //!   [`distributed_pcg`](crate::pcg::distributed_pcg) loops, on the same
-//!   values (the scrub points do no floating-point work and the fault flag
-//!   is a separate scalar allreduce);
+//!   values (the scrub points do no floating-point work, and the fault flag
+//!   rides the ε reduction as a second lane that folds nothing into ε);
 //! * **AFEIR overlaps the reduction wait itself** — reconstruction is
 //!   planned beside the partial reductions (the PR 3 overlap) *and*, via
 //!   the split-phase [`RankComm::start_allreduce`], the coupled solves and
@@ -393,6 +393,24 @@ pub(crate) fn init_collectives(
     Ok(())
 }
 
+/// One collective reduces `[‖g‖², local_faults]`: `Some(ε)` — bitwise the
+/// scalar `allreduce_sum` of `‖g‖²` — when no rank lost a page, else `None`
+/// (the caller repairs, then reduces ε again). `prefetch` (AFEIR) posts the
+/// round-1 recovery requests inside the collective's window.
+fn eps_unless_faulted(
+    comm: &RankComm,
+    g: &[f64],
+    local_faults: usize,
+    prefetch: Option<&HashMap<usize, Vec<usize>>>,
+) -> Result<Option<f64>, CommError> {
+    let pending = comm.start_allreduce_vec(vec![kernels::norm2_squared(g), local_faults as f64])?;
+    if let Some(requests) = prefetch {
+        comm.post_recovery_requests(requests)?;
+    }
+    let sums = pending.finish()?;
+    Ok((sums[1] == 0.0).then_some(sums[0]))
+}
+
 /// The iteration phase: runs from `state.t` until convergence, breakdown or
 /// the iteration cap, mutating `state` in place. A transport failure
 /// surfaces as the typed [`CommError`] with `state` intact at the failed
@@ -417,6 +435,15 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
     // their own backend over the lost rows on demand (the analyzer's row
     // floor keeps page-sized blocks on CSR under `auto`).
     let op = SpmvBackend::select_rows(a, own.clone());
+    // Residual replacement after a rollback or restart: g = b − A·x, then ε.
+    let replace_residual = |x_full: &mut [f64], g: &mut [f64]| -> Result<f64, CommError> {
+        comm.exchange_halo(x_full)?;
+        op.spmv(a, x_full, g);
+        for (k, r) in own.clone().enumerate() {
+            g[k] = b[r] - g[k];
+        }
+        comm.allreduce_sum(kernels::norm2_squared(g))
+    };
 
     let SolveState {
         x_full,
@@ -683,8 +710,8 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 // Cross-rank round request set: the remote stencil entries
                 // of every lost row (x is never exchanged by CG, so this is
                 // the only way to evaluate the off-diagonal terms). Computed
-                // before the fault flag so the AFEIR path can post it inside
-                // the flag's own reduction window.
+                // before the flagged ε reduction so the AFEIR path can post
+                // it inside that reduction's window.
                 let lost_rows: Vec<usize> = lost_x
                     .iter()
                     .chain(&lost_g)
@@ -702,25 +729,18 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     .iter()
                     .flat_map(|&p| global_rows(own.start, pages, p))
                     .collect();
-                // In-window AFEIR: a rank that already knows it lost pages
-                // posts its round-1 recovery requests while the global fault
-                // flag is still in flight, so the peers' replies overlap the
-                // reduction wait. A local loss forces the flag true, so a
-                // posted request is always consumed; the fault-free path
-                // posts nothing and performs the identical scalar collective.
+                // In-window AFEIR: a rank that lost pages posts its round-1
+                // requests while the flagged ε reduction is in flight, so the
+                // replies overlap its wait. Posted ⇒ consumed: a local loss
+                // makes lane 1 > 0 on every rank, so all take the recovery
+                // path below.
                 let posted = ctx.policy == RecoveryPolicy::Afeir && !lost_rows.is_empty();
-                let faulty = if ctx.policy == RecoveryPolicy::Afeir {
-                    let pending = comm.start_allreduce((lost_x.len() + lost_g.len()) as f64)?;
-                    if posted {
-                        comm.post_recovery_requests(&requests)?;
-                    }
-                    pending.finish()? > 0.0
-                } else {
-                    comm.fault_flag(lost_x.len() + lost_g.len())?
-                };
+                let faults = lost_x.len() + lost_g.len();
                 *rho_old = rho;
-                if !faulty {
-                    *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
+                if let Some(clean) =
+                    eps_unless_faulted(comm, g, faults, posted.then_some(&requests))?
+                {
+                    *eps = clean;
                     *t += 1;
                     continue;
                 }
@@ -734,173 +754,97 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 // below tries to solve the boundary-spanning union exactly.
                 let (rec_x, rec_g, conflicted) = split_related(&lost_x, &lost_g);
                 let mut counters = InstallCounters::default();
-                let reconstruct = |rows: &[usize], rhs: &[f64], view: &[f64]| -> Option<Vec<f64>> {
-                    relations.reconstruct_iterate(rows, rhs, view)
-                };
-                let blanks_from = |invalid2: Vec<usize>| -> Vec<usize> {
-                    let mut blank_x: Vec<usize> = conflicted
-                        .iter()
-                        .flat_map(|&p| global_rows(own.start, pages, p))
-                        .chain(invalid2)
-                        .collect();
-                    blank_x.sort_unstable();
-                    blank_x.dedup();
-                    blank_x
-                };
-                if ctx.policy == RecoveryPolicy::Afeir && lost_g.is_empty() {
-                    // AFEIR with only iterate losses: ε does not depend on x,
-                    // so the local partial is final immediately and the
-                    // *entire* reconstruction — coupled waves, re-validation,
-                    // planning and installation — overlaps the reduction
-                    // wait through the split-phase allreduce.
+                // AFEIR with only iterate losses: ε does not depend on x, so
+                // the local partial is final now and the *entire*
+                // reconstruction — coupled waves, re-validation, planning and
+                // installation — overlaps the split-phase reduction wait.
+                let eps_in_flight = if ctx.policy == RecoveryPolicy::Afeir && lost_g.is_empty() {
                     let mut sum = 0.0;
                     for p in 0..pages.num_blocks() {
                         sum += kernels::norm2_squared(&g[pages.range(p)]);
                     }
-                    let pending = comm.start_allreduce(sum)?;
-                    let (coupled, invalid2, fetched2) = coupled_round(
-                        comm,
-                        a,
-                        pages,
-                        &own,
-                        &rec_x,
-                        &lost_x,
-                        &own_blank_x,
-                        &requests,
-                        &invalid_fetched,
-                        g,
-                        x_full,
-                        reconstruct,
-                    )?;
-                    *cross_rank_values += fetched2 + coupled.values_gathered;
-                    let blank_x = blanks_from(invalid2);
-                    let plan = plan_state_fixes(
-                        relations,
-                        a,
-                        pages,
-                        own.start,
-                        StateLosses {
-                            rec_x: &rec_x,
-                            rec_g: &rec_g,
-                            blank_x: &blank_x,
-                            cross_rank: &coupled.recovered_pages,
-                        },
-                        g,
-                        x_full,
-                    );
-                    install_state_plan(
-                        &plan,
-                        pages,
-                        registry,
-                        &conflicted,
-                        x_full,
-                        g,
-                        &mut counters,
-                    );
-                    *eps = pending.finish()?;
+                    Some(comm.start_allreduce(sum)?)
                 } else {
-                    // Coupled cross-rank round in the critical path (FEIR)
-                    // or ahead of the overlapped planning (AFEIR with
-                    // residual losses, whose ε needs the repaired g first).
-                    let (coupled, invalid2, fetched2) = coupled_round(
-                        comm,
-                        a,
-                        pages,
-                        &own,
-                        &rec_x,
-                        &lost_x,
-                        &own_blank_x,
-                        &requests,
-                        &invalid_fetched,
-                        g,
-                        x_full,
-                        reconstruct,
-                    )?;
-                    *cross_rank_values += fetched2 + coupled.values_gathered;
-                    let blank_x = blanks_from(invalid2);
-                    if ctx.policy == RecoveryPolicy::Feir {
-                        // Critical path: reconstruct, install, reduce over
-                        // the repaired residual.
-                        let plan = plan_state_fixes(
-                            relations,
-                            a,
-                            pages,
-                            own.start,
-                            StateLosses {
-                                rec_x: &rec_x,
-                                rec_g: &rec_g,
-                                blank_x: &blank_x,
-                                cross_rank: &coupled.recovered_pages,
-                            },
-                            g,
-                            x_full,
-                        );
-                        install_state_plan(
-                            &plan,
-                            pages,
-                            registry,
-                            &conflicted,
-                            x_full,
-                            g,
-                            &mut counters,
-                        );
-                        *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
-                    } else {
-                        // AFEIR with residual losses: plan beside the partial
-                        // ε reduction, patch the recovered pages'
-                        // contributions from the planned values, then install
-                        // during the reduction wait.
-                        let (plan, partial) = overlap(
-                            true,
-                            || {
-                                plan_state_fixes(
-                                    relations,
-                                    a,
-                                    pages,
-                                    own.start,
-                                    StateLosses {
-                                        rec_x: &rec_x,
-                                        rec_g: &rec_g,
-                                        blank_x: &blank_x,
-                                        cross_rank: &coupled.recovered_pages,
-                                    },
-                                    g,
-                                    x_full,
-                                )
-                            },
-                            || {
-                                let mut sum = 0.0;
-                                for p in 0..pages.num_blocks() {
-                                    if !lost_g.contains(&p) {
-                                        sum += kernels::norm2_squared(&g[pages.range(p)]);
-                                    }
+                    None
+                };
+                // The coupled round: inside that window, in the critical path
+                // (FEIR), or ahead of the overlapped planning (AFEIR with
+                // residual losses, whose ε needs the repaired g first).
+                let (coupled, invalid2, fetched2) = coupled_round(
+                    comm,
+                    a,
+                    pages,
+                    &own,
+                    &rec_x,
+                    &lost_x,
+                    &own_blank_x,
+                    &requests,
+                    &invalid_fetched,
+                    g,
+                    x_full,
+                    |rows, rhs, view| relations.reconstruct_iterate(rows, rhs, view),
+                )?;
+                *cross_rank_values += fetched2 + coupled.values_gathered;
+                let mut blank_x: Vec<usize> = conflicted
+                    .iter()
+                    .flat_map(|&p| global_rows(own.start, pages, p))
+                    .chain(invalid2)
+                    .collect();
+                blank_x.sort_unstable();
+                blank_x.dedup();
+                let losses = StateLosses {
+                    rec_x: &rec_x,
+                    rec_g: &rec_g,
+                    blank_x: &blank_x,
+                    cross_rank: &coupled.recovered_pages,
+                };
+                // AFEIR's ε reduction is in flight by the installation below
+                // (posted above, or here once planned); FEIR reduces after it.
+                let (plan, pending) = if ctx.policy == RecoveryPolicy::Afeir && !lost_g.is_empty() {
+                    // AFEIR with residual losses: plan beside the partial ε
+                    // reduction, patch the recovered pages' contributions
+                    // from the planned values, then install during the
+                    // reduction wait.
+                    let (plan, partial) = overlap(
+                        true,
+                        || plan_state_fixes(relations, a, pages, own.start, losses, g, x_full),
+                        || {
+                            let mut sum = 0.0;
+                            for p in 0..pages.num_blocks() {
+                                if !lost_g.contains(&p) {
+                                    sum += kernels::norm2_squared(&g[pages.range(p)]);
                                 }
-                                sum
-                            },
-                        );
-                        let mut sum = partial;
-                        for &p in &lost_g {
-                            // Conflicted and abandoned pages stay blank and
-                            // contribute an exact zero, which adding would not
-                            // change the bits of a non-negative partial sum.
-                            if let Some((_, values)) = plan.g_fixes.iter().find(|(fp, _)| *fp == p)
-                            {
-                                sum += kernels::norm2_squared(values);
                             }
+                            sum
+                        },
+                    );
+                    let mut sum = partial;
+                    for &p in &lost_g {
+                        // Conflicted and abandoned pages stay blank and
+                        // contribute an exact zero, which adding would not
+                        // change the bits of a non-negative partial sum.
+                        if let Some((_, values)) = plan.g_fixes.iter().find(|(fp, _)| *fp == p) {
+                            sum += kernels::norm2_squared(values);
                         }
-                        let pending = comm.start_allreduce(sum)?;
-                        install_state_plan(
-                            &plan,
-                            pages,
-                            registry,
-                            &conflicted,
-                            x_full,
-                            g,
-                            &mut counters,
-                        );
-                        *eps = pending.finish()?;
                     }
-                }
+                    (plan, Some(comm.start_allreduce(sum)?))
+                } else {
+                    let plan = plan_state_fixes(relations, a, pages, own.start, losses, g, x_full);
+                    (plan, eps_in_flight)
+                };
+                install_state_plan(
+                    &plan,
+                    pages,
+                    registry,
+                    &conflicted,
+                    x_full,
+                    g,
+                    &mut counters,
+                );
+                *eps = match pending {
+                    Some(pending) => pending.finish()?,
+                    None => comm.allreduce_sum(kernels::norm2_squared(g))?,
+                };
                 *pages_recovered += counters.recovered;
                 *pages_ignored += counters.ignored;
                 *pages_coupled += counters.coupled;
@@ -942,21 +886,15 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 }
                 let lost_total = blank_sweep(registry, pages, sweep);
                 *pages_ignored += lost_total;
-                if comm.fault_flag(lost_total)? {
-                    comm.exchange_halo(x_full)?;
-                    op.spmv(a, x_full, g);
-                    for (k, r) in own.clone().enumerate() {
-                        g[k] = b[r] - g[k];
-                    }
+                if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
+                    *rho_old = rho;
+                    *eps = clean;
+                } else {
                     d.iter_mut().for_each(|v| *v = 0.0);
                     *restarts += 1;
                     *rho_old = f64::INFINITY;
-                    *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
-                    *t += 1;
-                    continue;
+                    *eps = replace_residual(x_full, g)?;
                 }
-                *rho_old = rho;
-                *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
             }
             RecoveryPolicy::Checkpoint { .. } => {
                 let mut sweep: Vec<(_, &mut [f64])> = vec![
@@ -969,7 +907,10 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     sweep.push((ids::Z, &mut z[..]));
                 }
                 let lost_total = blank_sweep(registry, pages, sweep);
-                if comm.fault_flag(lost_total)? {
+                if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
+                    *rho_old = rho;
+                    *eps = clean;
+                } else {
                     // Global rollback: every rank restores its local
                     // checkpoint, then the residual is recomputed from the
                     // restored iterate (one extra halo exchange of x).
@@ -981,18 +922,9 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     {
                         *rollbacks += 1;
                     }
-                    comm.exchange_halo(x_full)?;
-                    op.spmv(a, x_full, g);
-                    for (k, r) in own.clone().enumerate() {
-                        g[k] = b[r] - g[k];
-                    }
                     *rho_old = scalars.get(1).copied().unwrap_or(f64::INFINITY);
-                    *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
-                    *t += 1;
-                    continue;
+                    *eps = replace_residual(x_full, g)?;
                 }
-                *rho_old = rho;
-                *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
             }
             RecoveryPolicy::LossyRestart => {
                 let lost_x = scrub_blank(registry, ids::X, pages, &mut x_full[own.clone()]);
@@ -1005,7 +937,10 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     sweep.push((ids::Z, &mut z[..]));
                 }
                 let lost_total = lost_x.len() + blank_sweep(registry, pages, sweep);
-                if comm.fault_flag(lost_total)? {
+                if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
+                    *rho_old = rho;
+                    *eps = clean;
+                } else {
                     // Interpolate the lost iterate pages (block-Jacobi step,
                     // no residual term), fetching the remote stencil entries
                     // first, then restart globally. Lossy interpolation has
@@ -1033,20 +968,11 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     }
                     // Restart: recompute g from the interpolated iterate and
                     // discard the Krylov space.
-                    comm.exchange_halo(x_full)?;
-                    op.spmv(a, x_full, g);
-                    for (k, r) in own.clone().enumerate() {
-                        g[k] = b[r] - g[k];
-                    }
                     d.iter_mut().for_each(|v| *v = 0.0);
                     *restarts += 1;
                     *rho_old = f64::INFINITY;
-                    *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
-                    *t += 1;
-                    continue;
+                    *eps = replace_residual(x_full, g)?;
                 }
-                *rho_old = rho;
-                *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
             }
         }
         *t += 1;

@@ -28,9 +28,10 @@
 //! faults both solvers are bitwise-identical to their plain counterparts**
 //! ([`distributed_cg`](crate::cg::distributed_cg) /
 //! [`distributed_pcg`](crate::pcg::distributed_pcg)): the scrub points do no
-//! floating-point work, the fault flag is a separate scalar allreduce, and
-//! every kernel call and reduction happens in the same order on the same
-//! values.
+//! floating-point work, the fault flag rides the ε reduction as a second
+//! lane (so a fault-free iteration enters the plain loop's 2 or 3
+//! collectives), and every kernel call and reduction happens in the same
+//! order on the same values.
 
 use std::time::{Duration, Instant};
 

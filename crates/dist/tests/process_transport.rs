@@ -11,9 +11,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use feir_dist::{
-    distributed_cg, distributed_pcg, solve_with_processes, spawn_workers, spawn_workers_with,
-    ChaosConfig, CommError, DistSolveResult, ProcessError, ProcessSpec, Transport, WorkerHandles,
-    WorkerOptions, WorkerSolver,
+    distributed_cg, distributed_pcg, distributed_resilient_cg, solve_with_processes, spawn_workers,
+    spawn_workers_with, ChaosConfig, CommError, DistResilienceConfig, DistSolveResult,
+    ProcessError, ProcessSpec, Transport, WorkerHandles, WorkerOptions, WorkerSolver,
 };
 use feir_recovery::RecoveryPolicy;
 use feir_sparse::generators::{manufactured_rhs, poisson_2d};
@@ -229,6 +229,47 @@ fn chaos_mesh_over_tcp_is_bitwise_identical_to_clean_at_2_and_4_ranks() {
         let clean = distributed_cg(&a, &b, ranks, spec.tolerance, spec.max_iterations);
         assert_bitwise_identical(&format!("chaos-cg/tcp/ranks{ranks}"), &lossy, &clean);
     }
+}
+
+/// A fault-free AFEIR solve over two worker processes puts an exact number
+/// of data frames on the wire. Each rank sends one frame to its one peer per
+/// collective and one halo frame per iteration. An iteration enters two
+/// collectives, `⟨d,q⟩` and the ε reduction whose second lane is the fault
+/// flag, so it costs 3 frames per rank. Set-up adds the two opening
+/// collectives (‖b‖, the first ε): 2 frames per rank. Teardown adds none;
+/// the handshake is not a data frame and the report goes to stdout. Total:
+/// `2 · (3 · iterations + 2)`.
+#[test]
+fn fault_free_afeir_over_processes_sends_three_frames_per_iteration_per_rank() {
+    let grid = 14;
+    let a = poisson_2d(grid);
+    let (_, b) = manufactured_rhs(&a, 5);
+    let spec = ProcessSpec {
+        page_doubles: 16,
+        ..ProcessSpec::cg(grid, 2)
+    };
+    let options = WorkerOptions {
+        policy: Some(RecoveryPolicy::Afeir),
+        ..WorkerOptions::default()
+    };
+    let via_processes = solve_uds_with(&spec, &options);
+    let in_process = distributed_resilient_cg(
+        &a,
+        &b,
+        spec.ranks,
+        DistResilienceConfig::for_policy(RecoveryPolicy::Afeir)
+            .with_page_doubles(spec.page_doubles)
+            .with_tolerance(spec.tolerance)
+            .with_max_iterations(spec.max_iterations),
+    );
+    let plain = distributed_cg(&a, &b, spec.ranks, spec.tolerance, spec.max_iterations);
+    assert_bitwise_identical("afeir/ranks2", &via_processes, &plain);
+    assert_eq!(via_processes.iterations, in_process.iterations);
+    assert_eq!(via_processes.allreduces, in_process.allreduces);
+    let iterations = via_processes.iterations as u64;
+    assert_eq!(via_processes.allreduces, 2 * iterations + 2);
+    assert_eq!(via_processes.net.retransmits, 0);
+    assert_eq!(via_processes.net.data_frames, 2 * (3 * iterations + 2));
 }
 
 /// Spawns an elastic fleet, kills rank 1 mid-solve, respawns it, and joins.

@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use feir_dist::resilient::{recover_direction_rows, recover_iterate_rows};
 use feir_dist::{
-    distributed_cg, distributed_resilient_cg, DistResilienceConfig, DistResilientCg,
-    InjectionDriver, ProtectedVector, ScriptedFault,
+    distributed_cg, distributed_resilient_cg, distributed_resilient_pcg, DistResilienceConfig,
+    DistResilientCg, InjectionDriver, ProtectedVector, ScriptedFault,
 };
 use feir_pagemem::InjectionPlan;
 use feir_recovery::{BlockRecovery, RecoveryPolicy};
@@ -72,6 +72,84 @@ fn zero_fault_run_is_bitwise_identical_to_distributed_cg() {
             assert_eq!(resilient.faults.total_injected(), 0);
             assert_eq!(resilient.pages_recovered, 0);
             assert_eq!(resilient.cross_rank_values, 0);
+        }
+    }
+}
+
+/// Protection is free on the collective count: a fault-free protected
+/// iteration carries its fault flag as a lane of the ε reduction, so it
+/// enters exactly the plain loop's collectives — CG `⟨d,q⟩` and `ε`, PCG
+/// also `⟨z,g⟩` — on top of the two opening ones (‖b‖ and the first ε).
+#[test]
+fn fault_free_protected_loops_enter_the_plain_collective_count() {
+    let a = poisson_2d(14);
+    let (_, b) = manufactured_rhs(&a, 11);
+    for ranks in [1usize, 2, 4] {
+        for policy in [
+            RecoveryPolicy::Feir,
+            RecoveryPolicy::Afeir,
+            RecoveryPolicy::TrivialReplace,
+            RecoveryPolicy::Checkpoint { interval: 5 },
+            RecoveryPolicy::LossyRestart,
+        ] {
+            let cg = distributed_resilient_cg(&a, &b, ranks, config(policy));
+            assert!(cg.converged, "{policy:?} cg at {ranks} ranks");
+            assert_eq!(
+                cg.allreduces,
+                2 * cg.iterations as u64 + 2,
+                "{policy:?} cg at {ranks} ranks: {} iterations",
+                cg.iterations
+            );
+            let pcg = distributed_resilient_pcg(&a, &b, ranks, config(policy));
+            assert!(pcg.converged, "{policy:?} pcg at {ranks} ranks");
+            assert_eq!(
+                pcg.allreduces,
+                3 * pcg.iterations as u64 + 2,
+                "{policy:?} pcg at {ranks} ranks: {} iterations",
+                pcg.iterations
+            );
+        }
+    }
+}
+
+/// A faulted iteration discards the flagged ε lane and reduces ε again over
+/// the repaired residual: exactly one collective more than a fault-free
+/// iteration, whether the lost page is the residual's or the iterate's.
+#[test]
+fn a_faulted_iteration_enters_exactly_one_extra_collective() {
+    let a = poisson_2d(16);
+    let (_, b) = manufactured_rhs(&a, 9);
+    for vector in [ProtectedVector::G, ProtectedVector::X] {
+        for policy in [RecoveryPolicy::Feir, RecoveryPolicy::Afeir] {
+            let fault = ScriptedFault {
+                iteration: 5,
+                rank: 1,
+                vector,
+                page: 3,
+            };
+            let report = distributed_resilient_cg(
+                &a,
+                &b,
+                2,
+                config(policy).with_scripted_faults(vec![fault]),
+            );
+            let label = format!("{policy:?} losing a {} page", vector.name());
+            assert!(report.converged, "{label}");
+            assert_eq!(
+                (
+                    report.pages_recovered,
+                    report.pages_ignored,
+                    report.pages_coupled
+                ),
+                (1, 0, 0),
+                "{label}"
+            );
+            assert_eq!(
+                report.allreduces,
+                2 * report.iterations as u64 + 2 + 1,
+                "{label}: {} iterations",
+                report.iterations
+            );
         }
     }
 }

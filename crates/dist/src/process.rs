@@ -22,12 +22,17 @@
 //! [`feir_wire::chaos`]: each inner wire frame travels as a numbered data
 //! record, a per-link reader thread reassembles records **in sequence order**
 //! (dropping duplicates, holding reordered records back) and acknowledges
-//! cumulatively, and the sender retransmits the oldest unacknowledged record
-//! with exponential backoff until [`MeshOptions::max_retries`] is exhausted.
-//! The retransmit timer is driven by whichever thread the loss stalls: a
-//! rank blocked in a receive sleeps until the earliest retransmit deadline
-//! over all of its links and re-sends what expired, a closing link drains
-//! the same way, and the reader thread covers a rank that is computing.
+//! cumulatively. A record parked ahead of the next expected one, or a
+//! rejected frame in its place, reveals a gap: the receiver NACKs the gap
+//! once and the sender re-sends that record at once, so a loss a later frame
+//! reveals costs about one round trip (a clean wire never NACKs). A loss
+//! nothing reveals waits for the timer: the sender retransmits the oldest
+//! unacknowledged record with exponential backoff until
+//! [`MeshOptions::max_retries`] is exhausted. The timer is driven by
+//! whichever thread the loss stalls: a rank blocked in a receive sleeps
+//! until the earliest retransmit deadline over all of its links and re-sends
+//! what expired, a closing link drains the same way, and the reader thread
+//! covers a rank that is computing.
 //! Because delivery is exactly-once-in-order, the message sequence the
 //! solver observes over a faulty link is *identical* to the clean one — a
 //! lossy-mesh solve is therefore bitwise-identical to a clean-mesh solve.
@@ -98,6 +103,7 @@ use feir_recovery::RecoveryPolicy;
 use feir_sparse::{SpmvFormat, ENV_SPMV_FORMAT};
 use feir_wire::chaos::{
     parse_envelope, ChaosLink, FaultPlan, FaultRates, LinkStats, ENVELOPE_LEN, ENV_ACK, ENV_DATA,
+    ENV_NACK,
 };
 use feir_wire::{FrameReader, Message, RankErrorKind, Tag, WireError, WorkerConfig};
 
@@ -392,7 +398,7 @@ struct SendState {
 
 /// State shared between a link's owner (sends, and the retransmit timer
 /// while it is blocked receiving or draining) and its reader thread (acks,
-/// the timer's backstop, teardown). Lock order: `sendq` before `writer`.
+/// NACKs, the timer's backstop, teardown). Lock order: `sendq` → `writer`.
 #[derive(Debug)]
 struct LinkShared {
     peer: usize,
@@ -524,13 +530,33 @@ impl LinkShared {
             self.mark_down(LinkDown::AckTimeout);
             return false;
         }
+        self.resend_head(sendq)
+    }
+
+    /// The peer reported record `seq` missing: re-send it now if it is the
+    /// head on its first attempt. A re-sent record is left to its timer, so a
+    /// stale or repeated NACK re-sends nothing. `false`: the link is dead.
+    fn nack(&self, seq: u64) -> bool {
+        if self.is_down() {
+            return false;
+        }
+        let sendq = self.sendq.lock().expect("link send lock");
+        let first = |head: &SendRecord| head.seq == seq && head.attempt == 0;
+        if self.max_retries > 0 && sendq.unacked.front().is_some_and(first) {
+            return self.resend_head(sendq);
+        }
+        true
+    }
+
+    /// Re-sends the head record and re-arms its timer. `sendq` stays held
+    /// across the write (lock order sendq → writer) so a concurrent send
+    /// cannot interleave a fresh record mid-retransmit — which is also what
+    /// lets the frame be written from the queue in place. `false`: link dead.
+    fn resend_head(&self, mut sendq: std::sync::MutexGuard<'_, SendState>) -> bool {
+        let head = sendq.unacked.front_mut().expect("a record in flight");
         head.attempt += 1;
         head.sent_at = Instant::now();
         feir_trace::instant(feir_trace::Phase::Retransmit);
-        // sendq stays held across the write (lock order sendq → writer) so a
-        // concurrent send cannot interleave a fresh record mid-retransmit —
-        // which is also what lets the frame be written from the queue in
-        // place.
         let ok = {
             let mut writer = self.writer.lock().expect("link writer lock");
             writer
@@ -540,9 +566,8 @@ impl LinkShared {
         drop(sendq);
         if !ok {
             self.mark_down(LinkDown::Eof);
-            return false;
         }
-        true
+        ok
     }
 }
 
@@ -575,8 +600,8 @@ fn read_full(stream: &mut Stream, buf: &mut [u8], shared: &LinkShared) -> bool {
 
 /// The per-link reader thread: reassembles data records in sequence order,
 /// forwards exactly-once-in-order messages to the owner, acknowledges
-/// cumulatively, and services the sender-side retransmission timer while
-/// the socket is idle. On exit the peer is registered in the endpoint's
+/// cumulatively, NACKs gaps and answers the peer's NACKs, and services the
+/// sender-side retransmission timer while the socket is idle. On exit the peer is registered in the endpoint's
 /// `downed` set so elastic receives notice the failure.
 fn reader_loop(
     mut stream: Stream,
@@ -587,6 +612,18 @@ fn reader_loop(
     let mut expected: u64 = 0;
     let mut reordered: BTreeMap<u64, Message> = BTreeMap::new();
     let mut env = [0u8; ENVELOPE_LEN];
+    // One NACK per gap, from the first frame that reveals it: later frames
+    // and duplicates stay silent, so a spurious re-send cannot chain.
+    let mut nacked = None;
+    let mut report_gap = |expected: u64| {
+        nacked.replace(expected) == Some(expected)
+            || shared
+                .writer
+                .lock()
+                .expect("link writer lock")
+                .write_nack(expected)
+                .is_ok()
+    };
     'link: loop {
         if !read_full(&mut stream, &mut env, &shared) {
             break 'link;
@@ -594,6 +631,11 @@ fn reader_loop(
         let (kind, seq, inner_len) = parse_envelope(&env);
         match kind {
             ENV_ACK => shared.acknowledge(seq),
+            ENV_NACK => {
+                if !shared.nack(seq) {
+                    break 'link;
+                }
+            }
             ENV_DATA => {
                 if inner_len as usize > feir_wire::HEADER_LEN + feir_wire::MAX_PAYLOAD as usize {
                     shared.mark_down(LinkDown::Corrupt(None));
@@ -605,9 +647,10 @@ fn reader_loop(
                 }
                 match feir_wire::decode_frame_buf(&inner) {
                     Ok(msg) => {
+                        let gap = seq > expected;
                         if seq < expected {
                             shared.stats.dup_received.fetch_add(1, Ordering::Relaxed);
-                        } else if seq > expected {
+                        } else if gap {
                             // Reordered ahead: park until the gap fills.
                             reordered.insert(seq, msg);
                         } else {
@@ -624,13 +667,15 @@ fn reader_loop(
                         }
                         // Always (re-)acknowledge: a lost ack is recovered by
                         // the duplicate the sender's retransmission causes.
-                        if shared
+                        // The ack goes first, so the NACK finds the missing
+                        // record at the head of the sender's queue.
+                        let acked = shared
                             .writer
                             .lock()
                             .expect("link writer lock")
                             .write_ack(expected)
-                            .is_err()
-                        {
+                            .is_ok();
+                        if !acked || (gap && !report_gap(expected)) {
                             shared.mark_down(LinkDown::Eof);
                             break 'link;
                         }
@@ -641,9 +686,12 @@ fn reader_loop(
                             shared.mark_down(LinkDown::Corrupt(Some(e)));
                             break 'link;
                         }
-                        // No ack: the sender's timeout re-delivers the frame
-                        // (retransmissions travel clean under the default
-                        // first-attempt-only fault plans).
+                        // Not yet delivered: a gap at `expected`, which the
+                        // RTO covers if its one NACK is already spent.
+                        if seq >= expected && !report_gap(expected) {
+                            shared.mark_down(LinkDown::Eof);
+                            break 'link;
+                        }
                     }
                 }
             }
@@ -2284,7 +2332,7 @@ pub fn worker_main() -> std::process::ExitCode {
 mod tests {
     use super::*;
     use feir_sparse::generators::poisson_2d;
-    use feir_wire::chaos::FaultKind;
+    use feir_wire::chaos::{encode_envelope, FaultKind};
     use std::collections::HashMap;
     use std::sync::Barrier;
 
@@ -2769,6 +2817,143 @@ mod tests {
         assert!(!shared.service_retransmits());
     }
 
+    /// A live link (reader thread included) over one end of a socket pair,
+    /// and the far end, from which a test plays the peer with raw
+    /// envelopes. The RTO is far longer than any test, so every re-send
+    /// seen is a NACK's.
+    fn raw_peer_link() -> (RLink, UnixStream) {
+        let (near, far) = UnixStream::pair().expect("socket pair");
+        far.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("far read timeout");
+        let options = MeshOptions {
+            retransmit_timeout: Duration::from_secs(60),
+            ..test_options()
+        };
+        let downed = Arc::new(Mutex::new(BTreeSet::new()));
+        let stats = Arc::new(LinkStats::default());
+        let link = build_rlink(Stream::Unix(near), 0, 1, &options, downed, stats).expect("link");
+        (link, far)
+    }
+
+    fn scalar(value: f64) -> Message {
+        Message::GatherScalar { rank: 1, value }
+    }
+
+    fn write_record(far: &mut UnixStream, kind: u8, seq: u64, inner: &[u8]) {
+        far.write_all(&encode_envelope(kind, seq, inner.len() as u32))
+            .expect("envelope write");
+        far.write_all(inner).expect("inner write");
+    }
+
+    /// The `(kind, seq)` of the next record the link wrote.
+    fn read_reply(far: &mut UnixStream) -> (u8, u64) {
+        let mut env = [0u8; ENVELOPE_LEN];
+        far.read_exact(&mut env).expect("reply envelope");
+        let (kind, seq, len) = parse_envelope(&env);
+        let mut inner = vec![0u8; len as usize];
+        far.read_exact(&mut inner).expect("reply inner frame");
+        (kind, seq)
+    }
+
+    /// Every record the link wrote back, up to and including its ack of
+    /// `seq`. The link writes in order, so whatever a test provoked before
+    /// that ack is in the list.
+    fn replies_until_ack(far: &mut UnixStream, seq: u64) -> Vec<(u8, u64)> {
+        let mut replies = vec![read_reply(far)];
+        while replies.last() != Some(&(ENV_ACK, seq)) {
+            replies.push(read_reply(far));
+        }
+        replies
+    }
+
+    #[test]
+    fn lossy_a_gap_is_nacked_once_by_the_first_frame_that_reveals_it() {
+        let (link, mut far) = raw_peer_link();
+        // Records 1 and 2 arrive ahead of the missing record 0; only the
+        // first of them reports the gap.
+        for seq in [1, 2, 0] {
+            write_record(&mut far, ENV_DATA, seq, &scalar(seq as f64).encode());
+        }
+        assert_eq!(
+            replies_until_ack(&mut far, 3),
+            [(ENV_ACK, 0), (ENV_NACK, 0), (ENV_ACK, 0), (ENV_ACK, 3)]
+        );
+        // A later gap is a new one and is reported in its turn.
+        for seq in [4, 3] {
+            write_record(&mut far, ENV_DATA, seq, &scalar(seq as f64).encode());
+        }
+        assert_eq!(
+            replies_until_ack(&mut far, 5),
+            [(ENV_ACK, 3), (ENV_NACK, 3), (ENV_ACK, 5)]
+        );
+        for seq in 0..5 {
+            let got = link.rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(got, scalar(seq as f64), "delivered in sequence order");
+        }
+    }
+
+    #[test]
+    fn lossy_a_rejected_frame_is_nacked_and_a_duplicate_or_in_order_frame_is_not() {
+        let (link, mut far) = raw_peer_link();
+        let mut corrupt = scalar(1.0).encode();
+        corrupt[0] ^= 1; // bad magic: the frame is rejected
+                         // In-order traffic and duplicates, valid or rejected, are only acked.
+        write_record(&mut far, ENV_DATA, 0, &scalar(0.0).encode());
+        write_record(&mut far, ENV_DATA, 0, &scalar(0.0).encode());
+        write_record(&mut far, ENV_DATA, 0, &corrupt);
+        write_record(&mut far, ENV_DATA, 1, &scalar(1.0).encode());
+        assert_eq!(
+            replies_until_ack(&mut far, 2),
+            [(ENV_ACK, 1), (ENV_ACK, 1), (ENV_ACK, 2)]
+        );
+        // A rejected frame in place of the next record is the gap: one
+        // NACK, however often it is rejected.
+        write_record(&mut far, ENV_DATA, 2, &corrupt);
+        write_record(&mut far, ENV_DATA, 2, &corrupt);
+        write_record(&mut far, ENV_DATA, 2, &scalar(2.0).encode());
+        assert_eq!(
+            replies_until_ack(&mut far, 3),
+            [(ENV_NACK, 2), (ENV_ACK, 3)]
+        );
+        assert_eq!(link.shared.stats.rejected.load(Ordering::Relaxed), 3);
+        assert_eq!(link.shared.stats.dup_received.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn lossy_a_nack_resends_the_head_once_and_only_on_its_first_attempt() {
+        let (mut link, mut far) = raw_peer_link();
+        for value in [0.0, 1.0] {
+            assert!(link.shared.transmit(&scalar(value).encode()));
+        }
+        assert_eq!(read_reply(&mut far), (ENV_DATA, 0));
+        assert_eq!(read_reply(&mut far), (ENV_DATA, 1));
+        // NACK(head) on its first attempt re-sends it; a repeated NACK (the
+        // head is now on attempt 1) and NACKs for other seqs do nothing.
+        for seq in [0, 0, 1, 7] {
+            write_record(&mut far, ENV_NACK, seq, &[]);
+        }
+        // The peer's own data record is acked only after those are handled.
+        write_record(&mut far, ENV_DATA, 0, &scalar(9.0).encode());
+        assert_eq!(
+            replies_until_ack(&mut far, 1),
+            [(ENV_DATA, 0), (ENV_ACK, 1)]
+        );
+        assert_eq!(link.shared.stats.retransmits.load(Ordering::Relaxed), 1);
+
+        // On a dead link a NACK re-sends nothing and ends the reader.
+        link.shared.mark_down(LinkDown::AckTimeout);
+        write_record(&mut far, ENV_NACK, 0, &[]);
+        link.thread.take().expect("reader thread").join().unwrap();
+        assert!(!link.shared.nack(0));
+        assert_eq!(link.shared.stats.retransmits.load(Ordering::Relaxed), 1);
+
+        // With retries disabled a NACK re-sends nothing either.
+        let (shared, _far) = bare_link(Duration::from_secs(60), 0);
+        assert!(shared.transmit(b"frame"));
+        assert!(shared.nack(0));
+        assert_eq!(shared.stats.retransmits.load(Ordering::Relaxed), 0);
+    }
+
     /// Replaces the fault plan of `ep`'s outgoing link to `peer` with one
     /// that drops the first attempt of exactly the listed sequence numbers.
     /// Call before the first send on that link.
@@ -2827,7 +3012,7 @@ mod tests {
     }
 
     #[test]
-    fn lossy_scripted_drops_cost_one_rto_each_and_change_no_result() {
+    fn lossy_scripted_drops_are_resent_on_the_next_frame_not_the_rto() {
         let ranks = 2;
         let rounds = 130u64;
         // Every allreduce moves one frame per direction, so round `r` is
@@ -2880,14 +3065,21 @@ mod tests {
         }
         let scripted = lost_to.iter().map(|lost| lost.len() as u64).sum();
         assert_only_lost_frames_were_resent(lossy.iter().map(|(_, _, net)| *net), scripted);
-        // The rank a lost frame was addressed to sits out the RTO in that
-        // round; its sender already has every partial and moves on.
+        // The rank a lost frame was addressed to stalls in that round; its
+        // sender already has every partial and moves on. The sender's next
+        // frame reveals the gap, so the receiver's NACK brings the re-send
+        // after about one round trip — not after the RTO.
         let stalls = lost_to
             .iter()
             .zip(&lossy)
             .flat_map(|(lost, (_, took, _))| lost.iter().map(|&round| took[round as usize]))
             .collect();
-        assert_stall_is_one_rto("2-rank allreduce", stalls);
+        let median = median(stalls);
+        assert!(
+            median < LOSSY_RTO / 4,
+            "2-rank allreduce: a lost frame stalls {median:?} at the median — it waited for \
+             the {LOSSY_RTO:?} RTO instead of the NACK"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       1     kind  (1 = data, 2 = ack)
+//! 0       1     kind  (1 = data, 2 = ack, 3 = nack)
 //! 1       8     sequence number, little-endian u64
 //! 9       4     inner frame length in bytes, little-endian u32
 //! 13      ...   inner frame (a complete feir-wire frame), data only
@@ -45,6 +45,9 @@ pub const ENV_DATA: u8 = 1;
 
 /// Envelope kind: a cumulative acknowledgement (empty inner frame).
 pub const ENV_ACK: u8 = 2;
+
+/// Envelope kind: a negative acknowledgement of the missing record `seq`.
+pub const ENV_NACK: u8 = 3;
 
 /// Encodes a reliability envelope header.
 pub fn encode_envelope(kind: u8, seq: u64, inner_len: u32) -> [u8; ENVELOPE_LEN] {
@@ -259,8 +262,8 @@ impl LinkStats {
 ///
 /// All reliability-layer writes for one directed link funnel through one
 /// `ChaosLink`, which applies the [`FaultPlan`] to data records and passes
-/// acknowledgements through untouched (faulting acks would only exercise
-/// the same retransmit path twice).
+/// acknowledgements and NACKs through untouched (faulting them would only
+/// exercise the same retransmit path twice).
 #[derive(Debug)]
 pub struct ChaosLink<W: Write> {
     inner: W,
@@ -366,8 +369,17 @@ impl<W: Write> ChaosLink<W> {
 
     /// Writes a cumulative acknowledgement record. Never faulted.
     pub fn write_ack(&mut self, ack_seq: u64) -> io::Result<()> {
-        self.inner
-            .write_all(&encode_envelope(ENV_ACK, ack_seq, 0))?;
+        self.write_control(ENV_ACK, ack_seq)
+    }
+
+    /// Writes a negative acknowledgement for the missing record `seq`.
+    /// Never faulted.
+    pub fn write_nack(&mut self, seq: u64) -> io::Result<()> {
+        self.write_control(ENV_NACK, seq)
+    }
+
+    fn write_control(&mut self, kind: u8, seq: u64) -> io::Result<()> {
+        self.inner.write_all(&encode_envelope(kind, seq, 0))?;
         self.inner.flush()?;
         self.flush_held()
     }
@@ -559,5 +571,30 @@ mod tests {
         assert_eq!(recs[0].0, ENV_ACK);
         assert_eq!(recs[1].0, ENV_DATA);
         assert_eq!(recs[1].1, 0);
+    }
+
+    #[test]
+    fn nack_is_never_faulted_and_flushes_a_held_delayed_record() {
+        // Every data seq is delayed on every attempt, so a fault decision
+        // for the NACK's seq would be one too.
+        let mut plan = FaultPlan::from_rates(
+            3,
+            FaultRates {
+                delay: 1.0,
+                ..FaultRates::default()
+            },
+        );
+        plan.first_attempt_only = false;
+        let stats = std::sync::Arc::new(LinkStats::default());
+        let mut link = ChaosLink::new(Vec::new(), plan, stats.clone());
+        link.write_data(0, 0, &frame()).unwrap();
+        assert!(records(link.get_mut()).is_empty(), "record is held");
+        link.write_nack(0).unwrap();
+        link.write_nack(1).unwrap();
+        let recs = records(link.get_mut());
+        let kinds: Vec<_> = recs.iter().map(|(kind, seq, _)| (*kind, *seq)).collect();
+        assert_eq!(kinds, [(ENV_NACK, 0), (ENV_DATA, 0), (ENV_NACK, 1)]);
+        assert!(recs[0].2.is_empty() && recs[2].2.is_empty());
+        assert_eq!(stats.faults(), 1, "only the data record was faulted");
     }
 }

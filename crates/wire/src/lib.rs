@@ -46,7 +46,10 @@ pub const MAGIC: [u8; 2] = [0xFE, 0x17];
 /// frames for cross-rank coupled recovery.
 /// v5 added the [`Message::WorkerConfig`] launch frame.
 /// v6 dropped the allreduce broadcast frames and renumbered the tags.
-pub const WIRE_VERSION: u8 = 6;
+/// v7 added the [`chaos::ENV_NACK`] envelope kind to the reliability
+/// sublayer, so a v6 peer fails at the `Hello` handshake rather than
+/// mid-solve on its first NACK.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 8;

@@ -205,8 +205,8 @@ const POLL_BUDGET: Duration = Duration::from_micros(50);
 /// keeps more ranks than cores correct and quick; the park tail bounds the CPU
 /// a long wait (a peer inside a repair, a stalled rank) can burn.
 ///
-/// Not used by the process backend: there the waiting thread would poll
-/// against its own link-reader thread for the core (see [`crate::process`]).
+/// Not used by the process backend: there the waiting thread reads its own
+/// socket and blocks in `poll(2)` until bytes arrive (see [`crate::process`]).
 fn wait_recv<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
     poll_recv(rx).unwrap_or_else(|| rx.recv())
 }

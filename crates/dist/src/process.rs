@@ -20,19 +20,24 @@
 //!
 //! After the handshake every link switches to the 13-byte chaos envelope of
 //! [`feir_wire::chaos`]: each inner wire frame travels as a numbered data
-//! record, a per-link reader thread reassembles records **in sequence order**
-//! (dropping duplicates, holding reordered records back) and acknowledges
+//! record, which the receiver reassembles **in sequence order** (dropping
+//! duplicates, holding reordered records back) and acknowledges
 //! cumulatively. A record parked ahead of the next expected one, or a
 //! rejected frame in its place, reveals a gap: the receiver NACKs the gap
 //! once and the sender re-sends that record at once, so a loss a later frame
 //! reveals costs about one round trip (a clean wire never NACKs). A loss
 //! nothing reveals waits for the timer: the sender retransmits the oldest
 //! unacknowledged record with exponential backoff until
-//! [`MeshOptions::max_retries`] is exhausted. The timer is driven by
-//! whichever thread the loss stalls: a rank blocked in a receive sleeps
-//! until the earliest retransmit deadline over all of its links and re-sends
-//! what expired, a closing link drains the same way, and the reader thread
-//! covers a rank that is computing.
+//! [`MeshOptions::max_retries`] is exhausted.
+//!
+//! A rank blocked in a receive reads and parses its own socket (it *pumps*
+//! the link: `poll(2)`, one read, every complete record), so a clean frame
+//! costs one wake of the thread that wants it — no hand-off. It sleeps until
+//! the earliest of its read deadline and the retransmit deadlines of all its
+//! links, and re-sends what expired, so a frame lost toward peer B is
+//! re-sent while the rank waits on peer A; a closing link drains the same
+//! way. A per-link watchdog thread, woken by a timer and never on a
+//! message's path, pumps, acks and retransmits for a rank that computes.
 //! Because delivery is exactly-once-in-order, the message sequence the
 //! solver observes over a faulty link is *identical* to the clean one — a
 //! lossy-mesh solve is therefore bitwise-identical to a clean-mesh solve.
@@ -43,7 +48,7 @@
 //! seeded [`feir_wire::chaos::FaultPlan`] per directed link (see
 //! [`ChaosConfig::plan_for`]), so two runs with the same config misbehave
 //! identically. One cost of the sublayer: halo payloads are decoded from the
-//! reassembly queue rather than scattered zero-copy out of the socket
+//! reassembly buffer rather than scattered zero-copy out of the socket
 //! buffer (the PR 6 fast path) — the copy is the price of retransmission.
 //!
 //! # Failure model and elasticity
@@ -96,7 +101,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use feir_recovery::RecoveryPolicy;
@@ -289,13 +294,39 @@ impl Stream {
         }
     }
 
-    /// Shuts down both directions, making any blocked read on a clone of
-    /// this socket return immediately (used to stop reader threads).
+    /// Shuts down both directions: the peer sees EOF, and a clone of this
+    /// socket reads EOF once it has drained what arrived before.
     fn shutdown(&self) -> std::io::Result<()> {
         match self {
             Stream::Unix(s) => s.shutdown(Shutdown::Both),
             Stream::Tcp(s) => s.shutdown(Shutdown::Both),
         }
+    }
+
+    /// Blocks until the socket is readable — data, EOF or an error is
+    /// waiting — or `wait` has passed (rounded up to whole milliseconds;
+    /// zero only checks). `false` on timeout or a signal.
+    fn readable(&self, wait: Duration) -> bool {
+        use std::os::raw::{c_int, c_short, c_ulong};
+        use std::os::unix::io::AsRawFd;
+        /// `struct pollfd`: descriptor, requested events, returned events.
+        #[repr(C)]
+        struct PollFd(c_int, c_short, c_short);
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        }
+        const POLLIN: c_short = 1;
+        let fd = match self {
+            Stream::Unix(s) => s.as_raw_fd(),
+            Stream::Tcp(s) => s.as_raw_fd(),
+        };
+        let mut pollfd = PollFd(fd, POLLIN, 0);
+        let millis = wait.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+        // SAFETY: `pollfd` is a live, exclusively borrowed `struct pollfd`
+        // laid out as the C one (`#[repr(C)]`: int, short, short) and `nfds`
+        // is 1, so the kernel reads and writes exactly that struct. `fd`
+        // stays open for the call because `self` owns it and is borrowed.
+        unsafe { poll(&mut pollfd, 1, millis) > 0 }
     }
 }
 
@@ -360,11 +391,11 @@ fn comm_err(peer: usize, during: &'static str, e: WireError) -> CommError {
 // ---------------------------------------------------------------------------
 
 /// Liveness poll of the reliability layer: a blocked receive wakes at least
-/// this often to notice dead links, and a reader thread's socket read times
-/// out after this much silence. Retransmissions do not wait for it — the
-/// blocked receiver sleeps until the earliest retransmit deadline (see
-/// [`ProcessEndpoint::await_frame`]); the reader's timeout is only the
-/// backstop for a rank that is computing rather than receiving.
+/// this often to notice dead peers, and a link's watchdog at least this
+/// often (every `rto / 4` when that is shorter) to ack and retransmit for a
+/// rank that is computing rather than receiving. Retransmissions do not wait
+/// for it — a blocked receiver sleeps until the earliest retransmit deadline
+/// (see [`ProcessEndpoint::await_frame`]).
 const TICK: Duration = Duration::from_millis(20);
 
 /// Why a link was declared dead.
@@ -396,14 +427,17 @@ struct SendState {
     unacked: VecDeque<SendRecord>,
 }
 
-/// State shared between a link's owner (sends, and the retransmit timer
-/// while it is blocked receiving or draining) and its reader thread (acks,
-/// NACKs, the timer's backstop, teardown). Lock order: `sendq` → `writer`.
+/// State of one link, shared by its owner (sends; while it is blocked
+/// receiving or draining, the receive side and the retransmit timer) and its
+/// watchdog (the same two while the owner computes; teardown). Lock order:
+/// `inbound` → `sendq` → `writer`; a thread holding one link's `inbound`
+/// takes another link's only by `try_lock`.
 #[derive(Debug)]
 struct LinkShared {
     peer: usize,
     writer: Mutex<ChaosLink<Stream>>,
     sendq: Mutex<SendState>,
+    inbound: Mutex<Inbound>,
     down: Mutex<Option<LinkDown>>,
     max_retries: u32,
     rto: Duration,
@@ -511,7 +545,7 @@ impl LinkShared {
     /// Retransmits the oldest unacknowledged record if its backoff expired.
     /// Callable from any thread — the `sendq` lock and the `sent_at` reset
     /// keep two callers from re-sending the same expiry twice. Returns
-    /// `false` when the link is (now) dead and a reader should exit.
+    /// `false` when the link is (now) dead and its watchdog should exit.
     fn service_retransmits(&self) -> bool {
         if self.is_down() {
             return false;
@@ -571,139 +605,198 @@ impl LinkShared {
     }
 }
 
-/// Reads exactly `buf.len()` bytes, servicing retransmissions on every read
-/// timeout. `false` means the link died (already marked down).
-fn read_full(stream: &mut Stream, buf: &mut [u8], shared: &LinkShared) -> bool {
-    use std::io::ErrorKind;
-    let mut at = 0;
-    while at < buf.len() {
-        match stream.read(&mut buf[at..]) {
-            Ok(0) => {
-                shared.mark_down(LinkDown::Eof);
-                return false;
-            }
-            Ok(n) => at += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if !shared.service_retransmits() {
+/// The least one pump reads at once (a clean `ff_wire` record is ≈0.6 kB).
+const READ_CHUNK: usize = 16 << 10;
+
+/// The longest inner frame a data record may announce.
+const MAX_INNER: usize = feir_wire::HEADER_LEN + feir_wire::MAX_PAYLOAD as usize;
+
+/// The receive side of one link. Whoever holds `LinkShared::inbound` owns
+/// it and moves it forward with [`pump`].
+#[derive(Debug)]
+struct Inbound {
+    /// The read half of the socket.
+    stream: Stream,
+    /// `buf[..filled]` is read but not parsed: at most one partial record.
+    buf: Vec<u8>,
+    filled: usize,
+    /// Sequence number of the next record to deliver.
+    expected: u64,
+    /// Records that arrived ahead of `expected`, parked until the gap fills.
+    reordered: BTreeMap<u64, Message>,
+    /// The `expected` last NACKed: one NACK per gap, so a spurious re-send
+    /// cannot chain.
+    nacked: Option<u64>,
+    /// Exactly-once, in-order messages no receive has taken yet.
+    delivered: VecDeque<Message>,
+}
+
+impl Inbound {
+    fn new(stream: Stream) -> Inbound {
+        Inbound {
+            stream,
+            buf: vec![0; READ_CHUNK],
+            filled: 0,
+            expected: 0,
+            reordered: BTreeMap::new(),
+            nacked: None,
+            delivered: VecDeque::new(),
+        }
+    }
+
+    /// Handles one data record: delivers it in sequence order, acks
+    /// cumulatively and NACKs the gap it reveals. `false`: the link died.
+    fn receive(
+        &mut self,
+        shared: &LinkShared,
+        seq: u64,
+        frame: Result<Message, WireError>,
+    ) -> bool {
+        match frame {
+            Ok(msg) => {
+                let gap = seq > self.expected;
+                if seq < self.expected {
+                    shared.stats.dup_received.fetch_add(1, Ordering::Relaxed);
+                } else if gap {
+                    // Reordered ahead: park until the gap fills.
+                    self.reordered.insert(seq, msg);
+                } else {
+                    self.delivered.push_back(msg);
+                    self.expected += 1;
+                    while let Some(next) = self.reordered.remove(&self.expected) {
+                        self.delivered.push_back(next);
+                        self.expected += 1;
+                    }
+                }
+                // Always (re-)acknowledge: a lost ack is recovered by the
+                // duplicate the sender's retransmission causes. The ack goes
+                // first, so the NACK finds the missing record at the head of
+                // the sender's queue.
+                let acked = shared
+                    .writer
+                    .lock()
+                    .expect("link writer lock")
+                    .write_ack(self.expected)
+                    .is_ok();
+                if !acked || (gap && !self.report_gap(shared)) {
+                    shared.mark_down(LinkDown::Eof);
                     return false;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                shared.mark_down(LinkDown::Eof);
-                return false;
+            Err(e) => {
+                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                if shared.max_retries == 0 {
+                    shared.mark_down(LinkDown::Corrupt(Some(e)));
+                    return false;
+                }
+                // Not yet delivered: a gap at `expected`, which the RTO
+                // covers if its one NACK is already spent.
+                if seq >= self.expected && !self.report_gap(shared) {
+                    shared.mark_down(LinkDown::Eof);
+                    return false;
+                }
             }
         }
+        true
     }
-    true
-}
 
-/// The per-link reader thread: reassembles data records in sequence order,
-/// forwards exactly-once-in-order messages to the owner, acknowledges
-/// cumulatively, NACKs gaps and answers the peer's NACKs, and services the
-/// sender-side retransmission timer while the socket is idle. On exit the peer is registered in the endpoint's
-/// `downed` set so elastic receives notice the failure.
-fn reader_loop(
-    mut stream: Stream,
-    shared: Arc<LinkShared>,
-    tx: mpsc::Sender<Message>,
-    downed: Arc<Mutex<BTreeSet<usize>>>,
-) {
-    let mut expected: u64 = 0;
-    let mut reordered: BTreeMap<u64, Message> = BTreeMap::new();
-    let mut env = [0u8; ENVELOPE_LEN];
-    // One NACK per gap, from the first frame that reveals it: later frames
-    // and duplicates stay silent, so a spurious re-send cannot chain.
-    let mut nacked = None;
-    let mut report_gap = |expected: u64| {
-        nacked.replace(expected) == Some(expected)
+    /// NACKs the gap at `expected` unless it already was. `false`: the
+    /// write failed.
+    fn report_gap(&mut self, shared: &LinkShared) -> bool {
+        self.nacked.replace(self.expected) == Some(self.expected)
             || shared
                 .writer
                 .lock()
                 .expect("link writer lock")
-                .write_nack(expected)
+                .write_nack(self.expected)
                 .is_ok()
-    };
-    'link: loop {
-        if !read_full(&mut stream, &mut env, &shared) {
-            break 'link;
+    }
+}
+
+/// Moves a link's receive side forward: waits up to `wait` for the socket
+/// to turn readable, reads once and handles every complete record in the
+/// buffer — acks and NACKs go to the send side, data records through
+/// [`Inbound::receive`]. A partial record stays buffered for the next pump.
+/// `false` means the link is dead (marked down, now or before).
+fn pump(shared: &LinkShared, inbound: &mut Inbound, wait: Duration) -> bool {
+    use std::io::ErrorKind;
+    if shared.is_down() {
+        return false;
+    }
+    if !inbound.stream.readable(wait) {
+        return true;
+    }
+    let filled = inbound.filled;
+    match inbound.stream.read(&mut inbound.buf[filled..]) {
+        Ok(n) if n > 0 => inbound.filled += n,
+        Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
+            return true
         }
-        let (kind, seq, inner_len) = parse_envelope(&env);
-        match kind {
-            ENV_ACK => shared.acknowledge(seq),
-            ENV_NACK => {
-                if !shared.nack(seq) {
-                    break 'link;
-                }
+        _ => {
+            shared.mark_down(LinkDown::Eof);
+            return false;
+        }
+    }
+    let (mut at, mut alive) = (0, true);
+    while alive {
+        let Some(env) = inbound.buf[at..inbound.filled].first_chunk::<ENVELOPE_LEN>() else {
+            break;
+        };
+        let (kind, seq, inner_len) = parse_envelope(env);
+        alive = match kind {
+            ENV_ACK => {
+                shared.acknowledge(seq);
+                at += ENVELOPE_LEN;
+                true
             }
-            ENV_DATA => {
-                if inner_len as usize > feir_wire::HEADER_LEN + feir_wire::MAX_PAYLOAD as usize {
-                    shared.mark_down(LinkDown::Corrupt(None));
-                    break 'link;
-                }
-                let mut inner = vec![0u8; inner_len as usize];
-                if !read_full(&mut stream, &mut inner, &shared) {
-                    break 'link;
-                }
-                match feir_wire::decode_frame_buf(&inner) {
-                    Ok(msg) => {
-                        let gap = seq > expected;
-                        if seq < expected {
-                            shared.stats.dup_received.fetch_add(1, Ordering::Relaxed);
-                        } else if gap {
-                            // Reordered ahead: park until the gap fills.
-                            reordered.insert(seq, msg);
-                        } else {
-                            if tx.send(msg).is_err() {
-                                break 'link; // owner hung up
-                            }
-                            expected += 1;
-                            while let Some(next) = reordered.remove(&expected) {
-                                if tx.send(next).is_err() {
-                                    break 'link;
-                                }
-                                expected += 1;
-                            }
-                        }
-                        // Always (re-)acknowledge: a lost ack is recovered by
-                        // the duplicate the sender's retransmission causes.
-                        // The ack goes first, so the NACK finds the missing
-                        // record at the head of the sender's queue.
-                        let acked = shared
-                            .writer
-                            .lock()
-                            .expect("link writer lock")
-                            .write_ack(expected)
-                            .is_ok();
-                        if !acked || (gap && !report_gap(expected)) {
-                            shared.mark_down(LinkDown::Eof);
-                            break 'link;
-                        }
+            ENV_NACK => {
+                at += ENVELOPE_LEN;
+                shared.nack(seq)
+            }
+            ENV_DATA if inner_len as usize <= MAX_INNER => {
+                let end = ENVELOPE_LEN + inner_len as usize;
+                if inbound.filled - at < end {
+                    // Wait for the rest, with room for all of it in one read.
+                    if inbound.buf.len() < end {
+                        inbound.buf.resize(end, 0);
                     }
-                    Err(e) => {
-                        shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        if shared.max_retries == 0 {
-                            shared.mark_down(LinkDown::Corrupt(Some(e)));
-                            break 'link;
-                        }
-                        // Not yet delivered: a gap at `expected`, which the
-                        // RTO covers if its one NACK is already spent.
-                        if seq >= expected && !report_gap(expected) {
-                            shared.mark_down(LinkDown::Eof);
-                            break 'link;
-                        }
-                    }
+                    break;
                 }
+                let frame = feir_wire::decode_frame_buf(&inbound.buf[at + ENVELOPE_LEN..at + end]);
+                at += end;
+                inbound.receive(shared, seq, frame)
             }
             _ => {
                 shared.mark_down(LinkDown::Corrupt(None));
-                break 'link;
+                false
             }
+        };
+    }
+    inbound.buf.copy_within(at..inbound.filled, 0);
+    inbound.filled -= at;
+    alive
+}
+
+/// The per-link watchdog thread, the backstop for an owner that is
+/// computing rather than receiving: every `min(TICK, rto / 4)` it pumps the
+/// socket without waiting unless a receive holds it, and services the
+/// retransmit timer — so what arrives is acked well within the peer's RTO.
+/// When the link dies it registers the peer in the endpoint's `downed` set,
+/// which is how elastic receives notice the failure.
+fn watchdog(shared: Arc<LinkShared>, downed: Arc<Mutex<BTreeSet<usize>>>) {
+    let nap = TICK.min(shared.rto / 4);
+    loop {
+        std::thread::park_timeout(nap);
+        let alive = match shared.inbound.try_lock() {
+            Ok(mut inbound) => pump(&shared, &mut inbound, Duration::ZERO),
+            Err(_) => !shared.is_down(),
+        };
+        if !alive || !shared.service_retransmits() {
+            break;
         }
     }
     shared.mark_down(LinkDown::Eof); // no-op if a cause is already recorded
     downed.lock().expect("downed set lock").insert(shared.peer);
-    // `tx` drops here, closing the owner's receive queue.
 }
 
 /// What a blocked receive does with one in-order message of the link it
@@ -723,14 +816,11 @@ enum Sift<T> {
 #[derive(Debug)]
 struct RLink {
     shared: Arc<LinkShared>,
-    /// In-order messages from the reader thread.
-    rx: mpsc::Receiver<Message>,
     /// Tag-demultiplexer stash (e.g. a split-phase gather posted ahead of
     /// the same stream's halo payload).
     inbox: VecDeque<Message>,
-    thread: Option<std::thread::JoinHandle<()>>,
-    /// Socket handle kept for teardown: shutting it down unblocks the
-    /// reader thread immediately.
+    watchdog: Option<std::thread::JoinHandle<()>>,
+    /// Socket handle kept for teardown.
     ctl: Stream,
 }
 
@@ -739,11 +829,10 @@ impl RLink {
         // Graceful drain: the last frames of a solve may still be waiting on
         // a retransmission (chaos can drop the first attempt), and closing
         // the socket now would lose them forever. This thread drives the
-        // retransmit timer itself until the reader thread has collected the
-        // acks, bounded by the time the retries would take to exhaust so a
+        // retransmit timer and reads the acks itself until every record is
+        // acked, bounded by the time the retries would take to exhaust so a
         // peer that is alive but never acks cannot stall teardown for long.
         const BUDGET_CAP: Duration = Duration::from_secs(3);
-        const ACK_POLL: Duration = Duration::from_millis(1);
         let shared = &self.shared;
         let mut budget = Duration::ZERO;
         for attempt in 0..=shared.max_retries {
@@ -761,13 +850,16 @@ impl RLink {
             if now >= deadline {
                 break;
             }
-            // The ack that ends the drain lands on the reader thread, which
-            // cannot wake this one: poll for it, waking early for the timer.
-            std::thread::sleep(expiry.min(now + ACK_POLL).saturating_duration_since(now));
+            let mut inbound = shared.inbound.lock().expect("link inbound lock");
+            if !pump(shared, &mut inbound, expiry.min(deadline) - now) {
+                break;
+            }
         }
         let _ = self.ctl.shutdown();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+        shared.mark_down(LinkDown::Eof); // ends the watchdog at its next wake
+        if let Some(watchdog) = self.watchdog.take() {
+            watchdog.thread().unpark();
+            let _ = watchdog.join();
         }
     }
 }
@@ -781,9 +873,9 @@ impl Drop for RLink {
 }
 
 /// Wraps a handshaken stream in the reliability sublayer: chaos writer,
-/// sequence state and reader thread. `stats` is owned by the endpoint and
-/// shared into the link, so the counters survive a relink (elastic rejoin)
-/// and keep accumulating across link incarnations.
+/// sequence state, receive side and watchdog. `stats` is owned by the
+/// endpoint and shared into the link, so the counters survive a relink
+/// (elastic rejoin) and keep accumulating across link incarnations.
 fn build_rlink(
     stream: Stream,
     rank: usize,
@@ -795,9 +887,6 @@ fn build_rlink(
     let proto = |what: &str, e: std::io::Error| {
         CommError::Protocol(format!("rank {rank}: link to {peer}: {what}: {e}"))
     };
-    stream
-        .set_read_timeout(Some(TICK))
-        .map_err(|e| proto("set_read_timeout", e))?;
     let reader = stream.try_clone().map_err(|e| proto("stream clone", e))?;
     let ctl = stream.try_clone().map_err(|e| proto("stream clone", e))?;
     let plan = options
@@ -809,24 +898,23 @@ fn build_rlink(
         peer,
         writer: Mutex::new(ChaosLink::new(stream, plan, stats.clone())),
         sendq: Mutex::new(SendState::default()),
+        inbound: Mutex::new(Inbound::new(reader)),
         down: Mutex::new(None),
         max_retries: options.max_retries,
         rto: options.retransmit_timeout.max(Duration::from_millis(1)),
         stats,
     });
-    let (tx, rx) = mpsc::channel();
-    let thread = std::thread::Builder::new()
+    let watchdog = std::thread::Builder::new()
         .name(format!("feir-link-r{rank}p{peer}"))
         .spawn({
             let shared = shared.clone();
-            move || reader_loop(reader, shared, tx, downed)
+            move || watchdog(shared, downed)
         })
-        .map_err(|e| proto("reader thread spawn", e))?;
+        .map_err(|e| proto("watchdog thread spawn", e))?;
     Ok(RLink {
         shared,
-        rx,
         inbox: VecDeque::new(),
-        thread: Some(thread),
+        watchdog: Some(watchdog),
         ctl,
     })
 }
@@ -849,7 +937,7 @@ fn sum_link_stats(stats: &[Arc<LinkStats>]) -> crate::cg::NetStats {
 
 /// One rank's view of the established mesh: a reliable link per peer, the
 /// retained listener (for elastic re-accepts) and the shared `downed` set
-/// reader threads report dead peers into.
+/// link watchdogs report dead peers into.
 #[derive(Debug)]
 pub struct ProcessEndpoint {
     rank: usize,
@@ -929,14 +1017,15 @@ impl ProcessEndpoint {
         })
     }
 
-    /// The one blocking wait of the transport: pulls `peer`'s in-order
-    /// messages through `sift` until it takes one, and meanwhile drives the
-    /// retransmit timer of **every** link of this endpoint — the thread a
-    /// lost frame stalls is this one, so it sleeps until
-    /// `min(earliest retransmit deadline, read deadline, liveness poll)`
-    /// rather than a fixed tick, and a rank blocked on peer A still re-sends
-    /// a frame lost toward peer B. `link` is `peer`'s link, already borrowed
-    /// by the caller; the others are reached through their own cells.
+    /// The one blocking wait of the transport: pumps `peer`'s link itself
+    /// and pulls its in-order messages through `sift` until it takes one,
+    /// and meanwhile drives the retransmit timer of **every** link of this
+    /// endpoint — the thread a lost frame stalls is this one, so it sleeps
+    /// in `poll(2)` until `min(earliest retransmit deadline, read deadline,
+    /// liveness poll)` rather than a fixed tick, and a rank blocked on peer
+    /// A still re-sends a frame lost toward peer B. `link` is `peer`'s link,
+    /// already borrowed by the caller; the others are reached through their
+    /// own cells.
     fn await_frame<T>(
         &self,
         peer: usize,
@@ -946,8 +1035,9 @@ impl ProcessEndpoint {
         any_dead_peer_aborts: bool,
         mut sift: impl FnMut(Message) -> Result<Sift<T>, CommError>,
     ) -> Result<T, CommError> {
+        let RLink { shared, inbox, .. } = link;
         let each_link = |f: &mut dyn FnMut(&LinkShared)| {
-            f(&link.shared);
+            f(shared);
             for (p, slot) in self.links.iter().enumerate() {
                 if p != peer {
                     if let Some(other) = slot.borrow().as_ref() {
@@ -956,64 +1046,67 @@ impl ProcessEndpoint {
                 }
             }
         };
+        let mut inbound = shared.inbound.lock().expect("link inbound lock");
         loop {
-            let received = if link.shared.is_down() {
-                // A dead link still owes the caller what its reader queued
-                // before it died; the death is reported once that is drained.
-                link.rx
-                    .try_recv()
-                    .map_err(|_| mpsc::RecvTimeoutError::Disconnected)
-            } else {
-                let now = Instant::now();
-                let mut wake = now + TICK;
-                if let Some(deadline) = deadline {
-                    wake = wake.min(deadline);
-                }
-                each_link(&mut |shared| {
-                    if let Some(expiry) = shared.next_expiry() {
-                        // An ack landing during the sleep pops the head and
-                        // re-arms its successor for `ack time + rto`, which
-                        // can fall before the popped head's backed-off
-                        // deadline; never sleeping past `now + rto` cannot
-                        // miss it.
-                        wake = wake.min(expiry).min(now + shared.rto);
-                    }
-                });
-                link.rx.recv_timeout(wake.saturating_duration_since(now))
-            };
-            match received {
-                Ok(msg) => match sift(msg)? {
+            if let Some(msg) = inbound.delivered.pop_front() {
+                match sift(msg)? {
                     Sift::Take(taken) => return Ok(taken),
-                    Sift::Stash(msg) => link.inbox.push_back(msg),
+                    Sift::Stash(msg) => inbox.push_back(msg),
                     Sift::Discard => {}
-                },
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // A no-op on links whose head record is not due yet.
-                    each_link(&mut |shared| {
-                        shared.service_retransmits();
+                }
+                continue;
+            }
+            if shared.is_down() {
+                // A dead link still owes the caller what it delivered before
+                // it died (drained above); then the death is reported.
+                return Err(shared
+                    .down_error(peer, during)
+                    .unwrap_or(CommError::Disconnected {
+                        peer: Some(peer),
+                        during,
+                    }));
+            }
+            let now = Instant::now();
+            let mut wake = now + TICK;
+            if let Some(deadline) = deadline {
+                wake = wake.min(deadline);
+            }
+            each_link(&mut |shared| {
+                if let Some(expiry) = shared.next_expiry() {
+                    // An ack landing during the sleep pops the head and
+                    // re-arms its successor for `ack time + rto`, which can
+                    // fall before the popped head's backed-off deadline;
+                    // never sleeping past `now + rto` cannot miss it.
+                    wake = wake.min(expiry).min(now + shared.rto);
+                }
+            });
+            pump(shared, &mut inbound, wake.saturating_duration_since(now));
+            if !inbound.delivered.is_empty() || Instant::now() < wake {
+                continue;
+            }
+            // Woke with nothing delivered. Read the acks already waiting on
+            // the other links first (`try_lock` skips the link held here and
+            // one a watchdog is pumping), so an ack that arrived but was not
+            // read yet cannot fire a spurious retransmit; then re-send what
+            // expired — a no-op on links whose head record is not due yet.
+            each_link(&mut |shared| {
+                if let Ok(mut other) = shared.inbound.try_lock() {
+                    pump(shared, &mut other, Duration::ZERO);
+                }
+                shared.service_retransmits();
+            });
+            if any_dead_peer_aborts {
+                // `peer`'s own death is left to the drain above.
+                let downed = self.downed.lock().expect("downed set lock");
+                if let Some(&dead) = downed.iter().find(|&&dead| dead != peer) {
+                    return Err(CommError::Disconnected {
+                        peer: Some(dead),
+                        during,
                     });
-                    if any_dead_peer_aborts {
-                        // `peer`'s own death is left to the drain above.
-                        let downed = self.downed.lock().expect("downed set lock");
-                        if let Some(&dead) = downed.iter().find(|&&dead| dead != peer) {
-                            return Err(CommError::Disconnected {
-                                peer: Some(dead),
-                                during,
-                            });
-                        }
-                    }
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        return Err(CommError::Timeout { peer, during });
-                    }
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(link.shared.down_error(peer, during).unwrap_or(
-                        CommError::Disconnected {
-                            peer: Some(peer),
-                            during,
-                        },
-                    ));
-                }
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(CommError::Timeout { peer, during });
             }
         }
     }
@@ -1034,7 +1127,7 @@ impl ProcessEndpoint {
             epochs[failed] += 1;
             epochs[failed]
         };
-        // Joining the old reader thread (via RLink::drop) before clearing
+        // Joining the old watchdog (via RLink::drop) before clearing
         // the downed entry below means it cannot re-register the peer as
         // dead after we have relinked it.
         drop(self.links[failed].borrow_mut().take());
@@ -2286,8 +2379,8 @@ pub fn worker_main() -> std::process::ExitCode {
         }
     };
     let rank = launch.rank;
-    // Everything this process records — solver thread and per-link reader
-    // threads alike — belongs to this one rank.
+    // Everything this process records — solver thread and per-link
+    // watchdogs alike — belongs to this one rank.
     feir_trace::set_process_rank(rank as u32);
     let mut links: Vec<Arc<LinkStats>> = Vec::new();
     let report = match run_worker(&launch, &mut links) {
@@ -2718,11 +2811,12 @@ mod tests {
         }
     }
 
-    /// A reader-less `LinkShared` over one end of a socket pair (the other
+    /// A watchdog-less `LinkShared` over one end of a socket pair (the other
     /// end is returned so writes have somewhere to go): the timer state
     /// machine in isolation.
     fn bare_link(rto: Duration, max_retries: u32) -> (LinkShared, UnixStream) {
         let (near, far) = UnixStream::pair().expect("socket pair");
+        let reader = Stream::Unix(near.try_clone().expect("socket clone"));
         let stats = Arc::new(LinkStats::default());
         let shared = LinkShared {
             peer: 1,
@@ -2732,6 +2826,7 @@ mod tests {
                 stats.clone(),
             )),
             sendq: Mutex::new(SendState::default()),
+            inbound: Mutex::new(Inbound::new(reader)),
             down: Mutex::new(None),
             max_retries,
             rto,
@@ -2817,7 +2912,7 @@ mod tests {
         assert!(!shared.service_retransmits());
     }
 
-    /// A live link (reader thread included) over one end of a socket pair,
+    /// A live link (watchdog included) over one end of a socket pair,
     /// and the far end, from which a test plays the peer with raw
     /// envelopes. The RTO is far longer than any test, so every re-send
     /// seen is a NACK's.
@@ -2886,10 +2981,10 @@ mod tests {
             replies_until_ack(&mut far, 5),
             [(ENV_ACK, 3), (ENV_NACK, 3), (ENV_ACK, 5)]
         );
-        for seq in 0..5 {
-            let got = link.rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert_eq!(got, scalar(seq as f64), "delivered in sequence order");
-        }
+        let mut inbound = link.shared.inbound.lock().unwrap();
+        let delivered: Vec<_> = inbound.delivered.drain(..).collect();
+        let want: Vec<_> = (0..5).map(|seq| scalar(seq as f64)).collect();
+        assert_eq!(delivered, want, "delivered in sequence order");
     }
 
     #[test]
@@ -2940,10 +3035,10 @@ mod tests {
         );
         assert_eq!(link.shared.stats.retransmits.load(Ordering::Relaxed), 1);
 
-        // On a dead link a NACK re-sends nothing and ends the reader.
+        // On a dead link a NACK re-sends nothing, and the watchdog ends.
         link.shared.mark_down(LinkDown::AckTimeout);
         write_record(&mut far, ENV_NACK, 0, &[]);
-        link.thread.take().expect("reader thread").join().unwrap();
+        link.watchdog.take().expect("watchdog").join().unwrap();
         assert!(!link.shared.nack(0));
         assert_eq!(link.shared.stats.retransmits.load(Ordering::Relaxed), 1);
 
@@ -2952,6 +3047,72 @@ mod tests {
         assert!(shared.transmit(b"frame"));
         assert!(shared.nack(0));
         assert_eq!(shared.stats.retransmits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_record_split_across_writes_is_delivered_once_whole() {
+        let (link, mut far) = raw_peer_link();
+        let first = scalar(1.0).encode();
+        let (head, tail) = first.split_at(first.len() / 2);
+        // Pumping by hand while holding the receive side keeps the watchdog
+        // out, so each pump sees exactly what the writes before it sent.
+        let mut inbound = link.shared.inbound.lock().unwrap();
+        let pump_once = |inbound: &mut Inbound| {
+            std::thread::sleep(Duration::from_millis(5));
+            assert!(pump(&link.shared, inbound, Duration::from_secs(10)));
+        };
+        far.write_all(&encode_envelope(ENV_DATA, 0, first.len() as u32))
+            .unwrap();
+        pump_once(&mut inbound);
+        far.write_all(head).unwrap();
+        pump_once(&mut inbound);
+        assert!(
+            inbound.delivered.is_empty(),
+            "a partial record was delivered"
+        );
+        far.write_all(tail).unwrap();
+        write_record(&mut far, ENV_DATA, 1, &scalar(2.0).encode());
+        while inbound.delivered.len() < 2 {
+            pump_once(&mut inbound);
+        }
+        let delivered: Vec<_> = inbound.delivered.drain(..).collect();
+        drop(inbound);
+        assert_eq!(delivered, [scalar(1.0), scalar(2.0)]);
+        assert_eq!(replies_until_ack(&mut far, 2), [(ENV_ACK, 1), (ENV_ACK, 2)]);
+    }
+
+    #[test]
+    fn a_computing_owner_still_acks_within_the_rto() {
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let options = MeshOptions {
+            retransmit_timeout: LOSSY_RTO,
+            ..test_options()
+        };
+        // Rank 1 computes for three RTOs before each receive: only its
+        // watchdog can ack rank 0's frame before rank 0's timer fires.
+        let stats = with_mesh_opts(2, &transport, &options, |ep| {
+            let stats = ep.stats.clone();
+            for round in 0..5 {
+                if ep.rank() == 0 {
+                    ep.send(1, &scalar(round as f64), "ping").unwrap();
+                    ep.recv(1, Tag::GatherScalar, "pong").unwrap();
+                } else {
+                    std::thread::sleep(LOSSY_RTO * 3);
+                    let ping = ep.recv(0, Tag::GatherScalar, "ping").unwrap();
+                    ep.send(0, &ping, "pong").unwrap();
+                }
+            }
+            drop(ep);
+            sum_link_stats(&stats)
+        });
+        for (rank, net) in stats.iter().enumerate() {
+            assert_eq!(net.data_frames, 5, "rank {rank}");
+            assert_eq!(net.retransmits, 0, "rank {rank}: a frame was re-sent");
+        }
     }
 
     /// Replaces the fault plan of `ep`'s outgoing link to `peer` with one
@@ -2992,7 +3153,7 @@ mod tests {
 
     /// Every scripted drop is re-sent exactly once and nothing else is —
     /// on a host that runs each thread within the RTO, `retransmits` equals
-    /// the script. A starved reader can hand an ack over after the timer
+    /// the script. A starved thread can read an ack after the timer
     /// fired; the receiver then counts that re-send as a duplicate, so the
     /// two counters are compared net of each other.
     fn assert_only_lost_frames_were_resent(

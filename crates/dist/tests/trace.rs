@@ -193,7 +193,7 @@ fn retransmit_instants_equal_the_link_counter_on_a_lossy_process_mesh() {
     assert!(result.converged);
     assert!(result.net.retransmits > 0, "the schedule dropped nothing");
     // Whichever thread serviced the timer — the blocked receiver, the
-    // draining endpoint or the reader's backstop — every re-send is both
+    // draining endpoint or the link's watchdog — every re-send is both
     // counted and traced, inside the stream of the rank that sent it.
     let trace = result.trace.expect("workers shipped their traces");
     let mut instants = 0;

@@ -66,6 +66,14 @@ pub fn parse_envelope(env: &[u8; ENVELOPE_LEN]) -> (u8, u64, u32) {
     (kind, seq, inner_len)
 }
 
+/// A data record as it goes on the wire: envelope ‖ `frame`.
+fn data_record(seq: u64, frame: &[u8]) -> Vec<u8> {
+    let mut record = Vec::with_capacity(ENVELOPE_LEN + frame.len());
+    record.extend_from_slice(&encode_envelope(ENV_DATA, seq, frame.len() as u32));
+    record.extend_from_slice(frame);
+    record
+}
+
 /// One way a frame can be mistreated on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -311,11 +319,8 @@ impl<W: Write> ChaosLink<W> {
             }
             Some(FaultKind::Delay) => {
                 self.stats.bump(&self.stats.delayed);
-                let mut record = Vec::with_capacity(ENVELOPE_LEN + frame.len());
-                record.extend_from_slice(&encode_envelope(ENV_DATA, seq, frame.len() as u32));
-                record.extend_from_slice(frame);
                 // One delay slot: an already-held record goes out first.
-                let previous = self.held.replace(record);
+                let previous = self.held.replace(data_record(seq, frame));
                 if let Some(old) = previous {
                     self.inner.write_all(&old)?;
                     self.inner.flush()?;
@@ -358,9 +363,8 @@ impl<W: Write> ChaosLink<W> {
                 self.flush_held()
             }
             None => {
-                self.inner
-                    .write_all(&encode_envelope(ENV_DATA, seq, frame.len() as u32))?;
-                self.inner.write_all(frame)?;
+                // One write, so the receiver never wakes on the envelope alone.
+                self.inner.write_all(&data_record(seq, frame))?;
                 self.inner.flush()?;
                 self.flush_held()
             }
@@ -461,6 +465,28 @@ mod tests {
         assert_eq!(recs[1].1, 1);
         assert!(recs[1].2.is_empty());
         assert_eq!(stats.faults(), 0);
+    }
+
+    #[test]
+    fn a_clean_record_is_one_write_with_unchanged_bytes() {
+        /// Records every `write` call it receives.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let stats = std::sync::Arc::new(LinkStats::default());
+        let mut link = ChaosLink::new(Writes::default(), FaultPlan::clean(), stats);
+        link.write_data(7, 0, &frame()).unwrap();
+        let mut want = encode_envelope(ENV_DATA, 7, frame().len() as u32).to_vec();
+        want.extend_from_slice(&frame());
+        assert_eq!(link.get_mut().0, [want], "one write of envelope ‖ frame");
     }
 
     #[test]

@@ -343,8 +343,8 @@ pub enum KillSchedule {
     /// No process failure: the cell measures the pure frame-fault overhead.
     None,
     /// Kill the worker of `rank` after `after` of wall clock, then respawn
-    /// it immediately; the elastic mesh rejoins it mid-solve. Rank 0 hosts
-    /// the collectives and cannot be scheduled.
+    /// it immediately; the elastic mesh rejoins it mid-solve. Rank 0 is the
+    /// result collector and cannot be scheduled.
     KillRespawn {
         /// Victim rank (`0 < rank < ranks`).
         rank: usize,
@@ -525,8 +525,9 @@ impl NetFaultCampaign {
                     return Err(ProcessError::Spawn(std::io::Error::new(
                         std::io::ErrorKind::InvalidInput,
                         format!(
-                            "kill schedule targets rank {rank} of {} (rank 0 hosts the \
-                             collectives and cannot be respawned)",
+                            "kill schedule targets rank {rank} of {} (rank 0 is the result \
+                             collector, whose report carries the residual history, and cannot \
+                             be respawned)",
                             self.ranks
                         ),
                     )));

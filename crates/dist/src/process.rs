@@ -307,27 +307,33 @@ impl Stream {
     /// waiting — or `wait` has passed (rounded up to whole milliseconds;
     /// zero only checks). `false` on timeout or a signal.
     fn readable(&self, wait: Duration) -> bool {
-        use std::os::raw::{c_int, c_short, c_ulong};
-        use std::os::unix::io::AsRawFd;
-        /// `struct pollfd`: descriptor, requested events, returned events.
-        #[repr(C)]
-        struct PollFd(c_int, c_short, c_short);
-        extern "C" {
-            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        match self {
+            Stream::Unix(s) => fd_readable(s, wait),
+            Stream::Tcp(s) => fd_readable(s, wait),
         }
-        const POLLIN: c_short = 1;
-        let fd = match self {
-            Stream::Unix(s) => s.as_raw_fd(),
-            Stream::Tcp(s) => s.as_raw_fd(),
-        };
-        let mut pollfd = PollFd(fd, POLLIN, 0);
-        let millis = wait.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
-        // SAFETY: `pollfd` is a live, exclusively borrowed `struct pollfd`
-        // laid out as the C one (`#[repr(C)]`: int, short, short) and `nfds`
-        // is 1, so the kernel reads and writes exactly that struct. `fd`
-        // stays open for the call because `self` owns it and is borrowed.
-        unsafe { poll(&mut pollfd, 1, millis) > 0 }
     }
+}
+
+/// Blocks in `poll(2)` until `fd` is readable — for a socket: data, EOF or
+/// an error; for a listener: a pending connection — or `wait` has passed
+/// (rounded up to whole milliseconds; zero only checks). `false` on timeout
+/// or a signal.
+fn fd_readable(fd: &impl std::os::unix::io::AsRawFd, wait: Duration) -> bool {
+    use std::os::raw::{c_int, c_short, c_ulong};
+    /// `struct pollfd`: descriptor, requested events, returned events.
+    #[repr(C)]
+    struct PollFd(c_int, c_short, c_short);
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 1;
+    let mut pollfd = PollFd(fd.as_raw_fd(), POLLIN, 0);
+    let millis = wait.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+    // SAFETY: `pollfd` is a live, exclusively borrowed `struct pollfd`
+    // laid out as the C one (`#[repr(C)]`: int, short, short) and `nfds`
+    // is 1, so the kernel reads and writes exactly that struct. The
+    // descriptor stays open for the call because its owner is borrowed.
+    unsafe { poll(&mut pollfd, 1, millis) > 0 }
 }
 
 impl Read for Stream {
@@ -1299,9 +1305,9 @@ fn bind_listener(
     }
 }
 
-/// Accepts one inbound connection before `deadline` (the listener is
-/// switched to non-blocking and polled so a never-arriving dial cannot hang
-/// the rank).
+/// Accepts one inbound connection before `deadline`. The listener is
+/// non-blocking and the rank waits in `poll(2)` on it, so a dial is taken
+/// the moment it lands and a never-arriving one cannot hang the rank.
 fn accept_stream(
     listener: &MeshListener,
     deadline: Instant,
@@ -1328,13 +1334,17 @@ fn accept_stream(
                 return Ok(stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
                     return Err(CommError::Timeout {
                         peer: rank,
                         during: "mesh accept",
                     });
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                match listener {
+                    MeshListener::Unix(l) => fd_readable(l, left),
+                    MeshListener::Tcp(l) => fd_readable(l, left),
+                };
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(setup_err(rank, "mesh accept", e)),
@@ -1693,8 +1703,9 @@ impl WorkerHandles {
 
     /// Restarts the (killed) worker of `rank` under the next epoch. With
     /// [`WorkerOptions::elastic`] set, the survivors re-handshake the
-    /// newcomer at the rejoin barrier and the solve continues; rank 0 hosts
-    /// the collectives and cannot be respawned.
+    /// newcomer at the rejoin barrier and the solve continues. Rank 0 is the
+    /// result collector — [`join`](Self::join) takes the residual history
+    /// from its report — and cannot be respawned.
     pub fn respawn_rank(&mut self, rank: usize) -> std::io::Result<()> {
         // Make sure the old incarnation is gone before its successor binds.
         let _ = self.children[rank].kill();
@@ -2568,6 +2579,25 @@ mod tests {
         );
     }
 
+    /// Rank `rank`'s partial in the allreduce identity tests.
+    fn allreduce_input(rank: usize) -> f64 {
+        0.1 + rank as f64 * 0.3
+    }
+
+    /// Every rank's result of the in-process allreduce of [`allreduce_input`].
+    fn in_process_allreduce(ranks: usize) -> Vec<f64> {
+        let plan = HaloPlan::empty(ranks);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = RankComm::for_ranks(&plan, ranks)
+                .into_iter()
+                .map(|comm| {
+                    scope.spawn(move || comm.allreduce_sum(allreduce_input(comm.rank())).unwrap())
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
     #[test]
     fn mesh_allreduce_matches_in_process_bitwise() {
         for ranks in [1usize, 2, 4] {
@@ -2579,25 +2609,72 @@ mod tests {
             let plan = HaloPlan::empty(ranks);
             let over_wire: Vec<f64> = with_mesh(ranks, &transport, |ep| {
                 let comm = RankComm::over_process(&plan, ep);
-                comm.allreduce_sum(0.1 + comm.rank() as f64 * 0.3).unwrap()
+                comm.allreduce_sum(allreduce_input(comm.rank())).unwrap()
             });
-            let in_process: Vec<f64> = {
-                let comms = RankComm::for_ranks(&plan, ranks);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = comms
-                        .into_iter()
-                        .map(|comm| {
-                            scope.spawn(move || {
-                                comm.allreduce_sum(0.1 + comm.rank() as f64 * 0.3).unwrap()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            };
-            for (a, b) in over_wire.iter().zip(&in_process) {
+            for (a, b) in over_wire.iter().zip(&in_process_allreduce(ranks)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{ranks} ranks");
             }
+        }
+    }
+
+    #[test]
+    fn mesh_accept_times_out_on_a_peer_that_never_dials() {
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let options = MeshOptions {
+            connect_timeout: Duration::from_millis(150),
+            ..test_options()
+        };
+        let started = Instant::now();
+        let outcome = connect_mesh(0, 2, &transport, &options);
+        let took = started.elapsed();
+        assert!(
+            matches!(
+                outcome,
+                Err(CommError::Timeout {
+                    during: "mesh accept",
+                    ..
+                })
+            ),
+            "expected a mesh accept timeout, got {outcome:?}"
+        );
+        assert!(
+            took >= Duration::from_millis(150) && took < Duration::from_secs(1),
+            "accept gave up after {took:?}, not at its 150 ms deadline"
+        );
+    }
+
+    #[test]
+    fn mesh_accept_takes_a_late_dial() {
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let plan = HaloPlan::empty(2);
+        let over_wire: Vec<f64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|rank| {
+                    let (transport, plan) = (&transport, &plan);
+                    scope.spawn(move || {
+                        if rank == 1 {
+                            std::thread::sleep(Duration::from_millis(50));
+                        }
+                        let ep = connect_mesh(rank, 2, transport, &test_options())
+                            .expect("mesh connect failed");
+                        RankComm::over_process(plan, ep)
+                            .allreduce_sum(allreduce_input(rank))
+                            .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (a, b) in over_wire.iter().zip(&in_process_allreduce(2)) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

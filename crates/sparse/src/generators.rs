@@ -5,6 +5,10 @@
 //! scaling study, on the 27-point stencil discretization of the 3-D Poisson
 //! equation used by HPCG. These generators produce matrices with the same
 //! structure so every experiment can run without external data.
+//!
+//! Every stencil generator pushes each row in strictly increasing column
+//! order, so [`CooMatrix::to_csr`] borrows the triplets instead of sorting a
+//! copy of them.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -19,18 +23,18 @@ pub fn poisson_2d(n: usize) -> CsrMatrix {
     for i in 0..n {
         for j in 0..n {
             let row = idx(i, j);
-            coo.push(row, row, 4.0).expect("in bounds");
             if i > 0 {
                 coo.push(row, idx(i - 1, j), -1.0).expect("in bounds");
-            }
-            if i + 1 < n {
-                coo.push(row, idx(i + 1, j), -1.0).expect("in bounds");
             }
             if j > 0 {
                 coo.push(row, idx(i, j - 1), -1.0).expect("in bounds");
             }
+            coo.push(row, row, 4.0).expect("in bounds");
             if j + 1 < n {
                 coo.push(row, idx(i, j + 1), -1.0).expect("in bounds");
+            }
+            if i + 1 < n {
+                coo.push(row, idx(i + 1, j), -1.0).expect("in bounds");
             }
         }
     }
@@ -46,24 +50,24 @@ pub fn poisson_3d_7pt(n: usize) -> CsrMatrix {
         for j in 0..n {
             for k in 0..n {
                 let row = idx(i, j, k);
-                coo.push(row, row, 6.0).expect("in bounds");
                 if i > 0 {
                     coo.push(row, idx(i - 1, j, k), -1.0).expect("in bounds");
-                }
-                if i + 1 < n {
-                    coo.push(row, idx(i + 1, j, k), -1.0).expect("in bounds");
                 }
                 if j > 0 {
                     coo.push(row, idx(i, j - 1, k), -1.0).expect("in bounds");
                 }
-                if j + 1 < n {
-                    coo.push(row, idx(i, j + 1, k), -1.0).expect("in bounds");
-                }
                 if k > 0 {
                     coo.push(row, idx(i, j, k - 1), -1.0).expect("in bounds");
                 }
+                coo.push(row, row, 6.0).expect("in bounds");
                 if k + 1 < n {
                     coo.push(row, idx(i, j, k + 1), -1.0).expect("in bounds");
+                }
+                if j + 1 < n {
+                    coo.push(row, idx(i, j + 1, k), -1.0).expect("in bounds");
+                }
+                if i + 1 < n {
+                    coo.push(row, idx(i + 1, j, k), -1.0).expect("in bounds");
                 }
             }
         }
@@ -121,18 +125,18 @@ pub fn anisotropic_2d(n: usize, epsilon: f64) -> CsrMatrix {
     for i in 0..n {
         for j in 0..n {
             let row = idx(i, j);
-            coo.push(row, row, 2.0 + 2.0 * epsilon).expect("in bounds");
             if i > 0 {
                 coo.push(row, idx(i - 1, j), -1.0).expect("in bounds");
-            }
-            if i + 1 < n {
-                coo.push(row, idx(i + 1, j), -1.0).expect("in bounds");
             }
             if j > 0 {
                 coo.push(row, idx(i, j - 1), -epsilon).expect("in bounds");
             }
+            coo.push(row, row, 2.0 + 2.0 * epsilon).expect("in bounds");
             if j + 1 < n {
                 coo.push(row, idx(i, j + 1), -epsilon).expect("in bounds");
+            }
+            if i + 1 < n {
+                coo.push(row, idx(i + 1, j), -1.0).expect("in bounds");
             }
         }
     }
@@ -153,32 +157,32 @@ pub fn jump_coefficient_2d(n: usize, jump: f64) -> CsrMatrix {
         for j in 0..n {
             let row = idx(i, j);
             let c = coeff(i, j);
-            let mut diag = 0.0;
-            let push_neighbor = |coo: &mut CooMatrix, col: usize, w: f64| {
-                coo.push(row, col, -w).expect("in bounds");
-            };
-            if i > 0 {
-                let w = 0.5 * (c + coeff(i - 1, j));
-                push_neighbor(&mut coo, idx(i - 1, j), w);
-                diag += w;
+            let weight = |ni: usize, nj: usize| 0.5 * (c + coeff(ni, nj));
+            let up = (i > 0).then(|| weight(i - 1, j));
+            let down = (i + 1 < n).then(|| weight(i + 1, j));
+            let left = (j > 0).then(|| weight(i, j - 1));
+            let right = (j + 1 < n).then(|| weight(i, j + 1));
+            // The diagonal sums its weights in the order i−1, i+1, j−1, j+1,
+            // not in push order: its rounding must not depend on the layout.
+            let diag = [up, down, left, right]
+                .into_iter()
+                .flatten()
+                .fold(0.0, |s, w| s + w);
+            let mut push = |col: usize, value: f64| coo.push(row, col, value).expect("in bounds");
+            if let Some(w) = up {
+                push(idx(i - 1, j), -w);
             }
-            if i + 1 < n {
-                let w = 0.5 * (c + coeff(i + 1, j));
-                push_neighbor(&mut coo, idx(i + 1, j), w);
-                diag += w;
-            }
-            if j > 0 {
-                let w = 0.5 * (c + coeff(i, j - 1));
-                push_neighbor(&mut coo, idx(i, j - 1), w);
-                diag += w;
-            }
-            if j + 1 < n {
-                let w = 0.5 * (c + coeff(i, j + 1));
-                push_neighbor(&mut coo, idx(i, j + 1), w);
-                diag += w;
+            if let Some(w) = left {
+                push(idx(i, j - 1), -w);
             }
             // Add a boundary contribution so the matrix is non-singular.
-            coo.push(row, row, diag + 0.5 * c).expect("in bounds");
+            push(row, diag + 0.5 * c);
+            if let Some(w) = right {
+                push(idx(i, j + 1), -w);
+            }
+            if let Some(w) = down {
+                push(idx(i + 1, j), -w);
+            }
         }
     }
     coo.to_csr()
@@ -286,6 +290,127 @@ mod tests {
         let a = jump_coefficient_2d(8, 1000.0);
         assert!(a.is_symmetric(1e-10));
         assert!(a.to_dense().cholesky().is_ok());
+    }
+
+    /// Builds an `n × n` 2-D stencil the way the generators used to: row
+    /// by row, the diagonal first or last (`diagonal_first`) and the
+    /// neighbours in the order i−1, i+1, j−1, j+1, so `to_csr` sorts.
+    fn unsorted_2d(
+        n: usize,
+        diagonal_first: bool,
+        entry: impl Fn(usize, usize, &[(usize, usize)]) -> (f64, Vec<f64>),
+    ) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n * n, n * n);
+        for i in 0..n {
+            for j in 0..n {
+                let row = i * n + j;
+                let mut nbrs = Vec::new();
+                if i > 0 {
+                    nbrs.push((i - 1, j));
+                }
+                if i + 1 < n {
+                    nbrs.push((i + 1, j));
+                }
+                if j > 0 {
+                    nbrs.push((i, j - 1));
+                }
+                if j + 1 < n {
+                    nbrs.push((i, j + 1));
+                }
+                let (diag, offdiag) = entry(i, j, &nbrs);
+                if diagonal_first {
+                    coo.push(row, row, diag).unwrap();
+                }
+                for (&(ni, nj), &v) in nbrs.iter().zip(&offdiag) {
+                    coo.push(row, ni * n + nj, v).unwrap();
+                }
+                if !diagonal_first {
+                    coo.push(row, row, diag).unwrap();
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// The 3-D 7-point stencil in its former push order: diagonal, then
+    /// i−1, i+1, j−1, j+1, k−1, k+1.
+    fn unsorted_3d_7pt(n: usize) -> CsrMatrix {
+        let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
+        let mut coo = CooMatrix::new(n * n * n, n * n * n);
+        for i in 0..n {
+            for j in 0..n {
+                for k in 0..n {
+                    let row = idx(i, j, k);
+                    coo.push(row, row, 6.0).unwrap();
+                    for (near, col) in [
+                        (i > 0, (i.wrapping_sub(1), j, k)),
+                        (i + 1 < n, (i + 1, j, k)),
+                        (j > 0, (i, j.wrapping_sub(1), k)),
+                        (j + 1 < n, (i, j + 1, k)),
+                        (k > 0, (i, j, k.wrapping_sub(1))),
+                        (k + 1 < n, (i, j, k + 1)),
+                    ] {
+                        if near {
+                            coo.push(row, idx(col.0, col.1, col.2), -1.0).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    fn assert_same_bits(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+        assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: values");
+    }
+
+    #[test]
+    fn stencils_in_column_order_match_the_sorted_build_bitwise() {
+        for n in [1usize, 2, 3, 7, 64] {
+            let poisson = unsorted_2d(n, true, |_, _, nbrs| (4.0, vec![-1.0; nbrs.len()]));
+            assert_same_bits(&poisson_2d(n), &poisson, &format!("poisson_2d({n})"));
+            assert_same_bits(
+                &poisson_3d_7pt(n),
+                &unsorted_3d_7pt(n),
+                &format!("poisson_3d_7pt({n})"),
+            );
+            for eps in [1.0, 0.01, 0.3, 1e-7] {
+                let aniso = unsorted_2d(n, true, |i, _, nbrs| {
+                    let offdiag = nbrs
+                        .iter()
+                        .map(|&(ni, _)| if ni != i { -1.0 } else { -eps })
+                        .collect();
+                    (2.0 + 2.0 * eps, offdiag)
+                });
+                assert_same_bits(
+                    &anisotropic_2d(n, eps),
+                    &aniso,
+                    &format!("anisotropic_2d({n}, {eps})"),
+                );
+            }
+            // Jumps at which the order of the diagonal sum changes its bits.
+            for jump in [1.0, 1000.0, 0.1, 3.7, 1e-7, 1.0 / 7.0, 3.0001] {
+                let coeff = |j: usize| if j >= n / 2 { jump } else { 1.0 };
+                let jumped = unsorted_2d(n, false, |_, j, nbrs| {
+                    let c = coeff(j);
+                    let weights: Vec<f64> =
+                        nbrs.iter().map(|&(_, nj)| 0.5 * (c + coeff(nj))).collect();
+                    let mut diag = 0.0;
+                    for w in &weights {
+                        diag += w;
+                    }
+                    (diag + 0.5 * c, weights.iter().map(|w| -w).collect())
+                });
+                assert_same_bits(
+                    &jump_coefficient_2d(n, jump),
+                    &jumped,
+                    &format!("jump_coefficient_2d({n}, {jump})"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -374,7 +374,7 @@ impl KillSchedule {
 ///
 /// Cells time the complete spawn → solve → join round trip (process
 /// start-up included — it is part of what a respawn costs), and every cell
-/// including the baseline runs under the same [`NetFaultCampaign::spin`]
+/// including the baseline runs under the same [`NetFaultCampaign::throttle`]
 /// throttle so kill schedules land mid-solve without skewing the
 /// comparison.
 #[derive(Debug, Clone)]
@@ -410,7 +410,7 @@ pub struct NetFaultCampaign {
     /// Per-iteration worker throttle applied to *every* cell and the
     /// baseline alike; dilates the solve so a kill schedule reliably lands
     /// mid-iteration.
-    pub spin: Duration,
+    pub throttle: Duration,
 }
 
 impl Default for NetFaultCampaign {
@@ -433,7 +433,7 @@ impl Default for NetFaultCampaign {
             max_iterations: 50_000,
             page_doubles: 64,
             seed: 0x00D1_CE00,
-            spin: Duration::ZERO,
+            throttle: Duration::ZERO,
         }
     }
 }
@@ -623,7 +623,7 @@ impl NetFaultCampaign {
                 },
                 fault_retransmits: false,
             }),
-            spin: (!self.spin.is_zero()).then_some(self.spin),
+            throttle: (!self.throttle.is_zero()).then_some(self.throttle),
             ..WorkerOptions::default()
         };
         let started = Instant::now();

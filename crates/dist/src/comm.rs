@@ -180,20 +180,22 @@ impl HaloPlan {
     }
 }
 
-/// `try_recv` attempts made back to back (with `hint::spin_loop`) before a
-/// waiting rank starts yielding its core: covers a peer that is already
-/// sending, for well under a microsecond.
+/// Attempts (a `try_recv`, or a zero-wait read of a socket) made back to
+/// back (with `hint::spin_loop`) before a waiting rank starts yielding its
+/// core: covers a peer that is already sending.
 const SPIN_POLLS: u32 = 32;
 
-/// How long a waiting rank keeps polling (`try_recv` + `yield_now`) before it
-/// parks in the blocking `recv()`.
+/// How long a waiting rank keeps polling (attempt + `yield_now`) before it
+/// blocks: parks in the channel's `recv()`, or sleeps in `poll(2)`.
 ///
-/// About one parked round trip, so the most a wait can waste is what parking
-/// would have cost anyway. Measured on the 2-vCPU development container with
-/// two threads handing one `f64` back and forth over a channel pair, the
-/// replier computing 0–20 µs before it answers: 40–41 µs per round trip over
-/// the compute when both sides park (two futex wake-ups across vCPUs), 0.4–1.4
-/// µs with this discipline.
+/// About one blocked round trip, so the most a wait can waste is what
+/// blocking would have cost anyway. Measured on a 2-vCPU VM with two threads
+/// handing one `f64` back and forth over a channel pair, the replier
+/// computing 0–20 µs before it answers: 40–41 µs per round trip over the
+/// compute when both sides park (two futex wake-ups across vCPUs), 0.4–1.4
+/// µs with this discipline. Two threads bouncing 8 bytes over a Unix socket
+/// pair on the same VM: 21.9–22.7 µs per round trip when each waiter sleeps
+/// in `poll(2)`, 6.9–7.1 µs when it polls on this schedule first.
 const POLL_BUDGET: Duration = Duration::from_micros(50);
 
 /// The one way the in-process link waits for a message: spin, then yield,
@@ -205,8 +207,9 @@ const POLL_BUDGET: Duration = Duration::from_micros(50);
 /// keeps more ranks than cores correct and quick; the park tail bounds the CPU
 /// a long wait (a peer inside a repair, a stalled rank) can burn.
 ///
-/// Not used by the process backend: there the waiting thread reads its own
-/// socket and blocks in `poll(2)` until bytes arrive (see [`crate::process`]).
+/// The process backend waits on the same [`poll_budgeted`] schedule, with a
+/// zero-wait read of its socket as the attempt and `poll(2)` as the park
+/// (see [`crate::process`]).
 fn wait_recv<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
     poll_recv(rx).unwrap_or_else(|| rx.recv())
 }
@@ -214,13 +217,24 @@ fn wait_recv<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
 /// The spin and yield phases of [`wait_recv`]: `None` once [`POLL_BUDGET`] is
 /// spent with the channel still empty and its sender alive.
 fn poll_recv<T>(rx: &Receiver<T>) -> Option<Result<T, RecvError>> {
+    poll_budgeted(|| match rx.try_recv() {
+        Ok(message) => Some(Ok(message)),
+        Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
+        Err(TryRecvError::Empty) => None,
+    })
+}
+
+/// The spin and yield phases both backends wait by: calls `attempt` back to
+/// back [`SPIN_POLLS`] times, then between `yield_now`s until
+/// [`POLL_BUDGET`] has passed. `None` once the budget is spent without a
+/// result — the caller then blocks (parks on its channel, sleeps in
+/// `poll(2)` on its socket).
+pub(crate) fn poll_budgeted<T>(mut attempt: impl FnMut() -> Option<T>) -> Option<T> {
     let mut polls = 0;
     let mut yielding_since = None;
     loop {
-        match rx.try_recv() {
-            Ok(message) => return Some(Ok(message)),
-            Err(TryRecvError::Disconnected) => return Some(Err(RecvError)),
-            Err(TryRecvError::Empty) => {}
+        if let Some(done) = attempt() {
+            return Some(done);
         }
         if polls < SPIN_POLLS {
             polls += 1;

@@ -22,21 +22,26 @@
 //! [`feir_wire::chaos`]: each inner wire frame travels as a numbered data
 //! record, which the receiver reassembles **in sequence order** (dropping
 //! duplicates, holding reordered records back) and acknowledges
-//! cumulatively. A record parked ahead of the next expected one, or a
-//! rejected frame in its place, reveals a gap: the receiver NACKs the gap
-//! once and the sender re-sends that record at once, so a loss a later frame
-//! reveals costs about one round trip (a clean wire never NACKs). A loss
-//! nothing reveals waits for the timer: the sender retransmits the oldest
-//! unacknowledged record with exponential backoff until
+//! cumulatively. The ack is owed rather than sent alone: it rides ahead of
+//! the receiver's next record to that peer, in the same `write`, or is
+//! flushed before the receiver sleeps, on its watchdog's tick and while it
+//! drains a closing link. A record parked ahead of the next expected one,
+//! or a rejected frame in its place, reveals a gap: the receiver NACKs the
+//! gap once and the sender re-sends that record at once, so a loss a later
+//! frame reveals costs about one round trip (a clean wire never NACKs). A
+//! loss nothing reveals waits for the timer: the sender retransmits the
+//! oldest unacknowledged record with exponential backoff until
 //! [`MeshOptions::max_retries`] is exhausted.
 //!
 //! A rank blocked in a receive reads and parses its own socket (it *pumps*
 //! the link: `poll(2)`, one read, every complete record), so a clean frame
-//! costs one wake of the thread that wants it — no hand-off. It sleeps until
-//! the earliest of its read deadline and the retransmit deadlines of all its
-//! links, and re-sends what expired, so a frame lost toward peer B is
-//! re-sent while the rank waits on peer A; a closing link drains the same
-//! way. A per-link watchdog thread, woken by a timer and never on a
+//! reaches the thread that wants it without a hand-off. It first polls
+//! without sleeping, on the in-process link's spin → yield schedule, so a
+//! reply already on its way costs no kernel wake-up either; then it sleeps
+//! until the earliest of its read deadline and the retransmit deadlines of
+//! all its links, and re-sends what expired, so a frame lost toward peer B
+//! is re-sent while the rank waits on peer A; a closing link drains the
+//! same way. A per-link watchdog thread, woken by a timer and never on a
 //! message's path, pumps, acks and retransmits for a rank that computes.
 //! Because delivery is exactly-once-in-order, the message sequence the
 //! solver observes over a faulty link is *identical* to the clean one — a
@@ -530,6 +535,21 @@ impl LinkShared {
         ok
     }
 
+    /// Writes the cumulative ack this link owes its peer, if any. `false`:
+    /// the write failed and the link is now marked dead.
+    fn flush_ack(&self) -> bool {
+        let ok = self
+            .writer
+            .lock()
+            .expect("link writer lock")
+            .flush_ack()
+            .is_ok();
+        if !ok {
+            self.mark_down(LinkDown::Eof);
+        }
+        ok
+    }
+
     /// Applies a cumulative ack: "every record below `seq` was delivered."
     fn acknowledge(&self, seq: u64) {
         let mut sendq = self.sendq.lock().expect("link send lock");
@@ -650,8 +670,8 @@ impl Inbound {
         }
     }
 
-    /// Handles one data record: delivers it in sequence order, acks
-    /// cumulatively and NACKs the gap it reveals. `false`: the link died.
+    /// Handles one data record: delivers it in sequence order, owes the peer
+    /// a cumulative ack and NACKs the gap it reveals. `false`: the link died.
     fn receive(
         &mut self,
         shared: &LinkShared,
@@ -675,16 +695,17 @@ impl Inbound {
                     }
                 }
                 // Always (re-)acknowledge: a lost ack is recovered by the
-                // duplicate the sender's retransmission causes. The ack goes
-                // first, so the NACK finds the missing record at the head of
-                // the sender's queue.
-                let acked = shared
+                // duplicate the sender's retransmission causes. The ack is
+                // owed, not written: it rides this link's next write — a
+                // data record, or the NACK below, which it precedes so the
+                // NACK finds the missing record at the head of the sender's
+                // queue — or is flushed before this rank sleeps.
+                shared
                     .writer
                     .lock()
                     .expect("link writer lock")
-                    .write_ack(self.expected)
-                    .is_ok();
-                if !acked || (gap && !self.report_gap(shared)) {
+                    .owe_ack(self.expected);
+                if gap && !self.report_gap(shared) {
                     shared.mark_down(LinkDown::Eof);
                     return false;
                 }
@@ -785,8 +806,9 @@ fn pump(shared: &LinkShared, inbound: &mut Inbound, wait: Duration) -> bool {
 
 /// The per-link watchdog thread, the backstop for an owner that is
 /// computing rather than receiving: every `min(TICK, rto / 4)` it pumps the
-/// socket without waiting unless a receive holds it, and services the
-/// retransmit timer — so what arrives is acked well within the peer's RTO.
+/// socket without waiting unless a receive holds it, writes the ack the link
+/// owes and services the retransmit timer — so what arrives is acked well
+/// within the peer's RTO.
 /// When the link dies it registers the peer in the endpoint's `downed` set,
 /// which is how elastic receives notice the failure.
 fn watchdog(shared: Arc<LinkShared>, downed: Arc<Mutex<BTreeSet<usize>>>) {
@@ -797,7 +819,7 @@ fn watchdog(shared: Arc<LinkShared>, downed: Arc<Mutex<BTreeSet<usize>>>) {
             Ok(mut inbound) => pump(&shared, &mut inbound, Duration::ZERO),
             Err(_) => !shared.is_down(),
         };
-        if !alive || !shared.service_retransmits() {
+        if !alive || !shared.flush_ack() || !shared.service_retransmits() {
             break;
         }
     }
@@ -838,6 +860,8 @@ impl RLink {
         // retransmit timer and reads the acks itself until every record is
         // acked, bounded by the time the retries would take to exhaust so a
         // peer that is alive but never acks cannot stall teardown for long.
+        // Each pass first pays the ack this side owes: the peer may be
+        // draining too, waiting for exactly that ack.
         const BUDGET_CAP: Duration = Duration::from_secs(3);
         let shared = &self.shared;
         let mut budget = Duration::ZERO;
@@ -848,7 +872,7 @@ impl RLink {
             }
         }
         let deadline = Instant::now() + budget.min(BUDGET_CAP);
-        while shared.service_retransmits() {
+        while shared.flush_ack() && shared.service_retransmits() {
             let Some(expiry) = shared.next_expiry() else {
                 break; // drained
             };
@@ -1029,9 +1053,13 @@ impl ProcessEndpoint {
     /// endpoint — the thread a lost frame stalls is this one, so it sleeps
     /// in `poll(2)` until `min(earliest retransmit deadline, read deadline,
     /// liveness poll)` rather than a fixed tick, and a rank blocked on peer
-    /// A still re-sends a frame lost toward peer B. `link` is `peer`'s link,
-    /// already borrowed by the caller; the others are reached through their
-    /// own cells.
+    /// A still re-sends a frame lost toward peer B. Before it sleeps it
+    /// polls the socket on the in-process link's spin → yield schedule
+    /// ([`crate::comm::poll_budgeted`]): a reply that lands within
+    /// microseconds costs no kernel wake-up. And before it sleeps it writes
+    /// the ack every link owes, so no peer waits on this rank's sleep for
+    /// one. `link` is `peer`'s link, already borrowed by the caller; the
+    /// others are reached through their own cells.
     fn await_frame<T>(
         &self,
         peer: usize,
@@ -1086,7 +1114,21 @@ impl ProcessEndpoint {
                     wake = wake.min(expiry).min(now + shared.rto);
                 }
             });
-            pump(shared, &mut inbound, wake.saturating_duration_since(now));
+            let polled = crate::comm::poll_budgeted(|| {
+                let alive = pump(shared, &mut inbound, Duration::ZERO);
+                let due = Instant::now() >= wake;
+                (!alive || due || !inbound.delivered.is_empty()).then_some(())
+            });
+            if polled.is_none() {
+                each_link(&mut |shared| {
+                    shared.flush_ack();
+                });
+                pump(
+                    shared,
+                    &mut inbound,
+                    wake.saturating_duration_since(Instant::now()),
+                );
+            }
             if !inbound.delivered.is_empty() || Instant::now() < wake {
                 continue;
             }
@@ -1614,7 +1656,7 @@ pub struct WorkerOptions {
     /// Per-iteration throttle sleep inside each worker's rank loop — lets
     /// kill/respawn tests land a failure mid-solve deterministically
     /// without a huge problem.
-    pub spin: Option<Duration>,
+    pub throttle: Option<Duration>,
 }
 
 /// A failure of the multi-process launcher or one of its workers.
@@ -2139,7 +2181,7 @@ impl Launch {
                 .as_ref()
                 .map(|c| (c.seed, c.rates, c.fault_retransmits)),
             retransmit_timeout_us: micros(options.retransmit_timeout),
-            spin_us: micros(options.spin),
+            throttle_us: micros(options.throttle),
         })
     }
 
@@ -2200,7 +2242,7 @@ impl Launch {
                 elastic: c.elastic,
                 chaos: chaos.transpose()?,
                 retransmit_timeout: duration(c.retransmit_timeout_us),
-                spin: duration(c.spin_us),
+                throttle: duration(c.throttle_us),
             },
         })
     }
@@ -2315,7 +2357,7 @@ fn run_worker_resilient(
         registry,
         partition: partition.clone(),
         scripted: Vec::new(),
-        throttle: launch.options.spin.unwrap_or(Duration::ZERO),
+        throttle: launch.options.throttle.unwrap_or(Duration::ZERO),
     };
     let cfg = ElasticCfg {
         newcomer: launch.epochs.get(rank).copied().unwrap_or(0) > 0,
@@ -2537,13 +2579,13 @@ mod tests {
                 // Sub-millisecond durations: a millisecond encoding turns
                 // this RTO into 0, and every service call into a retransmit.
                 retransmit_timeout: Some(Duration::from_micros(500)),
-                spin: Some(Duration::from_micros(1500)),
+                throttle: Some(Duration::from_micros(1500)),
             },
         };
         let back = round_trip(&launch);
         let mesh = back.mesh_options();
         assert_eq!(mesh.retransmit_timeout, Duration::from_micros(500));
-        assert_eq!(back.options.spin, Some(Duration::from_micros(1500)));
+        assert_eq!(back.options.throttle, Some(Duration::from_micros(1500)));
         assert_eq!((mesh.chaos, mesh.elastic), (launch.options.chaos, true));
         assert_eq!(mesh.epochs, vec![0, 0, 1]);
 
@@ -3038,27 +3080,48 @@ mod tests {
         replies
     }
 
+    /// A watchdog-less link (see [`bare_link`]) the test pumps by hand, so
+    /// nothing but the test decides when the owed ack is written.
+    fn hand_pumped_link() -> (LinkShared, UnixStream) {
+        let (shared, far) = bare_link(Duration::from_secs(60), 10);
+        far.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("far read timeout");
+        (shared, far)
+    }
+
+    /// Pumps `shared` until `n` messages wait in its delivered queue.
+    fn pump_until_delivered(shared: &LinkShared, n: usize) {
+        let mut inbound = shared.inbound.lock().unwrap();
+        while inbound.delivered.len() < n {
+            assert!(pump(shared, &mut inbound, Duration::from_secs(10)));
+        }
+    }
+
     #[test]
     fn lossy_a_gap_is_nacked_once_by_the_first_frame_that_reveals_it() {
-        let (link, mut far) = raw_peer_link();
+        let (shared, mut far) = hand_pumped_link();
         // Records 1 and 2 arrive ahead of the missing record 0; only the
-        // first of them reports the gap.
+        // first of them reports the gap, behind the ack it owes.
         for seq in [1, 2, 0] {
             write_record(&mut far, ENV_DATA, seq, &scalar(seq as f64).encode());
         }
+        pump_until_delivered(&shared, 3);
+        assert!(shared.flush_ack());
         assert_eq!(
             replies_until_ack(&mut far, 3),
-            [(ENV_ACK, 0), (ENV_NACK, 0), (ENV_ACK, 0), (ENV_ACK, 3)]
+            [(ENV_ACK, 0), (ENV_NACK, 0), (ENV_ACK, 3)]
         );
         // A later gap is a new one and is reported in its turn.
         for seq in [4, 3] {
             write_record(&mut far, ENV_DATA, seq, &scalar(seq as f64).encode());
         }
+        pump_until_delivered(&shared, 5);
+        assert!(shared.flush_ack());
         assert_eq!(
             replies_until_ack(&mut far, 5),
             [(ENV_ACK, 3), (ENV_NACK, 3), (ENV_ACK, 5)]
         );
-        let mut inbound = link.shared.inbound.lock().unwrap();
+        let mut inbound = shared.inbound.lock().unwrap();
         let delivered: Vec<_> = inbound.delivered.drain(..).collect();
         let want: Vec<_> = (0..5).map(|seq| scalar(seq as f64)).collect();
         assert_eq!(delivered, want, "delivered in sequence order");
@@ -3066,7 +3129,7 @@ mod tests {
 
     #[test]
     fn lossy_a_rejected_frame_is_nacked_and_a_duplicate_or_in_order_frame_is_not() {
-        let (link, mut far) = raw_peer_link();
+        let (shared, mut far) = hand_pumped_link();
         let mut corrupt = scalar(1.0).encode();
         corrupt[0] ^= 1; // bad magic: the frame is rejected
                          // In-order traffic and duplicates, valid or rejected, are only acked.
@@ -3074,21 +3137,44 @@ mod tests {
         write_record(&mut far, ENV_DATA, 0, &scalar(0.0).encode());
         write_record(&mut far, ENV_DATA, 0, &corrupt);
         write_record(&mut far, ENV_DATA, 1, &scalar(1.0).encode());
-        assert_eq!(
-            replies_until_ack(&mut far, 2),
-            [(ENV_ACK, 1), (ENV_ACK, 1), (ENV_ACK, 2)]
-        );
+        pump_until_delivered(&shared, 2);
         // A rejected frame in place of the next record is the gap: one
-        // NACK, however often it is rejected.
+        // NACK, however often it is rejected, behind the ack still owed.
         write_record(&mut far, ENV_DATA, 2, &corrupt);
         write_record(&mut far, ENV_DATA, 2, &corrupt);
         write_record(&mut far, ENV_DATA, 2, &scalar(2.0).encode());
+        pump_until_delivered(&shared, 3);
+        assert!(shared.flush_ack());
         assert_eq!(
             replies_until_ack(&mut far, 3),
-            [(ENV_NACK, 2), (ENV_ACK, 3)]
+            [(ENV_ACK, 2), (ENV_NACK, 2), (ENV_ACK, 3)]
         );
-        assert_eq!(link.shared.stats.rejected.load(Ordering::Relaxed), 3);
-        assert_eq!(link.shared.stats.dup_received.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.stats.rejected.load(Ordering::Relaxed), 3);
+        assert_eq!(shared.stats.dup_received.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn an_owed_ack_rides_the_next_data_record_in_one_write() {
+        let (shared, mut far) = hand_pumped_link();
+        write_record(&mut far, ENV_DATA, 0, &scalar(1.0).encode());
+        pump_until_delivered(&shared, 1);
+        // Delivered, and the ack is owed, not written.
+        far.set_nonblocking(true).unwrap();
+        let idle = far.read(&mut [0u8; 1]).map_err(|e| e.kind());
+        assert_eq!(
+            idle,
+            Err(std::io::ErrorKind::WouldBlock),
+            "an ack went out alone"
+        );
+        far.set_nonblocking(false).unwrap();
+        let frame = scalar(2.0).encode();
+        assert!(shared.transmit(&frame));
+        let mut want = encode_envelope(ENV_ACK, 1, 0).to_vec();
+        want.extend_from_slice(&encode_envelope(ENV_DATA, 0, frame.len() as u32));
+        want.extend_from_slice(&frame);
+        let mut got = vec![0u8; 2 * want.len()];
+        let n = far.read(&mut got).expect("one read");
+        assert_eq!(got[..n], want, "owed ack ‖ data record, in one read");
     }
 
     #[test]
@@ -3128,15 +3214,15 @@ mod tests {
 
     #[test]
     fn a_record_split_across_writes_is_delivered_once_whole() {
-        let (link, mut far) = raw_peer_link();
+        let (shared, mut far) = hand_pumped_link();
         let first = scalar(1.0).encode();
         let (head, tail) = first.split_at(first.len() / 2);
-        // Pumping by hand while holding the receive side keeps the watchdog
-        // out, so each pump sees exactly what the writes before it sent.
-        let mut inbound = link.shared.inbound.lock().unwrap();
+        // Pumping by hand, each pump sees exactly what the writes before it
+        // sent.
+        let mut inbound = shared.inbound.lock().unwrap();
         let pump_once = |inbound: &mut Inbound| {
             std::thread::sleep(Duration::from_millis(5));
-            assert!(pump(&link.shared, inbound, Duration::from_secs(10)));
+            assert!(pump(&shared, inbound, Duration::from_secs(10)));
         };
         far.write_all(&encode_envelope(ENV_DATA, 0, first.len() as u32))
             .unwrap();
@@ -3155,7 +3241,9 @@ mod tests {
         let delivered: Vec<_> = inbound.delivered.drain(..).collect();
         drop(inbound);
         assert_eq!(delivered, [scalar(1.0), scalar(2.0)]);
-        assert_eq!(replies_until_ack(&mut far, 2), [(ENV_ACK, 1), (ENV_ACK, 2)]);
+        // One cumulative ack covers both.
+        assert!(shared.flush_ack());
+        assert_eq!(replies_until_ack(&mut far, 2), [(ENV_ACK, 2)]);
     }
 
     #[test]
@@ -3190,6 +3278,79 @@ mod tests {
             assert_eq!(net.data_frames, 5, "rank {rank}");
             assert_eq!(net.retransmits, 0, "rank {rank}: a frame was re-sent");
         }
+    }
+
+    #[test]
+    fn teardown_flushes_owed_acks() {
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        // A 1 s RTO: the watchdog naps a whole TICK between its acks.
+        let options = MeshOptions {
+            retransmit_timeout: Duration::from_secs(1),
+            ..test_options()
+        };
+        let plan = HaloPlan::empty(2);
+        let teardowns = with_mesh_opts(2, &transport, &options, |ep| {
+            let stats = ep.stats.clone();
+            let comm = RankComm::over_process(&plan, ep);
+            // Each rank's last act receives its peer's partial, so each
+            // closes owing the ack its peer's drain waits for.
+            comm.allreduce_sum(0.5 + comm.rank() as f64).unwrap();
+            let started = Instant::now();
+            drop(comm);
+            (started.elapsed(), sum_link_stats(&stats))
+        });
+        for (rank, (took, net)) in teardowns.iter().enumerate() {
+            assert!(
+                *took < TICK / 2,
+                "rank {rank}: teardown took {took:?}, waiting out a watchdog nap for an ack"
+            );
+            assert_eq!(net.retransmits, 0, "rank {rank}: a frame was re-sent");
+        }
+    }
+
+    /// CPU time the calling thread has used: utime + stime of
+    /// `/proc/thread-self/stat`, in USER_HZ ticks (100 per second on Linux).
+    fn thread_cpu_time() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("thread stat");
+        // Fields after the parenthesised name, from field 3 (state) on.
+        let fields: Vec<&str> = stat[stat.rfind(')').expect("stat name") + 1..]
+            .split_whitespace()
+            .collect();
+        let ticks: u64 = fields[11..13]
+            .iter()
+            .map(|f| f.parse::<u64>().unwrap())
+            .sum();
+        Duration::from_millis(10 * ticks)
+    }
+
+    #[test]
+    fn a_late_frame_is_awaited_in_poll_not_in_a_spin() {
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let late = Duration::from_millis(100);
+        let waits = with_mesh(2, &transport, |ep| {
+            if ep.rank() == 1 {
+                std::thread::sleep(late);
+                ep.send(0, &scalar(1.0), "late frame").unwrap();
+                return None;
+            }
+            let (cpu, started) = (thread_cpu_time(), Instant::now());
+            ep.recv(1, Tag::GatherScalar, "late frame").unwrap();
+            Some((started.elapsed(), thread_cpu_time() - cpu))
+        });
+        let (waited, cpu) = waits[0].expect("rank 0 waited");
+        assert!(waited >= late / 2, "the frame came early, after {waited:?}");
+        assert!(
+            cpu < Duration::from_millis(10),
+            "a {waited:?} wait used {cpu:?} of CPU: it spun past the poll budget"
+        );
     }
 
     /// Replaces the fault plan of `ep`'s outgoing link to `peer` with one

@@ -30,7 +30,7 @@ fn net_campaign_sweeps_chaos_and_respawn_cells() {
         // Dilates every cell (baseline included) so the kill schedule lands
         // mid-solve; overheads stay comparable because the throttle is
         // uniform.
-        spin: Duration::from_millis(5),
+        throttle: Duration::from_millis(5),
         max_iterations: 20_000,
         ..NetFaultCampaign::default()
     };

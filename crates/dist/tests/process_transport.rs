@@ -281,7 +281,7 @@ fn kill_respawn_solve(spec: &ProcessSpec, policy: RecoveryPolicy, tag: &str) -> 
         elastic: true,
         // Dilate the iterations so the kill deterministically lands
         // mid-solve (a sleep does no floating-point work).
-        spin: Some(Duration::from_millis(8)),
+        throttle: Some(Duration::from_millis(8)),
         ..WorkerOptions::default()
     };
     let mut handles = spawn_workers_with(
@@ -459,7 +459,7 @@ fn malformed_worker_config_is_refused() {
         max_iterations: 1000,
         chaos: Some((chaos.seed, chaos.rates, chaos.fault_retransmits)),
         retransmit_timeout_us: u64::MAX,
-        spin_us: u64::MAX,
+        throttle_us: u64::MAX,
         ..WorkerConfig::default()
     };
     let edited = |edit: fn(&mut WorkerConfig)| {

@@ -66,12 +66,10 @@ pub fn parse_envelope(env: &[u8; ENVELOPE_LEN]) -> (u8, u64, u32) {
     (kind, seq, inner_len)
 }
 
-/// A data record as it goes on the wire: envelope ‖ `frame`.
-fn data_record(seq: u64, frame: &[u8]) -> Vec<u8> {
-    let mut record = Vec::with_capacity(ENVELOPE_LEN + frame.len());
-    record.extend_from_slice(&encode_envelope(ENV_DATA, seq, frame.len() as u32));
-    record.extend_from_slice(frame);
-    record
+/// Appends a data record as it goes on the wire: envelope ‖ `frame`.
+fn push_data_record(out: &mut Vec<u8>, seq: u64, frame: &[u8]) {
+    out.extend_from_slice(&encode_envelope(ENV_DATA, seq, frame.len() as u32));
+    out.extend_from_slice(frame);
 }
 
 /// One way a frame can be mistreated on the wire.
@@ -272,12 +270,22 @@ impl LinkStats {
 /// `ChaosLink`, which applies the [`FaultPlan`] to data records and passes
 /// acknowledgements and NACKs through untouched (faulting them would only
 /// exercise the same retransmit path twice).
+///
+/// A cumulative ack is *owed* ([`ChaosLink::owe_ack`]) rather than written
+/// at once: it rides ahead of the next clean data record in the same
+/// `write`, goes out before a NACK, a faulted record or a re-send, and
+/// otherwise waits for [`ChaosLink::flush_ack`] — the delayed cumulative
+/// ACK of TCP (RFC 1122 §4.2.3.2).
 #[derive(Debug)]
 pub struct ChaosLink<W: Write> {
     inner: W,
     plan: FaultPlan,
     /// A delayed record waiting to be written after the next one.
     held: Option<Vec<u8>>,
+    /// The cumulative ack recorded but not yet written.
+    owed_ack: Option<u64>,
+    /// The bytes of the next `write`: the owed ack, then what follows it.
+    out: Vec<u8>,
     stats: std::sync::Arc<LinkStats>,
 }
 
@@ -289,6 +297,8 @@ impl<W: Write> ChaosLink<W> {
             inner,
             plan,
             held: None,
+            owed_ack: None,
+            out: Vec::new(),
             stats,
         }
     }
@@ -309,6 +319,11 @@ impl<W: Write> ChaosLink<W> {
             self.stats.bump(&self.stats.retransmits);
         }
         let fault = self.plan.decide(seq, attempt);
+        self.start_out();
+        if fault.is_some() {
+            // The owed ack goes out alone, clean, ahead of the mistreatment.
+            self.write_out()?;
+        }
         match fault {
             Some(FaultKind::Drop) => {
                 self.stats.bump(&self.stats.dropped);
@@ -320,7 +335,9 @@ impl<W: Write> ChaosLink<W> {
             Some(FaultKind::Delay) => {
                 self.stats.bump(&self.stats.delayed);
                 // One delay slot: an already-held record goes out first.
-                let previous = self.held.replace(data_record(seq, frame));
+                let mut record = Vec::with_capacity(ENVELOPE_LEN + frame.len());
+                push_data_record(&mut record, seq, frame);
+                let previous = self.held.replace(record);
                 if let Some(old) = previous {
                     self.inner.write_all(&old)?;
                     self.inner.flush()?;
@@ -363,29 +380,62 @@ impl<W: Write> ChaosLink<W> {
                 self.flush_held()
             }
             None => {
-                // One write, so the receiver never wakes on the envelope alone.
-                self.inner.write_all(&data_record(seq, frame))?;
-                self.inner.flush()?;
+                // One write — owed ack ‖ envelope ‖ frame — so the receiver
+                // never wakes on a part alone.
+                push_data_record(&mut self.out, seq, frame);
+                self.write_out()?;
                 self.flush_held()
             }
         }
     }
 
-    /// Writes a cumulative acknowledgement record. Never faulted.
-    pub fn write_ack(&mut self, ack_seq: u64) -> io::Result<()> {
-        self.write_control(ENV_ACK, ack_seq)
+    /// Records that every record below `ack_seq` was delivered: a cumulative
+    /// ack, written with this link's next record or by [`Self::flush_ack`].
+    /// A later call supersedes an earlier one. Never faulted.
+    pub fn owe_ack(&mut self, ack_seq: u64) {
+        self.owed_ack = Some(ack_seq);
     }
 
-    /// Writes a negative acknowledgement for the missing record `seq`.
-    /// Never faulted.
-    pub fn write_nack(&mut self, seq: u64) -> io::Result<()> {
-        self.write_control(ENV_NACK, seq)
-    }
-
-    fn write_control(&mut self, kind: u8, seq: u64) -> io::Result<()> {
-        self.inner.write_all(&encode_envelope(kind, seq, 0))?;
-        self.inner.flush()?;
+    /// Writes the owed ack now, if there is one (and then releases a held
+    /// delayed record).
+    pub fn flush_ack(&mut self) -> io::Result<()> {
+        if self.owed_ack.is_none() {
+            return Ok(());
+        }
+        self.start_out();
+        self.write_out()?;
         self.flush_held()
+    }
+
+    /// Writes a negative acknowledgement for the missing record `seq`,
+    /// behind the owed ack in the same `write` (and then releases a held
+    /// delayed record). Never faulted.
+    pub fn write_nack(&mut self, seq: u64) -> io::Result<()> {
+        self.start_out();
+        self.out
+            .extend_from_slice(&encode_envelope(ENV_NACK, seq, 0));
+        self.write_out()?;
+        self.flush_held()
+    }
+
+    /// Starts the next write's bytes with the owed ack, if any.
+    fn start_out(&mut self) {
+        self.out.clear();
+        if let Some(ack_seq) = self.owed_ack.take() {
+            self.out
+                .extend_from_slice(&encode_envelope(ENV_ACK, ack_seq, 0));
+        }
+    }
+
+    /// Writes what [`Self::start_out`] and its callers collected, if
+    /// anything.
+    fn write_out(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.inner.write_all(&self.out)?;
+        self.out.clear();
+        self.inner.flush()
     }
 
     fn flush_held(&mut self) -> io::Result<()> {
@@ -455,7 +505,8 @@ mod tests {
         let stats = std::sync::Arc::new(LinkStats::default());
         let mut link = ChaosLink::new(&mut sink, FaultPlan::clean(), stats.clone());
         link.write_data(0, 0, &frame()).unwrap();
-        link.write_ack(1).unwrap();
+        link.owe_ack(1);
+        link.flush_ack().unwrap();
         let recs = records(&sink);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].0, ENV_DATA);
@@ -467,26 +518,55 @@ mod tests {
         assert_eq!(stats.faults(), 0);
     }
 
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn a_clean_record_is_one_write_with_unchanged_bytes() {
-        /// Records every `write` call it receives.
-        #[derive(Default)]
-        struct Writes(Vec<Vec<u8>>);
-        impl Write for Writes {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.push(buf.to_vec());
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
         let stats = std::sync::Arc::new(LinkStats::default());
         let mut link = ChaosLink::new(Writes::default(), FaultPlan::clean(), stats);
         link.write_data(7, 0, &frame()).unwrap();
         let mut want = encode_envelope(ENV_DATA, 7, frame().len() as u32).to_vec();
         want.extend_from_slice(&frame());
         assert_eq!(link.get_mut().0, [want], "one write of envelope ‖ frame");
+    }
+
+    #[test]
+    fn an_owed_ack_is_written_once_ahead_of_whatever_goes_next() {
+        let plan = FaultPlan::scripted(&[(1, FaultKind::Drop)]);
+        let stats = std::sync::Arc::new(LinkStats::default());
+        let mut link = ChaosLink::new(Writes::default(), plan, stats);
+        let ack = |seq| encode_envelope(ENV_ACK, seq, 0).to_vec();
+        let mut data = encode_envelope(ENV_DATA, 0, frame().len() as u32).to_vec();
+        data.extend_from_slice(&frame());
+
+        link.flush_ack().unwrap();
+        assert!(link.get_mut().0.is_empty(), "nothing owed, nothing written");
+        // The later ack supersedes the earlier; it rides the clean record.
+        link.owe_ack(2);
+        link.owe_ack(3);
+        link.write_data(0, 0, &frame()).unwrap();
+        assert_eq!(link.get_mut().0, [[ack(3), data].concat()]);
+        // A faulted (here dropped) record: the ack goes out alone.
+        link.owe_ack(4);
+        link.write_data(1, 0, &frame()).unwrap();
+        // A NACK: ack ‖ NACK in one write. Then the debt is paid.
+        link.owe_ack(5);
+        link.write_nack(1).unwrap();
+        link.flush_ack().unwrap();
+        let nack = encode_envelope(ENV_NACK, 1, 0).to_vec();
+        assert_eq!(link.get_mut().0[1..], [ack(4), [ack(5), nack].concat()]);
     }
 
     #[test]
@@ -591,7 +671,8 @@ mod tests {
         let mut link = ChaosLink::new(Vec::new(), plan, stats);
         link.write_data(0, 0, &frame()).unwrap();
         assert!(records(link.get_mut()).is_empty(), "record is held");
-        link.write_ack(5).unwrap();
+        link.owe_ack(5);
+        link.flush_ack().unwrap();
         let recs = records(link.get_mut());
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].0, ENV_ACK);

@@ -398,7 +398,7 @@ pub struct WorkerConfig {
     /// Base retransmission timeout in microseconds.
     pub retransmit_timeout_us: u64,
     /// Per-iteration throttle sleep in microseconds.
-    pub spin_us: u64,
+    pub throttle_us: u64,
 }
 
 impl Message {
@@ -562,7 +562,7 @@ impl Message {
                     out.push(u8::from(all_attempts));
                 }
                 put_u64(out, c.retransmit_timeout_us);
-                put_u64(out, c.spin_us);
+                put_u64(out, c.throttle_us);
             }
         }
         let payload_len = (out.len() - payload_at) as u32;
@@ -735,7 +735,7 @@ impl Message {
                     )),
                 },
                 retransmit_timeout_us: rd.take_u64()?,
-                spin_us: rd.take_u64()?,
+                throttle_us: rd.take_u64()?,
             }),
         };
         Ok(msg)
@@ -1055,7 +1055,7 @@ mod tests {
                     false,
                 )),
                 retransmit_timeout_us: 500,
-                spin_us: u64::MAX,
+                throttle_us: u64::MAX,
                 ..WorkerConfig::default()
             }),
         ]

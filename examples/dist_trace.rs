@@ -153,7 +153,7 @@ fn main() -> ExitCode {
         ),
         retransmit_timeout: Some(Duration::from_millis(10)),
         // Dilate iterations so the kill lands mid-solve.
-        spin: Some(Duration::from_millis(4)),
+        throttle: Some(Duration::from_millis(4)),
     };
     let started = Instant::now();
     let mut handles = spawn_workers_with(

@@ -119,9 +119,16 @@ impl HaloPlan {
         let mut needs: Vec<HashMap<usize, Vec<usize>>> = vec![HashMap::new(); ranks];
         for (r, needs_of_r) in needs.iter_mut().enumerate() {
             let own = partition.range(r);
+            // Columns within a row are sorted, so a row whose first and last
+            // columns are owned has no remote entry and is not scanned.
             let mut remote: Vec<usize> = own
                 .clone()
-                .flat_map(|row| a.row(row).0)
+                .map(|row| a.row(row).0)
+                .filter(|cols| {
+                    cols.first().is_some_and(|&c| c < own.start)
+                        || cols.last().is_some_and(|&c| c >= own.end)
+                })
+                .flatten()
                 .copied()
                 .filter(|c| !own.contains(c))
                 .collect();
@@ -1058,15 +1065,22 @@ mod tests {
         }
     }
 
-    /// `HaloPlan::build` against the definition: rank `r` needs column `c`
-    /// from rank `s` iff one of `r`'s rows references `c` and `s ≠ r` owns it.
+    /// `HaloPlan::build` against the definition, found by a full scan of
+    /// every non-zero: rank `r` needs column `c` from rank `s` iff one of
+    /// `r`'s rows references `c` and `s ≠ r` owns it.
     #[test]
     fn halo_plan_equals_the_brute_force_reference() {
+        use feir_sparse::generators::{poisson_3d_27pt, random_spd};
         use std::collections::{BTreeMap, BTreeSet};
-        let cases = [
-            (feir_sparse::generators::poisson_3d_27pt(6), 3),
-            (feir_sparse::generators::random_spd(157, 6, 9), 4),
+        let matrices = [
+            poisson_2d(16),
+            poisson_3d_27pt(6),
+            random_spd(200, 5, 1),
+            random_spd(157, 6, 9),
         ];
+        let cases = matrices
+            .iter()
+            .flat_map(|a| [1, 2, 3, 4, 5].map(|ranks| (a, ranks)));
         for (a, ranks) in cases {
             let partition = RankPartition::new(a.rows(), ranks);
             let mut reference: Vec<BTreeMap<usize, BTreeSet<usize>>> = vec![BTreeMap::new(); ranks];
@@ -1082,7 +1096,7 @@ mod tests {
             let sorted = |m: &HashMap<usize, Vec<usize>>| -> BTreeMap<usize, Vec<usize>> {
                 m.iter().map(|(&peer, cols)| (peer, cols.clone())).collect()
             };
-            let plan = HaloPlan::build(&a, &partition);
+            let plan = HaloPlan::build(a, &partition);
             let mut volume = 0;
             for r in 0..ranks {
                 let needs: BTreeMap<usize, Vec<usize>> = reference[r]
@@ -1096,10 +1110,10 @@ mod tests {
                     })
                     .collect();
                 volume += needs.values().map(Vec::len).sum::<usize>();
-                assert_eq!(sorted(plan.needs_of(r)), needs, "needs of rank {r}");
-                assert_eq!(sorted(plan.sends_of(r)), sends, "sends of rank {r}");
+                assert_eq!(sorted(plan.needs_of(r)), needs, "needs of rank {r}/{ranks}");
+                assert_eq!(sorted(plan.sends_of(r)), sends, "sends of rank {r}/{ranks}");
             }
-            assert!(volume > 0);
+            assert_eq!(volume > 0, ranks > 1);
             assert_eq!(plan.halo_volume(), volume);
         }
     }

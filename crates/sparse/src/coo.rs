@@ -1,10 +1,8 @@
 //! Coordinate-format (triplet) matrix builder.
 //!
-//! The COO format is the natural intermediate when assembling matrices from
-//! stencils or when parsing MatrixMarket files; it is converted to
-//! [`CsrMatrix`] before use in solvers.
-
-use std::borrow::Cow;
+//! The COO format is the natural intermediate when entries arrive out of
+//! order or repeated, as in random assembly or MatrixMarket files; it is
+//! converted to [`CsrMatrix`] before use in solvers.
 
 use crate::{CsrMatrix, SparseError};
 
@@ -95,18 +93,8 @@ impl CooMatrix {
 
     /// Converts into CSR, summing duplicates.
     pub fn to_csr(&self) -> CsrMatrix {
-        // Strictly increasing (row, col) pushes — what the stencil generators
-        // produce — are already the sorted, duplicate-free sequence: borrow
-        // them instead of copying and sorting every triplet.
-        let key = |e: &(usize, usize, f64)| (e.0, e.1);
-        let sorted: Cow<'_, [(usize, usize, f64)]> =
-            if self.entries.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
-                Cow::Borrowed(&self.entries)
-            } else {
-                let mut sorted = self.entries.clone();
-                sorted.sort_unstable_by_key(key);
-                Cow::Owned(sorted)
-            };
+        let mut sorted = self.entries.clone();
+        sorted.sort_unstable_by_key(|e| (e.0, e.1));
 
         let mut row_ptr = Vec::with_capacity(self.rows + 1);
         let mut col_idx = Vec::with_capacity(sorted.len());
@@ -114,7 +102,7 @@ impl CooMatrix {
 
         row_ptr.push(0usize);
         let mut current_row = 0usize;
-        for &(r, c, v) in sorted.iter() {
+        for &(r, c, v) in &sorted {
             while current_row < r {
                 row_ptr.push(col_idx.len());
                 current_row += 1;
@@ -190,8 +178,7 @@ mod tests {
             }
             coo.to_csr()
         };
-        // The reference walks the sorted, summed map the way the pre-borrow
-        // conversion walked its sorted copy.
+        // The reference walks the sorted, summed map.
         let reference = |triplets: &[(usize, usize, f64)]| {
             let mut summed = std::collections::BTreeMap::new();
             for &(r, c, v) in triplets {
@@ -209,12 +196,12 @@ mod tests {
             CsrMatrix::from_raw(n, n, row_ptr, col_idx, values).unwrap()
         };
 
-        // In order: the borrowed path.
+        // In order.
         let in_order = csr_of(&entries);
         assert_eq!(in_order, reference(&entries));
         assert_eq!(in_order.row(5).0.len(), 0);
 
-        // Shuffled (a stride coprime to the length): the sorting path.
+        // Shuffled (a stride coprime to the length).
         assert_ne!(
             entries.len() % 7,
             0,
@@ -225,8 +212,7 @@ mod tests {
             .collect();
         assert_eq!(csr_of(&shuffled), in_order);
 
-        // Duplicates are summed, scattered or adjacent — sorted pushes with
-        // equal neighbours are not strictly increasing and must not be borrowed.
+        // Duplicates are summed, scattered or adjacent.
         let mut doubled = entries.clone();
         doubled.extend(entries.iter().step_by(3).map(|&(r, c, v)| (r, c, 2.0 * v)));
         let mut adjacent = doubled.clone();

@@ -73,8 +73,8 @@ impl CsrMatrix {
         rows: usize,
         cols: usize,
         row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        values: Vec<f64>,
+        mut col_idx: Vec<usize>,
+        mut values: Vec<f64>,
     ) -> Result<Self, SparseError> {
         if row_ptr.len() != rows + 1 {
             return Err(SparseError::Parse(format!(
@@ -102,26 +102,39 @@ impl CsrMatrix {
                 ));
             }
         }
+        // One pass per row: a sorted row is bounded by its last column, so
+        // only an unsorted one has every column checked before it is sorted.
         for (r, w) in row_ptr.windows(2).enumerate() {
-            for &c in &col_idx[w[0]..w[1]] {
-                if c >= cols {
-                    return Err(SparseError::IndexOutOfBounds {
-                        row: r,
-                        col: c,
-                        shape: (rows, cols),
-                    });
+            let (cols_r, vals_r) = (&mut col_idx[w[0]..w[1]], &mut values[w[0]..w[1]]);
+            let sorted = cols_r.windows(2).all(|p| p[0] <= p[1]);
+            let checked = if sorted {
+                &cols_r[cols_r.len().saturating_sub(1)..]
+            } else {
+                &cols_r[..]
+            };
+            if let Some(&c) = checked.iter().find(|&&c| c >= cols) {
+                return Err(SparseError::IndexOutOfBounds {
+                    row: r,
+                    col: c,
+                    shape: (rows, cols),
+                });
+            }
+            if !sorted {
+                let mut pairs: Vec<(usize, f64)> =
+                    cols_r.iter().copied().zip(vals_r.iter().copied()).collect();
+                pairs.sort_unstable_by_key(|p| p.0);
+                for ((c, v), (pc, pv)) in cols_r.iter_mut().zip(vals_r.iter_mut()).zip(pairs) {
+                    (*c, *v) = (pc, pv);
                 }
             }
         }
-        let mut m = Self {
+        Ok(Self {
             rows,
             cols,
             row_ptr,
             col_idx,
             values,
-        };
-        m.sort_rows();
-        Ok(m)
+        })
     }
 
     /// Builds an identity matrix of dimension `n`.
@@ -144,26 +157,6 @@ impl CsrMatrix {
             row_ptr: (0..=n).collect(),
             col_idx: (0..n).collect(),
             values: diag.to_vec(),
-        }
-    }
-
-    fn sort_rows(&mut self) {
-        for r in 0..self.rows {
-            let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let slice_sorted = self.col_idx[start..end].windows(2).all(|w| w[0] <= w[1]);
-            if slice_sorted {
-                continue;
-            }
-            let mut pairs: Vec<(usize, f64)> = self.col_idx[start..end]
-                .iter()
-                .copied()
-                .zip(self.values[start..end].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|p| p.0);
-            for (k, (c, v)) in pairs.into_iter().enumerate() {
-                self.col_idx[start + k] = c;
-                self.values[start + k] = v;
-            }
         }
     }
 
@@ -340,15 +333,15 @@ impl CsrMatrix {
                 next[*c] += 1;
             }
         }
-        let mut t = CsrMatrix {
+        // Source rows are scattered in increasing order, so every row of
+        // the transpose comes out sorted.
+        CsrMatrix {
             rows: self.cols,
             cols: self.rows,
             row_ptr,
             col_idx,
             values,
-        };
-        t.sort_rows();
-        t
+        }
     }
 
     /// Checks symmetry up to an absolute tolerance.
@@ -575,6 +568,34 @@ mod tests {
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err());
         // col_idx / values length mismatch.
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0]).is_err());
+        let oob = |row_ptr: Vec<usize>, col_idx: Vec<usize>| {
+            let values = vec![1.0; col_idx.len()];
+            CsrMatrix::from_raw(2, 3, row_ptr, col_idx, values)
+        };
+        // Out-of-range column in an unsorted row, ahead of its last entry.
+        assert!(matches!(
+            oob(vec![0, 1, 4], vec![0, 7, 2, 1]),
+            Err(SparseError::IndexOutOfBounds { row: 1, col: 7, .. })
+        ));
+        // Out-of-range column as the last entry of a sorted row.
+        assert!(matches!(
+            oob(vec![0, 3, 4], vec![0, 1, 3, 2]),
+            Err(SparseError::IndexOutOfBounds { row: 0, col: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn from_raw_sorts_an_unsorted_row_with_its_values() {
+        let a = CsrMatrix::from_raw(
+            2,
+            4,
+            vec![0, 2, 5],
+            vec![1, 3, 3, 0, 2],
+            vec![1.0, 2.0, 30.0, 10.0, 20.0],
+        )
+        .unwrap();
+        assert_eq!(a.col_idx(), &[1, 3, 0, 2, 3]);
+        assert_eq!(a.values(), &[1.0, 2.0, 10.0, 20.0, 30.0]);
     }
 
     #[test]

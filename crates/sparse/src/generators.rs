@@ -6,73 +6,112 @@
 //! equation used by HPCG. These generators produce matrices with the same
 //! structure so every experiment can run without external data.
 //!
-//! Every stencil generator pushes each row in strictly increasing column
-//! order, so [`CooMatrix::to_csr`] borrows the triplets instead of sorting a
-//! copy of them.
+//! Every stencil generator writes its rows straight into the CSR arrays, each
+//! in increasing column order: no triplet stage, no sort. [`random_spd`] sums
+//! duplicates, so it goes through a [`CooMatrix`].
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::{CooMatrix, CsrMatrix};
 
+/// Appends the rows of a square CSR matrix in order. Each row's columns are
+/// pushed in increasing order, so [`CsrMatrix::from_raw`] sorts nothing.
+struct RowWriter {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl RowWriter {
+    /// A writer for a `size × size` matrix with at most `nnz` entries.
+    fn new(size: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(size + 1);
+        row_ptr.push(0);
+        Self {
+            row_ptr,
+            col_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, col: usize, value: f64) {
+        self.col_idx.push(col);
+        self.values.push(value);
+    }
+
+    fn end_row(&mut self) {
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    fn finish(self) -> CsrMatrix {
+        let size = self.row_ptr.len() - 1;
+        CsrMatrix::from_raw(size, size, self.row_ptr, self.col_idx, self.values)
+            .expect("stencil columns are in bounds")
+    }
+}
+
 /// 2-D 5-point Laplacian on an `n × n` grid (Dirichlet boundary), size `n²`.
 pub fn poisson_2d(n: usize) -> CsrMatrix {
     let size = n * n;
-    let mut coo = CooMatrix::with_capacity(size, size, 5 * size);
+    let mut csr = RowWriter::new(size, 5 * size);
     let idx = |i: usize, j: usize| i * n + j;
     for i in 0..n {
         for j in 0..n {
             let row = idx(i, j);
             if i > 0 {
-                coo.push(row, idx(i - 1, j), -1.0).expect("in bounds");
+                csr.push(idx(i - 1, j), -1.0);
             }
             if j > 0 {
-                coo.push(row, idx(i, j - 1), -1.0).expect("in bounds");
+                csr.push(idx(i, j - 1), -1.0);
             }
-            coo.push(row, row, 4.0).expect("in bounds");
+            csr.push(row, 4.0);
             if j + 1 < n {
-                coo.push(row, idx(i, j + 1), -1.0).expect("in bounds");
+                csr.push(idx(i, j + 1), -1.0);
             }
             if i + 1 < n {
-                coo.push(row, idx(i + 1, j), -1.0).expect("in bounds");
+                csr.push(idx(i + 1, j), -1.0);
             }
+            csr.end_row();
         }
     }
-    coo.to_csr()
+    csr.finish()
 }
 
 /// 3-D 7-point Laplacian on an `n × n × n` grid (Dirichlet boundary), size `n³`.
 pub fn poisson_3d_7pt(n: usize) -> CsrMatrix {
     let size = n * n * n;
-    let mut coo = CooMatrix::with_capacity(size, size, 7 * size);
+    let mut csr = RowWriter::new(size, 7 * size);
     let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
     for i in 0..n {
         for j in 0..n {
             for k in 0..n {
                 let row = idx(i, j, k);
                 if i > 0 {
-                    coo.push(row, idx(i - 1, j, k), -1.0).expect("in bounds");
+                    csr.push(idx(i - 1, j, k), -1.0);
                 }
                 if j > 0 {
-                    coo.push(row, idx(i, j - 1, k), -1.0).expect("in bounds");
+                    csr.push(idx(i, j - 1, k), -1.0);
                 }
                 if k > 0 {
-                    coo.push(row, idx(i, j, k - 1), -1.0).expect("in bounds");
+                    csr.push(idx(i, j, k - 1), -1.0);
                 }
-                coo.push(row, row, 6.0).expect("in bounds");
+                csr.push(row, 6.0);
                 if k + 1 < n {
-                    coo.push(row, idx(i, j, k + 1), -1.0).expect("in bounds");
+                    csr.push(idx(i, j, k + 1), -1.0);
                 }
                 if j + 1 < n {
-                    coo.push(row, idx(i, j + 1, k), -1.0).expect("in bounds");
+                    csr.push(idx(i, j + 1, k), -1.0);
                 }
                 if i + 1 < n {
-                    coo.push(row, idx(i + 1, j, k), -1.0).expect("in bounds");
+                    csr.push(idx(i + 1, j, k), -1.0);
                 }
+                csr.end_row();
             }
         }
     }
-    coo.to_csr()
+    csr.finish()
 }
 
 /// 3-D 27-point stencil on an `n × n × n` grid — the HPCG-style discretization
@@ -82,7 +121,7 @@ pub fn poisson_3d_7pt(n: usize) -> CsrMatrix {
 /// neighbours, which is the standard HPCG operator.
 pub fn poisson_3d_27pt(n: usize) -> CsrMatrix {
     let size = n * n * n;
-    let mut coo = CooMatrix::with_capacity(size, size, 27 * size);
+    let mut csr = RowWriter::new(size, 27 * size);
     let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
     for i in 0..n {
         for j in 0..n {
@@ -103,14 +142,15 @@ pub fn poisson_3d_27pt(n: usize) -> CsrMatrix {
                             }
                             let col = idx(ni as usize, nj as usize, nk as usize);
                             let value = if col == row { 26.0 } else { -1.0 };
-                            coo.push(row, col, value).expect("in bounds");
+                            csr.push(col, value);
                         }
                     }
                 }
+                csr.end_row();
             }
         }
     }
-    coo.to_csr()
+    csr.finish()
 }
 
 /// Anisotropic 2-D diffusion operator: the `x`-direction coupling is scaled by
@@ -120,27 +160,28 @@ pub fn poisson_3d_27pt(n: usize) -> CsrMatrix {
 pub fn anisotropic_2d(n: usize, epsilon: f64) -> CsrMatrix {
     assert!(epsilon > 0.0, "epsilon must be positive");
     let size = n * n;
-    let mut coo = CooMatrix::with_capacity(size, size, 5 * size);
+    let mut csr = RowWriter::new(size, 5 * size);
     let idx = |i: usize, j: usize| i * n + j;
     for i in 0..n {
         for j in 0..n {
             let row = idx(i, j);
             if i > 0 {
-                coo.push(row, idx(i - 1, j), -1.0).expect("in bounds");
+                csr.push(idx(i - 1, j), -1.0);
             }
             if j > 0 {
-                coo.push(row, idx(i, j - 1), -epsilon).expect("in bounds");
+                csr.push(idx(i, j - 1), -epsilon);
             }
-            coo.push(row, row, 2.0 + 2.0 * epsilon).expect("in bounds");
+            csr.push(row, 2.0 + 2.0 * epsilon);
             if j + 1 < n {
-                coo.push(row, idx(i, j + 1), -epsilon).expect("in bounds");
+                csr.push(idx(i, j + 1), -epsilon);
             }
             if i + 1 < n {
-                coo.push(row, idx(i + 1, j), -1.0).expect("in bounds");
+                csr.push(idx(i + 1, j), -1.0);
             }
+            csr.end_row();
         }
     }
-    coo.to_csr()
+    csr.finish()
 }
 
 /// 2-D diffusion with a jump in the coefficient: the right half of the domain
@@ -150,7 +191,7 @@ pub fn anisotropic_2d(n: usize, epsilon: f64) -> CsrMatrix {
 pub fn jump_coefficient_2d(n: usize, jump: f64) -> CsrMatrix {
     assert!(jump > 0.0, "jump must be positive");
     let size = n * n;
-    let mut coo = CooMatrix::with_capacity(size, size, 5 * size);
+    let mut csr = RowWriter::new(size, 5 * size);
     let idx = |i: usize, j: usize| i * n + j;
     let coeff = |_i: usize, j: usize| if j >= n / 2 { jump } else { 1.0 };
     for i in 0..n {
@@ -168,24 +209,24 @@ pub fn jump_coefficient_2d(n: usize, jump: f64) -> CsrMatrix {
                 .into_iter()
                 .flatten()
                 .fold(0.0, |s, w| s + w);
-            let mut push = |col: usize, value: f64| coo.push(row, col, value).expect("in bounds");
             if let Some(w) = up {
-                push(idx(i - 1, j), -w);
+                csr.push(idx(i - 1, j), -w);
             }
             if let Some(w) = left {
-                push(idx(i, j - 1), -w);
+                csr.push(idx(i, j - 1), -w);
             }
             // Add a boundary contribution so the matrix is non-singular.
-            push(row, diag + 0.5 * c);
+            csr.push(row, diag + 0.5 * c);
             if let Some(w) = right {
-                push(idx(i, j + 1), -w);
+                csr.push(idx(i, j + 1), -w);
             }
             if let Some(w) = down {
-                push(idx(i + 1, j), -w);
+                csr.push(idx(i + 1, j), -w);
             }
+            csr.end_row();
         }
     }
-    coo.to_csr()
+    csr.finish()
 }
 
 /// Random sparse diagonally-dominant SPD matrix with roughly `nnz_per_row`
@@ -293,8 +334,8 @@ mod tests {
     }
 
     /// Builds an `n × n` 2-D stencil the way the generators used to: row
-    /// by row, the diagonal first or last (`diagonal_first`) and the
-    /// neighbours in the order i−1, i+1, j−1, j+1, so `to_csr` sorts.
+    /// by row through a `CooMatrix`, the diagonal first or last
+    /// (`diagonal_first`) and the neighbours in the order i−1, i+1, j−1, j+1.
     fn unsorted_2d(
         n: usize,
         diagonal_first: bool,
@@ -360,6 +401,36 @@ mod tests {
         coo.to_csr()
     }
 
+    /// The 27-point stencil as it was built before it was written straight
+    /// into CSR: triplets pushed in (di, dj, dk) order through a `CooMatrix`.
+    fn coo_3d_27pt(n: usize) -> CsrMatrix {
+        let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
+        let near = |i: usize, d: usize| (i + d).checked_sub(1).filter(|&m| m < n);
+        let mut coo = CooMatrix::new(n * n * n, n * n * n);
+        for i in 0..n {
+            for j in 0..n {
+                for k in 0..n {
+                    let row = idx(i, j, k);
+                    for di in 0..3 {
+                        for dj in 0..3 {
+                            for dk in 0..3 {
+                                let (Some(ni), Some(nj), Some(nk)) =
+                                    (near(i, di), near(j, dj), near(k, dk))
+                                else {
+                                    continue;
+                                };
+                                let col = idx(ni, nj, nk);
+                                let value = if col == row { 26.0 } else { -1.0 };
+                                coo.push(row, col, value).unwrap();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
     fn assert_same_bits(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
         assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
         assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
@@ -377,6 +448,13 @@ mod tests {
                 &unsorted_3d_7pt(n),
                 &format!("poisson_3d_7pt({n})"),
             );
+            if n <= 7 {
+                assert_same_bits(
+                    &poisson_3d_27pt(n),
+                    &coo_3d_27pt(n),
+                    &format!("poisson_3d_27pt({n})"),
+                );
+            }
             for eps in [1.0, 0.01, 0.3, 1e-7] {
                 let aniso = unsorted_2d(n, true, |i, _, nbrs| {
                     let offdiag = nbrs

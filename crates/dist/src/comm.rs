@@ -125,11 +125,11 @@ impl HaloPlan {
                 .clone()
                 .map(|row| a.row(row).0)
                 .filter(|cols| {
-                    cols.first().is_some_and(|&c| c < own.start)
-                        || cols.last().is_some_and(|&c| c >= own.end)
+                    cols.first().is_some_and(|&c| (c as usize) < own.start)
+                        || cols.last().is_some_and(|&c| c as usize >= own.end)
                 })
                 .flatten()
-                .copied()
+                .map(|&c| c as usize)
                 .filter(|c| !own.contains(c))
                 .collect();
             remote.sort_unstable();
@@ -1087,6 +1087,7 @@ mod tests {
             for row in 0..a.rows() {
                 let r = partition.owner_of(row);
                 for &c in a.row(row).0 {
+                    let c = c as usize;
                     let s = partition.owner_of(c);
                     if s != r {
                         reference[r].entry(s).or_default().insert(c);

@@ -100,6 +100,7 @@ where
     for &r in &cand.rows {
         let (cols, _) = a.row(r);
         for &c in cols {
+            let c = c as usize;
             if cand.rows.binary_search(&c).is_ok() {
                 continue;
             }
@@ -128,7 +129,7 @@ where
     for (i, &r) in row_ids.iter().enumerate() {
         let (cols, _) = a.row(r);
         for &c in cols {
-            if let Ok(j) = row_ids.binary_search(&c) {
+            if let Ok(j) = row_ids.binary_search(&(c as usize)) {
                 let (ri, rj) = (find(&mut uf, i), find(&mut uf, j));
                 if ri != rj {
                     uf[ri.max(rj)] = ri.min(rj);
@@ -181,7 +182,9 @@ where
         }
         let solvable = comp_rows.iter().all(|&r| {
             let (cols, _) = a.row(r);
-            cols.iter().all(|&c| is_union(c) || support_valid(c))
+            cols.iter()
+                .map(|&c| c as usize)
+                .all(|c| is_union(c) || support_valid(c))
         });
         if !solvable {
             continue;

@@ -123,6 +123,7 @@ pub(crate) fn remote_stencil_requests(
     for &r in rows {
         let (cols, _) = a.row(r);
         for &c in cols {
+            let c = c as usize;
             if !own.contains(&c) {
                 requests.entry(partition.owner_of(c)).or_default().push(c);
             }

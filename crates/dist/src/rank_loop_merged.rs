@@ -89,6 +89,7 @@ fn page_inputs_local_and_healthy(
     for row in global_rows(own.start, pages, page) {
         let (cols, _) = a.row(row);
         for &c in cols {
+            let c = c as usize;
             if !own.contains(&c) {
                 return false;
             }
@@ -486,7 +487,8 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
                 let touches = |pg: usize| {
                     global_rows(own.start, pages, pg).any(|row| {
                         let (cols, _) = a.row(row);
-                        cols.iter().any(|c| blank_p.binary_search(c).is_ok())
+                        cols.iter()
+                            .any(|&c| blank_p.binary_search(&(c as usize)).is_ok())
                     })
                 };
                 let (dropped, keep): (Vec<usize>, Vec<usize>) =
@@ -543,7 +545,8 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
                 let rows = global_rows(own.start, pages, pg);
                 let tainted = rows.clone().any(|row| {
                     let (cols, _) = a.row(row);
-                    cols.iter().any(|c| blank_p.binary_search(c).is_ok())
+                    cols.iter()
+                        .any(|&c| blank_p.binary_search(&(c as usize)).is_ok())
                 });
                 if tainted {
                     pages_ignored += 1;

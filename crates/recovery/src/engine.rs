@@ -404,9 +404,10 @@ fn off_block_rhs(
         .map(|(i, &r)| {
             let (cols, vals) = a.row(r);
             let mut acc = constant(i, r);
-            for (c, v) in cols.iter().zip(vals) {
-                if rows.binary_search(c).is_err() {
-                    acc -= v * outside[*c];
+            for (&c, v) in cols.iter().zip(vals) {
+                let c = c as usize;
+                if rows.binary_search(&c).is_err() {
+                    acc -= v * outside[c];
                 }
             }
             acc
@@ -632,7 +633,8 @@ pub fn plan_state_fixes<S: RecoverableIteration + ?Sized>(
     let touches_blank = |p: usize, blanks: &[usize]| {
         page_rows(p).any(|r| {
             let (cols, _) = stencil.row(r);
-            cols.iter().any(|c| blanks.binary_search(c).is_ok())
+            cols.iter()
+                .any(|&c| blanks.binary_search(&(c as usize)).is_ok())
         })
     };
     // Iterate pages whose stencil reads known-blank entries cannot be
@@ -768,7 +770,8 @@ pub fn cross_rank_candidates(
     let touches = |p: usize, set: &[usize]| {
         page_rows(p).any(|r| {
             let (cols, _) = stencil.row(r);
-            cols.iter().any(|c| set.binary_search(c).is_ok())
+            cols.iter()
+                .any(|&c| set.binary_search(&(c as usize)).is_ok())
         })
     };
     let (mut selected, mut remaining): (Vec<usize>, Vec<usize>) =
@@ -849,8 +852,8 @@ pub fn compute_touched_pages(a: &CsrMatrix, partition: BlockPartition) -> Vec<Ve
         let mut pages: Vec<usize> = Vec::new();
         for r in range {
             let (cols, _) = a.row(r);
-            for c in cols {
-                let p = partition.block_of(*c);
+            for &c in cols {
+                let p = partition.block_of(c as usize);
                 if !pages.contains(&p) {
                     pages.push(p);
                 }

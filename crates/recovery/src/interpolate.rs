@@ -181,10 +181,11 @@ impl BlockRecovery {
             for r in ri.clone() {
                 let (cols, vals) = a.row(r);
                 let mut acc = b[r] - g[r];
-                for (c, v) in cols.iter().zip(vals) {
-                    let lost = ranges.iter().any(|rj| rj.contains(c));
+                for (&c, v) in cols.iter().zip(vals) {
+                    let c = c as usize;
+                    let lost = ranges.iter().any(|rj| rj.contains(&c));
                     if !lost {
-                        acc -= v * x[*c];
+                        acc -= v * x[c];
                     }
                 }
                 rhs.push(acc);

@@ -202,7 +202,7 @@ mod tests {
                 }
             }
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     #[test]

@@ -273,7 +273,7 @@ mod tests {
                 }
             }
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     #[test]
@@ -368,12 +368,12 @@ mod tests {
         for i in 0..a.rows() {
             let (cols, vals) = a.row(i);
             let wi = 10f64.powi((i % 5) as i32 - 2);
-            for (c, v) in cols.iter().zip(vals) {
-                let wj = 10f64.powi((*c % 5) as i32 - 2);
-                coo.push(i, *c, v * wi * wj).unwrap();
+            for (&c, v) in cols.iter().zip(vals) {
+                let wj = 10f64.powi((c % 5) as i32 - 2);
+                coo.push(i, c as usize, v * wi * wj).unwrap();
             }
         }
-        let scaled = coo.to_csr();
+        let scaled = coo.to_csr().unwrap();
         let (_, b2) = manufactured_rhs(&scaled, 5);
         let plain2 = gmres(&scaled, &b2, None, &opts, &gopts);
         let jacobi2 = JacobiPreconditioner::new(&scaled);

@@ -235,7 +235,7 @@ mod tests {
                     }
                 }
             }
-            coo.to_csr()
+            coo.to_csr().unwrap()
         };
         let bj = BlockJacobi::new(&a, BlockPartition::new(n, 8), true).unwrap();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
@@ -332,7 +332,7 @@ mod tests {
         coo.push(1, 1, 2.0).unwrap();
         coo.push(2, 0, 1.0).unwrap();
         coo.push(3, 0, 1.0).unwrap();
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let bj = BlockJacobi::new(&a, BlockPartition::new(4, 2), false).unwrap();
         assert!(!bj.diagonal_blocks().is_solvable(1));
         let r = vec![1.0, 1.0, 1.0, 1.0];

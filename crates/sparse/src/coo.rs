@@ -4,6 +4,7 @@
 //! order or repeated, as in random assembly or MatrixMarket files; it is
 //! converted to [`CsrMatrix`] before use in solvers.
 
+use crate::csr::narrow_col;
 use crate::{CsrMatrix, SparseError};
 
 /// A sparse matrix in coordinate (triplet) format.
@@ -92,7 +93,11 @@ impl CooMatrix {
     }
 
     /// Converts into CSR, summing duplicates.
-    pub fn to_csr(&self) -> CsrMatrix {
+    ///
+    /// # Errors
+    /// Returns [`SparseError::TooManyColumns`] if the matrix is wider than a
+    /// `u32` column index addresses.
+    pub fn to_csr(&self) -> Result<CsrMatrix, SparseError> {
         let mut sorted = self.entries.clone();
         sorted.sort_unstable_by_key(|e| (e.0, e.1));
 
@@ -103,6 +108,7 @@ impl CooMatrix {
         row_ptr.push(0usize);
         let mut current_row = 0usize;
         for &(r, c, v) in &sorted {
+            let c = narrow_col(c);
             while current_row < r {
                 row_ptr.push(col_idx.len());
                 current_row += 1;
@@ -123,7 +129,6 @@ impl CooMatrix {
         }
 
         CsrMatrix::from_raw(self.rows, self.cols, row_ptr, col_idx, values)
-            .expect("COO to CSR conversion produced inconsistent structure")
     }
 }
 
@@ -138,7 +143,7 @@ mod tests {
         coo.push(1, 1, 3.0).unwrap();
         coo.push(2, 2, 4.0).unwrap();
         coo.push(0, 2, 1.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.rows(), 3);
         assert_eq!(csr.nnz(), 4);
         assert_eq!(csr.get(0, 0), 2.0);
@@ -153,7 +158,7 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         coo.push(0, 0, 2.5).unwrap();
         coo.push(1, 1, 1.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.nnz(), 2);
         assert!((csr.get(0, 0) - 3.5).abs() < 1e-15);
     }
@@ -176,7 +181,7 @@ mod tests {
             for &(r, c, v) in triplets {
                 coo.push(r, c, v).unwrap();
             }
-            coo.to_csr()
+            coo.to_csr().unwrap()
         };
         // The reference walks the sorted, summed map.
         let reference = |triplets: &[(usize, usize, f64)]| {
@@ -191,7 +196,7 @@ mod tests {
             for r in 0..n {
                 row_ptr[r + 1] += row_ptr[r];
             }
-            let col_idx = summed.keys().map(|&(_, c)| c).collect();
+            let col_idx = summed.keys().map(|&(_, c)| narrow_col(c)).collect();
             let values = summed.values().copied().collect();
             CsrMatrix::from_raw(n, n, row_ptr, col_idx, values).unwrap()
         };
@@ -223,6 +228,21 @@ mod tests {
     }
 
     #[test]
+    fn to_csr_passes_on_the_column_width_error() {
+        let wide = u32::MAX as usize + 1;
+        assert_eq!(
+            CooMatrix::new(1, wide).to_csr(),
+            Err(SparseError::TooManyColumns { cols: wide })
+        );
+        let widest = u32::MAX as usize;
+        let mut coo = CooMatrix::new(1, widest);
+        coo.push(0, widest - 1, 2.5).unwrap();
+        let a = coo.to_csr().unwrap();
+        assert_eq!(a.row(0), (&[u32::MAX - 1][..], &[2.5][..]));
+        assert_eq!(a.get(0, widest - 1), 2.5);
+    }
+
+    #[test]
     fn out_of_bounds_rejected() {
         let mut coo = CooMatrix::new(2, 2);
         assert!(coo.push(2, 0, 1.0).is_err());
@@ -234,7 +254,7 @@ mod tests {
         let mut coo = CooMatrix::new(3, 3);
         coo.push_symmetric(1, 0, -1.0).unwrap();
         coo.push_symmetric(1, 1, 2.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.get(1, 0), -1.0);
         assert_eq!(csr.get(0, 1), -1.0);
         assert_eq!(csr.get(1, 1), 2.0);
@@ -246,7 +266,7 @@ mod tests {
         let mut coo = CooMatrix::new(4, 4);
         coo.push(0, 0, 1.0).unwrap();
         coo.push(3, 3, 1.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.row(1).0.len(), 0);
         assert_eq!(csr.row(2).0.len(), 0);
         assert_eq!(csr.nnz(), 2);

@@ -26,18 +26,18 @@ const MIN_SPMV_ROW_CHUNK: usize = SPMV_ROW_TILE;
 /// overhead and exposes the gathers early, but never reassociates, so every
 /// caller keeps its bitwise contract.
 #[inline]
-pub(crate) fn row_product(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
+pub(crate) fn row_product(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     let mut acc = 0.0;
     let mut c4 = cols.chunks_exact(4);
     let mut v4 = vals.chunks_exact(4);
     for (c, v) in (&mut c4).zip(&mut v4) {
-        acc += v[0] * x[c[0]];
-        acc += v[1] * x[c[1]];
-        acc += v[2] * x[c[2]];
-        acc += v[3] * x[c[3]];
+        acc += v[0] * x[c[0] as usize];
+        acc += v[1] * x[c[1] as usize];
+        acc += v[2] * x[c[2] as usize];
+        acc += v[3] * x[c[3] as usize];
     }
     for (c, v) in c4.remainder().iter().zip(v4.remainder()) {
-        acc += v * x[*c];
+        acc += v * x[*c as usize];
     }
     acc
 }
@@ -49,16 +49,31 @@ pub(crate) fn row_product(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
 /// than a scalar element does.
 pub(crate) const MIN_PARALLEL_SPMV_ROWS: usize = 4096;
 
+/// Narrows a column index that is already bounded by the matrix width.
+///
+/// Builders call this before [`CsrMatrix::from_raw`] has seen the width, so
+/// the conversion saturates instead of failing: a column only exceeds
+/// `u32::MAX` in a matrix wider than that, which `from_raw` rejects before
+/// it reads a column — the width is checked once, there.
+#[inline]
+pub(crate) fn narrow_col(col: usize) -> u32 {
+    u32::try_from(col).unwrap_or(u32::MAX)
+}
+
 /// A sparse matrix stored in Compressed Sparse Row format.
 ///
 /// Column indices inside a row are kept sorted, which is what the blocked
-/// extraction routines of [`crate::blocking`] rely on.
+/// extraction routines of [`crate::blocking`] rely on. They are stored as
+/// `u32` — 4 bytes of index beside each 8-byte value, 12 bytes per stored
+/// entry — so a matrix has at most `u32::MAX` columns, which
+/// [`CsrMatrix::from_raw`] checks. Row pointers stay `usize`: the entry
+/// count is not capped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -66,16 +81,20 @@ impl CsrMatrix {
     /// Builds a CSR matrix from raw arrays, validating the structure.
     ///
     /// # Errors
-    /// Returns a [`SparseError`] if the row pointer array has the wrong
-    /// length, is not monotonically increasing, or any column index is out of
-    /// range.
+    /// Returns a [`SparseError`] if `cols` exceeds `u32::MAX` (the widest
+    /// matrix a `u32` column index addresses), the row pointer array has the
+    /// wrong length, is not monotonically increasing, or any column index is
+    /// out of range.
     pub fn from_raw(
         rows: usize,
         cols: usize,
         row_ptr: Vec<usize>,
-        mut col_idx: Vec<usize>,
+        mut col_idx: Vec<u32>,
         mut values: Vec<f64>,
     ) -> Result<Self, SparseError> {
+        if cols > u32::MAX as usize {
+            return Err(SparseError::TooManyColumns { cols });
+        }
         if row_ptr.len() != rows + 1 {
             return Err(SparseError::Parse(format!(
                 "row_ptr length {} does not match rows {} + 1",
@@ -112,15 +131,15 @@ impl CsrMatrix {
             } else {
                 &cols_r[..]
             };
-            if let Some(&c) = checked.iter().find(|&&c| c >= cols) {
+            if let Some(&c) = checked.iter().find(|&&c| c as usize >= cols) {
                 return Err(SparseError::IndexOutOfBounds {
                     row: r,
-                    col: c,
+                    col: c as usize,
                     shape: (rows, cols),
                 });
             }
             if !sorted {
-                let mut pairs: Vec<(usize, f64)> =
+                let mut pairs: Vec<(u32, f64)> =
                     cols_r.iter().copied().zip(vals_r.iter().copied()).collect();
                 pairs.sort_unstable_by_key(|p| p.0);
                 for ((c, v), (pc, pv)) in cols_r.iter_mut().zip(vals_r.iter_mut()).zip(pairs) {
@@ -138,25 +157,30 @@ impl CsrMatrix {
     }
 
     /// Builds an identity matrix of dimension `n`.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `u32::MAX`.
     pub fn identity(n: usize) -> Self {
-        Self {
-            rows: n,
-            cols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
-            values: vec![1.0; n],
-        }
+        Self::diagonal_of(vec![1.0; n])
     }
 
     /// Builds a diagonal matrix from the given diagonal values.
+    ///
+    /// # Panics
+    /// Panics if `diag` is longer than `u32::MAX`.
     pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
+        Self::diagonal_of(diag.to_vec())
+    }
+
+    fn diagonal_of(values: Vec<f64>) -> Self {
+        let n = values.len();
+        let width = u32::try_from(n).expect("a diagonal matrix wider than u32::MAX columns");
         Self {
             rows: n,
             cols: n,
             row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
-            values: diag.to_vec(),
+            col_idx: (0..width).collect(),
+            values,
         }
     }
 
@@ -186,7 +210,7 @@ impl CsrMatrix {
 
     /// Raw column index array.
     #[inline]
-    pub fn col_idx(&self) -> &[usize] {
+    pub fn col_idx(&self) -> &[u32] {
         &self.col_idx
     }
 
@@ -198,7 +222,7 @@ impl CsrMatrix {
 
     /// Column indices and values of row `r`.
     #[inline]
-    pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
+    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
         let (start, end) = (self.row_ptr[r], self.row_ptr[r + 1]);
         (&self.col_idx[start..end], &self.values[start..end])
     }
@@ -206,9 +230,9 @@ impl CsrMatrix {
     /// Value at `(row, col)`; zero if not stored.
     pub fn get(&self, row: usize, col: usize) -> f64 {
         let (cols, vals) = self.row(row);
-        match cols.binary_search(&col) {
-            Ok(k) => vals[k],
-            Err(_) => 0.0,
+        match u32::try_from(col).map(|c| cols.binary_search(&c)) {
+            Ok(Ok(k)) => vals[k],
+            _ => 0.0,
         }
     }
 
@@ -301,36 +325,46 @@ impl CsrMatrix {
         for (out, r) in y.iter_mut().zip(row_begin..row_end) {
             let (cols, vals) = self.row(r);
             let mut acc = 0.0;
-            for (c, v) in cols.iter().zip(vals) {
-                if *c >= col_skip_begin && *c < col_skip_end {
+            for (&c, v) in cols.iter().zip(vals) {
+                let c = c as usize;
+                if c >= col_skip_begin && c < col_skip_end {
                     continue;
                 }
-                acc += v * x[*c];
+                acc += v * x[c];
             }
             *out = acc;
         }
     }
 
     /// Returns the transpose as a new CSR matrix.
+    ///
+    /// # Panics
+    /// Panics if the matrix has more than `u32::MAX` rows, which would be
+    /// the transpose's column count.
     pub fn transpose(&self) -> CsrMatrix {
+        assert!(
+            u32::try_from(self.rows).is_ok(),
+            "transpose: {} rows exceed u32::MAX columns",
+            self.rows
+        );
         let mut counts = vec![0usize; self.cols + 1];
         for &c in &self.col_idx {
-            counts[c + 1] += 1;
+            counts[c as usize + 1] += 1;
         }
         for i in 0..self.cols {
             counts[i + 1] += counts[i];
         }
         let row_ptr = counts.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
+        let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0f64; self.nnz()];
         let mut next = counts;
-        for r in 0..self.rows {
+        for (r, r32) in (0..self.rows).zip(0u32..) {
             let (cols, vals) = self.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                let pos = next[*c];
-                col_idx[pos] = r;
+            for (&c, v) in cols.iter().zip(vals) {
+                let pos = next[c as usize];
+                col_idx[pos] = r32;
                 values[pos] = *v;
-                next[*c] += 1;
+                next[c as usize] += 1;
             }
         }
         // Source rows are scattered in increasing order, so every row of
@@ -349,15 +383,10 @@ impl CsrMatrix {
         if self.rows != self.cols {
             return false;
         }
-        let t = self.transpose();
-        if t.nnz() != self.nnz() {
-            // Structural asymmetry may still be value-symmetric via explicit
-            // zeros; fall through to the value comparison on the union.
-        }
         for r in 0..self.rows {
             let (cols, vals) = self.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                if (v - self.get(*c, r)).abs() > tol {
+            for (&c, v) in cols.iter().zip(vals) {
+                if (v - self.get(c as usize, r)).abs() > tol {
                     return false;
                 }
             }
@@ -378,8 +407,9 @@ impl CsrMatrix {
         let mut block = DenseMatrix::zeros(m, n);
         for r in row_begin..row_end {
             let (cols, vals) = self.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                if *c >= col_begin && *c < col_end {
+            for (&c, v) in cols.iter().zip(vals) {
+                let c = c as usize;
+                if c >= col_begin && c < col_end {
                     block.set(r - row_begin, c - col_begin, *v);
                 }
             }
@@ -454,7 +484,7 @@ mod tests {
         coo.push(1, 0, -1.0).unwrap();
         coo.push(1, 2, -1.0).unwrap();
         coo.push(2, 1, -1.0).unwrap();
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     #[test]
@@ -513,7 +543,7 @@ mod tests {
         let mut coo = CooMatrix::new(2, 3);
         coo.push(0, 2, 5.0).unwrap();
         coo.push(1, 0, 3.0).unwrap();
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let t = a.transpose();
         assert_eq!(t.rows(), 3);
         assert_eq!(t.cols(), 2);
@@ -568,7 +598,7 @@ mod tests {
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err());
         // col_idx / values length mismatch.
         assert!(CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0]).is_err());
-        let oob = |row_ptr: Vec<usize>, col_idx: Vec<usize>| {
+        let oob = |row_ptr: Vec<usize>, col_idx: Vec<u32>| {
             let values = vec![1.0; col_idx.len()];
             CsrMatrix::from_raw(2, 3, row_ptr, col_idx, values)
         };
@@ -582,6 +612,25 @@ mod tests {
             oob(vec![0, 3, 4], vec![0, 1, 3, 2]),
             Err(SparseError::IndexOutOfBounds { row: 0, col: 3, .. })
         ));
+    }
+
+    #[test]
+    fn from_raw_checks_the_column_width() {
+        // Empty rows: nothing of the width is ever allocated.
+        let wide = u32::MAX as usize + 1;
+        assert_eq!(
+            CsrMatrix::from_raw(1, wide, vec![0, 0], vec![], vec![]),
+            Err(SparseError::TooManyColumns { cols: wide })
+        );
+        // The widest matrix a u32 column addresses keeps its last column.
+        let widest = u32::MAX as usize;
+        let (cols, vals) = (vec![0, u32::MAX - 1], vec![1.5, 2.5]);
+        let a = CsrMatrix::from_raw(1, widest, vec![0, 2], cols.clone(), vals.clone()).unwrap();
+        assert_eq!(a.row(0), (&cols[..], &vals[..]));
+        assert_eq!(a.get(0, widest - 1), 2.5);
+        assert_eq!(a.get(0, widest - 2), 0.0);
+        // 2^32 must not wrap to column 0.
+        assert_eq!(a.get(0, wide), 0.0, "a column past u32::MAX is not stored");
     }
 
     #[test]

@@ -54,8 +54,8 @@ impl EnvelopeCholesky {
         ptr.push(0);
         for &r in rows {
             let (cols, vals) = a.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                if let Ok(j) = rows.binary_search(c) {
+            for (&c, v) in cols.iter().zip(vals) {
+                if let Ok(j) = rows.binary_search(&(c as usize)) {
                     entries.push((j, *v));
                 }
             }
@@ -247,8 +247,8 @@ mod tests {
         let mut m = DenseMatrix::zeros(rows.len(), rows.len());
         for (i, &r) in rows.iter().enumerate() {
             let (cols, vals) = a.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                if let Ok(j) = rows.binary_search(c) {
+            for (&c, v) in cols.iter().zip(vals) {
+                if let Ok(j) = rows.binary_search(&(c as usize)) {
                     m.set(i, j, *v);
                 }
             }
@@ -310,7 +310,7 @@ mod tests {
                 coo.push(i + 1, i, -1.0).unwrap();
             }
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         for rows in [vec![0, 1, 2], vec![0, 1, 2, 3, 4, 5], vec![3], vec![4, 5]] {
             let dense = dense_block(&a, &rows).cholesky();
             let envelope = EnvelopeCholesky::factorize(&a, &rows);
@@ -393,7 +393,8 @@ mod tests {
             // holding that row is indefinite, any other is SPD.
             let (a, rows) = operator_and_rows(which, seed, density);
             let mut values = a.values().to_vec();
-            let at = a.row_ptr()[negated] + a.row(negated).0.binary_search(&negated).unwrap();
+            let diagonal = u32::try_from(negated).unwrap();
+            let at = a.row_ptr()[negated] + a.row(negated).0.binary_search(&diagonal).unwrap();
             values[at] = -values[at];
             let a = CsrMatrix::from_raw(
                 a.rows(),

@@ -34,6 +34,11 @@ pub enum SparseError {
         /// Number of columns.
         cols: usize,
     },
+    /// The matrix is wider than a `u32` column index can address.
+    TooManyColumns {
+        /// Requested column count (more than `u32::MAX`).
+        cols: usize,
+    },
     /// A MatrixMarket file could not be parsed.
     Parse(String),
     /// An I/O error occurred while reading or writing a matrix file.
@@ -59,6 +64,11 @@ impl fmt::Display for SparseError {
             SparseError::NotSquare { rows, cols } => {
                 write!(f, "operation requires a square matrix, got {rows}x{cols}")
             }
+            SparseError::TooManyColumns { cols } => write!(
+                f,
+                "{cols} columns exceed the u32 column index limit of {}",
+                u32::MAX
+            ),
             SparseError::Parse(msg) => write!(f, "matrix parse error: {msg}"),
             SparseError::Io(msg) => write!(f, "matrix I/O error: {msg}"),
         }

@@ -95,9 +95,6 @@ pub struct FormatAnalysis {
     pub mean_row_len: f64,
     /// Population variance of the row lengths.
     pub row_len_variance: f64,
-    /// Matrix bandwidth `max |col − row|` over the block (global row
-    /// indices); `0` when the block is empty.
-    pub bandwidth: usize,
     /// Predicted SELL fill ratio after σ-window sorting (≥ 1.0): the
     /// operative row-length-variance measure — variance *within* a σ-window
     /// is what padding pays for, variance across windows is free.
@@ -108,9 +105,8 @@ pub struct FormatAnalysis {
 
 /// Analyzes the row block `[row_begin, row_end)` of `a`.
 ///
-/// Cost: O(rows) for the length statistics and the σ-sort simulation, plus
-/// one O(nnz) sweep for the bandwidth — skipped (reported as 0) when the
-/// rows floor already forces CSR, so per-page recovery backends stay cheap.
+/// Cost: O(rows) for the length statistics and the σ-sort simulation; the
+/// column indices are never read.
 pub fn analyze_rows(a: &CsrMatrix, row_begin: usize, row_end: usize) -> FormatAnalysis {
     assert!(row_end >= row_begin && row_end <= a.rows());
     let rows = row_end - row_begin;
@@ -155,16 +151,7 @@ pub fn analyze_rows(a: &CsrMatrix, row_begin: usize, row_end: usize) -> FormatAn
         padded as f64 / nnz as f64
     };
 
-    let small = rows < SELL_MIN_ROWS;
-    let bandwidth = if small {
-        0
-    } else {
-        (row_begin..row_end)
-            .flat_map(|r| a.row(r).0.iter().map(move |&c| c.abs_diff(r)))
-            .max()
-            .unwrap_or(0)
-    };
-    let choice = if small || nnz == 0 || predicted_fill > SELL_MAX_FILL {
+    let choice = if rows < SELL_MIN_ROWS || nnz == 0 || predicted_fill > SELL_MAX_FILL {
         MatrixFormat::Csr
     } else {
         MatrixFormat::Sell
@@ -177,7 +164,6 @@ pub fn analyze_rows(a: &CsrMatrix, row_begin: usize, row_end: usize) -> FormatAn
         max_row_len,
         mean_row_len,
         row_len_variance,
-        bandwidth,
         predicted_fill,
         choice,
     }
@@ -439,9 +425,8 @@ mod tests {
         let analysis = analyze(&a);
         assert_eq!(analysis.choice, MatrixFormat::Sell);
         assert!(analysis.predicted_fill <= SELL_MAX_FILL);
-        assert!(analysis.bandwidth >= 32);
         // The prediction matches what the conversion actually produces.
-        let sell = SellMatrix::from_csr(&a).unwrap();
+        let sell = SellMatrix::from_csr(&a);
         assert!((sell.fill_ratio() - analysis.predicted_fill).abs() < 1e-12);
     }
 
@@ -459,7 +444,7 @@ mod tests {
                 coo.push(spike, c, 0.01).unwrap();
             }
         }
-        let analysis = analyze(&coo.to_csr());
+        let analysis = analyze(&coo.to_csr().unwrap());
         assert!(analysis.predicted_fill > SELL_MAX_FILL);
         assert_eq!(analysis.choice, MatrixFormat::Csr);
         assert!(analysis.row_len_variance > 1.0);
@@ -470,7 +455,6 @@ mod tests {
         let a = poisson_2d(8); // 64 rows: page-block scale
         let analysis = analyze(&a);
         assert_eq!(analysis.choice, MatrixFormat::Csr);
-        assert_eq!(analysis.bandwidth, 0, "bandwidth sweep should be skipped");
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn row_product(a: &CsrMatrix, r: usize, x: &[f64]) -> f64 {
     let (cols, vals) = a.row(r);
     let mut acc = 0.0;
     for (c, v) in cols.iter().zip(vals) {
-        acc += v * x[*c];
+        acc += v * x[*c as usize];
     }
     acc
 }

@@ -13,13 +13,14 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::csr::narrow_col;
 use crate::{CooMatrix, CsrMatrix};
 
 /// Appends the rows of a square CSR matrix in order. Each row's columns are
 /// pushed in increasing order, so [`CsrMatrix::from_raw`] sorts nothing.
 struct RowWriter {
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -37,7 +38,7 @@ impl RowWriter {
 
     #[inline]
     fn push(&mut self, col: usize, value: f64) {
-        self.col_idx.push(col);
+        self.col_idx.push(narrow_col(col));
         self.values.push(value);
     }
 
@@ -48,7 +49,7 @@ impl RowWriter {
     fn finish(self) -> CsrMatrix {
         let size = self.row_ptr.len() - 1;
         CsrMatrix::from_raw(size, size, self.row_ptr, self.col_idx, self.values)
-            .expect("stencil columns are in bounds")
+            .expect("stencil columns are in bounds and fit a u32")
     }
 }
 
@@ -127,20 +128,12 @@ pub fn poisson_3d_27pt(n: usize) -> CsrMatrix {
         for j in 0..n {
             for k in 0..n {
                 let row = idx(i, j, k);
-                for di in -1i64..=1 {
-                    for dj in -1i64..=1 {
-                        for dk in -1i64..=1 {
-                            let (ni, nj, nk) = (i as i64 + di, j as i64 + dj, k as i64 + dk);
-                            if ni < 0
-                                || nj < 0
-                                || nk < 0
-                                || ni >= n as i64
-                                || nj >= n as i64
-                                || nk >= n as i64
-                            {
-                                continue;
-                            }
-                            let col = idx(ni as usize, nj as usize, nk as usize);
+                // The in-grid neighbours of each axis, in increasing order.
+                let near = |m: usize| m.saturating_sub(1)..(m + 2).min(n);
+                for ni in near(i) {
+                    for nj in near(j) {
+                        for nk in near(k) {
+                            let col = idx(ni, nj, nk);
                             let value = if col == row { 26.0 } else { -1.0 };
                             csr.push(col, value);
                         }
@@ -257,6 +250,7 @@ pub fn random_spd(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
             .expect("in bounds");
     }
     coo.to_csr()
+        .expect("random_spd: n exceeds u32::MAX columns")
 }
 
 /// Builds a right-hand side `b = A·x_true` for a given "true" solution shape,
@@ -370,7 +364,7 @@ mod tests {
                 }
             }
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     /// The 3-D 7-point stencil in its former push order: diagonal, then
@@ -398,7 +392,7 @@ mod tests {
                 }
             }
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     /// The 27-point stencil as it was built before it was written straight
@@ -428,7 +422,7 @@ mod tests {
                 }
             }
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     fn assert_same_bits(got: &CsrMatrix, want: &CsrMatrix, what: &str) {

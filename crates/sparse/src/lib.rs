@@ -37,6 +37,7 @@
 //!   auto-selection ([`SpmvBackend`], `FEIR_SPMV_FORMAT`).
 
 #![warn(missing_docs)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod blocking;
 pub mod blockjacobi;

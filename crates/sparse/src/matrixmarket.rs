@@ -150,7 +150,7 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, SparseErro
             "header declares {nnz} entries but {seen} were found"
         )));
     }
-    Ok(coo.to_csr())
+    coo.to_csr()
 }
 
 /// Reads a MatrixMarket file from disk.
@@ -275,6 +275,24 @@ mod tests {
             err.to_string().contains("upper-triangle"),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn an_oversize_width_is_a_typed_error() {
+        let wide = u32::MAX as usize + 1;
+        let text = format!("%%MatrixMarket matrix coordinate real general\n1 {wide} 0\n");
+        assert_eq!(
+            read_matrix_market(text.as_bytes()),
+            Err(SparseError::TooManyColumns { cols: wide })
+        );
+        // The widest readable matrix: its last column is 1-based u32::MAX.
+        let widest = u32::MAX as usize;
+        let text = format!(
+            "%%MatrixMarket matrix coordinate real general\n1 {widest} 1\n1 {widest} 2.5\n"
+        );
+        let a = read_matrix_market(text.as_bytes()).unwrap();
+        assert_eq!(a.row(0), (&[u32::MAX - 1][..], &[2.5][..]));
+        assert_eq!(a.get(0, widest - 1), 2.5);
     }
 
     #[test]

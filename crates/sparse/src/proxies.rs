@@ -93,6 +93,9 @@ impl PaperMatrix {
     /// `scale = 1.0` produces laptop-sized problems (10⁴–10⁵ unknowns range
     /// compressed to a few thousand); larger scales grow the grids.
     pub fn build(&self, scale: f64) -> CsrMatrix {
+        // A rounded grid edge, far below usize::MAX; the float cast
+        // saturates (NaN to 0, then the floor of 8), so nothing wraps.
+        #[allow(clippy::cast_possible_truncation)]
         let s = |base: usize| ((base as f64 * scale.sqrt()).round() as usize).max(8);
         match self {
             // Structural / shell problem: moderately conditioned 2-D Laplacian.

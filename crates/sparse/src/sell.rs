@@ -62,8 +62,10 @@ const PAD_LANE: usize = usize::MAX;
 ///
 /// The conversion is exact and reversible: [`SellMatrix::to_csr`] rebuilds
 /// the source matrix bit-for-bit (structure and values). Column indices are
-/// stored as `u32` — half the index traffic of CSR's `usize` — which caps
-/// the column count at `u32::MAX` (checked at conversion).
+/// `u32`, copied as stored from the CSR source (which already caps the
+/// width at `u32::MAX`), so both formats read 12 bytes per stored entry;
+/// what SELL adds is `C` independent row accumulators per slice, at the cost
+/// of the padding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SellMatrix {
     rows: usize,
@@ -88,12 +90,8 @@ pub struct SellMatrix {
 
 impl SellMatrix {
     /// Converts a full CSR matrix. See [`SellMatrix::from_csr_rows`].
-    ///
-    /// # Errors
-    /// Returns [`SparseError::Parse`] if the column count exceeds
-    /// `u32::MAX`.
-    pub fn from_csr(a: &CsrMatrix) -> Result<Self, SparseError> {
-        Self::from_csr_rows(a, 0, a.rows())
+    pub fn from_csr(a: &CsrMatrix) -> Self {
+        Self::from_csr_rows(a, 0, a.rows()).expect("the full row range is in bounds")
     }
 
     /// Converts the row block `[row_begin, row_end)` of a CSR matrix —
@@ -101,8 +99,7 @@ impl SellMatrix {
     /// converts only the rows it owns while x stays full-length.
     ///
     /// # Errors
-    /// Returns [`SparseError::Parse`] if the column count exceeds
-    /// `u32::MAX` or the row range is out of bounds.
+    /// Returns [`SparseError::Parse`] if the row range is out of bounds.
     pub fn from_csr_rows(
         a: &CsrMatrix,
         row_begin: usize,
@@ -112,12 +109,6 @@ impl SellMatrix {
             return Err(SparseError::Parse(format!(
                 "row range {row_begin}..{row_end} out of bounds for {} rows",
                 a.rows()
-            )));
-        }
-        if a.cols() > u32::MAX as usize {
-            return Err(SparseError::Parse(format!(
-                "SELL column indices are u32: {} columns exceed u32::MAX",
-                a.cols()
             )));
         }
         let rows = row_end - row_begin;
@@ -170,7 +161,7 @@ impl SellMatrix {
                 let (cols, vals) = a.row(row_begin + perm[k]);
                 for (j, (&c, &v)) in cols.iter().zip(vals).enumerate() {
                     values[base + j * SELL_C + lane] = v;
-                    col_idx[base + j * SELL_C + lane] = c as u32;
+                    col_idx[base + j * SELL_C + lane] = c;
                 }
             }
         }
@@ -237,7 +228,7 @@ impl SellMatrix {
         for i in 0..self.rows {
             row_ptr[i + 1] += row_ptr[i];
         }
-        let mut col_idx = vec![0usize; self.nnz];
+        let mut col_idx = vec![0u32; self.nnz];
         let mut values = vec![0.0f64; self.nnz];
         for (k, &r) in self.perm.iter().enumerate() {
             if r == PAD_LANE {
@@ -247,7 +238,7 @@ impl SellMatrix {
             let base = self.slice_ptr[s];
             let dst = row_ptr[r];
             for j in 0..self.row_len[k] {
-                col_idx[dst + j] = self.col_idx[base + j * SELL_C + lane] as usize;
+                col_idx[dst + j] = self.col_idx[base + j * SELL_C + lane];
                 values[dst + j] = self.values[base + j * SELL_C + lane];
             }
         }
@@ -506,7 +497,7 @@ mod tests {
     #[test]
     fn round_trip_is_exact() {
         for a in [poisson_2d(23), random_spd(777, 5, 3)] {
-            let sell = SellMatrix::from_csr(&a).unwrap();
+            let sell = SellMatrix::from_csr(&a);
             assert_eq!(sell.nnz(), a.nnz());
             assert_eq!(sell.to_csr(), a);
             sell.validate_padding().unwrap();
@@ -541,8 +532,8 @@ mod tests {
         }
         coo.push(4, 0, -1.0).unwrap();
         coo.push(4, 39, 4.0).unwrap();
-        let a = coo.to_csr();
-        let sell = SellMatrix::from_csr(&a).unwrap();
+        let a = coo.to_csr().unwrap();
+        let sell = SellMatrix::from_csr(&a);
         sell.validate_padding().unwrap();
         assert_eq!(sell.to_csr(), a);
         let x = test_x(a.cols());
@@ -559,7 +550,7 @@ mod tests {
     #[test]
     fn spmv_matches_csr_bitwise() {
         for a in [poisson_2d(17), poisson_2d(33), random_spd(1000, 7, 11)] {
-            let sell = SellMatrix::from_csr(&a).unwrap();
+            let sell = SellMatrix::from_csr(&a);
             let x = test_x(a.cols());
             let mut y_csr = vec![0.0; a.rows()];
             let mut y_sell = vec![0.0; a.rows()];
@@ -589,7 +580,7 @@ mod tests {
     #[test]
     fn fused_dot_matches_csr_fused_bitwise() {
         let a = poisson_2d(26);
-        let sell = SellMatrix::from_csr(&a).unwrap();
+        let sell = SellMatrix::from_csr(&a);
         let x = test_x(a.cols());
         let mut y_csr = vec![0.0; a.rows()];
         let mut y_sell = vec![0.0; a.rows()];
@@ -611,7 +602,7 @@ mod tests {
     #[test]
     fn fused_dot_parallel_matches_csr_fused_bitwise() {
         let a = poisson_2d(70); // 4900 rows: above the serial gates.
-        let sell = SellMatrix::from_csr(&a).unwrap();
+        let sell = SellMatrix::from_csr(&a);
         let x = test_x(a.cols());
         let mut y_csr = vec![0.0; a.rows()];
         let mut y_sell = vec![0.0; a.rows()];
@@ -624,7 +615,7 @@ mod tests {
     #[test]
     fn parallel_spmv_matches_serial_bitwise() {
         let a = poisson_2d(70);
-        let sell = SellMatrix::from_csr(&a).unwrap();
+        let sell = SellMatrix::from_csr(&a);
         let x = test_x(a.cols());
         let mut y1 = vec![0.0; a.rows()];
         let mut y2 = vec![0.0; a.rows()];
@@ -639,7 +630,7 @@ mod tests {
         let x = test_x(a.cols());
         // Full-matrix backend, page-sized row ranges, skip == the range
         // itself (the inverse-block-relation shape) and a disjoint block.
-        let full = SellMatrix::from_csr(&a).unwrap();
+        let full = SellMatrix::from_csr(&a);
         for (begin, end, skip_b, skip_e) in
             [(0, 64, 0, 64), (128, 256, 128, 256), (300, 420, 64, 128)]
         {
@@ -673,7 +664,7 @@ mod tests {
     #[test]
     fn fill_ratio_reflects_padding() {
         // A banded stencil sorts into near-uniform slices: tiny padding.
-        let banded = SellMatrix::from_csr(&poisson_2d(32)).unwrap();
+        let banded = SellMatrix::from_csr(&poisson_2d(32));
         assert!(banded.fill_ratio() < 1.2, "fill {}", banded.fill_ratio());
         // One dense row per window forces a full-width slice each window.
         let mut coo = CooMatrix::new(SELL_SIGMA, SELL_SIGMA);
@@ -681,7 +672,7 @@ mod tests {
             coo.push(0, c, 1.0).unwrap();
             coo.push(c, c, 1.0).unwrap();
         }
-        let spiked = SellMatrix::from_csr(&coo.to_csr()).unwrap();
+        let spiked = SellMatrix::from_csr(&coo.to_csr().unwrap());
         assert!(spiked.fill_ratio() > 2.0, "fill {}", spiked.fill_ratio());
     }
 }

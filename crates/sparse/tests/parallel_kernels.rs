@@ -260,7 +260,7 @@ fn sell_spmv_is_bitwise_identical_to_csr_across_thread_counts() {
     use feir_sparse::SellMatrix;
 
     let a = poisson_2d(96); // 9216 rows: above every serial gate.
-    let sell = SellMatrix::from_csr(&a).expect("conversion failed");
+    let sell = SellMatrix::from_csr(&a);
     let x: Vec<f64> = (0..a.cols())
         .map(|i| (i as f64 * 0.23).sin() * 2.0)
         .collect();
@@ -298,7 +298,7 @@ fn sell_fused_spmv_dot_is_bitwise_identical_to_csr_across_thread_counts() {
     use feir_sparse::{fused, SellMatrix};
 
     let a = poisson_2d(96);
-    let sell = SellMatrix::from_csr(&a).expect("conversion failed");
+    let sell = SellMatrix::from_csr(&a);
     let x: Vec<f64> = (0..a.cols())
         .map(|i| (i as f64 * 0.41).cos() * 3.0)
         .collect();

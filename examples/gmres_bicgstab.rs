@@ -34,7 +34,7 @@ fn main() {
             }
         }
     }
-    let a = coo.to_csr();
+    let a = coo.to_csr().unwrap();
     let (x_true, b) = feir::sparse::generators::manufactured_rhs(&a, 99);
     let options = SolveOptions::default().with_tolerance(1e-9);
 

@@ -5,6 +5,8 @@
 //! Prints one `(time, residual)` series per method, suitable for plotting
 //! with gnuplot / matplotlib.
 
+#![forbid(unsafe_code)]
+
 use feir_bench::HarnessConfig;
 use feir_core::{measure_ideal, run_with_single_error, PaperMatrix, RecoveryPolicy};
 use feir_solvers::history::ConvergenceHistory;

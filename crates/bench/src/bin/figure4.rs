@@ -6,6 +6,8 @@
 //! the harness finishes in minutes; set `FEIR_FULL=1` for the paper's full
 //! 270-experiment grid and `FEIR_PCG=1` to add the preconditioned sweep.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use feir_bench::{aggregate_slowdowns, compared_policies, HarnessConfig};

@@ -10,6 +10,8 @@
 //! 2. the calibrated analytic scaling model that regenerates the Figure-5
 //!    speedup curves for every policy (see DESIGN.md for the substitution).
 
+#![forbid(unsafe_code)]
+
 use feir_dist::{distributed_cg, ScalingModel};
 use feir_solvers::{cg, SolveOptions};
 use feir_sparse::generators::{manufactured_rhs, poisson_3d_27pt};

@@ -4,6 +4,8 @@
 //! Lossy 0.00%, Trivial 0.00%, AFEIR 0.23%, FEIR 2.73%, ckpt@1000 17.62%,
 //! ckpt@200 46.20%.
 
+#![forbid(unsafe_code)]
+
 use feir_bench::{aggregate_slowdowns, slowdown_percent, HarnessConfig};
 use feir_core::{measure_ideal, run_overhead, PaperMatrix, RecoveryPolicy};
 

@@ -3,6 +3,8 @@
 //!
 //! Paper values: AFEIR 4.30 / 8.11 / 1.90 (%), FEIR 25.06 / 7.84 / 2.78 (%).
 
+#![forbid(unsafe_code)]
+
 use feir_bench::HarnessConfig;
 use feir_core::{measure_ideal, run_overhead, PaperMatrix, RecoveryPolicy, RunReport};
 use feir_trace::metrics::StateBreakdown;

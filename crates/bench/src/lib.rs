@@ -16,6 +16,8 @@
 //! `FEIR_RATES` (comma-separated normalised error rates) environment
 //! variables to enlarge a run towards the paper's full sweep.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use feir_core::{ExperimentConfig, PaperMatrix, RecoveryPolicy, SolveOptions};

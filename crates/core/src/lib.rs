@@ -19,6 +19,7 @@
 //!   `feir-bench` harnesses to print each table and figure.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiment;
 

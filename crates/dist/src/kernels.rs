@@ -50,13 +50,16 @@ pub(crate) fn global_rhs_norm(comm: &RankComm, b_own: &[f64]) -> Result<f64, Com
         .max(f64::MIN_POSITIVE))
 }
 
-/// Explicit relative residual `‖b − A·x‖₂ / ‖b‖₂`, recomputed serially on an
+/// Explicit relative residual `‖b − A·x‖₂ / ‖b‖₂`, recomputed on an
 /// assembled solution — the honest convergence check every distributed
 /// report ends with (honest even when a policy corrupted the solver's ε).
+/// The matvec fans out on the ambient pool (bitwise equal to the serial
+/// one row by row); the norms stay serial, so the result has the same bits
+/// at every thread count.
 pub(crate) fn explicit_relative_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
     let norm_b = vecops::norm2(b).max(f64::MIN_POSITIVE);
     let mut residual = vec![0.0; b.len()];
-    a.spmv(x, &mut residual);
+    a.spmv_parallel(x, &mut residual);
     for (ri, bi) in residual.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
@@ -87,5 +90,25 @@ mod tests {
         let a = feir_sparse::generators::poisson_2d(6);
         let (x, b) = feir_sparse::generators::manufactured_rhs(&a, 3);
         assert!(explicit_relative_residual(&a, &b, &x) < 1e-12);
+    }
+
+    #[test]
+    fn explicit_residual_has_the_same_bits_at_every_pool_size() {
+        // 5 184 rows: above the parallel SpMV gate, so 2 threads fan out.
+        let a = feir_sparse::generators::poisson_2d(72);
+        let (mut x, b) = feir_sparse::generators::manufactured_rhs(&a, 5);
+        for (i, xi) in x.iter_mut().enumerate() {
+            *xi += (i as f64 * 0.61).sin() * 1e-3;
+        }
+        let at = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool construction failed");
+            pool.install(|| explicit_relative_residual(&a, &b, &x))
+        };
+        let one = at(1);
+        assert!(one > 0.0);
+        assert_eq!(one.to_bits(), at(2).to_bits());
     }
 }

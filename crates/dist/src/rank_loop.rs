@@ -432,9 +432,10 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
     let registry = &ctx.registry;
     let pages = &ctx.pages;
     // Rank-local storage backend (CSR or SELL-C-σ) for the forward matvec
-    // and the residual recomputations; per-page recovery matvecs build
-    // their own backend over the lost rows on demand (the analyzer's row
-    // floor keeps page-sized blocks on CSR under `auto`).
+    // and the residual recomputations; per-page recovery matvecs run the
+    // CSR row kernel over the lost rows (bitwise-identical to either
+    // format, and converting a page to SELL would cost more than its
+    // product).
     let op = SpmvBackend::select_rows(a, own.clone());
     // Residual replacement after a rollback or restart: g = b − A·x, then ε.
     let replace_residual = |x_full: &mut [f64], g: &mut [f64]| -> Result<f64, CommError> {
@@ -640,7 +641,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 for &p in &lost_q {
                     let rows = global_rows(own.start, pages, p);
                     let local = pages.range(p);
-                    SpmvBackend::select_rows(a, rows).spmv(a, d_full, &mut q[local]);
+                    a.spmv_rows(rows.start, rows.end, d_full, &mut q[local]);
                     mark_page(registry, ids::Q, p);
                 }
                 *pages_recovered += lost_q.len();
@@ -659,7 +660,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                             .map(|&p| {
                                 let rows = global_rows(own.start, pages, p);
                                 let mut out = vec![0.0; rows.len()];
-                                SpmvBackend::select_rows(a, rows).spmv(a, d_full, &mut out);
+                                a.spmv_rows(rows.start, rows.end, d_full, &mut out);
                                 (p, out)
                             })
                             .collect::<Vec<_>>()

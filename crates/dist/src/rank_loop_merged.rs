@@ -152,7 +152,7 @@ fn plan_window_fixes<S: RecoverableIteration>(
         });
         let rows = global_rows(own.start, pages, pg);
         let mut out = vec![0.0; rows.len()];
-        SpmvBackend::select_rows(a, rows).spmv(a, view, &mut out);
+        a.spmv_rows(rows.start, rows.end, view, &mut out);
         plan.s_fixes.push((pg, out));
     }
     // Preconditioned-residual pages: the matching r page survived — the
@@ -552,7 +552,7 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
                     pages_ignored += 1;
                 } else {
                     let mut out = vec![0.0; rows.len()];
-                    SpmvBackend::select_rows(a, rows.clone()).spmv(a, &p_full, &mut out);
+                    a.spmv_rows(rows.start, rows.end, &p_full, &mut out);
                     s[pages.range(pg)].copy_from_slice(&out);
                     pages_recovered += 1;
                 }

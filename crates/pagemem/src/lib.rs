@@ -35,6 +35,7 @@
 //! is what the recovery techniques exercise.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod injector;
 pub mod registry;

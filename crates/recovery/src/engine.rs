@@ -177,10 +177,10 @@ impl RecoverableIteration for CgRelations<'_> {
     }
 
     fn residual_rows(&self, rows: Range<usize>, x_view: &[f64], out: &mut [f64]) {
-        // Recovery matvec over a page-sized row block: routed through the
-        // format backend so a forced SELL run stays SELL end to end (under
-        // `auto` the analyzer's row floor keeps blocks this small on CSR).
-        feir_sparse::SpmvBackend::select_rows(self.a, rows.clone()).spmv(self.a, x_view, out);
+        // Recovery matvec over a page-sized row block: the CSR row kernel,
+        // bitwise-identical to either format, and far cheaper than
+        // converting the page to SELL first.
+        self.a.spmv_rows(rows.start, rows.end, x_view, out);
         for (k, r) in rows.enumerate() {
             out[k] = self.b[r] - out[k];
         }

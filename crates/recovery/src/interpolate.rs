@@ -9,7 +9,7 @@
 //! up to round-off, which is what preserves CG's convergence (Section 2.3).
 
 use feir_sparse::blocking::{BlockPartition, DiagonalBlocks};
-use feir_sparse::{CsrMatrix, DenseMatrix, SpmvBackend};
+use feir_sparse::{CsrMatrix, DenseMatrix};
 
 /// Pre-computed state needed to recover blocks of the CG/PCG vectors.
 #[derive(Debug, Clone)]
@@ -78,15 +78,7 @@ impl BlockRecovery {
         let range = self.partition.range(block);
         debug_assert_eq!(out.len(), range.len());
         let mut rhs = vec![0.0; range.len()];
-        SpmvBackend::select_rows(a, range.clone()).spmv_rows_excluding(
-            a,
-            range.start,
-            range.end,
-            range.start,
-            range.end,
-            d,
-            &mut rhs,
-        );
+        a.spmv_rows_excluding(range.start, range.end, range.start, range.end, d, &mut rhs);
         for (k, r) in range.clone().enumerate() {
             rhs[k] = q[r] - rhs[k];
         }
@@ -127,15 +119,7 @@ impl BlockRecovery {
         let range = self.partition.range(block);
         debug_assert_eq!(out.len(), range.len());
         let mut rhs = vec![0.0; range.len()];
-        SpmvBackend::select_rows(a, range.clone()).spmv_rows_excluding(
-            a,
-            range.start,
-            range.end,
-            range.start,
-            range.end,
-            x,
-            &mut rhs,
-        );
+        a.spmv_rows_excluding(range.start, range.end, range.start, range.end, x, &mut rhs);
         for (k, r) in range.clone().enumerate() {
             rhs[k] = b[r] - g[r] - rhs[k];
         }

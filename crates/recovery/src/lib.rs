@@ -32,6 +32,7 @@
 //!   the useful/runtime/imbalance time breakdown of Table 3.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod engine;

@@ -20,7 +20,7 @@
 //! in `tests/theorems.rs` verify.
 
 use feir_sparse::blocking::{BlockPartition, DiagonalBlocks};
-use feir_sparse::{vecops, CsrMatrix, SpmvBackend};
+use feir_sparse::{vecops, CsrMatrix};
 
 /// Interpolates one lost block of the iterate with a block-Jacobi step.
 ///
@@ -36,15 +36,7 @@ pub fn lossy_interpolate_block(
     let partition = blocks.partition();
     let range = partition.range(block);
     let mut rhs = vec![0.0; range.len()];
-    SpmvBackend::select_rows(a, range.clone()).spmv_rows_excluding(
-        a,
-        range.start,
-        range.end,
-        range.start,
-        range.end,
-        x,
-        &mut rhs,
-    );
+    a.spmv_rows_excluding(range.start, range.end, range.start, range.end, x, &mut rhs);
     for (k, r) in range.enumerate() {
         rhs[k] = b[r] - rhs[k];
     }

@@ -11,6 +11,7 @@
 //! in `feir-recovery` and reuses these kernels.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bicgstab;
 pub mod cg;

@@ -1,7 +1,7 @@
 //! Compressed Sparse Row matrix with serial and rayon-parallel kernels.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{DenseMatrix, SparseError};
 
@@ -20,26 +20,75 @@ pub(crate) const SPMV_ROW_TILE: usize = 256;
 /// elements do.
 const MIN_SPMV_ROW_CHUNK: usize = SPMV_ROW_TILE;
 
-/// One row of the product: `Σ_c A[r,c]·x[c]` folded in stored-column order
-/// with a single accumulator. The 4-wide unroll issues exactly the same
-/// adds in exactly the same order as the plain loop — it trims loop-control
-/// overhead and exposes the gathers early, but never reassociates, so every
-/// caller keeps its bitwise contract.
-#[inline]
-pub(crate) fn row_product(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    let mut c4 = cols.chunks_exact(4);
-    let mut v4 = vals.chunks_exact(4);
-    for (c, v) in (&mut c4).zip(&mut v4) {
-        acc += v[0] * x[c[0] as usize];
-        acc += v[1] * x[c[1] as usize];
-        acc += v[2] * x[c[2] as usize];
-        acc += v[3] * x[c[3] as usize];
+/// A matrix paired with an input vector of exactly its width: the only way
+/// into [`RowGather::row_product`], whose gather reads `x` without a
+/// per-entry bounds check. [`RowGather::new`] asserts the width once, so no
+/// caller can reach the gather without that assert.
+#[derive(Clone, Copy)]
+pub(crate) struct RowGather<'a> {
+    a: &'a CsrMatrix,
+    x: &'a [f64],
+}
+
+impl<'a> RowGather<'a> {
+    /// # Panics
+    /// Panics if `x.len() != a.cols()`.
+    #[inline]
+    pub(crate) fn new(a: &'a CsrMatrix, x: &'a [f64]) -> Self {
+        assert_eq!(x.len(), a.cols(), "spmv: x has wrong length");
+        Self { a, x }
     }
-    for (c, v) in c4.remainder().iter().zip(v4.remainder()) {
-        acc += v * x[*c as usize];
+
+    /// Row `r` of the product: `Σ_c A[r,c]·x[c]` folded in stored-column
+    /// order with a single accumulator. With `UNROLL` the loop runs 4-wide,
+    /// issuing exactly the same adds in exactly the same order as the plain
+    /// loop — it trims loop-control overhead and exposes the gathers early,
+    /// but never reassociates, so every caller keeps its bitwise contract.
+    /// The fused matvec-dots run the plain loop: there every row product
+    /// feeds the serial `acc += x[r]·y_r` dot chain, and on the short banded
+    /// rows of the bench operators the unroll's chunk setup stalls it.
+    ///
+    /// # Safety
+    /// The read of `x[c]` skips its bounds check. That is sound because
+    /// every stored column is `< cols`: [`CsrMatrix::from_raw`] checks it,
+    /// the other constructors (`identity`, `from_diagonal`, `transpose`)
+    /// write only in-bounds columns, and no method mutates a column after
+    /// construction. [`RowGather::new`] asserted `x.len() == cols`.
+    ///
+    /// # Panics
+    /// Panics if `r` is not a row of the matrix.
+    #[inline]
+    pub(crate) fn row_product<const UNROLL: bool>(&self, r: usize) -> f64 {
+        let (cols, vals) = self.a.row(r);
+        let x = self.x;
+        let at = |c: u32| {
+            let c = c as usize;
+            debug_assert!(c < x.len());
+            // SAFETY: `c` is a stored column of `self.a`, hence `< cols`
+            // (checked by `from_raw`, see `# Safety` above), and
+            // `RowGather::new` asserted `x.len() == cols`.
+            unsafe { *x.get_unchecked(c) }
+        };
+        let mut acc = 0.0;
+        if !UNROLL {
+            for (&c, v) in cols.iter().zip(vals) {
+                acc += v * at(c);
+            }
+            return acc;
+        }
+        let mut c4 = cols.chunks_exact(4);
+        let mut v4 = vals.chunks_exact(4);
+        for (c, v) in (&mut c4).zip(&mut v4) {
+            acc += v[0] * at(c[0]);
+            acc += v[1] * at(c[1]);
+            acc += v[2] * at(c[2]);
+            acc += v[3] * at(c[3]);
+        }
+        for (&c, v) in c4.remainder().iter().zip(v4.remainder()) {
+            acc += v * at(c);
+        }
+        acc
     }
-    acc
 }
 
 /// Below this row count `spmv_parallel` runs the serial kernel: the whole
@@ -68,7 +117,12 @@ pub(crate) fn narrow_col(col: usize) -> u32 {
 /// entry — so a matrix has at most `u32::MAX` columns, which
 /// [`CsrMatrix::from_raw`] checks. Row pointers stay `usize`: the entry
 /// count is not capped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The SpMV kernels read `x` without a per-entry bounds check, on the
+/// strength of `col < cols` holding for every stored column. So there is
+/// no `Deserialize`: a decoded matrix must come in through
+/// [`CsrMatrix::from_raw`], which checks it.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,
@@ -250,15 +304,7 @@ impl CsrMatrix {
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "spmv: x has wrong length");
         assert_eq!(y.len(), self.rows, "spmv: y has wrong length");
-        // Tiled sweep: per-row accumulation is independent, so the tiling
-        // changes traversal locality only, never values.
-        for (t, yt) in y.chunks_mut(SPMV_ROW_TILE).enumerate() {
-            let base = t * SPMV_ROW_TILE;
-            for (i, out) in yt.iter_mut().enumerate() {
-                let (cols, vals) = self.row(base + i);
-                *out = row_product(cols, vals, x);
-            }
-        }
+        self.spmv_rows(0, self.rows, x, y);
     }
 
     /// Rayon-parallel sparse matrix–vector product `y = A x`.
@@ -276,12 +322,12 @@ impl CsrMatrix {
         if self.rows < MIN_PARALLEL_SPMV_ROWS || rayon::current_num_threads() <= 1 {
             return self.spmv(x, y);
         }
+        let gather = RowGather::new(self, x);
         let chunk = crate::vecops::parallel_chunk_len_with_min(self.rows, MIN_SPMV_ROW_CHUNK);
         y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
             let base = ci * chunk;
             for (i, out) in yc.iter_mut().enumerate() {
-                let (cols, vals) = self.row(base + i);
-                *out = row_product(cols, vals, x);
+                *out = gather.row_product::<true>(base + i);
             }
         });
     }
@@ -291,15 +337,21 @@ impl CsrMatrix {
     /// This is the kernel behind the strip-mined `q ⇐ A·d` tasks of the
     /// paper's task decomposition (Figure 1): each task produces one block row
     /// of the output while reading the whole input vector.
+    ///
+    /// # Panics
+    /// Panics if the row range is out of bounds or `x`/`y` have the wrong
+    /// length.
     pub fn spmv_rows(&self, row_begin: usize, row_end: usize, x: &[f64], y: &mut [f64]) {
         assert!(row_end <= self.rows);
-        assert_eq!(x.len(), self.cols);
+        assert_eq!(x.len(), self.cols, "spmv: x has wrong length");
         assert_eq!(y.len(), row_end - row_begin);
+        let gather = RowGather::new(self, x);
+        // Tiled sweep: per-row accumulation is independent, so the tiling
+        // changes traversal locality only, never values.
         for (t, yt) in y.chunks_mut(SPMV_ROW_TILE).enumerate() {
             let base = row_begin + t * SPMV_ROW_TILE;
             for (i, out) in yt.iter_mut().enumerate() {
-                let (cols, vals) = self.row(base + i);
-                *out = row_product(cols, vals, x);
+                *out = gather.row_product::<true>(base + i);
             }
         }
     }
@@ -659,5 +711,27 @@ mod tests {
         let a = small_matrix();
         assert_eq!(a.get(0, 2), 0.0);
         assert_eq!(a.get(2, 0), 0.0);
+    }
+
+    // Each public CSR matvec asserts `x.len() == cols` before its first
+    // unchecked gather: a short `x` panics with the length message, not
+    // with the gather's debug assert or an out-of-bounds read.
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_rejects_a_short_x() {
+        small_matrix().spmv(&[1.0, 2.0], &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_parallel_rejects_a_short_x() {
+        let a = crate::generators::poisson_2d(70); // above the parallel gate
+        a.spmv_parallel(&vec![0.0; a.cols() - 1], &mut vec![0.0; a.rows()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_rows_rejects_a_short_x() {
+        small_matrix().spmv_rows(1, 3, &[1.0, 2.0], &mut [0.0; 2]);
     }
 }

@@ -72,8 +72,9 @@ pub enum MatrixFormat {
 
 /// Row blocks smaller than this always stay CSR under `auto`: the one-shot
 /// conversion and the permutation bookkeeping cannot pay off on a block
-/// that fits two σ-windows, and the recovery paths rebuild backends for
-/// page-sized blocks on the fly.
+/// that fits in fewer than two σ-windows. A 512-row page is *not* below the
+/// floor, which is why the per-page recovery matvecs call the CSR row
+/// kernels directly instead of building a backend.
 pub const SELL_MIN_ROWS: usize = 2 * SELL_SIGMA;
 
 /// Maximum predicted SELL fill (`padded_nnz / nnz`) `auto` accepts: above
@@ -350,40 +351,6 @@ impl SpmvBackend {
         match &self.sell {
             Some(sell) => sell.spmv_dot_at(self.range.start, x, y),
             None => fused::spmv_rows_dot(a, self.range.start, self.range.end, x, y),
-        }
-    }
-
-    /// Recovery cold path: partial products of the global rows
-    /// `[row_begin, row_end)` (inside this backend's range) with the column
-    /// block `[col_skip_begin, col_skip_end)` excluded — the
-    /// `Σ_{j≠i} A_ij x_j` term of the inverse block relations, dispatched
-    /// over the formats and bitwise-identical across them.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spmv_rows_excluding(
-        &self,
-        a: &CsrMatrix,
-        row_begin: usize,
-        row_end: usize,
-        col_skip_begin: usize,
-        col_skip_end: usize,
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        self.check(a);
-        assert!(
-            self.range.start <= row_begin && row_end <= self.range.end,
-            "row range outside the backend's block"
-        );
-        match &self.sell {
-            Some(sell) => sell.spmv_rows_excluding(
-                row_begin - self.range.start,
-                row_end - self.range.start,
-                col_skip_begin,
-                col_skip_end,
-                x,
-                y,
-            ),
-            None => a.spmv_rows_excluding(row_begin, row_end, col_skip_begin, col_skip_end, x, y),
         }
     }
 

@@ -41,25 +41,9 @@
 
 use rayon::prelude::*;
 
+use crate::csr::RowGather;
 use crate::vecops::{dot, DOT_CHUNK, MIN_PARALLEL_DOT_ELEMS};
 use crate::CsrMatrix;
-
-/// One row of the product: `Σ_c A[r,c]·x[c]` in stored-column order.
-///
-/// Deliberately the plain loop, NOT the 4-wide unrolled kernel the plain
-/// sweeps in [`crate::csr`] use: here every row product feeds the serial
-/// `acc += x[r]·y_r` dot chain, and on the short banded rows of the bench
-/// operators the unroll's chunk setup stalls that chain. Same adds in the
-/// same order either way, so the bitwise contract is unaffected.
-#[inline]
-fn row_product(a: &CsrMatrix, r: usize, x: &[f64]) -> f64 {
-    let (cols, vals) = a.row(r);
-    let mut acc = 0.0;
-    for (c, v) in cols.iter().zip(vals) {
-        acc += v * x[*c as usize];
-    }
-    acc
-}
 
 /// Fused `y = A·x` with `⟨x, y⟩`, serial: the dot accumulates in row order,
 /// so the result is bitwise-identical to [`CsrMatrix::spmv`] followed by
@@ -71,9 +55,10 @@ pub fn spmv_dot(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> f64 {
     assert_eq!(a.rows(), a.cols(), "spmv_dot: matrix must be square");
     assert_eq!(x.len(), a.cols(), "spmv_dot: x has wrong length");
     assert_eq!(y.len(), a.rows(), "spmv_dot: y has wrong length");
+    let gather = RowGather::new(a, x);
     let mut acc = 0.0;
     for (r, out) in y.iter_mut().enumerate() {
-        let v = row_product(a, r, x);
+        let v = gather.row_product::<false>(r);
         *out = v;
         acc += x[r] * v;
     }
@@ -93,11 +78,12 @@ pub fn spmv_rows_dot(
     y: &mut [f64],
 ) -> f64 {
     assert!(row_end <= a.rows());
-    assert_eq!(x.len(), a.cols());
+    assert_eq!(x.len(), a.cols(), "spmv_dot: x has wrong length");
     assert_eq!(y.len(), row_end - row_begin);
+    let gather = RowGather::new(a, x);
     let mut acc = 0.0;
     for (out, r) in y.iter_mut().zip(row_begin..row_end) {
-        let v = row_product(a, r, x);
+        let v = gather.row_product::<false>(r);
         *out = v;
         acc += x[r] * v;
     }
@@ -113,6 +99,7 @@ pub fn spmv_dot_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> f64 {
     assert_eq!(a.rows(), a.cols(), "spmv_dot: matrix must be square");
     assert_eq!(x.len(), a.cols(), "spmv_dot: x has wrong length");
     assert_eq!(y.len(), a.rows(), "spmv_dot: y has wrong length");
+    let gather = RowGather::new(a, x);
     if a.rows() < MIN_PARALLEL_DOT_ELEMS.min(crate::csr::MIN_PARALLEL_SPMV_ROWS)
         || rayon::current_num_threads() <= 1
     {
@@ -122,7 +109,7 @@ pub fn spmv_dot_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> f64 {
             let base = ci * DOT_CHUNK;
             let mut acc = 0.0;
             for (i, out) in yc.iter_mut().enumerate() {
-                let v = row_product(a, base + i, x);
+                let v = gather.row_product::<false>(base + i);
                 *out = v;
                 acc += x[base + i] * v;
             }
@@ -136,7 +123,7 @@ pub fn spmv_dot_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> f64 {
             let base = ci * DOT_CHUNK;
             let mut acc = 0.0;
             for (i, out) in yc.iter_mut().enumerate() {
-                let v = row_product(a, base + i, x);
+                let v = gather.row_product::<false>(base + i);
                 *out = v;
                 acc += x[base + i] * v;
             }
@@ -519,5 +506,27 @@ mod tests {
         }
         assert!(dotn(&[]).is_empty());
         assert!(dotn_parallel(&[]).is_empty());
+    }
+
+    // Each fused matvec-dot asserts `x.len() == cols` before its first
+    // unchecked gather: a short `x` panics with the length message, not
+    // with the gather's debug assert or an out-of-bounds read.
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_dot_rejects_a_short_x() {
+        spmv_dot(&poisson_2d(4), &[0.0; 15], &mut [0.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_rows_dot_rejects_a_short_x() {
+        spmv_rows_dot(&poisson_2d(4), 8, 16, &[0.0; 15], &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_dot_parallel_rejects_a_short_x() {
+        let a = poisson_2d(70); // above the parallel gates
+        spmv_dot_parallel(&a, &vec![0.0; a.cols() - 1], &mut vec![0.0; a.rows()]);
     }
 }

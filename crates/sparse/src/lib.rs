@@ -38,6 +38,8 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::cast_possible_truncation)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod blocking;
 pub mod blockjacobi;

@@ -28,6 +28,20 @@
 //! * parallel row chunks are σ-aligned, so chunking changes scheduling,
 //!   never values, exactly like the CSR gates.
 //!
+//! # Safety contract
+//!
+//! The slice loop reads `x[col]` without a bounds check, once per stored
+//! entry. Three facts make that sound:
+//!
+//! * every column is `< cols`: [`SellMatrix::from_csr_rows`] copies the
+//!   columns verbatim from a [`CsrMatrix`], whose columns are checked in
+//!   [`CsrMatrix::from_raw`] and never change afterwards, and no method of
+//!   this type writes a column after construction;
+//! * padded entries are never read — each lane stops at its true length;
+//! * the slice loop asserts `x.len() == cols` on entry, and every public
+//!   kernel asserts the same before it, so a short `x` panics before any
+//!   read.
+//!
 //! The layout constants are coordinated with the rest of the crate:
 //! `C = 8` lanes match one cache line of doubles, `σ = 256` equals the
 //! minimum parallel SpMV row chunk, and `DOT_CHUNK = 4096` is an exact
@@ -246,48 +260,61 @@ impl SellMatrix {
             .expect("SELL round-trip produced invalid CSR structure")
     }
 
-    /// One slice of products: per-lane accumulators folding each lane's
-    /// entries in stored (row) order. The dense common-prefix loop is the
-    /// vectorizable part (all `C` lanes active, unit stride over the slice
-    /// data); the ragged tails finish each longer lane with the *same*
-    /// accumulator, continuing at the exact element the prefix stopped at —
-    /// so the per-row fold order is identical to CSR's.
-    #[inline]
-    fn slice_products(&self, s: usize, x: &[f64]) -> [f64; SELL_C] {
-        let base = self.slice_ptr[s];
-        let lens = &self.row_len[s * SELL_C..(s + 1) * SELL_C];
-        let min_len = lens[SELL_C - 1];
-        let mut acc = [0.0f64; SELL_C];
-        let dense = &self.values[base..base + min_len * SELL_C];
-        let dense_cols = &self.col_idx[base..base + min_len * SELL_C];
-        for (vals, cols) in dense
-            .chunks_exact(SELL_C)
-            .zip(dense_cols.chunks_exact(SELL_C))
-        {
-            for lane in 0..SELL_C {
-                acc[lane] += vals[lane] * x[cols[lane] as usize];
-            }
-        }
-        for (lane, a) in acc.iter_mut().enumerate() {
-            for j in min_len..lens[lane] {
-                let off = base + j * SELL_C + lane;
-                *a += self.values[off] * x[self.col_idx[off] as usize];
-            }
-        }
-        acc
-    }
-
     /// Products of the slices covering rows `[y_base, y_base + y.len())`,
     /// scattered into `y` (indexed from `y_base`). The caller guarantees the
     /// range is σ-aligned (or covers the matrix tail), so every lane of
     /// every touched slice lands inside `y`.
+    ///
+    /// Per slice, each lane owns an accumulator folding its entries in
+    /// stored (row) order. The dense common-prefix loop is the vectorizable
+    /// part (all `C` lanes active, unit stride over the slice data); the
+    /// ragged tails finish each longer lane with the *same* accumulator,
+    /// continuing at the exact element the prefix stopped at — so the
+    /// per-row fold order is identical to CSR's. Lanes are sorted by
+    /// descending length, so a slice whose first and last lanes are equally
+    /// long has no tail at all.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != cols`: the one check the gather relies on (see
+    /// the safety contract in the module docs).
     fn spmv_block(&self, y_base: usize, y: &mut [f64], x: &[f64]) {
+        assert_eq!(x.len(), self.cols, "spmv: x has wrong length");
+        let at = |c: u32| {
+            let c = c as usize;
+            debug_assert!(c < x.len());
+            // SAFETY: every column a lane reads is a stored column of the
+            // source CSR matrix, copied verbatim, hence `< cols`, and
+            // `x.len() == cols` was asserted above. Padded entries are
+            // never read.
+            unsafe { *x.get_unchecked(c) }
+        };
         let s_begin = y_base / SELL_C;
         let s_end = (y_base + y.len()).div_ceil(SELL_C);
         for s in s_begin..s_end {
-            let acc = self.slice_products(s, x);
-            for (lane, &v) in acc.iter().enumerate() {
-                let r = self.perm[s * SELL_C + lane];
+            let base = self.slice_ptr[s];
+            let lanes = s * SELL_C..(s + 1) * SELL_C;
+            let lens = &self.row_len[lanes.clone()];
+            let min_len = lens[SELL_C - 1];
+            let mut acc = [0.0f64; SELL_C];
+            let dense = &self.values[base..base + min_len * SELL_C];
+            let dense_cols = &self.col_idx[base..base + min_len * SELL_C];
+            for (vals, cols) in dense
+                .chunks_exact(SELL_C)
+                .zip(dense_cols.chunks_exact(SELL_C))
+            {
+                for lane in 0..SELL_C {
+                    acc[lane] += vals[lane] * at(cols[lane]);
+                }
+            }
+            if lens[0] != min_len {
+                for (lane, a) in acc.iter_mut().enumerate() {
+                    for j in min_len..lens[lane] {
+                        let off = base + j * SELL_C + lane;
+                        *a += self.values[off] * at(self.col_idx[off]);
+                    }
+                }
+            }
+            for (&r, &v) in self.perm[lanes].iter().zip(&acc) {
                 if r != PAD_LANE {
                     y[r - y_base] = v;
                 }
@@ -394,54 +421,6 @@ impl SellMatrix {
             .sum()
     }
 
-    /// Partial products of the (block-local) rows `[row_begin, row_end)`
-    /// with every column in `[col_skip_begin, col_skip_end)` excluded — the
-    /// recovery cold path behind the inverse block relations
-    /// (`Σ_{j≠i} A_ij x_j`), bitwise-identical to
-    /// [`CsrMatrix::spmv_rows_excluding`] on the source block: each row
-    /// folds its surviving entries in stored order, which the conversion
-    /// keeps equal to CSR's sorted-column order.
-    ///
-    /// Rows are located by scanning their σ-window of the permutation
-    /// (window-local by construction): O(σ) per row, which the page-sized
-    /// recovery ranges never notice.
-    ///
-    /// # Panics
-    /// Panics if the row range is out of bounds or `x`/`y` have the wrong
-    /// length.
-    pub fn spmv_rows_excluding(
-        &self,
-        row_begin: usize,
-        row_end: usize,
-        col_skip_begin: usize,
-        col_skip_end: usize,
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        assert!(row_begin <= row_end && row_end <= self.rows);
-        assert_eq!(x.len(), self.cols, "spmv_rows_excluding: x wrong length");
-        assert_eq!(y.len(), row_end - row_begin);
-        for (out, r) in y.iter_mut().zip(row_begin..row_end) {
-            let w0 = (r / SELL_SIGMA) * SELL_SIGMA;
-            let w1 = (w0 + SELL_SIGMA).min(self.perm.len());
-            let k = (w0..w1)
-                .find(|&k| self.perm[k] == r)
-                .expect("every real row has a lane in its σ-window");
-            let (s, lane) = (k / SELL_C, k % SELL_C);
-            let base = self.slice_ptr[s];
-            let mut acc = 0.0;
-            for j in 0..self.row_len[k] {
-                let off = base + j * SELL_C + lane;
-                let c = self.col_idx[off] as usize;
-                if c >= col_skip_begin && c < col_skip_end {
-                    continue;
-                }
-                acc += self.values[off] * x[c];
-            }
-            *out = acc;
-        }
-    }
-
     /// Checks the padding contract: every padded entry holds exactly `0.0`
     /// and an in-bounds column index, every real lane's length matches its
     /// source row, and the permutation stays inside its σ-window. Used by
@@ -485,7 +464,7 @@ impl SellMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{poisson_2d, random_spd};
+    use crate::generators::{poisson_2d, poisson_3d_27pt, random_spd};
     use crate::{fused, CooMatrix};
 
     fn test_x(n: usize) -> Vec<f64> {
@@ -625,36 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_excluding_matches_csr_bitwise() {
-        let a = poisson_2d(24); // 576 rows
-        let x = test_x(a.cols());
-        // Full-matrix backend, page-sized row ranges, skip == the range
-        // itself (the inverse-block-relation shape) and a disjoint block.
-        let full = SellMatrix::from_csr(&a);
-        for (begin, end, skip_b, skip_e) in
-            [(0, 64, 0, 64), (128, 256, 128, 256), (300, 420, 64, 128)]
-        {
-            let mut y_csr = vec![f64::NAN; end - begin];
-            let mut y_sell = vec![f64::NAN; end - begin];
-            a.spmv_rows_excluding(begin, end, skip_b, skip_e, &x, &mut y_csr);
-            full.spmv_rows_excluding(begin, end, skip_b, skip_e, &x, &mut y_sell);
-            for (u, v) in y_csr.iter().zip(&y_sell) {
-                assert_eq!(u.to_bits(), v.to_bits());
-            }
-        }
-        // Row-block conversion (σ-unaligned), local row indexing.
-        let (blk_b, blk_e) = (130, 460);
-        let block = SellMatrix::from_csr_rows(&a, blk_b, blk_e).unwrap();
-        let mut y_csr = vec![f64::NAN; 100];
-        let mut y_sell = vec![f64::NAN; 100];
-        a.spmv_rows_excluding(blk_b + 50, blk_b + 150, 200, 280, &x, &mut y_csr);
-        block.spmv_rows_excluding(50, 150, 200, 280, &x, &mut y_sell);
-        for (u, v) in y_csr.iter().zip(&y_sell) {
-            assert_eq!(u.to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
     fn rejects_bad_row_ranges() {
         let a = poisson_2d(4);
         assert!(SellMatrix::from_csr_rows(&a, 10, 5).is_err());
@@ -674,5 +623,126 @@ mod tests {
         }
         let spiked = SellMatrix::from_csr(&coo.to_csr().unwrap());
         assert!(spiked.fill_ratio() > 2.0, "fill {}", spiked.fill_ratio());
+    }
+
+    /// `x` carrying the values the bitwise contract must pass through
+    /// unchanged: `-0.0`, `±inf`, and NaN at column `cols − 1`. The `inf`
+    /// at column 0 — where padded entries point — turns any product with a
+    /// padded `0.0` into NaN.
+    fn special_x(n: usize) -> Vec<f64> {
+        let mut x = test_x(n);
+        for (i, v) in [
+            (0, f64::INFINITY),
+            (n / 3, -0.0),
+            (n / 2, f64::NEG_INFINITY),
+            (2 * n / 3, -0.0),
+            (n - 1, f64::NAN),
+        ] {
+            x[i] = v;
+        }
+        x
+    }
+
+    fn assert_bits_eq(expected: &[f64], got: &[f64], label: &str) {
+        assert_eq!(expected.len(), got.len(), "{label}");
+        for (i, (u, v)) in expected.iter().zip(got).enumerate() {
+            assert_eq!(u.to_bits(), v.to_bits(), "{label}: row {i}");
+        }
+    }
+
+    /// Slices taking the uniform path (no ragged tail) and the ragged path.
+    fn slice_paths(sell: &SellMatrix) -> (usize, usize) {
+        let uniform = (0..sell.num_slices())
+            .filter(|&s| sell.row_len[s * SELL_C] == sell.row_len[(s + 1) * SELL_C - 1])
+            .count();
+        (uniform, sell.num_slices() - uniform)
+    }
+
+    #[test]
+    fn both_slice_paths_match_csr_bitwise_on_special_values() {
+        // A 27-point stencil (boundary rows make ragged slices) and a
+        // high-row-variance random operator; both above the parallel gates.
+        let operators = [
+            ("poisson_3d_27pt(17)", poisson_3d_27pt(17)),
+            ("random_spd(5000, 7, 5)", random_spd(5000, 7, 5)),
+        ];
+        let (mut uniform, mut ragged) = (0, 0);
+        for (name, a) in &operators {
+            let n = a.rows();
+            // The diagonal of the last row reads column `cols − 1`.
+            assert_eq!(a.row(n - 1).0.last().map(|&c| c as usize), Some(n - 1));
+            for x in [test_x(n), special_x(n)] {
+                // σ-unaligned blocks, one of them ending at the last row.
+                for (begin, end) in [(0, n), (130, n), (37, n - 101)] {
+                    let label = format!("{name} rows {begin}..{end}");
+                    let sell = SellMatrix::from_csr_rows(a, begin, end).unwrap();
+                    let (u, r) = slice_paths(&sell);
+                    (uniform, ragged) = (uniform + u, ragged + r);
+                    let mut y_csr = vec![0.0; end - begin];
+                    let mut y_sell = vec![f64::NAN; end - begin];
+                    a.spmv_rows(begin, end, &x, &mut y_csr);
+                    sell.spmv(&x, &mut y_sell);
+                    assert_bits_eq(&y_csr, &y_sell, &label);
+                    let d_csr = fused::spmv_rows_dot(a, begin, end, &x, &mut y_csr);
+                    let d_sell = sell.spmv_dot_at(begin, &x, &mut y_sell);
+                    assert_eq!(d_csr.to_bits(), d_sell.to_bits(), "{label}: dot");
+                    assert_bits_eq(&y_csr, &y_sell, &label);
+                }
+                let full = SellMatrix::from_csr(a);
+                let mut y_csr = vec![0.0; n];
+                a.spmv(&x, &mut y_csr);
+                for threads in [1, 2, 4] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("pool construction failed");
+                    let label = format!("{name} at {threads} threads");
+                    let mut y_sell = vec![f64::NAN; n];
+                    pool.install(|| full.spmv_parallel(&x, &mut y_sell));
+                    assert_bits_eq(&y_csr, &y_sell, &label);
+                    let mut y_ref = vec![0.0; n];
+                    let (d_ref, d_sell) = pool.install(|| {
+                        let d_ref = fused::spmv_dot_parallel(a, &x, &mut y_ref);
+                        (d_ref, full.spmv_dot_parallel(&x, &mut y_sell))
+                    });
+                    assert_eq!(d_ref.to_bits(), d_sell.to_bits(), "{label}: dot");
+                    assert_bits_eq(&y_ref, &y_sell, &label);
+                }
+            }
+        }
+        assert!(
+            uniform > 0 && ragged > 0,
+            "{uniform} uniform, {ragged} ragged slices"
+        );
+    }
+
+    // Each public SELL kernel asserts `x.len() == cols` before its first
+    // unchecked gather: a short `x` panics with the length message, not
+    // with the gather's debug assert or an out-of-bounds read.
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_rejects_a_short_x() {
+        SellMatrix::from_csr(&poisson_2d(4)).spmv(&[0.0; 15], &mut [0.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_parallel_rejects_a_short_x() {
+        let sell = SellMatrix::from_csr(&poisson_2d(70)); // above the parallel gate
+        sell.spmv_parallel(&vec![0.0; sell.cols() - 1], &mut vec![0.0; sell.rows()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_dot_at_rejects_a_short_x() {
+        let block = SellMatrix::from_csr_rows(&poisson_2d(4), 8, 16).unwrap();
+        block.spmv_dot_at(8, &[0.0; 15], &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x has wrong length")]
+    fn spmv_dot_parallel_rejects_a_short_x() {
+        let sell = SellMatrix::from_csr(&poisson_2d(70)); // above the parallel gates
+        sell.spmv_dot_parallel(&vec![0.0; sell.cols() - 1], &mut vec![0.0; sell.rows()]);
     }
 }

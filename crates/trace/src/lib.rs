@@ -49,6 +49,7 @@
 //! shared timeline (see [`export::SolveTrace`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod metrics;

@@ -29,6 +29,8 @@
 //! [`Message::TraceDump`]. This crate fixes the byte layout only; the
 //! meaning of the code fields of `WorkerConfig` belongs to `feir-dist`.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 
 use std::fmt;

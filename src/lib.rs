@@ -43,6 +43,8 @@
 //! assert!(report.converged());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use feir_core as core;
 pub use feir_dist as dist;
 pub use feir_pagemem as pagemem;

@@ -24,14 +24,14 @@
 //! duplicates, holding reordered records back) and acknowledges
 //! cumulatively. The ack is owed rather than sent alone: it rides ahead of
 //! the receiver's next record to that peer, in the same `write`, or is
-//! flushed before the receiver sleeps, on its watchdog's tick and while it
-//! drains a closing link. A record parked ahead of the next expected one,
-//! or a rejected frame in its place, reveals a gap: the receiver NACKs the
-//! gap once and the sender re-sends that record at once, so a loss a later
-//! frame reveals costs about one round trip (a clean wire never NACKs). A
-//! loss nothing reveals waits for the timer: the sender retransmits the
-//! oldest unacknowledged record with exponential backoff until
-//! [`MeshOptions::max_retries`] is exhausted.
+//! flushed before the receiver sleeps and while it drains a closing link.
+//! A record parked ahead of the next expected one, or a rejected frame in
+//! its place, reveals a gap: the receiver NACKs the gap once and the sender
+//! re-sends that record at once, so a loss a later frame reveals costs
+//! about one round trip (a clean wire never NACKs). A loss nothing reveals
+//! waits for the timer: the sender retransmits the oldest unacknowledged
+//! record with exponential backoff until [`MeshOptions::max_retries`] is
+//! exhausted.
 //!
 //! A rank blocked in a receive reads and parses its own socket (it *pumps*
 //! the link: `poll(2)`, one read, every complete record), so a clean frame
@@ -41,8 +41,10 @@
 //! until the earliest of its read deadline and the retransmit deadlines of
 //! all its links, and re-sends what expired, so a frame lost toward peer B
 //! is re-sent while the rank waits on peer A; a closing link drains the
-//! same way. A per-link watchdog thread, woken by a timer and never on a
-//! message's path, pumps, acks and retransmits for a rank that computes.
+//! same way. Nothing else moves a link: a rank runs no thread per link, so
+//! a rank that computes acks at its next communication call, and a peer's
+//! timer never fires on it as long as its gaps between calls stay below
+//! half the retransmission timeout.
 //! Because delivery is exactly-once-in-order, the message sequence the
 //! solver observes over a faulty link is *identical* to the clean one — a
 //! lossy-mesh solve is therefore bitwise-identical to a clean-mesh solve.
@@ -96,17 +98,17 @@
 //! `RankError`) frame on stdout, followed by a `TraceDump`.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::ffi::OsString;
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::ffi::{OsStrExt, OsStringExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use feir_recovery::RecoveryPolicy;
@@ -252,9 +254,10 @@ pub struct MeshOptions {
     pub retransmit_timeout: Duration,
     /// Deterministic fault injection; `None` runs every link clean.
     pub chaos: Option<ChaosConfig>,
-    /// Enables rank elasticity: receives watch for *any* dead peer (not just
-    /// the one being received from) so every rank discovers a failure within
-    /// one poll tick and can park at the rejoin barrier.
+    /// Enables rank elasticity: a blocked receive reads its other links on
+    /// every liveness wake (20 ms at most) and aborts on *any* dead peer, not
+    /// just the one it waits on, so every rank discovers a failure and can
+    /// park at the rejoin barrier.
     pub elastic: bool,
     /// Per-rank listener epochs (how often each rank has been respawned);
     /// empty means all zero. A respawned rank binds an epoch-qualified
@@ -285,26 +288,10 @@ enum Stream {
 }
 
 impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
-    }
-
     fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_read_timeout(dur),
             Stream::Tcp(s) => s.set_read_timeout(dur),
-        }
-    }
-
-    /// Shuts down both directions: the peer sees EOF, and a clone of this
-    /// socket reads EOF once it has drained what arrived before.
-    fn shutdown(&self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.shutdown(Shutdown::Both),
-            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
         }
     }
 
@@ -368,7 +355,7 @@ impl Write for Stream {
 
 /// Maps a low-level frame/IO failure on a peer link to the typed comm error
 /// (handshake traffic only — post-handshake links report through
-/// [`LinkShared::down_error`]).
+/// [`RLink::down_error`]).
 fn comm_err(peer: usize, during: &'static str, e: WireError) -> CommError {
     use std::io::ErrorKind;
     match e {
@@ -401,12 +388,10 @@ fn comm_err(peer: usize, during: &'static str, e: WireError) -> CommError {
 // Reliability sublayer: sequence numbers, acks, retransmission.
 // ---------------------------------------------------------------------------
 
-/// Liveness poll of the reliability layer: a blocked receive wakes at least
-/// this often to notice dead peers, and a link's watchdog at least this
-/// often (every `rto / 4` when that is shorter) to ack and retransmit for a
-/// rank that is computing rather than receiving. Retransmissions do not wait
-/// for it — a blocked receiver sleeps until the earliest retransmit deadline
-/// (see [`ProcessEndpoint::await_frame`]).
+/// Liveness bound of a blocked receive: it wakes at least this often to read
+/// its other links, so it notices a dead peer and acks what the others sent.
+/// Retransmissions do not wait for it — a blocked receiver sleeps until the
+/// earliest retransmit deadline (see [`ProcessEndpoint::await_frame`]).
 const TICK: Duration = Duration::from_millis(20);
 
 /// Why a link was declared dead.
@@ -431,62 +416,119 @@ struct SendRecord {
     frame: Vec<u8>,
 }
 
-/// Sender-side sequence state of one directed link.
-#[derive(Debug, Default)]
-struct SendState {
-    next_seq: u64,
-    unacked: VecDeque<SendRecord>,
+/// The least one pump reads at once (a clean `ff_wire` record is ≈0.6 kB).
+const READ_CHUNK: usize = 16 << 10;
+
+/// The longest inner frame a data record may announce.
+const MAX_INNER: usize = feir_wire::HEADER_LEN + feir_wire::MAX_PAYLOAD as usize;
+
+/// The receive side of one link, moved forward by [`RLink::pump`].
+#[derive(Debug)]
+struct Inbound {
+    /// `buf[..filled]` is read but not parsed: at most one partial record.
+    buf: Vec<u8>,
+    filled: usize,
+    /// Sequence number of the next record to deliver.
+    expected: u64,
+    /// Records that arrived ahead of `expected`, parked until the gap fills.
+    reordered: BTreeMap<u64, Message>,
+    /// The `expected` last NACKed: one NACK per gap, so a spurious re-send
+    /// cannot chain.
+    nacked: Option<u64>,
+    /// Exactly-once, in-order messages no receive has taken yet.
+    delivered: VecDeque<Message>,
 }
 
-/// State of one link, shared by its owner (sends; while it is blocked
-/// receiving or draining, the receive side and the retransmit timer) and its
-/// watchdog (the same two while the owner computes; teardown). Lock order:
-/// `inbound` → `sendq` → `writer`; a thread holding one link's `inbound`
-/// takes another link's only by `try_lock`.
+/// One established reliable link to a peer rank. It is owned by the rank's
+/// one thread and moves only inside that rank's communication calls: a send
+/// writes, a blocked receive pumps, acks and retransmits, and the drop
+/// drains.
 #[derive(Debug)]
-struct LinkShared {
+struct RLink {
     peer: usize,
-    writer: Mutex<ChaosLink<Stream>>,
-    sendq: Mutex<SendState>,
-    inbound: Mutex<Inbound>,
-    down: Mutex<Option<LinkDown>>,
+    /// The socket, behind the fault plan and the owed ack.
+    writer: ChaosLink<Stream>,
+    next_seq: u64,
+    unacked: VecDeque<SendRecord>,
+    inbound: Inbound,
+    /// Why the link died; `None` while it is healthy.
+    down: Option<LinkDown>,
+    /// Tag-demultiplexer stash (e.g. a split-phase gather posted ahead of
+    /// the same stream's halo payload).
+    inbox: VecDeque<Message>,
     max_retries: u32,
     rto: Duration,
     stats: Arc<LinkStats>,
 }
 
-impl LinkShared {
-    /// Records why the link died; the first cause wins.
-    fn mark_down(&self, why: LinkDown) {
-        let mut down = self.down.lock().expect("link down lock");
-        if down.is_none() {
-            *down = Some(why);
+impl RLink {
+    /// Wraps a handshaken stream in the reliability sublayer: chaos writer,
+    /// sequence state and receive side. `stats` is owned by the endpoint and
+    /// shared into the link, so the counters survive a relink (elastic
+    /// rejoin) and keep accumulating across link incarnations.
+    fn new(
+        stream: Stream,
+        rank: usize,
+        peer: usize,
+        options: &MeshOptions,
+        stats: Arc<LinkStats>,
+    ) -> RLink {
+        let plan = options
+            .chaos
+            .as_ref()
+            .map(|c| c.plan_for(rank, peer))
+            .unwrap_or_else(FaultPlan::clean);
+        RLink {
+            peer,
+            writer: ChaosLink::new(stream, plan, stats.clone()),
+            next_seq: 0,
+            unacked: VecDeque::new(),
+            inbound: Inbound {
+                buf: vec![0; READ_CHUNK],
+                filled: 0,
+                expected: 0,
+                reordered: BTreeMap::new(),
+                nacked: None,
+                delivered: VecDeque::new(),
+            },
+            down: None,
+            inbox: VecDeque::new(),
+            max_retries: options.max_retries,
+            rto: options.retransmit_timeout.max(Duration::from_millis(1)),
+            stats,
         }
+    }
+
+    /// Records why the link died; the first cause wins.
+    fn mark_down(&mut self, why: LinkDown) {
+        self.down.get_or_insert(why);
     }
 
     /// The typed error of a dead link, `None` while it is healthy. A stored
     /// wire error is yielded once; later calls degrade to `Disconnected`.
-    fn down_error(&self, peer: usize, during: &'static str) -> Option<CommError> {
-        let mut down = self.down.lock().expect("link down lock");
-        match down.as_mut() {
-            None => None,
-            Some(LinkDown::AckTimeout) => Some(CommError::Timeout { peer, during }),
-            Some(LinkDown::Corrupt(slot)) => match slot.take() {
-                Some(e) => Some(CommError::Wire(e)),
-                None => Some(CommError::Disconnected {
-                    peer: Some(peer),
-                    during,
-                }),
-            },
-            Some(LinkDown::Eof) => Some(CommError::Disconnected {
-                peer: Some(peer),
-                during,
-            }),
-        }
+    fn down_error(&mut self, during: &'static str) -> Option<CommError> {
+        let peer = self.peer;
+        let disconnected = CommError::Disconnected {
+            peer: Some(peer),
+            during,
+        };
+        Some(match self.down.as_mut()? {
+            LinkDown::AckTimeout => CommError::Timeout { peer, during },
+            LinkDown::Corrupt(slot) => slot.take().map_or(disconnected, CommError::Wire),
+            LinkDown::Eof => disconnected,
+        })
     }
 
     fn is_down(&self) -> bool {
-        self.down.lock().expect("link down lock").is_some()
+        self.down.is_some()
+    }
+
+    /// `true` if a write went out; a failed one marks the link dead.
+    fn wrote(&mut self, written: std::io::Result<()>) -> bool {
+        if written.is_err() {
+            self.mark_down(LinkDown::Eof);
+        }
+        written.is_ok()
     }
 
     /// How long a record already sent `attempt + 1` times waits for its ack
@@ -504,80 +546,56 @@ impl LinkShared {
         if self.is_down() {
             return None;
         }
-        let sendq = self.sendq.lock().expect("link send lock");
-        let head = sendq.unacked.front()?;
+        let head = self.unacked.front()?;
         Some(head.sent_at + self.backoff(head.attempt))
     }
 
     /// Numbers `frame` as this link's next record, queues it for
     /// retransmission and writes its first attempt. `false` means the write
     /// failed and the link is now marked dead.
-    fn transmit(&self, frame: &[u8]) -> bool {
-        let copy = frame.to_vec();
-        // Record first (lock order sendq → writer), then transmit.
-        let mut sendq = self.sendq.lock().expect("link send lock");
-        let seq = sendq.next_seq;
-        sendq.next_seq += 1;
-        sendq.unacked.push_back(SendRecord {
+    fn transmit(&mut self, frame: &[u8]) -> bool {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.unacked.push_back(SendRecord {
             seq,
             attempt: 0,
             sent_at: Instant::now(),
-            frame: copy,
+            frame: frame.to_vec(),
         });
-        let ok = {
-            let mut writer = self.writer.lock().expect("link writer lock");
-            writer.write_data(seq, 0, frame).is_ok()
-        };
-        drop(sendq);
-        if !ok {
-            self.mark_down(LinkDown::Eof);
-        }
-        ok
+        let written = self.writer.write_data(seq, 0, frame);
+        self.wrote(written)
     }
 
     /// Writes the cumulative ack this link owes its peer, if any. `false`:
     /// the write failed and the link is now marked dead.
-    fn flush_ack(&self) -> bool {
-        let ok = self
-            .writer
-            .lock()
-            .expect("link writer lock")
-            .flush_ack()
-            .is_ok();
-        if !ok {
-            self.mark_down(LinkDown::Eof);
-        }
-        ok
+    fn flush_ack(&mut self) -> bool {
+        let written = self.writer.flush_ack();
+        self.wrote(written)
     }
 
     /// Applies a cumulative ack: "every record below `seq` was delivered."
-    fn acknowledge(&self, seq: u64) {
-        let mut sendq = self.sendq.lock().expect("link send lock");
-        let mut popped = false;
-        while sendq.unacked.front().is_some_and(|r| r.seq < seq) {
-            sendq.unacked.pop_front();
-            popped = true;
+    fn acknowledge(&mut self, seq: u64) {
+        let mut last_sent = None;
+        while self.unacked.front().is_some_and(|r| r.seq < seq) {
+            last_sent = self.unacked.pop_front().map(|r| r.sent_at).max(last_sent);
         }
-        // Progress resets the survivor's timer (its flight time was spent
-        // behind the acked records); a pure duplicate ack must not keep
+        // Progress restarts the survivor's timer from the acked records' last
+        // send: its flight time was spent behind them, and its ack cannot
+        // come before theirs. Reading the ack late does not push the timer
+        // back, and a pure duplicate ack, which pops nothing, must not keep
         // resetting it or retransmission would starve.
-        if popped {
-            if let Some(head) = sendq.unacked.front_mut() {
-                head.sent_at = Instant::now();
-            }
+        if let (Some(acked), Some(head)) = (last_sent, self.unacked.front_mut()) {
+            head.sent_at = head.sent_at.max(acked);
         }
     }
 
     /// Retransmits the oldest unacknowledged record if its backoff expired.
-    /// Callable from any thread — the `sendq` lock and the `sent_at` reset
-    /// keep two callers from re-sending the same expiry twice. Returns
-    /// `false` when the link is (now) dead and its watchdog should exit.
-    fn service_retransmits(&self) -> bool {
+    /// Returns `false` when the link is (now) dead.
+    fn service_retransmits(&mut self) -> bool {
         if self.is_down() {
             return false;
         }
-        let mut sendq = self.sendq.lock().expect("link send lock");
-        let Some(head) = sendq.unacked.front_mut() else {
+        let Some(head) = self.unacked.front() else {
             return true;
         };
         if head.sent_at.elapsed() < self.backoff(head.attempt) {
@@ -585,113 +603,58 @@ impl LinkShared {
         }
         if head.attempt >= self.max_retries {
             // Give up: fail the link rather than hang the solve.
-            sendq.unacked.clear();
-            drop(sendq);
+            self.unacked.clear();
             self.mark_down(LinkDown::AckTimeout);
             return false;
         }
-        self.resend_head(sendq)
+        self.resend_head()
     }
 
     /// The peer reported record `seq` missing: re-send it now if it is the
     /// head on its first attempt. A re-sent record is left to its timer, so a
     /// stale or repeated NACK re-sends nothing. `false`: the link is dead.
-    fn nack(&self, seq: u64) -> bool {
+    fn nack(&mut self, seq: u64) -> bool {
         if self.is_down() {
             return false;
         }
-        let sendq = self.sendq.lock().expect("link send lock");
         let first = |head: &SendRecord| head.seq == seq && head.attempt == 0;
-        if self.max_retries > 0 && sendq.unacked.front().is_some_and(first) {
-            return self.resend_head(sendq);
+        if self.max_retries > 0 && self.unacked.front().is_some_and(first) {
+            return self.resend_head();
         }
         true
     }
 
-    /// Re-sends the head record and re-arms its timer. `sendq` stays held
-    /// across the write (lock order sendq → writer) so a concurrent send
-    /// cannot interleave a fresh record mid-retransmit — which is also what
-    /// lets the frame be written from the queue in place. `false`: link dead.
-    fn resend_head(&self, mut sendq: std::sync::MutexGuard<'_, SendState>) -> bool {
-        let head = sendq.unacked.front_mut().expect("a record in flight");
+    /// Re-sends the head record, if any, and re-arms its timer. `false`:
+    /// the link is dead.
+    fn resend_head(&mut self) -> bool {
+        let Some(head) = self.unacked.front_mut() else {
+            return true;
+        };
         head.attempt += 1;
         head.sent_at = Instant::now();
         feir_trace::instant(feir_trace::Phase::Retransmit);
-        let ok = {
-            let mut writer = self.writer.lock().expect("link writer lock");
-            writer
-                .write_data(head.seq, head.attempt, &head.frame)
-                .is_ok()
-        };
-        drop(sendq);
-        if !ok {
-            self.mark_down(LinkDown::Eof);
-        }
-        ok
-    }
-}
-
-/// The least one pump reads at once (a clean `ff_wire` record is ≈0.6 kB).
-const READ_CHUNK: usize = 16 << 10;
-
-/// The longest inner frame a data record may announce.
-const MAX_INNER: usize = feir_wire::HEADER_LEN + feir_wire::MAX_PAYLOAD as usize;
-
-/// The receive side of one link. Whoever holds `LinkShared::inbound` owns
-/// it and moves it forward with [`pump`].
-#[derive(Debug)]
-struct Inbound {
-    /// The read half of the socket.
-    stream: Stream,
-    /// `buf[..filled]` is read but not parsed: at most one partial record.
-    buf: Vec<u8>,
-    filled: usize,
-    /// Sequence number of the next record to deliver.
-    expected: u64,
-    /// Records that arrived ahead of `expected`, parked until the gap fills.
-    reordered: BTreeMap<u64, Message>,
-    /// The `expected` last NACKed: one NACK per gap, so a spurious re-send
-    /// cannot chain.
-    nacked: Option<u64>,
-    /// Exactly-once, in-order messages no receive has taken yet.
-    delivered: VecDeque<Message>,
-}
-
-impl Inbound {
-    fn new(stream: Stream) -> Inbound {
-        Inbound {
-            stream,
-            buf: vec![0; READ_CHUNK],
-            filled: 0,
-            expected: 0,
-            reordered: BTreeMap::new(),
-            nacked: None,
-            delivered: VecDeque::new(),
-        }
+        let written = self.writer.write_data(head.seq, head.attempt, &head.frame);
+        self.wrote(written)
     }
 
     /// Handles one data record: delivers it in sequence order, owes the peer
     /// a cumulative ack and NACKs the gap it reveals. `false`: the link died.
-    fn receive(
-        &mut self,
-        shared: &LinkShared,
-        seq: u64,
-        frame: Result<Message, WireError>,
-    ) -> bool {
+    fn receive(&mut self, seq: u64, frame: Result<Message, WireError>) -> bool {
+        let inbound = &mut self.inbound;
         match frame {
             Ok(msg) => {
-                let gap = seq > self.expected;
-                if seq < self.expected {
-                    shared.stats.dup_received.fetch_add(1, Ordering::Relaxed);
+                let gap = seq > inbound.expected;
+                if seq < inbound.expected {
+                    self.stats.dup_received.fetch_add(1, Ordering::Relaxed);
                 } else if gap {
                     // Reordered ahead: park until the gap fills.
-                    self.reordered.insert(seq, msg);
+                    inbound.reordered.insert(seq, msg);
                 } else {
-                    self.delivered.push_back(msg);
-                    self.expected += 1;
-                    while let Some(next) = self.reordered.remove(&self.expected) {
-                        self.delivered.push_back(next);
-                        self.expected += 1;
+                    inbound.delivered.push_back(msg);
+                    inbound.expected += 1;
+                    while let Some(next) = inbound.reordered.remove(&inbound.expected) {
+                        inbound.delivered.push_back(next);
+                        inbound.expected += 1;
                     }
                 }
                 // Always (re-)acknowledge: a lost ack is recovered by the
@@ -700,131 +663,131 @@ impl Inbound {
                 // data record, or the NACK below, which it precedes so the
                 // NACK finds the missing record at the head of the sender's
                 // queue — or is flushed before this rank sleeps.
-                shared
-                    .writer
-                    .lock()
-                    .expect("link writer lock")
-                    .owe_ack(self.expected);
-                if gap && !self.report_gap(shared) {
-                    shared.mark_down(LinkDown::Eof);
-                    return false;
-                }
+                self.writer.owe_ack(inbound.expected);
+                !gap || self.report_gap()
             }
             Err(e) => {
-                shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if shared.max_retries == 0 {
-                    shared.mark_down(LinkDown::Corrupt(Some(e)));
+                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                if self.max_retries == 0 {
+                    self.mark_down(LinkDown::Corrupt(Some(e)));
                     return false;
                 }
                 // Not yet delivered: a gap at `expected`, which the RTO
                 // covers if its one NACK is already spent.
-                if seq >= self.expected && !self.report_gap(shared) {
-                    shared.mark_down(LinkDown::Eof);
-                    return false;
-                }
+                seq < inbound.expected || self.report_gap()
             }
         }
-        true
     }
 
     /// NACKs the gap at `expected` unless it already was. `false`: the
-    /// write failed.
-    fn report_gap(&mut self, shared: &LinkShared) -> bool {
-        self.nacked.replace(self.expected) == Some(self.expected)
-            || shared
-                .writer
-                .lock()
-                .expect("link writer lock")
-                .write_nack(self.expected)
-                .is_ok()
-    }
-}
-
-/// Moves a link's receive side forward: waits up to `wait` for the socket
-/// to turn readable, reads once and handles every complete record in the
-/// buffer — acks and NACKs go to the send side, data records through
-/// [`Inbound::receive`]. A partial record stays buffered for the next pump.
-/// `false` means the link is dead (marked down, now or before).
-fn pump(shared: &LinkShared, inbound: &mut Inbound, wait: Duration) -> bool {
-    use std::io::ErrorKind;
-    if shared.is_down() {
-        return false;
-    }
-    if !inbound.stream.readable(wait) {
-        return true;
-    }
-    let filled = inbound.filled;
-    match inbound.stream.read(&mut inbound.buf[filled..]) {
-        Ok(n) if n > 0 => inbound.filled += n,
-        Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
-            return true
+    /// write failed and the link is now marked dead.
+    fn report_gap(&mut self) -> bool {
+        let expected = self.inbound.expected;
+        if self.inbound.nacked.replace(expected) == Some(expected) {
+            return true;
         }
-        _ => {
-            shared.mark_down(LinkDown::Eof);
+        let written = self.writer.write_nack(expected);
+        self.wrote(written)
+    }
+
+    /// Moves the receive side forward: waits up to `wait` for the socket to
+    /// turn readable, reads once and handles every complete record in the
+    /// buffer — acks and NACKs go to the send side, data records through
+    /// [`RLink::receive`]. A partial record stays buffered for the next
+    /// pump. `false` means the link is dead (marked down, now or before).
+    fn pump(&mut self, wait: Duration) -> bool {
+        use std::io::ErrorKind;
+        if self.is_down() {
             return false;
         }
-    }
-    let (mut at, mut alive) = (0, true);
-    while alive {
-        let Some(env) = inbound.buf[at..inbound.filled].first_chunk::<ENVELOPE_LEN>() else {
-            break;
-        };
-        let (kind, seq, inner_len) = parse_envelope(env);
-        alive = match kind {
-            ENV_ACK => {
-                shared.acknowledge(seq);
-                at += ENVELOPE_LEN;
-                true
-            }
-            ENV_NACK => {
-                at += ENVELOPE_LEN;
-                shared.nack(seq)
-            }
-            ENV_DATA if inner_len as usize <= MAX_INNER => {
-                let end = ENVELOPE_LEN + inner_len as usize;
-                if inbound.filled - at < end {
-                    // Wait for the rest, with room for all of it in one read.
-                    if inbound.buf.len() < end {
-                        inbound.buf.resize(end, 0);
-                    }
-                    break;
-                }
-                let frame = feir_wire::decode_frame_buf(&inbound.buf[at + ENVELOPE_LEN..at + end]);
-                at += end;
-                inbound.receive(shared, seq, frame)
+        let (socket, inbound) = (self.writer.get_mut(), &mut self.inbound);
+        if !socket.readable(wait) {
+            return true;
+        }
+        match socket.read(&mut inbound.buf[inbound.filled..]) {
+            Ok(n) if n > 0 => inbound.filled += n,
+            Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) => {
+                return true
             }
             _ => {
-                shared.mark_down(LinkDown::Corrupt(None));
-                false
+                self.mark_down(LinkDown::Eof);
+                return false;
             }
-        };
+        }
+        let (mut at, mut alive) = (0, true);
+        while alive {
+            let parsed = &self.inbound.buf[at..self.inbound.filled];
+            let Some(env) = parsed.first_chunk::<ENVELOPE_LEN>() else {
+                break;
+            };
+            let (kind, seq, inner_len) = parse_envelope(env);
+            alive = match kind {
+                ENV_ACK => {
+                    self.acknowledge(seq);
+                    at += ENVELOPE_LEN;
+                    true
+                }
+                ENV_NACK => {
+                    at += ENVELOPE_LEN;
+                    self.nack(seq)
+                }
+                ENV_DATA if inner_len as usize <= MAX_INNER => {
+                    let end = ENVELOPE_LEN + inner_len as usize;
+                    if parsed.len() < end {
+                        // Wait for the rest, with room for all of it in one read.
+                        if self.inbound.buf.len() < end {
+                            self.inbound.buf.resize(end, 0);
+                        }
+                        break;
+                    }
+                    let frame = feir_wire::decode_frame_buf(&parsed[ENVELOPE_LEN..end]);
+                    at += end;
+                    self.receive(seq, frame)
+                }
+                _ => {
+                    self.mark_down(LinkDown::Corrupt(None));
+                    false
+                }
+            };
+        }
+        let inbound = &mut self.inbound;
+        inbound.buf.copy_within(at..inbound.filled, 0);
+        inbound.filled -= at;
+        alive
     }
-    inbound.buf.copy_within(at..inbound.filled, 0);
-    inbound.filled -= at;
-    alive
 }
 
-/// The per-link watchdog thread, the backstop for an owner that is
-/// computing rather than receiving: every `min(TICK, rto / 4)` it pumps the
-/// socket without waiting unless a receive holds it, writes the ack the link
-/// owes and services the retransmit timer — so what arrives is acked well
-/// within the peer's RTO.
-/// When the link dies it registers the peer in the endpoint's `downed` set,
-/// which is how elastic receives notice the failure.
-fn watchdog(shared: Arc<LinkShared>, downed: Arc<Mutex<BTreeSet<usize>>>) {
-    let nap = TICK.min(shared.rto / 4);
-    loop {
-        std::thread::park_timeout(nap);
-        let alive = match shared.inbound.try_lock() {
-            Ok(mut inbound) => pump(&shared, &mut inbound, Duration::ZERO),
-            Err(_) => !shared.is_down(),
-        };
-        if !alive || !shared.flush_ack() || !shared.service_retransmits() {
-            break;
+impl Drop for RLink {
+    /// Graceful drain, then close. The last frames of a solve may still be
+    /// waiting on a retransmission (chaos can drop the first attempt), and
+    /// closing the socket now would lose them forever. So the drop drives
+    /// the retransmit timer and reads the acks itself until every record is
+    /// acked, bounded by the time the retries would take to exhaust so a
+    /// peer that is alive but never acks cannot stall teardown for long.
+    /// Each pass first pays the ack this side owes: the peer may be draining
+    /// too, waiting for exactly that ack. Dropping an endpoint therefore
+    /// closes every socket, which is what cascades a failure through the
+    /// mesh and unblocks the peers.
+    fn drop(&mut self) {
+        const BUDGET_CAP: Duration = Duration::from_secs(3);
+        let mut budget = Duration::ZERO;
+        for attempt in 0..=self.max_retries {
+            budget += self.backoff(attempt);
+            if budget >= BUDGET_CAP {
+                break;
+            }
+        }
+        let deadline = Instant::now() + budget.min(BUDGET_CAP);
+        while self.flush_ack() && self.service_retransmits() {
+            let Some(expiry) = self.next_expiry() else {
+                break; // drained
+            };
+            let now = Instant::now();
+            if now >= deadline || !self.pump(expiry.min(deadline) - now) {
+                break;
+            }
         }
     }
-    shared.mark_down(LinkDown::Eof); // no-op if a cause is already recorded
-    downed.lock().expect("downed set lock").insert(shared.peer);
 }
 
 /// What a blocked receive does with one in-order message of the link it
@@ -838,115 +801,6 @@ enum Sift<T> {
     Stash(Message),
     /// Traffic nobody will ask for.
     Discard,
-}
-
-/// One established reliable link to a peer rank.
-#[derive(Debug)]
-struct RLink {
-    shared: Arc<LinkShared>,
-    /// Tag-demultiplexer stash (e.g. a split-phase gather posted ahead of
-    /// the same stream's halo payload).
-    inbox: VecDeque<Message>,
-    watchdog: Option<std::thread::JoinHandle<()>>,
-    /// Socket handle kept for teardown.
-    ctl: Stream,
-}
-
-impl RLink {
-    fn shutdown(&mut self) {
-        // Graceful drain: the last frames of a solve may still be waiting on
-        // a retransmission (chaos can drop the first attempt), and closing
-        // the socket now would lose them forever. This thread drives the
-        // retransmit timer and reads the acks itself until every record is
-        // acked, bounded by the time the retries would take to exhaust so a
-        // peer that is alive but never acks cannot stall teardown for long.
-        // Each pass first pays the ack this side owes: the peer may be
-        // draining too, waiting for exactly that ack.
-        const BUDGET_CAP: Duration = Duration::from_secs(3);
-        let shared = &self.shared;
-        let mut budget = Duration::ZERO;
-        for attempt in 0..=shared.max_retries {
-            budget += shared.backoff(attempt);
-            if budget >= BUDGET_CAP {
-                break;
-            }
-        }
-        let deadline = Instant::now() + budget.min(BUDGET_CAP);
-        while shared.flush_ack() && shared.service_retransmits() {
-            let Some(expiry) = shared.next_expiry() else {
-                break; // drained
-            };
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let mut inbound = shared.inbound.lock().expect("link inbound lock");
-            if !pump(shared, &mut inbound, expiry.min(deadline) - now) {
-                break;
-            }
-        }
-        let _ = self.ctl.shutdown();
-        shared.mark_down(LinkDown::Eof); // ends the watchdog at its next wake
-        if let Some(watchdog) = self.watchdog.take() {
-            watchdog.thread().unpark();
-            let _ = watchdog.join();
-        }
-    }
-}
-
-impl Drop for RLink {
-    fn drop(&mut self) {
-        // Dropping an endpoint therefore closes every socket, which is what
-        // cascades a failure through the mesh and unblocks the peers.
-        self.shutdown();
-    }
-}
-
-/// Wraps a handshaken stream in the reliability sublayer: chaos writer,
-/// sequence state, receive side and watchdog. `stats` is owned by the
-/// endpoint and shared into the link, so the counters survive a relink
-/// (elastic rejoin) and keep accumulating across link incarnations.
-fn build_rlink(
-    stream: Stream,
-    rank: usize,
-    peer: usize,
-    options: &MeshOptions,
-    downed: Arc<Mutex<BTreeSet<usize>>>,
-    stats: Arc<LinkStats>,
-) -> Result<RLink, CommError> {
-    let proto = |what: &str, e: std::io::Error| {
-        CommError::Protocol(format!("rank {rank}: link to {peer}: {what}: {e}"))
-    };
-    let reader = stream.try_clone().map_err(|e| proto("stream clone", e))?;
-    let ctl = stream.try_clone().map_err(|e| proto("stream clone", e))?;
-    let plan = options
-        .chaos
-        .as_ref()
-        .map(|c| c.plan_for(rank, peer))
-        .unwrap_or_else(FaultPlan::clean);
-    let shared = Arc::new(LinkShared {
-        peer,
-        writer: Mutex::new(ChaosLink::new(stream, plan, stats.clone())),
-        sendq: Mutex::new(SendState::default()),
-        inbound: Mutex::new(Inbound::new(reader)),
-        down: Mutex::new(None),
-        max_retries: options.max_retries,
-        rto: options.retransmit_timeout.max(Duration::from_millis(1)),
-        stats,
-    });
-    let watchdog = std::thread::Builder::new()
-        .name(format!("feir-link-r{rank}p{peer}"))
-        .spawn({
-            let shared = shared.clone();
-            move || watchdog(shared, downed)
-        })
-        .map_err(|e| proto("watchdog thread spawn", e))?;
-    Ok(RLink {
-        shared,
-        inbox: VecDeque::new(),
-        watchdog: Some(watchdog),
-        ctl,
-    })
 }
 
 /// Sums per-peer [`LinkStats`] into one rank's [`crate::cg::NetStats`].
@@ -965,9 +819,8 @@ fn sum_link_stats(stats: &[Arc<LinkStats>]) -> crate::cg::NetStats {
     net
 }
 
-/// One rank's view of the established mesh: a reliable link per peer, the
-/// retained listener (for elastic re-accepts) and the shared `downed` set
-/// link watchdogs report dead peers into.
+/// One rank's view of the established mesh: a reliable link per peer and
+/// the retained listener (for elastic re-accepts).
 #[derive(Debug)]
 pub struct ProcessEndpoint {
     rank: usize,
@@ -982,7 +835,6 @@ pub struct ProcessEndpoint {
     transport: Transport,
     options: MeshOptions,
     epochs: RefCell<Vec<u64>>,
-    downed: Arc<Mutex<BTreeSet<usize>>>,
 }
 
 impl ProcessEndpoint {
@@ -1003,22 +855,41 @@ impl ProcessEndpoint {
         self.stats[peer].clone()
     }
 
-    fn with_link<T>(&self, peer: usize, f: impl FnOnce(&mut RLink) -> T) -> T {
-        let mut slot = self.links[peer].borrow_mut();
-        let link = slot.as_mut().expect("no link to self or out-of-range peer");
-        f(link)
+    /// Runs `f` on the link to `peer`. Asking for a link there is none of —
+    /// to this rank, past the mesh, or one a failed relink tore down — is a
+    /// typed error.
+    fn with_link<T>(
+        &self,
+        peer: usize,
+        f: impl FnOnce(&mut RLink) -> Result<T, CommError>,
+    ) -> Result<T, CommError> {
+        let no_link = || CommError::Protocol(format!("rank {}: no link to rank {peer}", self.rank));
+        let mut slot = self.links.get(peer).ok_or_else(no_link)?.borrow_mut();
+        f(slot.as_mut().ok_or_else(no_link)?)
+    }
+
+    /// Runs `f` on `link`, the caller's borrow of `peer`'s link, and then on
+    /// every other link of this endpoint.
+    fn each_link(&self, peer: usize, link: &mut RLink, mut f: impl FnMut(&mut RLink)) {
+        f(link);
+        for (p, slot) in self.links.iter().enumerate() {
+            if p != peer {
+                if let Some(other) = slot.borrow_mut().as_mut() {
+                    f(other);
+                }
+            }
+        }
     }
 
     fn send(&self, peer: usize, msg: &Message, during: &'static str) -> Result<(), CommError> {
         self.with_link(peer, |link| {
-            if let Some(err) = link.shared.down_error(peer, during) {
+            if let Some(err) = link.down_error(during) {
                 return Err(err);
             }
             let mut scratch = self.scratch.borrow_mut();
             scratch.clear();
             msg.encode_into(&mut scratch);
-            if !link.shared.transmit(&scratch) {
-                self.downed.lock().expect("downed set lock").insert(peer);
+            if !link.transmit(&scratch) {
                 return Err(CommError::Disconnected {
                     peer: Some(peer),
                     during,
@@ -1030,8 +901,9 @@ impl ProcessEndpoint {
 
     fn recv(&self, peer: usize, want: Tag, during: &'static str) -> Result<Message, CommError> {
         self.with_link(peer, |link| {
-            if let Some(at) = link.inbox.iter().position(|m| m.tag() == want) {
-                return Ok(link.inbox.remove(at).expect("inbox position just found"));
+            let stashed = link.inbox.iter().position(|m| m.tag() == want);
+            if let Some(msg) = stashed.and_then(|at| link.inbox.remove(at)) {
+                return Ok(msg);
             }
             let deadline = self.options.read_timeout.map(|d| Instant::now() + d);
             // With elasticity on, any dead peer aborts the collective so
@@ -1069,84 +941,64 @@ impl ProcessEndpoint {
         any_dead_peer_aborts: bool,
         mut sift: impl FnMut(Message) -> Result<Sift<T>, CommError>,
     ) -> Result<T, CommError> {
-        let RLink { shared, inbox, .. } = link;
-        let each_link = |f: &mut dyn FnMut(&LinkShared)| {
-            f(shared);
-            for (p, slot) in self.links.iter().enumerate() {
-                if p != peer {
-                    if let Some(other) = slot.borrow().as_ref() {
-                        f(&other.shared);
-                    }
-                }
-            }
-        };
-        let mut inbound = shared.inbound.lock().expect("link inbound lock");
         loop {
-            if let Some(msg) = inbound.delivered.pop_front() {
+            if let Some(msg) = link.inbound.delivered.pop_front() {
                 match sift(msg)? {
                     Sift::Take(taken) => return Ok(taken),
-                    Sift::Stash(msg) => inbox.push_back(msg),
+                    Sift::Stash(msg) => link.inbox.push_back(msg),
                     Sift::Discard => {}
                 }
                 continue;
             }
-            if shared.is_down() {
-                // A dead link still owes the caller what it delivered before
-                // it died (drained above); then the death is reported.
-                return Err(shared
-                    .down_error(peer, during)
-                    .unwrap_or(CommError::Disconnected {
-                        peer: Some(peer),
-                        during,
-                    }));
+            // A dead link still owes the caller what it delivered before it
+            // died (drained above); then the death is reported.
+            if let Some(err) = link.down_error(during) {
+                return Err(err);
             }
             let now = Instant::now();
             let mut wake = now + TICK;
             if let Some(deadline) = deadline {
                 wake = wake.min(deadline);
             }
-            each_link(&mut |shared| {
-                if let Some(expiry) = shared.next_expiry() {
+            self.each_link(peer, link, |l| {
+                if let Some(expiry) = l.next_expiry() {
                     // An ack landing during the sleep pops the head and
-                    // re-arms its successor for `ack time + rto`, which can
-                    // fall before the popped head's backed-off deadline;
-                    // never sleeping past `now + rto` cannot miss it.
-                    wake = wake.min(expiry).min(now + shared.rto);
+                    // re-arms its successor for one `rto` after the head's
+                    // last send, which can fall before the popped head's
+                    // backed-off deadline; never sleeping past `now + rto`
+                    // cannot miss it.
+                    wake = wake.min(expiry).min(now + l.rto);
                 }
             });
             let polled = crate::comm::poll_budgeted(|| {
-                let alive = pump(shared, &mut inbound, Duration::ZERO);
+                let alive = link.pump(Duration::ZERO);
                 let due = Instant::now() >= wake;
-                (!alive || due || !inbound.delivered.is_empty()).then_some(())
+                (!alive || due || !link.inbound.delivered.is_empty()).then_some(())
             });
             if polled.is_none() {
-                each_link(&mut |shared| {
-                    shared.flush_ack();
+                self.each_link(peer, link, |l| {
+                    l.flush_ack();
                 });
-                pump(
-                    shared,
-                    &mut inbound,
-                    wake.saturating_duration_since(Instant::now()),
-                );
+                link.pump(wake.saturating_duration_since(Instant::now()));
             }
-            if !inbound.delivered.is_empty() || Instant::now() < wake {
+            if !link.inbound.delivered.is_empty() || Instant::now() < wake {
                 continue;
             }
-            // Woke with nothing delivered. Read the acks already waiting on
-            // the other links first (`try_lock` skips the link held here and
-            // one a watchdog is pumping), so an ack that arrived but was not
-            // read yet cannot fire a spurious retransmit; then re-send what
-            // expired — a no-op on links whose head record is not due yet.
-            each_link(&mut |shared| {
-                if let Ok(mut other) = shared.inbound.try_lock() {
-                    pump(shared, &mut other, Duration::ZERO);
-                }
-                shared.service_retransmits();
+            // Woke with nothing delivered. Read what waits on the other
+            // links first: an ack that arrived but was not read yet cannot
+            // fire a spurious retransmit, a frame is owed its ack, and an
+            // EOF marks a dead peer's link down. Then re-send what expired —
+            // a no-op on links whose head record is not due yet.
+            self.each_link(peer, link, |l| {
+                l.pump(Duration::ZERO);
+                l.service_retransmits();
             });
             if any_dead_peer_aborts {
                 // `peer`'s own death is left to the drain above.
-                let downed = self.downed.lock().expect("downed set lock");
-                if let Some(&dead) = downed.iter().find(|&&dead| dead != peer) {
+                let dead = self.links.iter().enumerate().find(|(p, slot)| {
+                    *p != peer && slot.borrow().as_ref().is_some_and(RLink::is_down)
+                });
+                if let Some((dead, _)) = dead {
                     return Err(CommError::Disconnected {
                         peer: Some(dead),
                         during,
@@ -1175,9 +1027,6 @@ impl ProcessEndpoint {
             epochs[failed] += 1;
             epochs[failed]
         };
-        // Joining the old watchdog (via RLink::drop) before clearing
-        // the downed entry below means it cannot re-register the peer as
-        // dead after we have relinked it.
         drop(self.links[failed].borrow_mut().take());
         let deadline = Instant::now() + self.options.connect_timeout;
         let stream = if self.rank < failed {
@@ -1198,16 +1047,14 @@ impl ProcessEndpoint {
             &mut scratch,
         )?;
         drop(scratch);
-        let link = build_rlink(
+        let link = RLink::new(
             stream,
             self.rank,
             failed,
             &self.options,
-            self.downed.clone(),
             self.stats[failed].clone(),
-        )?;
+        );
         *self.links[failed].borrow_mut() = Some(link);
-        self.downed.lock().expect("downed set lock").remove(&failed);
         Ok(())
     }
 
@@ -1527,7 +1374,6 @@ pub fn connect_mesh(
         )));
     };
     let listener = bind_listener(transport, rank, ranks, epochs[rank])?;
-    let downed: Arc<Mutex<BTreeSet<usize>>> = Arc::new(Mutex::new(BTreeSet::new()));
     let mut links: Vec<RefCell<Option<RLink>>> = (0..ranks).map(|_| RefCell::new(None)).collect();
     let stats: Vec<Arc<LinkStats>> = (0..ranks).map(|_| Arc::default()).collect();
     let deadline = Instant::now() + options.connect_timeout;
@@ -1562,14 +1408,8 @@ pub fn connect_mesh(
                 "rank {rank}: duplicate connection from rank {peer}"
             )));
         }
-        links[peer] = RefCell::new(Some(build_rlink(
-            stream,
-            rank,
-            peer,
-            options,
-            downed.clone(),
-            stats[peer].clone(),
-        )?));
+        let link = RLink::new(stream, rank, peer, options, stats[peer].clone());
+        links[peer] = RefCell::new(Some(link));
     }
     Ok(ProcessEndpoint {
         rank,
@@ -1581,7 +1421,6 @@ pub fn connect_mesh(
         transport: transport.clone(),
         options: options.clone(),
         epochs: RefCell::new(epochs),
-        downed,
     })
 }
 
@@ -1769,6 +1608,7 @@ impl WorkerHandles {
         let mut reports: Vec<Result<Message, ProcessError>> = Vec::with_capacity(ranks);
         let mut dumps: Vec<Message> = Vec::with_capacity(ranks);
         for (rank, child) in self.children.iter_mut().enumerate() {
+            // Invariant: `spawn_one` pipes every worker's stdout.
             let stdout = child.stdout.as_mut().expect("worker stdout is piped");
             let mut frames = FrameReader::new();
             let report = match frames.read_message(stdout) {
@@ -2009,6 +1849,7 @@ fn spawn_one(worker: &Path, launch: &Launch) -> std::io::Result<Child> {
     let frame = launch.to_wire().encode();
     // The taken pipe drops at the end of the statement, so the worker sees
     // EOF right after its one frame.
+    // Invariant: stdin was piped above.
     let sent = child
         .stdin
         .take()
@@ -2151,6 +1992,7 @@ impl Launch {
             Some(RecoveryPolicy::Checkpoint { interval }) => interval,
             _ => 0,
         };
+        // Invariant: `policy_of` lists every `RecoveryPolicy` variant.
         let policy = (0..)
             .find(|&code| policy_of(code, checkpoint_interval) == Some(self.options.policy))
             .expect("every policy has a code");
@@ -2373,6 +2215,7 @@ fn run_worker_resilient(
             }
         }
         WorkerSolver::Pcg => {
+            // Invariant: `a` is square and `own` lies in its rows: all `new` checks.
             let jacobi = feir_sparse::LocalBlockJacobi::new(
                 ctx.a,
                 ctx.own.clone(),
@@ -2432,8 +2275,8 @@ pub fn worker_main() -> std::process::ExitCode {
         }
     };
     let rank = launch.rank;
-    // Everything this process records — solver thread and per-link
-    // watchdogs alike — belongs to this one rank.
+    // Everything any thread of this process records belongs to this one
+    // rank.
     feir_trace::set_process_rank(rank as u32);
     let mut links: Vec<Arc<LinkStats>> = Vec::new();
     let report = match run_worker(&launch, &mut links) {
@@ -2831,6 +2674,27 @@ mod tests {
     }
 
     #[test]
+    fn a_message_to_no_link_is_a_typed_error() {
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let outcomes = with_mesh(2, &transport, |ep| {
+            // This rank and a rank past the mesh have no link.
+            [ep.rank(), 5].map(|peer| {
+                let sent = ep.send(peer, &scalar(1.0), "nowhere");
+                let got = ep.recv(peer, Tag::GatherScalar, "nowhere");
+                (sent, got)
+            })
+        });
+        for (sent, got) in outcomes.into_iter().flatten() {
+            assert!(matches!(sent, Err(CommError::Protocol(_))), "{sent:?}");
+            assert!(matches!(got, Err(CommError::Protocol(_))), "{got:?}");
+        }
+    }
+
+    #[test]
     fn mesh_recovery_exchange_matches_in_process() {
         let a = poisson_2d(8);
         let n = a.rows();
@@ -2930,123 +2794,97 @@ mod tests {
         }
     }
 
-    /// A watchdog-less `LinkShared` over one end of a socket pair (the other
-    /// end is returned so writes have somewhere to go): the timer state
-    /// machine in isolation.
-    fn bare_link(rto: Duration, max_retries: u32) -> (LinkShared, UnixStream) {
+    /// A link over one end of a socket pair, and the far end, from which a
+    /// test plays the peer with raw envelopes. Nothing but the test pumps
+    /// the link, so nothing but the test decides when an owed ack is
+    /// written.
+    fn test_link(rto: Duration, max_retries: u32) -> (RLink, UnixStream) {
         let (near, far) = UnixStream::pair().expect("socket pair");
-        let reader = Stream::Unix(near.try_clone().expect("socket clone"));
-        let stats = Arc::new(LinkStats::default());
-        let shared = LinkShared {
-            peer: 1,
-            writer: Mutex::new(ChaosLink::new(
-                Stream::Unix(near),
-                FaultPlan::clean(),
-                stats.clone(),
-            )),
-            sendq: Mutex::new(SendState::default()),
-            inbound: Mutex::new(Inbound::new(reader)),
-            down: Mutex::new(None),
+        far.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("far read timeout");
+        let options = MeshOptions {
+            retransmit_timeout: rto,
             max_retries,
-            rto,
-            stats,
+            ..test_options()
         };
-        (shared, far)
+        let link = RLink::new(Stream::Unix(near), 0, 1, &options, Arc::default());
+        (link, far)
     }
 
-    fn head_sent_at(shared: &LinkShared) -> Instant {
-        let sendq = shared.sendq.lock().unwrap();
-        sendq.unacked.front().expect("a record in flight").sent_at
+    /// An RTO far longer than any test, so every re-send seen is a NACK's.
+    const LONG_RTO: Duration = Duration::from_secs(60);
+
+    fn head_sent_at(link: &RLink) -> Instant {
+        link.unacked.front().expect("a record in flight").sent_at
     }
 
     #[test]
     fn lossy_timer_backoff_doubles_caps_and_follows_the_head_record() {
         let rto = Duration::from_millis(40);
-        let (shared, _far) = bare_link(rto, 10);
+        let (mut link, _far) = test_link(rto, 10);
         for (attempt, want_ms) in [(0, 40), (1, 80), (2, 160), (4, 640), (5, 1000), (9, 1000)] {
             assert_eq!(
-                shared.backoff(attempt),
+                link.backoff(attempt),
                 Duration::from_millis(want_ms),
                 "attempt {attempt}"
             );
         }
 
-        assert_eq!(shared.next_expiry(), None, "nothing in flight");
-        assert!(shared.service_retransmits(), "an idle link stays alive");
+        assert_eq!(link.next_expiry(), None, "nothing in flight");
+        assert!(link.service_retransmits(), "an idle link stays alive");
         for _ in 0..3 {
-            assert!(shared.transmit(b"frame"));
+            assert!(link.transmit(b"frame"));
         }
-        let first_sent = head_sent_at(&shared);
-        assert_eq!(shared.next_expiry(), Some(first_sent + rto));
+        let first_sent = head_sent_at(&link);
+        assert_eq!(link.next_expiry(), Some(first_sent + rto));
         // Not due yet: servicing is a no-op.
-        assert!(shared.service_retransmits());
-        assert_eq!(shared.stats.retransmits.load(Ordering::Relaxed), 0);
+        assert!(link.service_retransmits());
+        assert_eq!(link.stats.retransmits.load(Ordering::Relaxed), 0);
 
         // A due head record is re-sent once per expiry, and each attempt
         // doubles the wait for the next.
         for attempt in 1..=2u32 {
-            shared.sendq.lock().unwrap().unacked[0].sent_at -= shared.backoff(attempt - 1);
-            assert!(shared.service_retransmits());
+            let waited = link.backoff(attempt - 1);
+            link.unacked[0].sent_at -= waited;
+            assert!(link.service_retransmits());
             assert!(
-                shared.service_retransmits(),
-                "second caller finds it re-armed"
+                link.service_retransmits(),
+                "a second service finds it re-armed"
             );
             assert_eq!(
-                shared.stats.retransmits.load(Ordering::Relaxed),
+                link.stats.retransmits.load(Ordering::Relaxed),
                 u64::from(attempt)
             );
-            let sent = head_sent_at(&shared);
-            assert_eq!(shared.next_expiry(), Some(sent + rto * (1 << attempt)));
+            let sent = head_sent_at(&link);
+            assert_eq!(link.next_expiry(), Some(sent + rto * (1 << attempt)));
         }
 
         // A duplicate ack (nothing below seq 0 is outstanding) must not
         // re-arm the timer; cumulative progress re-arms the survivor's.
-        let before = head_sent_at(&shared);
-        shared.acknowledge(0);
-        assert_eq!(
-            head_sent_at(&shared),
-            before,
-            "duplicate ack moved the timer"
-        );
+        let before = head_sent_at(&link);
+        link.acknowledge(0);
+        assert_eq!(head_sent_at(&link), before, "duplicate ack moved the timer");
         let stale = first_sent - Duration::from_secs(1);
-        shared.sendq.lock().unwrap().unacked[2].sent_at = stale;
-        shared.acknowledge(2);
-        let survivor = head_sent_at(&shared);
+        link.unacked[2].sent_at = stale;
+        link.acknowledge(2);
+        let survivor = head_sent_at(&link);
         assert!(
             survivor >= before,
             "ack progress must restart the survivor's timer, not keep its {stale:?} send time"
         );
         assert_eq!(
-            shared.next_expiry(),
+            link.next_expiry(),
             Some(survivor + rto),
             "the survivor is on its first attempt"
         );
-        shared.acknowledge(3);
-        assert_eq!(shared.next_expiry(), None, "fully acknowledged");
+        link.acknowledge(3);
+        assert_eq!(link.next_expiry(), None, "fully acknowledged");
 
         // A dead link has no deadline to wake anyone for.
-        assert!(shared.transmit(b"frame"));
-        shared.mark_down(LinkDown::Eof);
-        assert_eq!(shared.next_expiry(), None);
-        assert!(!shared.service_retransmits());
-    }
-
-    /// A live link (watchdog included) over one end of a socket pair,
-    /// and the far end, from which a test plays the peer with raw
-    /// envelopes. The RTO is far longer than any test, so every re-send
-    /// seen is a NACK's.
-    fn raw_peer_link() -> (RLink, UnixStream) {
-        let (near, far) = UnixStream::pair().expect("socket pair");
-        far.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("far read timeout");
-        let options = MeshOptions {
-            retransmit_timeout: Duration::from_secs(60),
-            ..test_options()
-        };
-        let downed = Arc::new(Mutex::new(BTreeSet::new()));
-        let stats = Arc::new(LinkStats::default());
-        let link = build_rlink(Stream::Unix(near), 0, 1, &options, downed, stats).expect("link");
-        (link, far)
+        assert!(link.transmit(b"frame"));
+        link.mark_down(LinkDown::Eof);
+        assert_eq!(link.next_expiry(), None);
+        assert!(!link.service_retransmits());
     }
 
     fn scalar(value: f64) -> Message {
@@ -3080,33 +2918,23 @@ mod tests {
         replies
     }
 
-    /// A watchdog-less link (see [`bare_link`]) the test pumps by hand, so
-    /// nothing but the test decides when the owed ack is written.
-    fn hand_pumped_link() -> (LinkShared, UnixStream) {
-        let (shared, far) = bare_link(Duration::from_secs(60), 10);
-        far.set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("far read timeout");
-        (shared, far)
-    }
-
-    /// Pumps `shared` until `n` messages wait in its delivered queue.
-    fn pump_until_delivered(shared: &LinkShared, n: usize) {
-        let mut inbound = shared.inbound.lock().unwrap();
-        while inbound.delivered.len() < n {
-            assert!(pump(shared, &mut inbound, Duration::from_secs(10)));
+    /// Pumps `link` until `n` messages wait in its delivered queue.
+    fn pump_until_delivered(link: &mut RLink, n: usize) {
+        while link.inbound.delivered.len() < n {
+            assert!(link.pump(Duration::from_secs(10)));
         }
     }
 
     #[test]
     fn lossy_a_gap_is_nacked_once_by_the_first_frame_that_reveals_it() {
-        let (shared, mut far) = hand_pumped_link();
+        let (mut link, mut far) = test_link(LONG_RTO, 10);
         // Records 1 and 2 arrive ahead of the missing record 0; only the
         // first of them reports the gap, behind the ack it owes.
         for seq in [1, 2, 0] {
             write_record(&mut far, ENV_DATA, seq, &scalar(seq as f64).encode());
         }
-        pump_until_delivered(&shared, 3);
-        assert!(shared.flush_ack());
+        pump_until_delivered(&mut link, 3);
+        assert!(link.flush_ack());
         assert_eq!(
             replies_until_ack(&mut far, 3),
             [(ENV_ACK, 0), (ENV_NACK, 0), (ENV_ACK, 3)]
@@ -3115,21 +2943,20 @@ mod tests {
         for seq in [4, 3] {
             write_record(&mut far, ENV_DATA, seq, &scalar(seq as f64).encode());
         }
-        pump_until_delivered(&shared, 5);
-        assert!(shared.flush_ack());
+        pump_until_delivered(&mut link, 5);
+        assert!(link.flush_ack());
         assert_eq!(
             replies_until_ack(&mut far, 5),
             [(ENV_ACK, 3), (ENV_NACK, 3), (ENV_ACK, 5)]
         );
-        let mut inbound = shared.inbound.lock().unwrap();
-        let delivered: Vec<_> = inbound.delivered.drain(..).collect();
+        let delivered: Vec<_> = link.inbound.delivered.drain(..).collect();
         let want: Vec<_> = (0..5).map(|seq| scalar(seq as f64)).collect();
         assert_eq!(delivered, want, "delivered in sequence order");
     }
 
     #[test]
     fn lossy_a_rejected_frame_is_nacked_and_a_duplicate_or_in_order_frame_is_not() {
-        let (shared, mut far) = hand_pumped_link();
+        let (mut link, mut far) = test_link(LONG_RTO, 10);
         let mut corrupt = scalar(1.0).encode();
         corrupt[0] ^= 1; // bad magic: the frame is rejected
                          // In-order traffic and duplicates, valid or rejected, are only acked.
@@ -3137,27 +2964,27 @@ mod tests {
         write_record(&mut far, ENV_DATA, 0, &scalar(0.0).encode());
         write_record(&mut far, ENV_DATA, 0, &corrupt);
         write_record(&mut far, ENV_DATA, 1, &scalar(1.0).encode());
-        pump_until_delivered(&shared, 2);
+        pump_until_delivered(&mut link, 2);
         // A rejected frame in place of the next record is the gap: one
         // NACK, however often it is rejected, behind the ack still owed.
         write_record(&mut far, ENV_DATA, 2, &corrupt);
         write_record(&mut far, ENV_DATA, 2, &corrupt);
         write_record(&mut far, ENV_DATA, 2, &scalar(2.0).encode());
-        pump_until_delivered(&shared, 3);
-        assert!(shared.flush_ack());
+        pump_until_delivered(&mut link, 3);
+        assert!(link.flush_ack());
         assert_eq!(
             replies_until_ack(&mut far, 3),
             [(ENV_ACK, 2), (ENV_NACK, 2), (ENV_ACK, 3)]
         );
-        assert_eq!(shared.stats.rejected.load(Ordering::Relaxed), 3);
-        assert_eq!(shared.stats.dup_received.load(Ordering::Relaxed), 1);
+        assert_eq!(link.stats.rejected.load(Ordering::Relaxed), 3);
+        assert_eq!(link.stats.dup_received.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn an_owed_ack_rides_the_next_data_record_in_one_write() {
-        let (shared, mut far) = hand_pumped_link();
+        let (mut link, mut far) = test_link(LONG_RTO, 10);
         write_record(&mut far, ENV_DATA, 0, &scalar(1.0).encode());
-        pump_until_delivered(&shared, 1);
+        pump_until_delivered(&mut link, 1);
         // Delivered, and the ack is owed, not written.
         far.set_nonblocking(true).unwrap();
         let idle = far.read(&mut [0u8; 1]).map_err(|e| e.kind());
@@ -3168,7 +2995,7 @@ mod tests {
         );
         far.set_nonblocking(false).unwrap();
         let frame = scalar(2.0).encode();
-        assert!(shared.transmit(&frame));
+        assert!(link.transmit(&frame));
         let mut want = encode_envelope(ENV_ACK, 1, 0).to_vec();
         want.extend_from_slice(&encode_envelope(ENV_DATA, 0, frame.len() as u32));
         want.extend_from_slice(&frame);
@@ -3179,9 +3006,9 @@ mod tests {
 
     #[test]
     fn lossy_a_nack_resends_the_head_once_and_only_on_its_first_attempt() {
-        let (mut link, mut far) = raw_peer_link();
+        let (mut link, mut far) = test_link(LONG_RTO, 10);
         for value in [0.0, 1.0] {
-            assert!(link.shared.transmit(&scalar(value).encode()));
+            assert!(link.transmit(&scalar(value).encode()));
         }
         assert_eq!(read_reply(&mut far), (ENV_DATA, 0));
         assert_eq!(read_reply(&mut far), (ENV_DATA, 1));
@@ -3192,92 +3019,107 @@ mod tests {
         }
         // The peer's own data record is acked only after those are handled.
         write_record(&mut far, ENV_DATA, 0, &scalar(9.0).encode());
+        pump_until_delivered(&mut link, 1);
+        assert!(link.flush_ack());
         assert_eq!(
             replies_until_ack(&mut far, 1),
             [(ENV_DATA, 0), (ENV_ACK, 1)]
         );
-        assert_eq!(link.shared.stats.retransmits.load(Ordering::Relaxed), 1);
+        assert_eq!(link.stats.retransmits.load(Ordering::Relaxed), 1);
 
-        // On a dead link a NACK re-sends nothing, and the watchdog ends.
-        link.shared.mark_down(LinkDown::AckTimeout);
+        // On a dead link a NACK re-sends nothing, and a pump reads nothing.
+        link.mark_down(LinkDown::AckTimeout);
         write_record(&mut far, ENV_NACK, 0, &[]);
-        link.watchdog.take().expect("watchdog").join().unwrap();
-        assert!(!link.shared.nack(0));
-        assert_eq!(link.shared.stats.retransmits.load(Ordering::Relaxed), 1);
+        assert!(!link.pump(Duration::from_secs(10)));
+        assert!(!link.nack(0));
+        assert_eq!(link.stats.retransmits.load(Ordering::Relaxed), 1);
 
         // With retries disabled a NACK re-sends nothing either.
-        let (shared, _far) = bare_link(Duration::from_secs(60), 0);
-        assert!(shared.transmit(b"frame"));
-        assert!(shared.nack(0));
-        assert_eq!(shared.stats.retransmits.load(Ordering::Relaxed), 0);
+        let (mut link, _far) = test_link(LONG_RTO, 0);
+        assert!(link.transmit(b"frame"));
+        assert!(link.nack(0));
+        assert_eq!(link.stats.retransmits.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn a_record_split_across_writes_is_delivered_once_whole() {
-        let (shared, mut far) = hand_pumped_link();
+        let (mut link, mut far) = test_link(LONG_RTO, 10);
         let first = scalar(1.0).encode();
         let (head, tail) = first.split_at(first.len() / 2);
         // Pumping by hand, each pump sees exactly what the writes before it
         // sent.
-        let mut inbound = shared.inbound.lock().unwrap();
-        let pump_once = |inbound: &mut Inbound| {
+        let pump_once = |link: &mut RLink| {
             std::thread::sleep(Duration::from_millis(5));
-            assert!(pump(&shared, inbound, Duration::from_secs(10)));
+            assert!(link.pump(Duration::from_secs(10)));
         };
         far.write_all(&encode_envelope(ENV_DATA, 0, first.len() as u32))
             .unwrap();
-        pump_once(&mut inbound);
+        pump_once(&mut link);
         far.write_all(head).unwrap();
-        pump_once(&mut inbound);
+        pump_once(&mut link);
         assert!(
-            inbound.delivered.is_empty(),
+            link.inbound.delivered.is_empty(),
             "a partial record was delivered"
         );
         far.write_all(tail).unwrap();
         write_record(&mut far, ENV_DATA, 1, &scalar(2.0).encode());
-        while inbound.delivered.len() < 2 {
-            pump_once(&mut inbound);
+        while link.inbound.delivered.len() < 2 {
+            pump_once(&mut link);
         }
-        let delivered: Vec<_> = inbound.delivered.drain(..).collect();
-        drop(inbound);
+        let delivered: Vec<_> = link.inbound.delivered.drain(..).collect();
         assert_eq!(delivered, [scalar(1.0), scalar(2.0)]);
         // One cumulative ack covers both.
-        assert!(shared.flush_ack());
+        assert!(link.flush_ack());
         assert_eq!(replies_until_ack(&mut far, 2), [(ENV_ACK, 2)]);
     }
 
-    #[test]
-    fn a_computing_owner_still_acks_within_the_rto() {
+    /// Two ranks ping-pong five rounds under `rto`; rank 1 computes for `gap`
+    /// before each receive, so it reads and acks rank 0's ping only at its
+    /// next communication call. Each rank's link counters.
+    fn ping_pong_after_a_gap(rto: Duration, gap: Duration) -> Vec<crate::cg::NetStats> {
         let transport = uds_transport();
         let _guard = match &transport {
             Transport::Uds { dir } => RunDirGuard(dir.clone()),
             _ => unreachable!(),
         };
         let options = MeshOptions {
-            retransmit_timeout: LOSSY_RTO,
+            retransmit_timeout: rto,
             ..test_options()
         };
-        // Rank 1 computes for three RTOs before each receive: only its
-        // watchdog can ack rank 0's frame before rank 0's timer fires.
-        let stats = with_mesh_opts(2, &transport, &options, |ep| {
+        with_mesh_opts(2, &transport, &options, |ep| {
             let stats = ep.stats.clone();
             for round in 0..5 {
                 if ep.rank() == 0 {
                     ep.send(1, &scalar(round as f64), "ping").unwrap();
                     ep.recv(1, Tag::GatherScalar, "pong").unwrap();
                 } else {
-                    std::thread::sleep(LOSSY_RTO * 3);
+                    std::thread::sleep(gap);
                     let ping = ep.recv(0, Tag::GatherScalar, "ping").unwrap();
                     ep.send(0, &ping, "pong").unwrap();
                 }
             }
             drop(ep);
             sum_link_stats(&stats)
-        });
-        for (rank, net) in stats.iter().enumerate() {
+        })
+    }
+
+    #[test]
+    fn a_computing_owner_acks_at_its_next_call() {
+        // No thread acks for a rank that computes: its next communication
+        // call does. A gap between calls below RTO/2 therefore never fires
+        // the sender's timer…
+        let rto = Duration::from_millis(40);
+        for (rank, net) in ping_pong_after_a_gap(rto, rto / 4).iter().enumerate() {
             assert_eq!(net.data_frames, 5, "rank {rank}");
             assert_eq!(net.retransmits, 0, "rank {rank}: a frame was re-sent");
         }
+        // … and a gap of three RTOs does: the sender re-sends into it.
+        let slow = ping_pong_after_a_gap(rto, rto * 3);
+        assert_eq!(slow[0].data_frames, 5);
+        assert!(
+            slow[0].retransmits > 0,
+            "rank 0's pings were never re-sent across a gap of three RTOs"
+        );
     }
 
     #[test]
@@ -3287,7 +3129,8 @@ mod tests {
             Transport::Uds { dir } => RunDirGuard(dir.clone()),
             _ => unreachable!(),
         };
-        // A 1 s RTO: the watchdog naps a whole TICK between its acks.
+        // A 1 s RTO: no retransmission lands within the bound, so each
+        // rank's drain ends only on the ack its closing peer flushes.
         let options = MeshOptions {
             retransmit_timeout: Duration::from_secs(1),
             ..test_options()
@@ -3306,10 +3149,95 @@ mod tests {
         for (rank, (took, net)) in teardowns.iter().enumerate() {
             assert!(
                 *took < TICK / 2,
-                "rank {rank}: teardown took {took:?}, waiting out a watchdog nap for an ack"
+                "rank {rank}: teardown took {took:?}, waiting for an ack its peer owed"
             );
             assert_eq!(net.retransmits, 0, "rank {rank}: a frame was re-sent");
         }
+    }
+
+    /// Names of this process's live threads.
+    fn thread_names() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .expect("task list")
+            .flatten()
+            .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_owned())
+            .collect()
+    }
+
+    #[test]
+    fn a_live_mesh_runs_no_thread_per_link() {
+        let ranks = 4;
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let live = Barrier::new(ranks);
+        let names = with_mesh(ranks, &transport, |ep| {
+            // Every endpoint of the mesh is up while rank 0 looks.
+            live.wait();
+            let names = if ep.rank() == 0 {
+                thread_names()
+            } else {
+                Vec::new()
+            };
+            live.wait();
+            names
+        });
+        let link_threads: Vec<_> = names
+            .concat()
+            .into_iter()
+            .filter(|name| name.starts_with("feir-link-"))
+            .collect();
+        assert!(
+            link_threads.is_empty(),
+            "link threads are running: {link_threads:?}"
+        );
+    }
+
+    #[test]
+    fn a_third_ranks_death_aborts_an_elastic_wait() {
+        let ranks = 3;
+        let transport = uds_transport();
+        let _guard = match &transport {
+            Transport::Uds { dir } => RunDirGuard(dir.clone()),
+            _ => unreachable!(),
+        };
+        let options = MeshOptions {
+            elastic: true,
+            ..test_options()
+        };
+        let done = Barrier::new(ranks);
+        let outcomes = with_mesh_opts(ranks, &transport, &options, |ep| {
+            if ep.rank() == 1 {
+                drop(ep);
+                done.wait();
+                return None;
+            }
+            // Rank 0 waits on rank 2, which stays alive and silent until
+            // rank 0 has its answer.
+            let outcome = (ep.rank() == 0).then(|| {
+                let started = Instant::now();
+                let got = ep.recv(2, Tag::GatherScalar, "collective");
+                (got, started.elapsed())
+            });
+            done.wait();
+            outcome
+        });
+        let (got, took) = outcomes
+            .into_iter()
+            .flatten()
+            .next()
+            .expect("rank 0 waited");
+        match got {
+            Err(CommError::Disconnected { peer: Some(1), .. }) => {}
+            other => panic!("expected rank 1's death, got {other:?}"),
+        }
+        assert!(
+            took < Duration::from_secs(1),
+            "rank 1's death took {took:?} to abort a wait on rank 2"
+        );
     }
 
     /// CPU time the calling thread has used: utime + stime of
@@ -3359,13 +3287,18 @@ mod tests {
     fn script_drops(ep: &ProcessEndpoint, peer: usize, seqs: &[u64]) {
         let entries: Vec<_> = seqs.iter().map(|&seq| (seq, FaultKind::Drop)).collect();
         ep.with_link(peer, |link| {
-            let stream = link.ctl.try_clone().expect("stream clone");
-            *link.shared.writer.lock().unwrap() = ChaosLink::new(
-                stream,
-                FaultPlan::scripted(&entries),
-                link.shared.stats.clone(),
-            );
-        });
+            let stream = clone_stream(link.writer.get_mut());
+            link.writer = ChaosLink::new(stream, FaultPlan::scripted(&entries), link.stats.clone());
+            Ok(())
+        })
+        .expect("a link to the peer");
+    }
+
+    fn clone_stream(stream: &Stream) -> Stream {
+        match stream {
+            Stream::Unix(s) => Stream::Unix(s.try_clone().expect("stream clone")),
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone().expect("stream clone")),
+        }
     }
 
     fn median(mut samples: Vec<Duration>) -> Duration {
@@ -3546,11 +3479,13 @@ mod tests {
                 ep.send(0, &last, "last words").unwrap();
                 return None;
             }
-            // Only start receiving once the link is known dead.
+            // Only start receiving once the link is known dead: pump it by
+            // hand, paying the ack rank 1's drain waits for, until the EOF.
             let link_died = Instant::now() + Duration::from_secs(20);
-            while !ep.with_link(1, |link| link.shared.is_down()) {
+            let pump =
+                |link: &mut RLink| Ok(link.pump(Duration::from_millis(5)) && link.flush_ack());
+            while ep.with_link(1, pump).expect("a link to rank 1") {
                 assert!(Instant::now() < link_died, "rank 1 never hung up");
-                std::thread::yield_now();
             }
             let first = ep.recv(1, Tag::GatherScalar, "last words");
             let second = ep.recv(1, Tag::GatherScalar, "last words");

@@ -192,9 +192,9 @@ fn retransmit_instants_equal_the_link_counter_on_a_lossy_process_mesh() {
     .expect("lossy solve failed");
     assert!(result.converged);
     assert!(result.net.retransmits > 0, "the schedule dropped nothing");
-    // Whichever thread serviced the timer — the blocked receiver, the
-    // draining endpoint or the link's watchdog — every re-send is both
-    // counted and traced, inside the stream of the rank that sent it.
+    // Whichever call serviced the timer — a blocked receive or the draining
+    // endpoint — every re-send is both counted and traced, inside the
+    // stream of the rank that sent it.
     let trace = result.trace.expect("workers shipped their traces");
     let mut instants = 0;
     for rank in &trace.ranks {

@@ -35,10 +35,9 @@
 //! Every thread writes to its own bounded ring buffer ([`set_capacity`];
 //! drop-oldest, with a dropped-events counter), registered in a process-wide
 //! list so [`drain_all`] / [`drain_rank`] can collect a rank's events from
-//! the main solver thread *and* its transport watchdog threads. Rank
-//! attribution: solver threads call [`set_thread_rank`]; worker processes
-//! call [`set_process_rank`] once, which covers every untagged thread
-//! (e.g. per-link watchdog threads).
+//! every thread that recorded them. Rank attribution: solver threads call
+//! [`set_thread_rank`]; worker processes call [`set_process_rank`] once,
+//! which covers every untagged thread of the process.
 //!
 //! ## Clock
 //!
@@ -291,8 +290,8 @@ pub fn set_thread_rank(rank: u32) {
 }
 
 /// Tags every *untagged* thread of this process with `rank` (process
-/// backend: one rank per worker, with per-link watchdog threads that never
-/// call [`set_thread_rank`]).
+/// backend: one rank per worker, whose threads need not call
+/// [`set_thread_rank`]).
 pub fn set_process_rank(rank: u32) {
     PROCESS_RANK.store(rank, Ordering::Relaxed);
 }

@@ -149,11 +149,6 @@ pub fn aggregate_slowdowns(percents: &[f64]) -> f64 {
     harmonic_mean_slowdown_percent(percents)
 }
 
-/// Formats a duration in seconds with millisecond resolution.
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:.3}s", d.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

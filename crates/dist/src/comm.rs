@@ -488,9 +488,9 @@ impl RankComm {
     /// Starts a split-phase allreduce: the local partial is sent to every
     /// peer before this returns, and the wait for theirs is deferred to
     /// [`PendingAllreduce::finish`]. Work done between the two calls
-    /// overlaps the reduction wait — this is the window AFEIR uses to run
-    /// page reconstruction *inside* the collective instead of only beside
-    /// local updates. No rank folds on another's behalf, so a rank busy
+    /// overlaps the reduction wait — AFEIR runs its iterate repair here
+    /// when a rank lost only iterate pages, because ε does not read them.
+    /// No rank folds on another's behalf, so a rank busy
     /// between its `start` and `finish` delays no peer's `finish`.
     ///
     /// Every rank must post the same collectives in the same order: partials
@@ -670,10 +670,13 @@ impl RankComm {
     /// rank's (possibly empty) requests to every recovery peer and return
     /// immediately, without serving incoming requests or collecting replies.
     ///
-    /// This is the AFEIR in-window prefetch hook: a rank that already knows
+    /// This is the AFEIR in-window prefetch hook, the one place the rank
+    /// loops schedule AFEIR differently from FEIR: a rank that already knows
     /// its round-1 requests posts them while the reduction carrying the
     /// fault flag is still in flight, so the peers' answers overlap the
-    /// reduction wait. The caller must later finish the round with
+    /// reduction wait. Posting early changes when the requests travel, not
+    /// what comes back, so the repair has FEIR's bits. The caller must
+    /// later finish the round with
     /// [`RankComm::complete_recovery_exchange`] passing `posted = true` and
     /// the *same* request map, or the neighbourhood deadlocks.
     pub fn post_recovery_requests(

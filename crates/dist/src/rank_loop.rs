@@ -16,25 +16,23 @@
 //!   [`distributed_pcg`](crate::pcg::distributed_pcg) loops, on the same
 //!   values (the scrub points do no floating-point work, and the fault flag
 //!   rides the ε reduction as a second lane that folds nothing into ε);
-//! * **AFEIR overlaps the reduction wait itself** — reconstruction is
-//!   planned beside the partial reductions (the PR 3 overlap) *and*, via
-//!   the split-phase [`RankComm::start_allreduce`], the coupled solves and
-//!   page installation run while the global sum is in flight instead of
-//!   before the collective starts. The split-phase collective itself is
-//!   bitwise-identical to the blocking one for the same local partial, and
-//!   the partial patched from *planned* values is exactly what installing
-//!   first and reducing after would have produced on this AFEIR path (the
-//!   FEIR path's whole-slice reductions may group the same sums
-//!   differently, as in PR 3).
+//! * **FEIR and AFEIR repair through one code path** — every lost page is
+//!   rebuilt by the same calls in the same order under both policies, so
+//!   their faulted solves are bitwise-identical too. AFEIR differs only in
+//!   what the split-phase collectives let it post early: its round-1
+//!   recovery requests go out inside the flagged ε reduction's window
+//!   ([`RankComm::post_recovery_requests`]), and when a rank lost only
+//!   iterate pages its ε reduction ([`RankComm::start_allreduce`]) is in
+//!   flight during the whole iterate repair, because ε does not read `x`.
+//!   Neither moves a floating-point operation.
 //!
-//! Since PR 7 the loop is split into resumable phases
+//! The loop is split into resumable phases
 //! ([`alloc_state`] → [`init_collectives`] → [`resilient_iterations`] →
 //! [`finish_outcome`]) around an explicit [`SolveState`], so the elastic
 //! harness ([`crate::elastic`]) can abort the iteration phase on a peer
 //! failure, repair the state after the rejoin barrier, and re-enter the
 //! loop at the agreed iteration. [`rank_resilient_solve`] composes the
-//! phases back into the original single-shot solve — same calls, same
-//! order, bitwise-identical to the pre-split loop.
+//! phases back into one single-shot solve.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -43,9 +41,7 @@ use std::time::Duration;
 
 use feir_pagemem::{AccessOutcome, PageRegistry};
 use feir_recovery::checkpoint::{CheckpointStore, CheckpointTarget};
-use feir_recovery::engine::{
-    mark_page, overlap, plan_state_fixes, scrub_blank, split_related, StateLosses,
-};
+use feir_recovery::engine::{mark_page, plan_state_fixes, scrub_blank, split_related, StateLosses};
 use feir_recovery::{RecoverableIteration, RecoveryPolicy};
 use feir_sparse::blocking::BlockPartition;
 use feir_sparse::{CsrMatrix, SpmvBackend};
@@ -147,10 +143,9 @@ pub(crate) struct InstallCounters {
 }
 
 /// Installs a planned iterate/residual reconstruction into the live vectors
-/// and clears the page-loss state. Under AFEIR this runs inside the
-/// split-phase reduction wait: the planned values were already patched into
-/// the local partial, so the installation (memcpy + registry bookkeeping)
-/// cannot change the value in flight.
+/// and clears the page-loss state. Under AFEIR with only iterate pages lost
+/// this runs inside the split-phase ε reduction's wait; the residual it
+/// reduces is untouched by an iterate-only plan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn install_state_plan(
     plan: &feir_recovery::engine::StatePlan,
@@ -571,29 +566,18 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 .flat_map(|&p| pages.range(p))
                 .map(|i| q[i])
                 .collect();
-            let recover = || {
-                if rows.is_empty() {
-                    None
-                } else {
-                    relations.reconstruct_direction(&rows, &q_at_rows, d_full)
-                }
+            let values = if rows.is_empty() {
+                None
+            } else {
+                relations.reconstruct_direction(&rows, &q_at_rows, d_full)
             };
-            let update_surviving = |d: &mut [f64]| {
-                for p in 0..pages.num_blocks() {
-                    if !lost_d.contains(&p) {
-                        for i in pages.range(p) {
-                            d[i] = src[i] + beta * d[i];
-                        }
+            for p in 0..pages.num_blocks() {
+                if !lost_d.contains(&p) {
+                    for i in pages.range(p) {
+                        d[i] = src[i] + beta * d[i];
                     }
                 }
-            };
-            // AFEIR reconstructs the lost pages while the surviving pages
-            // run their update on the work-stealing pool; FEIR runs the same
-            // two steps in the critical path.
-            let values = overlap(ctx.policy == RecoveryPolicy::Afeir, recover, || {
-                update_surviving(&mut d[..])
-            })
-            .0;
+            }
             // Finish the update on the lost pages with the reconstructed
             // d(t−1) (or the blank, when unrecoverable).
             match values {
@@ -632,67 +616,16 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
         }
 
         // ---- q protection (FEIR/AFEIR; local recompute, r1 of Figure 1) ---
-        let dq = if forward {
+        if forward {
             let lost_q = scrub_blank(registry, ids::Q, pages, q);
-            if lost_q.is_empty() {
-                comm.allreduce_sum(kernels::dot(d, q))?
-            } else if ctx.policy == RecoveryPolicy::Feir {
-                // Critical path: recompute, then reduce over clean data.
-                for &p in &lost_q {
-                    let rows = global_rows(own.start, pages, p);
-                    let local = pages.range(p);
-                    a.spmv_rows(rows.start, rows.end, d_full, &mut q[local]);
-                    mark_page(registry, ids::Q, p);
-                }
-                *pages_recovered += lost_q.len();
-                comm.allreduce_sum(kernels::dot(d, q))?
-            } else {
-                // AFEIR: the recomputation overlaps the partial reduction,
-                // the skipped contributions are patched into the partial
-                // from the *planned* values, and the split-phase allreduce
-                // then keeps the collective in flight while the pages are
-                // installed — the reduction wait absorbs the installation.
-                let (fixes, partial) = overlap(
-                    true,
-                    || {
-                        lost_q
-                            .iter()
-                            .map(|&p| {
-                                let rows = global_rows(own.start, pages, p);
-                                let mut out = vec![0.0; rows.len()];
-                                a.spmv_rows(rows.start, rows.end, d_full, &mut out);
-                                (p, out)
-                            })
-                            .collect::<Vec<_>>()
-                    },
-                    || {
-                        let mut sum = 0.0;
-                        for p in 0..pages.num_blocks() {
-                            if !lost_q.contains(&p) {
-                                let local = pages.range(p);
-                                sum += kernels::dot(&d[local.clone()], &q[local]);
-                            }
-                        }
-                        sum
-                    },
-                );
-                let mut sum = partial;
-                for (p, values) in &fixes {
-                    let local = pages.range(*p);
-                    sum += kernels::dot(&d[local], values);
-                }
-                let pending = comm.start_allreduce(sum)?;
-                for (p, values) in fixes {
-                    let local = pages.range(p);
-                    q[local].copy_from_slice(&values);
-                    mark_page(registry, ids::Q, p);
-                }
-                *pages_recovered += lost_q.len();
-                pending.finish()?
+            for &p in &lost_q {
+                let rows = global_rows(own.start, pages, p);
+                a.spmv_rows(rows.start, rows.end, d_full, &mut q[pages.range(p)]);
+                mark_page(registry, ids::Q, p);
             }
-        } else {
-            comm.allreduce_sum(kernels::dot(d, q))?
-        };
+            *pages_recovered += lost_q.len();
+        }
+        let dq = comm.allreduce_sum(kernels::dot(d, q))?;
         if kernels::is_breakdown(dq) {
             break;
         }
@@ -756,22 +689,16 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 // below tries to solve the boundary-spanning union exactly.
                 let (rec_x, rec_g, conflicted) = split_related(&lost_x, &lost_g);
                 let mut counters = InstallCounters::default();
-                // AFEIR with only iterate losses: ε does not depend on x, so
-                // the local partial is final now and the *entire*
-                // reconstruction — coupled waves, re-validation, planning and
-                // installation — overlaps the split-phase reduction wait.
+                // AFEIR with only iterate losses: ε does not read x, so it
+                // is posted now and the whole reconstruction — coupled
+                // waves, re-validation, planning and installation — runs
+                // inside its wait. FEIR, or a lost residual page, reduces
+                // after the installation.
                 let eps_in_flight = if ctx.policy == RecoveryPolicy::Afeir && lost_g.is_empty() {
-                    let mut sum = 0.0;
-                    for p in 0..pages.num_blocks() {
-                        sum += kernels::norm2_squared(&g[pages.range(p)]);
-                    }
-                    Some(comm.start_allreduce(sum)?)
+                    Some(comm.start_allreduce(kernels::norm2_squared(g))?)
                 } else {
                     None
                 };
-                // The coupled round: inside that window, in the critical path
-                // (FEIR), or ahead of the overlapped planning (AFEIR with
-                // residual losses, whose ε needs the repaired g first).
                 let (coupled, invalid2, fetched2) = coupled_round(
                     comm,
                     a,
@@ -800,40 +727,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     blank_x: &blank_x,
                     cross_rank: &coupled.recovered_pages,
                 };
-                // AFEIR's ε reduction is in flight by the installation below
-                // (posted above, or here once planned); FEIR reduces after it.
-                let (plan, pending) = if ctx.policy == RecoveryPolicy::Afeir && !lost_g.is_empty() {
-                    // AFEIR with residual losses: plan beside the partial ε
-                    // reduction, patch the recovered pages' contributions
-                    // from the planned values, then install during the
-                    // reduction wait.
-                    let (plan, partial) = overlap(
-                        true,
-                        || plan_state_fixes(relations, a, pages, own.start, losses, g, x_full),
-                        || {
-                            let mut sum = 0.0;
-                            for p in 0..pages.num_blocks() {
-                                if !lost_g.contains(&p) {
-                                    sum += kernels::norm2_squared(&g[pages.range(p)]);
-                                }
-                            }
-                            sum
-                        },
-                    );
-                    let mut sum = partial;
-                    for &p in &lost_g {
-                        // Conflicted and abandoned pages stay blank and
-                        // contribute an exact zero, which adding would not
-                        // change the bits of a non-negative partial sum.
-                        if let Some((_, values)) = plan.g_fixes.iter().find(|(fp, _)| *fp == p) {
-                            sum += kernels::norm2_squared(values);
-                        }
-                    }
-                    (plan, Some(comm.start_allreduce(sum)?))
-                } else {
-                    let plan = plan_state_fixes(relations, a, pages, own.start, losses, g, x_full);
-                    (plan, eps_in_flight)
-                };
+                let plan = plan_state_fixes(relations, a, pages, own.start, losses, g, x_full);
                 install_state_plan(
                     &plan,
                     pages,
@@ -843,7 +737,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     g,
                     &mut counters,
                 );
-                *eps = match pending {
+                *eps = match eps_in_flight {
                     Some(pending) => pending.finish()?,
                     None => comm.allreduce_sum(kernels::norm2_squared(g))?,
                 };

@@ -23,17 +23,14 @@
 //!   component of the *same* collective (component-wise reduction leaves
 //!   the `γ, δ, ε` bits untouched), so even the fault flag costs no second
 //!   synchronization.
-//! * **recovery happens inside or against the single reduction window** —
-//!   the scrub point sits before the collective is posted, the matvec
-//!   overlaps the reduction as in the plain loop, and under AFEIR the
-//!   rank-local coupled solves (direction pages whose stencil stays inside
-//!   the rank, matvec-image recomputes, preconditioned-residual re-solves)
-//!   run *inside* that window via [`overlap`], planned into side buffers
-//!   and installed after the collective lands. Only reconstructions that
-//!   need the cross-rank request/reply rounds
-//!   wait for the global fault flag, which arrives with the reduction
-//!   itself. FEIR runs the identical recovery on the critical path after
-//!   the collective.
+//! * **FEIR and AFEIR repair through one code path** — the scrub point
+//!   sits before the collective is posted, the matvec overlaps the
+//!   reduction as in the plain loop, and every lost page is rebuilt after
+//!   the collective lands by the same calls under both policies, so their
+//!   faulted solves are bitwise-identical. AFEIR only posts its
+//!   direction-side round-1 recovery requests inside the reduction window
+//!   ([`RankComm::post_recovery_requests`]), so the peers' replies overlap
+//!   the wait.
 //! * **losses materialise before the convergence check** — recovery (or
 //!   blank-acceptance) completes before a converged iteration can break out
 //!   of the loop, so the assembled solution never silently contains a
@@ -42,9 +39,7 @@
 use std::collections::HashMap;
 
 use feir_recovery::checkpoint::{CheckpointStore, CheckpointTarget};
-use feir_recovery::engine::{
-    mark_page, overlap, plan_state_fixes, scrub_blank, split_related, StateLosses,
-};
+use feir_recovery::engine::{mark_page, plan_state_fixes, scrub_blank, split_related, StateLosses};
 use feir_recovery::{RecoverableIteration, RecoveryPolicy};
 use feir_sparse::blocking::BlockPartition;
 use feir_sparse::{CsrMatrix, SpmvBackend};
@@ -56,119 +51,6 @@ use crate::rank_loop::{
     blank_sweep, coupled_round, global_rows, ids, install_state_plan, remote_stencil_requests,
     InstallCounters, RankCtx, RankOutcome,
 };
-
-/// Rank-local reconstructions planned inside the reduction window (AFEIR):
-/// side buffers only, installed after the collective lands.
-#[derive(Default)]
-struct WindowPlan {
-    /// Direction pages solved from `s = A·p` with purely local inputs.
-    p_fixes: Vec<(usize, Vec<f64>)>,
-    /// Matvec-image pages recomputed as `(A·p)` rows with local inputs.
-    s_fixes: Vec<(usize, Vec<f64>)>,
-    /// Preconditioned-residual pages re-solved from a surviving `r` page.
-    u_fixes: Vec<(usize, Vec<f64>)>,
-}
-
-impl WindowPlan {
-    fn is_empty(&self) -> bool {
-        self.p_fixes.is_empty() && self.s_fixes.is_empty() && self.u_fixes.is_empty()
-    }
-}
-
-/// True when every stencil column of the page's rows lies inside this rank
-/// *and* outside every page of `lost` (except `allow`, the page being
-/// reconstructed itself).
-fn page_inputs_local_and_healthy(
-    a: &CsrMatrix,
-    own: &std::ops::Range<usize>,
-    pages: &BlockPartition,
-    page: usize,
-    lost: &[usize],
-    allow_self: bool,
-) -> bool {
-    for row in global_rows(own.start, pages, page) {
-        let (cols, _) = a.row(row);
-        for &c in cols {
-            let c = c as usize;
-            if !own.contains(&c) {
-                return false;
-            }
-            let cp = pages.block_of(c - own.start);
-            if (cp != page || !allow_self) && lost.contains(&cp) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Plans the rank-local part of a forward recovery from read-only state.
-/// Everything here reads only surviving local data, so under AFEIR it runs
-/// concurrently with the halo exchange + matvec of the reduction window.
-#[allow(clippy::too_many_arguments)]
-fn plan_window_fixes<S: RecoverableIteration>(
-    relations: &S,
-    a: &CsrMatrix,
-    own: &std::ops::Range<usize>,
-    pages: &BlockPartition,
-    lost_p: &[usize],
-    lost_s: &[usize],
-    lost_r: &[usize],
-    lost_u: &[usize],
-    p: &[f64],
-    s: &[f64],
-    r: &[f64],
-) -> WindowPlan {
-    let mut plan = WindowPlan::default();
-    // Direction pages: s page survived, stencil local, no other lost p page
-    // in reach — a self-contained coupled solve A_PP p_P = s_P − Σ A_Pc p_c.
-    let mut p_view: Option<Vec<f64>> = None;
-    for &pg in lost_p {
-        if lost_s.contains(&pg) || !page_inputs_local_and_healthy(a, own, pages, pg, lost_p, true) {
-            continue;
-        }
-        let view = p_view.get_or_insert_with(|| {
-            let mut v = vec![0.0; a.cols()];
-            v[own.clone()].copy_from_slice(p);
-            v
-        });
-        let rows: Vec<usize> = global_rows(own.start, pages, pg).collect();
-        let s_at: Vec<f64> = pages.range(pg).map(|i| s[i]).collect();
-        if let Some(values) = relations.reconstruct_direction(&rows, &s_at, view) {
-            plan.p_fixes.push((pg, values));
-        }
-    }
-    // Matvec-image pages: every p page the stencil reads survived, stencil
-    // local — a plain recompute s_P = (A·p)_P.
-    for &pg in lost_s {
-        if lost_p.contains(&pg) || !page_inputs_local_and_healthy(a, own, pages, pg, lost_p, false)
-        {
-            continue;
-        }
-        let view = p_view.get_or_insert_with(|| {
-            let mut v = vec![0.0; a.cols()];
-            v[own.clone()].copy_from_slice(p);
-            v
-        });
-        let rows = global_rows(own.start, pages, pg);
-        let mut out = vec![0.0; rows.len()];
-        a.spmv_rows(rows.start, rows.end, view, &mut out);
-        plan.s_fixes.push((pg, out));
-    }
-    // Preconditioned-residual pages: the matching r page survived — the
-    // factorized diagonal block re-solves M_PP u_P = r_P locally.
-    for &pg in lost_u {
-        if lost_r.contains(&pg) {
-            continue;
-        }
-        let range = pages.range(pg);
-        let mut out = vec![0.0; range.len()];
-        if relations.reapply_preconditioner(pg, &r[range], &mut out) {
-            plan.u_fixes.push((pg, out));
-        }
-    }
-    plan
-}
 
 /// The generic per-rank merged resilient loop (see the module docs).
 /// Backend-agnostic; transport failures surface as typed [`CommError`]s.
@@ -291,7 +173,7 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
 
         // ---- scrub point (forward policies): materialise losses up front so
         // the fault count can ride inside the iteration's one collective.
-        let (lost_x, lost_r, mut lost_p, mut lost_s, mut lost_u) = if forward {
+        let (lost_x, lost_r, lost_p, lost_s, lost_u) = if forward {
             (
                 scrub_blank(registry, ids::X, pages, &mut x_full[own.clone()]),
                 scrub_blank(registry, ids::G, pages, &mut r),
@@ -317,34 +199,28 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
         }
         let pending = comm.start_allreduce_vec(post)?;
 
-        // In-window AFEIR prefetch: a faulted rank already knows its
-        // direction-side round-1 requests here — the window plan can only
-        // retire pages with purely local stencils, which request nothing,
-        // so retiring them later cannot change the set. Posting now lets
-        // the peers' replies overlap the reduction wait; a local loss
-        // forces the global flag, so the posted requests are always
-        // consumed. Fault-free iterations post nothing and the wire
-        // schedule stays bitwise-identical to the plain merged loop.
-        let posted = ctx.policy == RecoveryPolicy::Afeir && local_faults > 0;
-        let posted_requests: HashMap<usize, Vec<usize>> = if posted {
+        // Direction-side round-1 requests of a faulted rank. AFEIR posts
+        // them here, so the peers' replies overlap the reduction wait; a
+        // local loss forces the global flag, so posted requests are always
+        // consumed. Fault-free iterations post nothing and the wire schedule
+        // stays bitwise-identical to the plain merged loop.
+        let requests = if local_faults > 0 {
             let ps_rows: Vec<usize> = lost_p
                 .iter()
                 .chain(&lost_s)
                 .flat_map(|&pg| global_rows(own.start, pages, pg))
                 .collect();
-            let requests = remote_stencil_requests(a, &ctx.partition, ctx.rank, &ps_rows);
-            comm.post_recovery_requests(&requests)?;
-            requests
+            remote_stencil_requests(a, &ctx.partition, ctx.rank, &ps_rows)
         } else {
             HashMap::new()
         };
+        let posted = ctx.policy == RecoveryPolicy::Afeir && local_faults > 0;
+        if posted {
+            comm.post_recovery_requests(&requests)?;
+        }
 
         // ---- reduction window: preconditioner application, halo exchange
-        // and matvec all run with the collective in flight — plus, under
-        // AFEIR, the rank-local coupled solves, planned into side buffers on
-        // the work-stealing pool beside the matvec. (The comm channels never
-        // enter the pool: the halo exchange stays on the rank thread, only
-        // the purely local work overlaps via `rayon::join`.)
+        // and matvec all run with the collective in flight.
         if preconditioned {
             for pg in 0..pages.num_blocks() {
                 let lr = pages.range(pg);
@@ -355,25 +231,10 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
             mv_full[own.clone()].copy_from_slice(&w);
         }
         comm.exchange_halo(&mut mv_full)?;
-        let window = if ctx.policy == RecoveryPolicy::Afeir && local_faults > 0 {
-            overlap(
-                true,
-                || {
-                    plan_window_fixes(
-                        relations, a, &own, pages, &lost_p, &lost_s, &lost_r, &lost_u, &p, &s, &r,
-                    )
-                },
-                || {
-                    let _probe = feir_trace::span(feir_trace::Phase::Spmv);
-                    op.spmv(a, &mv_full, &mut n_buf);
-                },
-            )
-            .0
-        } else {
+        {
             let _probe = feir_trace::span(feir_trace::Phase::Spmv);
             op.spmv(a, &mv_full, &mut n_buf);
-            WindowPlan::default()
-        };
+        }
 
         let totals = pending.finish()?;
         let gamma = totals[0];
@@ -388,47 +249,12 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
         let rel = check.max(0.0).sqrt() / norm_b;
 
         // ---- forward recovery, before the convergence check (a converged
-        // break must never leave scrubbed blanks in the iterate). A
-        // non-empty window plan implies local faults, which imply the global
-        // flag, so one test covers both.
-        debug_assert!(window.is_empty() || faults_global);
+        // break must never leave scrubbed blanks in the iterate).
         let ignored_before = pages_ignored;
         if forward && faults_global {
-            // Install the window plan and retire those pages from the lost
-            // sets; the general path below only sees what remains.
-            for (pg, values) in window.p_fixes {
-                p[pages.range(pg)].copy_from_slice(&values);
-                mark_page(registry, ids::D, pg);
-                lost_p.retain(|&q| q != pg);
-                pages_recovered += 1;
-            }
-            for (pg, values) in window.s_fixes {
-                s[pages.range(pg)].copy_from_slice(&values);
-                mark_page(registry, ids::Q, pg);
-                lost_s.retain(|&q| q != pg);
-                pages_recovered += 1;
-            }
-            for (pg, values) in window.u_fixes {
-                u[pages.range(pg)].copy_from_slice(&values);
-                mark_page(registry, ids::Z, pg);
-                lost_u.retain(|&q| q != pg);
-                pages_recovered += 1;
-            }
             // -- round 1: direction-side recovery exchange on p. Every
-            // rank participates (empty requests when healthy). Under AFEIR
-            // the requests are already on the wire from inside the
-            // reduction window; only the replies are collected here.
+            // rank participates (empty requests when healthy).
             p_full[own.clone()].copy_from_slice(&p);
-            let requests = if posted {
-                posted_requests
-            } else {
-                let ps_rows: Vec<usize> = lost_p
-                    .iter()
-                    .chain(&lost_s)
-                    .flat_map(|&pg| global_rows(own.start, pages, pg))
-                    .collect();
-                remote_stencil_requests(a, &ctx.partition, ctx.rank, &ps_rows)
-            };
             let own_blank_p: Vec<usize> = lost_p
                 .iter()
                 .flat_map(|&pg| global_rows(own.start, pages, pg))

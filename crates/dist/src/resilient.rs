@@ -235,20 +235,6 @@ impl InjectionDriver {
         self.injectors.len()
     }
 
-    /// Pauses every rank's stream (see [`FaultInjector::pause`]).
-    pub fn pause_all(&self) {
-        for injector in &self.injectors {
-            injector.pause();
-        }
-    }
-
-    /// Resumes every rank's stream.
-    pub fn resume_all(&self) {
-        for injector in &self.injectors {
-            injector.resume();
-        }
-    }
-
     /// Stops every stream and returns the per-rank injection reports, in
     /// rank order.
     pub fn stop(self) -> Vec<InjectionReport> {
@@ -524,11 +510,6 @@ impl<'a> DistResilientSolver<'a> {
     /// The configuration in use.
     pub fn config(&self) -> &DistResilienceConfig {
         &self.config
-    }
-
-    /// The rank-local page partition of `rank`'s protected vectors.
-    pub fn page_partition(&self, rank: usize) -> BlockPartition {
-        self.pages[rank]
     }
 
     /// Runs the solve. Consumes the solver (the protected vectors are bound

@@ -411,7 +411,7 @@ fn merged_related_ps_losses_are_blank_accepted() {
 }
 
 /// Scripted-fault merged solves are bitwise reproducible run-to-run (the
-/// recovery paths, including AFEIR's in-window planning, stay on the
+/// recovery paths, including AFEIR's in-window request posting, stay on the
 /// deterministic reduction schedule).
 #[test]
 fn merged_resilient_solves_are_bitwise_deterministic_under_scripted_faults() {

@@ -117,25 +117,9 @@ impl PagedVector {
         &self.data
     }
 
-    /// Unguarded mutable view of the whole vector.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the vector, returning its data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Read-only view of one page without touching the fault state.
     pub fn page_slice(&self, page: usize) -> &[f64] {
         &self.data[self.partition.range(page)]
-    }
-
-    /// Mutable view of one page without touching the fault state.
-    pub fn page_slice_mut(&mut self, page: usize) -> &mut [f64] {
-        let range = self.partition.range(page);
-        &mut self.data[range]
     }
 
     /// Guarded access to one page.

@@ -20,17 +20,13 @@
 //! * **scrub-point fault materialisation** ([`scrub_blank`], [`mark_page`])
 //!   — the page-granular analogue of SIGBUS-on-touch — and the related-data
 //!   partitioning of simultaneous losses ([`split_related`]);
-//! * **AFEIR overlap scheduling** ([`overlap`]): the same recovery closure
-//!   runs either in the critical path (FEIR, Figure 2(a)) or beside
-//!   neighbouring solver work on the work-stealing pool (AFEIR,
-//!   Figure 2(b));
 //! * the read-only **recovery planning** types ([`StatePlan`],
 //!   [`plan_state_fixes`], [`RecoveryPlan`]) that let reconstruction run
 //!   concurrently with a reduction without aliasing the pages being reduced
 //!   over.
 //!
 //! Both resilient solvers instantiate this layer: the shared-memory
-//! [`ResilientCg`](crate::ResilientCg) consumes the plan/overlap machinery
+//! [`ResilientCg`](crate::ResilientCg) consumes the planning machinery
 //! directly, and `feir-dist`'s per-rank loop is generic over
 //! [`RecoverableIteration`] — plain CG is [`CgRelations`], block-Jacobi PCG
 //! is [`PcgRelations`], and every future solver variant is another ~100-line
@@ -53,7 +49,7 @@ use crate::report::{RecoveryAction, RecoveryEvent};
 /// *given the surviving state, how is a lost set of rows reconstructed
 /// exactly?* The engine (and the per-rank distributed loop built on it)
 /// handles everything else — scrub points, related-data conflicts, policy
-/// dispatch, AFEIR overlap, cross-rank fetches — so a new solver variant
+/// dispatch, split-phase scheduling, cross-rank fetches — so a new solver variant
 /// only describes its relations:
 ///
 /// * **iterate** `x`: solve `A_RR x_R = b_R − g_R − Σ_{c∉R} A_Rc x_c`
@@ -525,35 +521,11 @@ pub fn split_related(lost_a: &[usize], lost_b: &[usize]) -> (Vec<usize>, Vec<usi
     (rec_a, rec_b, conflicted)
 }
 
-// ----- AFEIR overlap scheduling --------------------------------------------
-
-/// Runs a recovery closure either in the critical path (FEIR: `recover`
-/// first, then `work`) or overlapped with the neighbouring solver work on
-/// the work-stealing pool (AFEIR: `rayon::join`). The closures must not
-/// alias mutable state — recovery *plans* into side buffers and the caller
-/// installs afterwards, which is the engine's equivalent of the paper's
-/// communication through atomic bitmasks rather than task dependences.
-pub fn overlap<A, B, RA, RB>(asynchronous: bool, recover: A, work: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if asynchronous {
-        rayon::join(recover, work)
-    } else {
-        let ra = recover();
-        let rb = work();
-        (ra, rb)
-    }
-}
-
 // ----- read-only recovery planning -----------------------------------------
 
 /// Reconstructions planned for lost iterate/residual pages, computed from a
-/// read-only snapshot so AFEIR can overlap the planning with the ε reduction
-/// and the installation with the reduction *wait* (split-phase allreduce).
+/// read-only snapshot and installed afterwards, so the installation can run
+/// inside a split-phase reduction's wait.
 #[derive(Debug, Default)]
 pub struct StatePlan {
     /// Local iterate pages the coupled solve covered.
@@ -964,15 +936,6 @@ mod tests {
         assert_eq!(rec_a, vec![0, 5]);
         assert_eq!(rec_b, vec![3]);
         assert_eq!(conflicted, vec![2]);
-    }
-
-    #[test]
-    fn overlap_runs_both_closures_in_either_mode() {
-        for asynchronous in [false, true] {
-            let (a, b) = overlap(asynchronous, || 6 * 7, || "done");
-            assert_eq!(a, 42);
-            assert_eq!(b, "done");
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`engine`] — the solver-agnostic **resilient iteration engine**: the
 //!   [`RecoverableIteration`] trait describing
 //!   a solver's algebraic relations per protected vector, the coupled-row
-//!   page-reconstruction kernels, scrub-point fault materialisation, the
-//!   related-data conflict split and the FEIR/AFEIR overlap scheduler —
+//!   page-reconstruction kernels, scrub-point fault materialisation and the
+//!   related-data conflict split —
 //!   shared by the shared-memory solver below and `feir-dist`'s distributed
 //!   CG/PCG;
 //! * [`interpolate`] — the exact block recoveries of Table 1: direct (lhs)

@@ -32,7 +32,13 @@ pub enum RecoveryPolicy {
     /// critical path (Figure 2(a)).
     Feir,
     /// Asynchronous FEIR: recovery tasks overlapped with the reductions at
-    /// lower priority (Figure 2(b)).
+    /// lower priority (Figure 2(b)). The shared-memory
+    /// [`ResilientCg`](crate::ResilientCg) forks each recovery task onto the
+    /// work-stealing pool beside the reduction it hides behind. The
+    /// distributed rank loops repair exactly as [`RecoveryPolicy::Feir`]
+    /// does, bit for bit, and only post earlier: the round-1 recovery
+    /// requests inside the flagged reduction's window and, when only
+    /// iterate pages were lost, the ε reduction before the iterate repair.
     Afeir,
 }
 

@@ -52,6 +52,28 @@ mod bits {
     pub const Z: u32 = 5;
 }
 
+/// Runs a recovery closure either in the critical path (FEIR: `recover`
+/// first, then `work`) or overlapped with the neighbouring solver work on
+/// the work-stealing pool (AFEIR: `rayon::join`). The closures must not
+/// alias mutable state — recovery *plans* into side buffers and the caller
+/// installs afterwards, which is this solver's equivalent of the paper's
+/// communication through atomic bitmasks rather than task dependences.
+fn overlap<A, B, RA, RB>(asynchronous: bool, recover: A, work: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    if asynchronous {
+        rayon::join(recover, work)
+    } else {
+        let ra = recover();
+        let rb = work();
+        (ra, rb)
+    }
+}
+
 /// Builder for [`ResilientCg`].
 #[derive(Debug, Clone, Default)]
 pub struct ResilientCgBuilder {
@@ -401,11 +423,11 @@ impl<'a> ResilientCg<'a> {
             // engine flow — plan into side buffers, reduce over the valid
             // pages, install, patch the recovered pages' contributions —
             // and differ only in the scheduling flag handed to
-            // [`engine::overlap`] (critical path vs. work-stealing pool).
+            // [`overlap`] (critical path vs. work-stealing pool).
             let dq = match policy {
                 RecoveryPolicy::Feir | RecoveryPolicy::Afeir => {
                     let asynchronous = policy == RecoveryPolicy::Afeir;
-                    let (planned, reduced) = engine::overlap(
+                    let (planned, reduced) = overlap(
                         asynchronous,
                         || {
                             let mark = Instant::now();
@@ -499,7 +521,7 @@ impl<'a> ResilientCg<'a> {
             let new_eps = match policy {
                 RecoveryPolicy::Feir | RecoveryPolicy::Afeir => {
                     let asynchronous = policy == RecoveryPolicy::Afeir;
-                    let (planned, reduced) = engine::overlap(
+                    let (planned, reduced) = overlap(
                         asynchronous,
                         || {
                             let mark = Instant::now();
@@ -1226,6 +1248,15 @@ mod tests {
     use feir_pagemem::{FaultInjector, InjectionPlan};
     use feir_sparse::generators::{manufactured_rhs, poisson_2d};
     use std::time::Duration;
+
+    #[test]
+    fn overlap_runs_both_closures_in_either_mode() {
+        for asynchronous in [false, true] {
+            let (a, b) = overlap(asynchronous, || 6 * 7, || "done");
+            assert_eq!(a, 42);
+            assert_eq!(b, "done");
+        }
+    }
 
     fn small_options() -> SolveOptions {
         SolveOptions::default().with_tolerance(1e-10)

@@ -118,11 +118,6 @@ impl PaperMatrix {
             PaperMatrix::Thermomech => generators::random_spd(s(48).pow(2), 5, 0x7E40),
         }
     }
-
-    /// Builds the proxy at the default scale used by tests and examples.
-    pub fn build_default(&self) -> CsrMatrix {
-        self.build(1.0)
-    }
 }
 
 /// Qualitative CG convergence class of a proxy matrix.

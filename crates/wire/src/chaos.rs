@@ -160,11 +160,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan can ever fault a frame.
-    pub fn is_clean(&self) -> bool {
-        self.script.is_empty() && self.rates.total() == 0.0
-    }
-
     /// Decides the fate of send attempt `attempt` of frame `seq`. Pure:
     /// depends only on the plan and the arguments.
     pub fn decide(&self, seq: u64, attempt: u32) -> Option<FaultKind> {

@@ -1,8 +1,8 @@
 //! Fault campaigns: solver × policy × rank-count × fault-rate sweeps over
 //! the distributed resilient solvers, producing the per-policy overhead
 //! tables of the paper's scaling study (Section 5 / Figure 5's measured
-//! points). The solver axis ([`CampaignSolver`]) covers both engine
-//! instantiations — plain CG and block-Jacobi PCG — in one sweep driver.
+//! points). The solver axis ([`DistSolver`]) covers the classic and the
+//! merged CG and block-Jacobi PCG in one sweep driver.
 //!
 //! For every solver × rank count the campaign first measures the fault-free
 //! ideal distributed solve as the baseline, then runs every `(policy,
@@ -25,62 +25,16 @@ use feir_wire::chaos::FaultRates;
 
 use crate::process::{
     spawn_workers_with, ChaosConfig, ProcessError, ProcessSpec, Transport, WorkerOptions,
-    WorkerSolver,
 };
-use crate::resilient::{DistResilienceConfig, DistResilientSolver, InjectionDriver};
-
-/// The solver axis of a campaign: which engine instantiation runs the
-/// sweep's cells. Every variant measures its overhead against its *own*
-/// ideal distributed baseline, so the overhead tables are directly
-/// comparable across solvers without a second sweep driver. The merged
-/// variants are the single-reduction (pipelined Chronopoulos–Gear) hot
-/// path; sweeping them against the classic loops shows what the collapsed
-/// collective costs — or saves — under each recovery policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignSolver {
-    /// Plain distributed CG.
-    Cg,
-    /// Block-Jacobi preconditioned distributed CG (rank-local page blocks).
-    Pcg,
-    /// Merged-reduction CG: one vector allreduce per iteration.
-    CgMerged,
-    /// Merged-reduction block-Jacobi PCG: one vector allreduce per
-    /// iteration (versus classic PCG's three).
-    PcgMerged,
-}
-
-impl CampaignSolver {
-    /// Short name used in the overhead tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CampaignSolver::Cg => "cg",
-            CampaignSolver::Pcg => "pcg",
-            CampaignSolver::CgMerged => "cg_m",
-            CampaignSolver::PcgMerged => "pcg_m",
-        }
-    }
-
-    fn build<'a>(
-        &self,
-        a: &'a CsrMatrix,
-        b: &'a [f64],
-        ranks: usize,
-        config: DistResilienceConfig,
-    ) -> DistResilientSolver<'a> {
-        match self {
-            CampaignSolver::Cg => DistResilientSolver::cg(a, b, ranks, config),
-            CampaignSolver::Pcg => DistResilientSolver::pcg(a, b, ranks, config),
-            CampaignSolver::CgMerged => DistResilientSolver::cg_merged(a, b, ranks, config),
-            CampaignSolver::PcgMerged => DistResilientSolver::pcg_merged(a, b, ranks, config),
-        }
-    }
-}
+use crate::resilient::{DistResilienceConfig, DistResilientSolver, DistSolver, InjectionDriver};
 
 /// A solver × policy × rank-count × fault-rate sweep.
 #[derive(Debug, Clone)]
 pub struct FaultCampaign {
-    /// Solver variants to sweep (CG, PCG or both).
-    pub solvers: Vec<CampaignSolver>,
+    /// Solvers to sweep. Every solver measures its overhead against its
+    /// *own* ideal distributed baseline, so the tables compare across
+    /// solvers without a second sweep driver.
+    pub solvers: Vec<DistSolver>,
     /// Policies to compare.
     pub policies: Vec<RecoveryPolicy>,
     /// Simulated rank counts to run at.
@@ -102,7 +56,7 @@ pub struct FaultCampaign {
 impl Default for FaultCampaign {
     fn default() -> Self {
         Self {
-            solvers: vec![CampaignSolver::Cg],
+            solvers: vec![DistSolver::Cg],
             policies: vec![
                 RecoveryPolicy::Afeir,
                 RecoveryPolicy::Feir,
@@ -125,7 +79,7 @@ impl Default for FaultCampaign {
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignBaseline {
     /// Solver variant of this baseline.
-    pub solver: CampaignSolver,
+    pub solver: DistSolver,
     /// Rank count.
     pub ranks: usize,
     /// Wall time of the ideal (unprotected) distributed solve.
@@ -138,7 +92,7 @@ pub struct CampaignBaseline {
 #[derive(Debug, Clone)]
 pub struct CampaignCell {
     /// Solver variant of this cell.
-    pub solver: CampaignSolver,
+    pub solver: DistSolver,
     /// Policy of this cell.
     pub policy: RecoveryPolicy,
     /// Rank count of this cell.
@@ -209,7 +163,7 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// The baseline for a solver × rank count, if it was measured.
-    pub fn baseline(&self, solver: CampaignSolver, ranks: usize) -> Option<&CampaignBaseline> {
+    pub fn baseline(&self, solver: DistSolver, ranks: usize) -> Option<&CampaignBaseline> {
         self.baselines
             .iter()
             .find(|b| b.solver == solver && b.ranks == ranks)
@@ -219,7 +173,7 @@ impl CampaignReport {
     pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str(
-            "solver  ranks  policy   freq  conv  iters    time_ms  overhd%  it_ovh%  inj/disc/rec  hit_ranks  xrank  rec_ms\n",
+            "solver      ranks  policy   freq  conv  iters    time_ms  overhd%  it_ovh%  inj/disc/rec  hit_ranks  xrank  rec_ms\n",
         );
         for cell in &self.cells {
             let rec_ms = match cell.recovery_ns() {
@@ -227,7 +181,7 @@ impl CampaignReport {
                 None => format!("{:>6}", "-"),
             };
             out.push_str(&format!(
-                "{:<6}  {:>5}  {:<7}  {:>4.1}  {:>4}  {:>5}  {:>9.2}  {:>7.1}  {:>7.1}  {:>4}/{:>4}/{:>3}  {:>9}  {:>5}  {}\n",
+                "{:<10}  {:>5}  {:<7}  {:>4.1}  {:>4}  {:>5}  {:>9.2}  {:>7.1}  {:>7.1}  {:>4}/{:>4}/{:>3}  {:>9}  {:>5}  {}\n",
                 cell.solver.name(),
                 cell.ranks,
                 cell.policy.name(),
@@ -257,9 +211,9 @@ impl FaultCampaign {
             for (ri, &ranks) in self.rank_counts.iter().enumerate() {
                 // Fault-free ideal distributed baseline at this solver ×
                 // rank count.
-                let ideal = solver_kind
-                    .build(a, b, ranks, self.cell_config(RecoveryPolicy::Ideal))
-                    .solve();
+                let ideal_config = self.cell_config(RecoveryPolicy::Ideal);
+                let ideal =
+                    DistResilientSolver::new(solver_kind, a, b, ranks, ideal_config).solve();
                 let baseline = CampaignBaseline {
                     solver: solver_kind,
                     ranks: ideal.ranks,
@@ -270,7 +224,13 @@ impl FaultCampaign {
 
                 for (pi, &policy) in self.policies.iter().enumerate() {
                     for (fi, &frequency) in self.error_frequencies.iter().enumerate() {
-                        let solver = solver_kind.build(a, b, ranks, self.cell_config(policy));
+                        let solver = DistResilientSolver::new(
+                            solver_kind,
+                            a,
+                            b,
+                            ranks,
+                            self.cell_config(policy),
+                        );
                         let driver = (frequency > 0.0).then(|| {
                             // The frequency is machine-wide: split the error
                             // rate evenly over the per-rank streams.
@@ -379,9 +339,9 @@ impl KillSchedule {
 /// comparison.
 #[derive(Debug, Clone)]
 pub struct NetFaultCampaign {
-    /// Rank loop the workers run (classic `cg`/`pcg` only — the resilient
-    /// loop does not cover the merged variants).
-    pub solver: WorkerSolver,
+    /// Solver the workers run. Kill schedules need a classic `cg`/`pcg`
+    /// solver: the merged loops have no rejoin repair.
+    pub solver: DistSolver,
     /// Policies to compare.
     pub policies: Vec<RecoveryPolicy>,
     /// Aggregate frame-fault rates to sweep; each is split over the fault
@@ -416,7 +376,7 @@ pub struct NetFaultCampaign {
 impl Default for NetFaultCampaign {
     fn default() -> Self {
         Self {
-            solver: WorkerSolver::Cg,
+            solver: DistSolver::Cg,
             policies: vec![
                 RecoveryPolicy::Afeir,
                 RecoveryPolicy::Feir,
@@ -650,7 +610,7 @@ mod tests {
         let a = poisson_2d(12);
         let (_, b) = manufactured_rhs(&a, 7);
         let campaign = FaultCampaign {
-            solvers: vec![CampaignSolver::Cg],
+            solvers: vec![DistSolver::Cg],
             policies: vec![RecoveryPolicy::Afeir, RecoveryPolicy::Feir],
             rank_counts: vec![1, 3],
             error_frequencies: vec![0.0, 2.0],
@@ -662,7 +622,7 @@ mod tests {
         let report = campaign.run(&a, &b);
         assert_eq!(report.baselines.len(), 2);
         assert_eq!(report.cells.len(), 2 * 2 * 2);
-        assert!(report.baseline(CampaignSolver::Cg, 3).is_some());
+        assert!(report.baseline(DistSolver::Cg, 3).is_some());
         for cell in &report.cells {
             assert!(cell.converged, "{:?} did not converge", cell.policy);
             assert!(cell.overhead_percent.is_finite());
@@ -685,11 +645,7 @@ mod tests {
         let a = poisson_2d(10);
         let (_, b) = manufactured_rhs(&a, 5);
         let campaign = FaultCampaign {
-            solvers: vec![
-                CampaignSolver::Cg,
-                CampaignSolver::CgMerged,
-                CampaignSolver::PcgMerged,
-            ],
+            solvers: vec![DistSolver::Cg, DistSolver::CgMerged, DistSolver::PcgMerged],
             policies: vec![RecoveryPolicy::Afeir, RecoveryPolicy::Feir],
             rank_counts: vec![2],
             error_frequencies: vec![0.0, 1.5],
@@ -701,8 +657,8 @@ mod tests {
         let report = campaign.run(&a, &b);
         assert_eq!(report.baselines.len(), 3);
         assert_eq!(report.cells.len(), 3 * 2 * 2);
-        let classic = report.baseline(CampaignSolver::Cg, 2).unwrap();
-        let merged = report.baseline(CampaignSolver::CgMerged, 2).unwrap();
+        let classic = report.baseline(DistSolver::Cg, 2).unwrap();
+        let merged = report.baseline(DistSolver::CgMerged, 2).unwrap();
         // Same Krylov space: the merged baseline's iteration count stays
         // within ±10% of classic CG's.
         let allowed = (classic.iterations as f64 * 0.10).ceil() as i64 + 1;
@@ -722,7 +678,7 @@ mod tests {
         let a = poisson_2d(10);
         let (_, b) = manufactured_rhs(&a, 3);
         let campaign = FaultCampaign {
-            solvers: vec![CampaignSolver::Cg, CampaignSolver::Pcg],
+            solvers: vec![DistSolver::Cg, DistSolver::Pcg],
             policies: vec![RecoveryPolicy::Feir],
             rank_counts: vec![2],
             error_frequencies: vec![0.0, 1.5],
@@ -735,8 +691,8 @@ mod tests {
         // One baseline and one cell row per solver × frequency.
         assert_eq!(report.baselines.len(), 2);
         assert_eq!(report.cells.len(), 2 * 2);
-        let cg_base = report.baseline(CampaignSolver::Cg, 2).unwrap();
-        let pcg_base = report.baseline(CampaignSolver::Pcg, 2).unwrap();
+        let cg_base = report.baseline(DistSolver::Cg, 2).unwrap();
+        let pcg_base = report.baseline(DistSolver::Pcg, 2).unwrap();
         // Block-Jacobi preconditioning must pay off in iterations.
         assert!(pcg_base.iterations < cg_base.iterations);
         for cell in &report.cells {

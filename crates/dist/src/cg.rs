@@ -8,10 +8,11 @@
 
 use feir_sparse::{CsrMatrix, SpmvBackend};
 
-use crate::comm::{effective_ranks, CommError, HaloPlan, RankComm};
-use crate::domains::RankDomains;
+use crate::comm::{CommError, RankComm};
 use crate::kernels;
 use crate::partition::RankPartition;
+use crate::rank_loop::RankOutcome;
+use crate::resilient::{plain_solve, DistSolver};
 
 /// Reliability-sublayer counters of one solve, summed over every rank's
 /// links. All zeros for the in-process backend, which has no links — the
@@ -104,16 +105,37 @@ impl DistSolveResult {
     pub fn converged(&self) -> bool {
         self.converged
     }
+
+    /// The result of a folded solve (see [`RankOutcome::fold`]), with its
+    /// residual recomputed on the assembled solution. Both backends build
+    /// their result here; `net` and `trace` are left for the caller.
+    pub(crate) fn assemble(
+        a: &CsrMatrix,
+        b: &[f64],
+        tolerance: f64,
+        ranks: usize,
+        outcome: RankOutcome,
+    ) -> Self {
+        let relative_residual = kernels::explicit_relative_residual(a, b, &outcome.x);
+        DistSolveResult {
+            x: outcome.x,
+            iterations: outcome.iterations,
+            relative_residual,
+            ranks,
+            converged: relative_residual <= tolerance,
+            residual_history: outcome.history,
+            allreduces: outcome.allreduces,
+            net: NetStats::default(),
+            trace: None,
+        }
+    }
 }
 
 /// Solves `A x = b` with CG distributed over `ranks` simulated ranks.
 ///
 /// The iteration is algebraically identical to the serial CG (same update
 /// order, deterministic rank-ordered reductions), so the iterate agrees with
-/// the shared-memory solver to round-off. Each rank registers its owned
-/// pages in its own [`RankDomains`] registry, giving every rank an
-/// independent fault domain; injection into those domains is the distributed
-/// recovery work tracked in ROADMAP.md.
+/// the shared-memory solver to round-off.
 ///
 /// # Panics
 /// Panics if the matrix is not square or `b` has the wrong length.
@@ -124,93 +146,7 @@ pub fn distributed_cg(
     tolerance: f64,
     max_iterations: usize,
 ) -> DistSolveResult {
-    assert_eq!(a.rows(), a.cols(), "distributed CG needs a square matrix");
-    assert_eq!(a.rows(), b.len(), "rhs length mismatch");
-    let domains = RankDomains::new(effective_ranks(a.rows(), ranks));
-    // One memory page per owned vector per rank is the coarsest useful fault
-    // granularity here; finer page splits are a RankDomains parameter.
-    for rank in 0..domains.num_ranks() {
-        domains.register_rank_vectors(rank, &["x", "g", "d", "q"], 1);
-    }
-    run_ranks(a, b, ranks, tolerance, move |ctx| {
-        rank_cg(a, b, ctx.comm, &ctx.partition, tolerance, max_iterations)
-    })
-}
-
-/// Per-rank context handed to the rank closures of [`run_ranks`].
-pub(crate) struct RankLaunch {
-    pub(crate) comm: RankComm,
-    pub(crate) partition: RankPartition,
-}
-
-/// What every per-rank loop reports: `(rank, owned x block, iterations,
-/// residual history, collectives entered)`.
-pub(crate) type RankOutcome = (usize, Vec<f64>, usize, Vec<f64>, u64);
-
-/// Shared fork/join scaffolding of every *plain* distributed solver (CG,
-/// PCG and their merged variants): one thread per rank, assembly of the
-/// owned blocks, rank-0 history/collective collection and the
-/// explicit-residual report. Pure orchestration — no kernel runs here, so
-/// routing a solver through it cannot affect any numeric result.
-pub(crate) fn run_ranks<F>(
-    a: &CsrMatrix,
-    b: &[f64],
-    ranks: usize,
-    tolerance: f64,
-    body: F,
-) -> DistSolveResult
-where
-    F: Fn(RankLaunch) -> Result<RankOutcome, CommError> + Sync,
-{
-    let n = a.rows();
-    let ranks = effective_ranks(n, ranks);
-    let partition = RankPartition::new(n, ranks);
-    let plan = HaloPlan::build(a, &partition);
-    let comms = RankComm::for_ranks(&plan, ranks);
-
-    let mut x = vec![0.0; n];
-    let mut iterations = 0;
-    let mut residual_history = Vec::new();
-    let mut allreduces = 0;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranks);
-        for comm in comms {
-            let partition = partition.clone();
-            let body = &body;
-            handles.push(scope.spawn(move || {
-                feir_trace::set_thread_rank(comm.rank() as u32);
-                body(RankLaunch { comm, partition })
-            }));
-        }
-        for handle in handles {
-            // The in-process backend only disconnects when a sibling rank
-            // thread died, which the join below reports first anyway.
-            let (rank, local_x, iters, history, collectives) = handle
-                .join()
-                .expect("rank thread panicked")
-                .expect("in-process comm failed");
-            x[partition.range(rank)].copy_from_slice(&local_x);
-            iterations = iters;
-            if rank == 0 {
-                residual_history = history;
-                allreduces = collectives;
-            }
-        }
-    });
-
-    // Explicit residual on the assembled solution.
-    let relative_residual = kernels::explicit_relative_residual(a, b, &x);
-    DistSolveResult {
-        x,
-        iterations,
-        relative_residual,
-        ranks,
-        converged: relative_residual <= tolerance,
-        residual_history,
-        allreduces,
-        net: NetStats::default(),
-        trace: collect_thread_trace(),
-    }
+    plain_solve(DistSolver::Cg, a, b, ranks, 1, tolerance, max_iterations)
 }
 
 /// Drains the rank-tagged thread sinks of this process into a merged trace;
@@ -226,8 +162,8 @@ pub(crate) fn collect_thread_trace() -> Option<feir_trace::SolveTrace> {
 }
 
 /// The per-rank CG loop, backend-agnostic: the same body runs on in-process
-/// channels and on the socket mesh of the process transport (which is what
-/// the worker in [`crate::process`] calls).
+/// channels and on the socket mesh of the process transport. It is the
+/// bitwise reference the resilient loop's fault-free solves are held to.
 pub(crate) fn rank_cg(
     a: &CsrMatrix,
     b: &[f64],
@@ -289,8 +225,7 @@ pub(crate) fn rank_cg(
         eps_old = eps;
         eps = comm.allreduce_sum(kernels::axpy_norm2(-alpha, &q, &mut g))?;
     }
-    let collectives = comm.collectives();
-    Ok((rank, x, iterations, history, collectives))
+    Ok(RankOutcome::plain(rank, x, iterations, history, &comm))
 }
 
 #[cfg(test)]

@@ -25,13 +25,6 @@ pub struct RankFaultCounts {
     pub recovered: usize,
 }
 
-impl RankFaultCounts {
-    /// True if this rank saw at least one effective injection.
-    pub fn was_hit(&self) -> bool {
-        self.injected > 0
-    }
-}
-
 /// One independent [`PageRegistry`] per simulated rank.
 #[derive(Debug, Clone)]
 pub struct RankDomains {
@@ -107,23 +100,9 @@ impl RankDomains {
         (0..self.num_ranks()).map(|r| self.rank_counts(r)).collect()
     }
 
-    /// Number of ranks with at least one effective injection.
-    pub fn faulty_rank_count(&self) -> usize {
-        self.registries
-            .iter()
-            .filter(|r| r.injected_count() > 0)
-            .count()
-    }
-
     /// True if every page of every rank is healthy.
     pub fn all_healthy(&self) -> bool {
         self.registries.iter().all(|r| r.all_healthy())
-    }
-
-    /// Resets one rank's registry (pages healthy, counters zeroed), leaving
-    /// the other ranks untouched.
-    pub fn reset_rank(&self, rank: usize) {
-        self.registries[rank].reset();
     }
 
     /// Resets every rank's registry.
@@ -195,31 +174,14 @@ mod tests {
         let counts = domains.per_rank_counts();
         assert_eq!(counts.len(), 3);
         assert_eq!(counts[0], domains.rank_counts(0));
-        assert!(!counts[0].was_hit() && !counts[1].was_hit());
         assert_eq!(counts[2].rank, 2);
         assert_eq!(counts[2].injected, 2);
         assert_eq!(counts[2].discovered, 1);
         assert_eq!(counts[2].recovered, 1);
-        assert_eq!(domains.faulty_rank_count(), 1);
         // The totals stay consistent with the breakdown.
         assert_eq!(
             domains.total_injected(),
             counts.iter().map(|c| c.injected).sum::<usize>()
         );
-    }
-
-    #[test]
-    fn reset_rank_clears_only_that_rank() {
-        let domains = RankDomains::new(2);
-        for rank in 0..2 {
-            domains.register_rank_vectors(rank, &["x"], 2);
-        }
-        domains.registry(0).inject(VectorId(0), 0);
-        domains.registry(1).inject(VectorId(0), 1);
-        domains.reset_rank(0);
-        assert!(domains.registry(0).all_healthy());
-        assert_eq!(domains.rank_counts(0).injected, 0);
-        assert_eq!(domains.rank_counts(1).injected, 1);
-        assert!(!domains.all_healthy());
     }
 }

@@ -36,10 +36,12 @@
 
 use feir_sparse::{CsrMatrix, LocalBlockJacobi, SpmvBackend};
 
-use crate::cg::{run_ranks, DistSolveResult, RankOutcome};
+use crate::cg::DistSolveResult;
 use crate::comm::{CommError, RankComm};
 use crate::kernels;
 use crate::partition::RankPartition;
+use crate::rank_loop::RankOutcome;
+use crate::resilient::{plain_solve, DistSolver};
 
 /// The guarded Chronopoulos–Gear step length `α = γ / (δ − β·γ/α_old)`;
 /// `None` signals breakdown (zero or non-finite denominator).
@@ -70,11 +72,15 @@ pub fn distributed_cg_merged(
     tolerance: f64,
     max_iterations: usize,
 ) -> DistSolveResult {
-    assert_eq!(a.rows(), a.cols(), "distributed CG needs a square matrix");
-    assert_eq!(a.rows(), b.len(), "rhs length mismatch");
-    run_ranks(a, b, ranks, tolerance, move |ctx| {
-        rank_cg_merged(a, b, ctx.comm, &ctx.partition, tolerance, max_iterations)
-    })
+    plain_solve(
+        DistSolver::CgMerged,
+        a,
+        b,
+        ranks,
+        1,
+        tolerance,
+        max_iterations,
+    )
 }
 
 /// Solves `A x = b` with merged-reduction block-Jacobi distributed PCG: one
@@ -92,20 +98,15 @@ pub fn distributed_pcg_merged(
     tolerance: f64,
     max_iterations: usize,
 ) -> DistSolveResult {
-    assert_eq!(a.rows(), a.cols(), "distributed PCG needs a square matrix");
-    assert_eq!(a.rows(), b.len(), "rhs length mismatch");
-    let page_doubles = page_doubles.max(1);
-    run_ranks(a, b, ranks, tolerance, move |ctx| {
-        rank_pcg_merged(
-            a,
-            b,
-            ctx.comm,
-            &ctx.partition,
-            page_doubles,
-            tolerance,
-            max_iterations,
-        )
-    })
+    plain_solve(
+        DistSolver::PcgMerged,
+        a,
+        b,
+        ranks,
+        page_doubles,
+        tolerance,
+        max_iterations,
+    )
 }
 
 /// The per-rank merged CG loop (see the module docs for the iteration
@@ -186,8 +187,7 @@ pub(crate) fn rank_cg_merged(
         gamma_old = gamma;
         alpha_old = alpha;
     }
-    let collectives = comm.collectives();
-    Ok((rank, x, iterations, history, collectives))
+    Ok(RankOutcome::plain(rank, x, iterations, history, &comm))
 }
 
 /// The per-rank merged block-Jacobi PCG loop, backend-agnostic.
@@ -196,15 +196,13 @@ pub(crate) fn rank_pcg_merged(
     b: &[f64],
     comm: RankComm,
     partition: &RankPartition,
-    page_doubles: usize,
+    jacobi: &LocalBlockJacobi,
     tolerance: f64,
     max_iterations: usize,
 ) -> Result<RankOutcome, CommError> {
     let rank = comm.rank();
     let own = partition.range(rank);
     let local_n = own.len();
-    let jacobi = LocalBlockJacobi::new(a, own.clone(), page_doubles, true)
-        .expect("rank-local block-Jacobi construction failed");
     // Rank-local storage backend over the owned row block (see rank_cg).
     let op = SpmvBackend::select_rows(a, own.clone());
 
@@ -279,8 +277,7 @@ pub(crate) fn rank_pcg_merged(
         gamma_old = gamma;
         alpha_old = alpha;
     }
-    let collectives = comm.collectives();
-    Ok((rank, x, iterations, history, collectives))
+    Ok(RankOutcome::plain(rank, x, iterations, history, &comm))
 }
 
 #[cfg(test)]

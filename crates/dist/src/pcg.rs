@@ -16,10 +16,12 @@
 
 use feir_sparse::{CsrMatrix, LocalBlockJacobi, SpmvBackend};
 
-use crate::cg::{run_ranks, DistSolveResult, RankOutcome};
+use crate::cg::DistSolveResult;
 use crate::comm::{CommError, RankComm};
 use crate::kernels;
 use crate::partition::RankPartition;
+use crate::rank_loop::RankOutcome;
+use crate::resilient::{plain_solve, DistSolver};
 
 /// Solves `A x = b` with block-Jacobi PCG distributed over `ranks` simulated
 /// ranks; `page_doubles` is the preconditioner block size (and the page size
@@ -35,40 +37,32 @@ pub fn distributed_pcg(
     tolerance: f64,
     max_iterations: usize,
 ) -> DistSolveResult {
-    assert_eq!(a.rows(), a.cols(), "distributed PCG needs a square matrix");
-    assert_eq!(a.rows(), b.len(), "rhs length mismatch");
-    let page_doubles = page_doubles.max(1);
-    run_ranks(a, b, ranks, tolerance, move |ctx| {
-        rank_pcg(
-            a,
-            b,
-            ctx.comm,
-            &ctx.partition,
-            page_doubles,
-            tolerance,
-            max_iterations,
-        )
-    })
+    plain_solve(
+        DistSolver::Pcg,
+        a,
+        b,
+        ranks,
+        page_doubles,
+        tolerance,
+        max_iterations,
+    )
 }
 
-/// The per-rank PCG loop, backend-agnostic (same body on in-process channels
-/// and on the socket mesh of the process transport).
+/// The per-rank PCG loop under the rank-local block-Jacobi factor `jacobi`,
+/// backend-agnostic (same body on in-process channels and on the socket
+/// mesh of the process transport).
 pub(crate) fn rank_pcg(
     a: &CsrMatrix,
     b: &[f64],
     comm: RankComm,
     partition: &RankPartition,
-    page_doubles: usize,
+    jacobi: &LocalBlockJacobi,
     tolerance: f64,
     max_iterations: usize,
 ) -> Result<RankOutcome, CommError> {
     let rank = comm.rank();
     let own = partition.range(rank);
     let local_n = own.len();
-    // Rank-local factorization: on a real machine this is each rank's own
-    // setup work, overlapping across ranks.
-    let jacobi = LocalBlockJacobi::new(a, own.clone(), page_doubles, true)
-        .expect("rank-local block-Jacobi construction failed");
     // Rank-local storage backend over the owned row block (see rank_cg).
     let op = SpmvBackend::select_rows(a, own.clone());
 
@@ -122,8 +116,7 @@ pub(crate) fn rank_pcg(
         rho_old = rho;
         eps = comm.allreduce_sum(kernels::axpy_norm2(-alpha, &q, &mut g))?;
     }
-    let collectives = comm.collectives();
-    Ok((rank, x, iterations, history, collectives))
+    Ok(RankOutcome::plain(rank, x, iterations, history, &comm))
 }
 
 #[cfg(test)]

@@ -121,8 +121,10 @@ use feir_wire::{FrameReader, Message, RankErrorKind, Tag, WireError, WorkerConfi
 
 use crate::cg::DistSolveResult;
 use crate::comm::{CommError, HaloPlan, Link, RankComm};
-use crate::kernels;
+use crate::elastic::ElasticCfg;
 use crate::partition::RankPartition;
+use crate::rank_loop::{RankCtx, RankOutcome};
+use crate::resilient::{register_protected, DistResilienceConfig, DistSolver};
 
 /// How the rank mesh is carried.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1428,25 +1430,12 @@ pub fn connect_mesh(
 // Worker processes: spec, launcher, worker entry point.
 // ---------------------------------------------------------------------------
 
-/// Which rank loop a worker process runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerSolver {
-    /// Classic distributed CG.
-    Cg = 0,
-    /// Block-Jacobi distributed PCG.
-    Pcg = 1,
-    /// Merged-reduction (Chronopoulos–Gear) CG.
-    CgMerged = 2,
-    /// Merged-reduction block-Jacobi PCG.
-    PcgMerged = 3,
-}
-
 /// A deterministic multi-process solve: every worker rebuilds the same
 /// problem from `(grid, rhs_seed)`, so no matrix data crosses the wire.
 #[derive(Debug, Clone)]
 pub struct ProcessSpec {
-    /// Rank loop to run.
-    pub solver: WorkerSolver,
+    /// Solver to run.
+    pub solver: DistSolver,
     /// Poisson grid side; the system has `grid²` unknowns.
     pub grid: usize,
     /// Seed of the manufactured right-hand side.
@@ -1465,7 +1454,7 @@ impl ProcessSpec {
     /// A small CG spec, convenient for tests and smoke runs.
     pub fn cg(grid: usize, ranks: usize) -> ProcessSpec {
         ProcessSpec {
-            solver: WorkerSolver::Cg,
+            solver: DistSolver::Cg,
             grid,
             rhs_seed: 5,
             ranks,
@@ -1482,11 +1471,14 @@ impl ProcessSpec {
 /// default, so `WorkerOptions::default()` reproduces the plain fleet.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerOptions {
-    /// Run the resilient rank loop under this recovery policy (classic
-    /// `cg`/`pcg` solvers only). `None` runs the plain loop.
+    /// Run the resilient rank loop under this recovery policy, for any
+    /// solver. `None` runs the plain loop.
     pub policy: Option<RecoveryPolicy>,
     /// Enable rank elasticity: workers park at the rejoin barrier on a
     /// peer's death instead of failing, awaiting [`WorkerHandles::respawn_rank`].
+    /// Only the classic `cg`/`pcg` loops have a rejoin repair; a merged
+    /// solver under an elastic fleet is refused by every worker, which
+    /// [`WorkerHandles::join`] reports as [`ProcessError::Worker`].
     pub elastic: bool,
     /// Deterministic transport fault injection for every worker's links.
     pub chaos: Option<ChaosConfig>,
@@ -1597,8 +1589,10 @@ impl WorkerHandles {
         Ok(())
     }
 
-    /// Collects every worker's report and assembles the solve result,
-    /// exactly as the thread-backed `run_ranks` assembles rank outcomes.
+    /// Collects every worker's report and assembles the solve result through
+    /// the same fold as the in-process backend: owned blocks into `x`, and
+    /// rank 0's iterations, history and collectives (the wire report
+    /// carries no page counters, so those stay zero).
     pub fn join(mut self) -> Result<DistSolveResult, ProcessError> {
         let spec = self.launch.spec.clone();
         let n = spec.grid * spec.grid;
@@ -1635,19 +1629,16 @@ impl WorkerHandles {
             reports.push(report);
         }
 
-        let mut x = vec![0.0; n];
-        let mut iterations = 0;
-        let mut residual_history = Vec::new();
-        let mut allreduces = 0;
+        let mut outcomes = Vec::with_capacity(ranks);
         let mut first_error: Option<ProcessError> = None;
         let mut comm_error: Option<ProcessError> = None;
         for (rank, report) in reports.into_iter().enumerate() {
             match report {
                 Ok(Message::RankResult {
                     rank: reported,
-                    iterations: iters,
+                    iterations,
                     collectives,
-                    x: x_own,
+                    x,
                     history,
                 }) => {
                     if reported as usize != rank {
@@ -1656,23 +1647,24 @@ impl WorkerHandles {
                             message: format!("report claims rank {reported}"),
                         });
                     }
-                    let own = partition.range(rank);
-                    if x_own.len() != own.len() {
+                    let own = partition.range(rank).len();
+                    if x.len() != own {
                         return Err(ProcessError::Protocol {
                             rank,
                             message: format!(
-                                "solution block has {} entries, expected {}",
-                                x_own.len(),
-                                own.len()
+                                "solution block has {} entries, expected {own}",
+                                x.len()
                             ),
                         });
                     }
-                    x[own].copy_from_slice(&x_own);
-                    iterations = iters as usize;
-                    if rank == 0 {
-                        residual_history = history;
-                        allreduces = collectives;
-                    }
+                    outcomes.push(RankOutcome {
+                        rank,
+                        x,
+                        iterations: iterations as usize,
+                        history,
+                        allreduces: collectives,
+                        ..RankOutcome::default()
+                    });
                 }
                 Ok(Message::RankError {
                     kind,
@@ -1752,17 +1744,11 @@ impl WorkerHandles {
 
         let a = feir_sparse::generators::poisson_2d(spec.grid);
         let (_, b) = feir_sparse::generators::manufactured_rhs(&a, spec.rhs_seed);
-        let relative_residual = kernels::explicit_relative_residual(&a, &b, &x);
+        let outcome = RankOutcome::fold(&partition, outcomes);
         Ok(DistSolveResult {
-            x,
-            iterations,
-            relative_residual,
-            ranks,
-            converged: relative_residual <= spec.tolerance,
-            residual_history,
-            allreduces,
             net,
             trace,
+            ..DistSolveResult::assemble(&a, &b, spec.tolerance, ranks, outcome)
         })
     }
 }
@@ -1943,14 +1929,6 @@ const TRANSPORT_TCP: u8 = 1;
 /// `WorkerConfig` duration value meaning "unset": inherit the default.
 const UNSET_MICROS: u64 = u64::MAX;
 
-/// `WorkerConfig` solver codes: a solver's code is its index here.
-const SOLVERS: [WorkerSolver; 4] = [
-    WorkerSolver::Cg,
-    WorkerSolver::Pcg,
-    WorkerSolver::CgMerged,
-    WorkerSolver::PcgMerged,
-];
-
 /// The policy of a `WorkerConfig` policy code (0 is the plain rank loop),
 /// or `None` for an unknown code.
 fn policy_of(code: u8, interval: usize) -> Option<Option<RecoveryPolicy>> {
@@ -2053,7 +2031,7 @@ impl Launch {
             },
             code => return Err(format!("unknown transport code {code}")),
         };
-        let solver = SOLVERS.get(usize::from(c.solver));
+        let solver = DistSolver::ALL.get(usize::from(c.solver));
         let solver = *solver.ok_or_else(|| format!("unknown solver code {}", c.solver))?;
         let policy = policy_of(c.policy, size(c.checkpoint_interval)?)
             .ok_or_else(|| format!("unknown policy code {}", c.policy))?;
@@ -2120,123 +2098,44 @@ fn read_launch() -> Result<Launch, String> {
 /// Joins the mesh, runs this rank's loop and returns the report frame.
 /// `links_out` receives the endpoint's per-peer reliability counters as
 /// soon as the mesh is up, so the caller can report them even when the
-/// solve later fails.
+/// solve later fails. Everything but the mesh is set up before
+/// `connect_mesh`, so the first collective follows the handshake directly.
 fn run_worker(launch: &Launch, links_out: &mut Vec<Arc<LinkStats>>) -> Result<Message, CommError> {
-    use crate::merged::{rank_cg_merged, rank_pcg_merged};
-    let spec = &launch.spec;
+    let (spec, options) = (&launch.spec, &launch.options);
     let a = feir_sparse::generators::poisson_2d(spec.grid);
     let (_, b) = feir_sparse::generators::manufactured_rhs(&a, spec.rhs_seed);
     let partition = RankPartition::new(a.rows(), spec.ranks);
-    let resilient = launch.options.policy.is_some() || launch.options.elastic;
-    if resilient && !matches!(spec.solver, WorkerSolver::Cg | WorkerSolver::Pcg) {
-        return Err(CommError::Protocol(
-            "the resilient/elastic worker path supports only the classic cg and pcg solvers".into(),
-        ));
+    let rank = launch.rank;
+    // The rejoin repair lives in the resilient loop, so an elastic fleet
+    // runs it even without a recovery policy.
+    let elastic = options.elastic.then_some(RecoveryPolicy::Ideal);
+    let policy = options.policy.or(elastic);
+    let config = DistResilienceConfig::for_policy(policy.unwrap_or(RecoveryPolicy::Ideal))
+        .with_page_doubles(spec.page_doubles)
+        .with_tolerance(spec.tolerance)
+        .with_max_iterations(spec.max_iterations);
+    let registry = Arc::new(feir_pagemem::PageRegistry::new());
+    let ctx = RankCtx {
+        throttle: options.throttle.unwrap_or(Duration::ZERO),
+        elastic: options.elastic.then(|| ElasticCfg {
+            newcomer: launch.epochs.get(rank).copied().unwrap_or(0) > 0,
+            max_rejoins: 4,
+        }),
+        ..RankCtx::new(&a, &b, &partition, rank, &config, registry)
+    };
+    if ctx.policy.needs_protection() {
+        register_protected(&ctx.registry, rank, spec.solver, &ctx.pages);
     }
     let plan = HaloPlan::build(&a, &partition);
-    let options = launch.mesh_options();
-    let endpoint = connect_mesh(launch.rank, spec.ranks, &launch.transport, &options)?;
+    let endpoint = connect_mesh(rank, spec.ranks, &launch.transport, &launch.mesh_options())?;
     *links_out = endpoint.stats.clone();
     let comm = RankComm::over_process(&plan, endpoint);
-    if resilient {
-        return run_worker_resilient(launch, &a, &b, &partition, comm);
-    }
-    let (page, tol, maxit) = (spec.page_doubles, spec.tolerance, spec.max_iterations);
-    let (rank, x_own, iterations, history, collectives) = match spec.solver {
-        WorkerSolver::Cg => crate::cg::rank_cg(&a, &b, comm, &partition, tol, maxit)?,
-        WorkerSolver::Pcg => crate::pcg::rank_pcg(&a, &b, comm, &partition, page, tol, maxit)?,
-        WorkerSolver::CgMerged => rank_cg_merged(&a, &b, comm, &partition, tol, maxit)?,
-        WorkerSolver::PcgMerged => rank_pcg_merged(&a, &b, comm, &partition, page, tol, maxit)?,
-    };
-    Ok(Message::RankResult {
-        rank: rank as u32,
-        iterations: iterations as u64,
-        collectives,
-        x: x_own,
-        history,
-    })
-}
-
-/// The resilient/elastic worker path: the full recovery-policy rank loop
-/// ([`crate::rank_loop`]) over the process mesh, optionally under the
-/// elastic rejoin harness (`crate::elastic`). Supports the classic
-/// `cg`/`pcg` solvers (the merged loops have no resilient engine binding
-/// on this transport yet; [`run_worker`] refuses them).
-fn run_worker_resilient(
-    launch: &Launch,
-    a: &feir_sparse::CsrMatrix,
-    b: &[f64],
-    partition: &RankPartition,
-    comm: RankComm,
-) -> Result<Message, CommError> {
-    use crate::elastic::{rank_elastic_solve, ElasticCfg};
-    use crate::rank_loop::{rank_resilient_solve, RankCtx};
-    use crate::resilient::ProtectedVector;
-    use feir_recovery::{CgRelations, PcgRelations};
-    use feir_sparse::blocking::BlockPartition;
-
-    let spec = &launch.spec;
-    let policy = launch.options.policy.unwrap_or(RecoveryPolicy::Ideal);
-    let rank = launch.rank;
-    let own = partition.range(rank);
-    let pages = BlockPartition::new(own.len(), spec.page_doubles.max(1));
-    let registry = std::sync::Arc::new(feir_pagemem::PageRegistry::new());
-    if policy.needs_protection() {
-        for vector in ProtectedVector::protected(spec.solver == WorkerSolver::Pcg) {
-            let id = registry.register(format!("rank{rank}/{}", vector.name()), pages.num_blocks());
-            debug_assert_eq!(id, vector.id());
-        }
-    }
-    let ctx = RankCtx {
-        a,
-        b,
-        policy,
-        tolerance: spec.tolerance,
-        max_iterations: spec.max_iterations,
-        rank,
-        own,
-        pages,
-        registry,
-        partition: partition.clone(),
-        scripted: Vec::new(),
-        throttle: launch.options.throttle.unwrap_or(Duration::ZERO),
-    };
-    let cfg = ElasticCfg {
-        newcomer: launch.epochs.get(rank).copied().unwrap_or(0) > 0,
-        max_rejoins: 4,
-    };
-    let outcome = match spec.solver {
-        WorkerSolver::Cg => {
-            let relations = CgRelations::new(a, b);
-            if launch.options.elastic {
-                rank_elastic_solve(&ctx, &relations, comm, &cfg)?
-            } else {
-                rank_resilient_solve(ctx, &relations, comm)?
-            }
-        }
-        WorkerSolver::Pcg => {
-            // Invariant: `a` is square and `own` lies in its rows: all `new` checks.
-            let jacobi = feir_sparse::LocalBlockJacobi::new(
-                ctx.a,
-                ctx.own.clone(),
-                ctx.pages.block_size(),
-                true,
-            )
-            .expect("rank-local block-Jacobi construction failed");
-            let relations = PcgRelations::new(a, b, &jacobi);
-            if launch.options.elastic {
-                rank_elastic_solve(&ctx, &relations, comm, &cfg)?
-            } else {
-                rank_resilient_solve(ctx, &relations, comm)?
-            }
-        }
-        _ => unreachable!("guarded above"),
-    };
+    let outcome = spec.solver.rank_solve(policy, ctx, comm)?;
     Ok(Message::RankResult {
         rank: outcome.rank as u32,
         iterations: outcome.iterations as u64,
         collectives: outcome.allreduces,
-        x: outcome.x_own,
+        x: outcome.x,
         history: outcome.history,
     })
 }
@@ -2411,7 +2310,7 @@ mod tests {
                 dir: PathBuf::from(std::ffi::OsStr::from_bytes(b"/tmp/feir-\xff-mesh")),
             },
             spec: ProcessSpec {
-                solver: WorkerSolver::Pcg,
+                solver: DistSolver::Pcg,
                 page_doubles: 16,
                 ..ProcessSpec::cg(12, 3)
             },

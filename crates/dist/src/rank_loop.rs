@@ -47,9 +47,10 @@ use feir_sparse::blocking::BlockPartition;
 use feir_sparse::{CsrMatrix, SpmvBackend};
 
 use crate::comm::{CommError, RankComm};
+use crate::elastic::{rank_elastic_solve, ElasticCfg};
 use crate::kernels;
 use crate::partition::RankPartition;
-use crate::resilient::ScriptedFault;
+use crate::resilient::{DistResilienceConfig, ScriptedFault};
 
 /// Registry ids of the protected vectors, in registration order.
 pub(crate) mod ids {
@@ -81,12 +82,53 @@ pub(crate) struct RankCtx<'a> {
     /// it so a failure deterministically lands mid-iteration — a sleep does
     /// no floating-point work, so bitwise identity is untouched.
     pub throttle: Duration,
+    /// Run the classic resilient loop inside the elastic rejoin harness
+    /// (worker processes of an elastic fleet only).
+    pub elastic: Option<ElasticCfg>,
 }
 
-/// What one rank's solver thread reports back.
+impl<'a> RankCtx<'a> {
+    /// The context of `rank` under `config`: its row block, its pages, its
+    /// scripted faults; no throttle and no elastic harness.
+    pub(crate) fn new(
+        a: &'a CsrMatrix,
+        b: &'a [f64],
+        partition: &RankPartition,
+        rank: usize,
+        config: &DistResilienceConfig,
+        registry: Arc<PageRegistry>,
+    ) -> Self {
+        let own = partition.range(rank);
+        RankCtx {
+            a,
+            b,
+            policy: config.policy,
+            tolerance: config.tolerance,
+            max_iterations: config.max_iterations,
+            rank,
+            pages: BlockPartition::new(own.len(), config.page_doubles.max(1)),
+            own,
+            registry,
+            partition: partition.clone(),
+            scripted: config
+                .scripted_faults
+                .iter()
+                .filter(|f| f.rank == rank)
+                .copied()
+                .collect(),
+            throttle: Duration::ZERO,
+            elastic: None,
+        }
+    }
+}
+
+/// What one rank's loop reports back — or, once [`fold`](Self::fold)ed,
+/// the whole machine's outcome. The plain loops report zero page counters.
+#[derive(Debug, Default)]
 pub(crate) struct RankOutcome {
     pub rank: usize,
-    pub x_own: Vec<f64>,
+    /// The rank's owned block of the iterate; all of it once folded.
+    pub x: Vec<f64>,
     pub iterations: usize,
     pub history: Vec<f64>,
     pub pages_recovered: usize,
@@ -98,6 +140,56 @@ pub(crate) struct RankOutcome {
     pub rollbacks: usize,
     pub restarts: usize,
     pub allreduces: u64,
+}
+
+impl RankOutcome {
+    /// The outcome of a plain (unprotected) rank loop.
+    pub(crate) fn plain(
+        rank: usize,
+        x: Vec<f64>,
+        iterations: usize,
+        history: Vec<f64>,
+        comm: &RankComm,
+    ) -> Self {
+        RankOutcome {
+            rank,
+            x,
+            iterations,
+            history,
+            allreduces: comm.collectives(),
+            ..RankOutcome::default()
+        }
+    }
+
+    /// Folds every rank's outcome into the machine's, on either backend:
+    /// the owned blocks assembled into `x`, the page counters summed, and
+    /// rank 0's iterations, history, rollbacks, restarts and collectives —
+    /// every rank runs those in lockstep, so any one rank's count is the
+    /// machine's.
+    pub(crate) fn fold(
+        partition: &RankPartition,
+        outcomes: impl IntoIterator<Item = RankOutcome>,
+    ) -> RankOutcome {
+        let mut all = RankOutcome {
+            x: vec![0.0; partition.len()],
+            ..RankOutcome::default()
+        };
+        for outcome in outcomes {
+            all.x[partition.range(outcome.rank)].copy_from_slice(&outcome.x);
+            all.pages_recovered += outcome.pages_recovered;
+            all.pages_ignored += outcome.pages_ignored;
+            all.pages_coupled += outcome.pages_coupled;
+            all.cross_rank_values += outcome.cross_rank_values;
+            if outcome.rank == 0 {
+                all.iterations = outcome.iterations;
+                all.history = outcome.history;
+                all.rollbacks = outcome.rollbacks;
+                all.restarts = outcome.restarts;
+                all.allreduces = outcome.allreduces;
+            }
+        }
+        all
+    }
 }
 
 /// Global row range of rank-local page `p`.
@@ -194,23 +286,68 @@ pub(crate) fn install_state_plan(
     counters.ignored += 2 * conflicted.len();
 }
 
-/// One policy sweep point: scrubs every listed vector, blanking its lost
-/// pages and marking them healthy again; returns how many pages were
-/// blanked. Shared by the Trivial / Checkpoint / LossyRestart end-of-
-/// iteration sweeps.
+/// The baseline policies' end-of-iteration sweep: scrubs the iterate (when
+/// given; LossyRestart scrubs it itself), the residual, the direction, its
+/// matvec image and, when registered (preconditioned solvers), `z`, in
+/// registry-id order — blanking each lost page and marking it healthy
+/// again. Returns how many pages were blanked.
 pub(crate) fn blank_sweep(
-    registry: &PageRegistry,
-    pages: &BlockPartition,
-    entries: Vec<(feir_pagemem::VectorId, &mut [f64])>,
+    ctx: &RankCtx<'_>,
+    x: Option<&mut [f64]>,
+    [g, d, q, z]: [&mut [f64]; 4],
 ) -> usize {
+    let (registry, pages) = (&*ctx.registry, &ctx.pages);
+    let entries = [
+        (ids::X, x),
+        (ids::G, Some(g)),
+        (ids::D, Some(d)),
+        (ids::Q, Some(q)),
+        (ids::Z, (registry.num_vectors() > ids::Z.0).then_some(z)),
+    ];
     let mut blanked = 0;
     for (id, data) in entries {
-        for p in scrub_blank(registry, id, pages, data) {
+        for p in data.map_or(Vec::new(), |data| scrub_blank(registry, id, pages, data)) {
             mark_page(registry, id, p);
             blanked += 1;
         }
     }
     blanked
+}
+
+/// LossyRestart's iterate repair: fetches the remote stencil entries of the
+/// lost iterate pages, interpolates each page with the lossy block-Jacobi
+/// relation and marks it healthy. Lossy interpolation has no exactness
+/// claim, so flagged-invalid fetches are used as-is (they are part of what
+/// makes it lossy). Returns `(recovered, ignored, values fetched)`.
+pub(crate) fn lossy_fill_iterate<S: RecoverableIteration>(
+    ctx: &RankCtx<'_>,
+    relations: &S,
+    comm: &RankComm,
+    lost_x: &[usize],
+    x_full: &mut [f64],
+) -> Result<(usize, usize, usize), CommError> {
+    let (own, pages) = (&ctx.own, &ctx.pages);
+    let lost_rows: Vec<usize> = lost_x
+        .iter()
+        .flat_map(|&p| global_rows(own.start, pages, p))
+        .collect();
+    let requests = remote_stencil_requests(ctx.a, &ctx.partition, ctx.rank, &lost_rows);
+    let (fetched, _) = comm.recovery_exchange(&requests, x_full, &lost_rows)?;
+    let (mut recovered, mut ignored) = (0, 0);
+    for &p in lost_x {
+        let rows: Vec<usize> = global_rows(own.start, pages, p).collect();
+        match relations.lossy_iterate_rows(&rows, x_full) {
+            Some(values) => {
+                for (&r, v) in rows.iter().zip(&values) {
+                    x_full[r] = *v;
+                }
+                recovered += 1;
+            }
+            None => ignored += 1,
+        }
+        mark_page(&ctx.registry, ids::X, p);
+    }
+    Ok((recovered, ignored, fetched))
 }
 
 /// The complete mutable state of one rank's solve between iterations — what
@@ -750,16 +887,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 // local, no collectives beyond the ε reduction. z (when
                 // present) is blank-accepted like everything else; the next
                 // iteration's reapplication overwrites it anyway.
-                let mut sweep: Vec<(_, &mut [f64])> = vec![
-                    (ids::X, &mut x_full[own.clone()]),
-                    (ids::G, &mut g[..]),
-                    (ids::D, &mut d[..]),
-                    (ids::Q, &mut q[..]),
-                ];
-                if preconditioned {
-                    sweep.push((ids::Z, &mut z[..]));
-                }
-                *pages_ignored += blank_sweep(registry, pages, sweep);
+                *pages_ignored += blank_sweep(ctx, Some(&mut x_full[own.clone()]), [g, d, q, z]);
                 *rho_old = rho;
                 *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
             }
@@ -771,16 +899,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 // blanked iterate and the direction recurrence restarts —
                 // so the solve keeps converging at the price of a restart
                 // instead of silently drifting on inconsistent vectors.
-                let mut sweep: Vec<(_, &mut [f64])> = vec![
-                    (ids::X, &mut x_full[own.clone()]),
-                    (ids::G, &mut g[..]),
-                    (ids::D, &mut d[..]),
-                    (ids::Q, &mut q[..]),
-                ];
-                if preconditioned {
-                    sweep.push((ids::Z, &mut z[..]));
-                }
-                let lost_total = blank_sweep(registry, pages, sweep);
+                let lost_total = blank_sweep(ctx, Some(&mut x_full[own.clone()]), [g, d, q, z]);
                 *pages_ignored += lost_total;
                 if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
                     *rho_old = rho;
@@ -793,16 +912,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 }
             }
             RecoveryPolicy::Checkpoint { .. } => {
-                let mut sweep: Vec<(_, &mut [f64])> = vec![
-                    (ids::X, &mut x_full[own.clone()]),
-                    (ids::G, &mut g[..]),
-                    (ids::D, &mut d[..]),
-                    (ids::Q, &mut q[..]),
-                ];
-                if preconditioned {
-                    sweep.push((ids::Z, &mut z[..]));
-                }
-                let lost_total = blank_sweep(registry, pages, sweep);
+                let lost_total = blank_sweep(ctx, Some(&mut x_full[own.clone()]), [g, d, q, z]);
                 if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
                     *rho_old = rho;
                     *eps = clean;
@@ -824,44 +934,18 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
             }
             RecoveryPolicy::LossyRestart => {
                 let lost_x = scrub_blank(registry, ids::X, pages, &mut x_full[own.clone()]);
-                let mut sweep: Vec<(_, &mut [f64])> = vec![
-                    (ids::G, &mut g[..]),
-                    (ids::D, &mut d[..]),
-                    (ids::Q, &mut q[..]),
-                ];
-                if preconditioned {
-                    sweep.push((ids::Z, &mut z[..]));
-                }
-                let lost_total = lost_x.len() + blank_sweep(registry, pages, sweep);
+                let lost_total = lost_x.len() + blank_sweep(ctx, None, [g, d, q, z]);
                 if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
                     *rho_old = rho;
                     *eps = clean;
                 } else {
                     // Interpolate the lost iterate pages (block-Jacobi step,
-                    // no residual term), fetching the remote stencil entries
-                    // first, then restart globally. Lossy interpolation has
-                    // no exactness claim, so flagged-invalid fetches are
-                    // used as-is (they are part of what makes it lossy).
-                    let lost_rows: Vec<usize> = lost_x
-                        .iter()
-                        .flat_map(|&p| global_rows(own.start, pages, p))
-                        .collect();
-                    let requests = remote_stencil_requests(a, &ctx.partition, ctx.rank, &lost_rows);
-                    let (fetched, _) = comm.recovery_exchange(&requests, x_full, &lost_rows)?;
+                    // no residual term), then restart globally.
+                    let (recovered, ignored, fetched) =
+                        lossy_fill_iterate(ctx, relations, comm, &lost_x, x_full)?;
+                    *pages_recovered += recovered;
+                    *pages_ignored += ignored;
                     *cross_rank_values += fetched;
-                    for &p in &lost_x {
-                        let rows: Vec<usize> = global_rows(own.start, pages, p).collect();
-                        match relations.lossy_iterate_rows(&rows, x_full) {
-                            Some(values) => {
-                                for (&r, v) in rows.iter().zip(&values) {
-                                    x_full[r] = *v;
-                                }
-                                *pages_recovered += 1;
-                            }
-                            None => *pages_ignored += 1,
-                        }
-                        mark_page(registry, ids::X, p);
-                    }
                     // Restart: recompute g from the interpolated iterate and
                     // discard the Krylov space.
                     d.iter_mut().for_each(|v| *v = 0.0);
@@ -880,7 +964,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
 pub(crate) fn finish_outcome(ctx: &RankCtx<'_>, comm: &RankComm, state: SolveState) -> RankOutcome {
     RankOutcome {
         rank: ctx.rank,
-        x_own: state.x_full[ctx.own.clone()].to_vec(),
+        x: state.x_full[ctx.own.clone()].to_vec(),
         iterations: state.iterations,
         history: state.history,
         pages_recovered: state.pages_recovered,
@@ -894,14 +978,18 @@ pub(crate) fn finish_outcome(ctx: &RankCtx<'_>, comm: &RankComm, state: SolveSta
 }
 
 /// The generic per-rank resilient loop (see the module docs): the four
-/// phases composed back into the original single-shot solve. Like the plain
-/// rank loops it is backend-agnostic and surfaces any transport failure as
-/// a typed [`CommError`].
+/// phases composed back into one single-shot solve, or run by the elastic
+/// harness when `ctx.elastic` is set. Like the plain rank loops it is
+/// backend-agnostic and surfaces any transport failure as a typed
+/// [`CommError`].
 pub(crate) fn rank_resilient_solve<S: RecoverableIteration>(
     ctx: RankCtx<'_>,
     relations: &S,
     comm: RankComm,
 ) -> Result<RankOutcome, CommError> {
+    if let Some(cfg) = &ctx.elastic {
+        return rank_elastic_solve(&ctx, relations, comm, cfg);
+    }
     let mut state = alloc_state(&ctx);
     init_collectives(&ctx, &comm, &mut state)?;
     resilient_iterations(&ctx, relations, &comm, &mut state)?;

@@ -48,8 +48,8 @@ use crate::comm::{CommError, RankComm};
 use crate::kernels;
 use crate::merged::merged_alpha;
 use crate::rank_loop::{
-    blank_sweep, coupled_round, global_rows, ids, install_state_plan, remote_stencil_requests,
-    InstallCounters, RankCtx, RankOutcome,
+    blank_sweep, coupled_round, global_rows, ids, install_state_plan, lossy_fill_iterate,
+    remote_stencil_requests, InstallCounters, RankCtx, RankOutcome,
 };
 
 /// The generic per-rank merged resilient loop (see the module docs).
@@ -567,16 +567,8 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
                 // recurrence invariants (s = A·p, …) break on the blanked
                 // pages; the explicit final residual reports the damage
                 // honestly.
-                let mut sweep: Vec<(_, &mut [f64])> = vec![
-                    (ids::X, &mut x_full[own.clone()]),
-                    (ids::G, &mut r[..]),
-                    (ids::D, &mut p[..]),
-                    (ids::Q, &mut s[..]),
-                ];
-                if preconditioned {
-                    sweep.push((ids::Z, &mut u[..]));
-                }
-                pages_ignored += blank_sweep(registry, pages, sweep);
+                let x = Some(&mut x_full[own.clone()]);
+                pages_ignored += blank_sweep(&ctx, x, [&mut r, &mut p, &mut s, &mut u]);
             }
             RecoveryPolicy::TrivialReplace => {
                 // Hybrid: blank-accept like Trivial, but pay one residual
@@ -584,16 +576,8 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
                 // recurrences stop the blanked pages from poisoning the
                 // merged recurrences permanently, at the cost of a Krylov
                 // restart (β = 0) instead of Trivial's silent drift.
-                let mut sweep: Vec<(_, &mut [f64])> = vec![
-                    (ids::X, &mut x_full[own.clone()]),
-                    (ids::G, &mut r[..]),
-                    (ids::D, &mut p[..]),
-                    (ids::Q, &mut s[..]),
-                ];
-                if preconditioned {
-                    sweep.push((ids::Z, &mut u[..]));
-                }
-                let lost_total = blank_sweep(registry, pages, sweep);
+                let x = Some(&mut x_full[own.clone()]);
+                let lost_total = blank_sweep(&ctx, x, [&mut r, &mut p, &mut s, &mut u]);
                 pages_ignored += lost_total;
                 if comm.fault_flag(lost_total)? {
                     gamma_old = f64::INFINITY;
@@ -621,16 +605,8 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
                 }
             }
             RecoveryPolicy::Checkpoint { .. } => {
-                let mut sweep: Vec<(_, &mut [f64])> = vec![
-                    (ids::X, &mut x_full[own.clone()]),
-                    (ids::G, &mut r[..]),
-                    (ids::D, &mut p[..]),
-                    (ids::Q, &mut s[..]),
-                ];
-                if preconditioned {
-                    sweep.push((ids::Z, &mut u[..]));
-                }
-                let lost_total = blank_sweep(registry, pages, sweep);
+                let x = Some(&mut x_full[own.clone()]);
+                let lost_total = blank_sweep(&ctx, x, [&mut r, &mut p, &mut s, &mut u]);
                 if comm.fault_flag(lost_total)? {
                     // Global rollback: restore (x, p, scalars), then rebuild
                     // the whole recurrence state from the exact relations.
@@ -667,40 +643,16 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
             }
             RecoveryPolicy::LossyRestart => {
                 let lost_x = scrub_blank(registry, ids::X, pages, &mut x_full[own.clone()]);
-                let mut sweep: Vec<(_, &mut [f64])> = vec![
-                    (ids::G, &mut r[..]),
-                    (ids::D, &mut p[..]),
-                    (ids::Q, &mut s[..]),
-                ];
-                if preconditioned {
-                    sweep.push((ids::Z, &mut u[..]));
-                }
-                let lost_total = lost_x.len() + blank_sweep(registry, pages, sweep);
+                let lost_total =
+                    lost_x.len() + blank_sweep(&ctx, None, [&mut r, &mut p, &mut s, &mut u]);
                 if comm.fault_flag(lost_total)? {
                     // Interpolate the lost iterate pages (lossy block-Jacobi
-                    // step, remote stencil entries fetched first), then
-                    // restart the Krylov space globally.
-                    let lost_rows: Vec<usize> = lost_x
-                        .iter()
-                        .flat_map(|&pg| global_rows(own.start, pages, pg))
-                        .collect();
-                    let requests = remote_stencil_requests(a, &ctx.partition, ctx.rank, &lost_rows);
-                    let (fetched, _) =
-                        comm.recovery_exchange(&requests, &mut x_full, &lost_rows)?;
+                    // step), then restart the Krylov space globally.
+                    let (recovered, ignored, fetched) =
+                        lossy_fill_iterate(&ctx, relations, &comm, &lost_x, &mut x_full)?;
+                    pages_recovered += recovered;
+                    pages_ignored += ignored;
                     cross_rank_values += fetched;
-                    for &pg in &lost_x {
-                        let rows: Vec<usize> = global_rows(own.start, pages, pg).collect();
-                        match relations.lossy_iterate_rows(&rows, &x_full) {
-                            Some(values) => {
-                                for (&row, v) in rows.iter().zip(&values) {
-                                    x_full[row] = *v;
-                                }
-                                pages_recovered += 1;
-                            }
-                            None => pages_ignored += 1,
-                        }
-                        mark_page(registry, ids::X, pg);
-                    }
                     gamma_old = f64::INFINITY;
                     alpha_old = 0.0;
                     partials = rebuild_recurrence_state(RebuildCtx {
@@ -731,7 +683,7 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
     let allreduces = comm.collectives();
     Ok(RankOutcome {
         rank: ctx.rank,
-        x_own: x_full[own].to_vec(),
+        x: x_full[own].to_vec(),
         iterations,
         history,
         pages_recovered,

@@ -4,38 +4,39 @@
 //! On the MPI+OmpSs machine of the paper a DUE is *contained to the rank that
 //! owns the faulted page*: the other ranks keep computing, and the recovering
 //! rank reconstructs the lost block with the exact forward interpolations of
-//! Table 1. Since PR 4 the actual iteration machinery lives in two layers:
+//! Table 1. The iteration machinery lives in two layers:
 //!
 //! * the solver-agnostic **engine** ([`feir_recovery::engine`]) owns the
 //!   algebraic recovery relations
 //!   ([`RecoverableIteration`](feir_recovery::RecoverableIteration),
-//!   instantiated here as [`CgRelations`] and [`PcgRelations`]), the
-//!   coupled-row page-reconstruction kernels, scrub-point fault
-//!   materialisation and the FEIR/AFEIR overlap scheduler;
-//! * the generic per-rank loop (the crate-private `rank_loop` module)
-//!   drives one relations instance per rank under the full
-//!   [`RecoveryPolicy`] matrix, using the cross-rank request/reply round
-//!   ([`RankComm::recovery_exchange`]) for
+//!   instantiated as [`CgRelations`], [`PcgRelations`] and their merged
+//!   twins), the coupled-row page-reconstruction kernels and scrub-point
+//!   fault materialisation;
+//! * the generic per-rank loops (the crate-private `rank_loop` and
+//!   `rank_loop_merged` modules) drive one relations instance per rank
+//!   under the full [`RecoveryPolicy`] matrix, using the cross-rank
+//!   request/reply round ([`RankComm::recovery_exchange`]) for
 //!   interpolations whose stencil crosses a rank boundary and the
 //!   **split-phase allreduce** ([`RankComm::start_allreduce`]) so AFEIR
-//!   overlaps page reconstruction with the reduction wait itself.
+//!   posts its recovery requests inside the reduction window.
 //!
-//! This module is the thin instantiation layer on top: configuration,
-//! per-rank fault domains, live injection ([`InjectionDriver`]), and the
-//! public entry points [`distributed_resilient_cg`] /
-//! [`distributed_resilient_pcg`] (block-Jacobi preconditioner with
-//! rank-local page blocks, applied without communication). With **zero
-//! faults both solvers are bitwise-identical to their plain counterparts**
-//! ([`distributed_cg`](crate::cg::distributed_cg) /
-//! [`distributed_pcg`](crate::pcg::distributed_pcg)): the scrub points do no
-//! floating-point work, the fault flag rides the ε reduction as a second
-//! lane (so a fault-free iteration enters the plain loop's 2 or 3
-//! collectives), and every kernel call and reduction happens in the same
-//! order on the same values.
+//! This module is the thin layer on top: configuration, per-rank fault
+//! domains, live injection ([`InjectionDriver`]), the solver enum
+//! [`DistSolver`] — whose crate-private `rank_solve` is the one place a
+//! solver and a policy pick a rank loop, for the in-process threads here
+//! and for the worker processes of [`crate::process`] alike — and the
+//! public entry points [`DistResilientSolver`] and
+//! [`distributed_resilient_cg`] and its three siblings. With **zero faults
+//! every resilient solve is bitwise-identical to its plain counterpart**
+//! ([`distributed_cg`](crate::cg::distributed_cg),
+//! [`distributed_pcg`](crate::pcg::distributed_pcg) and the merged pair):
+//! the scrub points do no floating-point work, the fault flag rides a
+//! reduction the plain loop enters anyway, and every kernel call and
+//! reduction happens in the same order on the same values.
 
 use std::time::{Duration, Instant};
 
-use feir_pagemem::{FaultInjector, InjectionPlan, InjectionReport, VectorId};
+use feir_pagemem::{FaultInjector, InjectionPlan, InjectionReport, PageRegistry, VectorId};
 use feir_recovery::report::DistributedFaultReport;
 use feir_recovery::{
     CgRelations, MergedCgRelations, MergedPcgRelations, PcgRelations, RecoveryPolicy,
@@ -50,11 +51,14 @@ pub use feir_recovery::engine::{
     lossy_interpolate_rows, recover_direction_rows, recover_iterate_rows,
 };
 
-use crate::comm::{effective_ranks, HaloPlan, RankComm};
+use crate::cg::{rank_cg, DistSolveResult};
+use crate::comm::{effective_ranks, CommError, HaloPlan, RankComm};
 use crate::domains::RankDomains;
 use crate::kernels;
+use crate::merged::{rank_cg_merged, rank_pcg_merged};
 use crate::partition::RankPartition;
-use crate::rank_loop::{rank_resilient_solve, RankCtx};
+use crate::pcg::rank_pcg;
+use crate::rank_loop::{rank_resilient_solve, RankCtx, RankOutcome};
 use crate::rank_loop_merged::rank_merged_resilient_solve;
 
 /// The protected vectors of a distributed solve, in registration order
@@ -248,7 +252,7 @@ impl InjectionDriver {
 /// Outcome of a distributed resilient solve.
 #[derive(Debug, Clone)]
 pub struct DistResilientReport {
-    /// Solver variant that ran (`"cg"` or `"pcg"`).
+    /// Solver that ran, by [`DistSolver::name`].
     pub solver: &'static str,
     /// The assembled solution.
     pub x: Vec<f64>,
@@ -306,33 +310,111 @@ impl DistResilientReport {
     }
 }
 
-/// Which engine instantiation a [`DistResilientSolver`] runs.
+/// The four distributed solvers. The discriminant is the solver's code in a
+/// worker's launch frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SolverKind {
-    Cg,
-    Pcg,
-    CgMerged,
-    PcgMerged,
+pub enum DistSolver {
+    /// Classic distributed CG.
+    Cg = 0,
+    /// Block-Jacobi distributed PCG (rank-local page blocks).
+    Pcg = 1,
+    /// Merged-reduction (Chronopoulos–Gear) CG: one vector allreduce per
+    /// iteration.
+    CgMerged = 2,
+    /// Merged-reduction block-Jacobi PCG: one vector allreduce per
+    /// iteration (versus classic PCG's three).
+    PcgMerged = 3,
 }
 
-impl SolverKind {
-    fn name(self) -> &'static str {
+impl DistSolver {
+    /// Every solver, in code order.
+    pub const ALL: [DistSolver; 4] = [
+        DistSolver::Cg,
+        DistSolver::Pcg,
+        DistSolver::CgMerged,
+        DistSolver::PcgMerged,
+    ];
+
+    /// Short name, as reports and overhead tables print it.
+    pub fn name(self) -> &'static str {
         match self {
-            SolverKind::Cg => "cg",
-            SolverKind::Pcg => "pcg",
-            SolverKind::CgMerged => "cg_merged",
-            SolverKind::PcgMerged => "pcg_merged",
+            DistSolver::Cg => "cg",
+            DistSolver::Pcg => "pcg",
+            DistSolver::CgMerged => "cg_merged",
+            DistSolver::PcgMerged => "pcg_merged",
         }
     }
 
-    fn preconditioned(self) -> bool {
-        matches!(self, SolverKind::Pcg | SolverKind::PcgMerged)
+    /// True for the block-Jacobi solvers, which protect `z` as well.
+    pub fn preconditioned(self) -> bool {
+        matches!(self, DistSolver::Pcg | DistSolver::PcgMerged)
+    }
+
+    /// Runs this solver's rank loop on one rank: the plain reference loop
+    /// when `policy` is `None`, else the resilient loop under it (inside
+    /// the elastic rejoin harness when `ctx.elastic` is set). The one place
+    /// a solver and a policy choose a rank loop; both backends call it. The
+    /// relations and the block-Jacobi factor are built here, inside the
+    /// rank: on a real machine they are rank-local setup work.
+    pub(crate) fn rank_solve(
+        self,
+        policy: Option<RecoveryPolicy>,
+        mut ctx: RankCtx<'_>,
+        comm: RankComm,
+    ) -> Result<RankOutcome, CommError> {
+        use DistSolver::*;
+        let (a, b) = (ctx.a, ctx.b);
+        let (tol, maxit) = (ctx.tolerance, ctx.max_iterations);
+        let (own, block) = (ctx.own.clone(), ctx.pages.block_size());
+        // Invariant: `a` is square and `own` lies in its rows, which every
+        // entry point checks before a rank starts.
+        let factor = || {
+            LocalBlockJacobi::new(a, own.clone(), block, true)
+                .expect("rank-local block-Jacobi construction failed")
+        };
+        let Some(policy) = policy else {
+            let partition = &ctx.partition;
+            return match self {
+                Cg => rank_cg(a, b, comm, partition, tol, maxit),
+                Pcg => rank_pcg(a, b, comm, partition, &factor(), tol, maxit),
+                CgMerged => rank_cg_merged(a, b, comm, partition, tol, maxit),
+                PcgMerged => rank_pcg_merged(a, b, comm, partition, &factor(), tol, maxit),
+            };
+        };
+        ctx.policy = policy;
+        match self {
+            CgMerged | PcgMerged if ctx.elastic.is_some() => Err(CommError::Protocol(format!(
+                "{} has no rejoin repair: an elastic fleet runs only the classic cg and pcg \
+                 solvers",
+                self.name()
+            ))),
+            Cg => rank_resilient_solve(ctx, &CgRelations::new(a, b), comm),
+            Pcg => rank_resilient_solve(ctx, &PcgRelations::new(a, b, &factor()), comm),
+            CgMerged => rank_merged_resilient_solve(ctx, &MergedCgRelations::new(a, b), comm),
+            PcgMerged => {
+                rank_merged_resilient_solve(ctx, &MergedPcgRelations::new(a, b, &factor()), comm)
+            }
+        }
     }
 }
 
-/// A distributed resilient solver bound to one system, one rank count and
-/// one set of per-rank fault domains — CG or block-Jacobi PCG, both thin
-/// instantiations of the engine's generic per-rank loop.
+/// Registers the protected vectors of `solver` in one rank's fault domain,
+/// one page each per block of `pages`, in [`ProtectedVector`] id order.
+pub(crate) fn register_protected(
+    registry: &PageRegistry,
+    rank: usize,
+    solver: DistSolver,
+    pages: &BlockPartition,
+) {
+    for vector in ProtectedVector::protected(solver.preconditioned()) {
+        let id = registry.register(format!("rank{rank}/{}", vector.name()), pages.num_blocks());
+        debug_assert_eq!(id, vector.id());
+    }
+}
+
+/// A distributed solver bound to one system, one rank count and one set of
+/// per-rank fault domains — any [`DistSolver`] under any
+/// [`RecoveryPolicy`].
 ///
 /// Create the solver first, then attach injection (an [`InjectionDriver`] on
 /// [`DistResilientSolver::domains`], scripted faults in the config, or
@@ -342,124 +424,60 @@ pub struct DistResilientSolver<'a> {
     a: &'a CsrMatrix,
     b: &'a [f64],
     ranks: usize,
-    kind: SolverKind,
+    solver: DistSolver,
     config: DistResilienceConfig,
     partition: RankPartition,
     plan: HaloPlan,
     domains: RankDomains,
-    pages: Vec<BlockPartition>,
 }
 
-/// The historical name of the CG instantiation;
-/// [`DistResilientSolver::new`] still builds exactly that solver.
-pub type DistResilientCg<'a> = DistResilientSolver<'a>;
-
 impl<'a> DistResilientSolver<'a> {
-    /// Creates the resilient **CG** solver (equivalent to
-    /// [`DistResilientSolver::cg`]; kept as `new` for source compatibility
-    /// with the pre-engine API).
-    pub fn new(a: &'a CsrMatrix, b: &'a [f64], ranks: usize, config: DistResilienceConfig) -> Self {
-        Self::cg(a, b, ranks, config)
-    }
-
-    /// Creates the resilient CG solver and registers the protected vectors
-    /// (`x`, `g`, `d`, `q`) of every rank in its fault domain.
+    /// Creates the resilient `solver` and, when the policy protects
+    /// anything, registers every rank's protected vectors in its fault
+    /// domain: `x`, `g`, `d`, `q`, and `z` for a preconditioned solver. The
+    /// merged solvers map their vectors onto the same ids (`r` at `G`, `p`
+    /// at `D`, `s = A·p` at `Q`, `u = M⁻¹·r` at `Z`), so fault scripts and
+    /// campaigns target both families alike. The block-Jacobi blocks match
+    /// the fault pages (`config.page_doubles`), so the factorization that
+    /// *recovers* a lost `z` page is the one the preconditioner already
+    /// owns — why the paper pairs page-sized Jacobi blocks with FEIR
+    /// (Section 5.1).
     ///
     /// # Panics
     /// Panics if the matrix is not square, `b` has the wrong length, or a
     /// scripted fault targets a rank/page/vector outside the solve.
-    pub fn cg(a: &'a CsrMatrix, b: &'a [f64], ranks: usize, config: DistResilienceConfig) -> Self {
-        Self::build(a, b, ranks, config, SolverKind::Cg)
-    }
-
-    /// Creates the resilient block-Jacobi **PCG** solver; the protected set
-    /// gains the preconditioned residual `z`, and the preconditioner blocks
-    /// match the fault pages (`config.page_doubles`) so the factorization
-    /// needed to *recover* a lost `z` page is the one the preconditioner
-    /// already owns — the reason the paper pairs page-sized Jacobi blocks
-    /// with FEIR (Section 5.1).
-    ///
-    /// # Panics
-    /// Same conditions as [`DistResilientSolver::cg`].
-    pub fn pcg(a: &'a CsrMatrix, b: &'a [f64], ranks: usize, config: DistResilienceConfig) -> Self {
-        Self::build(a, b, ranks, config, SolverKind::Pcg)
-    }
-
-    /// Creates the resilient **merged-reduction CG** solver (the pipelined
-    /// Chronopoulos–Gear hot path of
-    /// [`distributed_cg_merged`](crate::merged::distributed_cg_merged)). The
-    /// protected ids map onto the merged vectors: `x` (iterate), `r`
-    /// (residual, id `G`), `p` (direction, id `D`) and `s = A·p` (id `Q`);
-    /// the forward policies fold their fault flag into the iteration's one
-    /// vector allreduce, so the fault-free solve is bitwise-identical to the
-    /// plain merged loop *and* still issues exactly one collective per
-    /// iteration.
-    ///
-    /// # Panics
-    /// Same conditions as [`DistResilientSolver::cg`].
-    pub fn cg_merged(
+    pub fn new(
+        solver: DistSolver,
         a: &'a CsrMatrix,
         b: &'a [f64],
         ranks: usize,
         config: DistResilienceConfig,
     ) -> Self {
-        Self::build(a, b, ranks, config, SolverKind::CgMerged)
-    }
-
-    /// Creates the resilient **merged-reduction block-Jacobi PCG** solver
-    /// (the engine twin of
-    /// [`distributed_pcg_merged`](crate::merged::distributed_pcg_merged));
-    /// the protected set gains `u = M⁻¹·r` at id `Z`, re-solved from the
-    /// factorized diagonal blocks exactly like classic PCG's `z`.
-    ///
-    /// # Panics
-    /// Same conditions as [`DistResilientSolver::cg`].
-    pub fn pcg_merged(
-        a: &'a CsrMatrix,
-        b: &'a [f64],
-        ranks: usize,
-        config: DistResilienceConfig,
-    ) -> Self {
-        Self::build(a, b, ranks, config, SolverKind::PcgMerged)
-    }
-
-    fn build(
-        a: &'a CsrMatrix,
-        b: &'a [f64],
-        ranks: usize,
-        config: DistResilienceConfig,
-        kind: SolverKind,
-    ) -> Self {
-        assert_eq!(a.rows(), a.cols(), "resilient solve needs a square matrix");
+        assert_eq!(
+            a.rows(),
+            a.cols(),
+            "distributed solve needs a square matrix"
+        );
         assert_eq!(a.rows(), b.len(), "rhs length mismatch");
         let ranks = effective_ranks(a.rows(), ranks);
         let partition = RankPartition::new(a.rows(), ranks);
         let plan = HaloPlan::build(a, &partition);
         let domains = RankDomains::new(ranks);
-        // The merged solvers reuse the classic ids for their renamed
-        // vectors (G = r, D = p, Q = s, Z = u), so fault scripts and
-        // campaigns target both families uniformly.
-        let protected = ProtectedVector::protected(kind.preconditioned());
+        let protected = ProtectedVector::protected(solver.preconditioned());
         // Clamp like `distributed_pcg` does, so the bitwise-identity pairing
         // of the plain and resilient entry points holds for every input.
         let page_doubles = config.page_doubles.max(1);
-        let mut pages = Vec::with_capacity(ranks);
-        for rank in 0..ranks {
-            let local = BlockPartition::new(partition.range(rank).len(), page_doubles);
-            if config.policy.needs_protection() {
-                let registry = domains.registry(rank);
-                for vector in protected {
-                    let id = registry
-                        .register(format!("rank{rank}/{}", vector.name()), local.num_blocks());
-                    debug_assert_eq!(id, vector.id());
-                }
-            }
-            pages.push(local);
-        }
-        // A scripted fault outside the (possibly clamped) rank/page/vector
-        // space would silently never fire and the experiment would measure a
-        // fault-free run while claiming otherwise — reject it up front.
+        let pages: Vec<BlockPartition> = (0..ranks)
+            .map(|rank| BlockPartition::new(partition.range(rank).len(), page_doubles))
+            .collect();
         if config.policy.needs_protection() {
+            for (rank, local) in pages.iter().enumerate() {
+                register_protected(&domains.registry(rank), rank, solver, local);
+            }
+            // A scripted fault outside the (possibly clamped)
+            // rank/page/vector space would silently never fire and the
+            // experiment would measure a fault-free run while claiming
+            // otherwise — reject it up front.
             for fault in &config.scripted_faults {
                 assert!(
                     fault.rank < ranks,
@@ -487,12 +505,11 @@ impl<'a> DistResilientSolver<'a> {
             a,
             b,
             ranks,
-            kind,
+            solver,
             config,
             partition,
             plan,
             domains,
-            pages,
         }
     }
 
@@ -512,118 +529,41 @@ impl<'a> DistResilientSolver<'a> {
         &self.config
     }
 
+    /// Runs [`DistSolver::rank_solve`] on one thread per rank and folds the
+    /// outcomes. `policy` `None` runs the plain loops.
+    fn run_ranks(&self, policy: Option<RecoveryPolicy>) -> RankOutcome {
+        let (a, b, partition, config) = (self.a, self.b, &self.partition, &self.config);
+        let comms = RankComm::for_ranks(&self.plan, self.ranks);
+        let outcomes: Vec<RankOutcome> = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(self.ranks);
+            for comm in comms {
+                let rank = comm.rank();
+                let ctx = RankCtx::new(a, b, partition, rank, config, self.domains.registry(rank));
+                handles.push(scope.spawn(move || {
+                    feir_trace::set_thread_rank(rank as u32);
+                    self.solver.rank_solve(policy, ctx, comm)
+                }));
+            }
+            // On the in-process backend a comm error implies a dead sibling
+            // thread, which the join reports first.
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("rank thread panicked"))
+                .map(|outcome| outcome.expect("in-process comm failed"))
+                .collect()
+        });
+        RankOutcome::fold(partition, outcomes)
+    }
+
     /// Runs the solve. Consumes the solver (the protected vectors are bound
     /// to this run's fault domains).
     pub fn solve(self) -> DistResilientReport {
         let start = Instant::now();
-        let n = self.a.rows();
-        let comms = RankComm::for_ranks(&self.plan, self.ranks);
-        let kind = self.kind;
-
-        let mut x = vec![0.0; n];
-        let mut iterations = 0;
-        let mut residual_history = Vec::new();
-        let mut pages_recovered = 0;
-        let mut pages_coupled = 0;
-        let mut pages_ignored = 0;
-        let mut cross_rank_values = 0;
-        let mut rollbacks = 0;
-        let mut restarts = 0;
-        let mut allreduces = 0;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.ranks);
-            for comm in comms {
-                let rank = comm.rank();
-                let ctx = RankCtx {
-                    a: self.a,
-                    b: self.b,
-                    policy: self.config.policy,
-                    tolerance: self.config.tolerance,
-                    max_iterations: self.config.max_iterations,
-                    rank,
-                    own: self.partition.range(rank),
-                    pages: self.pages[rank],
-                    registry: self.domains.registry(rank),
-                    partition: self.partition.clone(),
-                    scripted: self
-                        .config
-                        .scripted_faults
-                        .iter()
-                        .filter(|f| f.rank == rank)
-                        .copied()
-                        .collect(),
-                    throttle: Duration::ZERO,
-                };
-                handles.push(scope.spawn(move || {
-                    feir_trace::set_thread_rank(rank as u32);
-                    // The engine relations are built inside the rank thread:
-                    // on a real machine the preconditioner factorization is
-                    // rank-local work.
-                    match kind {
-                        SolverKind::Cg => {
-                            let relations = CgRelations::new(ctx.a, ctx.b);
-                            rank_resilient_solve(ctx, &relations, comm)
-                        }
-                        SolverKind::Pcg => {
-                            let jacobi = LocalBlockJacobi::new(
-                                ctx.a,
-                                ctx.own.clone(),
-                                ctx.pages.block_size(),
-                                true,
-                            )
-                            .expect("rank-local block-Jacobi construction failed");
-                            let relations = PcgRelations::new(ctx.a, ctx.b, &jacobi);
-                            rank_resilient_solve(ctx, &relations, comm)
-                        }
-                        SolverKind::CgMerged => {
-                            let relations = MergedCgRelations::new(ctx.a, ctx.b);
-                            rank_merged_resilient_solve(ctx, &relations, comm)
-                        }
-                        SolverKind::PcgMerged => {
-                            let jacobi = LocalBlockJacobi::new(
-                                ctx.a,
-                                ctx.own.clone(),
-                                ctx.pages.block_size(),
-                                true,
-                            )
-                            .expect("rank-local block-Jacobi construction failed");
-                            let relations = MergedPcgRelations::new(ctx.a, ctx.b, &jacobi);
-                            rank_merged_resilient_solve(ctx, &relations, comm)
-                        }
-                    }
-                }));
-            }
-            for handle in handles {
-                // On the in-process backend a comm error implies a dead
-                // sibling thread, which the join reports first.
-                let outcome = handle
-                    .join()
-                    .expect("rank thread panicked")
-                    .expect("in-process comm failed");
-                x[self.partition.range(outcome.rank)].copy_from_slice(&outcome.x_own);
-                iterations = outcome.iterations;
-                if outcome.rank == 0 {
-                    residual_history = outcome.history;
-                }
-                pages_recovered += outcome.pages_recovered;
-                pages_coupled += outcome.pages_coupled;
-                pages_ignored += outcome.pages_ignored;
-                cross_rank_values += outcome.cross_rank_values;
-                // Rollbacks and restarts are global events: every rank
-                // executes them together, so any one rank's count is the
-                // machine count.
-                if outcome.rank == 0 {
-                    rollbacks = outcome.rollbacks;
-                    restarts = outcome.restarts;
-                    allreduces = outcome.allreduces;
-                }
-            }
-        });
+        let outcome = self.run_ranks(Some(self.config.policy));
 
         // Explicit residual on the assembled solution: honest convergence
         // reporting even when blank-accepted pages corrupted the solver's ε.
-        let relative_residual = kernels::explicit_relative_residual(self.a, self.b, &x);
+        let relative_residual = kernels::explicit_relative_residual(self.a, self.b, &outcome.x);
 
         let mut faults = DistributedFaultReport::new(self.ranks);
         for counts in self.domains.per_rank_counts() {
@@ -636,25 +576,48 @@ impl<'a> DistResilientSolver<'a> {
         }
 
         DistResilientReport {
-            solver: kind.name(),
-            x,
-            iterations,
+            solver: self.solver.name(),
+            x: outcome.x,
+            iterations: outcome.iterations,
             relative_residual,
             converged: relative_residual <= self.config.tolerance,
             ranks: self.ranks,
             policy: self.config.policy,
-            residual_history,
+            residual_history: outcome.history,
             faults,
-            pages_recovered,
-            pages_coupled,
-            pages_ignored,
-            cross_rank_values,
-            rollbacks,
-            restarts,
-            allreduces,
+            pages_recovered: outcome.pages_recovered,
+            pages_coupled: outcome.pages_coupled,
+            pages_ignored: outcome.pages_ignored,
+            cross_rank_values: outcome.cross_rank_values,
+            rollbacks: outcome.rollbacks,
+            restarts: outcome.restarts,
+            allreduces: outcome.allreduces,
             elapsed: start.elapsed(),
             trace: crate::cg::collect_thread_trace(),
         }
+    }
+}
+
+/// The plain (unprotected) solve of `solver` on in-process ranks — the body
+/// of [`distributed_cg`](crate::cg::distributed_cg) and its three siblings.
+pub(crate) fn plain_solve(
+    solver: DistSolver,
+    a: &CsrMatrix,
+    b: &[f64],
+    ranks: usize,
+    page_doubles: usize,
+    tolerance: f64,
+    max_iterations: usize,
+) -> DistSolveResult {
+    let config = DistResilienceConfig::for_policy(RecoveryPolicy::Ideal)
+        .with_page_doubles(page_doubles)
+        .with_tolerance(tolerance)
+        .with_max_iterations(max_iterations);
+    let solve = DistResilientSolver::new(solver, a, b, ranks, config);
+    let outcome = solve.run_ranks(None);
+    DistSolveResult {
+        trace: crate::cg::collect_thread_trace(),
+        ..DistSolveResult::assemble(a, b, tolerance, solve.ranks, outcome)
     }
 }
 
@@ -666,25 +629,23 @@ pub fn distributed_resilient_cg(
     ranks: usize,
     config: DistResilienceConfig,
 ) -> DistResilientReport {
-    DistResilientSolver::cg(a, b, ranks, config).solve()
+    DistResilientSolver::new(DistSolver::Cg, a, b, ranks, config).solve()
 }
 
-/// One-shot form of the resilient block-Jacobi PCG (see
-/// [`DistResilientSolver::pcg`]). With zero faults the solve is
-/// bitwise-identical to [`distributed_pcg`](crate::pcg::distributed_pcg) at
-/// the same page size.
+/// One-shot form of the resilient block-Jacobi PCG. With zero faults the
+/// solve is bitwise-identical to
+/// [`distributed_pcg`](crate::pcg::distributed_pcg) at the same page size.
 pub fn distributed_resilient_pcg(
     a: &CsrMatrix,
     b: &[f64],
     ranks: usize,
     config: DistResilienceConfig,
 ) -> DistResilientReport {
-    DistResilientSolver::pcg(a, b, ranks, config).solve()
+    DistResilientSolver::new(DistSolver::Pcg, a, b, ranks, config).solve()
 }
 
-/// One-shot form of the resilient merged-reduction CG (see
-/// [`DistResilientSolver::cg_merged`]). With zero faults the solve is
-/// bitwise-identical to
+/// One-shot form of the resilient merged-reduction CG. With zero faults the
+/// solve is bitwise-identical to
 /// [`distributed_cg_merged`](crate::merged::distributed_cg_merged), and the
 /// forward policies still issue exactly one allreduce per fault-free
 /// iteration — the fault flag rides inside the vector collective. Extra
@@ -697,12 +658,11 @@ pub fn distributed_resilient_cg_merged(
     ranks: usize,
     config: DistResilienceConfig,
 ) -> DistResilientReport {
-    DistResilientSolver::cg_merged(a, b, ranks, config).solve()
+    DistResilientSolver::new(DistSolver::CgMerged, a, b, ranks, config).solve()
 }
 
-/// One-shot form of the resilient merged-reduction block-Jacobi PCG (see
-/// [`DistResilientSolver::pcg_merged`]). With zero faults the solve is
-/// bitwise-identical to
+/// One-shot form of the resilient merged-reduction block-Jacobi PCG. With
+/// zero faults the solve is bitwise-identical to
 /// [`distributed_pcg_merged`](crate::merged::distributed_pcg_merged) at the
 /// same page size.
 pub fn distributed_resilient_pcg_merged(
@@ -711,5 +671,5 @@ pub fn distributed_resilient_pcg_merged(
     ranks: usize,
     config: DistResilienceConfig,
 ) -> DistResilientReport {
-    DistResilientSolver::pcg_merged(a, b, ranks, config).solve()
+    DistResilientSolver::new(DistSolver::PcgMerged, a, b, ranks, config).solve()
 }

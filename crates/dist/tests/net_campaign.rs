@@ -5,7 +5,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use feir_dist::{KillSchedule, NetFaultCampaign, WorkerSolver};
+use feir_dist::{DistSolver, KillSchedule, NetFaultCampaign};
 use feir_recovery::RecoveryPolicy;
 
 fn worker() -> &'static Path {
@@ -15,7 +15,7 @@ fn worker() -> &'static Path {
 #[test]
 fn net_campaign_sweeps_chaos_and_respawn_cells() {
     let campaign = NetFaultCampaign {
-        solver: WorkerSolver::Cg,
+        solver: DistSolver::Cg,
         policies: vec![RecoveryPolicy::Feir, RecoveryPolicy::Afeir],
         frame_fault_rates: vec![0.0, 0.02],
         schedules: vec![
@@ -70,7 +70,7 @@ fn net_campaign_trivial_replace_smoke_under_chaos() {
     // the ack/retransmit sublayer absorbs (shipped in the WorkerConfig frame) —
     // must replay the ideal iteration sequence exactly.
     let campaign = NetFaultCampaign {
-        solver: WorkerSolver::Cg,
+        solver: DistSolver::Cg,
         policies: vec![RecoveryPolicy::TrivialReplace],
         frame_fault_rates: vec![0.0, 0.02],
         schedules: vec![KillSchedule::None],

@@ -11,9 +11,11 @@ use std::path::Path;
 use std::time::Duration;
 
 use feir_dist::{
-    distributed_cg, distributed_pcg, distributed_resilient_cg, solve_with_processes, spawn_workers,
-    spawn_workers_with, ChaosConfig, CommError, DistResilienceConfig, DistSolveResult,
-    ProcessError, ProcessSpec, Transport, WorkerHandles, WorkerOptions, WorkerSolver,
+    distributed_cg, distributed_cg_merged, distributed_pcg, distributed_pcg_merged,
+    distributed_resilient_cg, distributed_resilient_cg_merged, distributed_resilient_pcg_merged,
+    solve_with_processes, spawn_workers, spawn_workers_with, ChaosConfig, CommError,
+    DistResilienceConfig, DistSolveResult, DistSolver, ProcessError, ProcessSpec, Transport,
+    WorkerHandles, WorkerOptions,
 };
 use feir_recovery::RecoveryPolicy;
 use feir_sparse::generators::{manufactured_rhs, poisson_2d};
@@ -95,7 +97,7 @@ fn process_backend_pcg_is_bitwise_identical_to_in_process() {
     let (_, b) = manufactured_rhs(&a, 5);
     for ranks in [2usize, 4] {
         let spec = ProcessSpec {
-            solver: WorkerSolver::Pcg,
+            solver: DistSolver::Pcg,
             page_doubles: 2,
             ..ProcessSpec::cg(grid, ranks)
         };
@@ -186,7 +188,7 @@ fn chaos_mesh_pcg_is_bitwise_identical_to_clean_at_2_and_4_ranks() {
     let (_, b) = manufactured_rhs(&a, 5);
     for ranks in [2usize, 4] {
         let spec = ProcessSpec {
-            solver: WorkerSolver::Pcg,
+            solver: DistSolver::Pcg,
             page_doubles: 2,
             ..ProcessSpec::cg(grid, ranks)
         };
@@ -552,5 +554,119 @@ fn killing_a_rank_mid_solve_is_a_typed_disconnect_not_a_hang() {
             "solve unexpectedly completed ({} iterations) despite the killed rank",
             result.iterations
         ),
+    }
+}
+
+/// A fresh UDS rendezvous directory for one fleet of the merged-solver tests.
+fn merged_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("feir-merged-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Asserts the bits of a solution and a residual history agree.
+fn assert_same_bits(label: &str, got: (&[f64], &[f64]), want: (&[f64], &[f64])) {
+    for (what, got, want) in [("x", got.0, want.0), ("history", got.1, want.1)] {
+        assert_eq!(got.len(), want.len(), "{label}: {what} lengths differ");
+        for (i, (u, v)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                u.to_bits(),
+                v.to_bits(),
+                "{label}: {what}[{i}] {u:e} vs {v:e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn merged_solvers_over_processes_are_bitwise_identical_to_in_process() {
+    let grid = 13;
+    let a = poisson_2d(grid);
+    let (_, b) = manufactured_rhs(&a, 5);
+    for solver in [DistSolver::CgMerged, DistSolver::PcgMerged] {
+        let spec = ProcessSpec {
+            solver,
+            page_doubles: 8,
+            ..ProcessSpec::cg(grid, 2)
+        };
+        let via_processes = solve_with_processes(worker(), &spec).expect("merged solve failed");
+        let (tol, maxit) = (spec.tolerance, spec.max_iterations);
+        let in_process = match solver {
+            DistSolver::CgMerged => distributed_cg_merged(&a, &b, 2, tol, maxit),
+            _ => distributed_pcg_merged(&a, &b, 2, spec.page_doubles, tol, maxit),
+        };
+        let label = solver.name();
+        assert_bitwise_identical(label, &via_processes, &in_process);
+        assert_eq!(via_processes.allreduces, in_process.allreduces, "{label}");
+        // One vector allreduce per iteration plus the two opening ones (‖b‖
+        // and the first batched reduction).
+        assert_eq!(
+            via_processes.allreduces,
+            via_processes.iterations as u64 + 2
+        );
+    }
+}
+
+#[test]
+fn resilient_merged_solvers_over_processes_match_in_process() {
+    let grid = 13;
+    let a = poisson_2d(grid);
+    let (_, b) = manufactured_rhs(&a, 5);
+    for solver in [DistSolver::CgMerged, DistSolver::PcgMerged] {
+        let spec = ProcessSpec {
+            solver,
+            page_doubles: 8,
+            ..ProcessSpec::cg(grid, 2)
+        };
+        let options = WorkerOptions {
+            policy: Some(RecoveryPolicy::Feir),
+            ..WorkerOptions::default()
+        };
+        let dir = merged_dir(solver.name());
+        let via_processes = spawn_workers_with(worker(), &spec, &Transport::Uds { dir }, &options)
+            .expect("resilient merged spawn failed")
+            .join()
+            .expect("resilient merged solve failed");
+        let config = DistResilienceConfig::for_policy(RecoveryPolicy::Feir)
+            .with_page_doubles(spec.page_doubles)
+            .with_tolerance(spec.tolerance)
+            .with_max_iterations(spec.max_iterations);
+        let in_process = match solver {
+            DistSolver::CgMerged => distributed_resilient_cg_merged(&a, &b, 2, config),
+            _ => distributed_resilient_pcg_merged(&a, &b, 2, config),
+        };
+        let label = solver.name();
+        assert!(via_processes.converged, "{label} did not converge");
+        assert_eq!(via_processes.iterations, in_process.iterations, "{label}");
+        assert_eq!(via_processes.allreduces, in_process.allreduces, "{label}");
+        assert_same_bits(
+            label,
+            (&via_processes.x, &via_processes.residual_history),
+            (&in_process.x, &in_process.residual_history),
+        );
+    }
+}
+
+#[test]
+fn an_elastic_fleet_refuses_a_merged_solver_with_a_typed_error() {
+    let spec = ProcessSpec {
+        solver: DistSolver::CgMerged,
+        ..ProcessSpec::cg(8, 2)
+    };
+    let options = WorkerOptions {
+        policy: Some(RecoveryPolicy::Feir),
+        elastic: true,
+        ..WorkerOptions::default()
+    };
+    let dir = merged_dir("elastic");
+    let result = spawn_workers_with(worker(), &spec, &Transport::Uds { dir }, &options)
+        .expect("elastic spawn failed")
+        .join();
+    match result {
+        Err(ProcessError::Worker { message, .. }) => {
+            assert!(message.contains("no rejoin repair"), "{message}");
+        }
+        Err(other) => panic!("expected the worker's refusal, got: {other}"),
+        Ok(_) => panic!("an elastic fleet ran a merged solver"),
     }
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 use feir_dist::resilient::{recover_direction_rows, recover_iterate_rows};
 use feir_dist::{
     distributed_cg, distributed_resilient_cg, distributed_resilient_pcg, DistResilienceConfig,
-    DistResilientCg, InjectionDriver, ProtectedVector, ScriptedFault,
+    DistResilientSolver, DistSolver, InjectionDriver, ProtectedVector, ScriptedFault,
 };
 use feir_pagemem::InjectionPlan;
 use feir_recovery::{BlockRecovery, RecoveryPolicy};
@@ -418,7 +418,8 @@ fn live_injection_streams_are_attributed_per_rank() {
     let a = poisson_2d(20);
     let (_, b) = manufactured_rhs(&a, 2);
     let ranks = 3;
-    let solver = DistResilientCg::new(&a, &b, ranks, config(RecoveryPolicy::Afeir));
+    let solver =
+        DistResilientSolver::new(DistSolver::Cg, &a, &b, ranks, config(RecoveryPolicy::Afeir));
     let driver = InjectionDriver::start_uniform(
         solver.domains(),
         &InjectionPlan::Exponential {
@@ -496,7 +497,7 @@ fn feir_survives_a_multi_vector_fault_storm() {
 fn faults_before_and_at_iteration_zero_are_harmless() {
     let a: CsrMatrix = poisson_2d(10);
     let (_, b) = manufactured_rhs(&a, 1);
-    let solver = DistResilientCg::new(&a, &b, 2, config(RecoveryPolicy::Feir));
+    let solver = DistResilientSolver::new(DistSolver::Cg, &a, &b, 2, config(RecoveryPolicy::Feir));
     // Pre-solve injection into x and d of rank 0.
     let registry = solver.domains().registry(0);
     registry.inject(ProtectedVector::X.id(), 0);

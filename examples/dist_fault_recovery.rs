@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use feir::dist::{
     distributed_cg, distributed_pcg, distributed_resilient_cg, distributed_resilient_pcg,
-    CampaignSolver, DistResilienceConfig, DistResilientCg, FaultCampaign, InjectionDriver,
+    DistResilienceConfig, DistResilientSolver, DistSolver, FaultCampaign, InjectionDriver,
     ProtectedVector, ScriptedFault,
 };
 use feir::pagemem::InjectionPlan;
@@ -138,7 +138,8 @@ fn main() {
     );
 
     // ---- 3. Live per-rank injector streams --------------------------------
-    let solver = DistResilientCg::new(&a, &b, ranks, config(RecoveryPolicy::Afeir));
+    let solver =
+        DistResilientSolver::new(DistSolver::Cg, &a, &b, ranks, config(RecoveryPolicy::Afeir));
     let driver = InjectionDriver::start_uniform(
         solver.domains(),
         &InjectionPlan::Exponential {
@@ -163,7 +164,7 @@ fn main() {
 
     // ---- 4. A small fault campaign over both solver variants --------------
     let campaign = FaultCampaign {
-        solvers: vec![CampaignSolver::Cg, CampaignSolver::Pcg],
+        solvers: vec![DistSolver::Cg, DistSolver::Pcg],
         policies: vec![
             RecoveryPolicy::Afeir,
             RecoveryPolicy::Feir,

@@ -1,8 +1,8 @@
 //! The multi-process transport end to end: each rank a real OS process, a
 //! Unix-domain-socket mesh speaking the versioned `feir-wire` frame
 //! protocol — and the assembled solve **bitwise identical** to the
-//! in-process channel backend at 2 and 4 ranks, for both CG and the
-//! block-Jacobi PCG.
+//! in-process channel backend at 2 and 4 ranks, for all four solvers:
+//! classic CG, block-Jacobi PCG and their merged-reduction twins.
 //!
 //! ```text
 //! cargo run --release --example dist_process
@@ -16,8 +16,8 @@
 use std::process::ExitCode;
 
 use feir::dist::{
-    distributed_cg, distributed_pcg, solve_with_processes, spawned_as_worker, worker_main,
-    DistSolveResult, ProcessSpec, WorkerSolver,
+    distributed_cg, distributed_cg_merged, distributed_pcg, distributed_pcg_merged,
+    solve_with_processes, spawned_as_worker, worker_main, DistSolveResult, DistSolver, ProcessSpec,
 };
 use feir::sparse::generators::{manufactured_rhs, poisson_2d};
 
@@ -52,46 +52,38 @@ fn main() -> ExitCode {
         "scenario", "ranks", "iters", "rel_residual", "bitwise"
     );
     for ranks in [2usize, 4] {
-        // CG: one process per rank over a Unix-socket mesh…
-        let spec = ProcessSpec::cg(grid, ranks);
-        let via_processes = solve_with_processes(&worker, &spec).expect("multi-process CG failed");
-        // …against the same rank loop on in-process channels.
-        let in_process = distributed_cg(&a, &b, ranks, spec.tolerance, spec.max_iterations);
-        let identical = bitwise_identical(&via_processes, &in_process);
-        println!(
-            "  {:<22} {:>6} {:>7} {:>13.2e} {:>9}",
-            "cg/processes",
-            ranks,
-            via_processes.iterations,
-            via_processes.relative_residual,
-            identical
-        );
-        assert!(identical, "CG over processes diverged from in-process");
-
-        let spec = ProcessSpec {
-            solver: WorkerSolver::Pcg,
-            page_doubles: 2,
-            ..ProcessSpec::cg(grid, ranks)
-        };
-        let via_processes = solve_with_processes(&worker, &spec).expect("multi-process PCG failed");
-        let in_process = distributed_pcg(
-            &a,
-            &b,
-            ranks,
-            spec.page_doubles,
-            spec.tolerance,
-            spec.max_iterations,
-        );
-        let identical = bitwise_identical(&via_processes, &in_process);
-        println!(
-            "  {:<22} {:>6} {:>7} {:>13.2e} {:>9}",
-            "pcg/processes",
-            ranks,
-            via_processes.iterations,
-            via_processes.relative_residual,
-            identical
-        );
-        assert!(identical, "PCG over processes diverged from in-process");
+        for solver in DistSolver::ALL {
+            // One process per rank over a Unix-socket mesh…
+            let spec = ProcessSpec {
+                solver,
+                page_doubles: 2,
+                ..ProcessSpec::cg(grid, ranks)
+            };
+            let via_processes =
+                solve_with_processes(&worker, &spec).expect("multi-process solve failed");
+            // …against the same rank loop on in-process channels.
+            let (page, tol, maxit) = (spec.page_doubles, spec.tolerance, spec.max_iterations);
+            let in_process = match solver {
+                DistSolver::Cg => distributed_cg(&a, &b, ranks, tol, maxit),
+                DistSolver::Pcg => distributed_pcg(&a, &b, ranks, page, tol, maxit),
+                DistSolver::CgMerged => distributed_cg_merged(&a, &b, ranks, tol, maxit),
+                DistSolver::PcgMerged => distributed_pcg_merged(&a, &b, ranks, page, tol, maxit),
+            };
+            let identical = bitwise_identical(&via_processes, &in_process);
+            println!(
+                "  {:<22} {:>6} {:>7} {:>13.2e} {:>9}",
+                format!("{}/processes", solver.name()),
+                ranks,
+                via_processes.iterations,
+                via_processes.relative_residual,
+                identical
+            );
+            assert!(
+                identical,
+                "{} over processes diverged from in-process",
+                solver.name()
+            );
+        }
     }
 
     println!(

@@ -28,7 +28,7 @@ fn main() {
     let cfg = HarnessConfig::from_env();
     let matrix = PaperMatrix::Thermal2;
     let (a, b) = cfg.build_system(matrix);
-    println!("# Figure 3: convergence with a single error in x at 50% of the ideal solve time");
+    println!("# Figure 3: convergence with a single error in x at 50% of the ideal iterations");
     println!("# matrix proxy: {} (n = {})", matrix.name(), a.rows());
 
     let resilience_ref = cfg.resilience(RecoveryPolicy::Ideal, false);
@@ -50,7 +50,7 @@ fn main() {
         let resilience = cfg.resilience(policy, false);
         // Flat page 0 = first page of x, matching the paper's injection target.
         let report =
-            run_with_single_error(&a, &b, &resilience, &cfg.options, ideal.elapsed, 0.5, 0);
+            run_with_single_error(&a, &b, &resilience, &cfg.options, ideal.iterations, 0.5, 0);
         println!(
             "# {name}: {} iterations, {:.3}s, converged={}, faults={}, recovered={}, rollbacks={}, restarts={}",
             report.iterations,

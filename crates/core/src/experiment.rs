@@ -1,9 +1,9 @@
-//! Experiment driver: sets up the solver, the fault injector and the error
-//! rates exactly the way the paper's evaluation does (Section 5).
+//! Experiment driver: sets up the solver, the fault stream and the error
+//! rates the way the paper's evaluation does (Section 5), on the iteration
+//! clock: a rate is normalised to the ideal solve's iteration count, not its
+//! wall time, so every run replays bit for bit.
 
-use std::time::Duration;
-
-use feir_pagemem::{FaultInjector, InjectionPlan};
+use feir_pagemem::{FaultSchedule, FaultStream};
 use feir_recovery::{RecoveryPolicy, ResilienceConfig, ResilientCg, RunReport};
 use feir_solvers::SolveOptions;
 use feir_sparse::CsrMatrix;
@@ -14,8 +14,9 @@ use serde::{Deserialize, Serialize};
 pub struct ExperimentConfig {
     /// Resilience configuration (policy, page size, preconditioning).
     pub resilience: ResilienceConfig,
-    /// Normalised error frequency `n`: `n` expected errors per ideal solve
-    /// time (the x-axis annotation of Figure 4). Zero disables injection.
+    /// Normalised error frequency `n`: `n` expected errors per ideal solve,
+    /// counted in its iterations (the x-axis annotation of Figure 4). Zero
+    /// disables injection.
     pub normalized_error_rate: f64,
     /// RNG seed for the injection stream.
     pub seed: u64,
@@ -53,8 +54,9 @@ pub struct SlowdownRecord {
     pub iterations: usize,
 }
 
-/// Runs the ideal (non-resilient) CG/PCG and returns its report; its elapsed
-/// time is the `τ` every error rate is normalised to.
+/// Runs the ideal (non-resilient) CG/PCG and returns its report; its
+/// iteration count is the clock every error rate is normalised to, its
+/// elapsed time the reference of every slowdown.
 pub fn measure_ideal(
     a: &CsrMatrix,
     b: &[f64],
@@ -78,43 +80,38 @@ pub fn run_overhead(
     ResilientCg::new(a, b, resilience.clone()).solve(options)
 }
 
-/// Runs a resilient solve under an exponential error stream whose MTBE is the
-/// ideal solve time divided by `normalized_rate` (Section 5.3).
+/// Runs a resilient solve under the exponential error stream of Section 5.3
+/// on the iteration clock: a mean of `ideal_iterations ÷ normalized_rate`
+/// iterations between DUEs.
 pub fn run_with_errors(
     a: &CsrMatrix,
     b: &[f64],
     config: &ExperimentConfig,
-    ideal_time: Duration,
+    ideal_iterations: usize,
 ) -> RunReport {
-    let solver = ResilientCg::new(a, b, config.resilience.clone());
-    let registry = solver.registry();
-    let plan = InjectionPlan::normalized(config.normalized_error_rate, ideal_time, config.seed);
-    let injector = FaultInjector::start(registry, plan);
-    let report = solver.solve(&config.options);
-    injector.stop();
-    report
+    let stream =
+        FaultStream::normalized(config.normalized_error_rate, ideal_iterations, config.seed);
+    ResilientCg::new(a, b, config.resilience.clone())
+        .with_faults(stream.map_or_else(FaultSchedule::default, FaultSchedule::Stream))
+        .solve(&config.options)
 }
 
-/// Runs a resilient solve with exactly one error injected at
-/// `fraction_of_ideal · ideal_time` into the given flat page index
-/// (`usize::MAX` = random page), reproducing the single-error convergence
-/// trace of Figure 3.
+/// Runs a resilient solve with exactly one error, struck at the top of
+/// iteration `⌊fraction_of_ideal · ideal_iterations⌋` into the given flat
+/// page index, reproducing the single-error convergence trace of Figure 3.
 pub fn run_with_single_error(
     a: &CsrMatrix,
     b: &[f64],
     resilience: &ResilienceConfig,
     options: &SolveOptions,
-    ideal_time: Duration,
+    ideal_iterations: usize,
     fraction_of_ideal: f64,
     flat_page: usize,
 ) -> RunReport {
-    let solver = ResilientCg::new(a, b, resilience.clone());
-    let registry = solver.registry();
-    let at = ideal_time.mul_f64(fraction_of_ideal.max(0.0));
-    let injector = FaultInjector::start(registry, InjectionPlan::Scheduled(vec![(at, flat_page)]));
-    let report = solver.solve(options);
-    injector.stop();
-    report
+    let at = (ideal_iterations as f64 * fraction_of_ideal.max(0.0)) as usize;
+    ResilientCg::new(a, b, resilience.clone())
+        .with_faults(FaultSchedule::Listed(vec![(at, flat_page)]))
+        .solve(options)
 }
 
 #[cfg(test)]
@@ -162,13 +159,9 @@ mod tests {
         let (_, b) = manufactured_rhs(&a, 3);
         let cfg = config(RecoveryPolicy::Feir, 5.0);
         let ideal = measure_ideal(&a, &b, &cfg.resilience, &cfg.options);
-        // The normalized plan injects on a wall-clock schedule, so on a
-        // loaded machine a single slow solve can absorb far more than
-        // `rate` faults and cascade past the iteration budget. Allow a
-        // couple of attempts before declaring FEIR unable to converge.
-        let budget = ideal.elapsed.max(Duration::from_millis(5));
-        let converged = (0..3).any(|_| run_with_errors(&a, &b, &cfg, budget).converged());
-        assert!(converged);
+        let report = run_with_errors(&a, &b, &cfg, ideal.iterations);
+        assert!(report.faults_discovered > 0);
+        assert!(report.converged());
     }
 
     #[test]
@@ -177,17 +170,18 @@ mod tests {
         let (_, b) = manufactured_rhs(&a, 4);
         let cfg = config(RecoveryPolicy::Feir, 0.0);
         let ideal = measure_ideal(&a, &b, &cfg.resilience, &cfg.options);
-        // Inject into page 0 of x (flat index 0) at 30% of the ideal time.
+        // Strike page 0 of x (flat index 0) at 30% of the ideal iterations.
         let report = run_with_single_error(
             &a,
             &b,
             &cfg.resilience,
             &cfg.options,
-            ideal.elapsed.max(Duration::from_millis(10)),
+            ideal.iterations,
             0.3,
             0,
         );
         assert!(report.converged());
+        assert_eq!(report.faults_discovered, 1);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * [`experiment::run_overhead`] — a resilient run with *no* injected errors
 //!   (Table 2);
 //! * [`experiment::run_with_errors`] — a resilient run under an exponential
-//!   error stream with the paper's normalised error frequency (Figure 4);
+//!   error stream with the paper's normalised error frequency, on the
+//!   iteration clock (Figure 4);
 //! * [`experiment::run_with_single_error`] — one scheduled error at a fixed
-//!   fraction of the ideal solve time (Figure 3 trace);
+//!   fraction of the ideal iteration count (Figure 3 trace);
 //! * [`ExperimentConfig`] / result records (serde-serialisable) used by the
 //!   `feir-bench` harnesses to print each table and figure.
 

@@ -6,18 +6,18 @@
 //!
 //! For every solver × rank count the campaign first measures the fault-free
 //! ideal distributed solve as the baseline, then runs every `(policy,
-//! frequency)` cell with one live injector stream per rank (frequency is
-//! machine-wide,
-//! in expected DUEs per fault-free solve, and is split evenly over the
-//! ranks). Each cell records wall time, iteration count, the overhead
-//! against the baseline, and the per-rank fault attribution from
+//! frequency)` cell with one seeded fault stream per rank on the iteration
+//! clock (frequency is machine-wide, in expected DUEs per fault-free solve of
+//! the baseline's iterations, and is split evenly over the ranks), so a cell
+//! replays bit for bit. Each cell records wall time, iteration count, the
+//! overhead against the baseline, and the per-rank fault attribution from
 //! [`DistributedFaultReport`] — so a report can say not just *how many*
 //! errors occurred but *which ranks* absorbed and recovered them.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use feir_pagemem::InjectionPlan;
+use feir_pagemem::FaultStream;
 use feir_recovery::report::{DistributedFaultReport, RankFaultStats};
 use feir_recovery::RecoveryPolicy;
 use feir_sparse::CsrMatrix;
@@ -26,7 +26,7 @@ use feir_wire::chaos::FaultRates;
 use crate::process::{
     spawn_workers_with, ChaosConfig, ProcessError, ProcessSpec, Transport, WorkerOptions,
 };
-use crate::resilient::{DistResilienceConfig, DistResilientSolver, DistSolver, InjectionDriver};
+use crate::resilient::{DistResilienceConfig, DistResilientSolver, DistSolver};
 
 /// A solver × policy × rank-count × fault-rate sweep.
 #[derive(Debug, Clone)]
@@ -231,27 +231,21 @@ impl FaultCampaign {
                             ranks,
                             self.cell_config(policy),
                         );
-                        let driver = (frequency > 0.0).then(|| {
-                            // The frequency is machine-wide: split the error
-                            // rate evenly over the per-rank streams.
-                            let per_rank = frequency / solver.ranks() as f64;
-                            let seed = self
-                                .seed
-                                .wrapping_add(100_000_000 * si as u64)
-                                .wrapping_add(1_000_000 * ri as u64)
-                                .wrapping_add(10_000 * pi as u64)
-                                .wrapping_add(100 * fi as u64);
-                            let plan = InjectionPlan::normalized(
-                                per_rank,
-                                baseline.elapsed.max(Duration::from_millis(1)),
-                                seed,
-                            );
-                            InjectionDriver::start_uniform(solver.domains(), &plan)
-                        });
-                        let mut solve = solver.solve();
-                        if let Some(driver) = driver {
-                            solve.absorb_injection_reports(&driver.stop());
-                        }
+                        // The frequency is machine-wide: split the error
+                        // rate evenly over the per-rank streams.
+                        let per_rank = frequency / solver.ranks() as f64;
+                        let seed = self
+                            .seed
+                            .wrapping_add(100_000_000 * si as u64)
+                            .wrapping_add(1_000_000 * ri as u64)
+                            .wrapping_add(10_000 * pi as u64)
+                            .wrapping_add(100 * fi as u64);
+                        let solve =
+                            match FaultStream::normalized(per_rank, baseline.iterations, seed) {
+                                Some(stream) => solver.with_fault_stream(&stream),
+                                None => solver,
+                            }
+                            .solve();
                         let overhead = |value: f64, base: f64| {
                             if base > 0.0 {
                                 (value / base - 1.0) * 100.0
@@ -638,6 +632,39 @@ mod tests {
         let table = campaign.run(&a, &b).table();
         assert!(table.contains("AFEIR") && table.contains("FEIR"));
         assert!(table.lines().count() >= 9);
+    }
+
+    /// A cell's faults come from seeded streams on the iteration clock, so
+    /// running the campaign twice records the same cell: the same faults
+    /// on the same ranks, the same iterations and page counters.
+    #[test]
+    fn a_campaign_cell_replays() {
+        let a = poisson_2d(12);
+        let (_, b) = manufactured_rhs(&a, 7);
+        let campaign = FaultCampaign {
+            solvers: vec![DistSolver::Pcg],
+            policies: vec![RecoveryPolicy::Feir],
+            rank_counts: vec![2],
+            error_frequencies: vec![4.0],
+            page_doubles: 16,
+            tolerance: 1e-8,
+            max_iterations: 2_000,
+            seed: 7,
+        };
+        let record = |cell: &CampaignCell| {
+            (
+                cell.iterations,
+                cell.converged,
+                cell.faults.clone(),
+                cell.pages_recovered,
+                cell.cross_rank_values,
+            )
+        };
+        let first = campaign.run(&a, &b);
+        let cell = &first.cells[0];
+        assert!(cell.faults.total_injected() > 0, "{:?}", cell.faults);
+        assert!(cell.converged);
+        assert_eq!(record(cell), record(&campaign.run(&a, &b).cells[0]));
     }
 
     #[test]

@@ -48,8 +48,7 @@ impl RankDomains {
         self.registries.len()
     }
 
-    /// The registry of one rank (shareable with a
-    /// [`feir_pagemem::FaultInjector`] bound to that rank).
+    /// The registry of one rank.
     pub fn registry(&self, rank: usize) -> Arc<PageRegistry> {
         Arc::clone(&self.registries[rank])
     }

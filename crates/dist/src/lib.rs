@@ -23,8 +23,9 @@
 //!   ([`merged`]). One crate-private dispatch picks a solver's plain or
 //!   resilient rank loop, so every solver runs unmodified in-process and
 //!   over worker processes;
-//! * [`resilient`] — per-rank fault domains ([`RankDomains`]), live
-//!   injection ([`InjectionDriver`]) and cross-rank recovery under the full
+//! * [`resilient`] — per-rank fault domains ([`RankDomains`]), scripted
+//!   faults ([`ScriptedFault`]) and a seeded per-rank fault stream lowered
+//!   into them on the iteration clock, and cross-rank recovery under the full
 //!   [`RecoveryPolicy`](feir_recovery::RecoveryPolicy) matrix, built on
 //!   [`feir_recovery::engine`]; fault-free resilient solves are
 //!   bitwise-identical to the plain ones;
@@ -73,5 +74,5 @@ pub use process::{
 pub use resilient::{
     distributed_resilient_cg, distributed_resilient_cg_merged, distributed_resilient_pcg,
     distributed_resilient_pcg_merged, DistResilienceConfig, DistResilientReport,
-    DistResilientSolver, DistSolver, InjectionDriver, ProtectedVector, ScriptedFault,
+    DistResilientSolver, DistSolver, ProtectedVector, ScriptedFault,
 };

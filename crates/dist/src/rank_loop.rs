@@ -77,10 +77,10 @@ pub(crate) struct RankCtx<'a> {
     pub registry: Arc<PageRegistry>,
     pub partition: RankPartition,
     pub scripted: Vec<ScriptedFault>,
-    /// Per-iteration sleep at the top of the loop body; `ZERO` (the normal
-    /// case) does nothing at all. Kill/respawn tests dilate the solve with
-    /// it so a failure deterministically lands mid-iteration — a sleep does
-    /// no floating-point work, so bitwise identity is untouched.
+    /// Per-iteration sleep at the top of both loops' bodies
+    /// ([`iteration_top`]); `ZERO` (the normal case) does nothing at all.
+    /// Kill/respawn tests dilate the solve with it so a failure
+    /// deterministically lands mid-iteration.
     pub throttle: Duration,
     /// Run the classic resilient loop inside the elastic rejoin harness
     /// (worker processes of an elastic fleet only).
@@ -544,6 +544,20 @@ fn eps_unless_faulted(
     Ok((sums[1] == 0.0).then_some(sums[0]))
 }
 
+/// The top of iteration `t`, in both rank loops: the throttle sleep, then
+/// the scripted faults due now, before any touch. A sleep does no
+/// floating-point work, so a throttle leaves the bits untouched.
+pub(crate) fn iteration_top(ctx: &RankCtx<'_>, t: usize) {
+    if !ctx.throttle.is_zero() {
+        std::thread::sleep(ctx.throttle);
+    }
+    if ctx.policy.needs_protection() {
+        for fault in ctx.scripted.iter().filter(|f| f.iteration == t) {
+            ctx.registry.inject(fault.vector.id(), fault.page);
+        }
+    }
+}
+
 /// The iteration phase: runs from `state.t` until convergence, breakdown or
 /// the iteration cap, mutating `state` in place. A transport failure
 /// surfaces as the typed [`CommError`] with `state` intact at the failed
@@ -558,7 +572,6 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
     let a = ctx.a;
     let b = ctx.b;
     let own = ctx.own.clone();
-    let protected = ctx.policy.needs_protection();
     let forward = ctx.policy.is_forward_exact();
     let preconditioned = relations.preconditioned();
     let registry = &ctx.registry;
@@ -610,18 +623,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
         *iterations = *t + 1;
         let _it = feir_trace::span(feir_trace::Phase::Iteration);
 
-        if !ctx.throttle.is_zero() {
-            std::thread::sleep(ctx.throttle);
-        }
-
-        // Scripted faults for this iteration land now, before any touch.
-        if protected {
-            for fault in &ctx.scripted {
-                if fault.iteration == *t {
-                    registry.inject(fault.vector.id(), fault.page);
-                }
-            }
-        }
+        iteration_top(ctx, *t);
 
         // Periodic local checkpoint of (x, d, scalars).
         if let (RecoveryPolicy::Checkpoint { interval }, Some(store)) = (ctx.policy, store.as_mut())

@@ -48,8 +48,8 @@ use crate::comm::{CommError, RankComm};
 use crate::kernels;
 use crate::merged::merged_alpha;
 use crate::rank_loop::{
-    blank_sweep, coupled_round, global_rows, ids, install_state_plan, lossy_fill_iterate,
-    remote_stencil_requests, InstallCounters, RankCtx, RankOutcome,
+    blank_sweep, coupled_round, global_rows, ids, install_state_plan, iteration_top,
+    lossy_fill_iterate, remote_stencil_requests, InstallCounters, RankCtx, RankOutcome,
 };
 
 /// The generic per-rank merged resilient loop (see the module docs).
@@ -153,14 +153,7 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
 
     for t in 0..ctx.max_iterations {
         let _it = feir_trace::span(feir_trace::Phase::Iteration);
-        // Scripted faults for this iteration land now, before any touch.
-        if protected {
-            for fault in &ctx.scripted {
-                if fault.iteration == t {
-                    registry.inject(fault.vector.id(), fault.page);
-                }
-            }
-        }
+        iteration_top(&ctx, t);
         // Periodic local checkpoint of (x, p, recurrence scalars). Baseline
         // policies materialise faults at the end-of-iteration sweeps, so the
         // data checkpointed here is still intact.

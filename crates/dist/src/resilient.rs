@@ -1,5 +1,6 @@
-//! Distributed resilient solvers: cross-rank FEIR/AFEIR recovery with live
-//! fault injection (the paper's Section 3.4 scaling configuration).
+//! Distributed resilient solvers: cross-rank FEIR/AFEIR recovery under
+//! scripted and seeded-stream faults (the paper's Section 3.4 scaling
+//! configuration).
 //!
 //! On the MPI+OmpSs machine of the paper a DUE is *contained to the rank that
 //! owns the faulted page*: the other ranks keep computing, and the recovering
@@ -21,7 +22,8 @@
 //!   posts its recovery requests inside the reduction window.
 //!
 //! This module is the thin layer on top: configuration, per-rank fault
-//! domains, live injection ([`InjectionDriver`]), the solver enum
+//! domains, the seeded fault stream lowered into scripted faults
+//! ([`DistResilientSolver::with_fault_stream`]), the solver enum
 //! [`DistSolver`] — whose crate-private `rank_solve` is the one place a
 //! solver and a policy pick a rank loop, for the in-process threads here
 //! and for the worker processes of [`crate::process`] alike — and the
@@ -36,7 +38,7 @@
 
 use std::time::{Duration, Instant};
 
-use feir_pagemem::{FaultInjector, InjectionPlan, InjectionReport, PageRegistry, VectorId};
+use feir_pagemem::{FaultStream, PageRegistry, VectorId};
 use feir_recovery::report::DistributedFaultReport;
 use feir_recovery::{
     CgRelations, MergedCgRelations, MergedPcgRelations, PcgRelations, RecoveryPolicy,
@@ -106,10 +108,10 @@ impl ProtectedVector {
 /// One deterministic fault scripted against a solve: at the top of
 /// `iteration`, page `page` of `vector` in `rank`'s fault domain is poisoned.
 ///
-/// Scripted faults complement the live (timing-based) [`InjectionDriver`]
-/// streams with exactly reproducible experiments — the same fault always
-/// lands at the same point of the iteration space, which is what the policy
-/// comparison tests and benchmark snapshots need.
+/// The same fault always lands at the same point of the iteration space,
+/// which is what the policy comparison tests and benchmark snapshots need;
+/// a seeded [`FaultStream`] lowers into the same list
+/// ([`DistResilientSolver::with_fault_stream`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScriptedFault {
     /// Solver iteration at whose start the fault is injected.
@@ -188,67 +190,6 @@ impl DistResilienceConfig {
     }
 }
 
-/// One live [`FaultInjector`] stream per rank, attached to the per-rank
-/// registries of a [`RankDomains`].
-///
-/// This is the distributed version of the paper's injection methodology
-/// (Section 5.3): every rank has an independent error process against its own
-/// memory, so a DUE is always attributable to exactly one rank.
-pub struct InjectionDriver {
-    injectors: Vec<FaultInjector>,
-}
-
-impl InjectionDriver {
-    /// Starts one injector per rank with the given per-rank plans.
-    ///
-    /// # Panics
-    /// Panics if `plans.len()` differs from the number of ranks.
-    pub fn start(domains: &RankDomains, plans: Vec<InjectionPlan>) -> Self {
-        assert_eq!(
-            plans.len(),
-            domains.num_ranks(),
-            "need exactly one injection plan per rank"
-        );
-        let injectors = plans
-            .into_iter()
-            .enumerate()
-            .map(|(rank, plan)| FaultInjector::start(domains.registry(rank), plan))
-            .collect();
-        Self { injectors }
-    }
-
-    /// Starts one injector per rank from a single template plan. Exponential
-    /// plans get a per-rank seed offset so the streams are independent (the
-    /// MTBE is per rank: divide a machine-wide frequency by the rank count
-    /// before calling this).
-    pub fn start_uniform(domains: &RankDomains, plan: &InjectionPlan) -> Self {
-        let plans = (0..domains.num_ranks())
-            .map(|rank| match plan {
-                InjectionPlan::Exponential { mtbe, seed } => InjectionPlan::Exponential {
-                    mtbe: *mtbe,
-                    seed: seed.wrapping_add(rank as u64),
-                },
-                other => other.clone(),
-            })
-            .collect();
-        Self::start(domains, plans)
-    }
-
-    /// Number of rank streams.
-    pub fn num_ranks(&self) -> usize {
-        self.injectors.len()
-    }
-
-    /// Stops every stream and returns the per-rank injection reports, in
-    /// rank order.
-    pub fn stop(self) -> Vec<InjectionReport> {
-        self.injectors
-            .into_iter()
-            .map(FaultInjector::stop)
-            .collect()
-    }
-}
-
 /// Outcome of a distributed resilient solve.
 #[derive(Debug, Clone)]
 pub struct DistResilientReport {
@@ -271,8 +212,7 @@ pub struct DistResilientReport {
     /// faults this is bitwise-identical to
     /// [`DistSolveResult::residual_history`](crate::cg::DistSolveResult).
     pub residual_history: Vec<f64>,
-    /// Per-rank fault attribution (registry counters; attach the injector
-    /// view with [`DistResilientReport::absorb_injection_reports`]).
+    /// Per-rank fault attribution (registry counters).
     pub faults: DistributedFaultReport,
     /// Pages reconstructed exactly or lossily across all ranks.
     pub pages_recovered: usize,
@@ -300,14 +240,6 @@ pub struct DistResilientReport {
     /// Per-rank trace streams, present when `FEIR_TRACE=spans` was active
     /// during the solve (see [`feir_trace`]). `None` otherwise.
     pub trace: Option<feir_trace::SolveTrace>,
-}
-
-impl DistResilientReport {
-    /// Folds the per-rank injector reports returned by
-    /// [`InjectionDriver::stop`] into the fault attribution.
-    pub fn absorb_injection_reports(&mut self, reports: &[InjectionReport]) {
-        self.faults.absorb_injection_reports(reports);
-    }
 }
 
 /// The four distributed solvers. The discriminant is the solver's code in a
@@ -416,9 +348,10 @@ pub(crate) fn register_protected(
 /// per-rank fault domains — any [`DistSolver`] under any
 /// [`RecoveryPolicy`].
 ///
-/// Create the solver first, then attach injection (an [`InjectionDriver`] on
-/// [`DistResilientSolver::domains`], scripted faults in the config, or
-/// direct [`feir_pagemem::PageRegistry::inject`] calls) and finally call
+/// Create the solver first, then attach faults (scripted faults in the
+/// config, a seeded stream through [`DistResilientSolver::with_fault_stream`],
+/// or direct [`feir_pagemem::PageRegistry::inject`] calls on
+/// [`DistResilientSolver::domains`]) and finally call
 /// [`DistResilientSolver::solve`].
 pub struct DistResilientSolver<'a> {
     a: &'a CsrMatrix,
@@ -513,10 +446,40 @@ impl<'a> DistResilientSolver<'a> {
         }
     }
 
-    /// The per-rank fault domains targeted by this solve; hand them to an
-    /// [`InjectionDriver`] for live injection.
+    /// The per-rank fault domains targeted by this solve.
     pub fn domains(&self) -> &RankDomains {
         &self.domains
+    }
+
+    /// Adds the DUEs `stream` draws to the scripted faults. The rank loops
+    /// read faults at the top of each iteration, so each iteration up to
+    /// the cap is one arrival point; rank `r` draws at the stream's rank
+    /// coordinate `r` (an independent stream per rank) and strikes a page
+    /// uniformly over its protected vectors. For a machine-wide rate of `n`
+    /// DUEs per baseline solve of `k` iterations split over `R` ranks, use
+    /// a mean of `R·k ÷ n` iterations. Ignored under
+    /// [`RecoveryPolicy::Ideal`], which protects nothing.
+    pub fn with_fault_stream(mut self, stream: &FaultStream) -> Self {
+        if !self.config.policy.needs_protection() {
+            return self;
+        }
+        let protected = ProtectedVector::protected(self.solver.preconditioned());
+        let page_doubles = self.config.page_doubles.max(1);
+        for rank in 0..self.ranks {
+            let pages = BlockPartition::new(self.partition.range(rank).len(), page_doubles);
+            let pages = pages.num_blocks();
+            for iteration in 0..self.config.max_iterations {
+                for flat in stream.draw(rank, iteration, 0, 1, protected.len() * pages) {
+                    self.config.scripted_faults.push(ScriptedFault {
+                        iteration,
+                        rank,
+                        vector: protected[flat / pages],
+                        page: flat % pages,
+                    });
+                }
+            }
+        }
+        self
     }
 
     /// Number of simulated ranks (after clamping to the problem size).
@@ -621,8 +584,8 @@ pub(crate) fn plain_solve(
     }
 }
 
-/// One-shot form of the resilient CG: builds the solver and runs it with no
-/// live injection (scripted faults in `config` still apply).
+/// One-shot form of the resilient CG: builds the solver and runs it under
+/// the scripted faults in `config`.
 pub fn distributed_resilient_cg(
     a: &CsrMatrix,
     b: &[f64],

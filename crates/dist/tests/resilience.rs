@@ -1,16 +1,18 @@
 //! Integration tests of the distributed resilience subsystem: zero-fault
 //! bitwise identity with the plain distributed CG, the full policy matrix
 //! under injected DUEs, cross-boundary interpolation against the
-//! shared-memory `BlockRecovery`, and live per-rank injection streams.
+//! shared-memory `BlockRecovery`, seeded per-rank fault streams, and the
+//! worker throttle.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use feir_dist::resilient::{recover_direction_rows, recover_iterate_rows};
 use feir_dist::{
-    distributed_cg, distributed_resilient_cg, distributed_resilient_pcg, DistResilienceConfig,
-    DistResilientSolver, DistSolver, InjectionDriver, ProtectedVector, ScriptedFault,
+    distributed_cg, distributed_resilient_cg, distributed_resilient_pcg, spawn_workers_with,
+    DistResilienceConfig, DistResilientSolver, DistSolver, ProcessSpec, ProtectedVector,
+    ScriptedFault, Transport, WorkerOptions,
 };
-use feir_pagemem::InjectionPlan;
+use feir_pagemem::FaultStream;
 use feir_recovery::{BlockRecovery, RecoveryPolicy};
 use feir_sparse::blocking::BlockPartition;
 use feir_sparse::generators::{manufactured_rhs, poisson_2d};
@@ -410,38 +412,85 @@ fn coupled_multi_page_recovery_is_exact() {
     }
 }
 
-/// Live per-rank injector streams (the paper's exponential error process)
-/// against AFEIR: the solve converges and the unified report attributes the
-/// faults to the ranks that absorbed them.
+/// Seeded per-rank fault streams (the paper's exponential error process on
+/// the iteration clock) against AFEIR on 3 ranks: the solve converges, the
+/// faults are attributed per rank, and the same seed replays bit for bit —
+/// iterate, residual history and page counters.
 #[test]
-fn live_injection_streams_are_attributed_per_rank() {
+fn seeded_fault_streams_replay_bit_for_bit_per_rank() {
     let a = poisson_2d(20);
     let (_, b) = manufactured_rhs(&a, 2);
     let ranks = 3;
-    let solver =
-        DistResilientSolver::new(DistSolver::Cg, &a, &b, ranks, config(RecoveryPolicy::Afeir));
-    let driver = InjectionDriver::start_uniform(
-        solver.domains(),
-        &InjectionPlan::Exponential {
-            mtbe: Duration::from_millis(3),
-            seed: 77,
-        },
-    );
-    assert_eq!(driver.num_ranks(), ranks);
-    let mut report = solver.solve();
-    report.absorb_injection_reports(&driver.stop());
+    let stream = FaultStream {
+        seed: 77,
+        mean_iterations: 15.0,
+    };
+    let solve = || {
+        DistResilientSolver::new(DistSolver::Cg, &a, &b, ranks, config(RecoveryPolicy::Afeir))
+            .with_fault_stream(&stream)
+            .solve()
+    };
+    let report = solve();
     assert!(
         report.converged,
-        "AFEIR failed to converge under live injection: residual {}",
+        "AFEIR failed to converge under the fault streams: residual {}",
         report.relative_residual
     );
     assert_eq!(report.faults.per_rank.len(), ranks);
-    // Every effective injection is one of the recorded attempts, and the
-    // registry totals match the per-rank breakdown.
-    assert!(report.faults.total_injected() <= report.faults.total_attempted());
+    assert!(report.faults.faulty_ranks() > 1, "{:?}", report.faults);
     assert!(report.faults.total_discovered() <= report.faults.total_injected());
     let per_rank_sum: usize = report.faults.per_rank.iter().map(|s| s.injected).sum();
     assert_eq!(per_rank_sum, report.faults.total_injected());
+
+    let again = solve();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&report.x), bits(&again.x));
+    assert_eq!(
+        bits(&report.residual_history),
+        bits(&again.residual_history)
+    );
+    assert_eq!(report.faults, again.faults);
+    assert_eq!(
+        (
+            report.pages_recovered,
+            report.pages_ignored,
+            report.pages_coupled
+        ),
+        (
+            again.pages_recovered,
+            again.pages_ignored,
+            again.pages_coupled
+        )
+    );
+}
+
+/// The throttle sleeps at the top of every iteration of both rank loops: a
+/// throttled merged-CG worker solve takes at least iterations × throttle.
+#[test]
+fn throttled_merged_worker_solves_sleep_every_iteration() {
+    let throttle = Duration::from_millis(3);
+    let dir = std::env::temp_dir().join(format!("feir-throttle-{}", std::process::id()));
+    let spec = ProcessSpec {
+        solver: DistSolver::CgMerged,
+        ..ProcessSpec::cg(8, 2)
+    };
+    let options = WorkerOptions {
+        policy: Some(RecoveryPolicy::Feir),
+        throttle: Some(throttle),
+        ..WorkerOptions::default()
+    };
+    let worker = std::path::Path::new(env!("CARGO_BIN_EXE_feir-rank-worker"));
+    let start = Instant::now();
+    let solve = spawn_workers_with(worker, &spec, &Transport::Uds { dir }, &options)
+        .and_then(|handles| handles.join())
+        .expect("throttled merged solve failed");
+    let elapsed = start.elapsed();
+    assert!(solve.converged);
+    assert!(
+        elapsed >= throttle * solve.iterations as u32,
+        "{} iterations in {elapsed:?}",
+        solve.iterations
+    );
 }
 
 /// A heavier deterministic storm: several pages of every vector across every

@@ -18,10 +18,12 @@
 //! * [`PageRegistry`] tracks a poison/lost/healthy state per page of every
 //!   registered (dynamic) vector using atomics — the software analogue of the
 //!   machine-check architecture registers plus the OS page table state.
-//! * [`FaultInjector`] runs on its own thread and marks random pages poisoned
-//!   at exponential inter-arrival times, exactly like the paper's injector
-//!   (Section 5.3), or follows a deterministic schedule for the Figure-3 style
-//!   single-error experiments.
+//! * [`FaultStream`] is the paper's exponential error process (Section 5.3)
+//!   on the iteration clock: a solver reads it at fixed arrival points of
+//!   each iteration, and every draw is a pure function of (seed, rank,
+//!   iteration, point), so a faulted run replays bit for bit.
+//!   [`FaultSchedule`] pairs it with an explicit list for the Figure-3 style
+//!   single-error experiments. No thread injects anything.
 //! * [`PagedVector`] wraps a `Vec<f64>` and exposes *guarded* page accesses:
 //!   touching a poisoned page transitions it to *lost*, zeroes the data (the
 //!   fresh blank page of the paper) and reports a [`PageFault`] to the caller,
@@ -37,14 +39,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod injector;
 pub mod registry;
 pub mod skipmask;
+pub mod stream;
 pub mod vector;
 
-pub use injector::{FaultInjector, InjectionPlan, InjectionRecord, InjectionReport};
 pub use registry::{AccessOutcome, PageRegistry, PageStatus, VectorId};
 pub use skipmask::SkipMask;
+pub use stream::{FaultSchedule, FaultStream};
 pub use vector::{PageAccess, PageFault, PagedVector};
 
 /// Number of `f64` values per protected page (4 KiB / 8 bytes), matching the

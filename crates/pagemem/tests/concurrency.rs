@@ -104,6 +104,25 @@ fn exactly_one_discovery_per_injection_under_contention() {
 }
 
 #[test]
+fn concurrent_injections_count_once_per_page() {
+    // Every thread tries to poison every page; each page counts once.
+    let registry = PageRegistry::new();
+    let vector = registry.register("x", PAGES);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let registry = &registry;
+            scope.spawn(move || {
+                for p in 0..PAGES {
+                    registry.inject(vector, (p + t) % PAGES);
+                }
+            });
+        }
+    });
+    assert_eq!(registry.injected_count(), PAGES);
+    assert_eq!(registry.poisoned_pages(vector).len(), PAGES);
+}
+
+#[test]
 fn skipmask_bits_are_independent_under_concurrent_traffic() {
     let mask = Arc::new(SkipMask::new(PAGES));
     let barrier = Arc::new(Barrier::new(THREADS));

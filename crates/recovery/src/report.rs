@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use feir_pagemem::InjectionReport;
 use feir_solvers::history::{ConvergenceHistory, StopReason};
 use serde::{Deserialize, Serialize};
 
@@ -56,6 +55,28 @@ pub struct TimeBuckets {
 }
 
 impl TimeBuckets {
+    /// Books a recovery plan that ran beside a reduction. AFEIR overlaps
+    /// them on the pool: the window is compute for the reduction and
+    /// recovery for the spare capacity the plan used. FEIR plans in the
+    /// critical path while the other `threads − 1` workers idle.
+    pub(crate) fn book_overlap(
+        &mut self,
+        policy: RecoveryPolicy,
+        plan: Duration,
+        reduce: Duration,
+        threads: usize,
+    ) {
+        if policy == RecoveryPolicy::Afeir {
+            let window = plan.max(reduce);
+            self.compute += window;
+            self.recovery += window;
+        } else {
+            self.recovery += plan;
+            self.idle += plan.mul_f64((threads.saturating_sub(1)) as f64 / threads as f64);
+            self.compute += reduce;
+        }
+    }
+
     /// Total accounted time.
     pub fn total(&self) -> Duration {
         self.compute + self.recovery + self.checkpoint + self.runtime + self.idle
@@ -139,16 +160,12 @@ impl RunReport {
     }
 }
 
-/// Fault accounting of one rank of a distributed resilient solve, combining
-/// the injector-side view (attempts) with the registry-side view (effective
-/// injections, discoveries, recoveries).
+/// Fault accounting of one rank of a distributed resilient solve: the
+/// registry-side counters of its fault domain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RankFaultStats {
     /// The rank these counters belong to.
     pub rank: usize,
-    /// Injection attempts recorded by this rank's injector stream (including
-    /// attempts that hit an already-poisoned page).
-    pub attempted: usize,
     /// Injections that landed on a healthy page (effective DUEs).
     pub injected: usize,
     /// Faults discovered by the solver on access (the "SIGBUS" count).
@@ -160,10 +177,10 @@ pub struct RankFaultStats {
     pub recovered: usize,
 }
 
-/// Per-rank [`InjectionReport`]s and registry counters aggregated into one
-/// unified fault report for a whole distributed solve.
+/// Per-rank registry counters aggregated into one unified fault report for a
+/// whole distributed solve.
 ///
-/// On the simulated distributed machine every rank runs its own injector
+/// On the simulated distributed machine every rank draws its own fault
 /// stream against its own registry; this type folds those per-rank views into
 /// the single report the campaign runner consumes, while keeping the per-rank
 /// attribution (which ranks were hit, how often) that machine-wide totals
@@ -187,16 +204,6 @@ impl DistributedFaultReport {
         }
     }
 
-    /// Folds per-rank injector reports (index-aligned with the ranks) into
-    /// the attempt counters.
-    pub fn absorb_injection_reports(&mut self, reports: &[InjectionReport]) {
-        for (rank, report) in reports.iter().enumerate() {
-            if let Some(stats) = self.per_rank.get_mut(rank) {
-                stats.attempted += report.records.len();
-            }
-        }
-    }
-
     /// Records one rank's registry-side counters (effective injections,
     /// discoveries, recoveries).
     pub fn set_registry_counts(
@@ -210,11 +217,6 @@ impl DistributedFaultReport {
         stats.injected = injected;
         stats.discovered = discovered;
         stats.recovered = recovered;
-    }
-
-    /// Total injection attempts across every rank.
-    pub fn total_attempted(&self) -> usize {
-        self.per_rank.iter().map(|s| s.attempted).sum()
     }
 
     /// Total effective injections across every rank.
@@ -295,32 +297,17 @@ mod tests {
 
     #[test]
     fn distributed_fault_report_aggregates_per_rank_views() {
-        use feir_pagemem::{InjectionRecord, VectorId};
-
         let mut report = DistributedFaultReport::new(3);
-        // Rank 1's injector attempted two errors, rank 2's attempted one.
-        let mk = |n: usize| InjectionReport {
-            records: (0..n)
-                .map(|i| InjectionRecord {
-                    at: Duration::from_millis(i as u64),
-                    vector: VectorId(0),
-                    page: i,
-                    effective: true,
-                })
-                .collect(),
-        };
-        report.absorb_injection_reports(&[mk(0), mk(2), mk(1)]);
         report.set_registry_counts(1, 2, 2, 2);
         report.set_registry_counts(2, 1, 1, 0);
 
-        assert_eq!(report.total_attempted(), 3);
         assert_eq!(report.total_injected(), 3);
         assert_eq!(report.total_discovered(), 3);
         assert_eq!(report.total_recovered(), 2);
         assert_eq!(report.faulty_ranks(), 2);
         assert_eq!(report.per_rank[0], RankFaultStats::default());
         assert_eq!(report.per_rank[1].rank, 1);
-        assert_eq!(report.per_rank[1].attempted, 2);
+        assert_eq!(report.per_rank[1].injected, 2);
     }
 
     #[test]

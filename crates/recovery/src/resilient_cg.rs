@@ -24,11 +24,20 @@
 //!  r2/r3: recover g / x              (FEIR: before ε; AFEIR: overlapped)
 //!  ε ⇐ ‖g‖²  → convergence check
 //! ```
+//!
+//! ## Fault arrivals
+//!
+//! DUEs come from one [`FaultSchedule`] on the iteration clock. The solver
+//! reads it at the arrival points of every iteration: the top of each
+//! phase, and the start of the two reductions that run beside a recovery
+//! plan — after the plan has scanned for lost pages, so a DUE there is
+//! skipped by the reduction and missing from the plan until the fix-up
+//! plans it again.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use feir_pagemem::{AccessOutcome, PageRegistry, SkipMask, VectorId};
+use feir_pagemem::{AccessOutcome, FaultSchedule, PageRegistry, SkipMask, VectorId};
 use feir_solvers::history::{ConvergenceHistory, SolveOptions, StopReason};
 use feir_sparse::blocking::BlockPartition;
 use feir_sparse::{vecops, BlockJacobi, CsrMatrix, SpmvBackend};
@@ -52,25 +61,50 @@ mod bits {
     pub const Z: u32 = 5;
 }
 
+/// Fault arrival points of one iteration, in solve order. Every policy
+/// reads every point, so every method sees the same faults.
+mod arrival {
+    pub const TOP: usize = 0; // PCG's preconditioner; CG's direction update
+    pub const DIRECTION: usize = 1;
+    pub const MATVEC: usize = 2;
+    pub const DQ_PLAN: usize = 3; // before r1 scans d and q
+    pub const DQ_REDUCE: usize = 4; // after r1's scan, before ⟨d,q⟩
+    pub const UPDATE: usize = 5;
+    pub const EPS_PLAN: usize = 6; // before r2/r3 scans x and g
+    pub const EPS_REDUCE: usize = 7; // after r2/r3's scan, before ε
+    pub const POINTS: usize = 8;
+}
+
 /// Runs a recovery closure either in the critical path (FEIR: `recover`
 /// first, then `work`) or overlapped with the neighbouring solver work on
-/// the work-stealing pool (AFEIR: `rayon::join`). The closures must not
-/// alias mutable state — recovery *plans* into side buffers and the caller
-/// installs afterwards, which is this solver's equivalent of the paper's
-/// communication through atomic bitmasks rather than task dependences.
-fn overlap<A, B, RA, RB>(asynchronous: bool, recover: A, work: B) -> (RA, RB)
+/// the work-stealing pool (AFEIR: `rayon::join`), and returns each result
+/// with the time it took. The closures must not alias mutable state —
+/// recovery *plans* into side buffers and the caller installs afterwards,
+/// which is this solver's equivalent of the paper's communication through
+/// atomic bitmasks rather than task dependences.
+fn overlap<A, B, RA, RB>(
+    asynchronous: bool,
+    recover: A,
+    work: B,
+) -> ((RA, Duration), (RB, Duration))
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
+    let recover = move || {
+        let mark = Instant::now();
+        (recover(), mark.elapsed())
+    };
+    let work = move || {
+        let mark = Instant::now();
+        (work(), mark.elapsed())
+    };
     if asynchronous {
         rayon::join(recover, work)
     } else {
-        let ra = recover();
-        let rb = work();
-        (ra, rb)
+        (recover(), work())
     }
 }
 
@@ -122,9 +156,8 @@ impl ResilientCgBuilder {
     }
 }
 
-/// A resilient CG / PCG solver bound to one linear system and one fault
-/// registry. Create one instance per run (the protected vectors are registered
-/// at construction time so a fault injector can target them).
+/// A resilient CG / PCG solver bound to one linear system, one fault
+/// registry and one [`FaultSchedule`]. Create one instance per run.
 pub struct ResilientCg<'a> {
     a: &'a CsrMatrix,
     b: &'a [f64],
@@ -141,9 +174,11 @@ pub struct ResilientCg<'a> {
     /// [`Self::phase_matvec`] — built once here so the hot per-page loop
     /// never re-analyzes or re-converts.
     page_ops: Vec<SpmvBackend>,
-    /// Registry ids of the protected vectors (registered at construction so a
-    /// fault injector can target them before the solve starts).
+    /// Registry ids of the protected vectors (registered at construction so
+    /// faults can target them before the solve starts).
     ids: VectorIds,
+    /// The DUEs this solve is exposed to (none by default).
+    faults: FaultSchedule,
 }
 
 /// Registry ids of the protected dynamic vectors.
@@ -196,8 +231,8 @@ impl<'a> ResilientCg<'a> {
             .map(|p| SpmvBackend::select_rows(a, partition.range(p)))
             .collect();
 
-        // Register the protected dynamic vectors up front so fault injectors
-        // attached to the registry can target them for the whole run.
+        // Register the protected dynamic vectors up front so faults can
+        // target them for the whole run.
         let registry = Arc::new(PageRegistry::new());
         let num_pages = partition.num_blocks();
         let needs_protection = config.policy.needs_protection();
@@ -236,11 +271,21 @@ impl<'a> ResilientCg<'a> {
             op,
             page_ops,
             ids,
+            faults: FaultSchedule::default(),
         }
     }
 
-    /// The fault registry targeted by this run; hand it to a
-    /// [`feir_pagemem::FaultInjector`] to inject errors.
+    /// Exposes the solve to `faults`: a seeded stream or an explicit list,
+    /// read at the solver's arrival points. The registry is rank 0 of the
+    /// stream. Ignored under [`RecoveryPolicy::Ideal`], which protects
+    /// nothing.
+    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// The fault registry targeted by this run (faults injected into it
+    /// before [`Self::solve`] are present when the solve starts).
     pub fn registry(&self) -> Arc<PageRegistry> {
         Arc::clone(&self.registry)
     }
@@ -358,6 +403,11 @@ impl<'a> ResilientCg<'a> {
                 break;
             }
             iterations = t + 1;
+            let strike = |point| {
+                self.faults
+                    .strike(&self.registry, t, point, arrival::POINTS);
+            };
+            strike(arrival::TOP);
 
             // Checkpoint if due.
             if let (RecoveryPolicy::Checkpoint { interval }, Some(store)) =
@@ -374,10 +424,28 @@ impl<'a> ResilientCg<'a> {
             // Preconditioner: solve M z = g (PCG only).
             let rho = if let Some(p) = &self.preconditioner {
                 let mark = Instant::now();
-                let z_bit = bits::Z;
                 let zid = z_id.expect("z registered when preconditioned");
                 self.phase_precondition(p, &g, g_id, &mut z, zid, &skip);
-                let (rho, _) = self.reduce_dot(&z, zid, z_bit, &g, g_id, bits::G, &skip);
+                let (mut rho, skipped) =
+                    self.reduce_dot(&z, zid, bits::Z, &g, g_id, bits::G, &skip);
+                if policy.is_forward_exact() && !skipped.is_empty() {
+                    // A `g` page lost at the top of the iteration left its
+                    // `z` page unsolved: repair `g` (and `x`), re-solve `z`
+                    // and reduce again before β uses ρ.
+                    let x_lost = self.invalid_pages(x_id, bits::X, &skip);
+                    let g_lost = self.invalid_pages(g_id, bits::G, &skip);
+                    let plan = self.plan_r2_r3(&x, x_id, &g, g_id, &x_lost, &g_lost, t);
+                    pages_recovered += self.apply_fixes(
+                        &plan,
+                        &mut [(x_id, bits::X, &mut x), (g_id, bits::G, &mut g)],
+                        &skip,
+                    );
+                    events.extend(plan.events);
+                    self.phase_precondition(p, &g, g_id, &mut z, zid, &skip);
+                    rho = self
+                        .reduce_dot(&z, zid, bits::Z, &g, g_id, bits::G, &skip)
+                        .0;
+                }
                 time.compute += mark.elapsed();
                 rho
             } else {
@@ -401,6 +469,7 @@ impl<'a> ResilientCg<'a> {
                 _ => (&g, g_id, bits::G),
             };
 
+            strike(arrival::DIRECTION);
             let mark = Instant::now();
             self.phase_update_direction(
                 beta,
@@ -415,93 +484,72 @@ impl<'a> ResilientCg<'a> {
                 d_cur_bit,
                 &skip,
             );
+            time.compute += mark.elapsed();
             // q ⇐ A·d_cur.
+            strike(arrival::MATVEC);
+            let mark = Instant::now();
             self.phase_matvec(d_cur, d_cur_id, d_cur_bit, &mut q, q_id, &skip);
             time.compute += mark.elapsed();
 
             // r1 recovery + ⟨d,q⟩ reduction. FEIR and AFEIR are the *same*
-            // engine flow — plan into side buffers, reduce over the valid
-            // pages, install, patch the recovered pages' contributions —
-            // and differ only in the scheduling flag handed to
-            // [`overlap`] (critical path vs. work-stealing pool).
-            let dq = match policy {
-                RecoveryPolicy::Feir | RecoveryPolicy::Afeir => {
-                    let asynchronous = policy == RecoveryPolicy::Afeir;
-                    let (planned, reduced) = overlap(
-                        asynchronous,
-                        || {
-                            let mark = Instant::now();
-                            let plan = self.plan_r1(
-                                beta,
-                                d_prev,
-                                d_prev_bit,
-                                update_src,
-                                update_src_bit,
-                                d_cur,
-                                d_cur_id,
-                                d_cur_bit,
-                                &q,
-                                q_id,
-                                &skip,
-                                t,
-                            );
-                            (plan, mark.elapsed())
-                        },
-                        || {
-                            let mark = Instant::now();
-                            let reduction = self.reduce_dot(
-                                d_cur,
-                                d_cur_id,
-                                d_cur_bit,
-                                &q,
-                                q_id,
-                                bits::Q,
-                                &skip,
-                            );
-                            (reduction, mark.elapsed())
-                        },
-                    );
-                    let (plan, plan_dur) = planned;
-                    let ((mut dq, skipped), reduce_dur) = reduced;
-                    pages_recovered += self.apply_fixes(
-                        &plan,
-                        &mut [(d_cur_id, d_cur_bit, &mut *d_cur), (q_id, bits::Q, &mut q)],
-                        &skip,
-                    );
-                    events.extend(plan.events);
-                    // Fix-up: contributions of the pages the reduction
-                    // skipped and the plan recovered.
-                    for p in skipped {
-                        if !self.page_invalid(d_cur_id, d_cur_bit, p, &skip)
-                            && !self.page_invalid(q_id, bits::Q, p, &skip)
-                        {
-                            let range = self.partition.range(p);
-                            dq += vecops::dot(&d_cur[range.clone()], &q[range]);
-                        }
+            // engine flow — scan for lost pages, plan into side buffers
+            // while reducing over the valid pages, install, patch the
+            // recovered pages' contributions — and differ only in the
+            // scheduling flag handed to [`overlap`] (critical path vs.
+            // work-stealing pool).
+            strike(arrival::DQ_PLAN);
+            let dq = if policy.is_forward_exact() {
+                let d_lost = self.invalid_pages(d_cur_id, d_cur_bit, &skip);
+                let q_lost = self.invalid_pages(q_id, bits::Q, &skip);
+                strike(arrival::DQ_REDUCE);
+                let ((plan, plan_dur), ((mut dq, skipped), reduce_dur)) = overlap(
+                    policy == RecoveryPolicy::Afeir,
+                    || {
+                        self.plan_r1(
+                            beta, d_prev, update_src, d_cur, &q, &d_lost, &q_lost, &skip, t,
+                        )
+                    },
+                    || self.reduce_dot(d_cur, d_cur_id, d_cur_bit, &q, q_id, bits::Q, &skip),
+                );
+                pages_recovered += self.apply_fixes(
+                    &plan,
+                    &mut [(d_cur_id, d_cur_bit, &mut *d_cur), (q_id, bits::Q, &mut q)],
+                    &skip,
+                );
+                events.extend(plan.events);
+                // A page lost after the scan was skipped by the reduction
+                // and is missing from the plan: scan again and plan it now.
+                let d_late = self.invalid_pages(d_cur_id, d_cur_bit, &skip);
+                let q_late = self.invalid_pages(q_id, bits::Q, &skip);
+                let plan = self.plan_r1(
+                    beta, d_prev, update_src, d_cur, &q, &d_late, &q_late, &skip, t,
+                );
+                pages_recovered += self.apply_fixes(
+                    &plan,
+                    &mut [(d_cur_id, d_cur_bit, &mut *d_cur), (q_id, bits::Q, &mut q)],
+                    &skip,
+                );
+                events.extend(plan.events);
+                // Fix-up: contributions of the pages the reduction skipped
+                // and a plan recovered.
+                for p in skipped {
+                    if !self.page_invalid(d_cur_id, d_cur_bit, p, &skip)
+                        && !self.page_invalid(q_id, bits::Q, p, &skip)
+                    {
+                        let range = self.partition.range(p);
+                        dq += vecops::dot(&d_cur[range.clone()], &q[range]);
                     }
-                    if asynchronous {
-                        // Attribute the overlapped window: compute for the
-                        // reduction, recovery for the spare capacity it used.
-                        let window = plan_dur.max(reduce_dur);
-                        time.compute += window;
-                        time.recovery += window;
-                    } else {
-                        time.recovery += plan_dur;
-                        time.idle +=
-                            plan_dur.mul_f64((threads.saturating_sub(1)) as f64 / threads as f64);
-                        time.compute += reduce_dur;
-                    }
-                    dq
                 }
-                _ => {
-                    // Baselines: blank-accepting policies never skip, so this
-                    // is a plain reduction.
-                    let mark = Instant::now();
-                    let (dq, _) =
-                        self.reduce_dot(d_cur, d_cur_id, d_cur_bit, &q, q_id, bits::Q, &skip);
-                    time.compute += mark.elapsed();
-                    dq
-                }
+                time.book_overlap(policy, plan_dur, reduce_dur, threads);
+                dq
+            } else {
+                // Baselines: a page lost since the last sweep is skipped
+                // here; the end-of-iteration sweep handles the loss.
+                strike(arrival::DQ_REDUCE);
+                let mark = Instant::now();
+                let (dq, _) = self.reduce_dot(d_cur, d_cur_id, d_cur_bit, &q, q_id, bits::Q, &skip);
+                time.compute += mark.elapsed();
+                dq
             };
 
             if dq == 0.0 || !dq.is_finite() {
@@ -511,6 +559,7 @@ impl<'a> ResilientCg<'a> {
             let alpha = rho / dq;
 
             // x ⇐ x + α·d ; g ⇐ g − α·q.
+            strike(arrival::UPDATE);
             let mark = Instant::now();
             self.phase_update_iterate(
                 alpha, d_cur, d_cur_id, d_cur_bit, &q, q_id, &mut x, x_id, &mut g, g_id, &skip,
@@ -518,54 +567,47 @@ impl<'a> ResilientCg<'a> {
             time.compute += mark.elapsed();
 
             // r2/r3 recovery + ε reduction: the same engine flow as r1.
-            let new_eps = match policy {
-                RecoveryPolicy::Feir | RecoveryPolicy::Afeir => {
-                    let asynchronous = policy == RecoveryPolicy::Afeir;
-                    let (planned, reduced) = overlap(
-                        asynchronous,
-                        || {
-                            let mark = Instant::now();
-                            let plan = self.plan_r2_r3(&x, x_id, &g, g_id, &skip, t);
-                            (plan, mark.elapsed())
-                        },
-                        || {
-                            let mark = Instant::now();
-                            let reduction = self.reduce_norm_sq(&g, g_id, bits::G, &skip);
-                            (reduction, mark.elapsed())
-                        },
-                    );
-                    let (plan, plan_dur) = planned;
-                    let ((mut e, skipped), reduce_dur) = reduced;
-                    pages_recovered += self.apply_fixes(
-                        &plan,
-                        &mut [(x_id, bits::X, &mut x), (g_id, bits::G, &mut g)],
-                        &skip,
-                    );
-                    events.extend(plan.events);
-                    for p in skipped {
-                        if !self.page_invalid(g_id, bits::G, p, &skip) {
-                            let range = self.partition.range(p);
-                            e += vecops::norm2_squared(&g[range]);
-                        }
+            strike(arrival::EPS_PLAN);
+            let new_eps = if policy.is_forward_exact() {
+                let x_lost = self.invalid_pages(x_id, bits::X, &skip);
+                let g_lost = self.invalid_pages(g_id, bits::G, &skip);
+                strike(arrival::EPS_REDUCE);
+                let ((plan, plan_dur), ((mut e, skipped), reduce_dur)) = overlap(
+                    policy == RecoveryPolicy::Afeir,
+                    || self.plan_r2_r3(&x, x_id, &g, g_id, &x_lost, &g_lost, t),
+                    || self.reduce_norm_sq(&g, g_id, bits::G, &skip),
+                );
+                pages_recovered += self.apply_fixes(
+                    &plan,
+                    &mut [(x_id, bits::X, &mut x), (g_id, bits::G, &mut g)],
+                    &skip,
+                );
+                events.extend(plan.events);
+                // As in r1; the scan takes `x` too, so a `g` page is never
+                // rebuilt from an `x` page lost beside it.
+                let x_late = self.invalid_pages(x_id, bits::X, &skip);
+                let g_late = self.invalid_pages(g_id, bits::G, &skip);
+                let plan = self.plan_r2_r3(&x, x_id, &g, g_id, &x_late, &g_late, t);
+                pages_recovered += self.apply_fixes(
+                    &plan,
+                    &mut [(x_id, bits::X, &mut x), (g_id, bits::G, &mut g)],
+                    &skip,
+                );
+                events.extend(plan.events);
+                for p in skipped {
+                    if !self.page_invalid(g_id, bits::G, p, &skip) {
+                        let range = self.partition.range(p);
+                        e += vecops::norm2_squared(&g[range]);
                     }
-                    if asynchronous {
-                        let window = plan_dur.max(reduce_dur);
-                        time.compute += window;
-                        time.recovery += window;
-                    } else {
-                        time.recovery += plan_dur;
-                        time.idle +=
-                            plan_dur.mul_f64((threads.saturating_sub(1)) as f64 / threads as f64);
-                        time.compute += reduce_dur;
-                    }
-                    e
                 }
-                _ => {
-                    let mark = Instant::now();
-                    let (e, _) = self.reduce_norm_sq(&g, g_id, bits::G, &skip);
-                    time.compute += mark.elapsed();
-                    e
-                }
+                time.book_overlap(policy, plan_dur, reduce_dur, threads);
+                e
+            } else {
+                strike(arrival::EPS_REDUCE);
+                let mark = Instant::now();
+                let (e, _) = self.reduce_norm_sq(&g, g_id, bits::G, &skip);
+                time.compute += mark.elapsed();
+                e
             };
 
             // Baseline policies react to faults at the end of the iteration.
@@ -927,6 +969,14 @@ impl<'a> ResilientCg<'a> {
             });
     }
 
+    /// The pages of a vector that are lost, poisoned or skipped (reading
+    /// them counts as an access, as in [`Self::page_invalid`]).
+    fn invalid_pages(&self, id: VectorId, bit: u32, skip: &SkipMask) -> Vec<usize> {
+        (0..self.partition.num_blocks())
+            .filter(|&p| self.page_invalid(id, bit, p, skip))
+            .collect()
+    }
+
     /// Page-blocked dot product that skips invalid pages; returns the partial
     /// sum and the skipped pages.
     #[allow(clippy::too_many_arguments)]
@@ -978,49 +1028,50 @@ impl<'a> ResilientCg<'a> {
 
     // ----- recovery tasks ----------------------------------------------------
 
-    /// r1 (Figure 1(b)): plan the recovery of lost/skipped pages of `d_cur`
-    /// and `q`. The plan only *reads* solver state and writes the
-    /// reconstructed pages into side buffers, so it can run concurrently with
-    /// the ⟨d,q⟩ reduction (AFEIR) without touching the pages the reduction is
-    /// scanning; [`Self::apply_fixes`] installs the pages afterwards — which
-    /// corresponds to the paper's communication through atomic bitmasks rather
-    /// than task dependences.
+    /// r1 (Figure 1(b)): plan the recovery of the lost/skipped pages
+    /// `d_pages` of `d_cur` and `q_lost` of `q`. The plan only *reads* solver
+    /// state and writes the reconstructed pages into side buffers, so it can
+    /// run concurrently with the ⟨d,q⟩ reduction (AFEIR) without touching the
+    /// pages the reduction is scanning; [`Self::apply_fixes`] installs the
+    /// pages afterwards — which corresponds to the paper's communication
+    /// through atomic bitmasks rather than task dependences.
     #[allow(clippy::too_many_arguments)]
     fn plan_r1(
         &self,
         beta: f64,
         d_prev: &[f64],
-        d_prev_bit: u32,
         src: &[f64],
-        src_bit: u32,
         d_cur: &[f64],
-        d_cur_id: VectorId,
-        d_cur_bit: u32,
         q: &[f64],
-        q_id: VectorId,
+        d_pages: &[usize],
+        q_lost: &[usize],
         skip: &SkipMask,
         iteration: usize,
     ) -> RecoveryPlan {
         let recovery = self.recovery.as_ref().expect("FEIR/AFEIR carry a recovery");
         let partition = self.partition;
         let mut plan = RecoveryPlan::default();
-
-        let d_pages: Vec<usize> = (0..partition.num_blocks())
-            .filter(|&p| self.page_invalid(d_cur_id, d_cur_bit, p, skip))
-            .collect();
-        let q_lost: Vec<usize> = (0..partition.num_blocks())
-            .filter(|&p| self.page_invalid(q_id, bits::Q, p, skip))
-            .collect();
-
         if d_pages.is_empty() && q_lost.is_empty() {
             return plan;
         }
+        // `d0` is the current direction on even iterations; `z` is the
+        // update source when preconditioned.
+        let (d_cur_id, d_cur_bit, d_prev_bit) = match iteration % 2 {
+            0 => (self.ids.d0, bits::D0, bits::D1),
+            _ => (self.ids.d1, bits::D1, bits::D0),
+        };
+        let src_bit = if self.ids.z.is_some() {
+            bits::Z
+        } else {
+            bits::G
+        };
+        let q_id = self.ids.q;
 
         // Repaired view of d: start from the current data and patch the lost
         // pages as they are reconstructed (needed for the q recomputation).
         let mut d_view = d_cur.to_vec();
 
-        for &p in &d_pages {
+        for &p in d_pages {
             let range = partition.range(p);
             let prev_ok = !skip.is_set(p, d_prev_bit);
             let src_ok = !skip.is_set(p, src_bit);
@@ -1056,7 +1107,7 @@ impl<'a> ResilientCg<'a> {
         }
 
         let unrecovered_d = plan.abandoned_pages(d_cur_id);
-        for &p in &q_lost {
+        for &p in q_lost {
             let inputs_ok = self.touched_pages[p]
                 .iter()
                 .all(|ip| !unrecovered_d.contains(ip));
@@ -1074,28 +1125,23 @@ impl<'a> ResilientCg<'a> {
         plan
     }
 
-    /// r2/r3 (Figure 1(b)): plan the recovery of lost/skipped pages of `x` and
-    /// `g`, reading the solver state only (see [`Self::plan_r1`]).
+    /// r2/r3 (Figure 1(b)): plan the recovery of the lost/skipped pages
+    /// `x_pages` of `x` and `g_pages` of `g`, reading the solver state only
+    /// (see [`Self::plan_r1`]).
+    #[allow(clippy::too_many_arguments)]
     fn plan_r2_r3(
         &self,
         x: &[f64],
         x_id: VectorId,
         g: &[f64],
         g_id: VectorId,
-        skip: &SkipMask,
+        x_pages: &[usize],
+        g_pages: &[usize],
         iteration: usize,
     ) -> RecoveryPlan {
         let recovery = self.recovery.as_ref().expect("FEIR/AFEIR carry a recovery");
         let partition = self.partition;
         let mut plan = RecoveryPlan::default();
-
-        let invalid = |id: VectorId, bit: u32| -> Vec<usize> {
-            (0..partition.num_blocks())
-                .filter(|&p| self.page_invalid(id, bit, p, skip))
-                .collect()
-        };
-        let x_pages = invalid(x_id, bits::X);
-        let g_pages = invalid(g_id, bits::G);
         if x_pages.is_empty() && g_pages.is_empty() {
             return plan;
         }
@@ -1105,7 +1151,7 @@ impl<'a> ResilientCg<'a> {
         // Recover x first: A_ii x_i = b_i − g_i − Σ_{j≠i} A_ij x_j. Needs g_i
         // and the other x pages; simultaneous loss of x_i and g_i is the
         // "related data" case and is ignored.
-        let (recoverable, _, conflicting) = engine::split_related(&x_pages, &g_pages);
+        let (recoverable, _, conflicting) = engine::split_related(x_pages, g_pages);
         if recoverable.len() > 1 {
             // Combined multi-block solve (Section 2.4, case 1).
             if let Some(values) =
@@ -1147,7 +1193,7 @@ impl<'a> ResilientCg<'a> {
 
         // Then recover g from the repaired iterate: g_i = b_i − Σ_j A_ij x_j.
         let unrecovered_x = plan.abandoned_pages(x_id);
-        for &p in &g_pages {
+        for &p in g_pages {
             let inputs_ok = self.touched_pages[p]
                 .iter()
                 .all(|ip| !unrecovered_x.contains(ip));
@@ -1245,14 +1291,15 @@ impl<'a> ResilientCg<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feir_pagemem::{FaultInjector, InjectionPlan};
+    use feir_pagemem::FaultStream;
     use feir_sparse::generators::{manufactured_rhs, poisson_2d};
+    use std::ops::Range;
     use std::time::Duration;
 
     #[test]
     fn overlap_runs_both_closures_in_either_mode() {
         for asynchronous in [false, true] {
-            let (a, b) = overlap(asynchronous, || 6 * 7, || "done");
+            let ((a, _), (b, _)) = overlap(asynchronous, || 6 * 7, || "done");
             assert_eq!(a, 42);
             assert_eq!(b, "done");
         }
@@ -1308,17 +1355,13 @@ mod tests {
         let (x_true, b) = manufactured_rhs(&a, 9);
         let ideal = build(&a, &b, RecoveryPolicy::Ideal, false).solve(&small_options());
 
-        let solver = build(&a, &b, RecoveryPolicy::Feir, false);
-        let registry = solver.registry();
-        // Inject into a page of x ("x" is the first registered vector) after a
-        // short delay so some iterations have happened.
-        let injector = FaultInjector::start(
-            Arc::clone(&registry),
-            InjectionPlan::Scheduled(vec![(Duration::from_millis(5), 2)]),
-        );
-        let report = solver.solve(&small_options());
-        injector.stop();
+        // Strike page 2 of x ("x" is the first registered vector) once some
+        // iterations have happened.
+        let report = build(&a, &b, RecoveryPolicy::Feir, false)
+            .with_faults(FaultSchedule::Listed(vec![(10, 2)]))
+            .solve(&small_options());
         assert!(report.converged());
+        assert_eq!(report.faults_discovered, 1);
         // Exact recovery must not disturb convergence meaningfully.
         assert!(
             report.iterations <= ideal.iterations + 3,
@@ -1340,17 +1383,14 @@ mod tests {
     fn afeir_recovers_under_injection_stream() {
         let a = poisson_2d(20);
         let (_, b) = manufactured_rhs(&a, 2);
-        let solver = build(&a, &b, RecoveryPolicy::Afeir, false);
-        let registry = solver.registry();
-        let injector = FaultInjector::start(
-            registry,
-            InjectionPlan::Exponential {
-                mtbe: Duration::from_millis(3),
-                seed: 5,
-            },
-        );
-        let report = solver.solve(&small_options());
-        injector.stop();
+        let stream = FaultStream {
+            seed: 5,
+            mean_iterations: 10.0,
+        };
+        let report = build(&a, &b, RecoveryPolicy::Afeir, false)
+            .with_faults(FaultSchedule::Stream(stream))
+            .solve(&small_options());
+        assert!(report.faults_discovered > 0);
         assert!(report.converged(), "AFEIR failed to converge under errors");
         assert!(report.relative_residual <= 1e-9);
     }
@@ -1359,53 +1399,206 @@ mod tests {
     fn checkpoint_policy_rolls_back_and_converges() {
         let a = poisson_2d(20);
         let (_, b) = manufactured_rhs(&a, 3);
-        let solver = build(&a, &b, RecoveryPolicy::Checkpoint { interval: 10 }, false);
-        let registry = solver.registry();
-        let injector = FaultInjector::start(
-            registry,
-            InjectionPlan::Scheduled(vec![(Duration::from_millis(4), 1)]),
-        );
-        let report = solver.solve(&small_options());
-        injector.stop();
+        let report = build(&a, &b, RecoveryPolicy::Checkpoint { interval: 10 }, false)
+            .with_faults(FaultSchedule::Listed(vec![(15, 1)]))
+            .solve(&small_options());
         assert!(report.converged());
-        if report.faults_discovered > 0 {
-            assert!(report.rollbacks >= 1);
-        }
+        assert!(report.faults_discovered > 0);
+        assert!(report.rollbacks >= 1);
     }
 
     #[test]
     fn lossy_restart_recovers_and_converges() {
         let a = poisson_2d(20);
         let (_, b) = manufactured_rhs(&a, 8);
-        let solver = build(&a, &b, RecoveryPolicy::LossyRestart, false);
-        let registry = solver.registry();
-        let injector = FaultInjector::start(
-            registry,
-            InjectionPlan::Scheduled(vec![(Duration::from_millis(4), 0)]),
-        );
-        let report = solver.solve(&small_options());
-        injector.stop();
+        let report = build(&a, &b, RecoveryPolicy::LossyRestart, false)
+            .with_faults(FaultSchedule::Listed(vec![(15, 0)]))
+            .solve(&small_options());
         assert!(report.converged());
-        if report.faults_discovered > 0 {
-            assert!(report.restarts >= 1);
-        }
+        assert!(report.faults_discovered > 0);
+        assert!(report.restarts >= 1);
     }
 
     #[test]
     fn trivial_policy_accepts_blank_pages_and_still_terminates() {
         let a = poisson_2d(16);
         let (_, b) = manufactured_rhs(&a, 6);
-        let solver = build(&a, &b, RecoveryPolicy::Trivial, false);
-        let registry = solver.registry();
-        let injector = FaultInjector::start(
-            registry,
-            InjectionPlan::Scheduled(vec![(Duration::from_millis(3), 4)]),
-        );
-        let report = solver.solve(&small_options().with_max_iterations(5_000));
-        injector.stop();
+        let report = build(&a, &b, RecoveryPolicy::Trivial, false)
+            .with_faults(FaultSchedule::Listed(vec![(5, 4)]))
+            .solve(&small_options().with_max_iterations(5_000));
         // Trivial recovery has no convergence guarantee, but it must not hang
         // or produce NaN.
         assert!(report.x.iter().all(|v| v.is_finite()));
+    }
+
+    /// Everything a replay must reproduce: the iterate's and the residual
+    /// history's bits, the page counters and the event log.
+    fn fingerprint(report: &RunReport) -> (Vec<u64>, Vec<u64>, usize, usize, String) {
+        (
+            report.x.iter().map(|v| v.to_bits()).collect(),
+            report
+                .history
+                .samples
+                .iter()
+                .map(|s| s.1.to_bits())
+                .collect(),
+            report.faults_discovered,
+            report.pages_recovered,
+            format!("{:?}", report.events),
+        )
+    }
+
+    /// A stream whose only DUE in the first `horizon` iterations lands at
+    /// `point` of an iteration in `2..horizon - 12`, on a flat page in the
+    /// range `target` gives for that iteration. Returns the stream and the
+    /// iteration.
+    fn lone_fault(
+        point: usize,
+        horizon: usize,
+        total_pages: usize,
+        target: impl Fn(usize) -> Range<usize>,
+    ) -> (FaultStream, usize) {
+        (0..)
+            .map(|seed| FaultStream {
+                seed,
+                mean_iterations: horizon as f64,
+            })
+            .find_map(|stream| {
+                let hits: Vec<(usize, usize, usize)> = (0..horizon)
+                    .flat_map(|t| (0..arrival::POINTS).map(move |p| (t, p)))
+                    .flat_map(|(t, p)| {
+                        let draws = stream.draw(0, t, p, arrival::POINTS, total_pages);
+                        draws.into_iter().map(move |flat| (t, p, flat))
+                    })
+                    .collect();
+                match hits[..] {
+                    [(t, p, flat)]
+                        if p == point
+                            && (2..horizon - 12).contains(&t)
+                            && target(t).contains(&flat) =>
+                    {
+                        Some((stream, t))
+                    }
+                    _ => None,
+                }
+            })
+            .expect("some seed places a lone fault")
+    }
+
+    /// A DUE between a recovery plan's scan and the reduction beside it is
+    /// skipped by the reduction and missing from the plan; the fix-up plans
+    /// it again before the sum is used, so one such fault on `g`, `d` or `q`
+    /// costs at most one iteration, under FEIR and AFEIR, and replays.
+    #[test]
+    fn a_fault_between_plan_scan_and_reduction_is_planned_again() {
+        let a = poisson_2d(20);
+        let (_, b) = manufactured_rhs(&a, 9);
+        let ideal = build(&a, &b, RecoveryPolicy::Ideal, false).solve(&small_options());
+        let np = build(&a, &b, RecoveryPolicy::Feir, false)
+            .partition()
+            .num_blocks();
+        // Flat layout: x, g, d0, d1, q; d_cur is d0 on even iterations.
+        let flat = |v: usize| v * np..(v + 1) * np;
+        let cases = [
+            ("g", arrival::EPS_REDUCE),
+            ("d", arrival::DQ_REDUCE),
+            ("q", arrival::DQ_REDUCE),
+        ];
+        for (vector, point) in cases {
+            let target = |t: usize| match vector {
+                "g" => flat(1),
+                "d" => flat(2 + t % 2),
+                _ => flat(4),
+            };
+            let (stream, at) = lone_fault(point, ideal.iterations + 20, 5 * np, target);
+            for policy in [RecoveryPolicy::Feir, RecoveryPolicy::Afeir] {
+                let solve = || {
+                    build(&a, &b, policy, false)
+                        .with_faults(FaultSchedule::Stream(stream))
+                        .solve(&small_options())
+                };
+                let report = solve();
+                let label = format!("{policy:?}, {vector} at iteration {at}");
+                assert!(report.converged(), "{label}");
+                assert_eq!(report.faults_discovered, 1, "{label}");
+                assert!(
+                    report.events.iter().any(|e| e.iteration == at
+                        && e.vector == vector
+                        && e.action == RecoveryAction::ExactInterpolation),
+                    "{label}: {:?}",
+                    report.events
+                );
+                assert!(
+                    report.iterations.abs_diff(ideal.iterations) <= 1,
+                    "{label}: {} vs ideal {}",
+                    report.iterations,
+                    ideal.iterations
+                );
+                assert_eq!(fingerprint(&report), fingerprint(&solve()), "{label}");
+            }
+        }
+    }
+
+    /// A `g` page lost at the top of a PCG iteration leaves its `z` page
+    /// unsolved for ρ; FEIR repairs `g`, re-solves `z` and patches ρ.
+    #[test]
+    fn pcg_patches_rho_after_a_residual_loss() {
+        let a = poisson_2d(20);
+        let (_, b) = manufactured_rhs(&a, 9);
+        let ideal = build(&a, &b, RecoveryPolicy::Ideal, true).solve(&small_options());
+        let np = build(&a, &b, RecoveryPolicy::Feir, true)
+            .partition()
+            .num_blocks();
+        for page in 0..np {
+            let report = build(&a, &b, RecoveryPolicy::Feir, true)
+                .with_faults(FaultSchedule::Listed(vec![(
+                    ideal.iterations / 2,
+                    np + page,
+                )]))
+                .solve(&small_options());
+            assert!(report.converged(), "g page {page}");
+            assert!(
+                report.iterations.abs_diff(ideal.iterations) <= 1,
+                "g page {page}: {} vs ideal {}",
+                report.iterations,
+                ideal.iterations
+            );
+        }
+    }
+
+    /// The same seed replays a faulted solve bit for bit: iterate, residual
+    /// history, page counters and events — for every policy.
+    #[test]
+    fn a_seeded_stream_replays_bit_for_bit() {
+        let a = poisson_2d(20);
+        let (_, b) = manufactured_rhs(&a, 2);
+        let stream = FaultSchedule::Stream(FaultStream {
+            seed: 2015,
+            mean_iterations: 8.0,
+        });
+        for policy in [
+            RecoveryPolicy::Feir,
+            RecoveryPolicy::Afeir,
+            RecoveryPolicy::LossyRestart,
+            RecoveryPolicy::Checkpoint { interval: 10 },
+            RecoveryPolicy::Trivial,
+        ] {
+            for preconditioned in [false, true] {
+                let solve = || {
+                    let solver = build(&a, &b, policy, preconditioned).with_faults(stream.clone());
+                    let registry = solver.registry();
+                    let report = solver.solve(&small_options().with_max_iterations(2_000));
+                    (fingerprint(&report), registry.injected_count())
+                };
+                let first = solve();
+                assert!(first.1 > 0, "{policy:?}: the stream struck nothing");
+                assert_eq!(
+                    first,
+                    solve(),
+                    "{policy:?}, preconditioned {preconditioned}"
+                );
+            }
+        }
     }
 
     #[test]

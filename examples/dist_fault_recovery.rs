@@ -1,20 +1,18 @@
 //! Distributed resilience end to end: the full recovery-policy matrix under
-//! scripted DUEs, live per-rank injector streams, and a small fault campaign
-//! — the Section 3.4 configuration of the paper on the simulated rank
-//! substrate.
+//! scripted DUEs, seeded per-rank fault streams that replay bit for bit, and
+//! a small fault campaign — the Section 3.4 configuration of the paper on
+//! the simulated rank substrate.
 //!
 //! ```text
 //! cargo run --release --example dist_fault_recovery
 //! ```
 
-use std::time::Duration;
-
 use feir::dist::{
     distributed_cg, distributed_pcg, distributed_resilient_cg, distributed_resilient_pcg,
-    DistResilienceConfig, DistResilientSolver, DistSolver, FaultCampaign, InjectionDriver,
-    ProtectedVector, ScriptedFault,
+    DistResilienceConfig, DistResilientSolver, DistSolver, FaultCampaign, ProtectedVector,
+    ScriptedFault,
 };
-use feir::pagemem::InjectionPlan;
+use feir::pagemem::FaultStream;
 use feir::recovery::RecoveryPolicy;
 use feir::sparse::generators::{manufactured_rhs, poisson_2d};
 
@@ -137,30 +135,41 @@ fn main() {
         "resilient PCG must converge under DUEs"
     );
 
-    // ---- 3. Live per-rank injector streams --------------------------------
-    let solver =
-        DistResilientSolver::new(DistSolver::Cg, &a, &b, ranks, config(RecoveryPolicy::Afeir));
-    let driver = InjectionDriver::start_uniform(
-        solver.domains(),
-        &InjectionPlan::Exponential {
-            mtbe: Duration::from_millis(2),
-            seed: 2015,
-        },
-    );
-    let mut report = solver.solve();
-    report.absorb_injection_reports(&driver.stop());
+    // ---- 3. Seeded per-rank fault streams ---------------------------------
+    // One exponential stream per rank on the iteration clock, a mean of 40
+    // iterations between DUEs on each: the same seed is the same run.
+    let stream = FaultStream {
+        seed: 2015,
+        mean_iterations: 40.0,
+    };
+    let solve = || {
+        DistResilientSolver::new(DistSolver::Cg, &a, &b, ranks, config(RecoveryPolicy::Afeir))
+            .with_fault_stream(&stream)
+            .solve()
+    };
+    let report = solve();
     println!(
-        "\nAFEIR under live exponential streams (one per rank): converged={}, {} iterations",
+        "\nAFEIR under seeded exponential streams (one per rank): converged={}, {} iterations",
         report.converged, report.iterations
     );
-    println!("  rank  attempted  injected  discovered  recovered");
+    println!("  rank  injected  discovered  recovered");
     for stats in &report.faults.per_rank {
         println!(
-            "  {:>4}  {:>9}  {:>8}  {:>10}  {:>9}",
-            stats.rank, stats.attempted, stats.injected, stats.discovered, stats.recovered
+            "  {:>4}  {:>8}  {:>10}  {:>9}",
+            stats.rank, stats.injected, stats.discovered, stats.recovered
         );
     }
-    assert!(report.converged, "AFEIR must converge under live injection");
+    assert!(
+        report.converged,
+        "AFEIR must converge under the fault streams"
+    );
+    let replay = solve();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let replays = bits(&report.x) == bits(&replay.x)
+        && bits(&report.residual_history) == bits(&replay.residual_history)
+        && report.faults == replay.faults;
+    println!("  the same seed replays bit for bit: {replays}");
+    assert!(replays, "a seeded fault stream must replay bit for bit");
 
     // ---- 4. A small fault campaign over both solver variants --------------
     let campaign = FaultCampaign {

@@ -1,14 +1,13 @@
 //! Quick start: protect a CG solve against page-level DUE with AFEIR.
 //!
-//! Builds a 2-D Poisson system, attaches a fault injector that poisons random
-//! memory pages of the solver's dynamic vectors, and solves with the
-//! asynchronous forward exact interpolation recovery. Run with:
+//! Builds a 2-D Poisson system, exposes the solve to a seeded fault stream
+//! that poisons random memory pages of the solver's dynamic vectors, and
+//! solves with the asynchronous forward exact interpolation recovery. Run
+//! with:
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
-
-use std::time::Duration;
 
 use feir::prelude::*;
 
@@ -24,22 +23,19 @@ fn main() {
         ..ResilienceConfig::default()
     };
     let options = SolveOptions::default().with_tolerance(1e-10);
-    let solver = ResilientCg::new(&a, &b, config);
-
-    // 3. Attach a fault injector: one expected error every 20 ms, targeting
-    //    the protected vectors uniformly (the paper's error model).
-    let injector = FaultInjector::start(
-        solver.registry(),
-        InjectionPlan::Exponential {
-            mtbe: Duration::from_millis(20),
-            seed: 7,
-        },
-    );
+    // 3. Expose it to a fault stream: one expected error every 40
+    //    iterations, targeting the protected vectors uniformly (the paper's
+    //    error model on the iteration clock, so every run is the same run).
+    let stream = FaultStream {
+        seed: 7,
+        mean_iterations: 40.0,
+    };
+    let solver = ResilientCg::new(&a, &b, config).with_faults(FaultSchedule::Stream(stream));
+    let registry = solver.registry();
 
     // 4. Solve. Lost pages are reconstructed exactly from the redundancy
     //    relations of Table 1, overlapped with the solver's reductions.
     let report = solver.solve(&options);
-    let injection = injector.stop();
 
     // 5. Inspect the outcome.
     println!(
@@ -51,7 +47,7 @@ fn main() {
     );
     println!(
         "errors injected: {}, discovered by the solver: {}, pages recovered exactly: {}",
-        injection.effective_count(),
+        registry.injected_count(),
         report.faults_discovered,
         report.pages_recovered
     );

@@ -23,8 +23,9 @@ fn main() {
         a.rows()
     );
 
-    // Ideal reference time (τ): the error rate is expressed as expected
-    // errors per τ, exactly like the x-axis of Figure 4.
+    // Ideal reference: the error rate is expressed as expected errors per
+    // ideal solve, counted in its iterations (the x-axis of Figure 4 on the
+    // iteration clock); its time τ is the slowdown reference.
     let base = ResilienceConfig {
         page_doubles: 256,
         ..ResilienceConfig::default()
@@ -56,7 +57,7 @@ fn main() {
             seed: 0xFE1A,
             options: options.clone(),
         };
-        let report = run_with_errors(&a, &b, &experiment, ideal.elapsed);
+        let report = run_with_errors(&a, &b, &experiment, ideal.iterations);
         println!(
             "{:<10} {:>9.2}% {:>8} {:>8} {:>10} {:>9}",
             policy.name(),

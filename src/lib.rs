@@ -14,8 +14,8 @@
 //!
 //! * [`sparse`] — CSR matrices, dense block factorizations, SPD generators,
 //!   MatrixMarket I/O ([`feir_sparse`]);
-//! * [`pagemem`] — the page-level DUE fault model and injector
-//!   ([`feir_pagemem`]);
+//! * [`pagemem`] — the page-level DUE fault model and the seeded fault
+//!   stream on the iteration clock ([`feir_pagemem`]);
 //! * [`solvers`] — reference CG / PCG / BiCGStab / GMRES and the redundancy
 //!   relation catalogue ([`feir_solvers`]);
 //! * [`recovery`] — FEIR, AFEIR, Lossy Restart, checkpoint/rollback, trivial
@@ -58,7 +58,7 @@ pub mod prelude {
     pub use feir_core::{
         measure_ideal, run_overhead, run_with_errors, run_with_single_error, ExperimentConfig,
     };
-    pub use feir_pagemem::{FaultInjector, InjectionPlan, PageRegistry};
+    pub use feir_pagemem::{FaultSchedule, FaultStream, PageRegistry};
     pub use feir_recovery::{
         RecoveryPolicy, ResilienceConfig, ResilientCg, ResilientCgBuilder, RunReport,
     };

@@ -1,9 +1,10 @@
 //! FEIR and AFEIR repair every lost page through one code path in the rank
 //! loops, so under the same scripted faults the two policies produce the
 //! same bits: AFEIR only posts its recovery requests (and, when only
-//! iterate pages are lost, its ε reduction) earlier. A golden hash pins
-//! FEIR's own faulted bits, so a change to the repair arithmetic shows here
-//! before it shows as a convergence difference.
+//! iterate pages are lost, its ε reduction) earlier. Golden hashes pin the
+//! faulted bits of every policy on every solver, so a change to the repair
+//! or restart arithmetic shows here before it shows as a convergence
+//! difference.
 
 use feir_dist::{
     distributed_resilient_cg, distributed_resilient_cg_merged, distributed_resilient_pcg,
@@ -40,12 +41,13 @@ impl Solver {
         b: &[f64],
         ranks: usize,
         policy: RecoveryPolicy,
+        schedule: Schedule,
     ) -> DistResilientReport {
         let config = DistResilienceConfig::for_policy(policy)
             .with_page_doubles(PAGE)
             .with_tolerance(1e-10)
             .with_max_iterations(2_000)
-            .with_scripted_faults(schedule(ranks, self.preconditioned()));
+            .with_scripted_faults(schedule.faults(ranks, self.preconditioned()));
         match self {
             Solver::Cg => distributed_resilient_cg(a, b, ranks, config),
             Solver::Pcg => distributed_resilient_pcg(a, b, ranks, config),
@@ -64,12 +66,38 @@ fn fault(iteration: usize, rank: usize, vector: ProtectedVector, page: usize) ->
     }
 }
 
-/// Losses on every protected vector: an iteration that loses only iterate
-/// pages, direction and matvec-image pages on different ranks, the coupled
-/// pair flanking the rank-0/rank-1 boundary, residual and iterate losses in
-/// one iteration, several vectors on one rank, and for the preconditioned
-/// solvers a lost `z`.
-fn schedule(ranks: usize, preconditioned: bool) -> Vec<ScriptedFault> {
+/// The scripted fault schedules.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Schedule {
+    /// Losses on every protected vector: an iteration that loses only
+    /// iterate pages, direction and matvec-image pages on different ranks,
+    /// the coupled pair flanking the rank-0/rank-1 boundary, residual and
+    /// iterate losses in one iteration, several vectors on one rank, and for
+    /// the preconditioned solvers a lost `z`.
+    Mixed,
+    /// `Mixed` plus two related pairs no relation can repair: a direction
+    /// page lost with its matvec-image page, and an iterate page lost with
+    /// its residual page. They pin the blank-accept and taint paths.
+    Related,
+}
+
+impl Schedule {
+    fn faults(self, ranks: usize, preconditioned: bool) -> Vec<ScriptedFault> {
+        use ProtectedVector::{D, G, Q, X};
+        let mut faults = mixed(ranks, preconditioned);
+        if self == Schedule::Related {
+            faults.extend([
+                fault(9, 0, D, 2),
+                fault(9, 0, Q, 2),
+                fault(11, 1, X, 1),
+                fault(11, 1, G, 1),
+            ]);
+        }
+        faults
+    }
+}
+
+fn mixed(ranks: usize, preconditioned: bool) -> Vec<ScriptedFault> {
     use ProtectedVector::{D, G, Q, X, Z};
     let last = GRID * GRID / ranks / PAGE - 1;
     let mut faults = vec![
@@ -131,8 +159,8 @@ fn feir_and_afeir_are_bitwise_equal() {
     for ranks in [2usize, 4] {
         for solver in Solver::ALL {
             let tag = format!("{solver:?} at {ranks} ranks");
-            let feir = solver.solve(&a, &b, ranks, RecoveryPolicy::Feir);
-            let afeir = solver.solve(&a, &b, ranks, RecoveryPolicy::Afeir);
+            let feir = solver.solve(&a, &b, ranks, RecoveryPolicy::Feir, Schedule::Mixed);
+            let afeir = solver.solve(&a, &b, ranks, RecoveryPolicy::Afeir, Schedule::Mixed);
             assert!(feir.converged, "{tag}: FEIR did not converge");
             assert!(feir.pages_coupled > 0, "{tag}: the coupled pair missed");
             assert_eq!(afeir.iterations, feir.iterations, "{tag}: iterations");
@@ -162,25 +190,85 @@ fn feir_and_afeir_are_bitwise_equal() {
     }
 }
 
-/// FEIR's faulted bits at 2 ranks, hashed. A change here means the repair
-/// arithmetic itself changed, not only its scheduling.
+/// Every policy's faulted bits at 2 ranks, hashed, with whether the solve
+/// converged and how many collectives it entered. A changed hash means the
+/// repair or restart arithmetic itself changed, not only its scheduling.
+///
+/// The classic solvers' FEIR rows under `Related` pin ROADMAP item 24's
+/// current result: a blank-accepted `x`+`g` loss stops the classic loops
+/// unconverged. Item 24 changes those two rows on purpose.
 #[test]
-fn feir_faulted_bits_match_their_golden_hashes() {
+fn faulted_bits_match_their_golden_hashes() {
+    use RecoveryPolicy::{Checkpoint, Feir, LossyRestart, Trivial, TrivialReplace};
+    use Schedule::{Mixed, Related};
+    use Solver::{Cg, CgMerged, Pcg, PcgMerged};
     let a = poisson_2d(GRID);
     let (_, b) = manufactured_rhs(&a, 5);
+    let ckpt = Checkpoint { interval: 4 };
+    // (solver, policy, schedule, converged, collectives, hash)
     let golden = [
-        (Solver::Cg, 0x1cc4_dd96_839c_09fc),
-        (Solver::Pcg, 0x0f79_35b0_253e_6fa6),
-        (Solver::CgMerged, 0x711e_4846_a5ae_3b5d),
-        (Solver::PcgMerged, 0x544a_cb6e_a243_7f06),
+        (Cg, Feir, Mixed, true, 120, 0x1cc4_dd96_839c_09fc),
+        (Pcg, Feir, Mixed, true, 150, 0x0f79_35b0_253e_6fa6),
+        (CgMerged, Feir, Mixed, true, 64, 0x711e_4846_a5ae_3b5d),
+        (PcgMerged, Feir, Mixed, true, 57, 0x544a_cb6e_a243_7f06),
+        (Cg, Trivial, Mixed, false, 172, 0x3298_5197_1d17_e16e),
+        (Pcg, Trivial, Mixed, false, 188, 0xebf9_495d_5c93_f61f),
+        (CgMerged, Trivial, Mixed, false, 2001, 0x1c3d_f4ca_6109_b539),
+        (PcgMerged, Trivial, Mixed, false, 62, 0x3f62_30c0_399c_25ec),
+        (Cg, TrivialReplace, Mixed, true, 129, 0xdde6_e527_7242_07f0),
+        (Pcg, TrivialReplace, Mixed, true, 168, 0x9d0f_425f_f2df_b307),
+        (
+            CgMerged,
+            TrivialReplace,
+            Mixed,
+            true,
+            124,
+            0x18a7_744a_f70f_7f56,
+        ),
+        (
+            PcgMerged,
+            TrivialReplace,
+            Mixed,
+            true,
+            108,
+            0x22c8_62d4_04ad_74e6,
+        ),
+        (Cg, ckpt, Mixed, true, 137, 0x5247_b9c6_3f17_761f),
+        (Pcg, ckpt, Mixed, true, 180, 0x02f4_346c_49ef_ee99),
+        (CgMerged, ckpt, Mixed, true, 132, 0x430b_98fb_7d57_d799),
+        (PcgMerged, ckpt, Mixed, true, 116, 0x083b_1406_067f_ad45),
+        (Cg, LossyRestart, Mixed, true, 125, 0x3e9c_eaba_7e37_77a3),
+        (Pcg, LossyRestart, Mixed, true, 162, 0x46bb_d9a8_a684_597c),
+        (
+            CgMerged,
+            LossyRestart,
+            Mixed,
+            true,
+            120,
+            0x929a_c6ab_96f8_61ad,
+        ),
+        (
+            PcgMerged,
+            LossyRestart,
+            Mixed,
+            true,
+            104,
+            0x5880_2a90_ad2e_4adc,
+        ),
+        (Cg, Feir, Related, false, 177, 0xa7bb_943a_8e0a_16d0),
+        (Pcg, Feir, Related, false, 172, 0xf14e_0174_d0f3_5569),
+        (CgMerged, Feir, Related, true, 76, 0xa857_d44d_2310_7bbd),
+        (PcgMerged, Feir, Related, true, 70, 0x0295_1ec0_7444_fd7b),
     ];
-    for (solver, expected) in golden {
-        let report = solver.solve(&a, &b, 2, RecoveryPolicy::Feir);
-        assert!(report.converged, "{solver:?} did not converge");
+    for (solver, policy, schedule, converged, collectives, expected) in golden {
+        let tag = format!("{solver:?} under {policy:?} on {schedule:?}");
+        let report = solver.solve(&a, &b, 2, policy, schedule);
+        assert_eq!(report.converged, converged, "{tag}: convergence");
+        assert_eq!(report.allreduces, collectives, "{tag}: collectives");
         assert_eq!(
             fingerprint(&report),
             expected,
-            "{solver:?}: FEIR's faulted bits changed"
+            "{tag}: the faulted bits changed"
         );
     }
 }

@@ -31,7 +31,10 @@
 //! about one round trip (a clean wire never NACKs). A loss nothing reveals
 //! waits for the timer: the sender retransmits the oldest unacknowledged
 //! record with exponential backoff until [`MeshOptions::max_retries`] is
-//! exhausted.
+//! exhausted. The timer runs only on a link with a fault plan
+//! ([`MeshOptions::chaos`]): a stream socket cannot lose a record, so a
+//! clean link never re-sends on a timer, however long its peer stalls. A
+//! dead peer is still an EOF there, and a wedged one a read timeout.
 //!
 //! A rank blocked in a receive reads and parses its own socket (it *pumps*
 //! the link: `poll(2)`, one read, every complete record), so a clean frame
@@ -42,9 +45,9 @@
 //! all its links, and re-sends what expired, so a frame lost toward peer B
 //! is re-sent while the rank waits on peer A; a closing link drains the
 //! same way. Nothing else moves a link: a rank runs no thread per link, so
-//! a rank that computes acks at its next communication call, and a peer's
-//! timer never fires on it as long as its gaps between calls stay below
-//! half the retransmission timeout.
+//! a rank that computes acks at its next communication call, and on a
+//! link with a fault plan a peer's timer never fires on it as long as its
+//! gaps between calls stay below half the retransmission timeout.
 //! Because delivery is exactly-once-in-order, the message sequence the
 //! solver observes over a faulty link is *identical* to the clean one — a
 //! lossy-mesh solve is therefore bitwise-identical to a clean-mesh solve.
@@ -252,7 +255,7 @@ pub struct MeshOptions {
     /// tolerance entirely: the first rejected frame kills the link.
     pub max_retries: u32,
     /// Base retransmission timeout; the backoff doubles it per attempt
-    /// (capped at 1 s).
+    /// (capped at 1 s). Only links with a fault plan run the timer.
     pub retransmit_timeout: Duration,
     /// Deterministic fault injection; `None` runs every link clean.
     pub chaos: Option<ChaosConfig>,
@@ -460,6 +463,10 @@ struct RLink {
     inbox: VecDeque<Message>,
     max_retries: u32,
     rto: Duration,
+    /// Whether the retransmit timer runs: only where a fault plan can lose
+    /// a record. A stream socket delivers every record it accepted, so a
+    /// clean link waits for its acks instead of re-sending into a stall.
+    timed: bool,
     stats: Arc<LinkStats>,
 }
 
@@ -475,14 +482,11 @@ impl RLink {
         options: &MeshOptions,
         stats: Arc<LinkStats>,
     ) -> RLink {
-        let plan = options
-            .chaos
-            .as_ref()
-            .map(|c| c.plan_for(rank, peer))
-            .unwrap_or_else(FaultPlan::clean);
+        let plan = options.chaos.as_ref().map(|c| c.plan_for(rank, peer));
+        let timed = plan.is_some();
         RLink {
             peer,
-            writer: ChaosLink::new(stream, plan, stats.clone()),
+            writer: ChaosLink::new(stream, plan.unwrap_or_else(FaultPlan::clean), stats.clone()),
             next_seq: 0,
             unacked: VecDeque::new(),
             inbound: Inbound {
@@ -497,6 +501,7 @@ impl RLink {
             inbox: VecDeque::new(),
             max_retries: options.max_retries,
             rto: options.retransmit_timeout.max(Duration::from_millis(1)),
+            timed,
             stats,
         }
     }
@@ -543,9 +548,10 @@ impl RLink {
     }
 
     /// When the oldest unacknowledged record is next due for retransmission;
-    /// `None` when nothing is in flight or the link is dead.
+    /// `None` when nothing is in flight, the link is dead or it runs no
+    /// timer.
     fn next_expiry(&self) -> Option<Instant> {
-        if self.is_down() {
+        if self.is_down() || !self.timed {
             return None;
         }
         let head = self.unacked.front()?;
@@ -591,13 +597,14 @@ impl RLink {
         }
     }
 
-    /// Retransmits the oldest unacknowledged record if its backoff expired.
-    /// Returns `false` when the link is (now) dead.
+    /// Retransmits the oldest unacknowledged record if its backoff expired;
+    /// a link without a timer re-sends nothing. Returns `false` when the
+    /// link is (now) dead.
     fn service_retransmits(&mut self) -> bool {
         if self.is_down() {
             return false;
         }
-        let Some(head) = self.unacked.front() else {
+        let Some(head) = self.unacked.front().filter(|_| self.timed) else {
             return true;
         };
         if head.sent_at.elapsed() < self.backoff(head.attempt) {
@@ -763,9 +770,10 @@ impl Drop for RLink {
     /// Graceful drain, then close. The last frames of a solve may still be
     /// waiting on a retransmission (chaos can drop the first attempt), and
     /// closing the socket now would lose them forever. So the drop drives
-    /// the retransmit timer and reads the acks itself until every record is
-    /// acked, bounded by the time the retries would take to exhaust so a
-    /// peer that is alive but never acks cannot stall teardown for long.
+    /// the retransmit timer (where the link runs one) and reads the acks
+    /// itself until every record is acked, bounded by the time the retries
+    /// would take to exhaust so a peer that is alive but never acks cannot
+    /// stall teardown for long.
     /// Each pass first pays the ack this side owes: the peer may be draining
     /// too, waiting for exactly that ack. Dropping an endpoint therefore
     /// closes every socket, which is what cascades a failure through the
@@ -780,12 +788,12 @@ impl Drop for RLink {
             }
         }
         let deadline = Instant::now() + budget.min(BUDGET_CAP);
-        while self.flush_ack() && self.service_retransmits() {
-            let Some(expiry) = self.next_expiry() else {
-                break; // drained
-            };
+        while self.flush_ack() && self.service_retransmits() && !self.unacked.is_empty() {
+            let wake = self
+                .next_expiry()
+                .map_or(deadline, |expiry| expiry.min(deadline));
             let now = Instant::now();
-            if now >= deadline || !self.pump(expiry.min(deadline) - now) {
+            if now >= deadline || !self.pump(wake.saturating_duration_since(now)) {
                 break;
             }
         }
@@ -2698,12 +2706,27 @@ mod tests {
     /// the link, so nothing but the test decides when an owed ack is
     /// written.
     fn test_link(rto: Duration, max_retries: u32) -> (RLink, UnixStream) {
+        link_with_plan(rto, max_retries, None)
+    }
+
+    /// [`test_link`] under a fault plan that injects nothing: the link runs
+    /// its retransmit timer.
+    fn timed_test_link(rto: Duration, max_retries: u32) -> (RLink, UnixStream) {
+        link_with_plan(rto, max_retries, Some(ChaosConfig::default()))
+    }
+
+    fn link_with_plan(
+        rto: Duration,
+        max_retries: u32,
+        chaos: Option<ChaosConfig>,
+    ) -> (RLink, UnixStream) {
         let (near, far) = UnixStream::pair().expect("socket pair");
         far.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("far read timeout");
         let options = MeshOptions {
             retransmit_timeout: rto,
             max_retries,
+            chaos,
             ..test_options()
         };
         let link = RLink::new(Stream::Unix(near), 0, 1, &options, Arc::default());
@@ -2720,7 +2743,7 @@ mod tests {
     #[test]
     fn lossy_timer_backoff_doubles_caps_and_follows_the_head_record() {
         let rto = Duration::from_millis(40);
-        let (mut link, _far) = test_link(rto, 10);
+        let (mut link, _far) = timed_test_link(rto, 10);
         for (attempt, want_ms) in [(0, 40), (1, 80), (2, 160), (4, 640), (5, 1000), (9, 1000)] {
             assert_eq!(
                 link.backoff(attempt),
@@ -2784,6 +2807,18 @@ mod tests {
         link.mark_down(LinkDown::Eof);
         assert_eq!(link.next_expiry(), None);
         assert!(!link.service_retransmits());
+    }
+
+    #[test]
+    fn a_clean_link_runs_no_retransmit_timer() {
+        let rto = Duration::from_millis(40);
+        let (mut link, _far) = test_link(rto, 10);
+        assert!(link.transmit(b"frame"));
+        link.unacked[0].sent_at -= rto * 100;
+        assert_eq!(link.next_expiry(), None, "a clean link armed a timer");
+        assert!(link.service_retransmits(), "a clean link stays alive");
+        assert_eq!(link.stats.retransmits.load(Ordering::Relaxed), 0);
+        assert_eq!(link.unacked.len(), 1, "the record waits for its ack");
     }
 
     fn scalar(value: f64) -> Message {
@@ -2975,7 +3010,11 @@ mod tests {
     /// Two ranks ping-pong five rounds under `rto`; rank 1 computes for `gap`
     /// before each receive, so it reads and acks rank 0's ping only at its
     /// next communication call. Each rank's link counters.
-    fn ping_pong_after_a_gap(rto: Duration, gap: Duration) -> Vec<crate::cg::NetStats> {
+    fn ping_pong_after_a_gap(
+        rto: Duration,
+        gap: Duration,
+        chaos: Option<ChaosConfig>,
+    ) -> Vec<crate::cg::NetStats> {
         let transport = uds_transport();
         let _guard = match &transport {
             Transport::Uds { dir } => RunDirGuard(dir.clone()),
@@ -2983,6 +3022,7 @@ mod tests {
         };
         let options = MeshOptions {
             retransmit_timeout: rto,
+            chaos,
             ..test_options()
         };
         with_mesh_opts(2, &transport, &options, |ep| {
@@ -3005,15 +3045,29 @@ mod tests {
     #[test]
     fn a_computing_owner_acks_at_its_next_call() {
         // No thread acks for a rank that computes: its next communication
-        // call does. A gap between calls below RTO/2 therefore never fires
-        // the sender's timer…
+        // call does. A gap between calls below RTO/2 re-sends nothing…
         let rto = Duration::from_millis(40);
-        for (rank, net) in ping_pong_after_a_gap(rto, rto / 4).iter().enumerate() {
+        for (rank, net) in ping_pong_after_a_gap(rto, rto / 4, None).iter().enumerate() {
             assert_eq!(net.data_frames, 5, "rank {rank}");
             assert_eq!(net.retransmits, 0, "rank {rank}: a frame was re-sent");
         }
-        // … and a gap of three RTOs does: the sender re-sends into it.
-        let slow = ping_pong_after_a_gap(rto, rto * 3);
+        // … and on a clean link neither does a gap of three RTOs: a stream
+        // socket cannot lose a record, so the sender waits for the ack.
+        for (rank, net) in ping_pong_after_a_gap(rto, rto * 3, None).iter().enumerate() {
+            assert_eq!(net.data_frames, 5, "rank {rank}");
+            assert_eq!(
+                net.retransmits, 0,
+                "rank {rank}: a clean link re-sent a frame"
+            );
+        }
+    }
+
+    #[test]
+    fn a_link_with_a_fault_plan_resends_into_a_long_gap() {
+        // A fault plan that injects nothing still runs the timer: the
+        // sender re-sends into a gap of three RTOs.
+        let rto = Duration::from_millis(40);
+        let slow = ping_pong_after_a_gap(rto, rto * 3, Some(ChaosConfig::default()));
         assert_eq!(slow[0].data_frames, 5);
         assert!(
             slow[0].retransmits > 0,
@@ -3188,6 +3242,7 @@ mod tests {
         ep.with_link(peer, |link| {
             let stream = clone_stream(link.writer.get_mut());
             link.writer = ChaosLink::new(stream, FaultPlan::scripted(&entries), link.stats.clone());
+            link.timed = true;
             Ok(())
         })
         .expect("a link to the peer");

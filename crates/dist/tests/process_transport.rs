@@ -27,12 +27,23 @@ fn worker() -> &'static Path {
 
 /// Asserts two solves agree bit for bit: solution, iteration count and the
 /// full residual history (each ε comes out of the same rank-ordered fold on
-/// both backends, so even the histories must match exactly).
+/// both backends, so even the histories must match exactly). A solve whose
+/// wire injected no fault must also have re-sent nothing: a clean link runs
+/// no retransmit timer.
 fn assert_bitwise_identical(
     label: &str,
     via_processes: &DistSolveResult,
     in_process: &DistSolveResult,
 ) {
+    for solve in [via_processes, in_process] {
+        if solve.net.injected_faults == 0 {
+            assert_eq!(
+                solve.net.retransmits, 0,
+                "{label}: {} retransmits on a clean wire",
+                solve.net.retransmits
+            );
+        }
+    }
     assert_eq!(
         via_processes.iterations, in_process.iterations,
         "{label}: iteration counts differ"

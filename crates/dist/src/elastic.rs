@@ -17,15 +17,17 @@
 //!
 //! * every policy recomputes the two restart invariants — ‖b‖ and the
 //!   residual `g = b − A·x` — from the post-repair iterate, zeroes the
-//!   search direction, and resets `ρ_old` to the ∞ sentinel (a Krylov
-//!   restart, same as [`RecoveryPolicy::LossyRestart`] after a fault);
+//!   search direction, and resets `ρ_old` to the ∞ sentinel: the Krylov
+//!   restart [`RecoveryPolicy::LossyRestart`] runs after a fault, through
+//!   the same `SolveState::replace_residual`;
 //! * [`RecoveryPolicy::Checkpoint`] survivors roll back to their last
 //!   local checkpoint first, so the global iterate is the checkpointed one
 //!   everywhere except the newcomer's rows;
 //! * the newcomer interpolates its own rows with the lossy block-Jacobi
-//!   relation (`lossy_iterate_rows`) from the neighbours' fetched stencil
-//!   entries — under Checkpoint/FEIR/AFEIR this rebuilds a usable iterate
-//!   page-by-page, counted in `pages_recovered`;
+//!   relation (`lossy_iterate_rows`, page by page as LossyRestart does)
+//!   from the neighbours' fetched stencil entries — under
+//!   Checkpoint/FEIR/AFEIR this rebuilds a usable iterate, counted in
+//!   `pages_recovered`;
 //! * [`RecoveryPolicy::Trivial`] honestly degrades: the newcomer's rows
 //!   restart from zero and are counted in `pages_ignored`.
 //!
@@ -41,8 +43,8 @@ use feir_recovery::{RecoverableIteration, RecoveryPolicy};
 use crate::comm::{CommError, RankComm};
 use crate::kernels;
 use crate::rank_loop::{
-    alloc_state, finish_outcome, global_rows, init_collectives, remote_stencil_requests,
-    resilient_iterations, RankCtx, RankOutcome, SolveState,
+    alloc_state, finish_outcome, init_collectives, lossy_fill_pages, resilient_iterations, RankCtx,
+    RankOutcome, SolveState,
 };
 
 /// How the elastic harness behaves for this process.
@@ -110,64 +112,40 @@ fn rejoin_repair<S: RecoverableIteration>(
     state.norm_b = kernels::global_rhs_norm(comm, &ctx.b[own.clone()])?;
 
     // 2. Checkpoint survivors roll back to their last local checkpoint; the
-    //    newcomer's store is empty, so `rollback` is a harmless no-op there.
-    if let Some(store) = state.store.as_mut() {
-        let mut scalars = Vec::new();
-        if store
-            .rollback(&mut state.x_full[own.clone()], &mut state.d, &mut scalars)
-            .is_some()
-        {
-            state.rollbacks += 1;
-        }
-    }
+    //    newcomer's store is empty, so the rollback is a harmless no-op
+    //    there. Its scalars are not needed: step 5 restarts the recurrence.
+    state.rollback(&own);
 
     // 3. One recovery exchange, entered by every rank (the collective is
     //    all-to-all). The newcomer requests the remote stencil entries of
     //    all its rows for the interpolation below; survivors request
     //    nothing but still serve their side.
-    let requests = if newcomer && ctx.policy != RecoveryPolicy::Trivial {
-        let rows: Vec<usize> = own.clone().collect();
-        remote_stencil_requests(ctx.a, &ctx.partition, ctx.rank, &rows)
+    let trivial = ctx.policy == RecoveryPolicy::Trivial;
+    let requests = if newcomer && !trivial {
+        ctx.stencil_requests(&own.clone().collect::<Vec<_>>())
     } else {
         Default::default()
     };
     let (fetched, _) = comm.recovery_exchange(&requests, &mut state.x_full, &[])?;
-    state.cross_rank_values += fetched;
+    state.pages.cross_rank_values += fetched;
 
     // 4. The newcomer rebuilds its iterate rows page-by-page with the lossy
     //    interpolation (Trivial skips this and honestly restarts from zero).
-    if newcomer {
-        if ctx.policy == RecoveryPolicy::Trivial {
-            state.pages_ignored += ctx.pages.num_blocks();
-        } else {
-            for p in 0..ctx.pages.num_blocks() {
-                let rows: Vec<usize> = global_rows(own.start, &ctx.pages, p).collect();
-                match relations.lossy_iterate_rows(&rows, &state.x_full) {
-                    Some(values) => {
-                        for (&r, v) in rows.iter().zip(&values) {
-                            state.x_full[r] = *v;
-                        }
-                        state.pages_recovered += 1;
-                    }
-                    None => state.pages_ignored += 1,
-                }
-            }
-        }
+    let all_pages = 0..ctx.pages.num_blocks();
+    if newcomer && trivial {
+        state.pages.ignored += all_pages.len();
+    } else if newcomer {
+        lossy_fill_pages(
+            ctx,
+            relations,
+            all_pages,
+            &mut state.x_full,
+            &mut state.pages,
+        );
     }
 
-    // 5–6. Propagate the repaired iterate and recompute the true residual.
-    comm.exchange_halo(&mut state.x_full)?;
-    ctx.a
-        .spmv_rows(own.start, own.end, &state.x_full, &mut state.g);
-    for (k, r) in own.clone().enumerate() {
-        state.g[k] = ctx.b[r] - state.g[k];
-    }
-
-    // 7–9. Krylov restart at the agreed iteration.
-    state.d.iter_mut().for_each(|v| *v = 0.0);
-    state.rho_old = f64::INFINITY;
-    state.eps = comm.allreduce_sum(kernels::norm2_squared(&state.g))?;
+    // 5–9. Residual replacement and Krylov restart at the agreed iteration.
+    state.replace_residual(ctx, comm, true)?;
     state.t = t_resume as usize;
-    state.restarts += 1;
     Ok(())
 }

@@ -2123,13 +2123,14 @@ fn run_worker(launch: &Launch, links_out: &mut Vec<Arc<LinkStats>>) -> Result<Me
         .with_tolerance(spec.tolerance)
         .with_max_iterations(spec.max_iterations);
     let registry = Arc::new(feir_pagemem::PageRegistry::new());
+    let pages = config.rank_pages(&partition)[rank];
     let ctx = RankCtx {
         throttle: options.throttle.unwrap_or(Duration::ZERO),
         elastic: options.elastic.then(|| ElasticCfg {
             newcomer: launch.epochs.get(rank).copied().unwrap_or(0) > 0,
             max_rejoins: 4,
         }),
-        ..RankCtx::new(&a, &b, &partition, rank, &config, registry)
+        ..RankCtx::new(&a, &b, &partition, rank, &config, registry, pages)
     };
     if ctx.policy.needs_protection() {
         register_protected(&ctx.registry, rank, spec.solver, &ctx.pages);

@@ -26,6 +26,14 @@
 //!   flight during the whole iterate repair, because ε does not read `x`.
 //!   Neither moves a floating-point operation.
 //!
+//! Both resilient loops share their repair machinery. [`repair_pair`] is
+//! the one FEIR/AFEIR round for a (vector, image) pair — recovery
+//! exchange, related-loss split, coupled cross-rank round, taint fixpoint,
+//! plan and installation — run here on `x`/`g` and by the merged loop on
+//! `x`/`r` and `p`/`s`. [`SolveState::replace_residual`] is the one
+//! residual replacement and Krylov restart, shared by the baseline
+//! policies and the elastic rejoin, and [`PageCounts`] the one counter set.
+//!
 //! The loop is split into resumable phases
 //! ([`alloc_state`] → [`init_collectives`] → [`resilient_iterations`] →
 //! [`finish_outcome`]) around an explicit [`SolveState`], so the elastic
@@ -39,9 +47,11 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
-use feir_pagemem::{AccessOutcome, PageRegistry};
+use feir_pagemem::{AccessOutcome, PageRegistry, VectorId};
 use feir_recovery::checkpoint::{CheckpointStore, CheckpointTarget};
-use feir_recovery::engine::{mark_page, plan_state_fixes, scrub_blank, split_related, StateLosses};
+use feir_recovery::engine::{
+    mark_page, plan_state_fixes, scrub_blank, split_related, StateLosses, StatePlan,
+};
 use feir_recovery::{RecoverableIteration, RecoveryPolicy};
 use feir_sparse::blocking::BlockPartition;
 use feir_sparse::{CsrMatrix, SpmvBackend};
@@ -88,8 +98,9 @@ pub(crate) struct RankCtx<'a> {
 }
 
 impl<'a> RankCtx<'a> {
-    /// The context of `rank` under `config`: its row block, its pages, its
-    /// scripted faults; no throttle and no elastic harness.
+    /// The context of `rank` under `config`: its row block, its `pages`
+    /// (see [`DistResilienceConfig::rank_pages`]), its scripted faults; no
+    /// throttle and no elastic harness.
     pub(crate) fn new(
         a: &'a CsrMatrix,
         b: &'a [f64],
@@ -97,8 +108,8 @@ impl<'a> RankCtx<'a> {
         rank: usize,
         config: &DistResilienceConfig,
         registry: Arc<PageRegistry>,
+        pages: BlockPartition,
     ) -> Self {
-        let own = partition.range(rank);
         RankCtx {
             a,
             b,
@@ -106,8 +117,8 @@ impl<'a> RankCtx<'a> {
             tolerance: config.tolerance,
             max_iterations: config.max_iterations,
             rank,
-            pages: BlockPartition::new(own.len(), config.page_doubles.max(1)),
-            own,
+            own: partition.range(rank),
+            pages,
             registry,
             partition: partition.clone(),
             scripted: config
@@ -122,6 +133,30 @@ impl<'a> RankCtx<'a> {
     }
 }
 
+/// The page counters of a resilient solve, as a rank loop accumulates them
+/// and the outcome fold sums them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PageCounts {
+    /// Pages reconstructed exactly or lossily.
+    pub recovered: usize,
+    /// Pages blank-accepted.
+    pub ignored: usize,
+    /// Subset of `recovered` reconstructed by the cross-rank coupled
+    /// exchange (losses spanning a rank boundary, solved as one union).
+    pub coupled: usize,
+    /// Values fetched across rank boundaries by the recovery protocol.
+    pub cross_rank_values: usize,
+}
+
+impl std::ops::AddAssign for PageCounts {
+    fn add_assign(&mut self, other: PageCounts) {
+        self.recovered += other.recovered;
+        self.ignored += other.ignored;
+        self.coupled += other.coupled;
+        self.cross_rank_values += other.cross_rank_values;
+    }
+}
+
 /// What one rank's loop reports back — or, once [`fold`](Self::fold)ed,
 /// the whole machine's outcome. The plain loops report zero page counters.
 #[derive(Debug, Default)]
@@ -131,12 +166,7 @@ pub(crate) struct RankOutcome {
     pub x: Vec<f64>,
     pub iterations: usize,
     pub history: Vec<f64>,
-    pub pages_recovered: usize,
-    pub pages_ignored: usize,
-    /// Subset of `pages_recovered` reconstructed by the cross-rank coupled
-    /// exchange (losses spanning a rank boundary, solved as one union).
-    pub pages_coupled: usize,
-    pub cross_rank_values: usize,
+    pub pages: PageCounts,
     pub rollbacks: usize,
     pub restarts: usize,
     pub allreduces: u64,
@@ -176,10 +206,7 @@ impl RankOutcome {
         };
         for outcome in outcomes {
             all.x[partition.range(outcome.rank)].copy_from_slice(&outcome.x);
-            all.pages_recovered += outcome.pages_recovered;
-            all.pages_ignored += outcome.pages_ignored;
-            all.pages_coupled += outcome.pages_coupled;
-            all.cross_rank_values += outcome.cross_rank_values;
+            all.pages += outcome.pages;
             if outcome.rank == 0 {
                 all.iterations = outcome.iterations;
                 all.history = outcome.history;
@@ -198,99 +225,268 @@ pub(crate) fn global_rows(own_start: usize, pages: &BlockPartition, p: usize) ->
     own_start + local.start..own_start + local.end
 }
 
-/// For every given global row, the remote stencil columns grouped by owning
-/// rank — the request set of one recovery exchange.
-pub(crate) fn remote_stencil_requests(
-    a: &CsrMatrix,
-    partition: &RankPartition,
-    rank: usize,
-    rows: &[usize],
-) -> HashMap<usize, Vec<usize>> {
-    let own = partition.range(rank);
-    let mut requests: HashMap<usize, Vec<usize>> = HashMap::new();
-    for &r in rows {
-        let (cols, _) = a.row(r);
-        for &c in cols {
-            let c = c as usize;
-            if !own.contains(&c) {
-                requests.entry(partition.owner_of(c)).or_default().push(c);
+impl RankCtx<'_> {
+    /// The global rows of the given local pages, in order.
+    pub(crate) fn rows_of(&self, pages: &[usize]) -> Vec<usize> {
+        pages
+            .iter()
+            .flat_map(|&p| global_rows(self.own.start, &self.pages, p))
+            .collect()
+    }
+
+    /// For every given global row, the remote stencil columns grouped by
+    /// owning rank — the request set of one recovery exchange.
+    pub(crate) fn stencil_requests(&self, rows: &[usize]) -> HashMap<usize, Vec<usize>> {
+        let mut requests: HashMap<usize, Vec<usize>> = HashMap::new();
+        for &r in rows {
+            let (cols, _) = self.a.row(r);
+            for &c in cols {
+                let c = c as usize;
+                if !self.own.contains(&c) {
+                    let owner = self.partition.owner_of(c);
+                    requests.entry(owner).or_default().push(c);
+                }
             }
         }
+        for indices in requests.values_mut() {
+            indices.sort_unstable();
+            indices.dedup();
+        }
+        requests
     }
-    for indices in requests.values_mut() {
-        indices.sort_unstable();
-        indices.dedup();
-    }
-    requests
 }
 
-/// Page bookkeeping of one state-plan installation.
-#[derive(Default)]
-pub(crate) struct InstallCounters {
-    pub(crate) recovered: usize,
-    pub(crate) ignored: usize,
-    /// Pages the cross-rank coupled exchange reconstructed (counted into
-    /// `recovered` as well).
-    pub(crate) coupled: usize,
+/// The lost pages of a protected vector and of its image in one faulted
+/// iteration, with the round-1 request set the repair round exchanges.
+pub(crate) struct PairLoss<'a> {
+    /// Registry ids of the vector and of its image.
+    ids: (VectorId, VectorId),
+    lost: &'a [usize],
+    lost_image: &'a [usize],
+    /// The remote stencil entries of every lost row, by owning rank (the
+    /// vector is never exchanged otherwise, so this is the only way to
+    /// evaluate the off-diagonal terms).
+    pub requests: HashMap<usize, Vec<usize>>,
+    /// Whether AFEIR posts `requests` inside a reduction window before the
+    /// round.
+    posted: bool,
 }
 
-/// Installs a planned iterate/residual reconstruction into the live vectors
-/// and clears the page-loss state. Under AFEIR with only iterate pages lost
-/// this runs inside the split-phase ε reduction's wait; the residual it
-/// reduces is untouched by an iterate-only plan.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn install_state_plan(
-    plan: &feir_recovery::engine::StatePlan,
-    pages: &BlockPartition,
-    registry: &PageRegistry,
+impl<'a> PairLoss<'a> {
+    pub(crate) fn new(
+        ctx: &RankCtx<'_>,
+        ids: (VectorId, VectorId),
+        lost: &'a [usize],
+        lost_image: &'a [usize],
+        posted: bool,
+    ) -> Self {
+        let rows = ctx.rows_of(&[lost, lost_image].concat());
+        let requests = ctx.stencil_requests(&rows);
+        PairLoss {
+            ids,
+            lost,
+            lost_image,
+            requests,
+            posted,
+        }
+    }
+}
+
+/// One FEIR/AFEIR repair round for a (vector, image) pair — the classic
+/// loop's `x`/`g` and the merged loop's `x`/`r` and `p`/`s`. Every rank
+/// enters it together: the round-1 recovery exchange fetches the remote
+/// stencil entries of the lost rows into `view` (the full-length vector
+/// view), pages lost in both vectors are set aside as the related-data
+/// case, the coupled cross-rank round solves the boundary-spanning union,
+/// the planner runs the taint fixpoint and solves the rest, and the plan is
+/// installed into `view` and `image`. `reconstruct` solves lost vector rows
+/// from the image; `recompute` rebuilds image rows from the repaired view.
+/// Returns the round's page counters and its plan.
+pub(crate) fn repair_pair<R, C>(
+    ctx: &RankCtx<'_>,
+    comm: &RankComm,
+    loss: &PairLoss<'_>,
+    view: &mut [f64],
+    image: &mut [f64],
+    reconstruct: R,
+    recompute: C,
+) -> Result<(PageCounts, StatePlan), CommError>
+where
+    R: Fn(&[usize], &[f64], &[f64]) -> Option<Vec<f64>>,
+    C: Fn(Range<usize>, &[f64], &mut [f64]),
+{
+    // This rank's own scrubbed rows are post-blank garbage: a neighbour
+    // recovering at the same time must not treat them as authoritative, so
+    // they travel as the unserviceable set.
+    let own_blank = ctx.rows_of(loss.lost);
+    let (fetched, invalid) =
+        comm.complete_recovery_exchange(&loss.requests, view, &own_blank, loss.posted)?;
+    // Pages lost in both vectors are the unrecoverable related-loss case:
+    // blank-accepted. Remote entries the owner flagged invalid would poison
+    // a purely local solve — but before giving up on them, the coupled
+    // cross-rank round tries to solve the boundary-spanning union exactly.
+    let (rec, rec_image, conflicted) = split_related(loss.lost, loss.lost_image);
+    let (coupled, invalid, refetched) = coupled_round(
+        comm,
+        ctx,
+        &rec,
+        loss,
+        &own_blank,
+        &invalid,
+        image,
+        view,
+        &reconstruct,
+    )?;
+    let mut counts = PageCounts {
+        cross_rank_values: fetched + refetched + coupled.values_gathered,
+        ..PageCounts::default()
+    };
+    let mut blank: Vec<usize> = ctx
+        .rows_of(&conflicted)
+        .into_iter()
+        .chain(invalid)
+        .collect();
+    blank.sort_unstable();
+    blank.dedup();
+    let losses = StateLosses {
+        rec: &rec,
+        rec_image: &rec_image,
+        blank: &blank,
+        cross_rank: &coupled.recovered_pages,
+    };
+    let plan = plan_state_fixes(
+        ctx.a,
+        &ctx.pages,
+        ctx.own.start,
+        losses,
+        image,
+        view,
+        reconstruct,
+        recompute,
+    );
+    install_state_plan(&plan, ctx, loss.ids, &conflicted, view, image, &mut counts);
+    Ok((counts, plan))
+}
+
+/// Installs a planned vector/image reconstruction into the live vectors and
+/// clears the page-loss state of both. Under AFEIR with only iterate pages
+/// lost this runs inside the split-phase ε reduction's wait; the residual
+/// it reduces is untouched by an iterate-only plan.
+fn install_state_plan(
+    plan: &StatePlan,
+    ctx: &RankCtx<'_>,
+    (id, image_id): (VectorId, VectorId),
     conflicted: &[usize],
-    x_full: &mut [f64],
-    g: &mut [f64],
-    counters: &mut InstallCounters,
+    view: &mut [f64],
+    image: &mut [f64],
+    counts: &mut PageCounts,
 ) {
     let _probe = feir_trace::span(feir_trace::Phase::RecoveryInstall);
+    let (registry, pages) = (&*ctx.registry, &ctx.pages);
     // Pages the coupled cross-rank exchange repaired carry installed exact
     // values already; here they only need their page-state cleared and the
     // recovery credited.
-    for &p in &plan.cross_rank {
-        mark_page(registry, ids::X, p);
-    }
-    counters.recovered += plan.cross_rank.len();
-    counters.coupled += plan.cross_rank.len();
-    match &plan.x_values {
+    counts.recovered += plan.cross_rank.len();
+    counts.coupled += plan.cross_rank.len();
+    match &plan.values {
         Some(values) => {
-            for (&r, v) in plan.x_rows.iter().zip(values) {
-                x_full[r] = *v;
+            for (&r, v) in plan.rows.iter().zip(values) {
+                view[r] = *v;
             }
-            counters.recovered += plan.x_pages.len();
+            counts.recovered += plan.pages.len();
         }
-        None => counters.ignored += plan.x_pages.len(),
+        None => counts.ignored += plan.pages.len(),
     }
-    for p in plan.x_pages.iter().chain(&plan.x_ignored) {
-        mark_page(registry, ids::X, *p);
+    for p in plan
+        .cross_rank
+        .iter()
+        .chain(&plan.pages)
+        .chain(&plan.ignored)
+    {
+        mark_page(registry, id, *p);
     }
-    counters.ignored += plan.x_ignored.len();
-    for (p, values) in &plan.g_fixes {
-        g[pages.range(*p)].copy_from_slice(values);
-        mark_page(registry, ids::G, *p);
+    counts.ignored += plan.ignored.len();
+    for (p, values) in &plan.image_fixes {
+        image[pages.range(*p)].copy_from_slice(values);
+        mark_page(registry, image_id, *p);
     }
-    counters.recovered += plan.g_fixes.len();
-    for &p in &plan.g_ignored {
-        mark_page(registry, ids::G, p);
+    counts.recovered += plan.image_fixes.len();
+    for &p in &plan.image_ignored {
+        mark_page(registry, image_id, p);
     }
-    counters.ignored += plan.g_ignored.len();
+    counts.ignored += plan.image_ignored.len();
     for &p in conflicted {
-        mark_page(registry, ids::X, p);
-        mark_page(registry, ids::G, p);
+        mark_page(registry, id, p);
+        mark_page(registry, image_id, p);
     }
-    counters.ignored += 2 * conflicted.len();
+    counts.ignored += 2 * conflicted.len();
+}
+
+/// One coupled cross-rank recovery round plus the re-validation exchange
+/// that follows it: the candidates' union is gathered, solved and installed
+/// (see [`crate::coupled`]), then every fetched index round 1 flagged
+/// invalid is re-requested once — its owner may just have received an exact
+/// coupled reconstruction for it, in which case the refreshed value and
+/// verdict keep the local planner from abandoning a now-solvable page. A
+/// neighbourhood collective like its two halves; every rank calls it once
+/// per faulty iteration.
+#[allow(clippy::too_many_arguments)]
+fn coupled_round<F>(
+    comm: &RankComm,
+    ctx: &RankCtx<'_>,
+    rec: &[usize],
+    loss: &PairLoss<'_>,
+    own_blank: &[usize],
+    invalid_fetched: &[usize],
+    rhs_local: &[f64],
+    target_full: &mut [f64],
+    solve: F,
+) -> Result<(crate::coupled::CoupledOutcome, Vec<usize>, usize), CommError>
+where
+    F: Fn(&[usize], &[f64], &[f64]) -> Option<Vec<f64>>,
+{
+    let outcome = crate::coupled::coupled_cross_rank_recovery(
+        comm,
+        ctx.a,
+        &ctx.pages,
+        &ctx.own,
+        rec,
+        own_blank,
+        invalid_fetched,
+        rhs_local,
+        target_full,
+        solve,
+    )?;
+    let mut revalidate: HashMap<usize, Vec<usize>> = HashMap::new();
+    for (peer, indices) in &loss.requests {
+        let still: Vec<usize> = indices
+            .iter()
+            .copied()
+            .filter(|i| invalid_fetched.binary_search(i).is_ok())
+            .collect();
+        if !still.is_empty() {
+            revalidate.insert(*peer, still);
+        }
+    }
+    // Rows of pages the coupled round did not repair are still blank here
+    // (local planning happens after this), so they stay unserviceable.
+    let unrepaired: Vec<usize> = loss
+        .lost
+        .iter()
+        .copied()
+        .filter(|p| outcome.recovered_pages.binary_search(p).is_err())
+        .collect();
+    let unserviceable = ctx.rows_of(&unrepaired);
+    let (fetched, invalid) = comm.recovery_exchange(&revalidate, target_full, &unserviceable)?;
+    Ok((outcome, invalid, fetched))
 }
 
 /// The baseline policies' end-of-iteration sweep: scrubs the iterate (when
 /// given; LossyRestart scrubs it itself), the residual, the direction, its
 /// matvec image and, when registered (preconditioned solvers), `z`, in
 /// registry-id order — blanking each lost page and marking it healthy
-/// again. Returns how many pages were blanked.
+/// again. Returns how many pages were blanked. The pre-loop scrub runs it
+/// too: there a blank page is the known initial state.
 pub(crate) fn blank_sweep(
     ctx: &RankCtx<'_>,
     x: Option<&mut [f64]>,
@@ -314,40 +510,54 @@ pub(crate) fn blank_sweep(
     blanked
 }
 
+/// Interpolates each given iterate page in place with the lossy
+/// block-Jacobi relation (no residual term), counting it recovered, or
+/// ignored when its block is unsolvable.
+pub(crate) fn lossy_fill_pages<S: RecoverableIteration>(
+    ctx: &RankCtx<'_>,
+    relations: &S,
+    lost: impl IntoIterator<Item = usize>,
+    x_full: &mut [f64],
+    counts: &mut PageCounts,
+) {
+    for p in lost {
+        let rows = ctx.rows_of(&[p]);
+        match relations.lossy_iterate_rows(&rows, x_full) {
+            Some(values) => {
+                for (&r, v) in rows.iter().zip(&values) {
+                    x_full[r] = *v;
+                }
+                counts.recovered += 1;
+            }
+            None => counts.ignored += 1,
+        }
+    }
+}
+
 /// LossyRestart's iterate repair: fetches the remote stencil entries of the
-/// lost iterate pages, interpolates each page with the lossy block-Jacobi
-/// relation and marks it healthy. Lossy interpolation has no exactness
-/// claim, so flagged-invalid fetches are used as-is (they are part of what
-/// makes it lossy). Returns `(recovered, ignored, values fetched)`.
+/// lost iterate pages, interpolates each page ([`lossy_fill_pages`]) and
+/// marks it healthy. Lossy interpolation has no exactness claim, so
+/// flagged-invalid fetches are used as-is (they are part of what makes it
+/// lossy).
 pub(crate) fn lossy_fill_iterate<S: RecoverableIteration>(
     ctx: &RankCtx<'_>,
     relations: &S,
     comm: &RankComm,
     lost_x: &[usize],
     x_full: &mut [f64],
-) -> Result<(usize, usize, usize), CommError> {
-    let (own, pages) = (&ctx.own, &ctx.pages);
-    let lost_rows: Vec<usize> = lost_x
-        .iter()
-        .flat_map(|&p| global_rows(own.start, pages, p))
-        .collect();
-    let requests = remote_stencil_requests(ctx.a, &ctx.partition, ctx.rank, &lost_rows);
+) -> Result<PageCounts, CommError> {
+    let lost_rows = ctx.rows_of(lost_x);
+    let requests = ctx.stencil_requests(&lost_rows);
     let (fetched, _) = comm.recovery_exchange(&requests, x_full, &lost_rows)?;
-    let (mut recovered, mut ignored) = (0, 0);
+    let mut counts = PageCounts {
+        cross_rank_values: fetched,
+        ..PageCounts::default()
+    };
+    lossy_fill_pages(ctx, relations, lost_x.iter().copied(), x_full, &mut counts);
     for &p in lost_x {
-        let rows: Vec<usize> = global_rows(own.start, pages, p).collect();
-        match relations.lossy_iterate_rows(&rows, x_full) {
-            Some(values) => {
-                for (&r, v) in rows.iter().zip(&values) {
-                    x_full[r] = *v;
-                }
-                recovered += 1;
-            }
-            None => ignored += 1,
-        }
         mark_page(&ctx.registry, ids::X, p);
     }
-    Ok((recovered, ignored, fetched))
+    Ok(counts)
 }
 
 /// The complete mutable state of one rank's solve between iterations — what
@@ -355,6 +565,11 @@ pub(crate) fn lossy_fill_iterate<S: RecoverableIteration>(
 /// here survives the aborted collective and is repaired (or rebuilt) before
 /// the loop re-enters at the rejoin iteration.
 pub(crate) struct SolveState {
+    /// Rank-local storage backend (CSR or SELL-C-σ) of the forward matvec
+    /// and the residual replacements; per-page recovery matvecs run the CSR
+    /// row kernel over the lost rows (bitwise-identical to either format,
+    /// and converting a page to SELL would cost more than its product).
+    pub op: SpmvBackend,
     pub x_full: Vec<f64>,
     pub g: Vec<f64>,
     pub d: Vec<f64>,
@@ -369,12 +584,48 @@ pub(crate) struct SolveState {
     pub t: usize,
     pub iterations: usize,
     pub history: Vec<f64>,
-    pub pages_recovered: usize,
-    pub pages_ignored: usize,
-    pub pages_coupled: usize,
-    pub cross_rank_values: usize,
+    pub pages: PageCounts,
     pub rollbacks: usize,
     pub restarts: usize,
+}
+
+impl SolveState {
+    /// Residual replacement: `g = b − A·x` from the current iterate (one
+    /// halo exchange of `x`), then ε reduced from it. With `restart` it is
+    /// also a Krylov restart (β = 0): the direction is zeroed, `ρ_old` goes
+    /// back to the ∞ sentinel and the restart is counted.
+    pub(crate) fn replace_residual(
+        &mut self,
+        ctx: &RankCtx<'_>,
+        comm: &RankComm,
+        restart: bool,
+    ) -> Result<(), CommError> {
+        comm.exchange_halo(&mut self.x_full)?;
+        self.op.spmv(ctx.a, &self.x_full, &mut self.g);
+        for (k, r) in ctx.own.clone().enumerate() {
+            self.g[k] = ctx.b[r] - self.g[k];
+        }
+        if restart {
+            self.d.fill(0.0);
+            self.rho_old = f64::INFINITY;
+            self.restarts += 1;
+        }
+        self.eps = comm.allreduce_sum(kernels::norm2_squared(&self.g))?;
+        Ok(())
+    }
+
+    /// Restores the last local checkpoint of `(x, d)`, if there is one, and
+    /// counts the rollback; returns its scalars (empty without one).
+    pub(crate) fn rollback(&mut self, own: &Range<usize>) -> Vec<f64> {
+        let mut scalars = Vec::new();
+        if let Some(store) = self.store.as_mut() {
+            let x = &mut self.x_full[own.clone()];
+            if store.rollback(x, &mut self.d, &mut scalars).is_some() {
+                self.rollbacks += 1;
+            }
+        }
+        scalars
+    }
 }
 
 /// Allocates the solve vectors, runs the pre-loop scrub and creates the
@@ -383,9 +634,6 @@ pub(crate) struct SolveState {
 pub(crate) fn alloc_state(ctx: &RankCtx<'_>) -> SolveState {
     let own = ctx.own.clone();
     let n = ctx.a.cols();
-    let protected = ctx.policy.needs_protection();
-    let registry = &ctx.registry;
-    let pages = &ctx.pages;
 
     // x lives inside its full-length buffer so cross-rank recovery can
     // scatter fetched halo entries around the owned range.
@@ -396,32 +644,14 @@ pub(crate) fn alloc_state(ctx: &RankCtx<'_>) -> SolveState {
     // z is allocated unconditionally; the CG instantiation never touches it
     // (resilient_iterations sizes its use by `relations.preconditioned()`).
     let mut z = vec![0.0; own.len()];
-    let d_full = vec![0.0; n];
 
     // Pre-loop scrub: faults injected before the solve land on the known
     // initial state, so the blank page *is* the correct data (x = d = q = 0)
     // or is refilled trivially (g = b; z is recomputed before first use).
-    if protected {
-        for p in scrub_blank(registry, ids::X, pages, &mut x_full[own.clone()]) {
-            mark_page(registry, ids::X, p);
-        }
-        for p in scrub_blank(registry, ids::D, pages, &mut d) {
-            mark_page(registry, ids::D, p);
-        }
-        for p in scrub_blank(registry, ids::Q, pages, &mut q) {
-            mark_page(registry, ids::Q, p);
-        }
-        if registry.num_vectors() > ids::Z.0 {
-            for p in scrub_blank(registry, ids::Z, pages, &mut z) {
-                mark_page(registry, ids::Z, p);
-            }
-        }
-        for p in scrub_blank(registry, ids::G, pages, &mut g) {
-            let local = pages.range(p);
-            let global = global_rows(own.start, pages, p);
-            g[local].copy_from_slice(&ctx.b[global]);
-            mark_page(registry, ids::G, p);
-        }
+    if ctx.policy.needs_protection() {
+        let x = Some(&mut x_full[own.clone()]);
+        blank_sweep(ctx, x, [&mut g, &mut d, &mut q, &mut z]);
+        g.copy_from_slice(&ctx.b[own.clone()]);
     }
 
     let store = match ctx.policy {
@@ -430,12 +660,13 @@ pub(crate) fn alloc_state(ctx: &RankCtx<'_>) -> SolveState {
     };
 
     SolveState {
+        op: SpmvBackend::select_rows(ctx.a, own),
         x_full,
         g,
         d,
         q,
         z,
-        d_full,
+        d_full: vec![0.0; n],
         store,
         norm_b: 1.0,
         eps: 0.0,
@@ -446,73 +677,10 @@ pub(crate) fn alloc_state(ctx: &RankCtx<'_>) -> SolveState {
         t: 0,
         iterations: 0,
         history: Vec::new(),
-        pages_recovered: 0,
-        pages_ignored: 0,
-        pages_coupled: 0,
-        cross_rank_values: 0,
+        pages: PageCounts::default(),
         rollbacks: 0,
         restarts: 0,
     }
-}
-
-/// One coupled cross-rank recovery round plus the re-validation exchange
-/// that follows it: the candidates' union is gathered, solved and installed
-/// (see [`crate::coupled`]), then every fetched index round 1 flagged
-/// invalid is re-requested once — its owner may just have received an exact
-/// coupled reconstruction for it, in which case the refreshed value and
-/// verdict keep the local planner from abandoning a now-solvable page. A
-/// neighbourhood collective like its two halves; every rank calls it once
-/// per faulty iteration.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn coupled_round<F>(
-    comm: &RankComm,
-    a: &CsrMatrix,
-    pages: &BlockPartition,
-    own: &Range<usize>,
-    rec: &[usize],
-    lost: &[usize],
-    own_blank: &[usize],
-    requests: &HashMap<usize, Vec<usize>>,
-    invalid_fetched: &[usize],
-    rhs_local: &[f64],
-    target_full: &mut [f64],
-    solve: F,
-) -> Result<(crate::coupled::CoupledOutcome, Vec<usize>, usize), CommError>
-where
-    F: Fn(&[usize], &[f64], &[f64]) -> Option<Vec<f64>>,
-{
-    let outcome = crate::coupled::coupled_cross_rank_recovery(
-        comm,
-        a,
-        pages,
-        own,
-        rec,
-        own_blank,
-        invalid_fetched,
-        rhs_local,
-        target_full,
-        solve,
-    )?;
-    let mut revalidate: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (peer, indices) in requests {
-        let still: Vec<usize> = indices
-            .iter()
-            .copied()
-            .filter(|i| invalid_fetched.binary_search(i).is_ok())
-            .collect();
-        if !still.is_empty() {
-            revalidate.insert(*peer, still);
-        }
-    }
-    // Rows of pages the coupled round did not repair are still blank here
-    // (local planning happens after this), so they stay unserviceable.
-    let unserviceable: Vec<usize> = lost
-        .iter()
-        .filter(|p| outcome.recovered_pages.binary_search(p).is_err())
-        .flat_map(|&p| global_rows(own.start, pages, p))
-        .collect();
-    let (fetched, invalid) = comm.recovery_exchange(&revalidate, target_full, &unserviceable)?;
-    Ok((outcome, invalid, fetched))
 }
 
 /// The two opening collectives of the solve: ‖b‖ and the initial ε.
@@ -558,78 +726,41 @@ pub(crate) fn iteration_top(ctx: &RankCtx<'_>, t: usize) {
     }
 }
 
-/// The iteration phase: runs from `state.t` until convergence, breakdown or
-/// the iteration cap, mutating `state` in place. A transport failure
-/// surfaces as the typed [`CommError`] with `state` intact at the failed
+/// The iteration phase: runs from `st.t` until convergence, breakdown or
+/// the iteration cap, mutating the state in place. A transport failure
+/// surfaces as the typed [`CommError`] with the state intact at the failed
 /// iteration — which is exactly what the elastic rejoin path needs.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn resilient_iterations<S: RecoverableIteration>(
     ctx: &RankCtx<'_>,
     relations: &S,
     comm: &RankComm,
-    state: &mut SolveState,
+    st: &mut SolveState,
 ) -> Result<(), CommError> {
     let a = ctx.a;
-    let b = ctx.b;
     let own = ctx.own.clone();
     let forward = ctx.policy.is_forward_exact();
     let preconditioned = relations.preconditioned();
     let registry = &ctx.registry;
     let pages = &ctx.pages;
-    // Rank-local storage backend (CSR or SELL-C-σ) for the forward matvec
-    // and the residual recomputations; per-page recovery matvecs run the
-    // CSR row kernel over the lost rows (bitwise-identical to either
-    // format, and converting a page to SELL would cost more than its
-    // product).
-    let op = SpmvBackend::select_rows(a, own.clone());
-    // Residual replacement after a rollback or restart: g = b − A·x, then ε.
-    let replace_residual = |x_full: &mut [f64], g: &mut [f64]| -> Result<f64, CommError> {
-        comm.exchange_halo(x_full)?;
-        op.spmv(a, x_full, g);
-        for (k, r) in own.clone().enumerate() {
-            g[k] = b[r] - g[k];
-        }
-        comm.allreduce_sum(kernels::norm2_squared(g))
-    };
 
-    let SolveState {
-        x_full,
-        g,
-        d,
-        q,
-        z,
-        d_full,
-        store,
-        norm_b,
-        eps,
-        rho_old,
-        t,
-        iterations,
-        history,
-        pages_recovered,
-        pages_ignored,
-        pages_coupled,
-        cross_rank_values,
-        rollbacks,
-        restarts,
-    } = state;
-
-    while *t < ctx.max_iterations {
-        let rel = eps.max(0.0).sqrt() / *norm_b;
-        history.push(rel);
+    while st.t < ctx.max_iterations {
+        let rel = st.eps.max(0.0).sqrt() / st.norm_b;
+        st.history.push(rel);
         if rel <= ctx.tolerance {
             break;
         }
-        *iterations = *t + 1;
+        st.iterations = st.t + 1;
         let _it = feir_trace::span(feir_trace::Phase::Iteration);
 
-        iteration_top(ctx, *t);
+        iteration_top(ctx, st.t);
 
         // Periodic local checkpoint of (x, d, scalars).
-        if let (RecoveryPolicy::Checkpoint { interval }, Some(store)) = (ctx.policy, store.as_mut())
+        if let (RecoveryPolicy::Checkpoint { interval }, Some(store)) =
+            (ctx.policy, st.store.as_mut())
         {
-            if *t % interval.max(1) == 0 {
-                store.checkpoint(*t, &x_full[own.clone()], d, &[*eps, *rho_old]);
+            if st.t.is_multiple_of(interval.max(1)) {
+                store.checkpoint(st.t, &st.x_full[own.clone()], &st.d, &[st.eps, st.rho_old]);
             }
         }
 
@@ -643,29 +774,33 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
         // policy's own price (blanking, rollback, restart).
         let rho = if preconditioned {
             let lost_z = if forward {
-                scrub_blank(registry, ids::Z, pages, z)
+                scrub_blank(registry, ids::Z, pages, &mut st.z)
             } else {
                 Vec::new()
             };
             for p in 0..pages.num_blocks() {
                 let local = pages.range(p);
-                relations.reapply_preconditioner(p, &g[local.clone()], &mut z[local]);
+                relations.reapply_preconditioner(p, &st.g[local.clone()], &mut st.z[local]);
             }
             for &p in &lost_z {
                 mark_page(registry, ids::Z, p);
             }
-            *pages_recovered += lost_z.len();
-            let rho = comm.allreduce_sum(kernels::dot(z, g))?;
+            st.pages.recovered += lost_z.len();
+            let rho = comm.allreduce_sum(kernels::dot(&st.z, &st.g))?;
             if kernels::is_breakdown(rho) {
                 break;
             }
             rho
         } else {
-            *eps
+            st.eps
         };
 
-        let beta = kernels::beta_ratio(rho, *rho_old);
-        let src: &[f64] = if preconditioned { z } else { g };
+        let beta = kernels::beta_ratio(rho, st.rho_old);
+        let (src, d): (&[f64], _) = if preconditioned {
+            (&st.z, &mut st.d)
+        } else {
+            (&st.g, &mut st.d)
+        };
 
         // ---- direction protection (FEIR/AFEIR; purely rank-local) --------
         // d still holds d(t−1) here and q holds A·d(t−1), so a lost page of
@@ -683,32 +818,23 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
             // Refresh the owned range of the retained snapshot (blanks
             // included — the lost values must not be readable) while the halo
             // keeps the d(t−1) entries of the neighbours.
-            d_full[own.clone()].copy_from_slice(d);
+            st.d_full[own.clone()].copy_from_slice(d);
             // A lost direction page is recoverable only if its q page
             // survived (simultaneous loss of d_R and q_R is the "related
             // data" case the paper ignores).
-            let mut recoverable = Vec::new();
-            let mut abandoned = Vec::new();
-            for &p in &lost_d {
-                if matches!(registry.on_access(ids::Q, p), AccessOutcome::Ok) {
-                    recoverable.push(p);
-                } else {
-                    abandoned.push(p);
-                }
-            }
-            let rows: Vec<usize> = recoverable
+            let (recoverable, abandoned): (Vec<usize>, Vec<usize>) = lost_d
                 .iter()
-                .flat_map(|&p| global_rows(own.start, pages, p))
-                .collect();
+                .partition(|&&p| matches!(registry.on_access(ids::Q, p), AccessOutcome::Ok));
+            let rows = ctx.rows_of(&recoverable);
             let q_at_rows: Vec<f64> = recoverable
                 .iter()
                 .flat_map(|&p| pages.range(p))
-                .map(|i| q[i])
+                .map(|i| st.q[i])
                 .collect();
             let values = if rows.is_empty() {
                 None
             } else {
-                relations.reconstruct_direction(&rows, &q_at_rows, d_full)
+                relations.reconstruct_direction(&rows, &q_at_rows, &st.d_full)
             };
             for p in 0..pages.num_blocks() {
                 if !lost_d.contains(&p) {
@@ -725,7 +851,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                         let i = r - own.start;
                         d[i] = src[i] + beta * v;
                     }
-                    *pages_recovered += recoverable.len();
+                    st.pages.recovered += recoverable.len();
                 }
                 None => {
                     for &p in &recoverable {
@@ -733,7 +859,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                             d[i] = src[i];
                         }
                     }
-                    *pages_ignored += recoverable.len();
+                    st.pages.ignored += recoverable.len();
                 }
             }
             for &p in &abandoned {
@@ -741,223 +867,139 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     d[i] = src[i];
                 }
             }
-            *pages_ignored += abandoned.len();
+            st.pages.ignored += abandoned.len();
             for &p in &lost_d {
                 mark_page(registry, ids::D, p);
             }
         }
 
-        d_full[own.clone()].copy_from_slice(d);
-        comm.exchange_halo(d_full)?;
+        st.d_full[own.clone()].copy_from_slice(&st.d);
+        comm.exchange_halo(&mut st.d_full)?;
         {
             let _probe = feir_trace::span(feir_trace::Phase::Spmv);
-            op.spmv(a, d_full, q);
+            st.op.spmv(a, &st.d_full, &mut st.q);
         }
 
         // ---- q protection (FEIR/AFEIR; local recompute, r1 of Figure 1) ---
         if forward {
-            let lost_q = scrub_blank(registry, ids::Q, pages, q);
+            let lost_q = scrub_blank(registry, ids::Q, pages, &mut st.q);
             for &p in &lost_q {
                 let rows = global_rows(own.start, pages, p);
-                a.spmv_rows(rows.start, rows.end, d_full, &mut q[pages.range(p)]);
+                a.spmv_rows(rows.start, rows.end, &st.d_full, &mut st.q[pages.range(p)]);
                 mark_page(registry, ids::Q, p);
             }
-            *pages_recovered += lost_q.len();
+            st.pages.recovered += lost_q.len();
         }
-        let dq = comm.allreduce_sum(kernels::dot(d, q))?;
+        let dq = comm.allreduce_sum(kernels::dot(&st.d, &st.q))?;
         if kernels::is_breakdown(dq) {
             break;
         }
         let alpha = rho / dq;
-        kernels::axpy(alpha, d, &mut x_full[own.clone()]);
-        kernels::axpy(-alpha, q, g);
+        kernels::axpy(alpha, &st.d, &mut st.x_full[own.clone()]);
+        kernels::axpy(-alpha, &st.q, &mut st.g);
 
         // ---- iterate/residual protection + ε reduction --------------------
         match ctx.policy {
             RecoveryPolicy::Ideal => {
-                *rho_old = rho;
-                *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
+                st.rho_old = rho;
+                st.eps = comm.allreduce_sum(kernels::norm2_squared(&st.g))?;
             }
             RecoveryPolicy::Feir | RecoveryPolicy::Afeir => {
-                let lost_x = scrub_blank(registry, ids::X, pages, &mut x_full[own.clone()]);
-                let lost_g = scrub_blank(registry, ids::G, pages, g);
-                // Cross-rank round request set: the remote stencil entries
-                // of every lost row (x is never exchanged by CG, so this is
-                // the only way to evaluate the off-diagonal terms). Computed
-                // before the flagged ε reduction so the AFEIR path can post
-                // it inside that reduction's window.
-                let lost_rows: Vec<usize> = lost_x
-                    .iter()
-                    .chain(&lost_g)
-                    .flat_map(|&p| global_rows(own.start, pages, p))
-                    .collect();
-                let requests = if lost_rows.is_empty() {
-                    HashMap::new()
-                } else {
-                    remote_stencil_requests(a, &ctx.partition, ctx.rank, &lost_rows)
-                };
-                // This rank's own scrubbed x rows are post-blank garbage: a
-                // neighbour recovering at the same time must not treat them
-                // as authoritative, so they travel as the unserviceable set.
-                let own_blank_x: Vec<usize> = lost_x
-                    .iter()
-                    .flat_map(|&p| global_rows(own.start, pages, p))
-                    .collect();
+                let lost_x = scrub_blank(registry, ids::X, pages, &mut st.x_full[own.clone()]);
+                let lost_g = scrub_blank(registry, ids::G, pages, &mut st.g);
                 // In-window AFEIR: a rank that lost pages posts its round-1
                 // requests while the flagged ε reduction is in flight, so the
                 // replies overlap its wait. Posted ⇒ consumed: a local loss
                 // makes lane 1 > 0 on every rank, so all take the recovery
                 // path below.
-                let posted = ctx.policy == RecoveryPolicy::Afeir && !lost_rows.is_empty();
                 let faults = lost_x.len() + lost_g.len();
-                *rho_old = rho;
-                if let Some(clean) =
-                    eps_unless_faulted(comm, g, faults, posted.then_some(&requests))?
-                {
-                    *eps = clean;
-                    *t += 1;
+                let posted = ctx.policy == RecoveryPolicy::Afeir && faults > 0;
+                let loss = PairLoss::new(ctx, (ids::X, ids::G), &lost_x, &lost_g, posted);
+                st.rho_old = rho;
+                let prefetch = posted.then_some(&loss.requests);
+                if let Some(clean) = eps_unless_faulted(comm, &st.g, faults, prefetch)? {
+                    st.eps = clean;
+                    st.t += 1;
                     continue;
                 }
-                let (fetched, invalid_fetched) =
-                    comm.complete_recovery_exchange(&requests, x_full, &own_blank_x, posted)?;
-                *cross_rank_values += fetched;
-                // Pages lost in both x and g are the unrecoverable
-                // related-loss case: blank-accepted. Remote entries the
-                // owner flagged invalid would poison a purely local solve —
-                // but before giving up on them, the coupled cross-rank round
-                // below tries to solve the boundary-spanning union exactly.
-                let (rec_x, rec_g, conflicted) = split_related(&lost_x, &lost_g);
-                let mut counters = InstallCounters::default();
-                // AFEIR with only iterate losses: ε does not read x, so it
-                // is posted now and the whole reconstruction — coupled
-                // waves, re-validation, planning and installation — runs
-                // inside its wait. FEIR, or a lost residual page, reduces
-                // after the installation.
+                // AFEIR with only iterate losses: ε does not read x and the
+                // round writes no residual page, so ε is posted now and the
+                // whole repair runs inside its wait. FEIR, or a lost
+                // residual page, reduces after the repair.
                 let eps_in_flight = if ctx.policy == RecoveryPolicy::Afeir && lost_g.is_empty() {
-                    Some(comm.start_allreduce(kernels::norm2_squared(g))?)
+                    Some(comm.start_allreduce(kernels::norm2_squared(&st.g))?)
                 } else {
                     None
                 };
-                let (coupled, invalid2, fetched2) = coupled_round(
+                let (counts, _) = repair_pair(
+                    ctx,
                     comm,
-                    a,
-                    pages,
-                    &own,
-                    &rec_x,
-                    &lost_x,
-                    &own_blank_x,
-                    &requests,
-                    &invalid_fetched,
-                    g,
-                    x_full,
-                    |rows, rhs, view| relations.reconstruct_iterate(rows, rhs, view),
+                    &loss,
+                    &mut st.x_full,
+                    &mut st.g,
+                    |rows, g_at, view| relations.reconstruct_iterate(rows, g_at, view),
+                    |rows, view, out| relations.residual_rows(rows, view, out),
                 )?;
-                *cross_rank_values += fetched2 + coupled.values_gathered;
-                let mut blank_x: Vec<usize> = conflicted
-                    .iter()
-                    .flat_map(|&p| global_rows(own.start, pages, p))
-                    .chain(invalid2)
-                    .collect();
-                blank_x.sort_unstable();
-                blank_x.dedup();
-                let losses = StateLosses {
-                    rec_x: &rec_x,
-                    rec_g: &rec_g,
-                    blank_x: &blank_x,
-                    cross_rank: &coupled.recovered_pages,
-                };
-                let plan = plan_state_fixes(relations, a, pages, own.start, losses, g, x_full);
-                install_state_plan(
-                    &plan,
-                    pages,
-                    registry,
-                    &conflicted,
-                    x_full,
-                    g,
-                    &mut counters,
-                );
-                *eps = match eps_in_flight {
+                st.pages += counts;
+                st.eps = match eps_in_flight {
                     Some(pending) => pending.finish()?,
-                    None => comm.allreduce_sum(kernels::norm2_squared(g))?,
+                    None => comm.allreduce_sum(kernels::norm2_squared(&st.g))?,
                 };
-                *pages_recovered += counters.recovered;
-                *pages_ignored += counters.ignored;
-                *pages_coupled += counters.coupled;
             }
             RecoveryPolicy::Trivial => {
                 // Blank every lost page and keep going (Section 4.1): purely
                 // local, no collectives beyond the ε reduction. z (when
                 // present) is blank-accepted like everything else; the next
                 // iteration's reapplication overwrites it anyway.
-                *pages_ignored += blank_sweep(ctx, Some(&mut x_full[own.clone()]), [g, d, q, z]);
-                *rho_old = rho;
-                *eps = comm.allreduce_sum(kernels::norm2_squared(g))?;
+                let x = Some(&mut st.x_full[own.clone()]);
+                st.pages.ignored +=
+                    blank_sweep(ctx, x, [&mut st.g, &mut st.d, &mut st.q, &mut st.z]);
+                st.rho_old = rho;
+                st.eps = comm.allreduce_sum(kernels::norm2_squared(&st.g))?;
             }
-            RecoveryPolicy::TrivialReplace => {
-                // Trivial blank-accept plus a residual-replacement rebuild:
-                // lost pages are blanked exactly as Trivial does, but when
-                // anything was lost anywhere the Krylov state is made
-                // mutually consistent again — g is recomputed from the
-                // blanked iterate and the direction recurrence restarts —
-                // so the solve keeps converging at the price of a restart
-                // instead of silently drifting on inconsistent vectors.
-                let lost_total = blank_sweep(ctx, Some(&mut x_full[own.clone()]), [g, d, q, z]);
-                *pages_ignored += lost_total;
-                if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
-                    *rho_old = rho;
-                    *eps = clean;
+            RecoveryPolicy::TrivialReplace
+            | RecoveryPolicy::Checkpoint { .. }
+            | RecoveryPolicy::LossyRestart => {
+                // LossyRestart keeps its lost iterate pages lost until it
+                // has interpolated them; the others blank them in the sweep.
+                let lossy = ctx.policy == RecoveryPolicy::LossyRestart;
+                let lost_x = if lossy {
+                    scrub_blank(registry, ids::X, pages, &mut st.x_full[own.clone()])
                 } else {
-                    d.iter_mut().for_each(|v| *v = 0.0);
-                    *restarts += 1;
-                    *rho_old = f64::INFINITY;
-                    *eps = replace_residual(x_full, g)?;
+                    Vec::new()
+                };
+                let x = (!lossy).then_some(&mut st.x_full[own.clone()]);
+                let lost_total = lost_x.len()
+                    + blank_sweep(ctx, x, [&mut st.g, &mut st.d, &mut st.q, &mut st.z]);
+                if ctx.policy == RecoveryPolicy::TrivialReplace {
+                    st.pages.ignored += lost_total;
                 }
-            }
-            RecoveryPolicy::Checkpoint { .. } => {
-                let lost_total = blank_sweep(ctx, Some(&mut x_full[own.clone()]), [g, d, q, z]);
-                if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
-                    *rho_old = rho;
-                    *eps = clean;
+                if let Some(clean) = eps_unless_faulted(comm, &st.g, lost_total, None)? {
+                    st.rho_old = rho;
+                    st.eps = clean;
+                } else if lossy || ctx.policy == RecoveryPolicy::TrivialReplace {
+                    // Something was lost somewhere: make the Krylov state
+                    // mutually consistent again — g recomputed from the
+                    // blanked (TrivialReplace) or interpolated (LossyRestart,
+                    // block-Jacobi step, no residual term) iterate, and the
+                    // direction recurrence restarted — so the solve keeps
+                    // converging at the price of a restart instead of
+                    // silently drifting on inconsistent vectors.
+                    if lossy {
+                        st.pages +=
+                            lossy_fill_iterate(ctx, relations, comm, &lost_x, &mut st.x_full)?;
+                    }
+                    st.replace_residual(ctx, comm, true)?;
                 } else {
                     // Global rollback: every rank restores its local
                     // checkpoint, then the residual is recomputed from the
                     // restored iterate (one extra halo exchange of x).
-                    let store = store.as_mut().expect("checkpoint store exists");
-                    let mut scalars = Vec::new();
-                    if store
-                        .rollback(&mut x_full[own.clone()], d, &mut scalars)
-                        .is_some()
-                    {
-                        *rollbacks += 1;
-                    }
-                    *rho_old = scalars.get(1).copied().unwrap_or(f64::INFINITY);
-                    *eps = replace_residual(x_full, g)?;
-                }
-            }
-            RecoveryPolicy::LossyRestart => {
-                let lost_x = scrub_blank(registry, ids::X, pages, &mut x_full[own.clone()]);
-                let lost_total = lost_x.len() + blank_sweep(ctx, None, [g, d, q, z]);
-                if let Some(clean) = eps_unless_faulted(comm, g, lost_total, None)? {
-                    *rho_old = rho;
-                    *eps = clean;
-                } else {
-                    // Interpolate the lost iterate pages (block-Jacobi step,
-                    // no residual term), then restart globally.
-                    let (recovered, ignored, fetched) =
-                        lossy_fill_iterate(ctx, relations, comm, &lost_x, x_full)?;
-                    *pages_recovered += recovered;
-                    *pages_ignored += ignored;
-                    *cross_rank_values += fetched;
-                    // Restart: recompute g from the interpolated iterate and
-                    // discard the Krylov space.
-                    d.iter_mut().for_each(|v| *v = 0.0);
-                    *restarts += 1;
-                    *rho_old = f64::INFINITY;
-                    *eps = replace_residual(x_full, g)?;
+                    st.rho_old = st.rollback(&own).get(1).copied().unwrap_or(f64::INFINITY);
+                    st.replace_residual(ctx, comm, false)?;
                 }
             }
         }
-        *t += 1;
+        st.t += 1;
     }
     Ok(())
 }
@@ -969,10 +1011,7 @@ pub(crate) fn finish_outcome(ctx: &RankCtx<'_>, comm: &RankComm, state: SolveSta
         x: state.x_full[ctx.own.clone()].to_vec(),
         iterations: state.iterations,
         history: state.history,
-        pages_recovered: state.pages_recovered,
-        pages_ignored: state.pages_ignored,
-        pages_coupled: state.pages_coupled,
-        cross_rank_values: state.cross_rank_values,
+        pages: state.pages,
         rollbacks: state.rollbacks,
         restarts: state.restarts,
         allreduces: comm.collectives(),

@@ -188,6 +188,17 @@ impl DistResilienceConfig {
         self.scripted_faults = faults;
         self
     }
+
+    /// Every rank's fault pages under `partition`: its row block cut into
+    /// `page_doubles`-sized pages (clamped to at least one double, like
+    /// `distributed_pcg` clamps its blocks, so the bitwise-identity pairing
+    /// of the plain and resilient entry points holds for every input). The
+    /// one place a rank's pages are computed.
+    pub(crate) fn rank_pages(&self, partition: &RankPartition) -> Vec<BlockPartition> {
+        (0..partition.num_ranks())
+            .map(|rank| BlockPartition::new(partition.range(rank).len(), self.page_doubles.max(1)))
+            .collect()
+    }
 }
 
 /// Outcome of a distributed resilient solve.
@@ -360,6 +371,8 @@ pub struct DistResilientSolver<'a> {
     solver: DistSolver,
     config: DistResilienceConfig,
     partition: RankPartition,
+    /// Each rank's fault pages ([`DistResilienceConfig::rank_pages`]).
+    pages: Vec<BlockPartition>,
     plan: HaloPlan,
     domains: RankDomains,
 }
@@ -397,12 +410,7 @@ impl<'a> DistResilientSolver<'a> {
         let plan = HaloPlan::build(a, &partition);
         let domains = RankDomains::new(ranks);
         let protected = ProtectedVector::protected(solver.preconditioned());
-        // Clamp like `distributed_pcg` does, so the bitwise-identity pairing
-        // of the plain and resilient entry points holds for every input.
-        let page_doubles = config.page_doubles.max(1);
-        let pages: Vec<BlockPartition> = (0..ranks)
-            .map(|rank| BlockPartition::new(partition.range(rank).len(), page_doubles))
-            .collect();
+        let pages = config.rank_pages(&partition);
         if config.policy.needs_protection() {
             for (rank, local) in pages.iter().enumerate() {
                 register_protected(&domains.registry(rank), rank, solver, local);
@@ -441,6 +449,7 @@ impl<'a> DistResilientSolver<'a> {
             solver,
             config,
             partition,
+            pages,
             plan,
             domains,
         }
@@ -464,10 +473,8 @@ impl<'a> DistResilientSolver<'a> {
             return self;
         }
         let protected = ProtectedVector::protected(self.solver.preconditioned());
-        let page_doubles = self.config.page_doubles.max(1);
         for rank in 0..self.ranks {
-            let pages = BlockPartition::new(self.partition.range(rank).len(), page_doubles);
-            let pages = pages.num_blocks();
+            let pages = self.pages[rank].num_blocks();
             for iteration in 0..self.config.max_iterations {
                 for flat in stream.draw(rank, iteration, 0, 1, protected.len() * pages) {
                     self.config.scripted_faults.push(ScriptedFault {
@@ -501,7 +508,9 @@ impl<'a> DistResilientSolver<'a> {
             let mut handles = Vec::with_capacity(self.ranks);
             for comm in comms {
                 let rank = comm.rank();
-                let ctx = RankCtx::new(a, b, partition, rank, config, self.domains.registry(rank));
+                let registry = self.domains.registry(rank);
+                let pages = self.pages[rank];
+                let ctx = RankCtx::new(a, b, partition, rank, config, registry, pages);
                 handles.push(scope.spawn(move || {
                     feir_trace::set_thread_rank(rank as u32);
                     self.solver.rank_solve(policy, ctx, comm)
@@ -548,10 +557,10 @@ impl<'a> DistResilientSolver<'a> {
             policy: self.config.policy,
             residual_history: outcome.history,
             faults,
-            pages_recovered: outcome.pages_recovered,
-            pages_coupled: outcome.pages_coupled,
-            pages_ignored: outcome.pages_ignored,
-            cross_rank_values: outcome.cross_rank_values,
+            pages_recovered: outcome.pages.recovered,
+            pages_coupled: outcome.pages.coupled,
+            pages_ignored: outcome.pages.ignored,
+            cross_rank_values: outcome.pages.cross_rank_values,
             rollbacks: outcome.rollbacks,
             restarts: outcome.restarts,
             allreduces: outcome.allreduces,

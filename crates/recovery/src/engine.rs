@@ -23,7 +23,9 @@
 //! * the read-only **recovery planning** types ([`StatePlan`],
 //!   [`plan_state_fixes`], [`RecoveryPlan`]) that let reconstruction run
 //!   concurrently with a reduction without aliasing the pages being reduced
-//!   over.
+//!   over; [`plan_state_fixes`] plans any (vector, image) pair from its two
+//!   relations, so the distributed loops repair `x`/`g` and the merged
+//!   loop's `p`/`s` with the same planner.
 //!
 //! Both resilient solvers instantiate this layer: the shared-memory
 //! [`ResilientCg`](crate::ResilientCg) consumes the planning machinery
@@ -523,77 +525,85 @@ pub fn split_related(lost_a: &[usize], lost_b: &[usize]) -> (Vec<usize>, Vec<usi
 
 // ----- read-only recovery planning -----------------------------------------
 
-/// Reconstructions planned for lost iterate/residual pages, computed from a
-/// read-only snapshot and installed afterwards, so the installation can run
-/// inside a split-phase reduction's wait.
+/// Reconstructions planned for the lost pages of a protected vector and of
+/// its image, computed from a read-only snapshot and installed afterwards,
+/// so the installation can run inside a split-phase reduction's wait.
 #[derive(Debug, Default)]
 pub struct StatePlan {
-    /// Local iterate pages the coupled solve covered.
-    pub x_pages: Vec<usize>,
-    /// Global rows of the coupled exact solve over `x_pages`.
-    pub x_rows: Vec<usize>,
-    /// The reconstructed iterate values for `x_rows` (`None` when the
-    /// coupled system was unsolvable).
-    pub x_values: Option<Vec<f64>>,
-    /// Local iterate pages abandoned because their stencil depends on
+    /// Local vector pages the coupled solve covered.
+    pub pages: Vec<usize>,
+    /// Global rows of the coupled exact solve over `pages`.
+    pub rows: Vec<usize>,
+    /// The reconstructed vector values for `rows` (`None` when the coupled
+    /// system was unsolvable).
+    pub values: Option<Vec<f64>>,
+    /// Local vector pages abandoned because their stencil depends on
     /// known-blank entries (related losses, locally or across ranks).
-    pub x_ignored: Vec<usize>,
-    /// Recomputed residual pages `(local page, values)`.
-    pub g_fixes: Vec<(usize, Vec<f64>)>,
-    /// Local residual pages abandoned because their recomputation would
-    /// read blank iterate data.
-    pub g_ignored: Vec<usize>,
-    /// Local iterate pages already reconstructed by the cross-rank coupled
+    pub ignored: Vec<usize>,
+    /// Recomputed image pages `(local page, values)`.
+    pub image_fixes: Vec<(usize, Vec<f64>)>,
+    /// Local image pages abandoned because their recomputation would read
+    /// blank vector data.
+    pub image_ignored: Vec<usize>,
+    /// Local vector pages already reconstructed by the cross-rank coupled
     /// exchange before planning; the plan leaves their (installed) values
-    /// alone and residual recomputation may read them.
+    /// alone and image recomputation may read them.
     pub cross_rank: Vec<usize>,
 }
 
-/// One scrub point's iterate/residual losses, as input to
+/// One scrub point's losses of a protected vector and of its image — the
+/// vector one relation ties it to, as `g = b − A·x` ties the iterate to the
+/// residual and `q = A·d` the direction to its matvec image — as input to
 /// [`plan_state_fixes`].
 #[derive(Debug, Clone, Copy)]
 pub struct StateLosses<'a> {
-    /// Lost iterate pages with a surviving residual (related-loss conflicts
+    /// Lost vector pages with a surviving image (related-loss conflicts
     /// already excluded, e.g. via [`split_related`]).
-    pub rec_x: &'a [usize],
-    /// Lost residual pages with a surviving iterate.
-    pub rec_g: &'a [usize],
-    /// Sorted global iterate entries known to hold blank garbage that no
-    /// relation can repair this round: the rows of related-loss pages (`x`
-    /// and `g` lost together) plus remote entries whose owning rank flagged
-    /// them invalid in the recovery exchange. Pages whose relation reaches
-    /// into this set are *abandoned* (blank-accepted) instead of being
-    /// reconstructed from garbage and reported as exact — the cross-rank
-    /// form of the paper's "related data" case.
-    pub blank_x: &'a [usize],
-    /// Sorted local pages (a subset of `rec_x`) the cross-rank coupled
-    /// exchange already reconstructed and installed into the iterate view;
+    pub rec: &'a [usize],
+    /// Lost image pages with a surviving vector.
+    pub rec_image: &'a [usize],
+    /// Sorted global vector entries known to hold blank garbage that no
+    /// relation can repair this round: the rows of related-loss pages (the
+    /// vector and its image lost together) plus remote entries whose owning
+    /// rank flagged them invalid in the recovery exchange. Pages whose
+    /// relation reaches into this set are *abandoned* (blank-accepted)
+    /// instead of being reconstructed from garbage and reported as exact —
+    /// the cross-rank form of the paper's "related data" case.
+    pub blank: &'a [usize],
+    /// Sorted local pages (a subset of `rec`) the cross-rank coupled
+    /// exchange already reconstructed and installed into the vector view;
     /// planning must neither re-solve nor abandon them.
     pub cross_rank: &'a [usize],
 }
 
-/// Plans the exact recovery of the lost iterate/residual pages in `losses`
-/// from the patched snapshot; never mutates solver state. `pages` partitions
-/// the local slice `g`, whose global rows start at `row_offset`; `x_full` is
-/// the full-length (halo-patched) iterate view and `stencil` the operator
-/// whose rows decide which entries each reconstruction reads.
-pub fn plan_state_fixes<S: RecoverableIteration + ?Sized>(
-    relations: &S,
+/// Plans the exact recovery of the lost vector/image pages in `losses` from
+/// the patched snapshot; never mutates solver state. `pages` partitions the
+/// local slice `image`, whose global rows start at `row_offset`; `view` is
+/// the full-length (halo-patched) vector view and `stencil` the operator
+/// whose rows decide which entries each relation reads. `reconstruct`
+/// solves lost vector rows from the image at those rows and the view (e.g.
+/// [`RecoverableIteration::reconstruct_iterate`]); `recompute` rebuilds a
+/// row range of the image from the repaired view (e.g.
+/// [`RecoverableIteration::residual_rows`]).
+#[allow(clippy::too_many_arguments)]
+pub fn plan_state_fixes(
     stencil: &CsrMatrix,
     pages: &BlockPartition,
     row_offset: usize,
     losses: StateLosses<'_>,
-    g: &[f64],
-    x_full: &[f64],
+    image: &[f64],
+    view: &[f64],
+    reconstruct: impl Fn(&[usize], &[f64], &[f64]) -> Option<Vec<f64>>,
+    recompute: impl Fn(Range<usize>, &[f64], &mut [f64]),
 ) -> StatePlan {
     let _probe = feir_trace::span(feir_trace::Phase::RecoveryPlan);
     let StateLosses {
-        rec_x,
-        rec_g,
-        blank_x,
+        rec,
+        rec_image,
+        blank,
         cross_rank,
     } = losses;
-    debug_assert!(blank_x.windows(2).all(|w| w[0] < w[1]), "blank_x sorted");
+    debug_assert!(blank.windows(2).all(|w| w[0] < w[1]), "blank sorted");
     debug_assert!(
         cross_rank.windows(2).all(|w| w[0] < w[1]),
         "cross_rank sorted"
@@ -609,90 +619,89 @@ pub fn plan_state_fixes<S: RecoverableIteration + ?Sized>(
                 .any(|&c| blanks.binary_search(&(c as usize)).is_ok())
         })
     };
-    // Iterate pages whose stencil reads known-blank entries cannot be
+    // Vector pages whose stencil reads known-blank entries cannot be
     // reconstructed exactly; the rest go into one coupled solve. The taint
     // is transitive — an abandoned page's own rows stay blank, poisoning
     // any neighbour page whose stencil reads them — so the partition runs
     // to a fixpoint before anything is solved.
     // Pages the coupled cross-rank exchange already repaired hold exact,
-    // installed values in `x_full`: they leave the local partition entirely
+    // installed values in `view`: they leave the local partition entirely
     // and simply count as healthy stencil input for everything below.
-    let cross_handled: Vec<usize> = rec_x
+    let cross_handled: Vec<usize> = rec
         .iter()
         .copied()
         .filter(|p| cross_rank.binary_search(p).is_ok())
         .collect();
-    let mut blanks: Vec<usize> = blank_x.to_vec();
-    let mut x_pages: Vec<usize> = rec_x
+    let mut blanks: Vec<usize> = blank.to_vec();
+    let mut solved: Vec<usize> = rec
         .iter()
         .copied()
         .filter(|p| cross_rank.binary_search(p).is_err())
         .collect();
-    let mut x_ignored: Vec<usize> = Vec::new();
+    let mut ignored: Vec<usize> = Vec::new();
     loop {
         let (keep, dropped): (Vec<usize>, Vec<usize>) =
-            x_pages.iter().partition(|&&p| !touches_blank(p, &blanks));
-        x_pages = keep;
+            solved.iter().partition(|&&p| !touches_blank(p, &blanks));
+        solved = keep;
         if dropped.is_empty() {
             break;
         }
         blanks.extend(dropped.iter().flat_map(|&p| page_rows(p)));
         blanks.sort_unstable();
         blanks.dedup();
-        x_ignored.extend(dropped);
+        ignored.extend(dropped);
     }
-    x_ignored.sort_unstable();
-    let x_rows: Vec<usize> = x_pages.iter().flat_map(|&p| page_rows(p)).collect();
-    let g_at_rows: Vec<f64> = x_pages
+    ignored.sort_unstable();
+    let rows: Vec<usize> = solved.iter().flat_map(|&p| page_rows(p)).collect();
+    let image_at_rows: Vec<f64> = solved
         .iter()
         .flat_map(|&p| pages.range(p))
-        .map(|i| g[i])
+        .map(|i| image[i])
         .collect();
-    let x_values = if x_rows.is_empty() {
+    let values = if rows.is_empty() {
         None
     } else {
-        relations.reconstruct_iterate(&x_rows, &g_at_rows, x_full)
+        reconstruct(&rows, &image_at_rows, view)
     };
-    // Recompute lost residual pages from the repaired iterate:
-    // g_R = b_R − Σ_c A_Rc x_c — but only where every iterate entry the
-    // stencil reads is trustworthy (repaired, surviving, or validly
-    // fetched). `blanks` already carries the abandoned pages' rows.
-    // The iterate is copied only when a residual page has to read repaired
-    // rows; every other plan borrows it.
-    let mut x_view = Cow::Borrowed(x_full);
-    if !rec_g.is_empty() {
-        if let Some(values) = &x_values {
-            let patched = x_view.to_mut();
-            for (&r, v) in x_rows.iter().zip(values) {
+    // Recompute lost image pages from the repaired vector — but only where
+    // every vector entry the stencil reads is trustworthy (repaired,
+    // surviving, or validly fetched). `blanks` already carries the
+    // abandoned pages' rows. The view is copied only when an image page has
+    // to read repaired rows; every other plan borrows it.
+    let mut repaired = Cow::Borrowed(view);
+    if !rec_image.is_empty() {
+        if let Some(values) = &values {
+            let patched = repaired.to_mut();
+            for (&r, v) in rows.iter().zip(values) {
                 patched[r] = *v;
             }
         }
     }
-    let mut blank_for_g = blanks;
-    if x_values.is_none() {
-        blank_for_g.extend(x_rows.iter().copied());
-        blank_for_g.sort_unstable();
-        blank_for_g.dedup();
+    let mut blank_for_image = blanks;
+    if values.is_none() {
+        blank_for_image.extend(rows.iter().copied());
+        blank_for_image.sort_unstable();
+        blank_for_image.dedup();
     }
-    let mut g_fixes = Vec::with_capacity(rec_g.len());
-    let mut g_ignored = Vec::new();
-    for &p in rec_g {
-        if touches_blank(p, &blank_for_g) {
-            g_ignored.push(p);
+    let mut image_fixes = Vec::with_capacity(rec_image.len());
+    let mut image_ignored = Vec::new();
+    for &p in rec_image {
+        if touches_blank(p, &blank_for_image) {
+            image_ignored.push(p);
             continue;
         }
         let rows = page_rows(p);
         let mut out = vec![0.0; rows.len()];
-        relations.residual_rows(rows, &x_view, &mut out);
-        g_fixes.push((p, out));
+        recompute(rows, &repaired, &mut out);
+        image_fixes.push((p, out));
     }
     StatePlan {
-        x_pages,
-        x_rows,
-        x_values,
-        x_ignored,
-        g_fixes,
-        g_ignored,
+        pages: solved,
+        rows,
+        values,
+        ignored,
+        image_fixes,
+        image_ignored,
         cross_rank: cross_handled,
     }
 }
@@ -904,30 +913,39 @@ mod tests {
         let (mut x_lost, mut g_lost) = (x.clone(), g.clone());
         x_lost[pages.range(1)].fill(0.0);
         g_lost[pages.range(2)].fill(0.0);
-        let plan = |rec_g: &[usize]| {
+        let plan = |rec_image: &[usize]| {
             let losses = StateLosses {
-                rec_x: &[1],
-                rec_g,
-                blank_x: &[],
+                rec: &[1],
+                rec_image,
+                blank: &[],
                 cross_rank: &[],
             };
-            plan_state_fixes(&relations, &a, &pages, 0, losses, &g_lost, &x_lost)
+            plan_state_fixes(
+                &a,
+                &pages,
+                0,
+                losses,
+                &g_lost,
+                &x_lost,
+                |rows, g_at, view| relations.reconstruct_iterate(rows, g_at, view),
+                |rows, view, out| relations.residual_rows(rows, view, out),
+            )
         };
         let both = plan(&[2]);
-        let x_values = both.x_values.as_ref().expect("page 1 is solvable");
+        let x_values = both.values.as_ref().expect("page 1 is solvable");
         for (v, r) in x_values.iter().zip(pages.range(1)) {
             assert!((v - x[r]).abs() < 1e-10, "x row {r}");
         }
-        let (page, fix) = &both.g_fixes[0];
-        assert_eq!((*page, both.g_fixes.len()), (2, 1));
+        let (page, fix) = &both.image_fixes[0];
+        assert_eq!((*page, both.image_fixes.len()), (2, 1));
         for (v, r) in fix.iter().zip(pages.range(2)) {
             assert!((v - g[r]).abs() < 1e-10, "g row {r}");
         }
         // Without a residual loss the plan borrows the iterate and repairs
         // the same page to the same bits.
         let alone = plan(&[]);
-        assert!(alone.g_fixes.is_empty());
-        assert_eq!(alone.x_values.as_ref(), Some(x_values));
+        assert!(alone.image_fixes.is_empty());
+        assert_eq!(alone.values.as_ref(), Some(x_values));
     }
 
     #[test]

@@ -312,7 +312,7 @@ impl DistSolver {
         // Invariant: `a` is square and `own` lies in its rows, which every
         // entry point checks before a rank starts.
         let factor = || {
-            LocalBlockJacobi::new(a, own.clone(), block, true)
+            LocalBlockJacobi::new(a, own.clone(), block)
                 .expect("rank-local block-Jacobi construction failed")
         };
         let Some(policy) = policy else {

@@ -735,6 +735,61 @@ fn pcg_recovers_iterate_losses_across_rank_boundaries() {
     }
 }
 
+/// The paper's configuration: block-Jacobi PCG on `poisson_2d(128)` at 2
+/// ranks with 512-double pages, so each preconditioner block is one page
+/// and its factor is the one a page repair builds. FEIR must repair losses
+/// on every protected vector — including a coupled `x` pair flanking the
+/// rank boundary — and converge within one iteration of the fault-free run.
+#[test]
+fn paper_configuration_pcg_feir_repairs_page_sized_dues() {
+    let a = poisson_2d(128);
+    let (x_true, b) = manufactured_rhs(&a, 3);
+    let paper = |policy| config(policy).with_page_doubles(feir_sparse::PAGE_DOUBLES);
+    let fault = |iteration, rank, vector, page| ScriptedFault {
+        iteration,
+        rank,
+        vector,
+        page,
+    };
+    let faults = vec![
+        fault(5, 0, ProtectedVector::D, 3),
+        fault(10, 1, ProtectedVector::Z, 7),
+        fault(15, 0, ProtectedVector::X, 15),
+        fault(15, 1, ProtectedVector::X, 0),
+        fault(20, 1, ProtectedVector::G, 12),
+    ];
+    let ideal = distributed_resilient_pcg(&a, &b, 2, paper(RecoveryPolicy::Ideal));
+    assert!(ideal.converged);
+    let report = distributed_resilient_pcg(
+        &a,
+        &b,
+        2,
+        paper(RecoveryPolicy::Feir).with_scripted_faults(faults),
+    );
+    assert_eq!(report.faults.total_injected(), 5);
+    assert!(report.converged, "residual {}", report.relative_residual);
+    assert_eq!(report.pages_ignored, 0, "a page was blank-accepted");
+    assert_eq!(report.pages_coupled, 2, "the boundary pair was not coupled");
+    assert!(
+        report.cross_rank_values > 0,
+        "never fetched across the boundary"
+    );
+    assert!(
+        report.iterations <= ideal.iterations + 1,
+        "{} iterations vs ideal {}",
+        report.iterations,
+        ideal.iterations
+    );
+    let err: f64 = report
+        .x
+        .iter()
+        .zip(&x_true)
+        .map(|(u, v)| (u - v) * (u - v))
+        .sum::<f64>()
+        .sqrt();
+    assert!(err < 1e-6, "solution error {err}");
+}
+
 /// The engine-based loop (and the split-phase AFEIR overlap) must be exactly
 /// reproducible: the same scripted faults give bit-for-bit the same solve,
 /// run after run — the property the policy-matrix experiments rely on.

@@ -380,8 +380,10 @@ impl RecoverableIteration for MergedPcgRelations<'_> {
 /// Solves the coupled system `A_RR · y = rhs` over the given sorted global
 /// rows: a principal submatrix of the SPD operator, factored sparsely by
 /// [`EnvelopeCholesky`] on every call. For a stencil operator that costs
-/// less than an iteration, so nothing is cached between repairs. `None` when
-/// the block is not positive definite.
+/// less than an iteration, so the repair caches nothing between calls —
+/// although under PCG, when `R` is one whole page, the rank's
+/// [`LocalBlockJacobi`] already holds this very factor. `None` when the
+/// block is not positive definite.
 fn solve_coupled(a: &CsrMatrix, rows: &[usize], rhs: &[f64]) -> Option<Vec<f64>> {
     EnvelopeCholesky::factorize(a, rows)
         .ok()
@@ -883,7 +885,7 @@ mod tests {
         let a = poisson_2d(8);
         let n = a.rows();
         let (_, b) = manufactured_rhs(&a, 2);
-        let jacobi = LocalBlockJacobi::new(&a, 0..n, 16, true).unwrap();
+        let jacobi = LocalBlockJacobi::new(&a, 0..n, 16).unwrap();
         let relations = PcgRelations::new(&a, &b, &jacobi);
         assert!(relations.preconditioned());
         assert_eq!(relations.solver_name(), "pcg");
@@ -961,7 +963,7 @@ mod tests {
         let a = poisson_2d(10);
         let n = a.rows();
         let (x_true, b) = manufactured_rhs(&a, 7);
-        let jacobi = LocalBlockJacobi::new(&a, 0..n, 25, true).unwrap();
+        let jacobi = LocalBlockJacobi::new(&a, 0..n, 25).unwrap();
         let cg = CgRelations::new(&a, &b);
         let pcg = PcgRelations::new(&a, &b, &jacobi);
         let d = x_true.clone();

@@ -135,7 +135,7 @@ impl DiagonalBlocks {
         Ok(Self { partition, factors })
     }
 
-    pub(crate) fn factorize_block(block: &DenseMatrix, spd: bool) -> BlockFactor {
+    fn factorize_block(block: &DenseMatrix, spd: bool) -> BlockFactor {
         if spd {
             if let Ok(chol) = block.cholesky() {
                 return BlockFactor::Cholesky(chol);

@@ -6,34 +6,14 @@
 //! the preconditioner — one of the reasons the paper selects it (Section 5.1).
 
 use crate::blocking::{BlockFactor, BlockPartition, DiagonalBlocks};
-use crate::{CsrMatrix, SparseError};
+use crate::{CsrMatrix, EnvelopeCholesky, SparseError};
 
-/// Solves one diagonal-block system `M_bb z = r` with the pre-computed
-/// factor, falling back to point-Jacobi on `diag[diag_range]` for singular
-/// blocks — the single dispatch shared by the global and rank-local
-/// preconditioners so their solves can never diverge.
-fn solve_factored_block(
-    factor: &BlockFactor,
-    diag: &[f64],
-    diag_range: std::ops::Range<usize>,
-    r: &[f64],
-    z: &mut [f64],
-) {
-    match factor {
-        BlockFactor::Cholesky(c) => {
-            z.copy_from_slice(r);
-            c.solve_in_place(z);
-        }
-        BlockFactor::Lu(lu) => {
-            let solved = lu.solve(r);
-            z.copy_from_slice(&solved);
-        }
-        BlockFactor::Singular => {
-            for ((zi, ri), idx) in z.iter_mut().zip(r).zip(diag_range) {
-                let d = diag[idx];
-                *zi = if d.abs() > f64::EPSILON { ri / d } else { *ri };
-            }
-        }
+/// Point-Jacobi solve `z_i = r_i / a_ii` over one block's rows, the fallback
+/// for a block without a usable factor. A zero diagonal entry passes `r_i`
+/// through.
+fn point_jacobi(diag: &[f64], r: &[f64], z: &mut [f64]) {
+    for ((zi, ri), d) in z.iter_mut().zip(r).zip(diag) {
+        *zi = if d.abs() > f64::EPSILON { ri / d } else { *ri };
     }
 }
 
@@ -93,36 +73,41 @@ impl BlockJacobi {
     /// application* the paper relies on to recover preconditioned vectors
     /// cheaply (Section 3.2).
     pub fn apply_block(&self, block: usize, r: &[f64], z: &mut [f64]) {
-        solve_factored_block(
-            self.blocks.factor(block),
-            &self.diag,
-            self.blocks.partition().range(block),
-            r,
-            z,
-        );
+        match self.blocks.factor(block) {
+            BlockFactor::Cholesky(c) => {
+                z.copy_from_slice(r);
+                c.solve_in_place(z);
+            }
+            BlockFactor::Lu(lu) => z.copy_from_slice(&lu.solve(r)),
+            BlockFactor::Singular => {
+                let range = self.blocks.partition().range(block);
+                point_jacobi(&self.diag[range], r, z);
+            }
+        }
     }
 }
 
 /// Block-Jacobi preconditioner over a *contiguous row range* of a larger
-/// matrix — the rank-local form used by the distributed PCG.
+/// SPD matrix — the rank-local form used by the distributed PCG.
 ///
 /// On a block-row distributed machine every rank owns a contiguous slice of
 /// rows and applies the preconditioner only to its own residual block: the
 /// diagonal blocks never cross a rank boundary, so the application needs no
-/// communication. `LocalBlockJacobi` factorizes exactly the diagonal blocks
-/// of one rank's page partition (at global row offset `rows.start`) and
-/// applies them to rank-local slices. This is also the factorization the
-/// engine's exact recovery of preconditioned-residual pages reuses: a lost
-/// `z` page is reconstructed by re-solving `M_pp z_p = g_p` with the same
-/// factor (the paper's Section 3.2 partial application).
+/// communication. `LocalBlockJacobi` factors each diagonal block of one
+/// rank's page partition with [`EnvelopeCholesky`] — the same sparse factor
+/// a page repair builds over the same rows — and applies it with that
+/// factor's two triangular solves. A block that is not positive definite
+/// falls back to point-Jacobi on its rows. The engine's exact recovery of a
+/// lost `z` page re-solves `M_pp z_p = g_p` with this factor (the paper's
+/// Section 3.2 partial application).
 #[derive(Debug, Clone)]
 pub struct LocalBlockJacobi {
-    factors: Vec<BlockFactor>,
+    /// Factor of each local block; `None` for a block that is not positive
+    /// definite.
+    factors: Vec<Option<EnvelopeCholesky>>,
     /// Partition of the *local* index space `0..rows.len()`.
     partition: BlockPartition,
-    /// Global row offset of local index 0.
-    offset: usize,
-    /// Rank-local diagonal, the point-Jacobi fallback for singular blocks.
+    /// Rank-local diagonal, the point-Jacobi fallback.
     diag: Vec<f64>,
 }
 
@@ -136,7 +121,6 @@ impl LocalBlockJacobi {
         a: &CsrMatrix,
         rows: std::ops::Range<usize>,
         block_size: usize,
-        spd: bool,
     ) -> Result<Self, SparseError> {
         if a.rows() != a.cols() {
             return Err(SparseError::NotSquare {
@@ -151,21 +135,18 @@ impl LocalBlockJacobi {
             });
         }
         let partition = BlockPartition::new(rows.len(), block_size);
-        let mut factors = Vec::with_capacity(partition.num_blocks());
-        for (_, local) in partition.iter() {
-            let gs = rows.start + local.start;
-            let ge = rows.start + local.end;
-            let block = a.dense_block(gs, ge, gs, ge);
-            factors.push(crate::blocking::DiagonalBlocks::factorize_block(
-                &block, spd,
-            ));
-        }
-        let full_diag = a.diagonal();
-        let diag = full_diag[rows.clone()].to_vec();
+        let factors = partition
+            .iter()
+            .map(|(_, local)| {
+                let global: Vec<usize> =
+                    (rows.start + local.start..rows.start + local.end).collect();
+                EnvelopeCholesky::factorize(a, &global).ok()
+            })
+            .collect();
+        let diag = a.diagonal()[rows].to_vec();
         Ok(Self {
             factors,
             partition,
-            offset: rows.start,
             diag,
         })
     }
@@ -175,31 +156,14 @@ impl LocalBlockJacobi {
         self.partition
     }
 
-    /// Global row offset of local index 0.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Number of local blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.factors.len()
-    }
-
-    /// True if local block `b` has a usable direct factorization.
-    pub fn is_solvable(&self, b: usize) -> bool {
-        !matches!(self.factors[b], BlockFactor::Singular)
-    }
-
     /// Solves `M_bb z = r` for one local block (`r` and `z` are block-sized
-    /// slices). Singular blocks fall back to point-Jacobi on their rows.
+    /// slices). A block that is not positive definite falls back to
+    /// point-Jacobi on its rows.
     pub fn apply_block(&self, block: usize, r: &[f64], z: &mut [f64]) {
-        solve_factored_block(
-            &self.factors[block],
-            &self.diag,
-            self.partition.range(block),
-            r,
-            z,
-        );
+        match &self.factors[block] {
+            Some(factor) => z.copy_from_slice(&factor.solve(r)),
+            None => point_jacobi(&self.diag[self.partition.range(block)], r, z),
+        }
     }
 
     /// Applies the preconditioner to the whole local range, block by block
@@ -217,7 +181,7 @@ impl LocalBlockJacobi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::poisson_2d;
+    use crate::generators::{poisson_2d, poisson_3d_27pt};
     use crate::vecops;
 
     #[test]
@@ -298,7 +262,9 @@ mod tests {
     #[test]
     fn local_block_jacobi_matches_global_on_aligned_ranges() {
         // Splitting the matrix into two equal rank ranges with the same block
-        // size must reproduce the global block-Jacobi application exactly.
+        // size must reproduce the global block-Jacobi application. The local
+        // factor is sparse and the global one dense, so they agree to
+        // round-off, at the bound the envelope factor's own tests use.
         let a = poisson_2d(16); // n = 256
         let n = a.rows();
         let global = BlockJacobi::new(&a, BlockPartition::new(n, 32), true).unwrap();
@@ -306,19 +272,74 @@ mod tests {
         let mut z_global = vec![0.0; n];
         global.apply(&r, &mut z_global);
         for (start, end) in [(0usize, 128usize), (128, 256)] {
-            let local = LocalBlockJacobi::new(&a, start..end, 32, true).unwrap();
-            assert_eq!(local.offset(), start);
-            assert_eq!(local.num_blocks(), (end - start) / 32);
+            let local = LocalBlockJacobi::new(&a, start..end, 32).unwrap();
+            assert_eq!(local.partition().num_blocks(), (end - start) / 32);
             let mut z_local = vec![0.0; end - start];
             local.apply(&r[start..end], &mut z_local);
-            assert_eq!(&z_global[start..end], z_local.as_slice());
+            let expected = &z_global[start..end];
+            let scale = expected.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (i, (u, v)) in z_local.iter().zip(expected).enumerate() {
+                assert!(
+                    (u - v).abs() <= 1e-12 * scale,
+                    "row {}: {u} vs {v}",
+                    start + i
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn local_block_is_the_page_repair_factor() {
+        // One factor serves the preconditioner and the repair: on whole
+        // 512-row pages, applying a rank-local block is bit for bit the
+        // envelope solve a page repair runs over the same rows.
+        for a in [poisson_2d(128), poisson_3d_27pt(16)] {
+            let n = a.rows();
+            let own = n / 2..n;
+            let local = LocalBlockJacobi::new(&a, own.clone(), crate::PAGE_DOUBLES).unwrap();
+            for (b, range) in local.partition().iter() {
+                let rows: Vec<usize> = (own.start + range.start..own.start + range.end).collect();
+                let r: Vec<f64> = rows
+                    .iter()
+                    .map(|&i| (i as f64 * 0.37).sin() + 0.5)
+                    .collect();
+                let mut z = vec![0.0; r.len()];
+                local.apply_block(b, &r, &mut z);
+                let repair = EnvelopeCholesky::factorize(&a, &rows).unwrap().solve(&r);
+                assert_eq!(z, repair, "block {b} of n = {n}");
+            }
         }
     }
 
     #[test]
     fn local_block_jacobi_rejects_out_of_range_rows() {
         let a = poisson_2d(4);
-        assert!(LocalBlockJacobi::new(&a, 0..100, 8, true).is_err());
+        assert!(LocalBlockJacobi::new(&a, 0..100, 8).is_err());
+    }
+
+    #[test]
+    fn indefinite_local_block_falls_back_to_point_jacobi() {
+        // Rows 2..6 of a diagonal-dominant matrix whose rows 4..6 carry a
+        // negative diagonal entry: the second local block is not positive
+        // definite and must fall back to `r_i / a_ii` on its rows, read at
+        // their global diagonal, while the first block is solved exactly.
+        let mut coo = crate::CooMatrix::new(6, 6);
+        for (i, d) in [4.0, 4.0, 4.0, 4.0, -2.0, 4.0].into_iter().enumerate() {
+            coo.push(i, i, d).unwrap();
+        }
+        for (i, j) in [(2, 3), (3, 2), (4, 5), (5, 4)] {
+            coo.push(i, j, 1.0).unwrap();
+        }
+        let a = coo.to_csr().unwrap();
+        let local = LocalBlockJacobi::new(&a, 2..6, 2).unwrap();
+        let r = vec![1.0, 1.0, 1.0, 1.0];
+        let mut z = vec![0.0; 4];
+        local.apply(&r, &mut z);
+        assert!(z.iter().all(|v| v.is_finite()));
+        // [[4, 1], [1, 4]] z = [1, 1] gives z = 1/5 up to round-off.
+        assert!((z[0] - 0.2).abs() < 1e-15 && (z[1] - 0.2).abs() < 1e-15);
+        assert_eq!(z[2], -0.5);
+        assert_eq!(z[3], 0.25);
     }
 
     #[test]

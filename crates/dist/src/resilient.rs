@@ -46,13 +46,6 @@ use feir_recovery::{
 use feir_sparse::blocking::BlockPartition;
 use feir_sparse::{CsrMatrix, LocalBlockJacobi};
 
-// The coupled-row reconstruction kernels moved into the engine in PR 4;
-// re-exported here so existing callers (and the cross-boundary tests) keep
-// their import paths.
-pub use feir_recovery::engine::{
-    lossy_interpolate_rows, recover_direction_rows, recover_iterate_rows,
-};
-
 use crate::cg::{rank_cg, DistSolveResult};
 use crate::comm::{effective_ranks, CommError, HaloPlan, RankComm};
 use crate::domains::RankDomains;

@@ -6,14 +6,13 @@
 
 use std::time::{Duration, Instant};
 
-use feir_dist::resilient::{recover_direction_rows, recover_iterate_rows};
 use feir_dist::{
     distributed_cg, distributed_resilient_cg, distributed_resilient_pcg, spawn_workers_with,
     DistResilienceConfig, DistResilientSolver, DistSolver, ProcessSpec, ProtectedVector,
     ScriptedFault, Transport, WorkerOptions,
 };
 use feir_pagemem::FaultStream;
-use feir_recovery::{BlockRecovery, RecoveryPolicy};
+use feir_recovery::{BlockRecovery, CgRelations, RecoverableIteration, RecoveryPolicy};
 use feir_sparse::blocking::BlockPartition;
 use feir_sparse::generators::{manufactured_rhs, poisson_2d};
 use feir_sparse::CsrMatrix;
@@ -338,7 +337,8 @@ fn cross_boundary_interpolation_matches_shared_memory_block_recovery() {
     let mut shared = vec![0.0; range.len()];
     assert!(recovery.recover_iterate_rhs(&a, &b, &g, &damaged, block, &mut shared));
     let g_at_rows: Vec<f64> = range.clone().map(|r| g[r]).collect();
-    let dist = recover_iterate_rows(&a, &b, &g_at_rows, &rows, &damaged)
+    let dist = CgRelations::new(&a, &b)
+        .reconstruct_iterate(&rows, &g_at_rows, &damaged)
         .expect("cross-rank iterate recovery failed");
     for (k, r) in range.clone().enumerate() {
         assert!(
@@ -367,7 +367,8 @@ fn cross_boundary_interpolation_matches_shared_memory_block_recovery() {
     let mut shared_d = vec![0.0; range.len()];
     assert!(recovery.recover_matvec_rhs(&a, &q, &d_damaged, block, &mut shared_d));
     let q_at_rows: Vec<f64> = range.clone().map(|r| q[r]).collect();
-    let dist_d = recover_direction_rows(&a, &q_at_rows, &rows, &d_damaged)
+    let dist_d = CgRelations::new(&a, &b)
+        .reconstruct_direction(&rows, &q_at_rows, &d_damaged)
         .expect("cross-rank direction recovery failed");
     for (k, r) in range.clone().enumerate() {
         assert!(
@@ -400,8 +401,9 @@ fn coupled_multi_page_recovery_is_exact() {
         damaged[r] = 0.0;
     }
     let g_at_rows: Vec<f64> = rows.iter().map(|&r| g[r]).collect();
-    let recovered =
-        recover_iterate_rows(&a, &b, &g_at_rows, &rows, &damaged).expect("coupled recovery failed");
+    let recovered = CgRelations::new(&a, &b)
+        .reconstruct_iterate(&rows, &g_at_rows, &damaged)
+        .expect("coupled recovery failed");
     for (k, &r) in rows.iter().enumerate() {
         assert!(
             (recovered[k] - x[r]).abs() < 1e-8,

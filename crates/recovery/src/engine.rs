@@ -11,12 +11,12 @@
 //!   relations per protected vector (how an iterate, residual, direction,
 //!   matvec-product or preconditioned-residual page is reconstructed from
 //!   the surviving state);
-//! * the coupled-row **page-reconstruction kernels**
-//!   ([`recover_iterate_rows`], [`recover_direction_rows`],
-//!   [`lossy_interpolate_rows`]) generalising the shared-memory
-//!   [`BlockRecovery`](crate::BlockRecovery) solves to arbitrary
-//!   simultaneous row sets, each factoring its rows' block on the spot with
-//!   the sparse [`EnvelopeCholesky`];
+//! * the coupled-row **page reconstruction** every relations type shares:
+//!   one solve of a lost row set's diagonal block `A_RR`, generalising the
+//!   shared-memory [`BlockRecovery`](crate::BlockRecovery) solves to
+//!   arbitrary simultaneous row sets, with the sparse [`EnvelopeCholesky`]
+//!   factor of each distinct block built once per solve and kept in the
+//!   relations object;
 //! * **scrub-point fault materialisation** ([`scrub_blank`], [`mark_page`])
 //!   — the page-granular analogue of SIGBUS-on-touch — and the related-data
 //!   partitioning of simultaneous losses ([`split_related`]);
@@ -35,10 +35,14 @@
 //! trait implementation instead of another monolithic solver copy.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
+use std::fmt;
 use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use feir_pagemem::{AccessOutcome, PageRegistry, VectorId};
 use feir_sparse::blocking::BlockPartition;
+use feir_sparse::envelope::row_position;
 use feir_sparse::{CsrMatrix, EnvelopeCholesky, LocalBlockJacobi};
 
 use crate::report::{RecoveryAction, RecoveryEvent};
@@ -119,10 +123,16 @@ pub trait RecoverableIteration: Sync {
 
 /// The algebraic relations of plain CG (Listing 1): protected vectors
 /// `x, g, d, q` tied together by `g = b − A·x` and `q = A·d`.
-#[derive(Debug, Clone, Copy)]
+///
+/// Every exact repair and lossy interpolation solves the lost rows'
+/// diagonal block `A_RR`; the relations keep the factor of each distinct
+/// block they have solved, so one object serves one rank's solve and
+/// factors each distinct block content once.
+#[derive(Debug)]
 pub struct CgRelations<'a> {
     a: &'a CsrMatrix,
     b: &'a [f64],
+    factors: FactorStore,
 }
 
 impl<'a> CgRelations<'a> {
@@ -137,7 +147,11 @@ impl<'a> CgRelations<'a> {
             "recovery relations need a square matrix"
         );
         assert_eq!(a.rows(), b.len(), "rhs length mismatch");
-        Self { a, b }
+        Self {
+            a,
+            b,
+            factors: FactorStore::default(),
+        }
     }
 
     /// The bound operator.
@@ -148,6 +162,40 @@ impl<'a> CgRelations<'a> {
     /// The bound right-hand side.
     pub fn rhs(&self) -> &'a [f64] {
         self.b
+    }
+
+    /// Solves `A_RR · y = constant(i, rows[i]) − Σ_{c∉R} A_{rows[i],c} ·
+    /// outside[c]` over the sorted global rows `R`: the relation's own term
+    /// less what the surviving entries contribute. One pass over the rows
+    /// builds both the right-hand side and the block's content key; the
+    /// block is factored only when no earlier row set of this solve had the
+    /// same content. `None` when the block is not positive definite.
+    fn solve_coupled(
+        &self,
+        rows: &[usize],
+        outside: &[f64],
+        constant: impl Fn(usize, usize) -> f64,
+    ) -> Option<Vec<f64>> {
+        let _probe = feir_trace::span(feir_trace::Phase::RecoveryReconstruct);
+        let position = row_position(rows);
+        let row_len = self.a.nnz().div_ceil(self.a.rows().max(1));
+        let mut key = Vec::with_capacity(rows.len() * (2 * row_len + 1));
+        let mut rhs = Vec::with_capacity(rows.len());
+        for (i, &r) in rows.iter().enumerate() {
+            let (cols, vals) = self.a.row(r);
+            let mut acc = constant(i, r);
+            for (&c, v) in cols.iter().zip(vals) {
+                let c = c as usize;
+                match position(c) {
+                    Some(j) => key.extend([j as u64, v.to_bits()]),
+                    None => acc -= v * outside[c],
+                }
+            }
+            key.push(ROW_END);
+            rhs.push(acc);
+        }
+        let factor = self.factors.factor(self.a, rows, key)?;
+        Some(factor.solve(&rhs))
     }
 }
 
@@ -162,7 +210,10 @@ impl RecoverableIteration for CgRelations<'_> {
         g_at_rows: &[f64],
         x_view: &[f64],
     ) -> Option<Vec<f64>> {
-        recover_iterate_rows(self.a, self.b, g_at_rows, rows, x_view)
+        // A_RR x_R = b_R − g_R − Σ_{c∉R} A_Rc x_c; on a distributed machine
+        // the remote columns of `x_view` come from the recovery exchange.
+        debug_assert_eq!(g_at_rows.len(), rows.len());
+        self.solve_coupled(rows, x_view, |i, r| self.b[r] - g_at_rows[i])
     }
 
     fn reconstruct_direction(
@@ -171,7 +222,10 @@ impl RecoverableIteration for CgRelations<'_> {
         q_at_rows: &[f64],
         d_view: &[f64],
     ) -> Option<Vec<f64>> {
-        recover_direction_rows(self.a, q_at_rows, rows, d_view)
+        // A_RR d_R = q_R − Σ_{c∉R} A_Rc d_c, against the retained halo
+        // snapshot: a neighbour may already have advanced its direction.
+        debug_assert_eq!(q_at_rows.len(), rows.len());
+        self.solve_coupled(rows, d_view, |i, _| q_at_rows[i])
     }
 
     fn residual_rows(&self, rows: Range<usize>, x_view: &[f64], out: &mut [f64]) {
@@ -185,7 +239,9 @@ impl RecoverableIteration for CgRelations<'_> {
     }
 
     fn lossy_iterate_rows(&self, rows: &[usize], x_view: &[f64]) -> Option<Vec<f64>> {
-        lossy_interpolate_rows(self.a, self.b, rows, x_view)
+        // A_RR x_R = b_R − Σ_{c∉R} A_Rc x_c, the block-Jacobi step of the
+        // Lossy Restart interpolation (Theorems 1–3).
+        self.solve_coupled(rows, x_view, |_, r| self.b[r])
     }
 }
 
@@ -193,7 +249,7 @@ impl RecoverableIteration for CgRelations<'_> {
 /// has, plus the preconditioned residual `z` solved per page from
 /// `M_pp z_p = g_p` — whose factorization the recovery reuses, which is
 /// exactly why the paper picks page-sized Jacobi blocks (Section 5.1).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct PcgRelations<'a> {
     cg: CgRelations<'a>,
     jacobi: &'a LocalBlockJacobi,
@@ -269,7 +325,7 @@ impl RecoverableIteration for PcgRelations<'_> {
 /// each is a pure function of a protected vector and is recomputable from it
 /// on demand, so protecting them would spend scrub traffic on redundant
 /// state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct MergedCgRelations<'a> {
     cg: CgRelations<'a>,
 }
@@ -320,7 +376,7 @@ impl RecoverableIteration for MergedCgRelations<'_> {
 /// re-solved per page from the factorized diagonal block (the same relation
 /// classic PCG uses for `z`). The merged iteration's `q = M⁻¹·s` and
 /// `z = A·q` companions stay unprotected for the same reason as `w`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct MergedPcgRelations<'a> {
     pcg: PcgRelations<'a>,
 }
@@ -375,99 +431,86 @@ impl RecoverableIteration for MergedPcgRelations<'_> {
     }
 }
 
-// ----- coupled-row page-reconstruction kernels -----------------------------
+// ----- the page-factor store ----------------------------------------------
 
-/// Solves the coupled system `A_RR · y = rhs` over the given sorted global
-/// rows: a principal submatrix of the SPD operator, factored sparsely by
-/// [`EnvelopeCholesky`] on every call. For a stencil operator that costs
-/// less than an iteration, so the repair caches nothing between calls —
-/// although under PCG, when `R` is one whole page, the rank's
-/// [`LocalBlockJacobi`] already holds this very factor. `None` when the
-/// block is not positive definite.
-fn solve_coupled(a: &CsrMatrix, rows: &[usize], rhs: &[f64]) -> Option<Vec<f64>> {
-    EnvelopeCholesky::factorize(a, rows)
-        .ok()
-        .map(|factor| factor.solve(rhs))
+/// Ends one row of a block key; no local column index reaches it.
+const ROW_END: u64 = u64::MAX;
+
+/// A cheap multiplicative hash of a block key, four lanes wide so that the
+/// multiplies of neighbouring words overlap.
+fn mix(key: &[u64]) -> u64 {
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let chunks = key.chunks_exact(4);
+    let tail = chunks.remainder();
+    let mut lanes = [0u64; 4];
+    for chunk in chunks {
+        for (h, &w) in lanes.iter_mut().zip(chunk) {
+            *h = step(*h, w);
+        }
+    }
+    lanes.iter().chain(tail).fold(0, |h, &w| step(h, w))
 }
 
-/// Right-hand side of a coupled reconstruction over the sorted global rows
-/// `R`: `constant(i, rows[i]) − Σ_{c∉R} A_{rows[i],c} · outside[c]`, the
-/// relation's own term less what the surviving entries contribute.
-fn off_block_rhs(
-    a: &CsrMatrix,
-    rows: &[usize],
-    outside: &[f64],
-    constant: impl Fn(usize, usize) -> f64,
-) -> Vec<f64> {
-    rows.iter()
-        .enumerate()
-        .map(|(i, &r)| {
-            let (cols, vals) = a.row(r);
-            let mut acc = constant(i, r);
-            for (&c, v) in cols.iter().zip(vals) {
-                let c = c as usize;
-                if rows.binary_search(&c).is_err() {
-                    acc -= v * outside[c];
-                }
-            }
-            acc
-        })
-        .collect()
-}
-
-/// Exact recovery of lost rows of the **iterate**: solves
-/// `A_RR x_R = b_R − g_R − Σ_{c∉R} A_Rc x_c` over the sorted global rows `R`.
+/// The [`EnvelopeCholesky`] factor of every distinct diagonal block `A_RR`
+/// one relations object has solved, keyed by the block's content.
 ///
-/// `g_at_rows[i]` is the residual at `rows[i]`; `x_full` must hold valid data
-/// at every stencil column outside `rows` — on a distributed machine the
-/// remote columns are fetched through the recovery request/reply round
-/// first. The result matches the shared-memory
-/// [`BlockRecovery::recover_iterate_rhs`](crate::BlockRecovery::recover_iterate_rhs)
-/// to round-off (and generalises it to arbitrary simultaneous row sets).
-pub fn recover_iterate_rows(
-    a: &CsrMatrix,
-    b: &[f64],
-    g_at_rows: &[f64],
-    rows: &[usize],
-    x_full: &[f64],
-) -> Option<Vec<f64>> {
-    debug_assert_eq!(g_at_rows.len(), rows.len());
-    let _probe = feir_trace::span(feir_trace::Phase::RecoveryReconstruct);
-    let rhs = off_block_rhs(a, rows, x_full, |i, r| b[r] - g_at_rows[i]);
-    solve_coupled(a, rows, &rhs)
+/// A key lists, row by row in local order, each stored entry `(r, c)` with
+/// `c ∈ R` as its local column and value bits, each row closed by
+/// [`ROW_END`]. The factor is a pure function of that local submatrix (the
+/// ordering breaks ties by local index), so equal keys give bit-equal
+/// factors and solves: all 16 page blocks of a `poisson_2d(128)` rank share
+/// one entry. A block that is not positive definite is remembered as
+/// `None`. Keys are hashed by a cheap multiplicative mix and compared in
+/// full on a hit. The store lives as long as its relations object — one
+/// rank's solve — with no cap; a fault-free solve leaves it empty. (Under
+/// PCG the rank's [`LocalBlockJacobi`] holds the same factor of a whole
+/// page; the store builds its own on the page's first loss.)
+#[derive(Default)]
+struct FactorStore {
+    /// Blocks by their key's [`mix`].
+    buckets: Mutex<HashMap<u64, Bucket>>,
 }
 
-/// Exact recovery of lost rows of the **search direction**: solves
-/// `A_RR d_R = q_R − Σ_{c∉R} A_Rc d_c` over the sorted global rows `R`.
-///
-/// `q_at_rows[i]` is the matvec product at `rows[i]`; `d_full` must hold the
-/// direction that produced `q` at every stencil column outside `rows` — the
-/// recovering rank's retained halo snapshot, not freshly fetched values (a
-/// neighbour may already have advanced its direction).
-pub fn recover_direction_rows(
-    a: &CsrMatrix,
-    q_at_rows: &[f64],
-    rows: &[usize],
-    d_full: &[f64],
-) -> Option<Vec<f64>> {
-    debug_assert_eq!(q_at_rows.len(), rows.len());
-    let _probe = feir_trace::span(feir_trace::Phase::RecoveryReconstruct);
-    let rhs = off_block_rhs(a, rows, d_full, |i, _| q_at_rows[i]);
-    solve_coupled(a, rows, &rhs)
+/// The `(key, factor)` pairs of the blocks whose keys share one hash; the
+/// factor is `None` for a block that is not positive definite.
+type Bucket = Vec<(Vec<u64>, Option<Arc<EnvelopeCholesky>>)>;
+
+impl FactorStore {
+    /// The factor of the block `key` describes, factoring `rows` of `a` on
+    /// the block's first use.
+    fn factor(
+        &self,
+        a: &CsrMatrix,
+        rows: &[usize],
+        key: Vec<u64>,
+    ) -> Option<Arc<EnvelopeCholesky>> {
+        let hash = mix(&key);
+        // Every update pushes a finished entry, so a panic under the lock
+        // (in `factorize`) leaves at most an empty bucket: a poisoned store
+        // is still valid.
+        let mut buckets = self.buckets.lock().unwrap_or_else(PoisonError::into_inner);
+        let bucket = buckets.entry(hash).or_default();
+        if let Some((_, factor)) = bucket.iter().find(|(k, _)| *k == key) {
+            return factor.clone();
+        }
+        let factor = EnvelopeCholesky::factorize(a, rows).ok().map(Arc::new);
+        bucket.push((key, factor.clone()));
+        factor
+    }
+
+    /// Number of distinct blocks stored.
+    pub(crate) fn len(&self) -> usize {
+        let buckets = self.buckets.lock().unwrap_or_else(PoisonError::into_inner);
+        buckets.values().map(Vec::len).sum()
+    }
 }
 
-/// Lossy interpolation of lost rows of the iterate (no residual term):
-/// `A_RR x_R = b_R − Σ_{c∉R} A_Rc x_c`, the block-Jacobi step of the paper's
-/// Lossy Restart interpolation (Theorems 1–3).
-pub fn lossy_interpolate_rows(
-    a: &CsrMatrix,
-    b: &[f64],
-    rows: &[usize],
-    x_full: &[f64],
-) -> Option<Vec<f64>> {
-    let _probe = feir_trace::span(feir_trace::Phase::RecoveryReconstruct);
-    let rhs = off_block_rhs(a, rows, x_full, |_, r| b[r]);
-    solve_coupled(a, rows, &rhs)
+impl fmt::Debug for FactorStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FactorStore")
+            .field("blocks", &self.len())
+            .finish()
+    }
 }
 
 // ----- scrub-point fault materialisation -----------------------------------
@@ -851,7 +894,7 @@ pub fn compute_touched_pages(a: &CsrMatrix, partition: BlockPartition) -> Vec<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feir_sparse::generators::{manufactured_rhs, poisson_2d};
+    use feir_sparse::generators::{manufactured_rhs, poisson_2d, poisson_3d_27pt};
 
     #[test]
     fn cg_relations_reconstruct_iterate_rows_exactly() {
@@ -987,5 +1030,134 @@ mod tests {
         for (k, &r) in rows.iter().enumerate() {
             assert!((from_cg[k] - d[r]).abs() < 1e-8, "row {r}");
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `A_RR d_R = q_R − Σ_{c∉R} A_Rc d_c` solved from a fresh factor, the
+    /// right-hand side built by a binary search per entry.
+    fn fresh_direction(a: &CsrMatrix, rows: &[usize], q_at_rows: &[f64], view: &[f64]) -> Vec<f64> {
+        let rhs: Vec<f64> = rows
+            .iter()
+            .zip(q_at_rows)
+            .map(|(&r, &q)| {
+                let (cols, vals) = a.row(r);
+                let mut acc = q;
+                for (&c, v) in cols.iter().zip(vals) {
+                    if rows.binary_search(&(c as usize)).is_err() {
+                        acc -= v * view[c as usize];
+                    }
+                }
+                acc
+            })
+            .collect();
+        EnvelopeCholesky::factorize(a, rows).unwrap().solve(&rhs)
+    }
+
+    /// `a` with the diagonal entry of `row` replaced by `f` of itself.
+    fn with_diagonal(a: &CsrMatrix, row: usize, f: impl Fn(f64) -> f64) -> CsrMatrix {
+        let mut values = a.values().to_vec();
+        let diagonal = u32::try_from(row).unwrap();
+        let at = a.row_ptr()[row] + a.row(row).0.binary_search(&diagonal).unwrap();
+        values[at] = f(values[at]);
+        CsrMatrix::from_raw(
+            a.rows(),
+            a.cols(),
+            a.row_ptr().to_vec(),
+            a.col_idx().to_vec(),
+            values,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn factor_store_serves_solves_bit_equal_to_a_fresh_factor() {
+        for a in [poisson_2d(128), poisson_3d_27pt(16)] {
+            let n = a.rows();
+            let (_, b) = manufactured_rhs(&a, 3);
+            let relations = CgRelations::new(&a, &b);
+            let view: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin()).collect();
+            let pages = BlockPartition::new(n, 512);
+            for (p, range) in pages.iter() {
+                let rows: Vec<usize> = range.collect();
+                let q_at_rows: Vec<f64> = rows.iter().map(|&r| (r as f64 * 0.07).cos()).collect();
+                let expected = bits(&fresh_direction(&a, &rows, &q_at_rows, &view));
+                // Twice: the first call may factor, the second is served.
+                for _ in 0..2 {
+                    let got = relations
+                        .reconstruct_direction(&rows, &q_at_rows, &view)
+                        .unwrap();
+                    assert_eq!(bits(&got), expected, "page {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn factor_store_factors_the_pages_of_one_rank_once() {
+        let a = poisson_2d(128);
+        let (x, b) = manufactured_rhs(&a, 4);
+        let relations = CgRelations::new(&a, &b);
+        assert_eq!(relations.factors.len(), 0, "nothing is factored up front");
+        let mut g = vec![0.0; a.rows()];
+        relations.residual_rows(0..a.rows(), &x, &mut g);
+        // Rank 0 of two: rows 0..8192, sixteen 512-row pages.
+        for page in 0..16 {
+            let rows: Vec<usize> = (page * 512..(page + 1) * 512).collect();
+            let g_at_rows: Vec<f64> = rows.iter().map(|&r| g[r]).collect();
+            let got = relations
+                .reconstruct_iterate(&rows, &g_at_rows, &x)
+                .unwrap();
+            for (v, &r) in got.iter().zip(&rows) {
+                assert!((v - x[r]).abs() < 1e-8, "row {r}");
+            }
+            assert!(relations.lossy_iterate_rows(&rows, &x).is_some());
+        }
+        assert_eq!(relations.factors.len(), 1);
+        // The union across the rank boundary is a block of its own.
+        let union: Vec<usize> = (7680..8704).collect();
+        let g_at_rows: Vec<f64> = union.iter().map(|&r| g[r]).collect();
+        assert!(relations
+            .reconstruct_iterate(&union, &g_at_rows, &x)
+            .is_some());
+        assert_eq!(relations.factors.len(), 2);
+    }
+
+    #[test]
+    fn factor_store_gives_a_block_one_value_bit_away_its_own_entry() {
+        // Pages of 64 rows (two grid rows) of a 32-wide grid: identical
+        // blocks, except that page 1 has its lowest diagonal mantissa bit
+        // flipped and page 2 a negated diagonal — the sign bit — which makes
+        // it indefinite.
+        let a = poisson_2d(32);
+        let a = with_diagonal(&a, 64 + 5, |v| f64::from_bits(v.to_bits() ^ 1));
+        let a = with_diagonal(&a, 128 + 7, |v| -v);
+        let n = a.rows();
+        let b = vec![1.0; n];
+        let relations = CgRelations::new(&a, &b);
+        let view: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
+        let page = |p: usize| (p * 64..(p + 1) * 64).collect::<Vec<usize>>();
+        let q_at_rows = vec![0.5; 64];
+        for _ in 0..2 {
+            for p in [0, 1, 3] {
+                let rows = page(p);
+                let got = relations
+                    .reconstruct_direction(&rows, &q_at_rows, &view)
+                    .unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&fresh_direction(&a, &rows, &q_at_rows, &view))
+                );
+            }
+            assert!(relations
+                .reconstruct_direction(&page(2), &q_at_rows, &view)
+                .is_none());
+            assert!(relations.lossy_iterate_rows(&page(2), &view).is_none());
+        }
+        // Pages 0 and 3 share one entry; page 1 and the indefinite page 2
+        // were each factored once.
+        assert_eq!(relations.factors.len(), 3);
     }
 }

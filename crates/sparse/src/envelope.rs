@@ -51,11 +51,12 @@ impl EnvelopeCholesky {
         // `A[rows[i]][rows[j]]`, the diagonal included.
         let mut ptr = Vec::with_capacity(k + 1);
         let mut entries: Vec<(usize, f64)> = Vec::new();
+        let position = row_position(rows);
         ptr.push(0);
         for &r in rows {
             let (cols, vals) = a.row(r);
             for (&c, v) in cols.iter().zip(vals) {
-                if let Ok(j) = rows.binary_search(&(c as usize)) {
+                if let Some(j) = position(c as usize) {
                     entries.push((j, *v));
                 }
             }
@@ -161,6 +162,21 @@ impl EnvelopeCholesky {
             x[old] = z;
         }
         x
+    }
+}
+
+/// Position of a global index within the sorted row set `rows`. When the
+/// rows are one contiguous run — a single page, or a union of adjacent
+/// pages — membership is a range test; otherwise a binary search. Both give
+/// the same answer, so the choice never changes a result.
+pub fn row_position(rows: &[usize]) -> impl Fn(usize) -> Option<usize> + '_ {
+    let run = match (rows.first(), rows.last()) {
+        (Some(&lo), Some(&hi)) if hi - lo + 1 == rows.len() => Some(lo),
+        _ => None,
+    };
+    move |c| match run {
+        Some(lo) => c.checked_sub(lo).filter(|&j| j < rows.len()),
+        None => rows.binary_search(&c).ok(),
     }
 }
 
@@ -348,6 +364,23 @@ mod tests {
         // The pair of pages either side of the 2-rank boundary (row 8192).
         assert!(bandwidth(&a, 7680..8704) <= 16);
         assert!(bandwidth(&poisson_3d_27pt(16), 512..1024) < 512 / 4);
+    }
+
+    #[test]
+    fn row_position_is_a_range_test_on_a_run_and_a_search_otherwise() {
+        let run: Vec<usize> = (10..20).collect();
+        let position = row_position(&run);
+        assert_eq!(
+            (position(9), position(10), position(19), position(20)),
+            (None, Some(0), Some(9), None)
+        );
+        let gaps = [3, 4, 9];
+        let position = row_position(&gaps);
+        assert_eq!(
+            (position(4), position(5), position(9)),
+            (Some(1), None, Some(2))
+        );
+        assert_eq!(row_position(&[])(0), None);
     }
 
     /// One of three operators of differing structure and a random sorted

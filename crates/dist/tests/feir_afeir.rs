@@ -4,9 +4,11 @@
 //! iterate pages are lost, its ε reduction) earlier. Golden hashes pin the
 //! faulted bits of every policy on every solver, so a change to the repair
 //! or restart arithmetic shows here before it shows as a convergence
-//! difference.
+//! difference, and the unprotected bits of every solver, so a change to the
+//! fault-free arithmetic shows too.
 
 use feir_dist::{
+    distributed_cg, distributed_cg_merged, distributed_pcg, distributed_pcg_merged,
     distributed_resilient_cg, distributed_resilient_cg_merged, distributed_resilient_pcg,
     distributed_resilient_pcg_merged, DistResilienceConfig, DistResilientReport, ProtectedVector,
     ScriptedFault,
@@ -270,5 +272,52 @@ fn faulted_bits_match_their_golden_hashes() {
             expected,
             "{tag}: the faulted bits changed"
         );
+    }
+}
+
+/// The unprotected solves through the public entry points at 1, 2 and 4
+/// ranks, hashed: the bits of the solution and the residual history and the
+/// iteration count, with whether the solve converged and how many
+/// collectives it entered. A changed hash means the fault-free arithmetic
+/// changed; the serial `feir_solvers::cg` stays the round-off oracle.
+#[test]
+fn plain_bits_match_their_golden_hashes() {
+    use Solver::{Cg, CgMerged, Pcg, PcgMerged};
+    let a = poisson_2d(GRID);
+    let (_, b) = manufactured_rhs(&a, 5);
+    // (solver, ranks, converged, collectives, hash)
+    let golden = [
+        (Cg, 1, true, 116, 0x95d9_9a04_b67d_438e),
+        (Cg, 2, true, 116, 0x5d4e_d93c_8705_2fe5),
+        (Cg, 4, true, 116, 0xc147_615a_b961_4341),
+        (Pcg, 1, true, 146, 0x053e_c101_1da0_6fba),
+        (Pcg, 2, true, 146, 0x1f35_2bfd_c84d_490b),
+        (Pcg, 4, true, 146, 0x090b_ee89_d39a_65e8),
+        (CgMerged, 1, true, 59, 0xc3c8_ea5a_592e_1a54),
+        (CgMerged, 2, true, 59, 0xf5f1_273f_574d_4ba3),
+        (CgMerged, 4, true, 59, 0xcfe8_240c_f0b9_87e7),
+        (PcgMerged, 1, true, 50, 0x46fa_7b09_87fb_f060),
+        (PcgMerged, 2, true, 50, 0x744f_98e7_7ebf_313d),
+        (PcgMerged, 4, true, 50, 0xa65a_9f44_194c_51b6),
+    ];
+    for (solver, ranks, converged, collectives, expected) in golden {
+        let tag = format!("plain {solver:?} at {ranks} ranks");
+        let result = match solver {
+            Cg => distributed_cg(&a, &b, ranks, 1e-10, 2_000),
+            Pcg => distributed_pcg(&a, &b, ranks, PAGE, 1e-10, 2_000),
+            CgMerged => distributed_cg_merged(&a, &b, ranks, 1e-10, 2_000),
+            PcgMerged => distributed_pcg_merged(&a, &b, ranks, PAGE, 1e-10, 2_000),
+        };
+        assert_eq!(result.converged, converged, "{tag}: convergence");
+        assert_eq!(result.allreduces, collectives, "{tag}: collectives");
+        let hash = fnv1a(
+            result
+                .x
+                .iter()
+                .chain(&result.residual_history)
+                .map(|v| v.to_bits())
+                .chain([result.iterations as u64]),
+        );
+        assert_eq!(hash, expected, "{tag}: the plain bits changed");
     }
 }

@@ -4,13 +4,14 @@
 //! `x`, `g`, `d`, `q`), exchanges the halo of the search direction before its
 //! local SpMV and contributes to the two allreduces of every iteration —
 //! exactly the communication structure of the paper's MPI+OmpSs solver
-//! (Section 3.4), with channels standing in for MPI.
+//! (Section 3.4), with channels standing in for MPI. The per-rank loop is
+//! the one [`distributed_resilient_cg`](crate::resilient::distributed_resilient_cg)
+//! runs, at [`RecoveryPolicy::Ideal`](feir_recovery::RecoveryPolicy::Ideal):
+//! with no fault to repair, the protected solver is the plain one.
 
-use feir_sparse::{CsrMatrix, SpmvBackend};
+use feir_sparse::CsrMatrix;
 
-use crate::comm::{CommError, RankComm};
 use crate::kernels;
-use crate::partition::RankPartition;
 use crate::rank_loop::RankOutcome;
 use crate::resilient::{plain_solve, DistSolver};
 
@@ -159,73 +160,6 @@ pub(crate) fn collect_thread_trace() -> Option<feir_trace::SolveTrace> {
     }
     let trace = feir_trace::SolveTrace::new(feir_trace::drain_all());
     (!trace.is_empty()).then_some(trace)
-}
-
-/// The per-rank CG loop, backend-agnostic: the same body runs on in-process
-/// channels and on the socket mesh of the process transport. It is the
-/// bitwise reference the resilient loop's fault-free solves are held to.
-pub(crate) fn rank_cg(
-    a: &CsrMatrix,
-    b: &[f64],
-    comm: RankComm,
-    partition: &RankPartition,
-    tolerance: f64,
-    max_iterations: usize,
-) -> Result<RankOutcome, CommError> {
-    let rank = comm.rank();
-    let own = partition.range(rank);
-    let local_n = own.len();
-    // Rank-local storage backend over the owned row block: each rank
-    // analyzes and (possibly) converts only its own rows, one-shot before
-    // the loop. The SELL kernels are bitwise-identical to CSR's, so the
-    // format never changes the solve.
-    let op = SpmvBackend::select_rows(a, own.clone());
-
-    let mut x = vec![0.0; local_n];
-    let mut g: Vec<f64> = b[own.clone()].to_vec(); // g = b − A·0
-    let mut d = vec![0.0; local_n];
-    let mut q = vec![0.0; local_n];
-    // Private full-length buffer for the halo exchange of d.
-    let mut d_full = vec![0.0; a.cols()];
-
-    let norm_b = kernels::global_rhs_norm(&comm, &b[own.clone()])?;
-    let mut eps = comm.allreduce_sum(kernels::norm2_squared(&g))?;
-    let mut eps_old = f64::INFINITY;
-    let mut iterations = 0;
-    let mut history = Vec::new();
-
-    for _ in 0..max_iterations {
-        let rel = eps.max(0.0).sqrt() / norm_b;
-        history.push(rel);
-        if rel <= tolerance {
-            break;
-        }
-        iterations += 1;
-        let _it = feir_trace::span(feir_trace::Phase::Iteration);
-
-        let beta = kernels::beta_ratio(eps, eps_old);
-        // d ⇐ g + β·d, then ship the halo of d.
-        kernels::xpay(&g, beta, &mut d);
-        d_full[own.clone()].copy_from_slice(&d);
-        comm.exchange_halo(&mut d_full)?;
-
-        // q ⇐ A·d over the owned rows, fused with the local ⟨d, q⟩ partial
-        // (one sweep; bitwise-identical to the unfused pair).
-        let dq_local = {
-            let _probe = feir_trace::span(feir_trace::Phase::Spmv);
-            op.spmv_dot(a, &d_full, &mut q)
-        };
-        let dq = comm.allreduce_sum(dq_local)?;
-        if kernels::is_breakdown(dq) {
-            break;
-        }
-        let alpha = eps / dq;
-        kernels::axpy(alpha, &d, &mut x);
-        // g ⇐ g − α·q fused with the local ‖g‖² partial of the next ε.
-        eps_old = eps;
-        eps = comm.allreduce_sum(kernels::axpy_norm2(-alpha, &q, &mut g))?;
-    }
-    Ok(RankOutcome::plain(rank, x, iterations, history, &comm))
 }
 
 #[cfg(test)]

@@ -597,9 +597,9 @@ impl RankComm {
     /// Number of collectives this endpoint has entered (scalar and vector,
     /// blocking and split-phase, including [`RankComm::fault_flag`]). A fault
     /// flag riding as a lane of another reduction adds nothing, so a
-    /// fault-free protected CG iteration counts 2 and PCG 3, as the plain
-    /// loops do. Halo and recovery exchanges are point-to-point and do not
-    /// count.
+    /// fault-free protected CG iteration counts 2 and PCG 3, as an
+    /// unprotected one does. Halo and recovery exchanges are point-to-point
+    /// and do not count.
     pub fn collectives(&self) -> u64 {
         self.collectives.get()
     }

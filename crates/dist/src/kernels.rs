@@ -1,21 +1,19 @@
 //! Rank-local numerical kernels shared by every distributed solver path.
 //!
-//! The plain solvers (`cg`, `pcg`) and the engine-based resilient loop used
-//! to carry private copies of the same helpers — the BLAS-1 imports, the
-//! `β = ρ/ρ_old` guard, the global rhs norm and the explicit residual check
-//! on the assembled solution. They live here exactly once so the fault-free
-//! arithmetic of the plain and resilient paths is *the same code*, which is
-//! what makes the bitwise-identity tests meaningful rather than lucky.
+//! The BLAS-1 imports, the `β = ρ/ρ_old` guard, the global rhs norm and the
+//! explicit residual check on the assembled solution, written once for both
+//! rank loops (classic and merged).
 //!
-//! The plain loops additionally use the fused hot-path kernels
-//! ([`feir_sparse::fused`]): `q ⇐ A·d` merged with the local `⟨d, q⟩`
-//! partial (via [`feir_sparse::SpmvBackend::spmv_dot`]) and `g ⇐ g − α·q`
-//! merged with the next `‖g‖²` partial. The resilient loop keeps the unfused
-//! sequence (its scrub points must materialise faults *between* the matvec
-//! and the reduction), which is safe because every fused kernel is
-//! bitwise-identical to the composition it replaces — asserted directly in
-//! `feir-sparse/tests/parallel_kernels.rs` and end-to-end by the
-//! plain-vs-resilient identity tests.
+//! Both loops run the fused hot-path kernels ([`feir_sparse::fused`]) under
+//! every policy: the classic loop's `q ⇐ A·d` merged with the local
+//! `⟨d, q⟩` partial (via [`feir_sparse::SpmvBackend::spmv_dot`]) and
+//! `g ⇐ g − α·q` merged with the next `‖g‖²` partial, and the merged loop's
+//! update sweep. Where a scrub point may blank a page between the kernel
+//! and the reduction, the loop recomputes the partial with the unfused
+//! kernel after the repair. Either choice gives the same bits, because every
+//! fused kernel is bitwise-identical to the composition it replaces —
+//! asserted directly in `feir-sparse/tests/parallel_kernels.rs` and
+//! end-to-end by the golden hashes of `tests/feir_afeir.rs`.
 
 pub(crate) use feir_sparse::fused::{axpy_dot, axpy_norm2, dotn};
 pub(crate) use feir_sparse::vecops::{axpy, dot, norm2_squared, xpay};

@@ -20,15 +20,16 @@
 //!   disconnects surfacing as typed [`CommError`]s;
 //! * [`DistSolver`] — the four solvers: classic CG ([`distributed_cg`]),
 //!   block-Jacobi PCG ([`distributed_pcg`]) and their merged-reduction twins
-//!   ([`merged`]). One crate-private dispatch picks a solver's plain or
-//!   resilient rank loop, so every solver runs unmodified in-process and
-//!   over worker processes;
+//!   ([`merged`]). One crate-private dispatch picks a solver's rank loop,
+//!   so every solver runs unmodified in-process and over worker processes;
+//!   an unprotected solve is that loop at
+//!   [`RecoveryPolicy::Ideal`](feir_recovery::RecoveryPolicy::Ideal);
 //! * [`resilient`] — per-rank fault domains ([`RankDomains`]), scripted
 //!   faults ([`ScriptedFault`]) and a seeded per-rank fault stream lowered
 //!   into them on the iteration clock, and cross-rank recovery under the full
 //!   [`RecoveryPolicy`](feir_recovery::RecoveryPolicy) matrix, built on
 //!   [`feir_recovery::engine`]; fault-free resilient solves are
-//!   bitwise-identical to the plain ones;
+//!   bitwise-identical to the unprotected ones;
 //! * [`campaign`] — solver × policy × rank-count × fault-rate sweeps into
 //!   Figure-5-comparable overhead tables, in-process and over processes;
 //! * [`ScalingModel`] — the calibrated analytic model regenerating the

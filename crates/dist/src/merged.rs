@@ -9,9 +9,10 @@
 //! rearrangement): the matvec moves onto an auxiliary vector, every scalar
 //! the iteration needs is computed as a *local partial* by the previous
 //! iteration's fused update sweep, and the batched vector allreduce
-//! ([`RankComm::start_allreduce_vec`]) is posted **before** the halo
-//! exchange and the local matvec — the collective's latency hides behind
-//! the heaviest work of the iteration instead of serializing with it.
+//! ([`RankComm::start_allreduce_vec`](crate::comm::RankComm::start_allreduce_vec))
+//! is posted **before** the halo exchange and the local matvec — the
+//! collective's latency hides behind the heaviest work of the iteration
+//! instead of serializing with it.
 //!
 //! Per iteration, per rank:
 //!
@@ -29,18 +30,18 @@
 //! as the classic loops — iteration counts agree within a few percent, but
 //! the floating-point trajectory is **not** bitwise-identical to classic
 //! CG/PCG (different recurrences). What *is* promised bitwise: the result is
-//! deterministic run-to-run at every rank count, and the fault-free
-//! resilient twins ([`crate::resilient::distributed_resilient_cg_merged`] /
-//! [`distributed_resilient_pcg_merged`](crate::resilient::distributed_resilient_pcg_merged))
-//! reproduce these loops bit-for-bit.
+//! deterministic run-to-run at every rank count. The per-rank loop is the
+//! one the protected merged solvers run, at
+//! [`RecoveryPolicy::Ideal`](feir_recovery::RecoveryPolicy::Ideal), so the
+//! fault-free runs of [`crate::resilient::distributed_resilient_cg_merged`]
+//! and
+//! [`distributed_resilient_pcg_merged`](crate::resilient::distributed_resilient_pcg_merged)
+//! are these solves bit for bit.
 
-use feir_sparse::{CsrMatrix, LocalBlockJacobi, SpmvBackend};
+use feir_sparse::CsrMatrix;
 
 use crate::cg::DistSolveResult;
-use crate::comm::{CommError, RankComm};
 use crate::kernels;
-use crate::partition::RankPartition;
-use crate::rank_loop::RankOutcome;
 use crate::resilient::{plain_solve, DistSolver};
 
 /// The guarded Chronopoulos–Gear step length `α = γ / (δ − β·γ/α_old)`;
@@ -107,177 +108,6 @@ pub fn distributed_pcg_merged(
         tolerance,
         max_iterations,
     )
-}
-
-/// The per-rank merged CG loop (see the module docs for the iteration
-/// shape), backend-agnostic like every rank loop.
-pub(crate) fn rank_cg_merged(
-    a: &CsrMatrix,
-    b: &[f64],
-    comm: RankComm,
-    partition: &RankPartition,
-    tolerance: f64,
-    max_iterations: usize,
-) -> Result<RankOutcome, CommError> {
-    let rank = comm.rank();
-    let own = partition.range(rank);
-    let local_n = own.len();
-    // Rank-local storage backend over the owned row block (see rank_cg).
-    let op = SpmvBackend::select_rows(a, own.clone());
-
-    let mut x = vec![0.0; local_n];
-    let mut r: Vec<f64> = b[own.clone()].to_vec(); // r = b − A·0
-    let mut p = vec![0.0; local_n]; // direction
-    let mut s = vec![0.0; local_n]; // A·p, by recurrence
-    let mut z = vec![0.0; local_n]; // A·s, by recurrence
-    let mut w = vec![0.0; local_n]; // A·r
-    let mut n_buf = vec![0.0; local_n]; // A·w, fresh each iteration
-                                        // Private full-length buffer for whichever vector the matvec reads.
-    let mut mv_full = vec![0.0; a.cols()];
-
-    let norm_b = kernels::global_rhs_norm(&comm, &b[own.clone()])?;
-    // w = A·r needs one setup halo exchange of the initial residual.
-    mv_full[own.clone()].copy_from_slice(&r);
-    comm.exchange_halo(&mut mv_full)?;
-    op.spmv(a, &mv_full, &mut w);
-    // Local partials of the first iteration's batched reduction.
-    let mut partials = kernels::dotn(&[(&r, &r), (&w, &r)]);
-
-    let mut gamma_old = f64::INFINITY;
-    let mut alpha_old = 0.0;
-    let mut iterations = 0;
-    let mut history = Vec::new();
-
-    for t in 0..max_iterations {
-        let _it = feir_trace::span(feir_trace::Phase::Iteration);
-        // The iteration's single collective: posted now, finished after the
-        // halo exchange and the matvec it overlaps.
-        let pending = comm.start_allreduce_vec(partials.clone())?;
-        mv_full[own.clone()].copy_from_slice(&w);
-        comm.exchange_halo(&mut mv_full)?;
-        {
-            let _probe = feir_trace::span(feir_trace::Phase::Spmv);
-            op.spmv(a, &mv_full, &mut n_buf);
-        }
-        let totals = pending.finish()?;
-        let (gamma, delta) = (totals[0], totals[1]);
-
-        let rel = gamma.max(0.0).sqrt() / norm_b;
-        history.push(rel);
-        if rel <= tolerance {
-            break;
-        }
-        iterations = t + 1;
-
-        let beta = kernels::beta_ratio(gamma, gamma_old);
-        let Some(alpha) = merged_alpha(gamma, delta, beta, alpha_old) else {
-            break;
-        };
-        // The fused update sweep: recurrences first (old values on the right
-        // of each ⇐), then the two updates that also produce the next
-        // iteration's reduction partials in the same pass.
-        kernels::xpay(&n_buf, beta, &mut z);
-        kernels::xpay(&w, beta, &mut s);
-        kernels::xpay(&r, beta, &mut p);
-        kernels::axpy(alpha, &p, &mut x);
-        let gamma_next = kernels::axpy_norm2(-alpha, &s, &mut r);
-        let delta_next = kernels::axpy_dot(-alpha, &z, &mut w, &r);
-        partials = vec![gamma_next, delta_next];
-
-        gamma_old = gamma;
-        alpha_old = alpha;
-    }
-    Ok(RankOutcome::plain(rank, x, iterations, history, &comm))
-}
-
-/// The per-rank merged block-Jacobi PCG loop, backend-agnostic.
-pub(crate) fn rank_pcg_merged(
-    a: &CsrMatrix,
-    b: &[f64],
-    comm: RankComm,
-    partition: &RankPartition,
-    jacobi: &LocalBlockJacobi,
-    tolerance: f64,
-    max_iterations: usize,
-) -> Result<RankOutcome, CommError> {
-    let rank = comm.rank();
-    let own = partition.range(rank);
-    let local_n = own.len();
-    // Rank-local storage backend over the owned row block (see rank_cg).
-    let op = SpmvBackend::select_rows(a, own.clone());
-
-    let mut x = vec![0.0; local_n];
-    let mut r: Vec<f64> = b[own.clone()].to_vec(); // r = b − A·0
-    let mut u = vec![0.0; local_n]; // M⁻¹·r, by recurrence
-    let mut w = vec![0.0; local_n]; // A·u
-    let mut p = vec![0.0; local_n]; // direction
-    let mut s = vec![0.0; local_n]; // A·p, by recurrence
-    let mut q = vec![0.0; local_n]; // M⁻¹·s, by recurrence
-    let mut z = vec![0.0; local_n]; // A·q, by recurrence
-    let mut m_buf = vec![0.0; local_n]; // M⁻¹·w, fresh each iteration
-    let mut n_buf = vec![0.0; local_n]; // A·m, fresh each iteration
-    let mut mv_full = vec![0.0; a.cols()];
-
-    let norm_b = kernels::global_rhs_norm(&comm, &b[own.clone()])?;
-    // u = M⁻¹·r (local), then w = A·u with one setup halo exchange.
-    jacobi.apply(&r, &mut u);
-    mv_full[own.clone()].copy_from_slice(&u);
-    comm.exchange_halo(&mut mv_full)?;
-    op.spmv(a, &mv_full, &mut w);
-    // γ = ⟨r, u⟩, δ = ⟨w, u⟩, ε = ‖r‖² — the three scalars of one batched
-    // reduction (classic PCG pays three separate allreduces for these).
-    let mut partials = kernels::dotn(&[(&r, &u), (&w, &u), (&r, &r)]);
-
-    let mut gamma_old = f64::INFINITY;
-    let mut alpha_old = 0.0;
-    let mut iterations = 0;
-    let mut history = Vec::new();
-
-    for t in 0..max_iterations {
-        let _it = feir_trace::span(feir_trace::Phase::Iteration);
-        let pending = comm.start_allreduce_vec(partials.clone())?;
-        // Inside the reduction window: the (communication-free) block-Jacobi
-        // application, the halo exchange and the matvec.
-        jacobi.apply(&w, &mut m_buf);
-        mv_full[own.clone()].copy_from_slice(&m_buf);
-        comm.exchange_halo(&mut mv_full)?;
-        {
-            let _probe = feir_trace::span(feir_trace::Phase::Spmv);
-            op.spmv(a, &mv_full, &mut n_buf);
-        }
-        let totals = pending.finish()?;
-        let (gamma, delta, eps) = (totals[0], totals[1], totals[2]);
-
-        let rel = eps.max(0.0).sqrt() / norm_b;
-        history.push(rel);
-        if rel <= tolerance {
-            break;
-        }
-        iterations = t + 1;
-
-        if kernels::is_breakdown(gamma) {
-            break;
-        }
-        let beta = kernels::beta_ratio(gamma, gamma_old);
-        let Some(alpha) = merged_alpha(gamma, delta, beta, alpha_old) else {
-            break;
-        };
-        // Fused update sweep (recurrences on old values first, then the
-        // three updates that produce the next [γ, δ, ε] partials).
-        kernels::xpay(&n_buf, beta, &mut z);
-        kernels::xpay(&m_buf, beta, &mut q);
-        kernels::xpay(&w, beta, &mut s);
-        kernels::xpay(&u, beta, &mut p);
-        kernels::axpy(alpha, &p, &mut x);
-        let eps_next = kernels::axpy_norm2(-alpha, &s, &mut r);
-        let gamma_next = kernels::axpy_dot(-alpha, &q, &mut u, &r);
-        let delta_next = kernels::axpy_dot(-alpha, &z, &mut w, &u);
-        partials = vec![gamma_next, delta_next, eps_next];
-
-        gamma_old = gamma;
-        alpha_old = alpha;
-    }
-    Ok(RankOutcome::plain(rank, x, iterations, history, &comm))
 }
 
 #[cfg(test)]

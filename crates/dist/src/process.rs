@@ -1479,8 +1479,8 @@ impl ProcessSpec {
 /// default, so `WorkerOptions::default()` reproduces the plain fleet.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerOptions {
-    /// Run the resilient rank loop under this recovery policy, for any
-    /// solver. `None` runs the plain loop.
+    /// Run the rank loop under this recovery policy, for any solver. `None`
+    /// is an unprotected solve: the same loop at [`RecoveryPolicy::Ideal`].
     pub policy: Option<RecoveryPolicy>,
     /// Enable rank elasticity: workers park at the rejoin barrier on a
     /// peer's death instead of failing, awaiting [`WorkerHandles::respawn_rank`].
@@ -1900,8 +1900,8 @@ pub fn spawn_workers_with(
     Ok(handles)
 }
 
-/// [`spawn_workers_with`] under default [`WorkerOptions`] — the plain
-/// (non-resilient, fault-free) fleet.
+/// [`spawn_workers_with`] under default [`WorkerOptions`] — the unprotected,
+/// fault-free fleet.
 pub fn spawn_workers(
     worker: &Path,
     spec: &ProcessSpec,
@@ -1937,8 +1937,8 @@ const TRANSPORT_TCP: u8 = 1;
 /// `WorkerConfig` duration value meaning "unset": inherit the default.
 const UNSET_MICROS: u64 = u64::MAX;
 
-/// The policy of a `WorkerConfig` policy code (0 is the plain rank loop),
-/// or `None` for an unknown code.
+/// The policy of a `WorkerConfig` policy code (0 is unprotected, which runs
+/// the rank loop at `Ideal`), or `None` for an unknown code.
 fn policy_of(code: u8, interval: usize) -> Option<Option<RecoveryPolicy>> {
     use RecoveryPolicy::*;
     let policies = [
@@ -2114,11 +2114,8 @@ fn run_worker(launch: &Launch, links_out: &mut Vec<Arc<LinkStats>>) -> Result<Me
     let (_, b) = feir_sparse::generators::manufactured_rhs(&a, spec.rhs_seed);
     let partition = RankPartition::new(a.rows(), spec.ranks);
     let rank = launch.rank;
-    // The rejoin repair lives in the resilient loop, so an elastic fleet
-    // runs it even without a recovery policy.
-    let elastic = options.elastic.then_some(RecoveryPolicy::Ideal);
-    let policy = options.policy.or(elastic);
-    let config = DistResilienceConfig::for_policy(policy.unwrap_or(RecoveryPolicy::Ideal))
+    let policy = options.policy.unwrap_or(RecoveryPolicy::Ideal);
+    let config = DistResilienceConfig::for_policy(policy)
         .with_page_doubles(spec.page_doubles)
         .with_tolerance(spec.tolerance)
         .with_max_iterations(spec.max_iterations);
@@ -2139,7 +2136,7 @@ fn run_worker(launch: &Launch, links_out: &mut Vec<Arc<LinkStats>>) -> Result<Me
     let endpoint = connect_mesh(rank, spec.ranks, &launch.transport, &launch.mesh_options())?;
     *links_out = endpoint.stats.clone();
     let comm = RankComm::over_process(&plan, endpoint);
-    let outcome = spec.solver.rank_solve(policy, ctx, comm)?;
+    let outcome = spec.solver.rank_solve(ctx, comm)?;
     Ok(Message::RankResult {
         rank: outcome.rank as u32,
         iterations: outcome.iterations as u64,

@@ -8,14 +8,22 @@
 //! [`PcgRelations`](feir_recovery::PcgRelations); a future BiCGStab or
 //! GMRES-restart variant is another relations impl, not another loop.
 //!
-//! The loop preserves two hard guarantees:
+//! It is also the unprotected loop:
+//! [`distributed_cg`](crate::cg::distributed_cg) and
+//! [`distributed_pcg`](crate::pcg::distributed_pcg) run it at
+//! [`RecoveryPolicy::Ideal`], which skips every scrub, repair and fault
+//! flag. It preserves two hard guarantees:
 //!
-//! * **fault-free bitwise identity** — with zero faults every kernel call
-//!   and every collective happens in exactly the order of the plain
-//!   [`distributed_cg`](crate::cg::distributed_cg) /
-//!   [`distributed_pcg`](crate::pcg::distributed_pcg) loops, on the same
-//!   values (the scrub points do no floating-point work, and the fault flag
-//!   rides the ε reduction as a second lane that folds nothing into ε);
+//! * **fault-free bitwise identity** — with zero faults a protected solve
+//!   runs every kernel call and every collective in exactly the order of the
+//!   `Ideal` solve, on the same values (the scrub points do no
+//!   floating-point work, and the fault flag rides the ε reduction as a
+//!   second lane that folds nothing into ε). Every policy runs the fused
+//!   hot-path kernels: `q ⇐ A·d` with the local `⟨d, q⟩` partial, and
+//!   `g ⇐ g − α·q` with the local `‖g‖²` partial. A fused partial is read
+//!   only where no scrub, sweep or repair has changed its vector since the
+//!   kernel ran; elsewhere the partial is computed again from the repaired
+//!   vector;
 //! * **FEIR and AFEIR repair through one code path** — every lost page is
 //!   rebuilt by the same calls in the same order under both policies, so
 //!   their faulted solves are bitwise-identical too. AFEIR differs only in
@@ -158,7 +166,7 @@ impl std::ops::AddAssign for PageCounts {
 }
 
 /// What one rank's loop reports back — or, once [`fold`](Self::fold)ed,
-/// the whole machine's outcome. The plain loops report zero page counters.
+/// the whole machine's outcome. An `Ideal` solve reports zero page counters.
 #[derive(Debug, Default)]
 pub(crate) struct RankOutcome {
     pub rank: usize,
@@ -173,24 +181,6 @@ pub(crate) struct RankOutcome {
 }
 
 impl RankOutcome {
-    /// The outcome of a plain (unprotected) rank loop.
-    pub(crate) fn plain(
-        rank: usize,
-        x: Vec<f64>,
-        iterations: usize,
-        history: Vec<f64>,
-        comm: &RankComm,
-    ) -> Self {
-        RankOutcome {
-            rank,
-            x,
-            iterations,
-            history,
-            allreduces: comm.collectives(),
-            ..RankOutcome::default()
-        }
-    }
-
     /// Folds every rank's outcome into the machine's, on either backend:
     /// the owned blocks assembled into `x`, the page counters summed, and
     /// rank 0's iterations, history, rollbacks, restarts and collectives —
@@ -694,17 +684,20 @@ pub(crate) fn init_collectives(
     Ok(())
 }
 
-/// One collective reduces `[‖g‖², local_faults]`: `Some(ε)` — bitwise the
-/// scalar `allreduce_sum` of `‖g‖²` — when no rank lost a page, else `None`
-/// (the caller repairs, then reduces ε again). `prefetch` (AFEIR) posts the
-/// round-1 recovery requests inside the collective's window.
+/// One collective reduces `[g_norm2, local_faults]`: `Some(ε)` — bitwise
+/// the scalar `allreduce_sum` of `g_norm2` — when no rank lost a page, else
+/// `None` (the caller repairs, then reduces ε again). `g_norm2` is the local
+/// `‖g‖²` partial of the residual update; it is read only when no rank lost
+/// a page, so no scrub or sweep has changed `g` since it was computed.
+/// `prefetch` (AFEIR) posts the round-1 recovery requests inside the
+/// collective's window.
 fn eps_unless_faulted(
     comm: &RankComm,
-    g: &[f64],
+    g_norm2: f64,
     local_faults: usize,
     prefetch: Option<&HashMap<usize, Vec<usize>>>,
 ) -> Result<Option<f64>, CommError> {
-    let pending = comm.start_allreduce_vec(vec![kernels::norm2_squared(g), local_faults as f64])?;
+    let pending = comm.start_allreduce_vec(vec![g_norm2, local_faults as f64])?;
     if let Some(requests) = prefetch {
         comm.post_recovery_requests(requests)?;
     }
@@ -812,7 +805,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
             Vec::new()
         };
         if lost_d.is_empty() {
-            // Fault-free fast path: the exact arithmetic of the plain loop.
+            // Fault-free fast path, and the only one at `Ideal`.
             kernels::xpay(src, beta, d);
         } else {
             // Refresh the owned range of the retained snapshot (blanks
@@ -875,34 +868,42 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
 
         st.d_full[own.clone()].copy_from_slice(&st.d);
         comm.exchange_halo(&mut st.d_full)?;
-        {
+        // q ⇐ A·d over the owned rows, fused with the local ⟨d, q⟩ partial
+        // (one sweep; bitwise-identical to the unfused pair).
+        let mut dq_local = {
             let _probe = feir_trace::span(feir_trace::Phase::Spmv);
-            st.op.spmv(a, &st.d_full, &mut st.q);
-        }
+            st.op.spmv_dot(a, &st.d_full, &mut st.q)
+        };
 
         // ---- q protection (FEIR/AFEIR; local recompute, r1 of Figure 1) ---
         if forward {
             let lost_q = scrub_blank(registry, ids::Q, pages, &mut st.q);
-            for &p in &lost_q {
-                let rows = global_rows(own.start, pages, p);
-                a.spmv_rows(rows.start, rows.end, &st.d_full, &mut st.q[pages.range(p)]);
-                mark_page(registry, ids::Q, p);
+            if !lost_q.is_empty() {
+                for &p in &lost_q {
+                    let rows = global_rows(own.start, pages, p);
+                    a.spmv_rows(rows.start, rows.end, &st.d_full, &mut st.q[pages.range(p)]);
+                    mark_page(registry, ids::Q, p);
+                }
+                // The fused partial read the lost pages: reduce the repaired q.
+                dq_local = kernels::dot(&st.d, &st.q);
             }
             st.pages.recovered += lost_q.len();
         }
-        let dq = comm.allreduce_sum(kernels::dot(&st.d, &st.q))?;
+        let dq = comm.allreduce_sum(dq_local)?;
         if kernels::is_breakdown(dq) {
             break;
         }
         let alpha = rho / dq;
         kernels::axpy(alpha, &st.d, &mut st.x_full[own.clone()]);
-        kernels::axpy(-alpha, &st.q, &mut st.g);
+        // g ⇐ g − α·q fused with the local ‖g‖² partial of the next ε, valid
+        // until a scrub, sweep or repair changes g.
+        let g_norm2 = kernels::axpy_norm2(-alpha, &st.q, &mut st.g);
 
         // ---- iterate/residual protection + ε reduction --------------------
         match ctx.policy {
             RecoveryPolicy::Ideal => {
                 st.rho_old = rho;
-                st.eps = comm.allreduce_sum(kernels::norm2_squared(&st.g))?;
+                st.eps = comm.allreduce_sum(g_norm2)?;
             }
             RecoveryPolicy::Feir | RecoveryPolicy::Afeir => {
                 let lost_x = scrub_blank(registry, ids::X, pages, &mut st.x_full[own.clone()]);
@@ -917,17 +918,18 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 let loss = PairLoss::new(ctx, (ids::X, ids::G), &lost_x, &lost_g, posted);
                 st.rho_old = rho;
                 let prefetch = posted.then_some(&loss.requests);
-                if let Some(clean) = eps_unless_faulted(comm, &st.g, faults, prefetch)? {
+                if let Some(clean) = eps_unless_faulted(comm, g_norm2, faults, prefetch)? {
                     st.eps = clean;
                     st.t += 1;
                     continue;
                 }
                 // AFEIR with only iterate losses: ε does not read x and the
-                // round writes no residual page, so ε is posted now and the
-                // whole repair runs inside its wait. FEIR, or a lost
-                // residual page, reduces after the repair.
+                // round writes no residual page, so ε is posted now (from the
+                // fused partial: g is unscrubbed) and the whole repair runs
+                // inside its wait. FEIR, or a lost residual page, reduces
+                // after the repair.
                 let eps_in_flight = if ctx.policy == RecoveryPolicy::Afeir && lost_g.is_empty() {
-                    Some(comm.start_allreduce(kernels::norm2_squared(&st.g))?)
+                    Some(comm.start_allreduce(g_norm2)?)
                 } else {
                     None
                 };
@@ -952,10 +954,15 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 // present) is blank-accepted like everything else; the next
                 // iteration's reapplication overwrites it anyway.
                 let x = Some(&mut st.x_full[own.clone()]);
-                st.pages.ignored +=
-                    blank_sweep(ctx, x, [&mut st.g, &mut st.d, &mut st.q, &mut st.z]);
+                let blanked = blank_sweep(ctx, x, [&mut st.g, &mut st.d, &mut st.q, &mut st.z]);
+                st.pages.ignored += blanked;
                 st.rho_old = rho;
-                st.eps = comm.allreduce_sum(kernels::norm2_squared(&st.g))?;
+                let g_norm2 = if blanked == 0 {
+                    g_norm2
+                } else {
+                    kernels::norm2_squared(&st.g)
+                };
+                st.eps = comm.allreduce_sum(g_norm2)?;
             }
             RecoveryPolicy::TrivialReplace
             | RecoveryPolicy::Checkpoint { .. }
@@ -974,7 +981,7 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 if ctx.policy == RecoveryPolicy::TrivialReplace {
                     st.pages.ignored += lost_total;
                 }
-                if let Some(clean) = eps_unless_faulted(comm, &st.g, lost_total, None)? {
+                if let Some(clean) = eps_unless_faulted(comm, g_norm2, lost_total, None)? {
                     st.rho_old = rho;
                     st.eps = clean;
                 } else if lossy || ctx.policy == RecoveryPolicy::TrivialReplace {
@@ -1020,9 +1027,8 @@ pub(crate) fn finish_outcome(ctx: &RankCtx<'_>, comm: &RankComm, state: SolveSta
 
 /// The generic per-rank resilient loop (see the module docs): the four
 /// phases composed back into one single-shot solve, or run by the elastic
-/// harness when `ctx.elastic` is set. Like the plain rank loops it is
-/// backend-agnostic and surfaces any transport failure as a typed
-/// [`CommError`].
+/// harness when `ctx.elastic` is set. Backend-agnostic: it surfaces any
+/// transport failure as a typed [`CommError`].
 pub(crate) fn rank_resilient_solve<S: RecoverableIteration>(
     ctx: RankCtx<'_>,
     relations: &S,

@@ -18,15 +18,15 @@
 //!
 //! * **fault-free bitwise identity** — with zero faults every kernel call,
 //!   every halo exchange and the single vector allreduce happen exactly as
-//!   in the plain [`merged`](crate::merged) loops, on the same values. The
-//!   forward policies append their scrubbed-fault count as an extra
-//!   component of the *same* collective (component-wise reduction leaves
-//!   the `γ, δ, ε` bits untouched), so even the fault flag costs no second
-//!   synchronization.
+//!   at [`RecoveryPolicy::Ideal`] (the unprotected [`merged`](crate::merged)
+//!   solve), on the same values. The forward policies append their
+//!   scrubbed-fault count as an extra component of the *same* collective
+//!   (component-wise reduction leaves the `γ, δ, ε` bits untouched), so even
+//!   the fault flag costs no second synchronization.
 //! * **FEIR and AFEIR repair through one code path** — the scrub point
 //!   sits before the collective is posted, the matvec overlaps the
-//!   reduction as in the plain loop, and every lost page is rebuilt after
-//!   the collective lands by the same calls under both policies, so their
+//!   reduction as at `Ideal`, and every lost page is rebuilt after the
+//!   collective lands by the same calls under both policies, so their
 //!   faulted solves are bitwise-identical. AFEIR only posts its
 //!   direction-side round-1 recovery requests inside the reduction window
 //!   ([`RankComm::post_recovery_requests`]), so the peers' replies overlap
@@ -143,7 +143,7 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
     }
 
     let norm_b = kernels::global_rhs_norm(&comm, &ctx.b[own.clone()])?;
-    // Setup, identical to the plain merged loops: u = M⁻¹·r (PCG), one halo
+    // Setup, identical under every policy: u = M⁻¹·r (PCG), one halo
     // exchange of the matvec source, w = A·(u|r), first reduction partials.
     if preconditioned {
         for pg in 0..pages.num_blocks() {
@@ -207,7 +207,7 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
         // them here, so the peers' replies overlap the reduction wait; a
         // local loss forces the global flag, so posted requests are always
         // consumed. Fault-free iterations post nothing and the wire schedule
-        // stays bitwise-identical to the plain merged loop.
+        // stays bitwise-identical to the `Ideal` solve.
         let posted = ctx.policy == RecoveryPolicy::Afeir && local_faults > 0;
         let direction_loss = PairLoss::new(&ctx, (ids::D, ids::Q), &lost_p, &lost_s, posted);
         if posted {
@@ -329,8 +329,8 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
             break;
         };
 
-        // ---- the fused update sweep, same kernel sequence as the plain
-        // merged loops (fault-free bitwise identity lives here).
+        // ---- the fused update sweep, same kernel sequence under every
+        // policy (fault-free bitwise identity lives here).
         kernels::xpay(&m.n_buf, beta, &mut m.z_aux);
         if preconditioned {
             kernels::xpay(&m.m_buf, beta, &mut m.q_aux);

@@ -25,16 +25,17 @@
 //! domains, the seeded fault stream lowered into scripted faults
 //! ([`DistResilientSolver::with_fault_stream`]), the solver enum
 //! [`DistSolver`] — whose crate-private `rank_solve` is the one place a
-//! solver and a policy pick a rank loop, for the in-process threads here
-//! and for the worker processes of [`crate::process`] alike — and the
-//! public entry points [`DistResilientSolver`] and
-//! [`distributed_resilient_cg`] and its three siblings. With **zero faults
-//! every resilient solve is bitwise-identical to its plain counterpart**
+//! solver picks its rank loop, for the in-process threads here and for the
+//! worker processes of [`crate::process`] alike — and the public entry
+//! points [`DistResilientSolver`] and [`distributed_resilient_cg`] and its
+//! three siblings. An unprotected solve
 //! ([`distributed_cg`](crate::cg::distributed_cg),
-//! [`distributed_pcg`](crate::pcg::distributed_pcg) and the merged pair):
-//! the scrub points do no floating-point work, the fault flag rides a
-//! reduction the plain loop enters anyway, and every kernel call and
-//! reduction happens in the same order on the same values.
+//! [`distributed_pcg`](crate::pcg::distributed_pcg) and the merged pair) is
+//! the same rank loop at [`RecoveryPolicy::Ideal`], so with **zero faults
+//! every protected solve is bitwise-identical to the unprotected one**: the
+//! scrub points do no floating-point work, the fault flag rides a reduction
+//! the `Ideal` solve enters anyway, and every kernel call and reduction
+//! happens in the same order on the same values.
 
 use std::time::{Duration, Instant};
 
@@ -46,13 +47,11 @@ use feir_recovery::{
 use feir_sparse::blocking::BlockPartition;
 use feir_sparse::{CsrMatrix, LocalBlockJacobi};
 
-use crate::cg::{rank_cg, DistSolveResult};
+use crate::cg::DistSolveResult;
 use crate::comm::{effective_ranks, CommError, HaloPlan, RankComm};
 use crate::domains::RankDomains;
 use crate::kernels;
-use crate::merged::{rank_cg_merged, rank_pcg_merged};
 use crate::partition::RankPartition;
-use crate::pcg::rank_pcg;
 use crate::rank_loop::{rank_resilient_solve, RankCtx, RankOutcome};
 use crate::rank_loop_merged::rank_merged_resilient_solve;
 
@@ -183,10 +182,8 @@ impl DistResilienceConfig {
     }
 
     /// Every rank's fault pages under `partition`: its row block cut into
-    /// `page_doubles`-sized pages (clamped to at least one double, like
-    /// `distributed_pcg` clamps its blocks, so the bitwise-identity pairing
-    /// of the plain and resilient entry points holds for every input). The
-    /// one place a rank's pages are computed.
+    /// `page_doubles`-sized pages, clamped to at least one double. The one
+    /// place a rank's pages are computed.
     pub(crate) fn rank_pages(&self, partition: &RankPartition) -> Vec<BlockPartition> {
         (0..partition.num_ranks())
             .map(|rank| BlockPartition::new(partition.range(rank).len(), self.page_doubles.max(1)))
@@ -286,21 +283,19 @@ impl DistSolver {
         matches!(self, DistSolver::Pcg | DistSolver::PcgMerged)
     }
 
-    /// Runs this solver's rank loop on one rank: the plain reference loop
-    /// when `policy` is `None`, else the resilient loop under it (inside
-    /// the elastic rejoin harness when `ctx.elastic` is set). The one place
-    /// a solver and a policy choose a rank loop; both backends call it. The
-    /// relations and the block-Jacobi factor are built here, inside the
-    /// rank: on a real machine they are rank-local setup work.
+    /// Runs this solver's rank loop on one rank under `ctx.policy` (inside
+    /// the elastic rejoin harness when `ctx.elastic` is set); an
+    /// unprotected solve runs it at [`RecoveryPolicy::Ideal`]. The one place
+    /// a solver chooses its rank loop; both backends call it. The relations
+    /// and the block-Jacobi factor are built here, inside the rank: on a
+    /// real machine they are rank-local setup work.
     pub(crate) fn rank_solve(
         self,
-        policy: Option<RecoveryPolicy>,
-        mut ctx: RankCtx<'_>,
+        ctx: RankCtx<'_>,
         comm: RankComm,
     ) -> Result<RankOutcome, CommError> {
         use DistSolver::*;
         let (a, b) = (ctx.a, ctx.b);
-        let (tol, maxit) = (ctx.tolerance, ctx.max_iterations);
         let (own, block) = (ctx.own.clone(), ctx.pages.block_size());
         // Invariant: `a` is square and `own` lies in its rows, which every
         // entry point checks before a rank starts.
@@ -308,16 +303,6 @@ impl DistSolver {
             LocalBlockJacobi::new(a, own.clone(), block)
                 .expect("rank-local block-Jacobi construction failed")
         };
-        let Some(policy) = policy else {
-            let partition = &ctx.partition;
-            return match self {
-                Cg => rank_cg(a, b, comm, partition, tol, maxit),
-                Pcg => rank_pcg(a, b, comm, partition, &factor(), tol, maxit),
-                CgMerged => rank_cg_merged(a, b, comm, partition, tol, maxit),
-                PcgMerged => rank_pcg_merged(a, b, comm, partition, &factor(), tol, maxit),
-            };
-        };
-        ctx.policy = policy;
         match self {
             CgMerged | PcgMerged if ctx.elastic.is_some() => Err(CommError::Protocol(format!(
                 "{} has no rejoin repair: an elastic fleet runs only the classic cg and pcg \
@@ -492,9 +477,9 @@ impl<'a> DistResilientSolver<'a> {
         &self.config
     }
 
-    /// Runs [`DistSolver::rank_solve`] on one thread per rank and folds the
-    /// outcomes. `policy` `None` runs the plain loops.
-    fn run_ranks(&self, policy: Option<RecoveryPolicy>) -> RankOutcome {
+    /// Runs [`DistSolver::rank_solve`] under the configured policy on one
+    /// thread per rank and folds the outcomes.
+    fn run_ranks(&self) -> RankOutcome {
         let (a, b, partition, config) = (self.a, self.b, &self.partition, &self.config);
         let comms = RankComm::for_ranks(&self.plan, self.ranks);
         let outcomes: Vec<RankOutcome> = std::thread::scope(|scope| {
@@ -506,7 +491,7 @@ impl<'a> DistResilientSolver<'a> {
                 let ctx = RankCtx::new(a, b, partition, rank, config, registry, pages);
                 handles.push(scope.spawn(move || {
                     feir_trace::set_thread_rank(rank as u32);
-                    self.solver.rank_solve(policy, ctx, comm)
+                    self.solver.rank_solve(ctx, comm)
                 }));
             }
             // On the in-process backend a comm error implies a dead sibling
@@ -524,7 +509,7 @@ impl<'a> DistResilientSolver<'a> {
     /// to this run's fault domains).
     pub fn solve(self) -> DistResilientReport {
         let start = Instant::now();
-        let outcome = self.run_ranks(Some(self.config.policy));
+        let outcome = self.run_ranks();
 
         // Explicit residual on the assembled solution: honest convergence
         // reporting even when blank-accepted pages corrupted the solver's ε.
@@ -563,8 +548,9 @@ impl<'a> DistResilientSolver<'a> {
     }
 }
 
-/// The plain (unprotected) solve of `solver` on in-process ranks — the body
-/// of [`distributed_cg`](crate::cg::distributed_cg) and its three siblings.
+/// The unprotected solve of `solver` on in-process ranks: its rank loop at
+/// [`RecoveryPolicy::Ideal`], which protects nothing. The body of
+/// [`distributed_cg`](crate::cg::distributed_cg) and its three siblings.
 pub(crate) fn plain_solve(
     solver: DistSolver,
     a: &CsrMatrix,
@@ -579,7 +565,7 @@ pub(crate) fn plain_solve(
         .with_tolerance(tolerance)
         .with_max_iterations(max_iterations);
     let solve = DistResilientSolver::new(solver, a, b, ranks, config);
-    let outcome = solve.run_ranks(None);
+    let outcome = solve.run_ranks();
     DistSolveResult {
         trace: crate::cg::collect_thread_trace(),
         ..DistSolveResult::assemble(a, b, tolerance, solve.ranks, outcome)
@@ -587,7 +573,9 @@ pub(crate) fn plain_solve(
 }
 
 /// One-shot form of the resilient CG: builds the solver and runs it under
-/// the scripted faults in `config`.
+/// the scripted faults in `config`. With zero faults the solve is
+/// bitwise-identical to [`distributed_cg`](crate::cg::distributed_cg), the
+/// same rank loop at [`RecoveryPolicy::Ideal`].
 pub fn distributed_resilient_cg(
     a: &CsrMatrix,
     b: &[f64],
@@ -599,7 +587,8 @@ pub fn distributed_resilient_cg(
 
 /// One-shot form of the resilient block-Jacobi PCG. With zero faults the
 /// solve is bitwise-identical to
-/// [`distributed_pcg`](crate::pcg::distributed_pcg) at the same page size.
+/// [`distributed_pcg`](crate::pcg::distributed_pcg) at the same page size,
+/// the same rank loop at [`RecoveryPolicy::Ideal`].
 pub fn distributed_resilient_pcg(
     a: &CsrMatrix,
     b: &[f64],
@@ -611,7 +600,8 @@ pub fn distributed_resilient_pcg(
 
 /// One-shot form of the resilient merged-reduction CG. With zero faults the
 /// solve is bitwise-identical to
-/// [`distributed_cg_merged`](crate::merged::distributed_cg_merged), and the
+/// [`distributed_cg_merged`](crate::merged::distributed_cg_merged), the same
+/// rank loop at [`RecoveryPolicy::Ideal`], and the
 /// forward policies still issue exactly one allreduce per fault-free
 /// iteration — the fault flag rides inside the vector collective. Extra
 /// scalar collectives appear only where unavoidable: on *faulted* forward
@@ -629,7 +619,7 @@ pub fn distributed_resilient_cg_merged(
 /// One-shot form of the resilient merged-reduction block-Jacobi PCG. With
 /// zero faults the solve is bitwise-identical to
 /// [`distributed_pcg_merged`](crate::merged::distributed_pcg_merged) at the
-/// same page size.
+/// same page size, the same rank loop at [`RecoveryPolicy::Ideal`].
 pub fn distributed_resilient_pcg_merged(
     a: &CsrMatrix,
     b: &[f64],

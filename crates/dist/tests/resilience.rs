@@ -467,32 +467,39 @@ fn seeded_fault_streams_replay_bit_for_bit_per_rank() {
 }
 
 /// The throttle sleeps at the top of every iteration of both rank loops: a
-/// throttled merged-CG worker solve takes at least iterations × throttle.
+/// throttled worker solve takes at least iterations × throttle, protected
+/// or not.
 #[test]
-fn throttled_merged_worker_solves_sleep_every_iteration() {
+fn throttled_worker_solves_sleep_every_iteration() {
     let throttle = Duration::from_millis(3);
-    let dir = std::env::temp_dir().join(format!("feir-throttle-{}", std::process::id()));
-    let spec = ProcessSpec {
-        solver: DistSolver::CgMerged,
-        ..ProcessSpec::cg(8, 2)
-    };
-    let options = WorkerOptions {
-        policy: Some(RecoveryPolicy::Feir),
-        throttle: Some(throttle),
-        ..WorkerOptions::default()
-    };
-    let worker = std::path::Path::new(env!("CARGO_BIN_EXE_feir-rank-worker"));
-    let start = Instant::now();
-    let solve = spawn_workers_with(worker, &spec, &Transport::Uds { dir }, &options)
-        .and_then(|handles| handles.join())
-        .expect("throttled merged solve failed");
-    let elapsed = start.elapsed();
-    assert!(solve.converged);
-    assert!(
-        elapsed >= throttle * solve.iterations as u32,
-        "{} iterations in {elapsed:?}",
-        solve.iterations
-    );
+    let inputs = [
+        (DistSolver::CgMerged, Some(RecoveryPolicy::Feir)),
+        (DistSolver::Cg, None),
+    ];
+    for (i, (solver, policy)) in inputs.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!("feir-throttle-{}-{i}", std::process::id()));
+        let spec = ProcessSpec {
+            solver,
+            ..ProcessSpec::cg(8, 2)
+        };
+        let options = WorkerOptions {
+            policy,
+            throttle: Some(throttle),
+            ..WorkerOptions::default()
+        };
+        let worker = std::path::Path::new(env!("CARGO_BIN_EXE_feir-rank-worker"));
+        let start = Instant::now();
+        let solve = spawn_workers_with(worker, &spec, &Transport::Uds { dir }, &options)
+            .and_then(|handles| handles.join())
+            .expect("throttled solve failed");
+        let elapsed = start.elapsed();
+        assert!(solve.converged, "{solver:?} under {policy:?}");
+        assert!(
+            elapsed >= throttle * solve.iterations as u32,
+            "{solver:?} under {policy:?}: {} iterations in {elapsed:?}",
+            solve.iterations
+        );
+    }
 }
 
 /// A heavier deterministic storm: several pages of every vector across every

@@ -167,8 +167,8 @@ impl LocalBlockJacobi {
     }
 
     /// Applies the preconditioner to the whole local range, block by block
-    /// in block order (deterministic: the distributed plain and resilient
-    /// PCG paths both call this sequence and stay bitwise-identical).
+    /// in block order: the sequence the distributed PCG rank loop runs page
+    /// by page, so its result is the reference a page re-solve is held to.
     pub fn apply(&self, r: &[f64], z: &mut [f64]) {
         assert_eq!(r.len(), self.partition.len());
         assert_eq!(z.len(), self.partition.len());

@@ -389,7 +389,7 @@ pub struct WorkerConfig {
     pub tolerance: f64,
     /// Iteration cap.
     pub max_iterations: u64,
-    /// Recovery-policy code; one code means "plain rank loop".
+    /// Recovery-policy code; one code means an unprotected solve.
     pub policy: u8,
     /// Interval of the checkpoint policy.
     pub checkpoint_interval: u64,

@@ -6,9 +6,20 @@
 //! equation used by HPCG. These generators produce matrices with the same
 //! structure so every experiment can run without external data.
 //!
-//! Every stencil generator writes its rows straight into the CSR arrays, each
-//! in increasing column order: no triplet stage, no sort. [`random_spd`] sums
-//! duplicates, so it goes through a [`CooMatrix`].
+//! Every stencil generator is assembled straight into the CSR arrays, each
+//! row in increasing column order: no triplet stage, no sort. `row_ptr` comes
+//! from each stencil's closed-form row length, so `col_idx` and `values` are
+//! allocated at the exact entry count and written once, in row blocks split
+//! on grid planes (3-D) or grid rows (2-D). As HPCG has every process
+//! generate its own rows, an operator of at least 2^20 entries is written
+//! in one block per pool worker; a smaller one is one block on the calling
+//! thread. A row's entries do not depend on its block, so every operator has
+//! the same bits at every thread count. [`random_spd`] sums duplicates, so it
+//! goes through a [`CooMatrix`].
+
+use std::mem::MaybeUninit;
+use std::ops::Range;
+use std::slice::IterMut;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -16,103 +27,290 @@ use rand::{RngExt, SeedableRng};
 use crate::csr::narrow_col;
 use crate::{CooMatrix, CsrMatrix};
 
-/// Appends the rows of a square CSR matrix in order. Each row's columns are
-/// pushed in increasing order, so [`CsrMatrix::from_raw`] sorts nothing.
-struct RowWriter {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
+/// Stored entries from which a stencil is assembled in one row block per pool
+/// worker, and its manufactured right-hand side multiplied in parallel.
+/// Below it the operator is a few MB, whose set-up costs less than a
+/// fan-out: `poisson_2d(128)` (81 408 entries) stays on the calling thread.
+const PARALLEL_ASSEMBLY_ENTRIES: usize = 1 << 20;
+
+/// How a stencil's row length follows from its grid point's in-grid
+/// neighbours along each axis.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// The point and its axis neighbours (5- and 7-point): 1 + their count.
+    Star,
+    /// Every point within one step on each axis (27-point): the product of
+    /// each axis's in-grid count.
+    Box,
 }
 
-impl RowWriter {
-    /// A writer for a `size × size` matrix with at most `nnz` entries.
-    fn new(size: usize, nnz: usize) -> Self {
-        let mut row_ptr = Vec::with_capacity(size + 1);
-        row_ptr.push(0);
-        Self {
-            row_ptr,
-            col_idx: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
-        }
-    }
+/// One block's share of `col_idx`/`values`, written front to back exactly
+/// once.
+struct BlockWriter<'a> {
+    cols: IterMut<'a, MaybeUninit<u32>>,
+    vals: IterMut<'a, MaybeUninit<f64>>,
+}
 
+impl BlockWriter<'_> {
     #[inline]
     fn push(&mut self, col: usize, value: f64) {
-        self.col_idx.push(narrow_col(col));
-        self.values.push(value);
+        let (Some(c), Some(v)) = (self.cols.next(), self.vals.next()) else {
+            panic!("stencil block writes more entries than its rows' lengths");
+        };
+        c.write(narrow_col(col));
+        v.write(value);
+    }
+}
+
+/// A stencil's row writer: the rows of a range of planes, in order.
+trait Fill: Fn(Range<usize>, &mut BlockWriter<'_>) + Sync {}
+
+impl<F: Fn(Range<usize>, &mut BlockWriter<'_>) + Sync> Fill for F {}
+
+/// A stencil on an `n`-edge grid of `dims` dimensions, rows numbered with
+/// the last axis fastest. `fill` writes the rows of a range of planes (the
+/// first axis) in order, each row in increasing column order.
+struct Stencil<F> {
+    n: usize,
+    dims: u32,
+    shape: Shape,
+    fill: F,
+}
+
+impl<F: Fill> Stencil<F> {
+    /// Row pointers from the closed-form row lengths.
+    fn row_ptr(&self) -> Vec<usize> {
+        let n = self.n;
+        let near: Vec<usize> = (0..n)
+            .map(|m| usize::from(m > 0) + usize::from(m + 1 < n))
+            .collect();
+        // A 2-D grid is one plane of a 3-D one, with no neighbours across it.
+        let planes: &[usize] = if self.dims == 3 { &near } else { &[0] };
+        let mut row_ptr = Vec::with_capacity(n.pow(self.dims) + 1);
+        row_ptr.push(0);
+        let mut end = 0;
+        for &a in planes {
+            for &b in &near {
+                for &c in &near {
+                    end += match self.shape {
+                        Shape::Star => 1 + a + b + c,
+                        Shape::Box => (1 + a) * (1 + b) * (1 + c),
+                    };
+                    row_ptr.push(end);
+                }
+            }
+        }
+        row_ptr
     }
 
-    fn end_row(&mut self) {
-        self.row_ptr.push(self.col_idx.len());
+    /// The matrix, in one row block per pool worker if it has at least
+    /// [`PARALLEL_ASSEMBLY_ENTRIES`] entries, else in one block.
+    fn build(&self) -> CsrMatrix {
+        let row_ptr = self.row_ptr();
+        let blocks = if row_ptr[row_ptr.len() - 1] >= PARALLEL_ASSEMBLY_ENTRIES {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        self.assemble(row_ptr, blocks)
     }
 
-    fn finish(self) -> CsrMatrix {
-        let size = self.row_ptr.len() - 1;
-        CsrMatrix::from_raw(size, size, self.row_ptr, self.col_idx, self.values)
+    /// The matrix with the given row pointers, written in `blocks` blocks of
+    /// whole planes (some empty if `blocks` exceeds the plane count). One
+    /// block runs on the calling thread; more run through `rayon::join`.
+    fn assemble(&self, row_ptr: Vec<usize>, blocks: usize) -> CsrMatrix {
+        let size = row_ptr.len() - 1;
+        let nnz = row_ptr[size];
+        let mut col_idx = Vec::<u32>::with_capacity(nnz);
+        let mut values = Vec::<f64>::with_capacity(nnz);
+        let cols = &mut col_idx.spare_capacity_mut()[..nnz];
+        let vals = &mut values.spare_capacity_mut()[..nnz];
+        self.write_blocks(&row_ptr, 0..self.n, blocks, cols, vals);
+        // SAFETY: `write_blocks` splits `0..nnz` into one share per block
+        // and asserts that each block wrote every slot of its share, so the
+        // first `nnz` entries of both buffers are initialized.
+        unsafe {
+            col_idx.set_len(nnz);
+            values.set_len(nnz);
+        }
+        CsrMatrix::from_raw(size, size, row_ptr, col_idx, values)
             .expect("stencil columns are in bounds and fit a u32")
     }
+
+    /// Writes `planes`, whose entries are exactly `cols`/`vals`, in `blocks`
+    /// blocks: halves of the block count go to the two sides of
+    /// `rayon::join`, each with the entries of its planes.
+    fn write_blocks(
+        &self,
+        row_ptr: &[usize],
+        planes: Range<usize>,
+        blocks: usize,
+        cols: &mut [MaybeUninit<u32>],
+        vals: &mut [MaybeUninit<f64>],
+    ) {
+        if blocks <= 1 {
+            let mut out = BlockWriter {
+                cols: cols.iter_mut(),
+                vals: vals.iter_mut(),
+            };
+            (self.fill)(planes, &mut out);
+            assert!(
+                out.cols.len() == 0 && out.vals.len() == 0,
+                "stencil block writes fewer entries than its rows' lengths"
+            );
+            return;
+        }
+        let half = blocks / 2;
+        let mid = planes.start + planes.len() * half / blocks;
+        let entry = |plane: usize| row_ptr[plane * self.n.pow(self.dims - 1)];
+        let split = entry(mid) - entry(planes.start);
+        let (cols_a, cols_b) = cols.split_at_mut(split);
+        let (vals_a, vals_b) = vals.split_at_mut(split);
+        rayon::join(
+            || self.write_blocks(row_ptr, planes.start..mid, half, cols_a, vals_a),
+            || self.write_blocks(row_ptr, mid..planes.end, blocks - half, cols_b, vals_b),
+        );
+    }
+}
+
+/// A 5-point stencil on an `n × n` grid. `weights(i, j)` gives row `(i, j)`'s
+/// entries for columns `[(i−1, j), (i, j−1), (i, j), (i, j+1), (i+1, j)]`;
+/// those of off-grid neighbours are not read.
+fn five_point(n: usize, weights: impl Fn(usize, usize) -> [f64; 5] + Sync) -> Stencil<impl Fill> {
+    Stencil {
+        n,
+        dims: 2,
+        shape: Shape::Star,
+        fill: move |rows: Range<usize>, out: &mut BlockWriter<'_>| {
+            let idx = |i: usize, j: usize| i * n + j;
+            for i in rows {
+                for j in 0..n {
+                    let [up, left, diag, right, down] = weights(i, j);
+                    if i > 0 {
+                        out.push(idx(i - 1, j), up);
+                    }
+                    if j > 0 {
+                        out.push(idx(i, j - 1), left);
+                    }
+                    out.push(idx(i, j), diag);
+                    if j + 1 < n {
+                        out.push(idx(i, j + 1), right);
+                    }
+                    if i + 1 < n {
+                        out.push(idx(i + 1, j), down);
+                    }
+                }
+            }
+        },
+    }
+}
+
+fn poisson_2d_stencil(n: usize) -> Stencil<impl Fill> {
+    five_point(n, |_, _| [-1.0, -1.0, 4.0, -1.0, -1.0])
+}
+
+fn poisson_3d_7pt_stencil(n: usize) -> Stencil<impl Fill> {
+    Stencil {
+        n,
+        dims: 3,
+        shape: Shape::Star,
+        fill: move |planes: Range<usize>, out: &mut BlockWriter<'_>| {
+            let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
+            for i in planes {
+                for j in 0..n {
+                    for k in 0..n {
+                        if i > 0 {
+                            out.push(idx(i - 1, j, k), -1.0);
+                        }
+                        if j > 0 {
+                            out.push(idx(i, j - 1, k), -1.0);
+                        }
+                        if k > 0 {
+                            out.push(idx(i, j, k - 1), -1.0);
+                        }
+                        out.push(idx(i, j, k), 6.0);
+                        if k + 1 < n {
+                            out.push(idx(i, j, k + 1), -1.0);
+                        }
+                        if j + 1 < n {
+                            out.push(idx(i, j + 1, k), -1.0);
+                        }
+                        if i + 1 < n {
+                            out.push(idx(i + 1, j, k), -1.0);
+                        }
+                    }
+                }
+            }
+        },
+    }
+}
+
+fn poisson_3d_27pt_stencil(n: usize) -> Stencil<impl Fill> {
+    Stencil {
+        n,
+        dims: 3,
+        shape: Shape::Box,
+        fill: move |planes: Range<usize>, out: &mut BlockWriter<'_>| {
+            let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
+            // The in-grid neighbours of each axis, in increasing order.
+            let near = |m: usize| m.saturating_sub(1)..(m + 2).min(n);
+            for i in planes {
+                for j in 0..n {
+                    for k in 0..n {
+                        let row = idx(i, j, k);
+                        for ni in near(i) {
+                            for nj in near(j) {
+                                for nk in near(k) {
+                                    let col = idx(ni, nj, nk);
+                                    let value = if col == row { 26.0 } else { -1.0 };
+                                    out.push(col, value);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        },
+    }
+}
+
+fn anisotropic_2d_stencil(n: usize, epsilon: f64) -> Stencil<impl Fill> {
+    assert!(epsilon > 0.0, "epsilon must be positive");
+    five_point(n, move |_, _| {
+        [-1.0, -epsilon, 2.0 + 2.0 * epsilon, -epsilon, -1.0]
+    })
+}
+
+fn jump_coefficient_2d_stencil(n: usize, jump: f64) -> Stencil<impl Fill> {
+    assert!(jump > 0.0, "jump must be positive");
+    let coeff = move |j: usize| if j >= n / 2 { jump } else { 1.0 };
+    five_point(n, move |i, j| {
+        let c = coeff(j);
+        let weight = |nj: usize| 0.5 * (c + coeff(nj));
+        let up = (i > 0).then(|| weight(j));
+        let down = (i + 1 < n).then(|| weight(j));
+        let left = (j > 0).then(|| weight(j - 1));
+        let right = (j + 1 < n).then(|| weight(j + 1));
+        // The diagonal sums its weights in the order i−1, i+1, j−1, j+1,
+        // not in column order: its rounding must not depend on the layout.
+        let diag = [up, down, left, right]
+            .into_iter()
+            .flatten()
+            .fold(0.0, |s, w| s + w);
+        let off = |w: Option<f64>| -w.unwrap_or(0.0);
+        // Add a boundary contribution so the matrix is non-singular.
+        [off(up), off(left), diag + 0.5 * c, off(right), off(down)]
+    })
 }
 
 /// 2-D 5-point Laplacian on an `n × n` grid (Dirichlet boundary), size `n²`.
 pub fn poisson_2d(n: usize) -> CsrMatrix {
-    let size = n * n;
-    let mut csr = RowWriter::new(size, 5 * size);
-    let idx = |i: usize, j: usize| i * n + j;
-    for i in 0..n {
-        for j in 0..n {
-            let row = idx(i, j);
-            if i > 0 {
-                csr.push(idx(i - 1, j), -1.0);
-            }
-            if j > 0 {
-                csr.push(idx(i, j - 1), -1.0);
-            }
-            csr.push(row, 4.0);
-            if j + 1 < n {
-                csr.push(idx(i, j + 1), -1.0);
-            }
-            if i + 1 < n {
-                csr.push(idx(i + 1, j), -1.0);
-            }
-            csr.end_row();
-        }
-    }
-    csr.finish()
+    poisson_2d_stencil(n).build()
 }
 
 /// 3-D 7-point Laplacian on an `n × n × n` grid (Dirichlet boundary), size `n³`.
 pub fn poisson_3d_7pt(n: usize) -> CsrMatrix {
-    let size = n * n * n;
-    let mut csr = RowWriter::new(size, 7 * size);
-    let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
-    for i in 0..n {
-        for j in 0..n {
-            for k in 0..n {
-                let row = idx(i, j, k);
-                if i > 0 {
-                    csr.push(idx(i - 1, j, k), -1.0);
-                }
-                if j > 0 {
-                    csr.push(idx(i, j - 1, k), -1.0);
-                }
-                if k > 0 {
-                    csr.push(idx(i, j, k - 1), -1.0);
-                }
-                csr.push(row, 6.0);
-                if k + 1 < n {
-                    csr.push(idx(i, j, k + 1), -1.0);
-                }
-                if j + 1 < n {
-                    csr.push(idx(i, j + 1, k), -1.0);
-                }
-                if i + 1 < n {
-                    csr.push(idx(i + 1, j, k), -1.0);
-                }
-                csr.end_row();
-            }
-        }
-    }
-    csr.finish()
+    poisson_3d_7pt_stencil(n).build()
 }
 
 /// 3-D 27-point stencil on an `n × n × n` grid — the HPCG-style discretization
@@ -121,29 +319,7 @@ pub fn poisson_3d_7pt(n: usize) -> CsrMatrix {
 /// The stencil has value 26 on the diagonal and −1 for each of the (up to) 26
 /// neighbours, which is the standard HPCG operator.
 pub fn poisson_3d_27pt(n: usize) -> CsrMatrix {
-    let size = n * n * n;
-    let mut csr = RowWriter::new(size, 27 * size);
-    let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
-    for i in 0..n {
-        for j in 0..n {
-            for k in 0..n {
-                let row = idx(i, j, k);
-                // The in-grid neighbours of each axis, in increasing order.
-                let near = |m: usize| m.saturating_sub(1)..(m + 2).min(n);
-                for ni in near(i) {
-                    for nj in near(j) {
-                        for nk in near(k) {
-                            let col = idx(ni, nj, nk);
-                            let value = if col == row { 26.0 } else { -1.0 };
-                            csr.push(col, value);
-                        }
-                    }
-                }
-                csr.end_row();
-            }
-        }
-    }
-    csr.finish()
+    poisson_3d_27pt_stencil(n).build()
 }
 
 /// Anisotropic 2-D diffusion operator: the `x`-direction coupling is scaled by
@@ -151,30 +327,7 @@ pub fn poisson_3d_27pt(n: usize) -> CsrMatrix {
 /// proxy matrices reproduce the wide range of iteration counts of the paper's
 /// test set.
 pub fn anisotropic_2d(n: usize, epsilon: f64) -> CsrMatrix {
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    let size = n * n;
-    let mut csr = RowWriter::new(size, 5 * size);
-    let idx = |i: usize, j: usize| i * n + j;
-    for i in 0..n {
-        for j in 0..n {
-            let row = idx(i, j);
-            if i > 0 {
-                csr.push(idx(i - 1, j), -1.0);
-            }
-            if j > 0 {
-                csr.push(idx(i, j - 1), -epsilon);
-            }
-            csr.push(row, 2.0 + 2.0 * epsilon);
-            if j + 1 < n {
-                csr.push(idx(i, j + 1), -epsilon);
-            }
-            if i + 1 < n {
-                csr.push(idx(i + 1, j), -1.0);
-            }
-            csr.end_row();
-        }
-    }
-    csr.finish()
+    anisotropic_2d_stencil(n, epsilon).build()
 }
 
 /// 2-D diffusion with a jump in the coefficient: the right half of the domain
@@ -182,44 +335,7 @@ pub fn anisotropic_2d(n: usize, epsilon: f64) -> CsrMatrix {
 /// material problems (thermal / thermomechanical families) in the paper's
 /// matrix set.
 pub fn jump_coefficient_2d(n: usize, jump: f64) -> CsrMatrix {
-    assert!(jump > 0.0, "jump must be positive");
-    let size = n * n;
-    let mut csr = RowWriter::new(size, 5 * size);
-    let idx = |i: usize, j: usize| i * n + j;
-    let coeff = |_i: usize, j: usize| if j >= n / 2 { jump } else { 1.0 };
-    for i in 0..n {
-        for j in 0..n {
-            let row = idx(i, j);
-            let c = coeff(i, j);
-            let weight = |ni: usize, nj: usize| 0.5 * (c + coeff(ni, nj));
-            let up = (i > 0).then(|| weight(i - 1, j));
-            let down = (i + 1 < n).then(|| weight(i + 1, j));
-            let left = (j > 0).then(|| weight(i, j - 1));
-            let right = (j + 1 < n).then(|| weight(i, j + 1));
-            // The diagonal sums its weights in the order i−1, i+1, j−1, j+1,
-            // not in push order: its rounding must not depend on the layout.
-            let diag = [up, down, left, right]
-                .into_iter()
-                .flatten()
-                .fold(0.0, |s, w| s + w);
-            if let Some(w) = up {
-                csr.push(idx(i - 1, j), -w);
-            }
-            if let Some(w) = left {
-                csr.push(idx(i, j - 1), -w);
-            }
-            // Add a boundary contribution so the matrix is non-singular.
-            csr.push(row, diag + 0.5 * c);
-            if let Some(w) = right {
-                csr.push(idx(i, j + 1), -w);
-            }
-            if let Some(w) = down {
-                csr.push(idx(i + 1, j), -w);
-            }
-            csr.end_row();
-        }
-    }
-    csr.finish()
+    jump_coefficient_2d_stencil(n, jump).build()
 }
 
 /// Random sparse diagonally-dominant SPD matrix with roughly `nnz_per_row`
@@ -255,11 +371,19 @@ pub fn random_spd(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
 
 /// Builds a right-hand side `b = A·x_true` for a given "true" solution shape,
 /// plus returns `x_true`. Useful for manufactured-solution tests.
+///
+/// `x_true` is drawn serially from `seed`. From 2^20 stored entries on, `b`
+/// is multiplied by [`CsrMatrix::spmv_parallel`], which is bitwise equal to
+/// [`CsrMatrix::spmv`].
 pub fn manufactured_rhs(a: &CsrMatrix, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let x_true: Vec<f64> = (0..a.cols()).map(|_| rng.random_range(-1.0..1.0)).collect();
     let mut b = vec![0.0; a.rows()];
-    a.spmv(&x_true, &mut b);
+    if a.nnz() >= PARALLEL_ASSEMBLY_ENTRIES {
+        a.spmv_parallel(&x_true, &mut b);
+    } else {
+        a.spmv(&x_true, &mut b);
+    }
     (x_true, b)
 }
 
@@ -482,6 +606,30 @@ mod tests {
                     &format!("jump_coefficient_2d({n}, {jump})"),
                 );
             }
+        }
+    }
+
+    #[test]
+    fn stencils_are_bit_equal_in_any_number_of_row_blocks() {
+        fn check<F: Fill>(stencil: Stencil<F>, what: &str) {
+            let one = stencil.assemble(stencil.row_ptr(), 1);
+            for blocks in [2, 3, 5] {
+                let got = stencil.assemble(stencil.row_ptr(), blocks);
+                assert_same_bits(&got, &one, &format!("{what} in {blocks} blocks"));
+            }
+        }
+        for n in [1usize, 2, 3, 7, 17] {
+            check(poisson_2d_stencil(n), &format!("poisson_2d({n})"));
+            check(poisson_3d_7pt_stencil(n), &format!("poisson_3d_7pt({n})"));
+            check(poisson_3d_27pt_stencil(n), &format!("poisson_3d_27pt({n})"));
+            check(
+                anisotropic_2d_stencil(n, 0.3),
+                &format!("anisotropic_2d({n})"),
+            );
+            check(
+                jump_coefficient_2d_stencil(n, 3.7),
+                &format!("jump_coefficient_2d({n})"),
+            );
         }
     }
 

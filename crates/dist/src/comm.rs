@@ -595,11 +595,10 @@ impl RankComm {
     }
 
     /// Number of collectives this endpoint has entered (scalar and vector,
-    /// blocking and split-phase, including [`RankComm::fault_flag`]). A fault
-    /// flag riding as a lane of another reduction adds nothing, so a
-    /// fault-free protected CG iteration counts 2 and PCG 3, as an
-    /// unprotected one does. Halo and recovery exchanges are point-to-point
-    /// and do not count.
+    /// blocking and split-phase). A fault flag or restart count riding as a
+    /// lane of another reduction adds nothing, so a fault-free protected
+    /// CG iteration counts 2 and PCG 3, as an unprotected one does. Halo and
+    /// recovery exchanges are point-to-point and do not count.
     pub fn collectives(&self) -> u64 {
         self.collectives.get()
     }
@@ -613,18 +612,6 @@ impl RankComm {
     /// top.
     pub fn rejoin(&self, failed: Option<usize>, iteration: u64) -> Result<u64, CommError> {
         self.link.rejoin(failed, iteration)
-    }
-
-    /// Global "did anyone fault?" indicator as a collective of its own,
-    /// built on the deterministic sum allreduce: every rank contributes its
-    /// local count of freshly discovered losses. Only the merged loops call
-    /// it: once on a faulted forward round (the blank-acceptance rebuild
-    /// flag), and on every iteration of their TrivialReplace, Checkpoint
-    /// and LossyRestart sweeps. The forward policies' fault-free flag rides
-    /// as one more lane of a reduction the iteration already runs, as every
-    /// classic protected policy's does.
-    pub fn fault_flag(&self, local_faults: usize) -> Result<bool, CommError> {
-        Ok(self.allreduce_sum(local_faults as f64)? > 0.0)
     }
 
     /// One collective cross-rank recovery round.
@@ -1319,19 +1306,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_flag_is_a_global_or() {
-        let ranks = 3;
-        let flags = on_every_rank(ranks, |comm| {
-            // Only rank 1 reports a fault; everyone must see it.
-            let first = comm.fault_flag(usize::from(comm.rank() == 1)).unwrap();
-            let second = comm.fault_flag(0).unwrap();
-            (first, second)
-        });
-        // First round: all true. Second round: all false.
-        assert_eq!(flags, vec![(true, false); ranks]);
-    }
-
-    #[test]
     fn vector_allreduce_matches_scalar_allreduces_bitwise() {
         // Each component of the batched collective must carry exactly the
         // bits a scalar allreduce of the same partials produces.
@@ -1367,7 +1341,7 @@ mod tests {
         let counts = on_every_rank(2, |comm| {
             comm.allreduce_sum(1.0).unwrap();
             let _ = comm.allreduce_vec(vec![1.0, 2.0]).unwrap();
-            comm.fault_flag(0).unwrap();
+            comm.allreduce_sum(0.0).unwrap();
             let pending = comm.start_allreduce(0.5).unwrap();
             pending.finish().unwrap();
             comm.collectives()

@@ -42,6 +42,11 @@
 //! residual replacement and Krylov restart, shared by the baseline
 //! policies and the elastic rejoin, and [`PageCounts`] the one counter set.
 //!
+//! Both loops restart for a page a repair round blank-accepts — the related
+//! data the paper ignores (§2.4), or any page whose relation reads a blank:
+//! every rank replaces the residual. Here the count rides the post-repair ε
+//! reduction as a second lane.
+//!
 //! The loop is split into resumable phases
 //! ([`alloc_state`] → [`init_collectives`] → [`resilient_iterations`] →
 //! [`finish_outcome`]) around an explicit [`SolveState`], so the elastic
@@ -927,9 +932,12 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                 // round writes no residual page, so ε is posted now (from the
                 // fused partial: g is unscrubbed) and the whole repair runs
                 // inside its wait. FEIR, or a lost residual page, reduces
-                // after the repair.
+                // after the repair, its blank-accepted count as lane 1. An
+                // early rank posts 0: having lost no `g` page, it can only
+                // blank an `x` page whose chain of blanks starts at a rank
+                // that did, and that rank's lane counts.
                 let eps_in_flight = if ctx.policy == RecoveryPolicy::Afeir && lost_g.is_empty() {
-                    Some(comm.start_allreduce(g_norm2)?)
+                    Some(comm.start_allreduce_vec(vec![g_norm2, 0.0])?)
                 } else {
                     None
                 };
@@ -943,10 +951,17 @@ pub(crate) fn resilient_iterations<S: RecoverableIteration>(
                     |rows, view, out| relations.residual_rows(rows, view, out),
                 )?;
                 st.pages += counts;
-                st.eps = match eps_in_flight {
+                let ignored = counts.ignored as f64;
+                let sums = match eps_in_flight {
                     Some(pending) => pending.finish()?,
-                    None => comm.allreduce_sum(kernels::norm2_squared(&st.g))?,
+                    None => comm.allreduce_vec(vec![kernels::norm2_squared(&st.g), ignored])?,
                 };
+                debug_assert!(ignored == 0.0 || sums[1] > 0.0);
+                st.eps = sums[0];
+                // A blank-accepted page leaves `g ≠ b − A·x` for good: restart.
+                if sums[1] > 0.0 {
+                    st.replace_residual(ctx, comm, true)?;
+                }
             }
             RecoveryPolicy::Trivial => {
                 // Blank every lost page and keep going (Section 4.1): purely

@@ -22,7 +22,8 @@
 //!   solve), on the same values. The forward policies append their
 //!   scrubbed-fault count as an extra component of the *same* collective
 //!   (component-wise reduction leaves the `γ, δ, ε` bits untouched), so even
-//!   the fault flag costs no second synchronization.
+//!   the fault flag costs no second synchronization. Only a faulted forward
+//!   iteration enters a second one, after its repair: the restart flag.
 //! * **FEIR and AFEIR repair through one code path** — the scrub point
 //!   sits before the collective is posted, the matvec overlaps the
 //!   reduction as at `Ideal`, and every lost page is rebuilt after the
@@ -31,7 +32,8 @@
 //!   direction-side round-1 recovery requests inside the reduction window
 //!   ([`RankComm::post_recovery_requests`]), so the peers' replies overlap
 //!   the wait. Both rounds — `p` against `s = A·p`, then `x` against `r` —
-//!   are the classic loop's one [`repair_pair`].
+//!   are the classic loop's one [`repair_pair`], and a page either round
+//!   blank-accepts restarts the solve, as in the classic loop.
 //! * **losses materialise before the convergence check** — recovery (or
 //!   blank-acceptance) completes before a converged iteration can break out
 //!   of the loop, so the assembled solution never silently contains a
@@ -235,17 +237,14 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
         let gamma = totals[0];
         let delta = totals[1];
         let check = if preconditioned { totals[2] } else { gamma };
-        let faults_global = if forward {
-            *totals.last().expect("fault component present") > 0.0
-        } else {
-            false
-        };
+        let faulted = forward && totals[m.partials.len()] > 0.0;
 
         let rel = check.max(0.0).sqrt() / norm_b;
 
         // ---- forward recovery, before the convergence check (a converged
         // break must never leave scrubbed blanks in the iterate).
-        if forward && faults_global {
+        let mut restart = false;
+        if faulted {
             let ignored_before = m.pages.ignored;
             // -- round 1: the direction p against its matvec image s = A·p,
             // repaired in its full-length view. Every rank participates
@@ -293,26 +292,12 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
                 }
                 mark_page(registry, ids::Z, pg);
             }
-            // ---- residual replacement after blank-acceptance. Unlike the
-            // classic loop — whose matvec recomputes q = A·d from scratch
-            // every iteration — the merged recurrences (`w = A·r`,
-            // `s = A·p`, …) never self-correct: a blank-accepted page makes
-            // them inconsistent *permanently* and the solve drifts. So when
-            // any rank accepted a blank this round, every rank rebuilds the
-            // recurrence state from the exact relations and restarts the
-            // direction (β = 0), which is the standard residual-replacement
-            // remedy of the pipelined-CG literature. Exact recoveries do
-            // not pay this: the restored bits equal the pre-fault state, so
-            // the recurrences are already consistent.
-            if comm.fault_flag(m.pages.ignored - ignored_before)? {
-                m.rebuild_recurrence_state(&ctx, relations, &comm, false)?;
-                history.push(rel);
-                if rel <= ctx.tolerance {
-                    break;
-                }
-                iterations = t + 1;
-                continue;
-            }
+            // The iteration's one reduction landed before this repair, and
+            // a page can be blank-accepted with no same-page loss anywhere
+            // (a split pair across a rank boundary), so whether any rank
+            // blank-accepted one takes a collective of its own.
+            let ignored = m.pages.ignored - ignored_before;
+            restart = comm.allreduce_sum(ignored as f64)? > 0.0;
         }
 
         history.push(rel);
@@ -320,6 +305,16 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
             break;
         }
         iterations = t + 1;
+        // ---- residual replacement after blank-acceptance: a blank page
+        // makes the merged recurrences inconsistent *permanently*, so every
+        // rank rebuilds the recurrence state from the exact relations and
+        // restarts the direction (β = 0). Exact recoveries do not pay this:
+        // the restored bits equal the pre-fault state.
+        if restart {
+            m.rebuild_recurrence_state(&ctx, relations, &comm, false)?;
+            m.restarts += 1;
+            continue;
+        }
 
         if preconditioned && kernels::is_breakdown(gamma) {
             break;
@@ -383,7 +378,7 @@ pub(crate) fn rank_merged_resilient_solve<S: RecoverableIteration>(
                 if ctx.policy == RecoveryPolicy::TrivialReplace {
                     m.pages.ignored += lost_total;
                 }
-                if !comm.fault_flag(lost_total)? {
+                if comm.allreduce_sum(lost_total as f64)? == 0.0 {
                     continue;
                 }
                 if let Some(store) = m.store.as_mut() {

@@ -228,13 +228,14 @@ pub struct DistResilientReport {
     pub cross_rank_values: usize,
     /// Checkpoint rollbacks (checkpoint policy only).
     pub rollbacks: usize,
-    /// Restarts (Lossy Restart policy only).
+    /// Krylov restarts (β = 0): after a loss (TrivialReplace, LossyRestart),
+    /// a blank-accepted page (FEIR, AFEIR) or an elastic rejoin.
     pub restarts: usize,
     /// Collectives rank 0 entered (see
     /// [`DistSolveResult::allreduces`](crate::cg::DistSolveResult)). For the
     /// merged solvers under the forward policies this stays at one per
-    /// iteration even though the fault flag travels too — it rides inside
-    /// the same vector allreduce.
+    /// fault-free iteration even though the fault flag travels too — it
+    /// rides inside the same vector allreduce.
     pub allreduces: u64,
     /// Wall-clock solve time.
     pub elapsed: Duration,
@@ -605,7 +606,7 @@ pub fn distributed_resilient_pcg(
 /// forward policies still issue exactly one allreduce per fault-free
 /// iteration — the fault flag rides inside the vector collective. Extra
 /// scalar collectives appear only where unavoidable: on *faulted* forward
-/// rounds (the blank-acceptance rebuild flag) and in the checkpoint/lossy
+/// rounds (the blank-acceptance restart flag) and in the checkpoint/lossy
 /// baselines' end-of-iteration sweeps.
 pub fn distributed_resilient_cg_merged(
     a: &CsrMatrix,

@@ -16,11 +16,13 @@ use feir_dist::{
 use feir_recovery::RecoveryPolicy;
 use feir_sparse::generators::{manufactured_rhs, poisson_2d};
 use feir_sparse::CsrMatrix;
+use proptest::prelude::*;
 
 /// Grid edge: 256 unknowns, so 16-double pages give 8 pages per rank at 2
 /// ranks and 4 at 4 ranks.
 const GRID: usize = 16;
 const PAGE: usize = 16;
+const TOL: f64 = 1e-10;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Solver {
@@ -45,11 +47,23 @@ impl Solver {
         policy: RecoveryPolicy,
         schedule: Schedule,
     ) -> DistResilientReport {
+        let faults = schedule.faults(ranks, self.preconditioned());
+        self.solve_under(a, b, ranks, policy, faults)
+    }
+
+    fn solve_under(
+        self,
+        a: &CsrMatrix,
+        b: &[f64],
+        ranks: usize,
+        policy: RecoveryPolicy,
+        faults: Vec<ScriptedFault>,
+    ) -> DistResilientReport {
         let config = DistResilienceConfig::for_policy(policy)
             .with_page_doubles(PAGE)
-            .with_tolerance(1e-10)
+            .with_tolerance(TOL)
             .with_max_iterations(2_000)
-            .with_scripted_faults(schedule.faults(ranks, self.preconditioned()));
+            .with_scripted_faults(faults);
         match self {
             Solver::Cg => distributed_resilient_cg(a, b, ranks, config),
             Solver::Pcg => distributed_resilient_pcg(a, b, ranks, config),
@@ -196,9 +210,11 @@ fn feir_and_afeir_are_bitwise_equal() {
 /// converged and how many collectives it entered. A changed hash means the
 /// repair or restart arithmetic itself changed, not only its scheduling.
 ///
-/// The classic solvers' FEIR rows under `Related` pin ROADMAP item 24's
-/// current result: a blank-accepted `x`+`g` loss stops the classic loops
-/// unconverged. Item 24 changes those two rows on purpose.
+/// The FEIR rows under `Related` pin the one blank-acceptance rule (ROADMAP
+/// item 24): the related pairs are blank-accepted and every rank then
+/// replaces the residual and restarts, so all four solvers converge. The
+/// classic loops' restart flag rides their post-repair ε reduction; the
+/// merged loops reduce theirs once per faulted iteration.
 #[test]
 fn faulted_bits_match_their_golden_hashes() {
     use RecoveryPolicy::{Checkpoint, Feir, LossyRestart, Trivial, TrivialReplace};
@@ -257,8 +273,8 @@ fn faulted_bits_match_their_golden_hashes() {
             104,
             0x8aec_927b_f7be_7f4f,
         ),
-        (Cg, Feir, Related, false, 177, 0xa7bb_943a_8e0a_16d0),
-        (Pcg, Feir, Related, false, 172, 0x8c0d_0dbd_6f87_e040),
+        (Cg, Feir, Related, true, 142, 0x5ec6_ee45_521b_3069),
+        (Pcg, Feir, Related, true, 185, 0x1bcb_fe24_1c7e_3530),
         (CgMerged, Feir, Related, true, 76, 0xa857_d44d_2310_7bbd),
         (PcgMerged, Feir, Related, true, 70, 0xff31_b0e9_412f_1070),
     ];
@@ -319,5 +335,108 @@ fn plain_bits_match_their_golden_hashes() {
                 .chain([result.iterations as u64]),
         );
         assert_eq!(hash, expected, "{tag}: the plain bits changed");
+    }
+}
+
+/// A related `x`/`g` loss drawn at random, in one of four shapes. `x` and
+/// `g` lose the same page of one rank (0), plus an `x` loss on the next page
+/// of that rank (1) or across the rank boundary (2), where the pair moves to
+/// the boundary page so the coupled round meets its blanks on the
+/// neighbouring rank. Or the pair splits across the boundary with no page
+/// lost twice (3): `g` on one rank's boundary page, `x` on the neighbour's
+/// page across it, so the residual page's recompute reads the neighbour's
+/// blanks and is blank-accepted with no same-page conflict anywhere.
+fn related_loss(
+    ranks: usize,
+    iteration: usize,
+    rank: usize,
+    page: usize,
+    shape: usize,
+) -> Vec<ScriptedFault> {
+    use ProtectedVector::{G, X};
+    let rank = rank % ranks;
+    let last = GRID * GRID / ranks / PAGE - 1;
+    let page = page % (last + 1);
+    let next = if page == last { page - 1 } else { page + 1 };
+    let (edge, (peer, peer_page)) = if rank < ranks - 1 {
+        (last, (rank + 1, 0))
+    } else {
+        (0, (rank - 1, last))
+    };
+    let x_loss = |owner, page| fault(iteration, owner, X, page);
+    let g_loss = |page| fault(iteration, rank, G, page);
+    match shape {
+        0 => vec![x_loss(rank, page), g_loss(page)],
+        1 => vec![x_loss(rank, page), g_loss(page), x_loss(rank, next)],
+        2 => vec![x_loss(rank, edge), g_loss(edge), x_loss(peer, peer_page)],
+        _ => vec![g_loss(edge), x_loss(peer, peer_page)],
+    }
+}
+
+/// A split related loss: rank 1 loses `x` page 0 and rank 0 its last
+/// residual page in the same iteration, so rank 0's
+/// residual recompute reads rank 1's blanks. For the merged solvers the
+/// same split between `p` on rank 1 and `s = A·p` on rank 0. No page is lost
+/// twice, yet a page is blank-accepted, and every solver restarts for it.
+#[test]
+fn split_related_losses_restart_and_converge() {
+    use ProtectedVector::{D, G, Q, X};
+    let a = poisson_2d(GRID);
+    let (_, b) = manufactured_rhs(&a, 5);
+    let last = GRID * GRID / 2 / PAGE - 1;
+    let splits = Solver::ALL
+        .map(|solver| (solver, [fault(12, 1, X, 0), fault(12, 0, G, last)]))
+        .into_iter()
+        .chain(
+            [Solver::CgMerged, Solver::PcgMerged]
+                .map(|solver| (solver, [fault(12, 1, D, 0), fault(12, 0, Q, last)])),
+        );
+    for (solver, faults) in splits {
+        for policy in [RecoveryPolicy::Feir, RecoveryPolicy::Afeir] {
+            let tag = format!("{solver:?} under {policy:?} with {faults:?}");
+            let report = solver.solve_under(&a, &b, 2, policy, faults.to_vec());
+            assert!(report.pages_ignored >= 1, "{tag}: nothing blank-accepted");
+            assert!(report.restarts >= 1, "{tag}: no restart counted");
+            assert!(report.converged, "{tag}: did not converge");
+            assert!(
+                report.relative_residual <= TOL,
+                "{tag}: true residual {}",
+                report.relative_residual
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every solver, under FEIR and AFEIR alike, converges to the true
+    /// tolerance after a random related `x`+`g` loss: what the round cannot
+    /// rebuild is blank-accepted and the solve pays a restart for it, with
+    /// the same bits under both policies.
+    #[test]
+    fn related_losses_restart_and_converge(
+        (iteration, rank, page, shape) in (1usize..40, 0usize..4, 0usize..8, 0usize..4),
+        ranks in (0usize..2).prop_map(|k| 2 << k),
+    ) {
+        let a = poisson_2d(GRID);
+        let (_, b) = manufactured_rhs(&a, 5);
+        let faults = related_loss(ranks, iteration, rank, page, shape);
+        for solver in Solver::ALL {
+            let tag = format!("{solver:?} at {ranks} ranks under {faults:?}");
+            let feir = solver.solve_under(&a, &b, ranks, RecoveryPolicy::Feir, faults.clone());
+            let afeir = solver.solve_under(&a, &b, ranks, RecoveryPolicy::Afeir, faults.clone());
+            prop_assert!(feir.converged, "{tag}: did not converge");
+            prop_assert!(
+                feir.relative_residual <= TOL,
+                "{tag}: true residual {}",
+                feir.relative_residual
+            );
+            prop_assert!(feir.restarts >= 1, "{tag}: no restart counted");
+            prop_assert!(feir.pages_ignored >= 1, "{tag}: nothing blank-accepted");
+            prop_assert_eq!(fingerprint(&afeir), fingerprint(&feir), "{tag}: FEIR ≠ AFEIR");
+            prop_assert_eq!(afeir.restarts, feir.restarts, "{tag}: restarts");
+            prop_assert_eq!(afeir.allreduces, feir.allreduces, "{tag}: collectives");
+        }
     }
 }

@@ -1167,6 +1167,8 @@ fn coupled_recovery_chains_across_three_ranks() {
 /// boundary page also loses its residual block, that page is conflicted —
 /// it cannot join the union, the union's support stays invalid on every
 /// rank, and *both* sides must blank-accept instead of solving on garbage.
+/// The related loss then restarts the solve from `g = b − A·x`, so it still
+/// converges.
 #[test]
 fn coupled_round_blank_accepts_when_a_residual_block_is_also_lost() {
     let a = poisson_2d(16);
@@ -1208,9 +1210,11 @@ fn coupled_round_blank_accepts_when_a_residual_block_is_also_lost() {
         );
         assert!(report.pages_ignored >= 3, "{policy:?} must blank-accept");
         assert!(report.x.iter().all(|v| v.is_finite()), "{policy:?}");
+        assert!(report.restarts >= 1, "{policy:?} did not restart");
         assert!(
-            report.converged || report.relative_residual > TOL,
-            "{policy:?} inconsistent report"
+            report.converged,
+            "{policy:?} did not converge: true residual {}",
+            report.relative_residual
         );
     }
 }
